@@ -62,11 +62,17 @@ def cmd_calibrate(args):
     return 0
 
 
-def cmd_workload(args):
+def _setup(args):
+    """(config dict, env, service model, size distribution) of a command."""
     cfg = cfgmod.load_config(args.config)
-    episode_cfg = cfgmod.episode_config(cfg)
     model, dist = cfgmod.service_model_and_sizes(cfg)
-    tasks = build_episode_workload(episode_cfg, dist, model,
+    env = FarmEnv(cfgmod.episode_config(cfg), cfgmod.reward_config(cfg))
+    return cfg, env, model, dist
+
+
+def cmd_workload(args):
+    _, env, model, dist = _setup(args)
+    tasks = build_episode_workload(env.config, dist, model,
                                    shuffle_phases=args.shuffle,
                                    rng_seed=args.seed)
     write_workload_csv(tasks, args.out)
@@ -98,12 +104,9 @@ def _make_policy(spec: str, env: FarmEnv):
 
 
 def cmd_run(args):
-    cfg = cfgmod.load_config(args.config)
-    episode_cfg = cfgmod.episode_config(cfg)
-    model, dist = cfgmod.service_model_and_sizes(cfg)
-    env = FarmEnv(episode_cfg, cfgmod.reward_config(cfg))
+    _, env, model, dist = _setup(args)
     policy = _make_policy(args.policy, env)
-    workload = build_episode_workload(episode_cfg, dist, model,
+    workload = build_episode_workload(env.config, dist, model,
                                       shuffle_phases=args.shuffle,
                                       rng_seed=args.seed)
     summary = run_episode(env, policy, workload, args.seed)
@@ -119,10 +122,7 @@ def cmd_run(args):
 
 
 def cmd_train(args):
-    cfg = cfgmod.load_config(args.config)
-    episode_cfg = cfgmod.episode_config(cfg)
-    model, dist = cfgmod.service_model_and_sizes(cfg)
-    env = FarmEnv(episode_cfg, cfgmod.reward_config(cfg))
+    cfg, env, model, dist = _setup(args)
 
     if args.agent == "sarsa":
         agent = SarsaAgent(cfgmod.sarsa_config(cfg), seed=args.seed)
@@ -147,9 +147,8 @@ def cmd_train(args):
 
 
 def cmd_compare(args):
-    cfg = cfgmod.load_config(args.config)
-    episode_cfg = cfgmod.episode_config(cfg)
-    model, dist = cfgmod.service_model_and_sizes(cfg)
+    cfg, env, model, dist = _setup(args)
+    episode_cfg = env.config
     cost_cfg = cfgmod.cost_config(cfg)
     seeds = [int(s) for s in args.seeds.split(",")]
     out = Path(args.out)
@@ -158,7 +157,6 @@ def cmd_compare(args):
     rows = []
     phase_rows = []
     for spec in args.policies.split(","):
-        env = FarmEnv(episode_cfg, cfgmod.reward_config(cfg))
         policy = _make_policy(spec.strip(), env)
         summaries, paygo, sub = [], [], []
         for seed in seeds:

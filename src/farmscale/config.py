@@ -6,6 +6,8 @@ fully described by one human-readable file plus a seed.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import yaml
 
 from .core import EpisodeConfig, RewardConfig
@@ -13,7 +15,7 @@ from .metrics import CostConfig
 from .sarsa import SarsaConfig
 from .dqn import DqnConfig
 from .workload import (default_phases, default_size_distribution,
-                       reduced_paper_model, SizeDistribution)
+                       reduced_paper_model)
 
 DEFAULTS = {
     # workload
@@ -70,8 +72,16 @@ DEFAULTS = {
 }
 
 
+_ACCEPTED = {bool: bool, int: int, float: (int, float)}
+
+
 def load_config(path=None) -> dict:
-    """DEFAULTS overlaid with the flat key-value file at ``path``, if any."""
+    """DEFAULTS overlaid with the flat key-value file at ``path``, if any.
+
+    Each loaded value must have the type of its default: an int key takes
+    only an integer, a float key an integer or a float, a bool key only a
+    bool; a bool is never taken as a number.
+    """
     cfg = dict(DEFAULTS)
     if path is not None:
         with open(path) as fh:
@@ -81,77 +91,45 @@ def load_config(path=None) -> dict:
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+        for key, value in loaded.items():
+            expected = type(DEFAULTS[key])
+            if (isinstance(value, bool) != (expected is bool)
+                    or not isinstance(value, _ACCEPTED[expected])):
+                raise ValueError(f"{path}: {key} must be {expected.__name__}, "
+                                 f"got {value!r}")
         cfg.update(loaded)
     return cfg
+
+
+def _build(cls, cfg: dict, prefix: str = "", **derived):
+    """``cls`` from the keys ``prefix + field name`` of DEFAULTS, read from
+    ``cfg``; fields with no such key come from ``derived`` or their default."""
+    return cls(**{f.name: cfg[prefix + f.name] for f in fields(cls)
+                  if prefix + f.name in DEFAULTS}, **derived)
 
 
 def episode_config(cfg: dict) -> EpisodeConfig:
     phases = default_phases(base_rate=cfg["base_rate"],
                             duration=cfg["phase_duration"],
                             window=cfg["poisson_window"])
-    return EpisodeConfig(
-        phases=phases,
-        step_duration=cfg["step_duration"],
-        n_min=int(cfg["n_min"]),
-        n_max=int(cfg["n_max"]),
-        n_init=int(cfg["n_init"]),
-        beta=cfg["beta"],
-        scale_up_latency=(cfg["latency_lo"], cfg["latency_hi"]),
-        obs_window=int(cfg["obs_window"]),
-        drain_cap=int(cfg["drain_cap"]),
-        warm_start=bool(cfg["warm_start"]),
-    )
+    return _build(EpisodeConfig, cfg, phases=phases,
+                  scale_up_latency=(cfg["latency_lo"], cfg["latency_hi"]))
 
 
 def reward_config(cfg: dict) -> RewardConfig:
-    return RewardConfig(
-        q_target=cfg["q_target"],
-        q_queue_target=cfg["q_queue_target"],
-        q_idle=cfg["q_idle"],
-        n_target=int(cfg["n_target"]),
-        w_qos=cfg["w_qos"],
-        w_backlog=cfg["w_backlog"],
-        w_scale=cfg["w_scale"],
-        w_eff=cfg["w_eff"],
-        w_up=cfg["w_up"],
-        w_down=cfg["w_down"],
-    )
+    return _build(RewardConfig, cfg)
 
 
 def sarsa_config(cfg: dict) -> SarsaConfig:
-    return SarsaConfig(
-        alpha=cfg["sarsa_alpha"],
-        gamma=cfg["sarsa_gamma"],
-        trace_decay=cfg["sarsa_trace_decay"],
-        epsilon_start=cfg["sarsa_epsilon_start"],
-        epsilon_min=cfg["sarsa_epsilon_min"],
-        epsilon_decay=cfg["sarsa_epsilon_decay"],
-    )
+    return _build(SarsaConfig, cfg, "sarsa_")
 
 
 def dqn_config(cfg: dict) -> DqnConfig:
-    return DqnConfig(
-        replay_capacity=int(cfg["dqn_replay_capacity"]),
-        batch_size=int(cfg["dqn_batch_size"]),
-        warmup=int(cfg["dqn_warmup"]),
-        gamma=cfg["dqn_gamma"],
-        epsilon_start=cfg["dqn_epsilon_start"],
-        epsilon_min=cfg["dqn_epsilon_min"],
-        epsilon_decay=cfg["dqn_epsilon_decay"],
-        tau=cfg["dqn_tau"],
-        learning_rate=cfg["dqn_learning_rate"],
-        grad_clip=cfg["dqn_grad_clip"],
-    )
+    return _build(DqnConfig, cfg, "dqn_")
 
 
 def cost_config(cfg: dict) -> CostConfig:
-    return CostConfig(
-        c_w=cfg["cost_c_w"],
-        c_scale=cfg["cost_c_scale"],
-        c_sub=cfg["cost_c_sub"],
-        c_burst=cfg["cost_c_burst"],
-        n_sub=int(cfg["cost_n_sub"]),
-    )
+    return _build(CostConfig, cfg, "cost_")
 
 
 def service_model_and_sizes(cfg: dict):
@@ -160,8 +138,3 @@ def service_model_and_sizes(cfg: dict):
     dist = default_size_distribution(model,
                                      mean_target=cfg["mean_service_target"])
     return model, dist
-
-
-def dump_defaults(path):
-    with open(path, "w") as fh:
-        yaml.safe_dump(DEFAULTS, fh, sort_keys=False)

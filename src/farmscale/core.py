@@ -8,41 +8,13 @@ derived. No module-level mutable state.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 ACTIONS = (-1, 0, 1)
 
-OBSERVATION_FIELDS = (
-    "q_in",
-    "q_work",
-    "q_res",
-    "q_out",
-    "n_workers",
-    "t_proc_avg",
-    "t_proc_max",
-    "arrival_rate",
-    "qos_step",
-)
-
-STEP_COLUMNS = (
-    "step",
-    "q_in",
-    "q_work",
-    "q_res",
-    "q_out",
-    "n_workers",
-    "t_proc_avg",
-    "t_proc_max",
-    "arrival_rate",
-    "qos_step",
-    "action",
-    "applied_delta",
-    "reward",
-    "arrived",
-    "completed",
-    "hits",
-)
+_PARSERS = {"int": int, "float": float}
 
 TASK_COLUMNS = (
     "task_id",
@@ -104,33 +76,26 @@ class Observation:
     qos_step: float
 
     def as_tuple(self) -> tuple:
-        return (
-            self.q_in,
-            self.q_work,
-            self.q_res,
-            self.q_out,
-            self.n_workers,
-            self.t_proc_avg,
-            self.t_proc_max,
-            self.arrival_rate,
-            self.qos_step,
-        )
+        return _observation_values(self)
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "Observation":
-        if len(values) != 9:
-            raise ValueError(f"expected 9 components, got {len(values)}")
-        return cls(
-            q_in=int(values[0]),
-            q_work=int(values[1]),
-            q_res=int(values[2]),
-            q_out=int(values[3]),
-            n_workers=int(values[4]),
-            t_proc_avg=float(values[5]),
-            t_proc_max=float(values[6]),
-            arrival_rate=float(values[7]),
-            qos_step=float(values[8]),
-        )
+        if len(values) != len(OBSERVATION_FIELDS):
+            raise ValueError(f"expected {len(OBSERVATION_FIELDS)} components, "
+                             f"got {len(values)}")
+        return cls(**parse_fields(cls, dict(zip(OBSERVATION_FIELDS, values))))
+
+
+def parse_fields(cls, row: dict) -> dict:
+    """Keyword arguments for the int and float fields of dataclass ``cls``,
+    each converted from ``row[field name]`` by the field's declared type
+    (a name: the dataclasses here postpone annotation evaluation)."""
+    return {f.name: _PARSERS[f.type](row[f.name])
+            for f in fields(cls) if f.type in _PARSERS}
+
+
+OBSERVATION_FIELDS = tuple(f.name for f in fields(Observation))
+_observation_values = attrgetter(*OBSERVATION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -147,7 +112,6 @@ class EpisodeConfig:
     obs_window: int = 3
     drain_cap: int = 15
     warm_start: bool = True
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (1 <= self.n_min <= self.n_init <= self.n_max):
@@ -205,6 +169,12 @@ class StepRecord:
     reward_terms: dict = field(default_factory=dict)
 
 
+_STEP_SCALARS = ("action", "applied_delta", "reward", "arrived", "completed",
+                 "hits")
+STEP_COLUMNS = ("step", *OBSERVATION_FIELDS, *_STEP_SCALARS)
+_step_scalar_values = attrgetter(*_STEP_SCALARS)
+
+
 @dataclass
 class TaskRecord:
     task_id: int
@@ -241,8 +211,7 @@ class EpisodeLog:
 
     def step_rows(self) -> Iterable[tuple]:
         for s in self.steps:
-            yield (s.step, *s.observation.as_tuple(), s.action,
-                   s.applied_delta, s.reward, s.arrived, s.completed, s.hits)
+            yield (s.step, *s.observation.as_tuple(), *_step_scalar_values(s))
 
     def write_step_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -263,18 +232,9 @@ def read_step_csv(path) -> list:
     """Round-trip loader for the step CSV; observations come back intact."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for row in csv.DictReader(fh):
             obs = Observation.from_values(
                 [float(row[name]) for name in OBSERVATION_FIELDS])
-            records.append(StepRecord(
-                step=int(row["step"]),
-                observation=obs,
-                action=int(row["action"]),
-                applied_delta=int(row["applied_delta"]),
-                reward=float(row["reward"]),
-                arrived=int(row["arrived"]),
-                completed=int(row["completed"]),
-                hits=int(row["hits"]),
-            ))
+            records.append(StepRecord(observation=obs,
+                                      **parse_fields(StepRecord, row)))
     return records

@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .agent import LearningAgent, greedy_index
 from .core import ACTIONS
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
@@ -80,21 +81,19 @@ def double_dqn_targets(policy: Mlp, target: Mlp, rewards, next_obs, dones,
     return rewards + gamma * evaluated * (~np.asarray(dones, dtype=bool))
 
 
-class DqnAgent:
+class DqnAgent(LearningAgent):
     name = "dqn"
 
     def __init__(self, obs_lows, obs_highs, cfg: DqnConfig = DqnConfig(),
                  seed: int = 0):
-        self.cfg = cfg
+        super().__init__(cfg, seed, 50_000)
         self.obs_lows = np.asarray(obs_lows, dtype=float)
         self.obs_highs = np.asarray(obs_highs, dtype=float)
-        self.rng = np.random.default_rng([seed, 50_000])
         layers = (len(self.obs_lows), *HIDDEN_LAYERS, len(ACTIONS))
         self.policy = Mlp(layers, self.rng)
         self.target = self.policy.copy()
         self.optimizer = Adam(self.policy.parameters(), lr=cfg.learning_rate)
         self.buffer = ReplayBuffer(cfg.replay_capacity, len(self.obs_lows))
-        self.epsilon = cfg.epsilon_start
         self.last_loss = float("nan")
 
     def normalize(self, obs) -> np.ndarray:
@@ -102,16 +101,10 @@ class DqnAgent:
         span = self.obs_highs - self.obs_lows
         return np.clip((x - self.obs_lows) / span, 0.0, 1.0)
 
-    def begin_episode(self):
-        pass
-
     def act(self, obs, greedy: bool = False) -> int:
         if not greedy and self.rng.random() < self.epsilon:
             return ACTIONS[int(self.rng.integers(len(ACTIONS)))]
-        values = self.policy.forward(self.normalize(obs))
-        # ties break to the largest index, matching the tabular agent
-        idx = len(values) - 1 - int(np.argmax(values[::-1]))
-        return ACTIONS[idx]
+        return ACTIONS[greedy_index(self.policy.forward(self.normalize(obs)))]
 
     def learn(self, obs, action: int, reward: float, next_obs,
               next_action: int, done: bool):
@@ -135,14 +128,11 @@ class DqnAgent:
         soft_update(self.target, self.policy, self.cfg.tau)
         return loss
 
-    def end_episode(self):
-        self.epsilon = max(self.cfg.epsilon_min,
-                           self.epsilon * self.cfg.epsilon_decay)
-
-    def select_action(self, obs, info) -> int:
-        return self.act(obs, greedy=True)
-
     # -- persistence ---------------------------------------------------------
+
+    def _nets(self):
+        """(checkpoint key prefix, network) of both networks."""
+        return (("", self.policy), ("t", self.target))
 
     def save(self, path):
         meta = {
@@ -155,12 +145,10 @@ class DqnAgent:
         }
         arrays = {"obs_lows": self.obs_lows, "obs_highs": self.obs_highs,
                   "meta": np.array(json.dumps(meta))}
-        for i, (w, b) in enumerate(zip(self.policy.weights, self.policy.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
-        for i, (w, b) in enumerate(zip(self.target.weights, self.target.biases)):
-            arrays[f"tw{i}"] = w
-            arrays[f"tb{i}"] = b
+        for prefix, net in self._nets():
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays[f"{prefix}w{i}"] = w
+                arrays[f"{prefix}b{i}"] = b
         np.savez(path, **arrays)
 
     @classmethod
@@ -176,10 +164,9 @@ class DqnAgent:
                     cfg=DqnConfig(**cfg_dict))
         agent.epsilon = meta["epsilon"]
         n_layers = len(meta["layer_sizes"]) - 1
-        agent.policy.weights = [data[f"w{i}"] for i in range(n_layers)]
-        agent.policy.biases = [data[f"b{i}"] for i in range(n_layers)]
-        agent.target.weights = [data[f"tw{i}"] for i in range(n_layers)]
-        agent.target.biases = [data[f"tb{i}"] for i in range(n_layers)]
+        for prefix, net in agent._nets():
+            net.weights = [data[f"{prefix}w{i}"] for i in range(n_layers)]
+            net.biases = [data[f"{prefix}b{i}"] for i in range(n_layers)]
         agent.optimizer = Adam(agent.policy.parameters(),
                                lr=agent.cfg.learning_rate)
         return agent

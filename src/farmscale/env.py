@@ -101,10 +101,10 @@ class FarmEnv:
         self._arrival_window = deque(maxlen=self.config.obs_window)
         self._last_qos = 1.0
         self._terminated = False
-        obs = self._make_observation()
+        snap = self.sim.snapshot()
         info = {"arrived": 0, "completed": 0, "applied_delta": 0,
-                "snapshot": self.sim.snapshot()}
-        return obs, info
+                "snapshot": snap}
+        return self._make_observation(snap), info
 
     def step(self, action: int):
         if self._terminated:
@@ -121,8 +121,8 @@ class FarmEnv:
         if stats.completed > 0:
             self._last_qos = stats.hits / stats.completed
 
-        obs = self._make_observation()
         snap = self.sim.snapshot()
+        obs = self._make_observation(snap)
         reward, terms = compute_reward(
             self.reward_config, obs.qos_step, obs.q_work,
             obs.n_workers, applied)
@@ -152,16 +152,15 @@ class FarmEnv:
     def terminated(self) -> bool:
         return self._terminated
 
-    def _make_observation(self) -> Observation:
-        snap = self.sim.snapshot()
+    def _make_observation(self, snap) -> Observation:
         durations = [d for step in self._completion_window for d in step]
         window_arrivals = sum(self._arrival_window)
         window_time = self.config.obs_window * self.config.step_duration
         return Observation(
-            q_in=snap.q_in,
+            q_in=0,  # zero-delay emitter and collector: see sim.py
             q_work=snap.q_work,
-            q_res=snap.q_res,
-            q_out=snap.q_out,
+            q_res=0,
+            q_out=0,
             n_workers=snap.workers_effective,
             t_proc_avg=float(np.mean(durations)) if durations else 0.0,
             t_proc_max=float(max(durations)) if durations else 0.0,

@@ -90,7 +90,11 @@ def _smooth_l1(diff, beta: float = 1.0):
 
 
 def clip_gradient_norm(grads, max_norm: float):
-    """Scale gradients in place so their global L2 norm is at most max_norm."""
+    """Gradients with global L2 norm at most max_norm.
+
+    Returns ``grads`` itself when the norm is within bounds, else new
+    scaled copies; the input arrays are never modified.
+    """
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if total > max_norm and total > 0:
         scale = max_norm / total

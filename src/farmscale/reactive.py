@@ -43,30 +43,29 @@ def _to_action(delta: float) -> int:
     return max(-1, min(1, _round_half_away(delta)))
 
 
-def reactive_average(inputs: ReactiveInputs) -> int:
-    """delta = (T_avg/T_step) * (k + l + m/2) - w, mapped to {-1, 0, +1}."""
+def _reactive_action(inputs: ReactiveInputs, in_flight_weight: float) -> int:
+    """delta = (T/T_step) * (k + l + in_flight_weight * m) - w, mapped to
+    {-1, 0, +1}; T is the service-time estimate in ``inputs``."""
     if inputs.t_service <= 0:
         return 0  # no completion history yet: hold
     delta = (inputs.t_service / inputs.t_step) * (
-        inputs.k_new + inputs.l_backlog + inputs.m_active / 2.0
+        inputs.k_new + inputs.l_backlog + in_flight_weight * inputs.m_active
     ) - inputs.w_current
     return _to_action(delta)
+
+
+def reactive_average(inputs: ReactiveInputs) -> int:
+    """delta = (T_avg/T_step) * (k + l + m/2) - w, mapped to {-1, 0, +1}."""
+    return _reactive_action(inputs, 0.5)
 
 
 def reactive_maximum(inputs: ReactiveInputs) -> int:
     """delta = (T_max/T_step) * (k + l + m) - w, mapped to {-1, 0, +1}."""
-    if inputs.t_service <= 0:
-        return 0
-    delta = (inputs.t_service / inputs.t_step) * (
-        inputs.k_new + inputs.l_backlog + inputs.m_active
-    ) - inputs.w_current
-    return _to_action(delta)
+    return _reactive_action(inputs, 1.0)
 
 
 class _ReactivePolicy:
     """Shared glue mapping (observation, step info) to ReactiveInputs."""
-
-    name = "reactive"
 
     def __init__(self, t_step: float):
         self.t_step = t_step

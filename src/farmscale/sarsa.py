@@ -12,6 +12,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from .agent import LearningAgent, greedy_index
 from .core import ACTIONS
 
 
@@ -45,8 +46,7 @@ def epsilon_greedy(values, epsilon: float, rng: np.random.Generator) -> int:
         raise ValueError("epsilon must lie in [0, 1]")
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(len(values)))
-    values = np.asarray(values)
-    return len(values) - 1 - int(np.argmax(values[::-1]))
+    return greedy_index(values)
 
 
 @dataclass(frozen=True)
@@ -99,17 +99,15 @@ def sarsa_update(qtable: dict, traces: dict, state, action_idx: int,
 _ZERO = np.zeros(len(ACTIONS))
 
 
-class SarsaAgent:
+class SarsaAgent(LearningAgent):
     name = "sarsa"
 
     def __init__(self, cfg: SarsaConfig = SarsaConfig(),
                  discretizer: Discretizer | None = None, seed: int = 0):
-        self.cfg = cfg
+        super().__init__(cfg, seed, 40_000)
         self.discretizer = discretizer or default_discretizer()
-        self.rng = np.random.default_rng([seed, 40_000])
         self.qtable: dict = {}
         self.traces: dict = {}
-        self.epsilon = cfg.epsilon_start
 
     def begin_episode(self):
         self.traces.clear()
@@ -127,14 +125,6 @@ class SarsaAgent:
             self.discretizer(obs), ACTIONS.index(action), reward,
             self.discretizer(next_obs), ACTIONS.index(next_action),
             done, self.cfg)
-
-    def end_episode(self):
-        self.traces.clear()
-        self.epsilon = max(self.cfg.epsilon_min,
-                           self.epsilon * self.cfg.epsilon_decay)
-
-    def select_action(self, obs, info) -> int:
-        return self.act(obs, greedy=True)
 
     # -- persistence ---------------------------------------------------------
 

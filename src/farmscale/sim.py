@@ -4,8 +4,8 @@ Events execute in time order with a fixed tie-break (completion < arrival <
 worker-ready, then ascending id) so that identical (config, workload, seed)
 always produce bitwise-identical traces. The emitter and collector are
 zero-delay: arriving tasks land in the worker queue instantly and completed
-tasks pass through the result/output queues instantly, so q_in, q_res and
-q_out read 0 at step boundaries while their counters advance.
+tasks leave the farm at once. The simulator therefore keeps no input,
+result or output queue; the env reports those observation fields as 0.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class WorkerState:
     status: str  # starting | idle | busy
     draining: bool = False
     ready_at: float = 0.0
-    busy_until: float = 0.0
     task_id: int = -1
 
 
@@ -42,15 +41,11 @@ class StepStats:
     completed: int = 0
     hits: int = 0
     completions: list = field(default_factory=list)  # (task_id, service, latency, met)
-    workers_effective: int = 0
 
 
 @dataclass
 class Snapshot:
-    q_in: int
     q_work: int
-    q_res: int
-    q_out: int
     workers_effective: int
     workers_busy: int
     workers_starting: int
@@ -76,7 +71,6 @@ class FarmSim:
         self.workers: dict[int, WorkerState] = {}
         self.enqueued_total = 0
         self.completed_total = 0
-        self.hits_total = 0
         self.completion_records = []  # (task_id, completion_time, met)
         self._events = []  # (time, kind, id, payload)
         self._pending_arrivals = 0
@@ -181,7 +175,6 @@ class FarmSim:
             if self.validate:
                 self._check_conservation()
         self.clock = end
-        self._stats.workers_effective = self.snapshot().workers_effective
         return self._stats
 
     def snapshot(self) -> Snapshot:
@@ -191,7 +184,7 @@ class FarmSim:
         effective = sum(1 for w in self.workers.values()
                         if w.status in (IDLE, BUSY) and not w.draining)
         return Snapshot(
-            q_in=0, q_work=len(self.q_work), q_res=0, q_out=0,
+            q_work=len(self.q_work),
             workers_effective=effective, workers_busy=busy,
             workers_starting=starting, workers_draining=draining,
             enqueued_total=self.enqueued_total,
@@ -218,8 +211,6 @@ class FarmSim:
             return  # stale event from an exited worker
         self.completed_total += 1
         met = self.clock - task.arrival_time <= task.deadline
-        if met:
-            self.hits_total += 1
         self.completion_records.append((task.task_id, self.clock, met))
         self._stats.completed += 1
         self._stats.hits += int(met)
@@ -252,9 +243,8 @@ class FarmSim:
             task = self.q_work.popleft()
             worker.status = BUSY
             worker.task_id = task.task_id
-            worker.busy_until = self.clock + task.service_time
-            heapq.heappush(self._events,
-                           (worker.busy_until, _COMPLETION, worker.worker_id, task))
+            heapq.heappush(self._events, (self.clock + task.service_time,
+                                          _COMPLETION, worker.worker_id, task))
             self._record("dispatch", task_id=task.task_id, worker_id=worker.worker_id)
 
     def _check_conservation(self):
@@ -265,14 +255,6 @@ class FarmSim:
                 f"enqueued {self.enqueued_total} != queued {len(self.q_work)}"
                 f" + busy {busy} + completed {self.completed_total}"
                 f" at t={self.clock}")
-
-
-def write_trace_csv(trace, path):
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("time", "event_kind", "task_id", "worker_id"))
-        writer.writerows(trace)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """Episode loops: policy evaluation and on-line agent training.
 
-Agents implement begin_episode/act/learn/end_episode; frozen policies
-(reactive baselines or loaded checkpoints) only need select_action(obs,
-info). All randomness is seeded per episode, so runs are reproducible.
+A frozen policy (a reactive baseline or a loaded checkpoint) needs only
+select_action(obs, info). A learning agent (agent.LearningAgent) adds the
+training protocol: begin_episode(), act(obs) for the exploring action,
+learn(obs, action, reward, next_obs, next_action, done) after every step,
+and end_episode(), which decays its ``epsilon``. Its select_action is its
+greedy act. All randomness is seeded per episode, so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .env import FarmEnv
 from .metrics import summarize_episode
@@ -28,9 +32,7 @@ class TrainingRecord:
     steps: int
 
 
-CURVE_COLUMNS = ("episode", "epsilon", "total_reward", "final_qos",
-                 "mean_workers", "max_workers", "scaling_actions",
-                 "no_ops", "steps")
+CURVE_COLUMNS = tuple(f.name for f in fields(TrainingRecord))
 
 
 def run_episode(env: FarmEnv, policy, workload, seed: int):
@@ -98,7 +100,4 @@ def write_training_curve(records, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_COLUMNS)
-        for r in records:
-            writer.writerow((r.episode, r.epsilon, r.total_reward,
-                             r.final_qos, r.mean_workers, r.max_workers,
-                             r.scaling_actions, r.no_ops, r.steps))
+        writer.writerows(map(attrgetter(*CURVE_COLUMNS), records))

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import TaskSpec, compute_deadline
+from .core import TaskSpec, compute_deadline, parse_fields
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -281,30 +282,17 @@ def build_episode_workload(config, dist: SizeDistribution,
     return tasks
 
 
-WORKLOAD_COLUMNS = ("task_id", "arrival_time", "size_px", "service_time",
-                    "deadline", "phase_index")
+WORKLOAD_COLUMNS = tuple(f.name for f in fields(TaskSpec))
 
 
 def write_workload_csv(tasks, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(WORKLOAD_COLUMNS)
-        for t in tasks:
-            writer.writerow((t.task_id, repr(t.arrival_time), t.size_px,
-                             repr(t.service_time), repr(t.deadline), t.phase_index))
+        writer.writerows(map(attrgetter(*WORKLOAD_COLUMNS), tasks))
 
 
 def read_workload_csv(path) -> list:
-    tasks = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            tasks.append(TaskSpec(
-                task_id=int(row["task_id"]),
-                arrival_time=float(row["arrival_time"]),
-                size_px=int(row["size_px"]),
-                service_time=float(row["service_time"]),
-                deadline=float(row["deadline"]),
-                phase_index=int(row["phase_index"]),
-            ))
-    return tasks
+        return [TaskSpec(**parse_fields(TaskSpec, row))
+                for row in csv.DictReader(fh)]

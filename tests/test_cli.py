@@ -147,3 +147,31 @@ def test_missing_config_file_fails(tmp_path, capsys):
     assert main(["workload", "--config", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path / "t.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_output_headers_are_pinned(tmp_path, tiny_config):
+    def header(path):
+        with open(path) as fh:
+            return fh.readline().strip().split(",")
+
+    assert main(["workload", "--config", tiny_config,
+                 "--out", str(tmp_path / "w.csv")]) == 0
+    assert header(tmp_path / "w.csv") == [
+        "task_id", "arrival_time", "size_px", "service_time", "deadline",
+        "phase_index"]
+
+    assert main(["run", "--config", tiny_config, "--policy", "reactive-max",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert header(tmp_path / "run" / "steps.csv") == [
+        "step", "q_in", "q_work", "q_res", "q_out", "n_workers",
+        "t_proc_avg", "t_proc_max", "arrival_rate", "qos_step", "action",
+        "applied_delta", "reward", "arrived", "completed", "hits"]
+    assert header(tmp_path / "run" / "tasks.csv") == [
+        "task_id", "arrival", "size", "service", "deadline", "completion",
+        "met"]
+
+    assert main(["train", "--config", tiny_config, "--agent", "sarsa",
+                 "--episodes", "1", "--out", str(tmp_path / "train")]) == 0
+    assert header(tmp_path / "train" / "training_curve.csv") == [
+        "episode", "epsilon", "total_reward", "final_qos", "mean_workers",
+        "max_workers", "scaling_actions", "no_ops", "steps"]
