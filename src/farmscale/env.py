@@ -116,7 +116,7 @@ class FarmEnv:
         stats = self.sim.advance(self.config.step_duration)
         self.step_index += 1
 
-        self._completion_window.append([c[1] for c in stats.completions])
+        self._completion_window.append(stats.service_times)
         self._arrival_window.append(stats.arrived)
         if stats.completed > 0:
             self._last_qos = stats.hits / stats.completed

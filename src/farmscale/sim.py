@@ -6,6 +6,15 @@ always produce bitwise-identical traces. The emitter and collector are
 zero-delay: arriving tasks land in the worker queue instantly and completed
 tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
+
+Idle workers wait in a min-heap of worker ids, and a queued task goes to
+the lowest idle id, the same tie-break as a scan over the pool. A worker
+that exits through a scale-down while idle keeps its heap entry, which is
+skipped when popped; ids are never reused, so a stale id names no worker.
+Pool counts are kept as counters (starting, busy, draining) rather than
+recounted. Only busy workers ever drain (a starting victim is cancelled and
+an idle one exits at once), so the effective pool is every worker neither
+starting nor draining, and the committed pool is every worker not draining.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ class StepStats:
     arrived: int = 0
     completed: int = 0
     hits: int = 0
-    completions: list = field(default_factory=list)  # (task_id, service, latency, met)
+    service_times: list = field(default_factory=list)  # one per completion
 
 
 @dataclass
@@ -76,6 +85,10 @@ class FarmSim:
         self._pending_arrivals = 0
         self._task_ids = set()
         self._next_worker_id = 0
+        self._idle = []  # min-heap of idle worker ids, stale ids skipped
+        self._starting = 0
+        self._busy = 0
+        self._draining = 0
         self._last_scheduled_ready = 0.0
         self._stats = StepStats()
         self.trace = [] if trace else None
@@ -89,6 +102,7 @@ class FarmSim:
                 wid = self._next_worker_id
                 self._next_worker_id += 1
                 self.workers[wid] = WorkerState(wid, IDLE, ready_at=0.0)
+                self._idle.append(wid)  # ascending ids: already a heap
         else:
             for _ in range(config.n_init):
                 self._schedule_start()
@@ -102,12 +116,13 @@ class FarmSim:
         wid = self._next_worker_id
         self._next_worker_id += 1
         self.workers[wid] = WorkerState(wid, STARTING, ready_at=ready_at)
+        self._starting += 1
         self._last_scheduled_ready = ready_at
         heapq.heappush(self._events, (ready_at, _WORKER_READY, wid, None))
         return wid
 
     def _committed(self) -> int:
-        return sum(1 for w in self.workers.values() if not w.draining)
+        return len(self.workers) - self._draining
 
     def _record(self, kind, task_id=-1, worker_id=-1):
         if self.trace is not None:
@@ -143,17 +158,21 @@ class FarmSim:
             wid = self._schedule_start()
             self._record("scale_up", worker_id=wid)
         elif applied < 0:
-            victim = max((w for w in self.workers.values() if not w.draining),
-                         key=lambda w: w.worker_id)
+            # ids are inserted in ascending order and never reused, so the
+            # dict's last non-draining entry is the most recently started
+            victim = next(w for w in reversed(self.workers.values())
+                          if not w.draining)
             if victim.status == STARTING:
                 del self.workers[victim.worker_id]  # ready event becomes stale
+                self._starting -= 1
                 self._last_scheduled_ready = max(
                     (w.ready_at for w in self.workers.values()
                      if w.status == STARTING), default=0.0)
             elif victim.status == IDLE:
-                del self.workers[victim.worker_id]
+                del self.workers[victim.worker_id]  # heap entry becomes stale
             else:
                 victim.draining = True
+                self._draining += 1
             self._record("scale_down", worker_id=victim.worker_id)
         return applied
 
@@ -178,15 +197,13 @@ class FarmSim:
         return self._stats
 
     def snapshot(self) -> Snapshot:
-        busy = sum(1 for w in self.workers.values() if w.status == BUSY)
-        starting = sum(1 for w in self.workers.values() if w.status == STARTING)
-        draining = sum(1 for w in self.workers.values() if w.draining)
-        effective = sum(1 for w in self.workers.values()
-                        if w.status in (IDLE, BUSY) and not w.draining)
         return Snapshot(
             q_work=len(self.q_work),
-            workers_effective=effective, workers_busy=busy,
-            workers_starting=starting, workers_draining=draining,
+            workers_effective=(len(self.workers) - self._starting
+                               - self._draining),
+            workers_busy=self._busy,
+            workers_starting=self._starting,
+            workers_draining=self._draining,
             enqueued_total=self.enqueued_total,
             completed_total=self.completed_total,
         )
@@ -214,15 +231,17 @@ class FarmSim:
         self.completion_records.append((task.task_id, self.clock, met))
         self._stats.completed += 1
         self._stats.hits += int(met)
-        self._stats.completions.append(
-            (task.task_id, task.service_time, self.clock - task.arrival_time, met))
+        self._stats.service_times.append(task.service_time)
         self._record("completion", task_id=task.task_id, worker_id=worker_id)
+        self._busy -= 1
         if worker.draining:
             del self.workers[worker_id]
+            self._draining -= 1
             self._record("worker_exit", worker_id=worker_id)
         else:
             worker.status = IDLE
             worker.task_id = -1
+            heapq.heappush(self._idle, worker_id)
             self._dispatch()
 
     def _on_worker_ready(self, worker_id):
@@ -230,30 +249,50 @@ class FarmSim:
         if worker is None or worker.status != STARTING:
             return  # cancelled by a scale-down before becoming ready
         worker.status = IDLE
+        self._starting -= 1
+        heapq.heappush(self._idle, worker_id)
         self._record("worker_ready", worker_id=worker_id)
         self._dispatch()
 
     def _dispatch(self):
-        while self.q_work:
-            idle = [w for w in self.workers.values()
-                    if w.status == IDLE and not w.draining]
-            if not idle:
-                return
-            worker = min(idle, key=lambda w: w.worker_id)
+        while self.q_work and self._idle:
+            worker = self.workers.get(heapq.heappop(self._idle))
+            if worker is None:
+                continue  # exited through a scale-down while idle
             task = self.q_work.popleft()
             worker.status = BUSY
             worker.task_id = task.task_id
+            self._busy += 1
             heapq.heappush(self._events, (self.clock + task.service_time,
                                           _COMPLETION, worker.worker_id, task))
             self._record("dispatch", task_id=task.task_id, worker_id=worker.worker_id)
 
     def _check_conservation(self):
-        busy = sum(1 for w in self.workers.values() if w.status == BUSY)
-        expected = len(self.q_work) + busy + self.completed_total
+        """Conservation identity, plus the pool counters and idle heap
+        against a full scan of the workers."""
+        workers = self.workers.values()
+        recount = {
+            "busy": (self._busy, sum(w.status == BUSY for w in workers)),
+            "starting": (self._starting,
+                         sum(w.status == STARTING for w in workers)),
+            "draining": (self._draining, sum(w.draining for w in workers)),
+        }
+        for name, (kept, scanned) in recount.items():
+            if kept != scanned:
+                raise ConservationError(
+                    f"{name} counter {kept} != {scanned} workers"
+                    f" at t={self.clock}")
+        idle = sorted(w.worker_id for w in workers if w.status == IDLE)
+        queued = sorted(i for i in self._idle if i in self.workers)
+        if idle != queued:
+            raise ConservationError(
+                f"idle heap holds {queued}, idle workers are {idle}"
+                f" at t={self.clock}")
+        expected = len(self.q_work) + self._busy + self.completed_total
         if self.enqueued_total != expected:
             raise ConservationError(
                 f"enqueued {self.enqueued_total} != queued {len(self.q_work)}"
-                f" + busy {busy} + completed {self.completed_total}"
+                f" + busy {self._busy} + completed {self.completed_total}"
                 f" at t={self.clock}")
 
 
@@ -285,6 +324,7 @@ def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunRe
 def static_scaling_experiment(config, workload, pool_sizes, rng_seed: int = 0):
     """Static runs over several pool sizes plus speedups relative to n=1."""
     results = {n: static_run(config, workload, n, rng_seed) for n in pool_sizes}
-    base = results.get(1, static_run(config, workload, 1, rng_seed))
+    base = (results[1] if 1 in results
+            else static_run(config, workload, 1, rng_seed))
     speedups = {n: base.runtime / r.runtime for n, r in results.items()}
     return results, speedups

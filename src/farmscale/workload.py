@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -130,8 +131,15 @@ def default_size_distribution(model: ServiceTimeModel,
     return SizeDistribution(sizes=tuple(sizes), weights=tuple(w))
 
 
-def sample_task_size(dist: SizeDistribution, rng: np.random.Generator) -> int:
-    return int(rng.choice(dist.sizes, p=dist.weights))
+def sample_task_sizes(dist: SizeDistribution, rng: np.random.Generator,
+                      n: int) -> list:
+    """n sizes drawn in one call, as Python ints.
+
+    Consumes ``rng`` exactly like n single ``rng.choice(dist.sizes,
+    p=dist.weights)`` draws, so the sizes and the generator state match.
+    """
+    picks = rng.choice(len(dist.sizes), size=n, p=dist.weights)
+    return [int(dist.sizes[i]) for i in picks.tolist()]
 
 
 @dataclass(frozen=True)
@@ -256,30 +264,30 @@ def build_episode_workload(config, dist: SizeDistribution,
         shuffle_rng = np.random.default_rng([rng_seed, 10_000])
         shuffle_rng.shuffle(order)
 
-    entries = []  # (arrival_time, phase_index)
+    entries = []  # (arrival_time as a Python float, phase_index)
     position_start = 0.0
-    for slot, phase_idx in enumerate(order):
+    for phase_idx in order:
         phase = phases[phase_idx]
         phase_rng = np.random.default_rng([rng_seed, phase_idx])
         offsets = generate_phase_arrivals(phase, 0.0, phase_rng)
-        entries.extend((position_start + t, phase_idx) for t in offsets)
+        entries.extend(zip((position_start + np.asarray(offsets)).tolist(),
+                           repeat(phase_idx)))
         position_start += phase.duration
 
     entries.sort()
-    size_rng = np.random.default_rng([rng_seed, 20_000])
-    tasks = []
-    for task_id, (arrival, phase_idx) in enumerate(entries):
-        size = sample_task_size(dist, size_rng)
+    sizes = sample_task_sizes(
+        dist, np.random.default_rng([rng_seed, 20_000]), len(entries))
+    timing = {}  # size -> (service, deadline), once per distinct size
+    for size in dict.fromkeys(sizes):
         service = model.predict(size)
-        tasks.append(TaskSpec(
-            task_id=task_id,
-            arrival_time=float(arrival),
-            size_px=size,
-            service_time=service,
-            deadline=compute_deadline(service, config.beta),
-            phase_index=phase_idx,
-        ))
-    return tasks
+        timing[size] = (service, compute_deadline(service, config.beta))
+    return [
+        TaskSpec(task_id=task_id, arrival_time=arrival, size_px=size,
+                 service_time=timing[size][0], deadline=timing[size][1],
+                 phase_index=phase_idx)
+        for task_id, ((arrival, phase_idx), size)
+        in enumerate(zip(entries, sizes))
+    ]
 
 
 WORKLOAD_COLUMNS = tuple(f.name for f in fields(TaskSpec))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from farmscale import sim as sim_module
 from farmscale.core import TaskSpec
-from farmscale.sim import (BUSY, FarmSim, STARTING, static_run,
-                           static_scaling_experiment)
+from farmscale.sim import (BUSY, IDLE, STARTING, ConservationError, FarmSim,
+                           Snapshot, static_run, static_scaling_experiment)
 from tests.conftest import constant_service_tasks, single_phase_config
 
 
@@ -147,6 +148,102 @@ class TestConservationAndDeterminism:
         assert t1 == t2
 
 
+def scanned_snapshot(sim):
+    """Snapshot recounted by a full scan of the pool, the reference for the
+    simulator's incremental counters."""
+    workers = sim.workers.values()
+    return Snapshot(
+        q_work=len(sim.q_work),
+        workers_effective=sum(w.status in (IDLE, BUSY) and not w.draining
+                              for w in workers),
+        workers_busy=sum(w.status == BUSY for w in workers),
+        workers_starting=sum(w.status == STARTING for w in workers),
+        workers_draining=sum(w.draining for w in workers),
+        enqueued_total=sim.enqueued_total,
+        completed_total=sim.completed_total,
+    )
+
+
+def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed):
+    """Run (action, dt) pairs through request_scale/advance on a validating
+    sim, checking the counters against a full scan after every call.
+
+    Returns the statuses of the scale-down victims: "starting" (cancelled),
+    "idle" (exited at once) or "busy" (drained)."""
+    cfg = single_phase_config(2.0, 60.0, n_min=n_min, n_init=n_init,
+                              n_max=n_max, warm_start=warm,
+                              scale_up_latency=(1.0, 4.0))
+    sim = FarmSim(cfg, np.random.default_rng([seed, 0]), validate=True)
+    task_rng = np.random.default_rng([seed, 1])
+    arrivals = np.cumsum(task_rng.exponential(0.5, size=120))
+    sim.inject_tasks([
+        simple_task(i, float(a),
+                    service=float(task_rng.uniform(0.1, service_scale)))
+        for i, a in enumerate(arrivals)])
+    victims = set()
+    for action, dt in program:
+        victim = max((w for w in sim.workers.values() if not w.draining),
+                     key=lambda w: w.worker_id)
+        status = victim.status
+        applied = sim.request_scale(action)
+        if applied < 0:
+            victims.add(status)
+            if status == BUSY:
+                assert sim.workers[victim.worker_id].draining
+            else:
+                assert victim.worker_id not in sim.workers
+        committed = sum(not w.draining for w in sim.workers.values())
+        assert n_min <= committed <= n_max
+        assert sim.snapshot() == scanned_snapshot(sim)
+        sim.advance(dt)
+        assert sim.snapshot() == scanned_snapshot(sim)
+    return victims
+
+
+scaling_programs = st.lists(
+    st.tuples(st.sampled_from((-1, 0, 1)),
+              st.floats(min_value=0.05, max_value=6.0)),
+    min_size=1, max_size=60)
+
+
+class TestPoolCounters:
+    @given(warm=st.booleans(), n_min=st.integers(1, 2),
+           extra=st.integers(0, 2), span=st.integers(0, 3),
+           service_scale=st.floats(min_value=0.5, max_value=8.0),
+           program=scaling_programs, seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_counters_match_full_scan(self, warm, n_min, extra, span,
+                                      service_scale, program, seed):
+        drive_scaling(warm, n_min, n_min + extra, n_min + extra + span,
+                      service_scale, program, seed)
+
+    def test_driver_reaches_every_scale_down_case(self):
+        rng = np.random.default_rng(5)
+        victims = set()
+        for warm in (False, True):
+            for service_scale in (0.5, 6.0):
+                program = [(int(rng.integers(-1, 2)),
+                            float(rng.uniform(0.05, 6.0)))
+                           for _ in range(60)]
+                victims |= drive_scaling(warm, 1, 2, 4, service_scale,
+                                         program, seed=3)
+        assert victims == {STARTING, IDLE, BUSY}
+
+    def test_validate_names_a_drifted_counter(self):
+        sim = make_sim(n_init=2, warm=True)
+        sim.inject_tasks([simple_task(0, 0.5)])
+        sim._busy += 1
+        with pytest.raises(ConservationError, match="busy counter"):
+            sim.advance(1.0)
+
+    def test_validate_finds_idle_worker_missing_from_heap(self):
+        sim = make_sim(n_init=2, warm=True)
+        sim._idle.remove(1)
+        sim.inject_tasks([simple_task(0, 0.5)])
+        with pytest.raises(ConservationError, match="idle heap"):
+            sim.advance(1.0)
+
+
 class TestQueueingBehaviour:
     def test_stable_queue_stays_bounded(self):
         # rho = 2 * 1.0 / 4 = 0.5 < 1
@@ -190,6 +287,17 @@ class TestStaticRuns:
         assert res[8].runtime < res[1].runtime
         assert speedups[8] > 1.0
         assert speedups[1] == pytest.approx(1.0)
+
+    def test_one_static_run_per_pool_size(self, ep_config, monkeypatch):
+        calls = []
+
+        def counting_run(config, workload, n_fixed, rng_seed=0):
+            calls.append(n_fixed)
+            return static_run(config, workload, n_fixed, rng_seed)
+
+        monkeypatch.setattr(sim_module, "static_run", counting_run)
+        static_scaling_experiment(ep_config, self._workload(), (1, 2, 4))
+        assert calls == [1, 2, 4]
 
     def test_rejects_empty_pool(self, ep_config):
         with pytest.raises(ValueError):

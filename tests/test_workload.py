@@ -9,7 +9,7 @@ from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 build_episode_workload, default_phases,
                                 default_size_distribution, fit_service_model,
                                 generate_phase_arrivals, read_workload_csv,
-                                reduced_paper_model, sample_task_size,
+                                reduced_paper_model, sample_task_sizes,
                                 write_workload_csv)
 
 # Published values the calibration must reproduce.
@@ -82,10 +82,23 @@ class TestSizeDistribution:
     def test_sampling_tracks_weights(self):
         dist = default_size_distribution(reduced_paper_model())
         rng = np.random.default_rng(1)
-        draws = [sample_task_size(dist, rng) for _ in range(20_000)]
+        draws = sample_task_sizes(dist, rng, 20_000)
         for size, weight in zip(dist.sizes, dist.weights):
             frac = draws.count(size) / len(draws)
             assert frac == pytest.approx(weight, abs=0.02)
+
+    @pytest.mark.parametrize("n", [0, 1, 1140])
+    def test_batched_sizes_match_single_draws(self, n):
+        dist = default_size_distribution(reduced_paper_model())
+        batched_rng = np.random.default_rng([9, 20_000])
+        single_rng = np.random.default_rng([9, 20_000])
+        batched = sample_task_sizes(dist, batched_rng, n)
+        single = [int(single_rng.choice(dist.sizes, p=dist.weights))
+                  for _ in range(n)]
+        assert batched == single
+        assert all(type(size) is int for size in batched)
+        assert (batched_rng.bit_generator.state
+                == single_rng.bit_generator.state)
 
 
 class TestPhaseSpec:
