@@ -83,15 +83,32 @@ class Observation:
         if len(values) != len(OBSERVATION_FIELDS):
             raise ValueError(f"expected {len(OBSERVATION_FIELDS)} components, "
                              f"got {len(values)}")
-        return cls(**parse_fields(cls, dict(zip(OBSERVATION_FIELDS, values))))
+        return cls(**parse_fields(cls, dict(zip(OBSERVATION_FIELDS, values)),
+                                  "observation"))
 
 
-def parse_fields(cls, row: dict) -> dict:
+def parse_fields(cls, row: dict, where: str) -> dict:
     """Keyword arguments for the int and float fields of dataclass ``cls``,
     each converted from ``row[field name]`` by the field's declared type
-    (a name: the dataclasses here postpone annotation evaluation)."""
-    return {f.name: _PARSERS[f.type](row[f.name])
-            for f in fields(cls) if f.type in _PARSERS}
+    (a name: the dataclasses here postpone annotation evaluation).
+
+    A value that is missing or does not convert raises
+    ``ValueError("<where>: column <name>: ...")``; ``where`` names the
+    source, such as ``path:line``.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        parse = _PARSERS.get(f.type)
+        if parse is None:
+            continue
+        value = row.get(f.name)
+        if value is None:
+            raise ValueError(f"{where}: column {f.name}: missing")
+        try:
+            kwargs[f.name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: column {f.name}: {exc}") from None
+    return kwargs
 
 
 OBSERVATION_FIELDS = tuple(f.name for f in fields(Observation))
@@ -232,9 +249,10 @@ def read_step_csv(path) -> list:
     """Round-trip loader for the step CSV; observations come back intact."""
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            obs = Observation.from_values(
-                [float(row[name]) for name in OBSERVATION_FIELDS])
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            obs = Observation(**parse_fields(Observation, row, where))
             records.append(StepRecord(observation=obs,
-                                      **parse_fields(StepRecord, row)))
+                                      **parse_fields(StepRecord, row, where)))
     return records

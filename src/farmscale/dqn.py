@@ -153,20 +153,42 @@ class DqnAgent(LearningAgent):
 
     @classmethod
     def load(cls, path) -> "DqnAgent":
+        """Read a checkpoint written by ``save``; a missing entry or one
+        whose shape differs from what ``layer_sizes`` implies raises
+        ``ValueError`` naming the file and the key."""
         data = np.load(path if str(path).endswith(".npz") else f"{path}.npz",
                        allow_pickle=False)
-        meta = json.loads(str(data["meta"]))
+        meta = json.loads(str(_entry(data, path, "meta", ())))
         if meta.get("kind") != "dqn":
             raise ValueError(f"{path} is not a dqn checkpoint")
+        sizes = tuple(meta["layer_sizes"])
+        if sizes[-1] != len(ACTIONS):
+            raise ValueError(f"{path}: layer_sizes {list(sizes)} must end in "
+                             f"{len(ACTIONS)}, one value per action")
         cfg_dict = dict(meta["config"])
         cfg_dict["reward_clip"] = tuple(cfg_dict["reward_clip"])
-        agent = cls(data["obs_lows"], data["obs_highs"],
+        agent = cls(_entry(data, path, "obs_lows", sizes[:1]),
+                    _entry(data, path, "obs_highs", sizes[:1]),
                     cfg=DqnConfig(**cfg_dict))
         agent.epsilon = meta["epsilon"]
-        n_layers = len(meta["layer_sizes"]) - 1
+        shapes = list(zip(sizes[:-1], sizes[1:]))
         for prefix, net in agent._nets():
-            net.weights = [data[f"{prefix}w{i}"] for i in range(n_layers)]
-            net.biases = [data[f"{prefix}b{i}"] for i in range(n_layers)]
+            net.layer_sizes = sizes
+            net.weights = [_entry(data, path, f"{prefix}w{i}", shape)
+                           for i, shape in enumerate(shapes)]
+            net.biases = [_entry(data, path, f"{prefix}b{i}", shape[1:])
+                          for i, shape in enumerate(shapes)]
         agent.optimizer = Adam(agent.policy.parameters(),
                                lr=agent.cfg.learning_rate)
         return agent
+
+
+def _entry(data, path, key, shape) -> np.ndarray:
+    """Checkpoint array ``key``, checked to exist and to have ``shape``."""
+    if key not in data:
+        raise ValueError(f"{path}: checkpoint has no {key!r}")
+    value = data[key]
+    if value.shape != shape:
+        raise ValueError(f"{path}: {key!r} has shape {value.shape}, "
+                         f"expected {shape}")
+    return value

@@ -28,6 +28,10 @@ REWARD_TERMS = (
 )
 
 
+# (completion, met) of a task that never completed: it counts as missed
+_UNFINISHED = (math.nan, False)
+
+
 class LifecycleError(RuntimeError):
     pass
 
@@ -93,8 +97,8 @@ class FarmEnv:
     def reset(self, workload, seed: int):
         """Start a fresh episode over the given task list."""
         self.sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
-        self.sim.inject_tasks(sorted(workload, key=lambda t: t.arrival_time))
-        self._workload = {t.task_id: t for t in workload}
+        self.sim.inject_tasks(workload)
+        self._workload = list(workload)
         self.log = EpisodeLog(n_tasks=len(workload))
         self.step_index = 0
         self._completion_window = deque(maxlen=self.config.obs_window)
@@ -169,17 +173,9 @@ class FarmEnv:
         )
 
     def _finalize_task_records(self):
-        completions = {tid: (t, met)
-                       for tid, t, met in self.sim.completion_records}
-        for task in self._workload.values():
-            done = completions.get(task.task_id)
-            self.log.add_task(TaskRecord(
-                task_id=task.task_id,
-                arrival=task.arrival_time,
-                size=task.size_px,
-                service=task.service_time,
-                deadline=task.deadline,
-                completion=done[0] if done else float("nan"),
-                met=done[1] if done else False,  # unfinished counts as missed
-                phase_index=task.phase_index,
-            ))
+        done = {tid: (t, met) for tid, t, met in self.sim.completion_records}
+        self.log.tasks = [
+            TaskRecord(task.task_id, task.arrival_time, task.size_px,
+                       task.service_time, task.deadline,
+                       *done.get(task.task_id, _UNFINISHED), task.phase_index)
+            for task in self._workload]

@@ -81,8 +81,19 @@ def summarize_episode(log, config) -> EpisodeSummary:
     workers = [s.observation.n_workers for s in log.steps]
     n_scale = sum(1 for s in log.steps if s.applied_delta != 0)
     emitted = log.n_tasks or log.total_arrived
-    met = sum(1 for t in log.tasks if t.met)
-    completed = sum(1 for t in log.tasks if not math.isnan(t.completion))
+    met = completed = 0
+    emitted_in = dict.fromkeys(range(len(config.phases)), 0)  # by phase
+    met_in = dict(emitted_in)
+    for t in log.tasks:
+        if t.met:
+            met += 1
+        if not math.isnan(t.completion):
+            completed += 1
+        i = t.phase_index
+        if i in emitted_in:
+            emitted_in[i] += 1
+            if t.met:
+                met_in[i] += 1
 
     # step -> phase attribution by step start time over the nominal spans
     spans = []
@@ -93,17 +104,15 @@ def summarize_episode(log, config) -> EpisodeSummary:
 
     per_phase = []
     for i, lo, hi in spans:
-        phase_tasks = [t for t in log.tasks if t.phase_index == i]
-        phase_met = sum(1 for t in phase_tasks if t.met)
         step_workers = [
             s.observation.n_workers for s in log.steps
             if lo <= (s.step - 1) * config.step_duration < hi]
         per_phase.append(PhaseSummary(
             phase_index=i,
-            qos=phase_met / len(phase_tasks) if phase_tasks else 1.0,
+            qos=met_in[i] / emitted_in[i] if emitted_in[i] else 1.0,
             mean_workers=float(np.mean(step_workers)) if step_workers else 0.0,
-            emitted=len(phase_tasks),
-            met=phase_met,
+            emitted=emitted_in[i],
+            met=met_in[i],
         ))
 
     return EpisodeSummary(

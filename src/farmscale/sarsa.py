@@ -151,6 +151,13 @@ class SarsaAgent(LearningAgent):
                     discretizer=Discretizer(
                         edges=tuple(tuple(e) for e in blob["edges"])))
         agent.epsilon = blob["epsilon"]
+        n_dims = len(agent.discretizer.edges)
+        for i, (state, row) in enumerate(blob["qtable"]):
+            if len(state) != n_dims or len(row) != len(ACTIONS):
+                raise ValueError(
+                    f"{path}: qtable[{i}] has a {len(state)}-component state "
+                    f"and {len(row)} values, expected {n_dims} and "
+                    f"{len(ACTIONS)}")
         agent.qtable = {tuple(state): np.array(row)
                         for state, row in blob["qtable"]}
         return agent

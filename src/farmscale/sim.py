@@ -2,7 +2,11 @@
 
 Events execute in time order with a fixed tie-break (completion < arrival <
 worker-ready, then ascending id) so that identical (config, workload, seed)
-always produce bitwise-identical traces. The emitter and collector are
+always produce bitwise-identical traces. Injected arrivals wait in their own
+deque, sorted by (time, task id); the event heap holds only completions and
+worker-ready events, about one per worker. Each step of the event loop takes
+the smaller of the two heads, comparing whole (time, kind, id) keys, so the
+merged stream runs in exactly that order. The emitter and collector are
 zero-delay: arriving tasks land in the worker queue instantly and completed
 tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
@@ -81,8 +85,8 @@ class FarmSim:
         self.enqueued_total = 0
         self.completed_total = 0
         self.completion_records = []  # (task_id, completion_time, met)
-        self._events = []  # (time, kind, id, payload)
-        self._pending_arrivals = 0
+        self._events = []  # (time, kind, id, payload): completions, readies
+        self._arrivals = deque()  # (time, _ARRIVAL, task_id, task), sorted
         self._task_ids = set()
         self._next_worker_id = 0
         self._idle = []  # min-heap of idle worker ids, stale ids skipped
@@ -125,20 +129,35 @@ class FarmSim:
         return len(self.workers) - self._draining
 
     def _record(self, kind, task_id=-1, worker_id=-1):
-        if self.trace is not None:
-            self.trace.append((self.clock, kind, task_id, worker_id))
+        """Append to the event trace; callers check ``self.trace`` first."""
+        self.trace.append((self.clock, kind, task_id, worker_id))
 
     # -- public operations --------------------------------------------------
 
     def inject_tasks(self, tasks):
-        """Schedule arrival events; tasks must be sorted by arrival time."""
-        for task in tasks:
-            if task.task_id in self._task_ids:
-                raise ValueError(f"duplicate task_id {task.task_id}")
-            self._task_ids.add(task.task_id)
-            self._pending_arrivals += 1
-            heapq.heappush(self._events,
-                           (task.arrival_time, _ARRIVAL, task.task_id, task))
+        """Schedule the arrivals of ``tasks``, given in any order.
+
+        Arrivals run in (arrival time, task id) order, also across calls: a
+        batch that reaches back before arrivals still pending is merged
+        with them. A task id seen before raises ``ValueError`` and the
+        batch is not scheduled.
+        """
+        batch = [(t.arrival_time, _ARRIVAL, t.task_id, t) for t in tasks]
+        ids = {a[2] for a in batch}
+        if len(ids) < len(batch) or not self._task_ids.isdisjoint(ids):
+            seen = set(self._task_ids)
+            for _, _, task_id, _ in batch:
+                if task_id in seen:
+                    raise ValueError(f"duplicate task_id {task_id}")
+                seen.add(task_id)
+        self._task_ids |= ids
+        batch.sort()  # ids are unique, so the tasks themselves never compare
+        pending = self._arrivals
+        if pending and batch and batch[0] < pending[-1]:
+            batch += pending
+            batch.sort()
+            pending.clear()
+        pending.extend(batch)
 
     def request_scale(self, delta: int) -> int:
         """Apply a unit scaling request, clipped to pool bounds.
@@ -156,7 +175,8 @@ class FarmSim:
         applied = max(-1, min(1, applied))
         if applied > 0:
             wid = self._schedule_start()
-            self._record("scale_up", worker_id=wid)
+            if self.trace is not None:
+                self._record("scale_up", worker_id=wid)
         elif applied < 0:
             # ids are inserted in ascending order and never reused, so the
             # dict's last non-draining entry is the most recently started
@@ -173,7 +193,8 @@ class FarmSim:
             else:
                 victim.draining = True
                 self._draining += 1
-            self._record("scale_down", worker_id=victim.worker_id)
+            if self.trace is not None:
+                self._record("scale_down", worker_id=victim.worker_id)
         return applied
 
     def advance(self, dt: float) -> StepStats:
@@ -182,15 +203,22 @@ class FarmSim:
             raise ValueError("dt must be positive")
         end = self.clock + dt
         self._stats = StepStats()
-        while self._events and self._events[0][0] <= end:
-            time, kind, eid, payload = heapq.heappop(self._events)
-            self.clock = time
-            if kind == _ARRIVAL:
-                self._on_arrival(payload)
-            elif kind == _COMPLETION:
-                self._on_completion(eid, payload)
+        events, arrivals = self._events, self._arrivals
+        while True:
+            if arrivals and (not events or arrivals[0] < events[0]):
+                if arrivals[0][0] > end:
+                    break
+                self.clock, _, _, task = arrivals.popleft()
+                self._on_arrival(task)
+            elif events and events[0][0] <= end:
+                time, kind, eid, payload = heapq.heappop(events)
+                self.clock = time
+                if kind == _COMPLETION:
+                    self._on_completion(eid, payload)
+                else:
+                    self._on_worker_ready(eid)
             else:
-                self._on_worker_ready(eid)
+                break
             if self.validate:
                 self._check_conservation()
         self.clock = end
@@ -210,17 +238,18 @@ class FarmSim:
 
     @property
     def pending_arrivals(self) -> int:
-        return self._pending_arrivals
+        return len(self._arrivals)
 
     # -- event handlers -----------------------------------------------------
 
     def _on_arrival(self, task):
         self.q_work.append(task)
-        self._pending_arrivals -= 1
         self.enqueued_total += 1
         self._stats.arrived += 1
-        self._record("arrival", task_id=task.task_id)
-        self._dispatch()
+        if self.trace is not None:
+            self._record("arrival", task_id=task.task_id)
+        if self._idle:
+            self._dispatch()
 
     def _on_completion(self, worker_id, task):
         worker = self.workers.get(worker_id)
@@ -229,20 +258,25 @@ class FarmSim:
         self.completed_total += 1
         met = self.clock - task.arrival_time <= task.deadline
         self.completion_records.append((task.task_id, self.clock, met))
-        self._stats.completed += 1
-        self._stats.hits += int(met)
-        self._stats.service_times.append(task.service_time)
-        self._record("completion", task_id=task.task_id, worker_id=worker_id)
+        stats = self._stats
+        stats.completed += 1
+        stats.hits += met
+        stats.service_times.append(task.service_time)
+        if self.trace is not None:
+            self._record("completion", task_id=task.task_id,
+                         worker_id=worker_id)
         self._busy -= 1
         if worker.draining:
             del self.workers[worker_id]
             self._draining -= 1
-            self._record("worker_exit", worker_id=worker_id)
+            if self.trace is not None:
+                self._record("worker_exit", worker_id=worker_id)
         else:
             worker.status = IDLE
             worker.task_id = -1
             heapq.heappush(self._idle, worker_id)
-            self._dispatch()
+            if self.q_work:
+                self._dispatch()
 
     def _on_worker_ready(self, worker_id):
         worker = self.workers.get(worker_id)
@@ -251,7 +285,8 @@ class FarmSim:
         worker.status = IDLE
         self._starting -= 1
         heapq.heappush(self._idle, worker_id)
-        self._record("worker_ready", worker_id=worker_id)
+        if self.trace is not None:
+            self._record("worker_ready", worker_id=worker_id)
         self._dispatch()
 
     def _dispatch(self):
@@ -265,7 +300,9 @@ class FarmSim:
             self._busy += 1
             heapq.heappush(self._events, (self.clock + task.service_time,
                                           _COMPLETION, worker.worker_id, task))
-            self._record("dispatch", task_id=task.task_id, worker_id=worker.worker_id)
+            if self.trace is not None:
+                self._record("dispatch", task_id=task.task_id,
+                             worker_id=worker.worker_id)
 
     def _check_conservation(self):
         """Conservation identity, plus the pool counters and idle heap

@@ -302,5 +302,7 @@ def write_workload_csv(tasks, path):
 
 def read_workload_csv(path) -> list:
     with open(path, newline="") as fh:
-        return [TaskSpec(**parse_fields(TaskSpec, row))
-                for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        return [TaskSpec(**parse_fields(TaskSpec, row,
+                                        f"{path}:{reader.line_num}"))
+                for row in reader]

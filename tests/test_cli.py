@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -115,6 +116,20 @@ def test_train_then_run_checkpoint(tmp_path, tiny_config, agent, ckpt):
                  "--policy", f"{agent}:{out / ckpt}",
                  "--out", str(run_dir)]) == 0
     assert (run_dir / "summary.json").exists()
+
+
+def test_run_rejects_misshapen_dqn_checkpoint(tmp_path, tiny_config, capsys):
+    out = tmp_path / "dqn"
+    assert main(["train", "--config", tiny_config, "--agent", "dqn",
+                 "--episodes", "1", "--out", str(out)]) == 0
+    arrays = dict(np.load(out / "dqn.npz"))
+    del arrays["b2"]
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    capsys.readouterr()
+    assert main(["run", "--config", tiny_config, "--policy", f"dqn:{bad}",
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 def test_compare_two_policies(tmp_path, tiny_config, capsys):

@@ -148,6 +148,29 @@ class TestEpisodeLog:
         header = path.read_text().splitlines()[0]
         assert header.split(",") == list(STEP_COLUMNS)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("n_workers", "two", "invalid literal for int() with base 10: 'two'"),
+        ("reward", "", "could not convert string to float: ''"),
+        ("qos_step", None, "missing"),
+    ])
+    def test_step_csv_error_names_file_line_and_column(
+            self, tmp_path, column, value, message):
+        log = self._small_log()
+        log.add_step(log.steps[0])
+        path = tmp_path / "steps.csv"
+        log.write_step_csv(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        at = rows[0].index(column)
+        if value is None:  # drop the column
+            rows = [r[:at] + r[at + 1:] for r in rows]
+        else:  # spoil the second step
+            rows[2][at] = value
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(ValueError) as err:
+            read_step_csv(path)
+        line = 2 if value is None else 3
+        assert str(err.value) == f"{path}:{line}: column {column}: {message}"
+
     def test_task_csv_has_all_tasks(self, tmp_path):
         log = self._small_log()
         path = tmp_path / "tasks.csv"

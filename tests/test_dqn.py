@@ -1,5 +1,8 @@
 """Double DQN: replay buffer, targets, normalization, persistence."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +148,44 @@ class TestAgent:
                   for s in (0.1, 0.95)]
         for p in probes:
             assert back.act(p, greedy=True) == agent.act(p, greedy=True)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("w1", np.zeros((128, 32)),
+         r"'w1' has shape \(128, 32\), expected \(128, 64\)"),
+        ("tw0", np.zeros((9, 64)),
+         r"'tw0' has shape \(9, 64\), expected \(9, 128\)"),
+        ("tb2", np.zeros(4), r"'tb2' has shape \(4,\), expected \(3,\)"),
+        ("b2", None, "checkpoint has no 'b2'"),
+        ("tw1", None, "checkpoint has no 'tw1'"),
+        ("obs_lows", np.zeros(8),
+         r"'obs_lows' has shape \(8,\), expected \(9,\)"),
+        ("obs_highs", None, "checkpoint has no 'obs_highs'"),
+    ])
+    def test_load_rejects_bad_entry(self, tmp_path, key, value, message):
+        good = tmp_path / "good.npz"
+        make_agent().save(good)
+        arrays = dict(np.load(good))
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(bad))}: {message}$"):
+            DqnAgent.load(bad)
+
+    def test_load_rejects_head_not_one_value_per_action(self, tmp_path):
+        good = tmp_path / "good.npz"
+        make_agent().save(good)
+        arrays = dict(np.load(good))
+        meta = json.loads(str(arrays["meta"]))
+        meta["layer_sizes"][-1] = 4
+        arrays["meta"] = np.array(json.dumps(meta))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(ValueError, match="must end in 3"):
+            DqnAgent.load(bad)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

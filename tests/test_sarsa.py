@@ -1,5 +1,8 @@
 """Tabular SARSA(lambda): discretization, traces, exploration, persistence."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +144,24 @@ class TestSarsaAgent:
         assert set(back.qtable) == set(agent.qtable)
         probe = obs(q_work=120, qos=0.2)
         assert back.act(probe, greedy=True) == agent.act(probe, greedy=True)
+
+    @pytest.mark.parametrize("state, row", [
+        ([0] * 9, [0.0, 1.0]),
+        ([0] * 8, [0.0, 1.0, 2.0]),
+    ])
+    def test_load_rejects_misshapen_qtable_entry(self, tmp_path, state, row):
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent.qtable[(1,) * 9] = np.zeros(3)
+        path = tmp_path / "sarsa.json"
+        agent.save(path)
+        blob = json.loads(path.read_text())
+        blob["qtable"].append([state, row])
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: qtable\\[1\\] has a "
+                                 f"{len(state)}-component state and "
+                                 f"{len(row)} values, expected 9 and 3$"):
+            SarsaAgent.load(path)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

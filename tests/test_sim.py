@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from farmscale import sim as sim_module
 from farmscale.core import TaskSpec
@@ -64,6 +64,94 @@ class TestInjection:
         assert sim.pending_arrivals == 5
         sim.advance(0.35)
         assert sim.pending_arrivals == 2
+
+
+def grid_sim(warm, n_init, seed):
+    """Validating, tracing sim whose startups take exactly 1.0: with task
+    times on a 0.5 grid, readies tie with arrivals and completions."""
+    cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init, n_max=4,
+                              warm_start=warm, scale_up_latency=(1.0, 1.0))
+    return FarmSim(cfg, np.random.default_rng(seed), validate=True,
+                   trace=True)
+
+
+class TestMergedArrivals:
+    @given(slots=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
+                          min_size=4, max_size=40),
+           program=st.lists(st.tuples(st.sampled_from((-1, 0, 1)),
+                                      st.integers(1, 4)),
+                            min_size=1, max_size=30),
+           split=st.integers(0, 3), late_calls=st.integers(1, 2),
+           warm=st.booleans(), n_init=st.integers(1, 3),
+           shuffler=st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_batches_in_any_order_match_one_sorted_batch(
+            self, slots, program, split, late_calls, warm, n_init, shuffler):
+        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
+                 for i, (a, s) in enumerate(slots)]
+        split = min(split, len(program))
+        cut = 0.5 * sum(dt for _, dt in program[:split])
+        late = sorted((t for t in tasks if t.arrival_time > cut),
+                      key=lambda t: (t.arrival_time, t.task_id))
+        assume(len(late) >= 2)
+        # the last late arrival is injected first, so every later batch
+        # reaches back before an arrival still pending
+        moved = shuffler.sample(late[:-1], shuffler.randint(1, len(late) - 1))
+        first = [t for t in tasks if t not in moved]
+        shuffler.shuffle(first)
+        shuffler.shuffle(moved)
+        later = [moved]
+        if late_calls == 2 and len(moved) > 1:
+            at = shuffler.randint(1, len(moved) - 1)
+            later = [moved[:at], moved[at:]]
+
+        merged, reference = grid_sim(warm, n_init, 7), grid_sim(warm, n_init, 7)
+        merged.inject_tasks(first)
+        reference.inject_tasks(sorted(
+            tasks, key=lambda t: (t.arrival_time, t.task_id)))
+        for step, (action, dt) in enumerate([*program, (0, 200)]):
+            if step == split:
+                for batch in later:
+                    merged.inject_tasks(batch)
+                assert merged.pending_arrivals == reference.pending_arrivals
+            for sim in (merged, reference):
+                sim.request_scale(action)
+                sim.advance(0.5 * dt)
+        assert merged.trace == reference.trace
+        assert merged.completion_records == reference.completion_records
+        assert merged.completed_total == len(tasks)
+
+    def test_tie_order_at_one_clock(self):
+        sim = grid_sim(warm=True, n_init=1, seed=0)
+        sim.request_scale(+1)  # worker 1 ready at exactly 1.0
+        sim.inject_tasks([simple_task(3, 3.0), simple_task(1, 1.0),
+                          simple_task(0, 0.0)])
+        sim.inject_tasks([simple_task(2, 3.0)])  # reaches back before 3
+        sim.advance(10.0)
+        assert sim.trace == [
+            (0.0, "scale_up", -1, 1),
+            (0.0, "arrival", 0, -1),
+            (0.0, "dispatch", 0, 0),
+            # t = 1.0: completion, then arrival, then worker-ready
+            (1.0, "completion", 0, 0),
+            (1.0, "arrival", 1, -1),
+            (1.0, "dispatch", 1, 0),
+            (1.0, "worker_ready", -1, 1),
+            (2.0, "completion", 1, 0),
+            # tied arrivals in ascending task id, whatever the inject order
+            (3.0, "arrival", 2, -1),
+            (3.0, "dispatch", 2, 0),
+            (3.0, "arrival", 3, -1),
+            (3.0, "dispatch", 3, 1),
+            (4.0, "completion", 2, 0),
+            (4.0, "completion", 3, 1),
+        ]
+
+    def test_duplicate_in_batch_schedules_nothing(self):
+        sim = make_sim()
+        with pytest.raises(ValueError, match="duplicate task_id 2"):
+            sim.inject_tasks([simple_task(2, 0.5), simple_task(2, 0.7)])
+        assert sim.pending_arrivals == 0
 
 
 class TestScaling:

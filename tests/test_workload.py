@@ -177,3 +177,25 @@ class TestArrivalGeneration:
         write_workload_csv(default_workload, path)
         back = read_workload_csv(path)
         assert back == default_workload
+
+    def test_csv_bad_value_names_file_line_and_column(self, tmp_path,
+                                                      default_workload):
+        path = tmp_path / "workload.csv"
+        write_workload_csv(default_workload[:3], path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[2][3] = "abc"  # service_time of the second task
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(ValueError) as err:
+            read_workload_csv(path)
+        assert str(err.value) == (f"{path}:3: column service_time: could not"
+                                  " convert string to float: 'abc'")
+
+    def test_csv_missing_column_names_file_line_and_column(
+            self, tmp_path, default_workload):
+        path = tmp_path / "workload.csv"
+        write_workload_csv(default_workload[:2], path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(r[:3] + r[4:]) + "\n" for r in rows))
+        with pytest.raises(ValueError) as err:
+            read_workload_csv(path)
+        assert str(err.value) == f"{path}:2: column service_time: missing"
