@@ -1,9 +1,15 @@
 """What the two learning agents share: the greedy tie-break, the epsilon
-schedule and the episode hooks of the training loop."""
+schedule, the episode hooks of the training loop and the checks on a
+checkpoint's top-level entries."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
+
+# accepted Python types of a config field, by its declared type's name
+_NUMBER_TYPES = {"int": int, "float": (int, float)}
 
 
 def greedy_index(values) -> int:
@@ -36,3 +42,33 @@ class LearningAgent:
     def select_action(self, obs, info) -> int:
         """The agent as a frozen policy: its greedy action."""
         return self.act(obs, greedy=True)
+
+
+def checkpoint_value(blob: dict, path, key: str, where: str = "checkpoint"):
+    """``blob[key]``; a missing key raises ``ValueError`` naming the file
+    and the key."""
+    try:
+        return blob[key]
+    except KeyError:
+        raise ValueError(f"{path}: {where} has no {key!r}") from None
+
+
+def checkpoint_config(cls, values, path):
+    """``cls(**values)`` for a checkpoint's saved config; a key ``cls`` lacks,
+    a number of the wrong type (a bool is not a number) or a value ``cls``
+    rejects raises ``ValueError`` naming the file and the key."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: 'config' is not a mapping")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        if key not in types:
+            raise ValueError(f"{path}: config has unknown key {key!r}")
+        accepted = _NUMBER_TYPES.get(types[key])
+        if accepted and (isinstance(value, bool)
+                         or not isinstance(value, accepted)):
+            raise ValueError(f"{path}: config {key!r} must be {types[key]}, "
+                             f"got {value!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: config: {exc}") from None

@@ -13,7 +13,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .agent import LearningAgent, greedy_index
+from .agent import (LearningAgent, checkpoint_config, checkpoint_value,
+                    greedy_index)
 from .core import ACTIONS
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
@@ -153,24 +154,26 @@ class DqnAgent(LearningAgent):
 
     @classmethod
     def load(cls, path) -> "DqnAgent":
-        """Read a checkpoint written by ``save``; a missing entry or one
-        whose shape differs from what ``layer_sizes`` implies raises
-        ``ValueError`` naming the file and the key."""
+        """Read a checkpoint written by ``save``; a missing entry, a config
+        key ``DqnConfig`` lacks or an array whose shape differs from what
+        ``layer_sizes`` implies raises ``ValueError`` naming the file and
+        the key."""
         data = np.load(path if str(path).endswith(".npz") else f"{path}.npz",
                        allow_pickle=False)
         meta = json.loads(str(_entry(data, path, "meta", ())))
-        if meta.get("kind") != "dqn":
+        if not isinstance(meta, dict) or meta.get("kind") != "dqn":
             raise ValueError(f"{path} is not a dqn checkpoint")
-        sizes = tuple(meta["layer_sizes"])
-        if sizes[-1] != len(ACTIONS):
+        sizes = tuple(checkpoint_value(meta, path, "layer_sizes", "meta"))
+        if sizes[-1:] != (len(ACTIONS),):
             raise ValueError(f"{path}: layer_sizes {list(sizes)} must end in "
                              f"{len(ACTIONS)}, one value per action")
-        cfg_dict = dict(meta["config"])
-        cfg_dict["reward_clip"] = tuple(cfg_dict["reward_clip"])
+        cfg_dict = checkpoint_value(meta, path, "config", "meta")
+        if isinstance(cfg_dict, dict) and "reward_clip" in cfg_dict:
+            cfg_dict["reward_clip"] = tuple(cfg_dict["reward_clip"])
         agent = cls(_entry(data, path, "obs_lows", sizes[:1]),
                     _entry(data, path, "obs_highs", sizes[:1]),
-                    cfg=DqnConfig(**cfg_dict))
-        agent.epsilon = meta["epsilon"]
+                    cfg=checkpoint_config(DqnConfig, cfg_dict, path))
+        agent.epsilon = checkpoint_value(meta, path, "epsilon", "meta")
         shapes = list(zip(sizes[:-1], sizes[1:]))
         for prefix, net in agent._nets():
             net.layer_sizes = sizes

@@ -176,6 +176,7 @@ class FarmEnv:
         done = {tid: (t, met) for tid, t, met in self.sim.completion_records}
         self.log.tasks = [
             TaskRecord(task.task_id, task.arrival_time, task.size_px,
-                       task.service_time, task.deadline,
-                       *done.get(task.task_id, _UNFINISHED), task.phase_index)
-            for task in self._workload]
+                       task.service_time, task.deadline, completion, met,
+                       task.phase_index)
+            for task in self._workload
+            for completion, met in [done.get(task.task_id, _UNFINISHED)]]

@@ -12,7 +12,8 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .agent import LearningAgent, greedy_index
+from .agent import (LearningAgent, checkpoint_config, checkpoint_value,
+                    greedy_index)
 from .core import ACTIONS
 
 
@@ -143,21 +144,26 @@ class SarsaAgent(LearningAgent):
 
     @classmethod
     def load(cls, path) -> "SarsaAgent":
+        """Read a checkpoint written by ``save``; a missing entry, a config
+        key ``SarsaConfig`` lacks or a misshapen Q-table entry raises
+        ``ValueError`` naming the file and the key."""
         with open(path) as fh:
             blob = json.load(fh)
-        if blob.get("kind") != "sarsa":
+        if not isinstance(blob, dict) or blob.get("kind") != "sarsa":
             raise ValueError(f"{path} is not a sarsa checkpoint")
-        agent = cls(cfg=SarsaConfig(**blob["config"]),
-                    discretizer=Discretizer(
-                        edges=tuple(tuple(e) for e in blob["edges"])))
-        agent.epsilon = blob["epsilon"]
+        cfg = checkpoint_config(SarsaConfig,
+                                checkpoint_value(blob, path, "config"), path)
+        edges = checkpoint_value(blob, path, "edges")
+        qtable = checkpoint_value(blob, path, "qtable")
+        agent = cls(cfg=cfg, discretizer=Discretizer(
+            edges=tuple(tuple(e) for e in edges)))
+        agent.epsilon = checkpoint_value(blob, path, "epsilon")
         n_dims = len(agent.discretizer.edges)
-        for i, (state, row) in enumerate(blob["qtable"]):
+        for i, (state, row) in enumerate(qtable):
             if len(state) != n_dims or len(row) != len(ACTIONS):
                 raise ValueError(
                     f"{path}: qtable[{i}] has a {len(state)}-component state "
                     f"and {len(row)} values, expected {n_dims} and "
                     f"{len(ACTIONS)}")
-        agent.qtable = {tuple(state): np.array(row)
-                        for state, row in blob["qtable"]}
+        agent.qtable = {tuple(state): np.array(row) for state, row in qtable}
         return agent

@@ -207,22 +207,24 @@ def _window_edges(duration: float, window: float) -> list:
 
 
 def generate_phase_arrivals(phase: WorkloadPhaseSpec, phase_start: float,
-                            rng: np.random.Generator) -> list:
-    """Arrival instants for one phase, exactly ``phase.target_count`` of them.
+                            rng: np.random.Generator) -> np.ndarray:
+    """Arrival instants for one phase, exactly ``phase.target_count`` of them,
+    as a sorted float ndarray (empty when the target is 0).
 
     Window counts are Poisson with the analytic rate integral as mean; the
     final window absorbs the difference so the total is exact. Instants
-    within a window are uniform order statistics.
+    within a window are uniform order statistics. All window counts come
+    from one ``rng.poisson`` call and all instants from one ``rng.uniform``
+    call over per-instant window bounds: the same stream and the same values
+    as one draw per window, since the windows are disjoint and ordered.
     """
     target = phase.target_count
     if target <= 0:
-        return []
+        return np.empty(0)
     edges = _window_edges(phase.duration, phase.window)
-    n_windows = len(edges) - 1
-    counts = []
-    for i in range(n_windows - 1):
-        mean = phase.rate_integral(edges[i], edges[i + 1])
-        counts.append(int(rng.poisson(mean)))
+    means = [phase.rate_integral(lo, hi)
+             for lo, hi in zip(edges[:-2], edges[1:-1])]
+    counts = rng.poisson(means).tolist()
     last = target - sum(counts)
     if last < 0:
         # Surplus: zero the final window and trim the excess from the tail
@@ -238,14 +240,10 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec, phase_start: float,
     else:
         counts.append(last)
 
-    arrivals = []
-    for i, count in enumerate(counts):
-        if count == 0:
-            continue
-        lo, hi = edges[i], edges[i + 1]
-        pts = np.sort(rng.uniform(lo, hi, size=count))
-        arrivals.extend(phase_start + pts)
-    return arrivals
+    pts = rng.uniform(np.repeat(edges[:-1], counts),
+                      np.repeat(edges[1:], counts))
+    pts.sort()
+    return phase_start + pts
 
 
 def build_episode_workload(config, dist: SizeDistribution,
@@ -270,7 +268,7 @@ def build_episode_workload(config, dist: SizeDistribution,
         phase = phases[phase_idx]
         phase_rng = np.random.default_rng([rng_seed, phase_idx])
         offsets = generate_phase_arrivals(phase, 0.0, phase_rng)
-        entries.extend(zip((position_start + np.asarray(offsets)).tolist(),
+        entries.extend(zip((position_start + offsets).tolist(),
                            repeat(phase_idx)))
         position_start += phase.duration
 
@@ -282,11 +280,9 @@ def build_episode_workload(config, dist: SizeDistribution,
         service = model.predict(size)
         timing[size] = (service, compute_deadline(service, config.beta))
     return [
-        TaskSpec(task_id=task_id, arrival_time=arrival, size_px=size,
-                 service_time=timing[size][0], deadline=timing[size][1],
-                 phase_index=phase_idx)
-        for task_id, ((arrival, phase_idx), size)
-        in enumerate(zip(entries, sizes))
+        TaskSpec(task_id, arrival, size, service, deadline, phase_idx)
+        for task_id, ((arrival, phase_idx), size, (service, deadline))
+        in enumerate(zip(entries, sizes, map(timing.__getitem__, sizes)))
     ]
 
 
@@ -301,8 +297,16 @@ def write_workload_csv(tasks, path):
 
 
 def read_workload_csv(path) -> list:
+    """Tasks written by ``write_workload_csv``. A missing, unconvertible or
+    invalid value raises ``ValueError("<path>:<line>: ...")``."""
+    tasks = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        return [TaskSpec(**parse_fields(TaskSpec, row,
-                                        f"{path}:{reader.line_num}"))
-                for row in reader]
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            kwargs = parse_fields(TaskSpec, row, where)
+            try:
+                tasks.append(TaskSpec(**kwargs))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return tasks

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness via main()."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import yaml
 
 from farmscale.cli import main
 from farmscale.core import read_step_csv
+from farmscale.dqn import DqnAgent
+from farmscale.sarsa import SarsaAgent
 from farmscale.training import CURVE_COLUMNS
 from farmscale.workload import read_workload_csv
 
@@ -130,6 +133,60 @@ def test_run_rejects_misshapen_dqn_checkpoint(tmp_path, tiny_config, capsys):
     assert main(["run", "--config", tiny_config, "--policy", f"dqn:{bad}",
                  "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def _edited_checkpoint(tmp_path, agent, edit):
+    """A fresh checkpoint whose top-level JSON (DQN ``meta``, or the whole
+    SARSA file) went through ``edit``."""
+    if agent == "dqn":
+        good = tmp_path / "good.npz"
+        DqnAgent(np.zeros(9), np.ones(9)).save(good)
+        arrays = dict(np.load(good))
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        return bad
+    bad = tmp_path / "bad.json"
+    SarsaAgent().save(bad)
+    blob = json.loads(bad.read_text())
+    edit(blob)
+    bad.write_text(json.dumps(blob))
+    return bad
+
+
+@pytest.mark.parametrize("agent, edit, message", [
+    ("dqn", lambda m: m["config"].update(momentum=0.9),
+     "config has unknown key 'momentum'"),
+    ("dqn", lambda m: m.pop("epsilon"), "meta has no 'epsilon'"),
+    ("dqn", lambda m: m.pop("layer_sizes"), "meta has no 'layer_sizes'"),
+    ("dqn", lambda m: m.pop("config"), "meta has no 'config'"),
+    ("dqn", lambda m: m.update(layer_sizes=[]),
+     r"layer_sizes \[\] must end in 3, one value per action"),
+    ("dqn", lambda m: m["config"].update(tau=0.0),
+     r"config: tau must lie in \(0, 1\]"),
+    ("sarsa", lambda b: b.pop("qtable"), "checkpoint has no 'qtable'"),
+    ("sarsa", lambda b: b.pop("edges"), "checkpoint has no 'edges'"),
+    ("sarsa", lambda b: b["config"].update(momentum=0.9),
+     "config has unknown key 'momentum'"),
+    ("sarsa", lambda b: b["config"].update(alpha=0.0),
+     r"config: alpha must lie in \(0, 1\]"),
+    ("sarsa", lambda b: b["config"].update(alpha="high"),
+     "config 'alpha' must be float, got 'high'"),
+    ("dqn", lambda m: m["config"].update(batch_size=8.5),
+     "config 'batch_size' must be int, got 8.5"),
+], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
+        "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
+        "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
+        "sarsa-config-value", "sarsa-config-type", "dqn-config-type"])
+def test_run_rejects_malformed_checkpoint(tmp_path, tiny_config, capsys,
+                                          agent, edit, message):
+    bad = _edited_checkpoint(tmp_path, agent, edit)
+    assert main(["run", "--config", tiny_config, "--policy", f"{agent}:{bad}",
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}\n", err)
 
 
 def test_compare_two_policies(tmp_path, tiny_config, capsys):

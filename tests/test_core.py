@@ -1,5 +1,6 @@
 """Domain vocabulary: deadlines, observations, configs, episode logs."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from farmscale.core import (OBSERVATION_FIELDS, STEP_COLUMNS, EpisodeConfig,
                             EpisodeLog, Observation, RewardConfig, StepRecord,
-                            TaskRecord, compute_deadline, deadline_met,
-                            read_step_csv)
-from farmscale.workload import WorkloadPhaseSpec
+                            TaskRecord, TaskSpec, compute_deadline,
+                            deadline_met, read_step_csv)
+from farmscale.workload import WORKLOAD_COLUMNS, WorkloadPhaseSpec
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -34,6 +35,72 @@ class TestComputeDeadline:
            beta=st.floats(min_value=1.0 + 1e-9, max_value=10.0))
     def test_deadline_exceeds_service(self, service, beta):
         assert compute_deadline(service, beta) > service
+
+
+class TestTaskSpec:
+    """The hand-written ``__init__`` keeps the frozen-dataclass contract."""
+
+    ARGS = (7, 1.25, 1024, 0.18, 0.36, 2)
+
+    def test_positional_equals_keyword(self):
+        spec = TaskSpec(*self.ARGS)
+        assert spec == TaskSpec(**dict(zip(WORKLOAD_COLUMNS, self.ARGS)))
+        assert tuple(getattr(spec, name) for name in WORKLOAD_COLUMNS) == (
+            self.ARGS)
+
+    @pytest.mark.parametrize("service, deadline, message", [
+        (0.0, 1.0, "service_time must be positive"),
+        (-0.5, 1.0, "service_time must be positive"),
+        (0.5, 0.5, "deadline must exceed service_time"),
+        (0.5, 0.25, "deadline must exceed service_time"),
+    ])
+    def test_every_construction_is_checked(self, service, deadline, message):
+        args = dict(zip(WORKLOAD_COLUMNS, self.ARGS),
+                    service_time=service, deadline=deadline)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TaskSpec(*args.values())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TaskSpec(**args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(TaskSpec(*self.ARGS), service_time=service,
+                                deadline=deadline)
+
+    def test_replace_builds_a_new_spec(self):
+        spec = TaskSpec(*self.ARGS)
+        moved = dataclasses.replace(spec, arrival_time=9.5)
+        assert moved.arrival_time == 9.5 and spec.arrival_time == 1.25
+        assert dataclasses.replace(moved, arrival_time=1.25) == spec
+
+    @pytest.mark.parametrize("name", WORKLOAD_COLUMNS)
+    def test_assignment_raises(self, name):
+        spec = TaskSpec(*self.ARGS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(spec, name)
+        assert getattr(spec, name) == self.ARGS[WORKLOAD_COLUMNS.index(name)]
+
+    def test_slots_and_no_instance_dict(self):
+        spec = TaskSpec(*self.ARGS)
+        assert not hasattr(spec, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            spec.extra = 1
+
+    def test_eq_hash_and_repr(self):
+        a, b = TaskSpec(*self.ARGS), TaskSpec(*self.ARGS)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(self.ARGS)
+        assert a != TaskSpec(8, *self.ARGS[1:])
+        assert len({a, b}) == 1
+        assert repr(a) == ("TaskSpec(task_id=7, arrival_time=1.25, "
+                           "size_px=1024, service_time=0.18, deadline=0.36, "
+                           "phase_index=2)")
+
+    def test_field_order_is_the_csv_column_order(self):
+        names = tuple(f.name for f in dataclasses.fields(TaskSpec))
+        assert names == WORKLOAD_COLUMNS == (
+            "task_id", "arrival_time", "size_px", "service_time", "deadline",
+            "phase_index")
 
 
 class TestDeadlineMet:

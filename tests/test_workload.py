@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 FitError, SizeDistribution, WorkloadPhaseSpec,
-                                build_episode_workload, default_phases,
-                                default_size_distribution, fit_service_model,
-                                generate_phase_arrivals, read_workload_csv,
-                                reduced_paper_model, sample_task_sizes,
-                                write_workload_csv)
+                                _window_edges, build_episode_workload,
+                                default_phases, default_size_distribution,
+                                fit_service_model, generate_phase_arrivals,
+                                read_workload_csv, reduced_paper_model,
+                                sample_task_sizes, write_workload_csv)
 
 # Published values the calibration must reproduce.
 TABLE_PREDICTIONS = {512: 0.046, 1024: 0.181, 2048: 0.719, 4096: 2.870}
@@ -123,7 +123,76 @@ class TestPhaseSpec:
             WorkloadPhaseSpec(kind="sawtooth", base_rate=5.0, duration=60.0)
 
 
+def reference_phase_arrivals(phase, phase_start, rng):
+    """The per-window generator that ``generate_phase_arrivals`` replaced:
+    one scalar Poisson draw per window, then one uniform draw per nonempty
+    window. Returns the arrivals and whether the surplus branch ran."""
+    target = phase.target_count
+    if target <= 0:
+        return [], False
+    edges = _window_edges(phase.duration, phase.window)
+    counts = [int(rng.poisson(phase.rate_integral(edges[i], edges[i + 1])))
+              for i in range(len(edges) - 2)]
+    last = target - sum(counts)
+    if last < 0:
+        counts.append(0)
+        surplus = -last
+        for i in range(len(counts) - 1, -1, -1):
+            take = min(surplus, counts[i])
+            counts[i] -= take
+            surplus -= take
+            if surplus == 0:
+                break
+    else:
+        counts.append(last)
+    arrivals = []
+    for i, count in enumerate(counts):
+        if count:
+            pts = np.sort(rng.uniform(edges[i], edges[i + 1], size=count))
+            arrivals.extend(phase_start + pts)
+    return arrivals, last < 0
+
+
+# Phase shapes for the reference test: the defaults, sparse windows (many
+# draw 0), a short last window (the first windows often overshoot the
+# target: the surplus branch), a single window, a ragged last window, an
+# empty phase and the criterion-3 fuzz's 0.5-second grid.
+REFERENCE_PHASES = default_phases() + (
+    WorkloadPhaseSpec("steady", 0.2, 60.0, 5.0),
+    WorkloadPhaseSpec("steady", 2.0, 10.5, 5.0),
+    WorkloadPhaseSpec("steady", 2.0, 10.5, 10.0),
+    WorkloadPhaseSpec("steady", 3.0, 7.0, 7.0),
+    WorkloadPhaseSpec("sinusoid", 1.0, 23.0, 5.0, mult_min=0.0,
+                      mult_max=2.0, cycles=2),
+    WorkloadPhaseSpec("steady", 0.001, 10.0, 5.0),
+    WorkloadPhaseSpec("steady", 4.0, 6.0, 0.5),
+)
+
+
 class TestArrivalGeneration:
+    def test_batched_draws_match_per_window_reference(self):
+        surplus_hits = zero_windows = 0
+        for seed in range(60):
+            for index, phase in enumerate(REFERENCE_PHASES):
+                batched_rng = np.random.default_rng([seed, index])
+                reference_rng = np.random.default_rng([seed, index])
+                start = 30.0 * index
+                arrivals = generate_phase_arrivals(phase, start, batched_rng)
+                expected, surplus = reference_phase_arrivals(
+                    phase, start, reference_rng)
+                assert isinstance(arrivals, np.ndarray)
+                assert arrivals.dtype == np.float64
+                assert arrivals.tolist() == [float(a) for a in expected]
+                assert (batched_rng.bit_generator.state
+                        == reference_rng.bit_generator.state)
+                assert batched_rng.random() == reference_rng.random()
+                surplus_hits += surplus
+                edges = np.array(_window_edges(phase.duration, phase.window))
+                per_window = np.histogram(arrivals, edges + start)[0]
+                zero_windows += int(np.sum(per_window == 0))
+        assert surplus_hits > 0
+        assert zero_windows > 0
+
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_count_exactness_any_seed(self, seed):
@@ -199,3 +268,19 @@ class TestArrivalGeneration:
         with pytest.raises(ValueError) as err:
             read_workload_csv(path)
         assert str(err.value) == f"{path}:2: column service_time: missing"
+
+    @pytest.mark.parametrize("service, deadline, message", [
+        ("0.0", "0.5", "service_time must be positive"),
+        ("0.5", "0.5", "deadline must exceed service_time"),
+    ])
+    def test_csv_invalid_task_names_file_and_line(self, tmp_path,
+                                                  default_workload, service,
+                                                  deadline, message):
+        path = tmp_path / "workload.csv"
+        write_workload_csv(default_workload[:3], path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[3][3:5] = [service, deadline]  # the third task
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        with pytest.raises(ValueError) as err:
+            read_workload_csv(path)
+        assert str(err.value) == f"{path}:4: {message}"
