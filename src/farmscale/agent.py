@@ -8,8 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 
-# accepted Python types of a config field, by its declared type's name
-_NUMBER_TYPES = {"int": int, "float": (int, float)}
+from .core import has_type_of
 
 
 def greedy_index(values) -> int:
@@ -54,21 +53,25 @@ def checkpoint_value(blob: dict, path, key: str, where: str = "checkpoint"):
 
 
 def checkpoint_config(cls, values, path):
-    """``cls(**values)`` for a checkpoint's saved config; a key ``cls`` lacks,
-    a number of the wrong type (a bool is not a number) or a value ``cls``
-    rejects raises ``ValueError`` naming the file and the key."""
+    """``cls(**values)`` for a checkpoint's saved config, a JSON list standing
+    for a tuple; a key ``cls`` lacks, a value whose type does not match the
+    field's default (``core.has_type_of``) or a value ``cls`` rejects raises
+    ``ValueError`` naming the file and the key."""
     if not isinstance(values, dict):
         raise ValueError(f"{path}: 'config' is not a mapping")
-    types = {f.name: f.type for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
     for key, value in values.items():
-        if key not in types:
+        if key not in defaults:
             raise ValueError(f"{path}: config has unknown key {key!r}")
-        accepted = _NUMBER_TYPES.get(types[key])
-        if accepted and (isinstance(value, bool)
-                         or not isinstance(value, accepted)):
-            raise ValueError(f"{path}: config {key!r} must be {types[key]}, "
-                             f"got {value!r}")
+        default = defaults[key]
+        if isinstance(value, list) and isinstance(default, tuple):
+            value = tuple(value)
+        if not has_type_of(value, default):
+            raise ValueError(f"{path}: config {key!r} must be "
+                             f"{type(default).__name__}, got {value!r}")
+        kwargs[key] = value
     try:
-        return cls(**values)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: config: {exc}") from None

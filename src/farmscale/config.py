@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import yaml
 
-from .core import EpisodeConfig, RewardConfig
+from .core import EpisodeConfig, RewardConfig, has_type_of
 from .metrics import CostConfig
 from .sarsa import SarsaConfig
 from .dqn import DqnConfig
@@ -72,9 +72,6 @@ DEFAULTS = {
 }
 
 
-_ACCEPTED = {bool: bool, int: int, float: (int, float)}
-
-
 def load_config(path=None) -> dict:
     """DEFAULTS overlaid with the flat key-value file at ``path``, if any.
 
@@ -92,10 +89,9 @@ def load_config(path=None) -> dict:
         if unknown:
             raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
         for key, value in loaded.items():
-            expected = type(DEFAULTS[key])
-            if (isinstance(value, bool) != (expected is bool)
-                    or not isinstance(value, _ACCEPTED[expected])):
-                raise ValueError(f"{path}: {key} must be {expected.__name__}, "
+            if not has_type_of(value, DEFAULTS[key]):
+                raise ValueError(f"{path}: {key} must be "
+                                 f"{type(DEFAULTS[key]).__name__}, "
                                  f"got {value!r}")
         cfg.update(loaded)
     return cfg

@@ -27,6 +27,20 @@ TASK_COLUMNS = (
 )
 
 
+# The types a value may have to replace a default of each type; a bool is
+# never taken as a number.
+_ACCEPTED = {bool: bool, int: int, float: (int, float)}
+
+
+def has_type_of(value, default) -> bool:
+    """True when ``value`` may replace ``default``: an int default takes only
+    an integer, a float default an integer or a float, a bool default only a
+    bool and any other default a value of its own type."""
+    expected = type(default)
+    return (isinstance(value, bool) == (expected is bool)
+            and isinstance(value, _ACCEPTED.get(expected, expected)))
+
+
 def compute_deadline(expected_service: float, beta: float) -> float:
     """Deadline allowance for a task: ``beta * expected_service``."""
     if expected_service <= 0:

@@ -139,8 +139,7 @@ class DqnAgent(LearningAgent):
         meta = {
             "kind": "dqn",
             "version": 1,
-            "config": {**asdict(self.cfg),
-                       "reward_clip": list(self.cfg.reward_clip)},
+            "config": asdict(self.cfg),
             "epsilon": self.epsilon,
             "layer_sizes": list(self.policy.layer_sizes),
         }
@@ -167,12 +166,10 @@ class DqnAgent(LearningAgent):
         if sizes[-1:] != (len(ACTIONS),):
             raise ValueError(f"{path}: layer_sizes {list(sizes)} must end in "
                              f"{len(ACTIONS)}, one value per action")
-        cfg_dict = checkpoint_value(meta, path, "config", "meta")
-        if isinstance(cfg_dict, dict) and "reward_clip" in cfg_dict:
-            cfg_dict["reward_clip"] = tuple(cfg_dict["reward_clip"])
+        cfg = checkpoint_config(
+            DqnConfig, checkpoint_value(meta, path, "config", "meta"), path)
         agent = cls(_entry(data, path, "obs_lows", sizes[:1]),
-                    _entry(data, path, "obs_highs", sizes[:1]),
-                    cfg=checkpoint_config(DqnConfig, cfg_dict, path))
+                    _entry(data, path, "obs_highs", sizes[:1]), cfg=cfg)
         agent.epsilon = checkpoint_value(meta, path, "epsilon", "meta")
         shapes = list(zip(sizes[:-1], sizes[1:]))
         for prefix, net in agent._nets():

@@ -176,10 +176,13 @@ def _edited_checkpoint(tmp_path, agent, edit):
      "config 'alpha' must be float, got 'high'"),
     ("dqn", lambda m: m["config"].update(batch_size=8.5),
      "config 'batch_size' must be int, got 8.5"),
+    ("dqn", lambda m: m["config"].update(reward_clip=100.0),
+     "config 'reward_clip' must be tuple, got 100.0"),
 ], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
         "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
-        "sarsa-config-value", "sarsa-config-type", "dqn-config-type"])
+        "sarsa-config-value", "sarsa-config-type", "dqn-config-type",
+        "dqn-reward-clip-type"])
 def test_run_rejects_malformed_checkpoint(tmp_path, tiny_config, capsys,
                                           agent, edit, message):
     bad = _edited_checkpoint(tmp_path, agent, edit)
