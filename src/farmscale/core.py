@@ -174,6 +174,10 @@ class EpisodeConfig:
             raise ValueError("step_duration must be positive")
         if self.beta <= 1:
             raise ValueError("beta must exceed 1")
+        if self.obs_window < 1:
+            raise ValueError(f"obs_window must be >= 1, got {self.obs_window}")
+        if self.drain_cap < 0:
+            raise ValueError(f"drain_cap must be >= 0, got {self.drain_cap}")
         lo, hi = self.scale_up_latency
         if lo > hi or lo < 0:
             raise ValueError(f"bad scale_up_latency interval [{lo}, {hi}]")

@@ -38,6 +38,9 @@ class DqnConfig:
     def __post_init__(self):
         if self.warmup > self.replay_capacity:
             raise ValueError("warmup must not exceed replay capacity")
+        if not (1 <= self.batch_size <= self.warmup):
+            raise ValueError(f"need 1 <= batch_size <= warmup, got "
+                             f"{self.batch_size}/{self.warmup}")
         if not (0 < self.tau <= 1):
             raise ValueError("tau must lie in (0, 1]")
 
@@ -83,8 +86,6 @@ def double_dqn_targets(policy: Mlp, target: Mlp, rewards, next_obs, dones,
 
 
 class DqnAgent(LearningAgent):
-    name = "dqn"
-
     def __init__(self, obs_lows, obs_highs, cfg: DqnConfig = DqnConfig(),
                  seed: int = 0):
         super().__init__(cfg, seed, 50_000)

@@ -152,10 +152,6 @@ class FarmEnv:
         }
         return obs, reward, self._terminated, info
 
-    @property
-    def terminated(self) -> bool:
-        return self._terminated
-
     def _make_observation(self, snap) -> Observation:
         durations = [d for step in self._completion_window for d in step]
         window_arrivals = sum(self._arrival_window)

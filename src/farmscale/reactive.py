@@ -81,14 +81,10 @@ class _ReactivePolicy:
 
 
 class ReactiveAveragePolicy(_ReactivePolicy):
-    name = "reactive-avg"
-
     def select_action(self, obs, info) -> int:
         return reactive_average(self._inputs(obs, info, obs.t_proc_avg))
 
 
 class ReactiveMaximumPolicy(_ReactivePolicy):
-    name = "reactive-max"
-
     def select_action(self, obs, info) -> int:
         return reactive_maximum(self._inputs(obs, info, obs.t_proc_max))

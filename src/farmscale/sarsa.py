@@ -101,8 +101,6 @@ _ZERO = np.zeros(len(ACTIONS))
 
 
 class SarsaAgent(LearningAgent):
-    name = "sarsa"
-
     def __init__(self, cfg: SarsaConfig = SarsaConfig(),
                  discretizer: Discretizer | None = None, seed: int = 0):
         super().__init__(cfg, seed, 40_000)

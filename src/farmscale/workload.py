@@ -12,10 +12,9 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, mul
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import TaskSpec, compute_deadline, parse_fields
 
@@ -108,24 +107,44 @@ class SizeDistribution:
             raise ValueError("sizes must be distinct")
 
 
+def _mix_mean(theta: float, times: list) -> float:
+    """Mean of ``times`` under weights ∝ exp(theta * time), computed with
+    each exponent shifted by ``max(times)`` for numerical stability."""
+    top = max(times)
+    w = [math.exp(theta * (x - top)) for x in times]
+    return sum(map(mul, w, times)) / sum(w)
+
+
+def _mix_theta(times: list, mean_target: float) -> float:
+    """The theta at which ``_mix_mean`` crosses ``mean_target``, by bisection.
+
+    The mean rises with theta, so halving [-200, 200] keeps
+    ``_mix_mean(lo) < mean_target <= _mix_mean(hi)``. It stops when the
+    midpoint rounds to one of the ends, that is when lo and hi are adjacent
+    floats (about 63 halvings), and returns lo.
+    """
+    lo, hi = -200.0, 200.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _mix_mean(mid, times) < mean_target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def default_size_distribution(model: ServiceTimeModel,
                               mean_target: float = MEAN_SERVICE_TARGET,
                               sizes=SUPPORTED_SIZES) -> SizeDistribution:
     """Maximum-entropy weights whose mean predicted service time hits the target.
 
     The weights solve w_i ∝ exp(theta * T(size_i)) with theta chosen so that
-    sum(w_i * T(size_i)) == mean_target.
+    sum(w_i * T(size_i)) == mean_target; ``_mix_theta`` finds theta by
+    bisection down to a one-ulp bracket.
     """
     t = np.array([model.predict(s) for s in sizes])
     if not (t.min() < mean_target < t.max()):
         raise ValueError("mean_target outside the achievable range")
-
-    def mean_at(theta):
-        w = np.exp(theta * (t - t.max()))  # shift for numerical stability
-        w /= w.sum()
-        return float(w @ t) - mean_target
-
-    theta = brentq(mean_at, -200.0, 200.0)
+    theta = _mix_theta(t.tolist(), mean_target)
     w = np.exp(theta * (t - t.max()))
     w /= w.sum()
     return SizeDistribution(sizes=tuple(sizes), weights=tuple(w))

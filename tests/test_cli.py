@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line harness via main()."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import farmscale
 from farmscale.cli import main
 from farmscale.core import read_step_csv
 from farmscale.dqn import DqnAgent
@@ -250,3 +255,14 @@ def test_output_headers_are_pinned(tmp_path, tiny_config):
     assert header(tmp_path / "train" / "training_curve.csv") == [
         "episode", "epsilon", "total_reward", "final_qos", "mean_workers",
         "max_workers", "scaling_actions", "no_ops", "steps"]
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy and pyyaml are the only runtime dependencies; a fresh interpreter
+    # shows whether an import pulls anything else in.
+    src = str(Path(farmscale.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c",
+         'import sys, farmscale.cli; assert "scipy" not in sys.modules'],
+        env=env, check=True, timeout=60)

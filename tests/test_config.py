@@ -53,6 +53,39 @@ class TestLoadTypes:
         assert err.startswith("error:") and "beta" in err
 
 
+class TestRangeChecks:
+    # Unchecked, each fails late or quietly: obs_window 0 divides by zero in
+    # the env, a negative drain_cap cuts every episode short, batch_size 0
+    # trains on a NaN loss, and batch_size above warmup fails after warm-up
+    # inside numpy's sampler.
+    @pytest.mark.parametrize("command,text,key", [
+        (["run", "--policy", "reactive-avg"], "obs_window: 0\n", "obs_window"),
+        (["run", "--policy", "reactive-avg"], "drain_cap: -100\n",
+         "drain_cap"),
+        (["train", "--agent", "dqn", "--episodes", "1"],
+         "dqn_batch_size: 0\n", "batch_size"),
+        (["train", "--agent", "dqn", "--episodes", "1"],
+         "dqn_batch_size: 65\ndqn_warmup: 64\n", "batch_size"),
+    ])
+    def test_cli_rejects_out_of_range_value(self, tmp_path, capsys, command,
+                                            text, key):
+        path = write_config(tmp_path, text)
+        assert main([*command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_boundary_values_accepted(self):
+        cfg = dict(DEFAULTS, obs_window=1, drain_cap=0, dqn_batch_size=1,
+                   dqn_warmup=1)
+        ep = episode_config(cfg)
+        assert (ep.obs_window, ep.drain_cap) == (1, 0)
+        assert dqn_config(cfg).batch_size == 1
+        dqn = dqn_config(dict(cfg, dqn_batch_size=64, dqn_warmup=64))
+        assert dqn.batch_size == dqn.warmup == 64
+
+
 # One valid value per key, none equal to its default or to any other value,
 # so a key that is dropped or routed to the wrong field shows.
 VALUES = {

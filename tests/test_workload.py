@@ -1,12 +1,15 @@
 """Service-time calibration, size distribution, and arrival generation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 FitError, SizeDistribution, WorkloadPhaseSpec,
-                                _window_edges, build_episode_workload,
+                                _mix_mean, _mix_theta, _window_edges,
+                                build_episode_workload,
                                 default_phases, default_size_distribution,
                                 fit_service_model, generate_phase_arrivals,
                                 read_workload_csv, reduced_paper_model,
@@ -99,6 +102,52 @@ class TestSizeDistribution:
         assert all(type(size) is int for size in batched)
         assert (batched_rng.bit_generator.state
                 == single_rng.bit_generator.state)
+
+
+class TestMixTheta:
+    """The bisection behind the size mix, tested against the mean it solves."""
+
+    @pytest.fixture(scope="class")
+    def times(self):
+        model = reduced_paper_model()
+        return [model.predict(s) for s in SUPPORTED_SIZES]
+
+    @pytest.fixture(scope="class")
+    def targets(self, times):
+        # 2,001 targets strictly inside the achievable range
+        return np.linspace(min(times), max(times), 2003)[1:-1].tolist()
+
+    def test_result_is_one_ulp_bracket(self, times, targets):
+        for target in targets:
+            theta = _mix_theta(times, target)
+            above = math.nextafter(theta, math.inf)
+            assert _mix_mean(theta, times) < target <= _mix_mean(above, times)
+
+    def test_uniform_mean_target_gives_uniform_weights(self, times):
+        # the root is theta = 0, where every weight is exp(0) = 1
+        uniform_mean = sum(times) / len(times)
+        assert _mix_theta(times, uniform_mean) == pytest.approx(0.0, abs=1e-12)
+        dist = default_size_distribution(reduced_paper_model(), uniform_mean)
+        assert dist.weights == pytest.approx((0.25,) * 4, abs=1e-12)
+
+    def test_default_weights_pinned(self):
+        dist = default_size_distribution(reduced_paper_model())
+        assert [w.hex() for w in dist.weights] == [
+            "0x1.4e42417843589p-3", "0x1.5f0cd1dc6be52p-3",
+            "0x1.ab15a7f968dddp-3", "0x1.d3cda258f3f21p-2"]
+
+    def test_matches_brentq_within_its_xtol(self, times, targets):
+        optimize = pytest.importorskip("scipy.optimize")
+        t = np.array(times)
+
+        def excess(theta, target):
+            w = np.exp(theta * (t - t.max()))
+            w /= w.sum()
+            return float(w @ t) - target
+
+        for target in targets:
+            root = optimize.brentq(excess, -200.0, 200.0, args=(target,))
+            assert abs(_mix_theta(times, target) - root) <= 2e-12
 
 
 class TestPhaseSpec:
