@@ -1,6 +1,6 @@
 """What the two learning agents share: the greedy tie-break, the epsilon
-schedule, the episode hooks of the training loop and the checks on a
-checkpoint's top-level entries."""
+schedule, the memoised observation encoding, the episode hooks of the
+training loop and the checks on a checkpoint's top-level entries."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import has_type_of
+from .core import FieldError, has_type_of
 
 
 def greedy_index(values) -> int:
@@ -22,13 +22,35 @@ class LearningAgent:
 
     ``cfg`` carries epsilon_start, epsilon_min and epsilon_decay.  Each
     subclass defines ``act(obs, greedy=False)`` and ``learn`` in its own
-    class body, where perfbench/tracer.py looks them up to wrap them.
+    class body, where perfbench/tracer.py looks them up to wrap them, and
+    ``encode(obs)``, the agent's state for an observation, which must be
+    immutable (a tuple or a read-only array).
     """
 
     def __init__(self, cfg, seed: int, stream: int):
         self.cfg = cfg
         self.rng = np.random.default_rng([seed, stream])
         self.epsilon = cfg.epsilon_start
+        self._memo = ((None, None), (None, None))
+
+    def state(self, obs):
+        """``self.encode(obs)``, memoised for the last two observation
+        objects encoded.
+
+        A training step meets each observation three times: ``act`` on it
+        as the next observation, then ``learn`` on it as the next and, one
+        step later, as the current observation.  The memo is keyed on
+        identity and holds a reference to each key, so an id is not reused
+        while cached; observations are frozen, so a hit is never stale.
+        """
+        older, newer = self._memo
+        if newer[0] is obs:
+            return newer[1]
+        if older[0] is obs:
+            return older[1]
+        value = self.encode(obs)
+        self._memo = (newer, (obs, value))
+        return value
 
     def begin_episode(self):
         """Called before an episode's first action."""
@@ -41,6 +63,18 @@ class LearningAgent:
     def select_action(self, obs, info) -> int:
         """The agent as a frozen policy: its greedy action."""
         return self.act(obs, greedy=True)
+
+
+def check_gamma_and_epsilon(cfg):
+    """The checks both agents' configs share: 0 <= gamma < 1 and
+    epsilon_min <= epsilon_start <= 1."""
+    if not (0 <= cfg.gamma < 1):
+        raise FieldError("gamma", "gamma must lie in [0, 1)")
+    if cfg.epsilon_start > 1:
+        raise FieldError("epsilon_start",
+                         "need epsilon_min <= epsilon_start <= 1")
+    if cfg.epsilon_min > cfg.epsilon_start:
+        raise FieldError("epsilon_min", "need epsilon_min <= epsilon_start <= 1")
 
 
 def checkpoint_value(blob: dict, path, key: str, where: str = "checkpoint"):

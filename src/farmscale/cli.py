@@ -263,6 +263,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except cfgmod.ConfigError as exc:
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return 1
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

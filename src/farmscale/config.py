@@ -6,11 +6,12 @@ fully described by one human-readable file plus a seed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import fields
 
 import yaml
 
-from .core import EpisodeConfig, RewardConfig, has_type_of
+from .core import EpisodeConfig, FieldError, RewardConfig, has_type_of
 from .metrics import CostConfig
 from .sarsa import SarsaConfig
 from .dqn import DqnConfig
@@ -97,17 +98,41 @@ def load_config(path=None) -> dict:
     return cfg
 
 
+class ConfigError(ValueError):
+    """A config value a builder rejected; the message starts with its key.
+    The command line prefixes the config file's path."""
+
+
+# the config key named for a rejected field that no key maps to directly
+_DERIVED_KEYS = {"scale_up_latency": "latency_lo", "duration": "phase_duration",
+                 "window": "poisson_window", "mean_target": "mean_service_target"}
+
+
+@contextmanager
+def _naming_key(prefix: str = ""):
+    """Turn a ``FieldError`` into a ``ConfigError`` naming the config key."""
+    try:
+        yield
+    except FieldError as exc:
+        key = prefix + exc.field
+        if key not in DEFAULTS:
+            key = _DERIVED_KEYS.get(exc.field, key)
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _build(cls, cfg: dict, prefix: str = "", **derived):
     """``cls`` from the keys ``prefix + field name`` of DEFAULTS, read from
     ``cfg``; fields with no such key come from ``derived`` or their default."""
-    return cls(**{f.name: cfg[prefix + f.name] for f in fields(cls)
-                  if prefix + f.name in DEFAULTS}, **derived)
+    with _naming_key(prefix):
+        return cls(**{f.name: cfg[prefix + f.name] for f in fields(cls)
+                      if prefix + f.name in DEFAULTS}, **derived)
 
 
 def episode_config(cfg: dict) -> EpisodeConfig:
-    phases = default_phases(base_rate=cfg["base_rate"],
-                            duration=cfg["phase_duration"],
-                            window=cfg["poisson_window"])
+    with _naming_key():
+        phases = default_phases(base_rate=cfg["base_rate"],
+                                duration=cfg["phase_duration"],
+                                window=cfg["poisson_window"])
     return _build(EpisodeConfig, cfg, phases=phases,
                   scale_up_latency=(cfg["latency_lo"], cfg["latency_hi"]))
 
@@ -131,6 +156,7 @@ def cost_config(cfg: dict) -> CostConfig:
 def service_model_and_sizes(cfg: dict):
     """(service-time model, size distribution) from the calibrated defaults."""
     model = reduced_paper_model()
-    dist = default_size_distribution(model,
-                                     mean_target=cfg["mean_service_target"])
+    with _naming_key():
+        dist = default_size_distribution(
+            model, mean_target=cfg["mean_service_target"])
     return model, dist

@@ -41,6 +41,15 @@ def has_type_of(value, default) -> bool:
             and isinstance(value, _ACCEPTED.get(expected, expected)))
 
 
+class FieldError(ValueError):
+    """A value a check rejected, tagged with the name of its field so a
+    caller can name its own key for it (the config key, say)."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def compute_deadline(expected_service: float, beta: float) -> float:
     """Deadline allowance for a task: ``beta * expected_service``."""
     if expected_service <= 0:
@@ -165,22 +174,26 @@ class EpisodeConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        if not (1 <= self.n_min <= self.n_init <= self.n_max):
-            raise ValueError(
-                f"need 1 <= n_min <= n_init <= n_max, got "
-                f"{self.n_min}/{self.n_init}/{self.n_max}"
-            )
+        for name, ok in (("n_min", 1 <= self.n_min),
+                         ("n_init", self.n_min <= self.n_init),
+                         ("n_max", self.n_init <= self.n_max)):
+            if not ok:
+                raise FieldError(name, f"need 1 <= n_min <= n_init <= n_max, "
+                                 f"got {self.n_min}/{self.n_init}/{self.n_max}")
         if self.step_duration <= 0:
-            raise ValueError("step_duration must be positive")
+            raise FieldError("step_duration", "step_duration must be positive")
         if self.beta <= 1:
-            raise ValueError("beta must exceed 1")
+            raise FieldError("beta", "beta must exceed 1")
         if self.obs_window < 1:
-            raise ValueError(f"obs_window must be >= 1, got {self.obs_window}")
+            raise FieldError("obs_window",
+                             f"obs_window must be >= 1, got {self.obs_window}")
         if self.drain_cap < 0:
-            raise ValueError(f"drain_cap must be >= 0, got {self.drain_cap}")
+            raise FieldError("drain_cap",
+                             f"drain_cap must be >= 0, got {self.drain_cap}")
         lo, hi = self.scale_up_latency
         if lo > hi or lo < 0:
-            raise ValueError(f"bad scale_up_latency interval [{lo}, {hi}]")
+            raise FieldError("scale_up_latency",
+                             f"bad scale_up_latency interval [{lo}, {hi}]")
 
     @property
     def total_duration(self) -> float:
@@ -204,11 +217,12 @@ class RewardConfig:
 
     def __post_init__(self):
         if self.q_queue_target <= 0:
-            raise ValueError("q_queue_target must be positive")
+            raise FieldError("q_queue_target",
+                             "q_queue_target must be positive")
         if self.q_idle > self.q_queue_target:
-            raise ValueError("q_idle must not exceed q_queue_target")
+            raise FieldError("q_idle", "q_idle must not exceed q_queue_target")
         if not (0 < self.q_target <= 1):
-            raise ValueError("q_target must lie in (0, 1]")
+            raise FieldError("q_target", "q_target must lie in (0, 1]")
 
 
 @dataclass

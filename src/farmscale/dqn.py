@@ -13,9 +13,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .agent import (LearningAgent, checkpoint_config, checkpoint_value,
-                    greedy_index)
-from .core import ACTIONS
+from .agent import (LearningAgent, check_gamma_and_epsilon,
+                    checkpoint_config, checkpoint_value, greedy_index)
+from .core import ACTIONS, FieldError, has_type_of
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
 HIDDEN_LAYERS = (128, 64)
@@ -37,24 +37,29 @@ class DqnConfig:
 
     def __post_init__(self):
         if self.warmup > self.replay_capacity:
-            raise ValueError("warmup must not exceed replay capacity")
+            raise FieldError("warmup", "warmup must not exceed replay capacity")
         if not (1 <= self.batch_size <= self.warmup):
-            raise ValueError(f"need 1 <= batch_size <= warmup, got "
-                             f"{self.batch_size}/{self.warmup}")
+            raise FieldError("batch_size", f"need 1 <= batch_size <= warmup, "
+                             f"got {self.batch_size}/{self.warmup}")
         if not (0 < self.tau <= 1):
-            raise ValueError("tau must lie in (0, 1]")
+            raise FieldError("tau", "tau must lie in (0, 1]")
+        check_gamma_and_epsilon(self)
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO store of (obs, action, reward, next_obs, done)."""
+    """Fixed-capacity FIFO store of (obs, action, reward, next_obs, done).
+
+    The arrays start uninitialised: ``sample`` reads only the first ``size``
+    rows, all of which ``push`` has written.
+    """
 
     def __init__(self, capacity: int, obs_dim: int = 9):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.actions = np.zeros(capacity, dtype=int)
-        self.rewards = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.dones = np.zeros(capacity, dtype=bool)
+        self.obs = np.empty((capacity, obs_dim))
+        self.actions = np.empty(capacity, dtype=int)
+        self.rewards = np.empty(capacity)
+        self.next_obs = np.empty((capacity, obs_dim))
+        self.dones = np.empty(capacity, dtype=bool)
         self.size = 0
         self._head = 0
 
@@ -94,26 +99,31 @@ class DqnAgent(LearningAgent):
         layers = (len(self.obs_lows), *HIDDEN_LAYERS, len(ACTIONS))
         self.policy = Mlp(layers, self.rng)
         self.target = self.policy.copy()
-        self.optimizer = Adam(self.policy.parameters(), lr=cfg.learning_rate)
+        self.optimizer = Adam(self.policy.flat, lr=cfg.learning_rate)
         self.buffer = ReplayBuffer(cfg.replay_capacity, len(self.obs_lows))
         self.last_loss = float("nan")
 
     def normalize(self, obs) -> np.ndarray:
+        """The observation scaled to the unit box, clipped; read-only."""
         x = np.asarray(obs.as_tuple(), dtype=float)
         span = self.obs_highs - self.obs_lows
-        return np.clip((x - self.obs_lows) / span, 0.0, 1.0)
+        x = np.clip((x - self.obs_lows) / span, 0.0, 1.0)
+        x.flags.writeable = False
+        return x
+
+    encode = normalize
 
     def act(self, obs, greedy: bool = False) -> int:
         if not greedy and self.rng.random() < self.epsilon:
             return ACTIONS[int(self.rng.integers(len(ACTIONS)))]
-        return ACTIONS[greedy_index(self.policy.forward(self.normalize(obs)))]
+        return ACTIONS[greedy_index(self.policy.forward(self.state(obs)))]
 
     def learn(self, obs, action: int, reward: float, next_obs,
               next_action: int, done: bool):
         lo, hi = self.cfg.reward_clip
-        self.buffer.push(self.normalize(obs), ACTIONS.index(action),
+        self.buffer.push(self.state(obs), ACTIONS.index(action),
                          float(np.clip(reward, lo, hi)),
-                         self.normalize(next_obs), done)
+                         self.state(next_obs), done)
         self.last_loss = self.train_step()
 
     def train_step(self):
@@ -124,9 +134,9 @@ class DqnAgent(LearningAgent):
             self.cfg.batch_size, self.rng)
         targets = double_dqn_targets(self.policy, self.target, rewards,
                                      next_obs, dones, self.cfg.gamma)
-        loss, grads = self.policy.loss_and_gradients(obs, actions, targets)
-        grads = clip_gradient_norm(grads, self.cfg.grad_clip)
-        self.optimizer.step(grads)
+        loss, _ = self.policy.loss_and_gradients(obs, actions, targets)
+        clip_gradient_norm(self.policy, self.cfg.grad_clip)
+        self.optimizer.step(self.policy.grad)
         soft_update(self.target, self.policy, self.cfg.tau)
         return loss
 
@@ -164,6 +174,9 @@ class DqnAgent(LearningAgent):
         if not isinstance(meta, dict) or meta.get("kind") != "dqn":
             raise ValueError(f"{path} is not a dqn checkpoint")
         sizes = tuple(checkpoint_value(meta, path, "layer_sizes", "meta"))
+        if not all(has_type_of(n, 0) and n > 0 for n in sizes):
+            raise ValueError(f"{path}: layer_sizes {list(sizes)} must be "
+                             f"positive integers")
         if sizes[-1:] != (len(ACTIONS),):
             raise ValueError(f"{path}: layer_sizes {list(sizes)} must end in "
                              f"{len(ACTIONS)}, one value per action")
@@ -172,15 +185,12 @@ class DqnAgent(LearningAgent):
         agent = cls(_entry(data, path, "obs_lows", sizes[:1]),
                     _entry(data, path, "obs_highs", sizes[:1]), cfg=cfg)
         agent.epsilon = checkpoint_value(meta, path, "epsilon", "meta")
-        shapes = list(zip(sizes[:-1], sizes[1:]))
+        agent.policy, agent.target = Mlp(sizes), Mlp(sizes)
         for prefix, net in agent._nets():
-            net.layer_sizes = sizes
-            net.weights = [_entry(data, path, f"{prefix}w{i}", shape)
-                           for i, shape in enumerate(shapes)]
-            net.biases = [_entry(data, path, f"{prefix}b{i}", shape[1:])
-                          for i, shape in enumerate(shapes)]
-        agent.optimizer = Adam(agent.policy.parameters(),
-                               lr=agent.cfg.learning_rate)
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                w[...] = _entry(data, path, f"{prefix}w{i}", w.shape)
+                b[...] = _entry(data, path, f"{prefix}b{i}", b.shape)
+        agent.optimizer = Adam(agent.policy.flat, lr=agent.cfg.learning_rate)
         return agent
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import FieldError
+
 
 @dataclass(frozen=True)
 class CostConfig:
@@ -22,10 +24,11 @@ class CostConfig:
     n_sub: int = 10  # reserved worker count
 
     def __post_init__(self):
-        if min(self.c_w, self.c_scale, self.c_sub, self.c_burst) < 0:
-            raise ValueError("tariffs must be nonnegative")
+        for name in ("c_w", "c_scale", "c_sub", "c_burst"):
+            if getattr(self, name) < 0:
+                raise FieldError(name, "tariffs must be nonnegative")
         if self.n_sub < 0:
-            raise ValueError("n_sub must be nonnegative")
+            raise FieldError("n_sub", "n_sub must be nonnegative")
 
 
 @dataclass

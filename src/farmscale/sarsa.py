@@ -8,25 +8,42 @@ traces so multi-step returns propagate backwards within an episode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .agent import (LearningAgent, checkpoint_config, checkpoint_value,
-                    greedy_index)
-from .core import ACTIONS
+from .agent import (LearningAgent, check_gamma_and_epsilon,
+                    checkpoint_config, checkpoint_value, greedy_index)
+from .core import ACTIONS, OBSERVATION_FIELDS, FieldError, has_type_of
 
 
 @dataclass(frozen=True)
 class Discretizer:
-    """Per-dimension ascending bin edges; values clamp to the edge bins."""
+    """Per-dimension ascending bin edges; values clamp to the edge bins.
+
+    A component's bin is the number of its edges at or below the value,
+    as ``np.searchsorted(edges, value, side="right")`` gives it.
+    """
 
     edges: tuple  # one tuple of edges per observation component
 
+    def __post_init__(self):
+        if not (isinstance(self.edges, tuple)
+                and len(self.edges) == len(OBSERVATION_FIELDS)):
+            raise ValueError(f"need one tuple of edges per observation "
+                             f"component ({len(OBSERVATION_FIELDS)})")
+        for name, e in zip(OBSERVATION_FIELDS, self.edges):
+            if not (isinstance(e, tuple)
+                    and all(has_type_of(v, 0.0) and not math.isnan(v)
+                            for v in e)
+                    and all(a < b for a, b in zip(e, e[1:]))):
+                raise ValueError(f"edges of {name} must be a strictly "
+                                 f"ascending tuple of numbers, got {e!r}")
+
     def __call__(self, obs) -> tuple:
-        values = obs.as_tuple()
-        return tuple(int(np.searchsorted(e, v, side="right"))
-                     for e, v in zip(self.edges, values))
+        return tuple(map(bisect_right, self.edges, obs.as_tuple()))
 
 
 def default_discretizer(n_max: int = 20) -> Discretizer:
@@ -62,11 +79,8 @@ class SarsaConfig:
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
-            raise ValueError("alpha must lie in (0, 1]")
-        if not (0 <= self.gamma < 1):
-            raise ValueError("gamma must lie in [0, 1)")
-        if not (self.epsilon_min <= self.epsilon_start <= 1):
-            raise ValueError("need epsilon_min <= epsilon_start <= 1")
+            raise FieldError("alpha", "alpha must lie in (0, 1]")
+        check_gamma_and_epsilon(self)
 
 
 def sarsa_update(qtable: dict, traces: dict, state, action_idx: int,
@@ -111,8 +125,11 @@ class SarsaAgent(LearningAgent):
     def begin_episode(self):
         self.traces.clear()
 
+    def encode(self, obs) -> tuple:
+        return self.discretizer(obs)
+
     def act(self, obs, greedy: bool = False) -> int:
-        state = self.discretizer(obs)
+        state = self.state(obs)
         values = self.qtable.get(state, _ZERO)
         idx = epsilon_greedy(values, 0.0 if greedy else self.epsilon, self.rng)
         return ACTIONS[idx]
@@ -121,8 +138,8 @@ class SarsaAgent(LearningAgent):
               next_action: int, done: bool):
         sarsa_update(
             self.qtable, self.traces,
-            self.discretizer(obs), ACTIONS.index(action), reward,
-            self.discretizer(next_obs), ACTIONS.index(next_action),
+            self.state(obs), ACTIONS.index(action), reward,
+            self.state(next_obs), ACTIONS.index(next_action),
             done, self.cfg)
 
     # -- persistence ---------------------------------------------------------
@@ -153,8 +170,11 @@ class SarsaAgent(LearningAgent):
                                 checkpoint_value(blob, path, "config"), path)
         edges = checkpoint_value(blob, path, "edges")
         qtable = checkpoint_value(blob, path, "qtable")
-        agent = cls(cfg=cfg, discretizer=Discretizer(
-            edges=tuple(tuple(e) for e in edges)))
+        try:
+            discretizer = Discretizer(edges=_tuples(edges))
+        except ValueError as exc:
+            raise ValueError(f"{path}: 'edges': {exc}") from None
+        agent = cls(cfg=cfg, discretizer=discretizer)
         agent.epsilon = checkpoint_value(blob, path, "epsilon")
         n_dims = len(agent.discretizer.edges)
         for i, (state, row) in enumerate(qtable):
@@ -165,3 +185,10 @@ class SarsaAgent(LearningAgent):
                     f"{len(ACTIONS)}")
         agent.qtable = {tuple(state): np.array(row) for state, row in qtable}
         return agent
+
+
+def _tuples(value):
+    """A JSON value with every list turned into a tuple."""
+    if isinstance(value, list):
+        return tuple(map(_tuples, value))
+    return value

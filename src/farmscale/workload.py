@@ -16,7 +16,7 @@ from operator import attrgetter, mul
 
 import numpy as np
 
-from .core import TaskSpec, compute_deadline, parse_fields
+from .core import FieldError, TaskSpec, compute_deadline, parse_fields
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -143,7 +143,8 @@ def default_size_distribution(model: ServiceTimeModel,
     """
     t = np.array([model.predict(s) for s in sizes])
     if not (t.min() < mean_target < t.max()):
-        raise ValueError("mean_target outside the achievable range")
+        raise FieldError("mean_target",
+                         "mean_target outside the achievable range")
     theta = _mix_theta(t.tolist(), mean_target)
     w = np.exp(theta * (t - t.max()))
     w /= w.sum()
@@ -177,8 +178,10 @@ class WorkloadPhaseSpec:
     def __post_init__(self):
         if self.kind not in ("steady", "sinusoid"):
             raise ValueError(f"unknown phase kind {self.kind!r}")
-        if self.duration <= 0 or self.window <= 0 or self.window > self.duration:
-            raise ValueError("need 0 < window <= duration")
+        if self.duration <= 0:
+            raise FieldError("duration", "need 0 < window <= duration")
+        if self.window <= 0 or self.window > self.duration:
+            raise FieldError("window", "need 0 < window <= duration")
         if self.kind == "sinusoid":
             if not (self.mult_min < self.mult_max) or self.cycles < 1:
                 raise ValueError("sinusoid needs mult_min < mult_max and cycles >= 1")

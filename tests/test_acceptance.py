@@ -303,6 +303,7 @@ def test_criterion_09_gradient_check():
         actions = rng.integers(0, sizes[-1], size=batch)
         targets = rng.normal(size=batch)
         _, grads = net.loss_and_gradients(x, actions, targets)
+        grads = [g.copy() for g in grads]  # the next call overwrites grads
         for p, g in zip(net.parameters(), grads):
             it = np.nditer(p, flags=["multi_index"])
             while not it.finished:

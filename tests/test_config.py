@@ -58,14 +58,39 @@ class TestRangeChecks:
     # the env, a negative drain_cap cuts every episode short, batch_size 0
     # trains on a NaN loss, and batch_size above warmup fails after warm-up
     # inside numpy's sampler.
+    # Each error names the config file and the config key, not the field.
     @pytest.mark.parametrize("command,text,key", [
         (["run", "--policy", "reactive-avg"], "obs_window: 0\n", "obs_window"),
         (["run", "--policy", "reactive-avg"], "drain_cap: -100\n",
          "drain_cap"),
         (["train", "--agent", "dqn", "--episodes", "1"],
-         "dqn_batch_size: 0\n", "batch_size"),
+         "dqn_batch_size: 0\n", "dqn_batch_size"),
         (["train", "--agent", "dqn", "--episodes", "1"],
-         "dqn_batch_size: 65\ndqn_warmup: 64\n", "batch_size"),
+         "dqn_batch_size: 65\ndqn_warmup: 64\n", "dqn_batch_size"),
+        (["train", "--agent", "dqn", "--episodes", "1"], "dqn_gamma: 1.5\n",
+         "dqn_gamma"),
+        (["train", "--agent", "dqn", "--episodes", "1"],
+         "dqn_epsilon_min: 0.9\n", "dqn_epsilon_min"),
+        (["train", "--agent", "dqn", "--episodes", "1"],
+         "dqn_epsilon_start: 1.5\n", "dqn_epsilon_start"),
+        (["train", "--agent", "dqn", "--episodes", "1"],
+         "dqn_warmup: 80000\n", "dqn_warmup"),
+        (["train", "--agent", "sarsa", "--episodes", "1"],
+         "sarsa_gamma: 1.0\n", "sarsa_gamma"),
+        (["train", "--agent", "sarsa", "--episodes", "1"],
+         "sarsa_alpha: 0.0\n", "sarsa_alpha"),
+        (["run", "--policy", "reactive-avg"], "mean_service_target: 0.01\n",
+         "mean_service_target"),
+        (["run", "--policy", "reactive-avg"], "latency_lo: 9.0\n",
+         "latency_lo"),
+        (["run", "--policy", "reactive-avg"], "poisson_window: 100.0\n",
+         "poisson_window"),
+        (["run", "--policy", "reactive-avg"], "phase_duration: 0.0\n",
+         "phase_duration"),
+        (["run", "--policy", "reactive-avg"], "n_max: 2\n", "n_max"),
+        (["run", "--policy", "reactive-avg"], "q_idle: 50.0\n", "q_idle"),
+        (["compare", "--policies", "reactive-avg", "--seeds", "0"],
+         "cost_c_burst: -1.0\n", "cost_c_burst"),
     ])
     def test_cli_rejects_out_of_range_value(self, tmp_path, capsys, command,
                                             text, key):
@@ -73,7 +98,8 @@ class TestRangeChecks:
         assert main([*command, "--config", path,
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and key in err
+        assert err.startswith(f"error: {path}: {key}: "), err
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_boundary_values_accepted(self):

@@ -46,6 +46,26 @@ class TestReplayBuffer:
         _, _, rewards, _, _ = buf.sample(10, rng)
         assert sorted(rewards.tolist()) == [float(i) for i in range(10)]
 
+    def test_wraparound_reads_only_written_rows(self):
+        # the arrays start uninitialised; poison them so a read of a row
+        # push never wrote would show
+        buf = ReplayBuffer(capacity=4, obs_dim=2)
+        for array in (buf.obs, buf.rewards, buf.next_obs):
+            array.fill(np.nan)
+        buf.actions.fill(-7)
+        rng = np.random.default_rng(3)
+        for i in range(11):
+            buf.push(np.array([i, -i]), i % 3, float(i), np.array([-i, i]),
+                     i % 2 == 0)
+            obs_b, actions, rewards, next_obs_b, dones = buf.sample(
+                buf.size, rng)
+            expected = list(range(max(0, i - 3), i + 1))
+            assert sorted(rewards.tolist()) == expected
+            for o, a, r, n, d in zip(obs_b, actions, rewards, next_obs_b,
+                                     dones):
+                assert o.tolist() == [r, -r] and n.tolist() == [-r, r]
+                assert a == r % 3 and d == (r % 2 == 0)
+
     def test_sample_larger_than_size_rejected(self):
         buf = ReplayBuffer(capacity=10, obs_dim=1)
         buf.push(np.array([0.0]), 0, 0.0, np.array([0.0]), False)
@@ -96,6 +116,20 @@ class TestAgent:
         np.testing.assert_allclose(hi, np.ones(9))
         over = agent.normalize(obs(q_work=10_000))
         assert np.max(over) <= 1.0 and np.min(over) >= 0.0
+
+    def test_state_is_memoised_read_only_normalize(self):
+        agent = make_agent()
+        a, b = obs(q_work=30), obs(q_work=30)  # equal, distinct objects
+        c = obs(q_work=60)
+        state = agent.state(a)
+        assert agent.state(a) is state
+        assert not state.flags.writeable
+        with pytest.raises(ValueError):
+            state[0] = 1.0
+        assert agent.state(b) is not state
+        np.testing.assert_array_equal(agent.state(b), state)
+        np.testing.assert_array_equal(agent.state(c), agent.normalize(c))
+        assert not agent.normalize(c).flags.writeable
 
     def test_no_training_before_warmup(self):
         agent = make_agent(warmup=50, batch_size=8)
@@ -149,6 +183,38 @@ class TestAgent:
         for p in probes:
             assert back.act(p, greedy=True) == agent.act(p, greedy=True)
 
+    def test_load_restores_flat_layout(self, tmp_path):
+        agent = make_agent(warmup=16, batch_size=8)
+        for i in range(30):
+            agent.learn(obs(q_work=i), 1, float(i), obs(q_work=i + 1), 0,
+                        False)
+        path = tmp_path / "dqn.npz"
+        agent.save(path)
+        back = DqnAgent.load(path)
+        for mine, theirs in ((back.policy, agent.policy),
+                             (back.target, agent.target)):
+            assert mine.flat.tobytes() == theirs.flat.tobytes()
+            assert all(np.shares_memory(p, mine.flat)
+                       for p in mine.parameters())
+        assert back.optimizer.params is back.policy.flat
+        for i in range(20):
+            back.learn(obs(q_work=i), 1, float(i), obs(q_work=i + 1), 0,
+                       False)
+        assert back.policy.flat.tobytes() != agent.policy.flat.tobytes()
+
+    @pytest.mark.parametrize("sizes", [[9, 0, 3], [9, 64.5, 3], [9, -4, 3]])
+    def test_load_rejects_bad_layer_sizes(self, tmp_path, sizes):
+        good = tmp_path / "good.npz"
+        make_agent().save(good)
+        arrays = dict(np.load(good))
+        meta = json.loads(str(arrays["meta"]))
+        meta["layer_sizes"] = sizes
+        arrays["meta"] = np.array(json.dumps(meta))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(ValueError, match="must be positive integers"):
+            DqnAgent.load(bad)
+
     @pytest.mark.parametrize("key, value, message", [
         ("w1", np.zeros((128, 32)),
          r"'w1' has shape \(128, 32\), expected \(128, 64\)"),
@@ -192,3 +258,135 @@ class TestAgent:
             DqnConfig(warmup=100, replay_capacity=50)
         with pytest.raises(ValueError):
             DqnConfig(tau=0.0)
+        for gamma in (1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="gamma must lie in"):
+                DqnConfig(gamma=gamma)
+        with pytest.raises(ValueError, match="epsilon_min <= epsilon_start"):
+            DqnConfig(epsilon_min=0.9, epsilon_start=0.5)
+        with pytest.raises(ValueError, match="epsilon_min <= epsilon_start"):
+            DqnConfig(epsilon_start=1.5)
+        assert DqnConfig(gamma=0.0, epsilon_min=0.8).gamma == 0.0
+
+
+# The list-based train step the flat parameter buffers replaced: one array
+# per weight and bias, gradients as new arrays, and one Adam, clip and blend
+# loop per array.  DqnAgent.train_step must give the same bits.
+
+class ListMlp:
+    def __init__(self, net):
+        self.weights = [w.copy() for w in net.weights]
+        self.biases = [b.copy() for b in net.biases]
+
+    def parameters(self):
+        return self.weights + self.biases
+
+    def forward(self, x):
+        h = np.atleast_2d(np.asarray(x, dtype=float))
+        activations = [h]
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w + b
+            if i < len(self.weights) - 1:
+                h = np.maximum(h, 0.0)
+            activations.append(h)
+        return h, activations
+
+    def loss_and_gradients(self, x, actions, targets):
+        n = x.shape[0]
+        q, acts = self.forward(x)
+        diff = q[np.arange(n), actions] - targets
+        absd = np.abs(diff)
+        quad = absd < 1.0
+        loss = np.where(quad, 0.5 * diff * diff / 1.0, absd - 0.5 * 1.0)
+        dloss = np.where(quad, diff / 1.0, np.sign(diff))
+        dq = np.zeros_like(q)
+        dq[np.arange(n), actions] = dloss / n
+        grads_w = [None] * len(self.weights)
+        grads_b = [None] * len(self.biases)
+        delta = dq
+        for i in range(len(self.weights) - 1, -1, -1):
+            grads_w[i] = acts[i].T @ delta
+            grads_b[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * (acts[i] > 0)
+        return float(np.mean(loss)), grads_w + grads_b
+
+
+class ListForward:
+    """What double_dqn_targets calls on a network."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def forward(self, x):
+        return self.net.forward(x)[0]
+
+
+def list_clip_gradient_norm(grads, max_norm):
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if total > max_norm and total > 0:
+        scale = max_norm / total
+        grads = [g * scale for g in grads]
+    return grads, total > max_norm
+
+
+class ListAdam:
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr = params, lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def list_soft_update(target, policy, tau):
+    for tp, pp in zip(target.parameters(), policy.parameters()):
+        tp *= 1.0 - tau
+        tp += tau * pp
+
+
+def flat_bytes(arrays):
+    return np.concatenate([a.ravel() for a in arrays]).tobytes()
+
+
+def test_train_step_matches_list_based_reference():
+    # a small grad_clip, so both sides of the clip are taken
+    agent = make_agent(warmup=200, grad_clip=2.0)
+    cfg = agent.cfg
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        agent.buffer.push(rng.uniform(size=9), int(rng.integers(3)),
+                          float(rng.uniform(-100, 100)), rng.uniform(size=9),
+                          bool(rng.random() < 0.1))
+    policy, target = ListMlp(agent.policy), ListMlp(agent.target)
+    adam = ListAdam(policy.parameters(), cfg.learning_rate)
+    sample_rng = np.random.default_rng()
+    sample_rng.bit_generator.state = agent.rng.bit_generator.state
+    clipped = 0
+    for _ in range(200):
+        agent.train_step()
+        obs_b, actions, rewards, next_obs, dones = agent.buffer.sample(
+            cfg.batch_size, sample_rng)
+        targets = double_dqn_targets(ListForward(policy), ListForward(target),
+                                     rewards, next_obs, dones, cfg.gamma)
+        _, grads = policy.loss_and_gradients(obs_b, actions, targets)
+        grads, clip = list_clip_gradient_norm(grads, cfg.grad_clip)
+        clipped += clip
+        adam.step(grads)
+        list_soft_update(target, policy, cfg.tau)
+    assert 0 < clipped < 200
+    assert agent.policy.flat.tobytes() == flat_bytes(policy.parameters())
+    assert agent.target.flat.tobytes() == flat_bytes(target.parameters())
+    assert agent.optimizer.m.tobytes() == flat_bytes(adam.m)
+    assert agent.optimizer.v.tobytes() == flat_bytes(adam.v)
+    assert agent.optimizer.t == adam.t == 200

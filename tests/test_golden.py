@@ -13,6 +13,10 @@ import hashlib
 
 import pytest
 
+from farmscale.config import sarsa_config
+from farmscale.env import FarmEnv
+from farmscale.sarsa import SarsaAgent
+from farmscale.training import train_agent
 from farmscale.workload import build_episode_workload
 from tests.test_acceptance import _fuzz_sim
 
@@ -33,3 +37,16 @@ def test_default_workload_digest(ep_config, model_and_dist, shuffle, expected):
     model, dist = model_and_dist
     tasks = build_episode_workload(ep_config, dist, model, shuffle, 0)
     assert digest([dataclasses.astuple(t) for t in tasks]) == expected
+
+
+def test_sarsa_qtable_digest(defaults, ep_config, rw_config, model_and_dist):
+    # tabular learning runs no BLAS call, so the Q-table's bits do not
+    # depend on the linear-algebra library a numpy build links
+    model, dist = model_and_dist
+    agent = SarsaAgent(sarsa_config(defaults), seed=0)
+    train_agent(agent, FarmEnv(ep_config, rw_config), dist, model,
+                episodes=20)
+    assert len(agent.qtable) == 81
+    assert digest([(state, row.tolist())
+                   for state, row in sorted(agent.qtable.items())]
+                  ) == "a2ea3c333dade7d4"

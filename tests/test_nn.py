@@ -62,7 +62,8 @@ class TestGradients:
         x = rng.normal(size=(4, 3))
         actions = rng.integers(0, 2, size=4)
         targets = rng.normal(size=4)
-        _, analytic = net.loss_and_gradients(x, actions, targets)
+        _, grads = net.loss_and_gradients(x, actions, targets)
+        analytic = [g.copy() for g in grads]  # the next call overwrites grads
         numeric = finite_difference_grads(net, x, actions, targets)
         for a, n in zip(analytic, numeric):
             np.testing.assert_allclose(a, n, rtol=1e-4, atol=1e-7)
@@ -93,38 +94,77 @@ class TestSmoothL1:
         assert lo[0] == pytest.approx(hi[0], abs=1e-8)
 
 
+class TestFlatLayout:
+    def test_parameters_and_gradients_are_views_of_flat_arrays(self):
+        net = Mlp((4, 8, 3), np.random.default_rng(0))
+        assert net.flat.size == net.grad.size == 4 * 8 + 8 * 3 + 8 + 3
+        assert [p.shape for p in net.parameters()] == [
+            (4, 8), (8, 3), (8,), (3,)]
+        assert [g.shape for g in net.grads] == [
+            p.shape for p in net.parameters()]
+        np.testing.assert_array_equal(
+            np.concatenate([p.ravel() for p in net.parameters()]), net.flat)
+        net.flat[:] = 7.0
+        assert all((p == 7.0).all() for p in net.parameters())
+        x = np.random.default_rng(1).normal(size=(5, 4))
+        _, grads = net.loss_and_gradients(x, [0, 1, 2, 0, 1], np.zeros(5))
+        assert grads is net.grads
+        np.testing.assert_array_equal(
+            np.concatenate([g.ravel() for g in grads]), net.grad)
+
+    def test_he_init_draws_like_per_layer_arrays(self):
+        net = Mlp((4, 8, 3), np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        for w in net.weights:
+            expected = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+            assert w.tobytes() == expected.tobytes()
+        assert not net.flat[-11:].any()  # biases start at zero
+
+    def test_without_rng_every_parameter_is_zero(self):
+        net = Mlp((4, 8, 3))
+        assert not net.flat.any() and not net.grad.any()
+
+
 class TestClipNorm:
+    @staticmethod
+    def net_with_grads(grads):
+        net = Mlp((2, 2, 1))  # 2x2 and 2x1 weights, then 2 and 1 biases
+        net.grad[:] = grads
+        return net
+
     def test_large_gradients_scaled_to_max(self):
-        grads = [np.full((2, 2), 10.0), np.full(3, -10.0)]
-        clipped = clip_gradient_norm(grads, 1.0)
-        norm = np.sqrt(sum(float(np.sum(g * g)) for g in clipped))
+        net = self.net_with_grads(np.full(9, 10.0))
+        clip_gradient_norm(net, 1.0)
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in net.grads))
         assert norm == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(net.grad, 1 / 3, rtol=1e-15)
 
     def test_small_gradients_untouched(self):
-        grads = [np.array([0.1, 0.2])]
-        clipped = clip_gradient_norm(grads, 10.0)
-        np.testing.assert_array_equal(clipped[0], grads[0])
+        grads = np.arange(9) * 0.01
+        net = self.net_with_grads(grads)
+        clip_gradient_norm(net, 10.0)
+        np.testing.assert_array_equal(net.grad, grads)
 
 
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         # with bias correction the first update is lr * sign(g) (eps aside)
         p = np.array([1.0])
-        opt = Adam([p], lr=0.01)
-        opt.step([np.array([5.0])])
+        opt = Adam(p, lr=0.01)
+        opt.step(np.array([5.0]))
         assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
 
     def test_matches_reference_sequence(self):
         # independent re-implementation of the textbook update rule
         p = np.array([0.5, -0.3])
-        opt = Adam([p], lr=0.1)
+        opt = Adam(p, lr=0.1)
         ref_p = np.array([0.5, -0.3])
         m = np.zeros(2)
         v = np.zeros(2)
         rng = np.random.default_rng(0)
         for t in range(1, 6):
             g = rng.normal(size=2)
-            opt.step([g.copy()])
+            opt.step(g.copy())
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mhat = m / (1 - 0.9**t)
@@ -134,9 +174,9 @@ class TestAdam:
 
     def test_descends_a_quadratic(self):
         p = np.array([5.0])
-        opt = Adam([p], lr=0.05)
+        opt = Adam(p, lr=0.05)
         for _ in range(2000):
-            opt.step([2.0 * p])  # d/dp of p^2
+            opt.step(2.0 * p)  # d/dp of p^2
         assert abs(p[0]) < 1e-2
 
 

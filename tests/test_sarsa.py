@@ -44,6 +44,60 @@ class TestDiscretizer:
         assert len(d(obs(q_work=q, n_workers=n, qos=qos))) == 9
 
 
+def searchsorted_bins(discretizer, o):
+    """The bins as np.searchsorted gives them, the rule Discretizer keeps."""
+    return tuple(int(np.searchsorted(e, v, side="right"))
+                 for e, v in zip(discretizer.edges, o.as_tuple()))
+
+
+class TestDiscretizerBins:
+    def test_random_observations_match_searchsorted(self):
+        d = default_discretizer()
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            o = Observation(
+                q_in=int(rng.integers(0, 150)), q_work=int(rng.integers(0, 150)),
+                q_res=int(rng.integers(0, 150)), q_out=int(rng.integers(0, 150)),
+                n_workers=int(rng.integers(1, 25)),
+                t_proc_avg=float(rng.uniform(0, 3)),
+                t_proc_max=float(rng.uniform(0, 3)),
+                arrival_rate=float(rng.uniform(0, 10)),
+                qos_step=float(rng.uniform()))
+            assert d(o) == searchsorted_bins(d, o)
+
+    def test_values_at_and_around_every_edge_match_searchsorted(self):
+        d = default_discretizer()
+        base = obs().as_tuple()
+        for k, edges in enumerate(d.edges):
+            for edge in edges:
+                for v in (edge, np.nextafter(edge, -np.inf),
+                          np.nextafter(edge, np.inf), edge - 1, edge + 1):
+                    values = list(base)
+                    values[k] = float(v)
+                    o = Observation(*values)
+                    assert d(o) == searchsorted_bins(d, o), (k, v)
+                    assert all(type(b) is int for b in d(o))
+
+    @pytest.mark.parametrize("edges, message", [
+        ((), r"one tuple of edges per observation component \(9\)"),
+        (((1, 2),) * 8, r"one tuple of edges per observation component"),
+        (((1, 2),) * 10, r"one tuple of edges per observation component"),
+        ([(1, 2)] * 9, r"one tuple of edges per observation component"),
+        (((2, 1),) + ((1, 2),) * 8, "edges of q_in must be a strictly"),
+        (((1, 2),) * 4 + ((1, 1),) + ((1, 2),) * 4, "edges of n_workers"),
+        (((1, 2),) * 8 + ([0.5, 0.9],), "edges of qos_step"),
+        (((1, "2"),) + ((1, 2),) * 8, "edges of q_in"),
+        (((True,),) + ((1, 2),) * 8, "edges of q_in"),
+        (((float("nan"),),) + ((1, 2),) * 8, "edges of q_in"),
+    ])
+    def test_rejects_bad_edges(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Discretizer(edges=edges)
+
+    def test_accepts_empty_and_float_edges(self):
+        Discretizer(edges=((),) + ((0.5, 1, 2.5),) * 8)
+
+
 class TestEpsilonGreedy:
     def test_greedy_picks_argmax(self):
         rng = np.random.default_rng(0)
@@ -162,6 +216,29 @@ class TestSarsaAgent:
                                  f"{len(state)}-component state and "
                                  f"{len(row)} values, expected 9 and 3$"):
             SarsaAgent.load(path)
+
+    @pytest.mark.parametrize("edges", [
+        [[1, 2]] * 8, [[2, 1]] + [[1, 2]] * 8, [[1, "x"]] + [[1, 2]] * 8,
+        [1] * 9, "edges", {"q_in": [1]}])
+    def test_load_rejects_bad_edges(self, tmp_path, edges):
+        path = tmp_path / "sarsa.json"
+        SarsaAgent().save(path)
+        blob = json.loads(path.read_text())
+        blob["edges"] = edges
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: 'edges': "):
+            SarsaAgent.load(path)
+
+    def test_state_is_memoised_per_observation_object(self):
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        a, b, c = obs(q_work=5), obs(q_work=5), obs(q_work=50)
+        assert agent.state(a) == agent.discretizer(a)
+        assert agent.state(c) == agent.discretizer(c)
+        assert agent.state(b) == agent.state(a)  # equal, distinct objects
+        assert agent.state(c) != agent.state(a)
+        for o in (a, b, c, a, c, b):
+            assert agent.state(o) == agent.discretizer(o)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
