@@ -35,14 +35,10 @@ class LearningAgent:
 
     def state(self, obs):
         """``self.encode(obs)``, memoised for the last two observation
-        objects encoded.
-
-        A training step meets each observation three times: ``act`` on it
-        as the next observation, then ``learn`` on it as the next and, one
-        step later, as the current observation.  The memo is keyed on
-        identity and holds a reference to each key, so an id is not reused
-        while cached; observations are frozen, so a hit is never stale.
-        """
+        objects: a training step meets each observation three times (``act``,
+        then ``learn`` as next and as current observation).  The memo holds
+        its keys, so an id is not reused while cached, and observations are
+        frozen, so a hit is never stale."""
         older, newer = self._memo
         if newer[0] is obs:
             return newer[1]

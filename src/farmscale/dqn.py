@@ -173,10 +173,12 @@ class DqnAgent(LearningAgent):
         meta = json.loads(str(_entry(data, path, "meta", ())))
         if not isinstance(meta, dict) or meta.get("kind") != "dqn":
             raise ValueError(f"{path} is not a dqn checkpoint")
-        sizes = tuple(checkpoint_value(meta, path, "layer_sizes", "meta"))
-        if not all(has_type_of(n, 0) and n > 0 for n in sizes):
-            raise ValueError(f"{path}: layer_sizes {list(sizes)} must be "
-                             f"positive integers")
+        sizes = checkpoint_value(meta, path, "layer_sizes", "meta")
+        if not (isinstance(sizes, list)
+                and all(has_type_of(n, 0) and n > 0 for n in sizes)):
+            raise ValueError(f"{path}: layer_sizes {sizes!r} must be a list "
+                             f"of positive integers")
+        sizes = tuple(sizes)
         if sizes[-1:] != (len(ACTIONS),):
             raise ValueError(f"{path}: layer_sizes {list(sizes)} must end in "
                              f"{len(ACTIONS)}, one value per action")

@@ -4,11 +4,9 @@ A fully-connected net with ReLU hidden layers and a linear head, trained
 with Smooth-L1 loss on selected action values and bias-corrected adaptive
 moment estimation. Everything is plain numpy; no autograd.
 
-Each network keeps all its parameters in one contiguous float64 array and
-its gradients in a second one; the per-layer weights and biases are views
-into them. The optimizer, the gradient clip and the target blend each run a
-fixed handful of ufuncs over the flat arrays, in the same elementwise order
-as a loop over the per-layer arrays, so the results are the same bits.
+The optimizer, the gradient clip and the target blend each run a few ufuncs
+over a network's flat parameter and gradient arrays, with the elementwise
+operation order of a loop over per-layer arrays, so the bits are the same.
 """
 
 from __future__ import annotations

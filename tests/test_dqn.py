@@ -202,7 +202,8 @@ class TestAgent:
                        False)
         assert back.policy.flat.tobytes() != agent.policy.flat.tobytes()
 
-    @pytest.mark.parametrize("sizes", [[9, 0, 3], [9, 64.5, 3], [9, -4, 3]])
+    @pytest.mark.parametrize("sizes", [[9, 0, 3], [9, 64.5, 3], [9, -4, 3],
+                                       5, "9,64,3"])
     def test_load_rejects_bad_layer_sizes(self, tmp_path, sizes):
         good = tmp_path / "good.npz"
         make_agent().save(good)
@@ -212,7 +213,8 @@ class TestAgent:
         arrays["meta"] = np.array(json.dumps(meta))
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
-        with pytest.raises(ValueError, match="must be positive integers"):
+        with pytest.raises(ValueError,
+                           match="must be a list of positive integers"):
             DqnAgent.load(bad)
 
     @pytest.mark.parametrize("key, value, message", [
