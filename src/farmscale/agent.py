@@ -82,6 +82,16 @@ def checkpoint_value(blob: dict, path, key: str, where: str = "checkpoint"):
         raise ValueError(f"{path}: {where} has no {key!r}") from None
 
 
+def checkpoint_epsilon(blob: dict, path, where: str = "checkpoint") -> float:
+    """``blob["epsilon"]``, which must be a number in [0, 1]; otherwise
+    ``ValueError`` naming the file and the key."""
+    value = checkpoint_value(blob, path, "epsilon", where)
+    if not (has_type_of(value, 0.0) and 0 <= value <= 1):
+        raise ValueError(f"{path}: epsilon must be a number in [0, 1], "
+                         f"got {value!r}")
+    return value
+
+
 def checkpoint_config(cls, values, path):
     """``cls(**values)`` for a checkpoint's saved config, a JSON list standing
     for a tuple; a key ``cls`` lacks, a value whose type does not match the

@@ -15,7 +15,7 @@ from .dqn import DqnAgent
 from .env import FarmEnv
 from .metrics import aggregate, cost_paygo, cost_sub
 from .reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
-from .sarsa import SarsaAgent
+from .sarsa import SarsaAgent, default_discretizer
 from .training import run_episode, train_agent, write_training_curve
 from .workload import (CALIBRATION_SAMPLES, build_episode_workload,
                        fit_service_model, write_workload_csv)
@@ -125,7 +125,9 @@ def cmd_train(args):
     cfg, env, model, dist = _setup(args)
 
     if args.agent == "sarsa":
-        agent = SarsaAgent(cfgmod.sarsa_config(cfg), seed=args.seed)
+        agent = SarsaAgent(cfgmod.sarsa_config(cfg),
+                           default_discretizer(env.config.n_max),
+                           seed=args.seed)
         ckpt_name = "sarsa.json"
     elif args.agent == "dqn":
         lows, highs = env.observation_bounds()

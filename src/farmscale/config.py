@@ -1,7 +1,8 @@
 """Flat key-value configuration: defaults, file loading, object builders.
 
-Every constant not pinned by the calibration tables lives here so runs are
-fully described by one human-readable file plus a seed.
+A run is fully described by one human-readable file plus a seed. Each
+default has one home, the field of its config class or the workload
+constant it belongs to; ``DEFAULTS`` gathers them under their config keys.
 """
 
 from __future__ import annotations
@@ -15,61 +16,35 @@ from .core import EpisodeConfig, FieldError, RewardConfig, has_type_of
 from .metrics import CostConfig
 from .sarsa import SarsaConfig
 from .dqn import DqnConfig
-from .workload import (default_phases, default_size_distribution,
-                       reduced_paper_model)
+from .workload import (BASE_RATE, MEAN_SERVICE_TARGET, PHASE_DURATION,
+                       POISSON_WINDOW, default_phases,
+                       default_size_distribution, reduced_paper_model)
+
+# Each config class and its key prefix. Every field with a bool, int or
+# float default is the config key ``prefix + field name`` with that default;
+# the tuple fields and the phases are not keys.
+_PREFIXES = {EpisodeConfig: "", RewardConfig: "", SarsaConfig: "sarsa_",
+             DqnConfig: "dqn_", CostConfig: "cost_"}
+# a scalar field with no key: the trace-pruning cutoff is not a tuning knob
+_UNKEYED = {(SarsaConfig, "prune_threshold")}
+
+
+def _keyed_fields(cls) -> list:
+    """(config key, field) of each field of ``cls`` that has a key."""
+    return [(_PREFIXES[cls] + f.name, f) for f in fields(cls)
+            if type(f.default) in (bool, int, float)
+            and (cls, f.name) not in _UNKEYED]
+
 
 DEFAULTS = {
-    # workload
-    "base_rate": 5.0,  # tasks/second
-    "phase_duration": 60.0,  # seconds
-    "poisson_window": 5.0,  # seconds
-    "mean_service_target": 1.5,  # seconds
-    # episode / pool
-    "step_duration": 8.0,
-    "n_min": 1,
-    "n_max": 20,
-    "n_init": 4,
-    "beta": 2.0,
-    "latency_lo": 5.0,
-    "latency_hi": 8.0,
-    "obs_window": 3,
-    "drain_cap": 15,
-    "warm_start": True,
-    # reward
-    "q_target": 0.9,
-    "q_queue_target": 40.0,
-    "q_idle": 5.0,
-    "n_target": 12,
-    "w_qos": 10.0,
-    "w_backlog": 5.0,
-    "w_scale": 0.5,
-    "w_eff": 0.5,
-    "w_up": 1.0,
-    "w_down": 1.0,
-    # sarsa
-    "sarsa_alpha": 0.1,
-    "sarsa_gamma": 0.95,
-    "sarsa_trace_decay": 0.9,
-    "sarsa_epsilon_start": 1.0,
-    "sarsa_epsilon_min": 0.05,
-    "sarsa_epsilon_decay": 0.98,
-    # dqn
-    "dqn_replay_capacity": 75000,
-    "dqn_batch_size": 64,
-    "dqn_warmup": 1000,
-    "dqn_gamma": 0.95,
-    "dqn_epsilon_start": 0.8,
-    "dqn_epsilon_min": 0.05,
-    "dqn_epsilon_decay": 0.97,
-    "dqn_tau": 0.01,
-    "dqn_learning_rate": 1e-3,
-    "dqn_grad_clip": 10.0,
-    # cost tariffs
-    "cost_c_w": 1.0,
-    "cost_c_scale": 0.5,
-    "cost_c_sub": 0.6,
-    "cost_c_burst": 2.0,
-    "cost_n_sub": 10,
+    # workload: the default phases, the size mix and the scale-up delay
+    "base_rate": BASE_RATE,
+    "phase_duration": PHASE_DURATION,
+    "poisson_window": POISSON_WINDOW,
+    "mean_service_target": MEAN_SERVICE_TARGET,
+    "latency_lo": EpisodeConfig.scale_up_latency[0],
+    "latency_hi": EpisodeConfig.scale_up_latency[1],
+    **{key: f.default for cls in _PREFIXES for key, f in _keyed_fields(cls)},
 }
 
 
@@ -120,12 +95,12 @@ def _naming_key(prefix: str = ""):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _build(cls, cfg: dict, prefix: str = "", **derived):
-    """``cls`` from the keys ``prefix + field name`` of DEFAULTS, read from
-    ``cfg``; fields with no such key come from ``derived`` or their default."""
-    with _naming_key(prefix):
-        return cls(**{f.name: cfg[prefix + f.name] for f in fields(cls)
-                      if prefix + f.name in DEFAULTS}, **derived)
+def _build(cls, cfg: dict, **derived):
+    """``cls`` with each keyed field read from ``cfg``; the other fields come
+    from ``derived`` or their default."""
+    with _naming_key(_PREFIXES[cls]):
+        return cls(**{f.name: cfg[key] for key, f in _keyed_fields(cls)},
+                   **derived)
 
 
 def episode_config(cfg: dict) -> EpisodeConfig:
@@ -142,15 +117,15 @@ def reward_config(cfg: dict) -> RewardConfig:
 
 
 def sarsa_config(cfg: dict) -> SarsaConfig:
-    return _build(SarsaConfig, cfg, "sarsa_")
+    return _build(SarsaConfig, cfg)
 
 
 def dqn_config(cfg: dict) -> DqnConfig:
-    return _build(DqnConfig, cfg, "dqn_")
+    return _build(DqnConfig, cfg)
 
 
 def cost_config(cfg: dict) -> CostConfig:
-    return _build(CostConfig, cfg, "cost_")
+    return _build(CostConfig, cfg)
 
 
 def service_model_and_sizes(cfg: dict):

@@ -16,17 +16,6 @@ ACTIONS = (-1, 0, 1)
 
 _PARSERS = {"int": int, "float": float}
 
-TASK_COLUMNS = (
-    "task_id",
-    "arrival",
-    "size",
-    "service",
-    "deadline",
-    "completion",
-    "met",
-)
-
-
 # The types a value may have to replace a default of each type; a bool is
 # never taken as a number.
 _ACCEPTED = {bool: bool, int: int, float: (int, float)}
@@ -256,6 +245,11 @@ class TaskRecord:
     phase_index: int = 0
 
 
+TASK_COLUMNS = tuple(f.name for f in fields(TaskRecord)
+                     if f.name != "phase_index")
+_task_values = attrgetter(*TASK_COLUMNS)
+
+
 @dataclass
 class EpisodeLog:
     """Per-step and per-task records of one episode."""
@@ -293,8 +287,9 @@ class EpisodeLog:
             writer = csv.writer(fh)
             writer.writerow(TASK_COLUMNS)
             for t in self.tasks:
-                writer.writerow((t.task_id, t.arrival, t.size, t.service,
-                                 t.deadline, t.completion, int(t.met)))
+                # met, the one bool, is written as 0/1
+                writer.writerow([int(v) if isinstance(v, bool) else v
+                                 for v in _task_values(t)])
 
 
 def read_step_csv(path) -> list:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .agent import (LearningAgent, check_gamma_and_epsilon,
-                    checkpoint_config, checkpoint_value, greedy_index)
+                    checkpoint_config, checkpoint_epsilon, checkpoint_value,
+                    greedy_index)
 from .core import ACTIONS, FieldError, has_type_of
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
@@ -53,7 +54,7 @@ class ReplayBuffer:
     rows, all of which ``push`` has written.
     """
 
-    def __init__(self, capacity: int, obs_dim: int = 9):
+    def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
         self.obs = np.empty((capacity, obs_dim))
         self.actions = np.empty(capacity, dtype=int)
@@ -165,9 +166,9 @@ class DqnAgent(LearningAgent):
     @classmethod
     def load(cls, path) -> "DqnAgent":
         """Read a checkpoint written by ``save``; a missing entry, a config
-        key ``DqnConfig`` lacks or an array whose shape differs from what
-        ``layer_sizes`` implies raises ``ValueError`` naming the file and
-        the key."""
+        key ``DqnConfig`` lacks, an epsilon outside [0, 1] or an array whose
+        shape differs from what ``layer_sizes`` implies raises
+        ``ValueError`` naming the file and the key."""
         data = np.load(path if str(path).endswith(".npz") else f"{path}.npz",
                        allow_pickle=False)
         meta = json.loads(str(_entry(data, path, "meta", ())))
@@ -186,7 +187,7 @@ class DqnAgent(LearningAgent):
             DqnConfig, checkpoint_value(meta, path, "config", "meta"), path)
         agent = cls(_entry(data, path, "obs_lows", sizes[:1]),
                     _entry(data, path, "obs_highs", sizes[:1]), cfg=cfg)
-        agent.epsilon = checkpoint_value(meta, path, "epsilon", "meta")
+        agent.epsilon = checkpoint_epsilon(meta, path, "meta")
         agent.policy, agent.target = Mlp(sizes), Mlp(sizes)
         for prefix, net in agent._nets():
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):

@@ -13,7 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from .core import (EpisodeLog, Observation, StepRecord, TaskRecord,
+from .core import (ACTIONS, EpisodeLog, Observation, StepRecord, TaskRecord,
                    RewardConfig)
 from .sim import FarmSim
 
@@ -113,8 +113,8 @@ class FarmEnv:
     def step(self, action: int):
         if self._terminated:
             raise LifecycleError("episode already terminated; call reset()")
-        if action not in (-1, 0, 1):
-            raise ValueError(f"action must be in {{-1, 0, +1}}, got {action}")
+        if action not in ACTIONS:
+            raise ValueError(f"action must be in {ACTIONS}, got {action}")
 
         applied = self.sim.request_scale(action)
         stats = self.sim.advance(self.config.step_duration)

@@ -128,7 +128,7 @@ class Adam:
     """Bias-corrected adaptive moment estimation over one flat parameter
     array, updated in place."""
 
-    def __init__(self, params: np.ndarray, lr: float = 1e-3,
+    def __init__(self, params: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr

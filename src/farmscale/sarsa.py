@@ -15,7 +15,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .agent import (LearningAgent, check_gamma_and_epsilon,
-                    checkpoint_config, checkpoint_value, greedy_index)
+                    checkpoint_config, checkpoint_epsilon, checkpoint_value,
+                    greedy_index)
 from .core import ACTIONS, OBSERVATION_FIELDS, FieldError, has_type_of
 
 
@@ -46,7 +47,8 @@ class Discretizer:
         return tuple(map(bisect_right, self.edges, obs.as_tuple()))
 
 
-def default_discretizer(n_max: int = 20) -> Discretizer:
+def default_discretizer(n_max: int) -> Discretizer:
+    """Fixed bins per component; workers in bins of 4 up to ``n_max``."""
     queue_edges = (1, 11, 41, 101)  # {0, 1-10, 11-40, 41-100, >100}
     worker_edges = tuple(range(4, n_max + 1, 4))
     t_edges = (0.5, 1.0, 2.0)
@@ -115,10 +117,10 @@ _ZERO = np.zeros(len(ACTIONS))
 
 
 class SarsaAgent(LearningAgent):
-    def __init__(self, cfg: SarsaConfig = SarsaConfig(),
-                 discretizer: Discretizer | None = None, seed: int = 0):
+    def __init__(self, cfg: SarsaConfig, discretizer: Discretizer,
+                 seed: int = 0):
         super().__init__(cfg, seed, 40_000)
-        self.discretizer = discretizer or default_discretizer()
+        self.discretizer = discretizer
         self.qtable: dict = {}
         self.traces: dict = {}
 
@@ -160,8 +162,8 @@ class SarsaAgent(LearningAgent):
     @classmethod
     def load(cls, path) -> "SarsaAgent":
         """Read a checkpoint written by ``save``; a missing entry, a config
-        key ``SarsaConfig`` lacks or a misshapen Q-table entry raises
-        ``ValueError`` naming the file and the key."""
+        key ``SarsaConfig`` lacks, an epsilon outside [0, 1] or a misshapen
+        Q-table entry raises ``ValueError`` naming the file and the key."""
         with open(path) as fh:
             blob = json.load(fh)
         if not isinstance(blob, dict) or blob.get("kind") != "sarsa":
@@ -174,16 +176,29 @@ class SarsaAgent(LearningAgent):
             discretizer = Discretizer(edges=_tuples(edges))
         except ValueError as exc:
             raise ValueError(f"{path}: 'edges': {exc}") from None
-        agent = cls(cfg=cfg, discretizer=discretizer)
-        agent.epsilon = checkpoint_value(blob, path, "epsilon")
-        n_dims = len(agent.discretizer.edges)
-        for i, (state, row) in enumerate(qtable):
+        if not isinstance(qtable, list):
+            raise ValueError(f"{path}: qtable must be a list of "
+                             f"[state, values] pairs, got {qtable!r}")
+        n_dims = len(discretizer.edges)
+        for i, entry in enumerate(qtable):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(part, list) for part in entry)):
+                raise ValueError(f"{path}: qtable[{i}] must be a "
+                                 f"[state, values] pair, got {entry!r}")
+            state, row = entry
             if len(state) != n_dims or len(row) != len(ACTIONS):
                 raise ValueError(
                     f"{path}: qtable[{i}] has a {len(state)}-component state "
                     f"and {len(row)} values, expected {n_dims} and "
                     f"{len(ACTIONS)}")
-        agent.qtable = {tuple(state): np.array(row) for state, row in qtable}
+            if not (all(has_type_of(v, 0) for v in state)
+                    and all(has_type_of(v, 0.0) for v in row)):
+                raise ValueError(f"{path}: qtable[{i}] must hold integer bins "
+                                 f"and numeric values, got {entry!r}")
+        agent = cls(cfg, discretizer)
+        agent.epsilon = checkpoint_epsilon(blob, path)
+        agent.qtable = {tuple(state): np.array(row, dtype=float)
+                        for state, row in qtable}
         return agent
 
 

@@ -31,6 +31,12 @@ CALIBRATION_SAMPLES = (
 
 MEAN_SERVICE_TARGET = 1.5  # seconds, mean per-task load across the size mix
 
+# The default four-phase pattern's base arrival rate (tasks/second), phase
+# length (seconds) and Poisson window length (seconds)
+BASE_RATE = 5.0
+PHASE_DURATION = 60.0
+POISSON_WINDOW = 5.0
+
 
 class FitError(ValueError):
     pass
@@ -169,7 +175,7 @@ class WorkloadPhaseSpec:
     kind: str  # "steady" | "sinusoid"
     base_rate: float  # tasks/second
     duration: float  # seconds
-    window: float = 5.0  # Poisson window length, seconds
+    window: float = POISSON_WINDOW  # Poisson window length, seconds
     multiplier: float = 1.0  # steady only
     mult_min: float = 0.0  # sinusoid only
     mult_max: float = 0.0
@@ -207,8 +213,9 @@ class WorkloadPhaseSpec:
         return self.base_rate * (mid * (t1 - t0) + osc)
 
 
-def default_phases(base_rate: float = 5.0, duration: float = 60.0,
-                   window: float = 5.0) -> tuple:
+def default_phases(base_rate: float = BASE_RATE,
+                   duration: float = PHASE_DURATION,
+                   window: float = POISSON_WINDOW) -> tuple:
     """The four-phase pattern: steady low/high, slow and fast oscillation."""
     return (
         WorkloadPhaseSpec("steady", base_rate, duration, window, multiplier=0.3),

@@ -15,7 +15,7 @@ import farmscale
 from farmscale.cli import main
 from farmscale.core import read_step_csv
 from farmscale.dqn import DqnAgent
-from farmscale.sarsa import SarsaAgent
+from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
 from farmscale.training import CURVE_COLUMNS
 from farmscale.workload import read_workload_csv
 
@@ -126,6 +126,18 @@ def test_train_then_run_checkpoint(tmp_path, tiny_config, agent, ckpt):
     assert (run_dir / "summary.json").exists()
 
 
+def test_train_sarsa_bins_workers_up_to_configured_n_max(tmp_path,
+                                                        tiny_config):
+    cfg = tmp_path / "wide.yaml"
+    cfg.write_text(yaml.safe_dump(
+        dict(yaml.safe_load(Path(tiny_config).read_text()), n_max=40)))
+    out = tmp_path / "sarsa"
+    assert main(["train", "--config", str(cfg), "--agent", "sarsa",
+                 "--episodes", "1", "--out", str(out)]) == 0
+    edges = json.loads((out / "sarsa.json").read_text())["edges"]
+    assert edges[4] == list(range(4, 41, 4))
+
+
 def test_run_rejects_misshapen_dqn_checkpoint(tmp_path, tiny_config, capsys):
     out = tmp_path / "dqn"
     assert main(["train", "--config", tiny_config, "--agent", "dqn",
@@ -154,7 +166,7 @@ def _edited_checkpoint(tmp_path, agent, edit):
         np.savez(bad, **arrays)
         return bad
     bad = tmp_path / "bad.json"
-    SarsaAgent().save(bad)
+    SarsaAgent(SarsaConfig(), default_discretizer(20)).save(bad)
     blob = json.loads(bad.read_text())
     edit(blob)
     bad.write_text(json.dumps(blob))
@@ -183,11 +195,27 @@ def _edited_checkpoint(tmp_path, agent, edit):
      "config 'batch_size' must be int, got 8.5"),
     ("dqn", lambda m: m["config"].update(reward_clip=100.0),
      "config 'reward_clip' must be tuple, got 100.0"),
+    ("sarsa", lambda b: b.update(qtable=5),
+     r"qtable must be a list of \[state, values\] pairs, got 5"),
+    ("sarsa", lambda b: b["qtable"].append([[0] * 9, [0, 0, "x"]]),
+     r"qtable\[0\] must hold integer bins and numeric values, "
+     r"got \[\[0, 0, 0, 0, 0, 0, 0, 0, 0\], \[0, 0, 'x'\]\]"),
+    ("sarsa", lambda b: b["qtable"].append([[0] * 9]),
+     r"qtable\[0\] must be a \[state, values\] pair, "
+     r"got \[\[0, 0, 0, 0, 0, 0, 0, 0, 0\]\]"),
+    ("sarsa", lambda b: b.update(epsilon="x"),
+     r"epsilon must be a number in \[0, 1\], got 'x'"),
+    ("dqn", lambda m: m.update(epsilon="x"),
+     r"epsilon must be a number in \[0, 1\], got 'x'"),
+    ("dqn", lambda m: m.update(epsilon=1.5),
+     r"epsilon must be a number in \[0, 1\], got 1.5"),
 ], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
         "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
         "sarsa-config-value", "sarsa-config-type", "dqn-config-type",
-        "dqn-reward-clip-type"])
+        "dqn-reward-clip-type", "sarsa-qtable-not-list",
+        "sarsa-qtable-string-value", "sarsa-qtable-entry-not-pair",
+        "sarsa-epsilon-type", "dqn-epsilon-type", "dqn-epsilon-range"])
 def test_run_rejects_malformed_checkpoint(tmp_path, tiny_config, capsys,
                                           agent, edit, message):
     bad = _edited_checkpoint(tmp_path, agent, edit)

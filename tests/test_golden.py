@@ -15,7 +15,7 @@ import pytest
 
 from farmscale.config import sarsa_config
 from farmscale.env import FarmEnv
-from farmscale.sarsa import SarsaAgent
+from farmscale.sarsa import SarsaAgent, default_discretizer
 from farmscale.training import train_agent
 from farmscale.workload import build_episode_workload
 from tests.test_acceptance import _fuzz_sim
@@ -43,7 +43,8 @@ def test_sarsa_qtable_digest(defaults, ep_config, rw_config, model_and_dist):
     # tabular learning runs no BLAS call, so the Q-table's bits do not
     # depend on the linear-algebra library a numpy build links
     model, dist = model_and_dist
-    agent = SarsaAgent(sarsa_config(defaults), seed=0)
+    agent = SarsaAgent(sarsa_config(defaults),
+                       default_discretizer(ep_config.n_max), seed=0)
     train_agent(agent, FarmEnv(ep_config, rw_config), dist, model,
                 episodes=20)
     assert len(agent.qtable) == 81

@@ -21,16 +21,16 @@ def obs(q_work=0, n_workers=4, t_avg=0.0, t_max=0.0, rate=0.0, qos=1.0):
 
 class TestDiscretizer:
     def test_same_bin_for_nearby_values(self):
-        d = default_discretizer()
+        d = default_discretizer(20)
         assert d(obs(q_work=15)) == d(obs(q_work=20))
 
     def test_distinct_bins_across_edges(self):
-        d = default_discretizer()
+        d = default_discretizer(20)
         assert d(obs(q_work=5)) != d(obs(q_work=50))
         assert d(obs(qos=0.3)) != d(obs(qos=0.95))
 
     def test_state_is_hashable_tuple(self):
-        d = default_discretizer()
+        d = default_discretizer(20)
         state = d(obs())
         assert isinstance(state, tuple)
         hash(state)
@@ -40,7 +40,7 @@ class TestDiscretizer:
            qos=st.floats(min_value=0, max_value=1))
     @settings(max_examples=50, deadline=None)
     def test_total_function(self, q, n, qos):
-        d = default_discretizer()
+        d = default_discretizer(20)
         assert len(d(obs(q_work=q, n_workers=n, qos=qos))) == 9
 
 
@@ -52,7 +52,7 @@ def searchsorted_bins(discretizer, o):
 
 class TestDiscretizerBins:
     def test_random_observations_match_searchsorted(self):
-        d = default_discretizer()
+        d = default_discretizer(20)
         rng = np.random.default_rng(0)
         for _ in range(2000):
             o = Observation(
@@ -66,7 +66,7 @@ class TestDiscretizerBins:
             assert d(o) == searchsorted_bins(d, o)
 
     def test_values_at_and_around_every_edge_match_searchsorted(self):
-        d = default_discretizer()
+        d = default_discretizer(20)
         base = obs().as_tuple()
         for k, edges in enumerate(d.edges):
             for edge in edges:
@@ -164,26 +164,26 @@ class TestSarsaAgent:
     def test_epsilon_decays_to_floor(self):
         cfg = SarsaConfig(epsilon_start=1.0, epsilon_min=0.05,
                           epsilon_decay=0.5)
-        agent = SarsaAgent(cfg, default_discretizer(), seed=0)
+        agent = SarsaAgent(cfg, default_discretizer(20), seed=0)
         for _ in range(20):
             agent.end_episode()
         assert agent.epsilon == pytest.approx(0.05)
 
     def test_traces_cleared_between_episodes(self):
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         agent.learn(obs(), 0, 1.0, obs(q_work=50), 0, False)
         assert agent.traces
         agent.begin_episode()
         assert not agent.traces
 
     def test_greedy_act_is_deterministic(self):
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         o = obs(q_work=120, qos=0.2)
         assert all(agent.act(o, greedy=True) == agent.act(o, greedy=True)
                    for _ in range(5))
 
     def test_save_load_round_trip(self, tmp_path):
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         rng = np.random.default_rng(0)
         for _ in range(50):
             o = obs(q_work=int(rng.integers(0, 200)),
@@ -204,7 +204,7 @@ class TestSarsaAgent:
         ([0] * 8, [0.0, 1.0, 2.0]),
     ])
     def test_load_rejects_misshapen_qtable_entry(self, tmp_path, state, row):
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         agent.qtable[(1,) * 9] = np.zeros(3)
         path = tmp_path / "sarsa.json"
         agent.save(path)
@@ -222,7 +222,7 @@ class TestSarsaAgent:
         [1] * 9, "edges", {"q_in": [1]}])
     def test_load_rejects_bad_edges(self, tmp_path, edges):
         path = tmp_path / "sarsa.json"
-        SarsaAgent().save(path)
+        SarsaAgent(SarsaConfig(), default_discretizer(20)).save(path)
         blob = json.loads(path.read_text())
         blob["edges"] = edges
         path.write_text(json.dumps(blob))
@@ -231,7 +231,7 @@ class TestSarsaAgent:
             SarsaAgent.load(path)
 
     def test_state_is_memoised_per_observation_object(self):
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         a, b, c = obs(q_work=5), obs(q_work=5), obs(q_work=50)
         assert agent.state(a) == agent.discretizer(a)
         assert agent.state(c) == agent.discretizer(c)

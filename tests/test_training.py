@@ -44,7 +44,7 @@ class TestRunEpisode:
 class TestTrainAgent:
     def test_produces_one_record_per_episode(self, tiny_setup):
         env, dist, model = tiny_setup
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         records = train_agent(agent, env, dist, model, episodes=5)
         assert [r.episode for r in records] == [0, 1, 2, 3, 4]
         assert all(r.steps > 0 for r in records)
@@ -52,7 +52,7 @@ class TestTrainAgent:
     def test_epsilon_decays_across_episodes(self, tiny_setup):
         env, dist, model = tiny_setup
         agent = SarsaAgent(SarsaConfig(epsilon_decay=0.9),
-                           default_discretizer(), seed=0)
+                           default_discretizer(20), seed=0)
         records = train_agent(agent, env, dist, model, episodes=4)
         eps = [r.epsilon for r in records]
         assert eps == sorted(eps, reverse=True)
@@ -60,13 +60,13 @@ class TestTrainAgent:
 
     def test_learning_populates_qtable(self, tiny_setup):
         env, dist, model = tiny_setup
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         train_agent(agent, env, dist, model, episodes=3)
         assert len(agent.qtable) > 0
 
     def test_rejects_zero_episodes(self, tiny_setup):
         env, dist, model = tiny_setup
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         with pytest.raises(ValueError):
             train_agent(agent, env, dist, model, episodes=0)
 
@@ -82,7 +82,7 @@ class TestEvaluatePolicy:
 class TestTrainingCurve:
     def test_csv_columns_and_rows(self, tiny_setup, tmp_path):
         env, dist, model = tiny_setup
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(), seed=0)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         records = train_agent(agent, env, dist, model, episodes=3)
         path = tmp_path / "curve.csv"
         write_training_curve(records, path)
