@@ -8,11 +8,23 @@ derived. No module-level mutable state.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 ACTIONS = (-1, 0, 1)
+
+
+def as_action(value):
+    """``value`` as a Python int when it is an integer in ``ACTIONS``, else
+    None. A numpy integer counts; a bool or a float does not, even when it
+    equals an action."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            return None
+        value = int(value)
+    return value if value in ACTIONS else None
 
 _PARSERS = {"int": int, "float": float}
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
 from .core import (ACTIONS, EpisodeLog, Observation, StepRecord, TaskRecord,
-                   RewardConfig)
+                   RewardConfig, as_action)
 from .sim import FarmSim
 
 REWARD_TERMS = (
@@ -102,6 +103,7 @@ class FarmEnv:
         self.log = EpisodeLog(n_tasks=len(workload))
         self.step_index = 0
         self._completion_window = deque(maxlen=self.config.obs_window)
+        self._max_window = deque(maxlen=self.config.obs_window)
         self._arrival_window = deque(maxlen=self.config.obs_window)
         self._last_qos = 1.0
         self._terminated = False
@@ -113,14 +115,18 @@ class FarmEnv:
     def step(self, action: int):
         if self._terminated:
             raise LifecycleError("episode already terminated; call reset()")
-        if action not in ACTIONS:
-            raise ValueError(f"action must be in {ACTIONS}, got {action}")
+        action_int = as_action(action)
+        if action_int is None:
+            raise ValueError(f"action must be in {ACTIONS}, got {action!r}")
 
-        applied = self.sim.request_scale(action)
+        applied = self.sim.request_scale(action_int)
         stats = self.sim.advance(self.config.step_duration)
         self.step_index += 1
 
-        self._completion_window.append(stats.service_times)
+        durations = stats.service_times
+        self._completion_window.append(durations)
+        # service times are positive, so 0.0 stands for a step without any
+        self._max_window.append(max(durations) if durations else 0.0)
         self._arrival_window.append(stats.arrived)
         if stats.completed > 0:
             self._last_qos = stats.hits / stats.completed
@@ -136,7 +142,7 @@ class FarmEnv:
         self._terminated = drained or self.step_index >= self.max_steps
 
         self.log.add_step(StepRecord(
-            step=self.step_index, observation=obs, action=action,
+            step=self.step_index, observation=obs, action=action_int,
             applied_delta=applied, reward=reward, arrived=stats.arrived,
             completed=stats.completed, hits=stats.hits, reward_terms=terms))
         if self._terminated:
@@ -153,7 +159,14 @@ class FarmEnv:
         return obs, reward, self._terminated, info
 
     def _make_observation(self, snap) -> Observation:
-        durations = [d for step in self._completion_window for d in step]
+        window = self._completion_window
+        n = sum(map(len, window))
+        if n:
+            durations = np.fromiter(chain.from_iterable(window), float, n)
+            t_avg = float(durations.sum()) / n  # the bits of np.mean
+            t_max = float(max(self._max_window))
+        else:
+            t_avg = t_max = 0.0
         window_arrivals = sum(self._arrival_window)
         window_time = self.config.obs_window * self.config.step_duration
         return Observation(
@@ -162,17 +175,19 @@ class FarmEnv:
             q_res=0,
             q_out=0,
             n_workers=snap.workers_effective,
-            t_proc_avg=float(np.mean(durations)) if durations else 0.0,
-            t_proc_max=float(max(durations)) if durations else 0.0,
+            t_proc_avg=t_avg,
+            t_proc_max=t_max,
             arrival_rate=window_arrivals / window_time,
             qos_step=self._last_qos,
         )
 
     def _finalize_task_records(self):
         done = {tid: (t, met) for tid, t, met in self.sim.completion_records}
-        self.log.tasks = [
-            TaskRecord(task.task_id, task.arrival_time, task.size_px,
-                       task.service_time, task.deadline, completion, met,
-                       task.phase_index)
-            for task in self._workload
-            for completion, met in [done.get(task.task_id, _UNFINISHED)]]
+        get = done.get
+        self.log.tasks = records = []
+        for task in self._workload:
+            completion, met = get(task.task_id, _UNFINISHED)
+            records.append(TaskRecord(
+                task.task_id, task.arrival_time, task.size_px,
+                task.service_time, task.deadline, completion, met,
+                task.phase_index))

@@ -8,11 +8,19 @@ each task to its emission phase.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from operator import attrgetter
 
 import numpy as np
 
 from .core import FieldError
+
+_phase_index = attrgetter("phase_index")
+_met = attrgetter("met")
+_completion = attrgetter("completion")
 
 
 @dataclass(frozen=True)
@@ -77,56 +85,54 @@ class EpisodeSummary:
         }
 
 
+def _mean_of_ints(values) -> float:
+    """Mean of integers: the sum is exact, so one rounding gives the bits
+    of ``np.mean`` (whose float64 partial sums are exact below 2**53)."""
+    return float(sum(values)) / len(values)
+
+
 def summarize_episode(log, config) -> EpisodeSummary:
     """Reduce one episode log; unfinished tasks count as deadline misses."""
-    if not log.steps:
+    steps, tasks = log.steps, log.tasks
+    if not steps:
         raise ValueError("empty episode log")
-    workers = [s.observation.n_workers for s in log.steps]
-    n_scale = sum(1 for s in log.steps if s.applied_delta != 0)
+    workers = [s.observation.n_workers for s in steps]
+    n_scale = sum(1 for s in steps if s.applied_delta != 0)
     emitted = log.n_tasks or log.total_arrived
-    met = completed = 0
-    emitted_in = dict.fromkeys(range(len(config.phases)), 0)  # by phase
-    met_in = dict(emitted_in)
-    for t in log.tasks:
-        if t.met:
-            met += 1
-        if not math.isnan(t.completion):
-            completed += 1
-        i = t.phase_index
-        if i in emitted_in:
-            emitted_in[i] += 1
-            if t.met:
-                met_in[i] += 1
+    phase_of = list(map(_phase_index, tasks))
+    emitted_in = Counter(phase_of)  # by phase
+    met_in = Counter(compress(phase_of, map(_met, tasks)))
+    met = sum(met_in.values())
+    completed = len(tasks) - sum(map(math.isnan, map(_completion, tasks)))
 
-    # step -> phase attribution by step start time over the nominal spans
-    spans = []
-    start = 0.0
-    for i, phase in enumerate(config.phases):
-        spans.append((i, start, start + phase.duration))
-        start += phase.duration
+    # step -> phase by step start time over the nominal spans [start, end)
+    ends = list(accumulate(phase.duration for phase in config.phases))
+    phase_workers = [[] for _ in ends]
+    for s, n in zip(steps, workers):
+        start = (s.step - 1) * config.step_duration
+        i = bisect_right(ends, start)
+        if start >= 0 and i < len(ends):
+            phase_workers[i].append(n)
 
-    per_phase = []
-    for i, lo, hi in spans:
-        step_workers = [
-            s.observation.n_workers for s in log.steps
-            if lo <= (s.step - 1) * config.step_duration < hi]
-        per_phase.append(PhaseSummary(
+    per_phase = [
+        PhaseSummary(
             phase_index=i,
             qos=met_in[i] / emitted_in[i] if emitted_in[i] else 1.0,
-            mean_workers=float(np.mean(step_workers)) if step_workers else 0.0,
+            mean_workers=_mean_of_ints(w) if w else 0.0,
             emitted=emitted_in[i],
             met=met_in[i],
-        ))
+        )
+        for i, w in enumerate(phase_workers)]
 
     return EpisodeSummary(
         final_qos=met / emitted if emitted else 1.0,
-        n_mean=float(np.mean(workers)),
+        n_mean=_mean_of_ints(workers),
         n_max=int(max(workers)),
         n_scale=n_scale,
-        no_ops=len(log.steps) - n_scale,
-        steps=len(log.steps),
-        duration=len(log.steps) * config.step_duration,
-        total_reward=float(sum(s.reward for s in log.steps)),
+        no_ops=len(steps) - n_scale,
+        steps=len(steps),
+        duration=len(steps) * config.step_duration,
+        total_reward=float(sum(s.reward for s in steps)),
         emitted=emitted,
         completed=completed,
         met=met,

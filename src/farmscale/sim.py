@@ -11,23 +11,32 @@ zero-delay: arriving tasks land in the worker queue instantly and completed
 tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
 
-Idle workers wait in a min-heap of worker ids, and a queued task goes to
-the lowest idle id, the same tie-break as a scan over the pool. A worker
-that exits through a scale-down while idle keeps its heap entry, which is
-skipped when popped; ids are never reused, so a stale id names no worker.
-Pool counts are kept as counters (starting, busy, draining) rather than
-recounted. Only busy workers ever drain (a starting victim is cancelled and
-an idle one exits at once), so the effective pool is every worker neither
-starting nor draining, and the committed pool is every worker not draining.
+Between events the backlog invariant holds: while the worker queue is
+non-empty, no live worker is idle. So each event hands a task straight to
+its worker. An arrival with no backlog starts at once on the lowest idle
+worker id, the same tie-break as a scan over the pool, and otherwise joins
+the queue; a completion under backlog gives the finishing worker the head
+of the queue; a worker that becomes ready takes the head of the queue, or
+goes idle when there is none. Idle workers wait in a min-heap of worker
+ids. A worker that exits through a scale-down while idle keeps its heap
+entry, which is skipped when popped; ids are never reused, so a stale id
+names no worker. Pool counts are kept as counters (starting, busy,
+draining) rather than recounted. Only busy workers ever drain (a starting
+victim is cancelled and an idle one exits at once), so the effective pool
+is every worker neither starting nor draining, and the committed pool is
+every worker not draining. Validate mode checks the invariant, the
+counters and the conservation identity after every event.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
+
+from .core import ACTIONS, as_action
 
 # event kind priorities (tie-break after time)
 _COMPLETION = 0
@@ -122,7 +131,7 @@ class FarmSim:
         self.workers[wid] = WorkerState(wid, STARTING, ready_at=ready_at)
         self._starting += 1
         self._last_scheduled_ready = ready_at
-        heapq.heappush(self._events, (ready_at, _WORKER_READY, wid, None))
+        heappush(self._events, (ready_at, _WORKER_READY, wid, None))
         return wid
 
     def _committed(self) -> int:
@@ -167,10 +176,12 @@ class FarmSim:
         pending start is cancelled, an idle worker exits now, a busy worker
         exits when its task completes.
         """
-        if abs(delta) > 1:
-            raise ValueError("scaling actions are unit steps")
+        step = as_action(delta)
+        if step is None:
+            raise ValueError(f"scaling actions are unit steps in {ACTIONS},"
+                             f" got {delta!r}")
         committed = self._committed()
-        applied = max(min(delta, self.config.n_max - committed),
+        applied = max(min(step, self.config.n_max - committed),
                       self.config.n_min - committed)
         applied = max(-1, min(1, applied))
         if applied > 0:
@@ -204,23 +215,27 @@ class FarmSim:
         end = self.clock + dt
         self._stats = StepStats()
         events, arrivals = self._events, self._arrivals
+        pop, next_arrival = heappop, arrivals.popleft
+        # bound per call, not per instance, so wrappers on the class apply
+        on_arrival, on_completion, on_ready = (
+            self._on_arrival, self._on_completion, self._on_worker_ready)
+        check = self._check_conservation if self.validate else None
         while True:
             if arrivals and (not events or arrivals[0] < events[0]):
                 if arrivals[0][0] > end:
                     break
-                self.clock, _, _, task = arrivals.popleft()
-                self._on_arrival(task)
+                self.clock, _, _, task = next_arrival()
+                on_arrival(task)
             elif events and events[0][0] <= end:
-                time, kind, eid, payload = heapq.heappop(events)
-                self.clock = time
+                self.clock, kind, eid, task = pop(events)
                 if kind == _COMPLETION:
-                    self._on_completion(eid, payload)
+                    on_completion(eid, task)
                 else:
-                    self._on_worker_ready(eid)
+                    on_ready(eid)
             else:
                 break
-            if self.validate:
-                self._check_conservation()
+            if check is not None:
+                check()
         self.clock = end
         return self._stats
 
@@ -241,72 +256,94 @@ class FarmSim:
         return len(self._arrivals)
 
     # -- event handlers -----------------------------------------------------
+    # Each keeps the backlog invariant: a task joins the queue only when no
+    # live worker is idle, and a worker goes idle only when the queue is
+    # empty. Starting a task is written out in each of them, as this is the
+    # per-task path.
 
     def _on_arrival(self, task):
-        self.q_work.append(task)
         self.enqueued_total += 1
         self._stats.arrived += 1
-        if self.trace is not None:
+        trace = self.trace
+        if trace is not None:
             self._record("arrival", task_id=task.task_id)
-        if self._idle:
-            self._dispatch()
+        if not self.q_work:
+            idle, workers = self._idle, self.workers
+            while idle:
+                worker = workers.get(heappop(idle))
+                if worker is not None:  # else it exited while idle
+                    worker.status = BUSY
+                    worker.task_id = task.task_id
+                    self._busy += 1
+                    heappush(self._events, (self.clock + task.service_time,
+                                            _COMPLETION, worker.worker_id,
+                                            task))
+                    if trace is not None:
+                        self._record("dispatch", task_id=task.task_id,
+                                     worker_id=worker.worker_id)
+                    return
+        self.q_work.append(task)
 
     def _on_completion(self, worker_id, task):
-        worker = self.workers.get(worker_id)
-        if worker is None or worker.task_id != task.task_id:
-            return  # stale event from an exited worker
+        # a busy worker leaves the pool only here, so no completion is stale
+        worker = self.workers[worker_id]
+        clock = self.clock
         self.completed_total += 1
-        met = self.clock - task.arrival_time <= task.deadline
-        self.completion_records.append((task.task_id, self.clock, met))
+        met = clock - task.arrival_time <= task.deadline
+        self.completion_records.append((task.task_id, clock, met))
         stats = self._stats
         stats.completed += 1
         stats.hits += met
         stats.service_times.append(task.service_time)
-        if self.trace is not None:
+        trace = self.trace
+        if trace is not None:
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)
-        self._busy -= 1
         if worker.draining:
             del self.workers[worker_id]
+            self._busy -= 1
             self._draining -= 1
-            if self.trace is not None:
+            if trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
+        elif self.q_work:
+            queued = self.q_work.popleft()
+            worker.task_id = queued.task_id
+            heappush(self._events, (clock + queued.service_time, _COMPLETION,
+                                    worker_id, queued))
+            if trace is not None:
+                self._record("dispatch", task_id=queued.task_id,
+                             worker_id=worker_id)
         else:
             worker.status = IDLE
             worker.task_id = -1
-            heapq.heappush(self._idle, worker_id)
-            if self.q_work:
-                self._dispatch()
+            self._busy -= 1
+            heappush(self._idle, worker_id)
 
     def _on_worker_ready(self, worker_id):
         worker = self.workers.get(worker_id)
         if worker is None or worker.status != STARTING:
             return  # cancelled by a scale-down before becoming ready
-        worker.status = IDLE
         self._starting -= 1
-        heapq.heappush(self._idle, worker_id)
-        if self.trace is not None:
+        trace = self.trace
+        if trace is not None:
             self._record("worker_ready", worker_id=worker_id)
-        self._dispatch()
-
-    def _dispatch(self):
-        while self.q_work and self._idle:
-            worker = self.workers.get(heapq.heappop(self._idle))
-            if worker is None:
-                continue  # exited through a scale-down while idle
+        if self.q_work:
             task = self.q_work.popleft()
             worker.status = BUSY
             worker.task_id = task.task_id
             self._busy += 1
-            heapq.heappush(self._events, (self.clock + task.service_time,
-                                          _COMPLETION, worker.worker_id, task))
-            if self.trace is not None:
+            heappush(self._events, (self.clock + task.service_time,
+                                    _COMPLETION, worker_id, task))
+            if trace is not None:
                 self._record("dispatch", task_id=task.task_id,
-                             worker_id=worker.worker_id)
+                             worker_id=worker_id)
+        else:
+            worker.status = IDLE
+            heappush(self._idle, worker_id)
 
     def _check_conservation(self):
-        """Conservation identity, plus the pool counters and idle heap
-        against a full scan of the workers."""
+        """Conservation identity and the backlog invariant, plus the pool
+        counters and idle heap against a full scan of the workers."""
         workers = self.workers.values()
         recount = {
             "busy": (self._busy, sum(w.status == BUSY for w in workers)),
@@ -325,6 +362,10 @@ class FarmSim:
             raise ConservationError(
                 f"idle heap holds {queued}, idle workers are {idle}"
                 f" at t={self.clock}")
+        if self.q_work and idle:
+            raise ConservationError(
+                f"{len(self.q_work)} tasks queued while workers {idle} are"
+                f" idle at t={self.clock}")
         expected = len(self.q_work) + self._busy + self.completed_total
         if self.enqueued_total != expected:
             raise ConservationError(

@@ -3,10 +3,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farmscale.core import RewardConfig
+from farmscale.core import RewardConfig, read_step_csv
 from farmscale.env import (REWARD_TERMS, FarmEnv, LifecycleError,
                            compute_reward)
 from tests.conftest import constant_service_tasks, single_phase_config
@@ -89,6 +90,28 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             env.step(2)
 
+    @pytest.mark.parametrize("action", [1.0, True, False, 0.5, -0.5,
+                                        np.float64(1.0), np.bool_(True), "1"],
+                             ids=repr)
+    def test_non_integer_action_rejected(self, small_env, action):
+        env, tasks = small_env
+        env.reset(tasks, seed=0)
+        with pytest.raises(ValueError, match="action must be in"):
+            env.step(action)
+        assert env.step_index == 0 and env.log.steps == []
+        assert env.sim.snapshot().workers_starting == 0
+
+    def test_numpy_integer_action_logged_as_int(self, small_env, tmp_path):
+        env, tasks = small_env
+        env.reset(tasks, seed=0)
+        env.step(np.int64(1))
+        env.step(np.int32(-1))
+        actions = [s.action for s in env.log.steps]
+        assert actions == [1, -1]
+        assert all(type(a) is int for a in actions)
+        env.log.write_step_csv(tmp_path / "steps.csv")
+        assert [r.action for r in read_step_csv(tmp_path / "steps.csv")] == [1, -1]
+
     def test_episode_terminates_when_drained(self, small_env):
         env, tasks = small_env
         env.reset(tasks, seed=0)
@@ -159,6 +182,27 @@ class TestStepObservations:
         env, tasks = small_env
         recs = self._run(env, tasks, policy=lambda k: -1)  # always scale down
         assert all(o.n_workers >= env.config.n_min for o, _, _ in recs)
+
+    @given(seed=st.integers(0, 1000), window=st.integers(1, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_window_service_stats_match_numpy(self, seed, window):
+        # t_proc_avg and t_proc_max against np.mean and max over the flat
+        # window, compared bit for bit
+        cfg = single_phase_config(3.0, 60.0, n_init=2, warm_start=True,
+                                  obs_window=window, step_duration=2.0)
+        rng = np.random.default_rng(seed)
+        tasks = [dataclasses.replace(t, service_time=s, deadline=3 * s)
+                 for t, s in zip(constant_service_tasks(3.0, 60.0, 1.0),
+                                 rng.uniform(0.05, 2.0, size=1000))]
+        env = FarmEnv(cfg, RewardConfig())
+        env.reset(tasks, seed=seed)
+        done = False
+        while not done:
+            obs, _, done, _ = env.step(int(rng.integers(-1, 2)))
+            durations = [d for step in env._completion_window for d in step]
+            assert obs.t_proc_avg == (float(np.mean(durations))
+                                      if durations else 0.0)
+            assert obs.t_proc_max == (max(durations) if durations else 0.0)
 
     def test_task_records_complete_at_termination(self, small_env):
         env, tasks = small_env

@@ -1,13 +1,18 @@
 """Episode summaries and the two pricing models."""
 
-import pytest
-from hypothesis import given, strategies as st
+import math
 
-from farmscale.core import (EpisodeLog, Observation, RewardConfig, StepRecord,
-                            TaskRecord)
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
+                            RewardConfig, StepRecord, TaskRecord)
 from farmscale.env import FarmEnv
-from farmscale.metrics import (CostConfig, aggregate, cost_paygo, cost_sub,
+from farmscale.metrics import (CostConfig, EpisodeSummary, PhaseSummary,
+                               aggregate, cost_paygo, cost_sub,
                                summarize_episode)
+from farmscale.workload import WorkloadPhaseSpec
 from tests.conftest import constant_service_tasks, single_phase_config
 
 
@@ -19,6 +24,41 @@ def step(k, n_workers, applied_delta=0, arrived=0, completed=0, hits=0,
     return StepRecord(step=k, observation=obs, action=applied_delta,
                       applied_delta=applied_delta, reward=reward,
                       arrived=arrived, completed=completed, hits=hits)
+
+
+def reference_summary(log, config) -> EpisodeSummary:
+    """``summarize_episode`` as a plain loop per task and a scan of the
+    steps per phase, with ``np.mean``: the reference the counted version
+    must match bit for bit."""
+    workers = [s.observation.n_workers for s in log.steps]
+    n_scale = sum(1 for s in log.steps if s.applied_delta != 0)
+    emitted = log.n_tasks or log.total_arrived
+    met = completed = 0
+    emitted_in = dict.fromkeys(range(len(config.phases)), 0)
+    met_in = dict(emitted_in)
+    for t in log.tasks:
+        met += bool(t.met)
+        completed += not math.isnan(t.completion)
+        if t.phase_index in emitted_in:
+            emitted_in[t.phase_index] += 1
+            met_in[t.phase_index] += bool(t.met)
+    per_phase = []
+    start = 0.0
+    for i, phase in enumerate(config.phases):
+        lo, hi = start, start + phase.duration
+        start += phase.duration
+        in_phase = [s.observation.n_workers for s in log.steps
+                    if lo <= (s.step - 1) * config.step_duration < hi]
+        per_phase.append(PhaseSummary(
+            i, met_in[i] / emitted_in[i] if emitted_in[i] else 1.0,
+            float(np.mean(in_phase)) if in_phase else 0.0,
+            emitted_in[i], met_in[i]))
+    return EpisodeSummary(
+        met / emitted if emitted else 1.0, float(np.mean(workers)),
+        int(max(workers)), n_scale, len(log.steps) - n_scale, len(log.steps),
+        len(log.steps) * config.step_duration,
+        float(sum(s.reward for s in log.steps)), emitted, completed, met,
+        per_phase)
 
 
 class TestCostPaygo:
@@ -136,6 +176,36 @@ class TestSummarize:
             expected = sum(t.met for t in members) / len(members)
             assert phase.qos == pytest.approx(expected)
         assert sum(p.emitted for p in summary.per_phase) == len(tasks)
+
+    # whole-second phases and grid step lengths put step starts exactly on
+    # phase boundaries
+    @given(durations=st.lists(st.integers(1, 40).map(float)
+                              | st.floats(1.0, 40.0), min_size=1, max_size=5),
+           step_duration=st.sampled_from((0.5, 1.0, 2.0, 8.0))
+                         | st.floats(0.5, 16.0),
+           first=st.integers(0, 1),
+           steps=st.lists(st.tuples(st.integers(0, 20),
+                                    st.sampled_from((-1, 0, 1))),
+                          min_size=1, max_size=80),
+           tasks=st.lists(st.tuples(st.integers(-1, 5), st.booleans(),
+                                    st.booleans()), max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_loop(self, durations, step_duration, first,
+                                    steps, tasks):
+        cfg = EpisodeConfig(
+            phases=tuple(WorkloadPhaseSpec("steady", 1.0, d, window=1.0)
+                         for d in durations),
+            step_duration=step_duration)
+        log = EpisodeLog(n_tasks=len(tasks))
+        for k, (n, delta) in enumerate(steps, start=first):
+            log.add_step(step(k, n, applied_delta=delta, reward=0.1 * n))
+        for i, (phase, done, met) in enumerate(tasks):
+            log.add_task(TaskRecord(
+                task_id=i, arrival=0.0, size=512, service=0.05, deadline=0.1,
+                completion=0.2 if done else float("nan"), met=done and met,
+                phase_index=phase))
+        assert (repr(summarize_episode(log, cfg))
+                == repr(reference_summary(log, cfg)))
 
     def test_episode_summary_roundtrips_as_dict(self):
         cfg = self._config()

@@ -1,6 +1,7 @@
 """Event-driven farm simulator: startup, conservation, scaling, static runs."""
 
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
@@ -11,6 +12,76 @@ from farmscale.core import TaskSpec
 from farmscale.sim import (BUSY, IDLE, STARTING, ConservationError, FarmSim,
                            Snapshot, static_run, static_scaling_experiment)
 from tests.conftest import constant_service_tasks, single_phase_config
+
+
+class DispatchReferenceSim(FarmSim):
+    """The simulator's event handlers before tasks were handed straight to
+    their workers: every arrival joins the queue, every freed or ready
+    worker joins the idle heap, and ``_dispatch`` pairs the two. Kept as
+    the reference the direct handoff must match event for event."""
+
+    def _on_arrival(self, task):
+        self.q_work.append(task)
+        self.enqueued_total += 1
+        self._stats.arrived += 1
+        if self.trace is not None:
+            self._record("arrival", task_id=task.task_id)
+        if self._idle:
+            self._dispatch()
+
+    def _on_completion(self, worker_id, task):
+        worker = self.workers.get(worker_id)
+        if worker is None or worker.task_id != task.task_id:
+            return  # stale event from an exited worker
+        self.completed_total += 1
+        met = self.clock - task.arrival_time <= task.deadline
+        self.completion_records.append((task.task_id, self.clock, met))
+        stats = self._stats
+        stats.completed += 1
+        stats.hits += met
+        stats.service_times.append(task.service_time)
+        if self.trace is not None:
+            self._record("completion", task_id=task.task_id,
+                         worker_id=worker_id)
+        self._busy -= 1
+        if worker.draining:
+            del self.workers[worker_id]
+            self._draining -= 1
+            if self.trace is not None:
+                self._record("worker_exit", worker_id=worker_id)
+        else:
+            worker.status = IDLE
+            worker.task_id = -1
+            heapq.heappush(self._idle, worker_id)
+            if self.q_work:
+                self._dispatch()
+
+    def _on_worker_ready(self, worker_id):
+        worker = self.workers.get(worker_id)
+        if worker is None or worker.status != STARTING:
+            return  # cancelled by a scale-down before becoming ready
+        worker.status = IDLE
+        self._starting -= 1
+        heapq.heappush(self._idle, worker_id)
+        if self.trace is not None:
+            self._record("worker_ready", worker_id=worker_id)
+        self._dispatch()
+
+    def _dispatch(self):
+        while self.q_work and self._idle:
+            worker = self.workers.get(heapq.heappop(self._idle))
+            if worker is None:
+                continue  # exited through a scale-down while idle
+            task = self.q_work.popleft()
+            worker.status = BUSY
+            worker.task_id = task.task_id
+            self._busy += 1
+            heapq.heappush(self._events, (self.clock + task.service_time,
+                                          sim_module._COMPLETION,
+                                          worker.worker_id, task))
+            if self.trace is not None:
+                self._record("dispatch", task_id=task.task_id,
+                             worker_id=worker.worker_id)
 
 
 def make_sim(n_init=4, seed=0, warm=False, **kwargs):
@@ -66,13 +137,12 @@ class TestInjection:
         assert sim.pending_arrivals == 2
 
 
-def grid_sim(warm, n_init, seed):
+def grid_sim(warm, n_init, seed, cls=FarmSim):
     """Validating, tracing sim whose startups take exactly 1.0: with task
     times on a 0.5 grid, readies tie with arrivals and completions."""
     cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init, n_max=4,
                               warm_start=warm, scale_up_latency=(1.0, 1.0))
-    return FarmSim(cfg, np.random.default_rng(seed), validate=True,
-                   trace=True)
+    return cls(cfg, np.random.default_rng(seed), validate=True, trace=True)
 
 
 class TestMergedArrivals:
@@ -197,6 +267,24 @@ class TestScaling:
         sim.advance(60.0)
         assert sim.completed_total == 1  # drain preserved the task
 
+    @pytest.mark.parametrize("delta", [0.5, -0.5, 1.0, -1.0, True, False, 2,
+                                       np.float64(1.0), np.bool_(True)],
+                             ids=repr)
+    def test_non_unit_integer_rejected(self, delta):
+        sim = make_sim(n_init=2, warm=True)
+        with pytest.raises(ValueError, match="scaling actions are unit steps"):
+            sim.request_scale(delta)
+        assert sim.snapshot() == scanned_snapshot(sim)
+        assert sorted(sim.workers) == [0, 1]
+        assert sim.snapshot().workers_starting == 0
+
+    def test_numpy_integer_applied_as_int(self):
+        sim = make_sim(n_init=2, warm=True)
+        applied = [sim.request_scale(np.int64(1)),
+                   sim.request_scale(np.int8(-1))]
+        assert applied == [1, -1]
+        assert all(type(a) is int for a in applied)
+
     def test_victim_is_most_recently_started(self):
         sim = make_sim(n_init=3, warm=True)
         sim.advance(1.0)
@@ -252,22 +340,31 @@ def scanned_snapshot(sim):
     )
 
 
-def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed):
+def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed,
+                  reference=False):
     """Run (action, dt) pairs through request_scale/advance on a validating
-    sim, checking the counters against a full scan after every call.
+    sim, checking the counters against a full scan after every call. With
+    ``reference``, a tracing ``DispatchReferenceSim`` runs the same program
+    in step, and every applied action, snapshot, the trace and the
+    completion records must equal the simulator's.
 
     Returns the statuses of the scale-down victims: "starting" (cancelled),
     "idle" (exited at once) or "busy" (drained)."""
     cfg = single_phase_config(2.0, 60.0, n_min=n_min, n_init=n_init,
                               n_max=n_max, warm_start=warm,
                               scale_up_latency=(1.0, 4.0))
-    sim = FarmSim(cfg, np.random.default_rng([seed, 0]), validate=True)
     task_rng = np.random.default_rng([seed, 1])
     arrivals = np.cumsum(task_rng.exponential(0.5, size=120))
-    sim.inject_tasks([
-        simple_task(i, float(a),
-                    service=float(task_rng.uniform(0.1, service_scale)))
-        for i, a in enumerate(arrivals)])
+    tasks = [simple_task(i, float(a),
+                         service=float(task_rng.uniform(0.1, service_scale)))
+             for i, a in enumerate(arrivals)]
+    sims = [cls(cfg, np.random.default_rng([seed, 0]), validate=True,
+                trace=reference)
+            for cls in ((FarmSim, DispatchReferenceSim) if reference
+                        else (FarmSim,))]
+    for one in sims:
+        one.inject_tasks(tasks)
+    sim, others = sims[0], sims[1:]
     victims = set()
     for action, dt in program:
         victim = max((w for w in sim.workers.values() if not w.draining),
@@ -283,8 +380,17 @@ def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed):
         committed = sum(not w.draining for w in sim.workers.values())
         assert n_min <= committed <= n_max
         assert sim.snapshot() == scanned_snapshot(sim)
+        for other in others:
+            assert other.request_scale(action) == applied
+            assert other.snapshot() == sim.snapshot()
         sim.advance(dt)
         assert sim.snapshot() == scanned_snapshot(sim)
+        for other in others:
+            other.advance(dt)
+            assert other.snapshot() == sim.snapshot()
+    for other in others:
+        assert other.trace == sim.trace
+        assert other.completion_records == sim.completion_records
     return victims
 
 
@@ -329,6 +435,65 @@ class TestPoolCounters:
         sim._idle.remove(1)
         sim.inject_tasks([simple_task(0, 0.5)])
         with pytest.raises(ConservationError, match="idle heap"):
+            sim.advance(1.0)
+
+
+class TestDispatchReference:
+    @given(warm=st.booleans(), n_min=st.integers(1, 2),
+           extra=st.integers(0, 2), span=st.integers(0, 3),
+           service_scale=st.floats(min_value=0.5, max_value=8.0),
+           program=scaling_programs, seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_direct_handoff_matches_dispatch(self, warm, n_min, extra, span,
+                                             service_scale, program, seed):
+        drive_scaling(warm, n_min, n_min + extra, n_min + extra + span,
+                      service_scale, program, seed, reference=True)
+
+    def test_matches_dispatch_in_every_scale_down_case(self):
+        rng = np.random.default_rng(5)
+        victims = set()
+        for warm in (False, True):
+            for service_scale in (0.5, 6.0):
+                program = [(int(rng.integers(-1, 2)),
+                            float(rng.uniform(0.05, 6.0)))
+                           for _ in range(60)]
+                victims |= drive_scaling(warm, 1, 2, 4, service_scale,
+                                         program, seed=3, reference=True)
+        assert victims == {STARTING, IDLE, BUSY}
+
+    @given(slots=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
+                          min_size=1, max_size=40),
+           program=st.lists(st.tuples(st.sampled_from((-1, 0, 1)),
+                                      st.integers(1, 4)),
+                            min_size=1, max_size=30),
+           warm=st.booleans(), n_init=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dispatch_under_ties(self, slots, program, warm, n_init):
+        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
+                 for i, (a, s) in enumerate(slots)]
+        sim, reference = (grid_sim(warm, n_init, 7, cls)
+                          for cls in (FarmSim, DispatchReferenceSim))
+        sim.inject_tasks(tasks)
+        reference.inject_tasks(tasks)
+        for action, dt in [*program, (0, 200)]:
+            assert sim.request_scale(action) == reference.request_scale(action)
+            sim.advance(0.5 * dt)
+            reference.advance(0.5 * dt)
+            assert sim.snapshot() == reference.snapshot()
+        assert sim.trace == reference.trace
+        assert sim.completion_records == reference.completion_records
+        assert sim.completed_total == len(tasks)
+
+
+class TestBacklogInvariant:
+    def test_validate_finds_queued_task_beside_idle_worker(self):
+        sim = make_sim(n_init=2, warm=True)
+        sim.q_work.append(simple_task(99, 0.0))  # queued, yet 0 and 1 idle
+        sim.enqueued_total += 1
+        sim.inject_tasks([simple_task(0, 0.5)])
+        with pytest.raises(ConservationError,
+                           match=r"2 tasks queued while workers \[0, 1\] are"
+                                 r" idle at t=0\.5"):
             sim.advance(1.0)
 
 
