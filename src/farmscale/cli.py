@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from .core import write_csv
 from .dqn import DqnAgent
 from .env import FarmEnv
 from .metrics import aggregate, cost_paygo, cost_sub
@@ -206,12 +207,10 @@ def cmd_compare(args):
 
 
 def _write_dict_csv(path, rows):
-    if not rows:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    """Rows of dicts that share one key order, under a header of those
+    keys."""
+    if rows:
+        write_csv(path, rows[0].keys(), map(dict.values, rows))
 
 
 def build_parser() -> argparse.ArgumentParser:

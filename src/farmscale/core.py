@@ -8,6 +8,7 @@ derived. No module-level mutable state.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -245,36 +246,35 @@ STEP_COLUMNS = ("step", *OBSERVATION_FIELDS, *_STEP_SCALARS)
 _step_scalar_values = attrgetter(*_STEP_SCALARS)
 
 
-@dataclass(slots=True)
-class TaskRecord:
-    task_id: int
-    arrival: float
-    size: int
-    service: float
-    deadline: float
-    completion: float  # nan when never completed
-    met: bool
-    phase_index: int = 0
+TASK_COLUMNS = ("task_id", "arrival", "size", "service", "deadline",
+                "completion", "met")
+_task_values = attrgetter("task_id", "arrival_time", "size_px",
+                          "service_time", "deadline")
 
 
-TASK_COLUMNS = tuple(f.name for f in fields(TaskRecord)
-                     if f.name != "phase_index")
-_task_values = attrgetter(*TASK_COLUMNS)
+def write_csv(path, header, rows):
+    """Write ``header`` and then each of ``rows`` to ``path`` as CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass
 class EpisodeLog:
-    """Per-step and per-task records of one episode."""
+    """One episode: its workload, the simulator's completion records
+    ``(task, completion_time, met)`` and the per-step records."""
 
-    n_tasks: int = 0
-    steps: list = field(default_factory=list)
     tasks: list = field(default_factory=list)
+    completions: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
 
     def add_step(self, record: StepRecord):
         self.steps.append(record)
 
-    def add_task(self, record: TaskRecord):
-        self.tasks.append(record)
+    @property
+    def n_tasks(self) -> int:
+        return len(self.tasks)
 
     @property
     def total_arrived(self) -> int:
@@ -289,19 +289,17 @@ class EpisodeLog:
             yield (s.step, *s.observation.as_tuple(), *_step_scalar_values(s))
 
     def write_step_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(STEP_COLUMNS)
-            writer.writerows(self.step_rows())
+        write_csv(path, STEP_COLUMNS, self.step_rows())
 
     def write_task_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TASK_COLUMNS)
-            for t in self.tasks:
-                # met, the one bool, is written as 0/1
-                writer.writerow([int(v) if isinstance(v, bool) else v
-                                 for v in _task_values(t)])
+        """One row per task in workload order; a task that never completed
+        has completion ``nan`` and counts as missed. ``met`` is 0/1."""
+        done = {task.task_id: (time, int(met))
+                for task, time, met in self.completions}
+        unfinished = (math.nan, 0)
+        write_csv(path, TASK_COLUMNS,
+                  ((*_task_values(t), *done.get(t.task_id, unfinished))
+                   for t in self.tasks))
 
 
 def read_step_csv(path) -> list:

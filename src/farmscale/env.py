@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import (ACTIONS, EpisodeLog, Observation, StepRecord, TaskRecord,
+from .core import (ACTIONS, EpisodeLog, Observation, StepRecord,
                    RewardConfig, as_action)
 from .sim import FarmSim
 
@@ -27,10 +27,6 @@ REWARD_TERMS = (
     "scale_down_bonus",
     "stable_bonus",
 )
-
-
-# (completion, met) of a task that never completed: it counts as missed
-_UNFINISHED = (math.nan, False)
 
 
 class LifecycleError(RuntimeError):
@@ -99,8 +95,8 @@ class FarmEnv:
         """Start a fresh episode over the given task list."""
         self.sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
         self.sim.inject_tasks(workload)
-        self._workload = list(workload)
-        self.log = EpisodeLog(n_tasks=len(workload))
+        # the sim appends to its completion records, so the log stays current
+        self.log = EpisodeLog(list(workload), self.sim.completion_records)
         self.step_index = 0
         self._completion_window = deque(maxlen=self.config.obs_window)
         self._max_window = deque(maxlen=self.config.obs_window)
@@ -145,8 +141,6 @@ class FarmEnv:
             step=self.step_index, observation=obs, action=action_int,
             applied_delta=applied, reward=reward, arrived=stats.arrived,
             completed=stats.completed, hits=stats.hits, reward_terms=terms))
-        if self._terminated:
-            self._finalize_task_records()
 
         info = {
             "arrived": stats.arrived,
@@ -180,14 +174,3 @@ class FarmEnv:
             arrival_rate=window_arrivals / window_time,
             qos_step=self._last_qos,
         )
-
-    def _finalize_task_records(self):
-        done = {tid: (t, met) for tid, t, met in self.sim.completion_records}
-        get = done.get
-        self.log.tasks = records = []
-        for task in self._workload:
-            completion, met = get(task.task_id, _UNFINISHED)
-            records.append(TaskRecord(
-                task.task_id, task.arrival_time, task.size_px,
-                task.service_time, task.deadline, completion, met,
-                task.phase_index))

@@ -7,11 +7,10 @@ each task to its emission phase.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import attrgetter
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 from .core import FieldError
 
 _phase_index = attrgetter("phase_index")
-_met = attrgetter("met")
-_completion = attrgetter("completion")
 
 
 @dataclass(frozen=True)
@@ -93,17 +90,17 @@ def _mean_of_ints(values) -> float:
 
 def summarize_episode(log, config) -> EpisodeSummary:
     """Reduce one episode log; unfinished tasks count as deadline misses."""
-    steps, tasks = log.steps, log.tasks
+    steps = log.steps
     if not steps:
         raise ValueError("empty episode log")
     workers = [s.observation.n_workers for s in steps]
     n_scale = sum(1 for s in steps if s.applied_delta != 0)
     emitted = log.n_tasks or log.total_arrived
-    phase_of = list(map(_phase_index, tasks))
-    emitted_in = Counter(phase_of)  # by phase
-    met_in = Counter(compress(phase_of, map(_met, tasks)))
+    emitted_in = Counter(map(_phase_index, log.tasks))  # by phase
+    met_in = Counter(task.phase_index for task, _, met in log.completions
+                     if met)
     met = sum(met_in.values())
-    completed = len(tasks) - sum(map(math.isnan, map(_completion, tasks)))
+    completed = len(log.completions)
 
     # step -> phase by step start time over the nominal spans [start, end)
     ends = list(accumulate(phase.duration for phase in config.phases))

@@ -54,7 +54,6 @@ class WorkerState:
     status: str  # starting | idle | busy
     draining: bool = False
     ready_at: float = 0.0
-    task_id: int = -1
 
 
 @dataclass
@@ -93,7 +92,7 @@ class FarmSim:
         self.workers: dict[int, WorkerState] = {}
         self.enqueued_total = 0
         self.completed_total = 0
-        self.completion_records = []  # (task_id, completion_time, met)
+        self.completion_records = []  # (task, completion_time, met)
         self._events = []  # (time, kind, id, payload): completions, readies
         self._arrivals = deque()  # (time, _ARRIVAL, task_id, task), sorted
         self._task_ids = set()
@@ -273,7 +272,6 @@ class FarmSim:
                 worker = workers.get(heappop(idle))
                 if worker is not None:  # else it exited while idle
                     worker.status = BUSY
-                    worker.task_id = task.task_id
                     self._busy += 1
                     heappush(self._events, (self.clock + task.service_time,
                                             _COMPLETION, worker.worker_id,
@@ -290,7 +288,7 @@ class FarmSim:
         clock = self.clock
         self.completed_total += 1
         met = clock - task.arrival_time <= task.deadline
-        self.completion_records.append((task.task_id, clock, met))
+        self.completion_records.append((task, clock, met))
         stats = self._stats
         stats.completed += 1
         stats.hits += met
@@ -307,7 +305,6 @@ class FarmSim:
                 self._record("worker_exit", worker_id=worker_id)
         elif self.q_work:
             queued = self.q_work.popleft()
-            worker.task_id = queued.task_id
             heappush(self._events, (clock + queued.service_time, _COMPLETION,
                                     worker_id, queued))
             if trace is not None:
@@ -315,7 +312,6 @@ class FarmSim:
                              worker_id=worker_id)
         else:
             worker.status = IDLE
-            worker.task_id = -1
             self._busy -= 1
             heappush(self._idle, worker_id)
 
@@ -330,7 +326,6 @@ class FarmSim:
         if self.q_work:
             task = self.q_work.popleft()
             worker.status = BUSY
-            worker.task_id = task.task_id
             self._busy += 1
             heappush(self._events, (self.clock + task.service_time,
                                     _COMPLETION, worker_id, task))

@@ -10,10 +10,10 @@ greedy act. All randomness is seeded per episode, so runs are reproducible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
+from .core import write_csv
 from .env import FarmEnv
 from .metrics import summarize_episode
 from .workload import build_episode_workload
@@ -97,7 +97,4 @@ def evaluate_policy(policy, env: FarmEnv, dist, model, seeds,
 
 
 def write_training_curve(records, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        writer.writerows(map(attrgetter(*CURVE_COLUMNS), records))
+    write_csv(path, CURVE_COLUMNS, map(attrgetter(*CURVE_COLUMNS), records))

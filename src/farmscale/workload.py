@@ -16,7 +16,8 @@ from operator import attrgetter, mul
 
 import numpy as np
 
-from .core import FieldError, TaskSpec, compute_deadline, parse_fields
+from .core import (FieldError, TaskSpec, compute_deadline, parse_fields,
+                   write_csv)
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -319,10 +320,8 @@ WORKLOAD_COLUMNS = tuple(f.name for f in fields(TaskSpec))
 
 
 def write_workload_csv(tasks, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WORKLOAD_COLUMNS)
-        writer.writerows(map(attrgetter(*WORKLOAD_COLUMNS), tasks))
+    write_csv(path, WORKLOAD_COLUMNS,
+              map(attrgetter(*WORKLOAD_COLUMNS), tasks))
 
 
 def read_workload_csv(path) -> list:

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from farmscale.core import (OBSERVATION_FIELDS, STEP_COLUMNS, EpisodeConfig,
                             EpisodeLog, Observation, RewardConfig, StepRecord,
-                            TaskRecord, TaskSpec, compute_deadline,
-                            deadline_met, read_step_csv)
+                            TaskSpec, compute_deadline, deadline_met,
+                            read_step_csv)
 from farmscale.workload import WORKLOAD_COLUMNS, WorkloadPhaseSpec
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -188,19 +188,14 @@ class TestRewardConfig:
 
 class TestEpisodeLog:
     def _small_log(self):
-        log = EpisodeLog(n_tasks=2)
+        tasks = [TaskSpec(0, 0.1, 512, 0.05, 0.09, 0),
+                 TaskSpec(1, 0.2, 1024, 0.17, 0.35, 0)]
+        log = EpisodeLog(tasks, [(tasks[0], 0.2, False)])
         obs = Observation.from_values([0, 1, 0, 0, 2, 1.5, 2.9, 5.0, 1.0])
         log.add_step(StepRecord(step=0, observation=obs, action=1,
                                 applied_delta=1, reward=0.5, arrived=3,
                                 completed=2, hits=2,
                                 reward_terms={"qos_tracking": 0.5}))
-        log.add_task(TaskRecord(task_id=0, arrival=0.1, size=512,
-                                service=0.05, deadline=0.09, completion=0.2,
-                                met=False, phase_index=0))
-        log.add_task(TaskRecord(task_id=1, arrival=0.2, size=1024,
-                                service=0.17, deadline=0.35,
-                                completion=float("nan"), met=False,
-                                phase_index=0))
         return log
 
     def test_step_csv_round_trip(self, tmp_path):
@@ -243,10 +238,14 @@ class TestEpisodeLog:
         path = tmp_path / "tasks.csv"
         log.write_task_csv(path)
         lines = path.read_text().splitlines()
-        assert len(lines) == 3  # header + 2 tasks
-        assert lines[0].split(",")[0] == "task_id"
+        assert lines == [
+            "task_id,arrival,size,service,deadline,completion,met",
+            "0,0.1,512,0.05,0.09,0.2,0",
+            "1,0.2,1024,0.17,0.35,nan,0",  # never completed
+        ]
 
     def test_counters(self):
         log = self._small_log()
+        assert log.n_tasks == 2
         assert log.total_arrived == 3
         assert log.total_completed == 2

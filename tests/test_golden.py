@@ -4,7 +4,8 @@ Criterion 3 compares a trace with a replay of itself, so a change to the
 dispatch order or to a random stream would still pass it. These digests
 (the first 16 hex digits of sha256 over ``repr``) were recorded before the
 simulator and workload hot paths were optimised and must not move unless a
-change to the outputs is intended. They were measured on numpy 2.4.6; a
+change to the outputs is intended. The ``farmscale run`` pins are the same
+digest over each output file's bytes. They were measured on numpy 2.4.6; a
 numpy release may change the ``Generator`` streams and so these values.
 """
 
@@ -12,7 +13,9 @@ import dataclasses
 import hashlib
 
 import pytest
+import yaml
 
+from farmscale.cli import main
 from farmscale.config import sarsa_config
 from farmscale.env import FarmEnv
 from farmscale.sarsa import SarsaAgent, default_discretizer
@@ -51,3 +54,23 @@ def test_sarsa_qtable_digest(defaults, ep_config, rw_config, model_and_dist):
     assert digest([(state, row.tolist())
                    for state, row in sorted(agent.qtable.items())]
                   ) == "a2ea3c333dade7d4"
+
+
+@pytest.mark.parametrize("config, expected", [
+    (None, {"steps.csv": "ba83ce5340cf0a4c", "tasks.csv": "1a96ef47508a65be",
+            "summary.json": "905da6b58fdabc2f"}),
+    # ends before the backlog drains: tasks.csv holds nan completions
+    ({"drain_cap": 0, "n_max": 4, "n_init": 2},
+     {"steps.csv": "febe936b03f9f8fe", "tasks.csv": "b484d5087a4cb39a",
+      "summary.json": "610f751259f78f58"}),
+], ids=["default", "undrained"])
+def test_run_output_digests(tmp_path, config, expected):
+    out = tmp_path / "out"
+    args = ["run", "--policy", "reactive-avg", "--seed", "3", "--out", str(out)]
+    if config is not None:
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(config))
+        args += ["--config", str(path)]
+    assert main(args) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+            for name in expected} == expected

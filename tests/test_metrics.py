@@ -1,13 +1,11 @@
 """Episode summaries and the two pricing models."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
-                            RewardConfig, StepRecord, TaskRecord)
+                            RewardConfig, StepRecord, TaskSpec)
 from farmscale.env import FarmEnv
 from farmscale.metrics import (CostConfig, EpisodeSummary, PhaseSummary,
                                aggregate, cost_paygo, cost_sub,
@@ -26,6 +24,11 @@ def step(k, n_workers, applied_delta=0, arrived=0, completed=0, hits=0,
                       arrived=arrived, completed=completed, hits=hits)
 
 
+def task(task_id, phase_index=0):
+    return TaskSpec(task_id=task_id, arrival_time=0.1, size_px=512,
+                    service_time=0.05, deadline=0.1, phase_index=phase_index)
+
+
 def reference_summary(log, config) -> EpisodeSummary:
     """``summarize_episode`` as a plain loop per task and a scan of the
     steps per phase, with ``np.mean``: the reference the counted version
@@ -33,15 +36,17 @@ def reference_summary(log, config) -> EpisodeSummary:
     workers = [s.observation.n_workers for s in log.steps]
     n_scale = sum(1 for s in log.steps if s.applied_delta != 0)
     emitted = log.n_tasks or log.total_arrived
+    met_of = {t.task_id: met for t, _, met in log.completions}
     met = completed = 0
     emitted_in = dict.fromkeys(range(len(config.phases)), 0)
     met_in = dict(emitted_in)
     for t in log.tasks:
-        met += bool(t.met)
-        completed += not math.isnan(t.completion)
+        t_met = met_of.get(t.task_id, False)
+        met += bool(t_met)
+        completed += t.task_id in met_of
         if t.phase_index in emitted_in:
             emitted_in[t.phase_index] += 1
-            met_in[t.phase_index] += bool(t.met)
+            met_in[t.phase_index] += bool(t_met)
     per_phase = []
     start = 0.0
     for i, phase in enumerate(config.phases):
@@ -122,7 +127,7 @@ class TestSummarize:
 
     def test_hand_built_counters(self):
         cfg = self._config()
-        log = EpisodeLog(n_tasks=0)
+        log = EpisodeLog()
         for k, (n, d) in enumerate(zip([2, 2, 3], [0, 0, 1])):
             log.add_step(step(k, n, applied_delta=d, reward=1.0))
         summary = summarize_episode(log, cfg)
@@ -134,25 +139,16 @@ class TestSummarize:
 
     def test_all_met_gives_unit_qos(self):
         cfg = self._config()
-        log = EpisodeLog(n_tasks=2)
+        tasks = [task(0), task(1)]
+        log = EpisodeLog(tasks, [(t, 0.2, True) for t in tasks])
         log.add_step(step(0, 2, completed=2, hits=2, arrived=2))
-        for i in range(2):
-            log.add_task(TaskRecord(task_id=i, arrival=0.1, size=512,
-                                    service=0.05, deadline=0.1,
-                                    completion=0.2, met=True, phase_index=0))
         assert summarize_episode(log, cfg).final_qos == 1.0
 
     def test_unfinished_tasks_count_as_missed(self):
         cfg = self._config()
-        log = EpisodeLog(n_tasks=2)
+        tasks = [task(0), task(1)]
+        log = EpisodeLog(tasks, [(tasks[0], 0.2, True)])  # 1 never completes
         log.add_step(step(0, 2, completed=1, hits=1, arrived=2))
-        log.add_task(TaskRecord(task_id=0, arrival=0.1, size=512,
-                                service=0.05, deadline=0.1, completion=0.2,
-                                met=True, phase_index=0))
-        log.add_task(TaskRecord(task_id=1, arrival=0.2, size=512,
-                                service=0.05, deadline=0.1,
-                                completion=float("nan"), met=False,
-                                phase_index=0))
         assert summarize_episode(log, cfg).final_qos == pytest.approx(0.5)
 
     def test_empty_log_rejected(self):
@@ -170,10 +166,12 @@ class TestSummarize:
         while not done:
             _, _, done, _ = env.step(1)
         summary = summarize_episode(env.log, ep_config)
+        met_ids = {t.task_id for t, _, met in env.log.completions if met}
         for idx, phase in enumerate(summary.per_phase):
             members = [t for t in env.log.tasks if t.phase_index == idx]
             assert phase.emitted == len(members)
-            expected = sum(t.met for t in members) / len(members)
+            expected = (sum(t.task_id in met_ids for t in members)
+                        / len(members))
             assert phase.qos == pytest.approx(expected)
         assert sum(p.emitted for p in summary.per_phase) == len(tasks)
 
@@ -196,20 +194,17 @@ class TestSummarize:
             phases=tuple(WorkloadPhaseSpec("steady", 1.0, d, window=1.0)
                          for d in durations),
             step_duration=step_duration)
-        log = EpisodeLog(n_tasks=len(tasks))
+        specs = [task(i, phase) for i, (phase, _, _) in enumerate(tasks)]
+        log = EpisodeLog(specs, [(spec, 0.2, met) for spec, (_, done, met)
+                                 in zip(specs, tasks) if done])
         for k, (n, delta) in enumerate(steps, start=first):
             log.add_step(step(k, n, applied_delta=delta, reward=0.1 * n))
-        for i, (phase, done, met) in enumerate(tasks):
-            log.add_task(TaskRecord(
-                task_id=i, arrival=0.0, size=512, service=0.05, deadline=0.1,
-                completion=0.2 if done else float("nan"), met=done and met,
-                phase_index=phase))
         assert (repr(summarize_episode(log, cfg))
                 == repr(reference_summary(log, cfg)))
 
     def test_episode_summary_roundtrips_as_dict(self):
         cfg = self._config()
-        log = EpisodeLog(n_tasks=0)
+        log = EpisodeLog()
         log.add_step(step(0, 2))
         d = summarize_episode(log, cfg).as_dict()
         assert d["mean_workers"] == 2.0

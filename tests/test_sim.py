@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from farmscale import sim as sim_module
-from farmscale.core import TaskSpec
+from farmscale.core import TaskSpec, deadline_met
 from farmscale.sim import (BUSY, IDLE, STARTING, ConservationError, FarmSim,
                            Snapshot, static_run, static_scaling_experiment)
 from tests.conftest import constant_service_tasks, single_phase_config
+from tests.test_acceptance import _fuzz_sim
 
 
 class DispatchReferenceSim(FarmSim):
@@ -30,12 +31,11 @@ class DispatchReferenceSim(FarmSim):
             self._dispatch()
 
     def _on_completion(self, worker_id, task):
-        worker = self.workers.get(worker_id)
-        if worker is None or worker.task_id != task.task_id:
-            return  # stale event from an exited worker
+        # a busy worker leaves the pool only here, so no completion is stale
+        worker = self.workers[worker_id]
         self.completed_total += 1
         met = self.clock - task.arrival_time <= task.deadline
-        self.completion_records.append((task.task_id, self.clock, met))
+        self.completion_records.append((task, self.clock, met))
         stats = self._stats
         stats.completed += 1
         stats.hits += met
@@ -51,7 +51,6 @@ class DispatchReferenceSim(FarmSim):
                 self._record("worker_exit", worker_id=worker_id)
         else:
             worker.status = IDLE
-            worker.task_id = -1
             heapq.heappush(self._idle, worker_id)
             if self.q_work:
                 self._dispatch()
@@ -74,7 +73,6 @@ class DispatchReferenceSim(FarmSim):
                 continue  # exited through a scale-down while idle
             task = self.q_work.popleft()
             worker.status = BUSY
-            worker.task_id = task.task_id
             self._busy += 1
             heapq.heappush(self._events, (self.clock + task.service_time,
                                           sim_module._COMPLETION,
@@ -322,6 +320,21 @@ class TestConservationAndDeterminism:
         t1 = self._run_fuzz(123, trace=True).trace
         t2 = self._run_fuzz(123, trace=True).trace
         assert t1 == t2
+
+    def test_completions_follow_the_one_deadline_rule(self):
+        fuzz = _fuzz_sim(11).completion_records  # the criterion-3 run
+        met = [m for _, _, m in fuzz]
+        assert len(met) == 3500 and 0 < sum(met) < len(met)
+        # one worker, three tasks at 0 with deadline 2: latencies 1, 2, 3
+        sim = make_sim(n_init=1, warm=True)
+        sim.inject_tasks([simple_task(i, 0.0) for i in range(3)])
+        sim.advance(10.0)
+        boundary = sim.completion_records
+        assert [m for _, _, m in boundary] == [True, True, False]
+        for records in (fuzz, boundary):
+            assert [m for _, _, m in records] == [
+                deadline_met(task.arrival_time, time, task.deadline)
+                for task, time, _ in records]
 
 
 def scanned_snapshot(sim):
