@@ -62,8 +62,8 @@ class LearningAgent:
 
 
 def check_gamma_and_epsilon(cfg):
-    """The checks both agents' configs share: 0 <= gamma < 1 and
-    epsilon_min <= epsilon_start <= 1."""
+    """The checks both agents' configs share: 0 <= gamma < 1,
+    epsilon_min <= epsilon_start <= 1 and 0 < epsilon_decay <= 1."""
     if not (0 <= cfg.gamma < 1):
         raise FieldError("gamma", "gamma must lie in [0, 1)")
     if cfg.epsilon_start > 1:
@@ -71,6 +71,8 @@ def check_gamma_and_epsilon(cfg):
                          "need epsilon_min <= epsilon_start <= 1")
     if cfg.epsilon_min > cfg.epsilon_start:
         raise FieldError("epsilon_min", "need epsilon_min <= epsilon_start <= 1")
+    if not (0 < cfg.epsilon_decay <= 1):
+        raise FieldError("epsilon_decay", "epsilon_decay must lie in (0, 1]")
 
 
 def checkpoint_value(blob: dict, path, key: str, where: str = "checkpoint"):

@@ -53,7 +53,9 @@ def load_config(path=None) -> dict:
 
     Each loaded value must have the type of its default: an int key takes
     only an integer, a float key an integer or a float, a bool key only a
-    bool; a bool is never taken as a number.
+    bool; a bool is never taken as a number. Every config object is built
+    once, so a value out of range raises ``ConfigError`` here, whichever
+    objects the command goes on to use.
     """
     cfg = dict(DEFAULTS)
     if path is not None:
@@ -70,6 +72,9 @@ def load_config(path=None) -> dict:
                                  f"{type(DEFAULTS[key]).__name__}, "
                                  f"got {value!r}")
         cfg.update(loaded)
+        for build in (episode_config, reward_config, sarsa_config,
+                      dqn_config, cost_config):
+            build(cfg)
     return cfg
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 ACTIONS = (-1, 0, 1)
 
@@ -27,7 +27,6 @@ def as_action(value):
         value = int(value)
     return value if value in ACTIONS else None
 
-_PARSERS = {"int": int, "float": float}
 
 # The types a value may have to replace a default of each type; a bool is
 # never taken as a number.
@@ -68,23 +67,9 @@ def deadline_met(arrival: float, completion: float, deadline: float) -> bool:
     return completion - arrival <= deadline
 
 
-_set = object.__setattr__
-
-
-@dataclass(frozen=True, slots=True)
-class TaskSpec:
-    """One stream item: arrival, size, expected service time and deadline.
-
-    ``__init__`` is written out by hand because an episode builds over a
-    thousand tasks: it validates first and then stores each field through
-    ``object.__setattr__`` bound once at module level, with no
-    ``__post_init__`` call. On Python 3.11 the generated frozen
-    ``__init__`` plus ``__post_init__`` takes about 1.2x as long per task,
-    and 1.6x when called by keyword. Every construction (positional,
-    keyword, ``dataclasses.replace``) runs the checks; assignment still
-    raises ``FrozenInstanceError``.
-    """
-
+# typing.NamedTuple forbids overriding __new__ in its own class body, so
+# TaskSpec adds its checks in a subclass of these fields
+class _TaskFields(NamedTuple):
     task_id: int
     arrival_time: float
     size_px: int
@@ -92,23 +77,34 @@ class TaskSpec:
     deadline: float
     phase_index: int
 
-    def __init__(self, task_id, arrival_time, size_px, service_time,
-                 deadline, phase_index):
+
+class TaskSpec(_TaskFields):
+    """One stream item: arrival, size, expected service time and deadline.
+
+    A task is its own row: it equals the plain tuple of its values, in the
+    order of ``_fields``. Every construction (positional, keyword, ``_make``
+    and ``_replace``) runs the checks; assignment raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, task_id, arrival_time, size_px, service_time, deadline,
+                phase_index):
         if service_time <= 0:
             raise ValueError("service_time must be positive")
         if deadline <= service_time:
             raise ValueError("deadline must exceed service_time")
-        _set(self, "task_id", task_id)
-        _set(self, "arrival_time", arrival_time)
-        _set(self, "size_px", size_px)
-        _set(self, "service_time", service_time)
-        _set(self, "deadline", deadline)
-        _set(self, "phase_index", phase_index)
+        return tuple.__new__(cls, (task_id, arrival_time, size_px,
+                                   service_time, deadline, phase_index))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """9-component farm state read at a control-step boundary."""
+class Observation(NamedTuple):
+    """9-component farm state read at a control-step boundary, in the order
+    every agent and ``steps.csv`` read it."""
 
     q_in: int
     q_work: int
@@ -119,45 +115,6 @@ class Observation:
     t_proc_max: float
     arrival_rate: float
     qos_step: float
-
-    def as_tuple(self) -> tuple:
-        return _observation_values(self)
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "Observation":
-        if len(values) != len(OBSERVATION_FIELDS):
-            raise ValueError(f"expected {len(OBSERVATION_FIELDS)} components, "
-                             f"got {len(values)}")
-        return cls(**parse_fields(cls, dict(zip(OBSERVATION_FIELDS, values)),
-                                  "observation"))
-
-
-def parse_fields(cls, row: dict, where: str) -> dict:
-    """Keyword arguments for the int and float fields of dataclass ``cls``,
-    each converted from ``row[field name]`` by the field's declared type
-    (a name: the dataclasses here postpone annotation evaluation).
-
-    A value that is missing or does not convert raises
-    ``ValueError("<where>: column <name>: ...")``; ``where`` names the
-    source, such as ``path:line``.
-    """
-    kwargs = {}
-    for f in fields(cls):
-        parse = _PARSERS.get(f.type)
-        if parse is None:
-            continue
-        value = row.get(f.name)
-        if value is None:
-            raise ValueError(f"{where}: column {f.name}: missing")
-        try:
-            kwargs[f.name] = parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{where}: column {f.name}: {exc}") from None
-    return kwargs
-
-
-OBSERVATION_FIELDS = tuple(f.name for f in fields(Observation))
-_observation_values = attrgetter(*OBSERVATION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -242,14 +199,12 @@ class StepRecord:
 
 _STEP_SCALARS = ("action", "applied_delta", "reward", "arrived", "completed",
                  "hits")
-STEP_COLUMNS = ("step", *OBSERVATION_FIELDS, *_STEP_SCALARS)
+STEP_COLUMNS = ("step", *Observation._fields, *_STEP_SCALARS)
 _step_scalar_values = attrgetter(*_STEP_SCALARS)
 
 
 TASK_COLUMNS = ("task_id", "arrival", "size", "service", "deadline",
                 "completion", "met")
-_task_values = attrgetter("task_id", "arrival_time", "size_px",
-                          "service_time", "deadline")
 
 
 def write_csv(path, header, rows):
@@ -286,30 +241,19 @@ class EpisodeLog:
 
     def step_rows(self) -> Iterable[tuple]:
         for s in self.steps:
-            yield (s.step, *s.observation.as_tuple(), *_step_scalar_values(s))
+            yield (s.step, *s.observation, *_step_scalar_values(s))
 
     def write_step_csv(self, path):
         write_csv(path, STEP_COLUMNS, self.step_rows())
 
     def write_task_csv(self, path):
-        """One row per task in workload order; a task that never completed
-        has completion ``nan`` and counts as missed. ``met`` is 0/1."""
+        """One row per task in workload order: its fields but the phase,
+        then completion and met. A task that never completed has completion
+        ``nan`` and counts as missed. ``met`` is 0/1."""
         done = {task.task_id: (time, int(met))
                 for task, time, met in self.completions}
         unfinished = (math.nan, 0)
         write_csv(path, TASK_COLUMNS,
-                  ((*_task_values(t), *done.get(t.task_id, unfinished))
+                  ((*t[:5], *done.get(t.task_id, unfinished))
                    for t in self.tasks))
 
-
-def read_step_csv(path) -> list:
-    """Round-trip loader for the step CSV; observations come back intact."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            obs = Observation(**parse_fields(Observation, row, where))
-            records.append(StepRecord(observation=obs,
-                                      **parse_fields(StepRecord, row, where)))
-    return records

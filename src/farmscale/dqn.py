@@ -44,6 +44,10 @@ class DqnConfig:
                              f"got {self.batch_size}/{self.warmup}")
         if not (0 < self.tau <= 1):
             raise FieldError("tau", "tau must lie in (0, 1]")
+        if not self.learning_rate > 0:
+            raise FieldError("learning_rate", "learning_rate must be positive")
+        if not self.grad_clip > 0:
+            raise FieldError("grad_clip", "grad_clip must be positive")
         check_gamma_and_epsilon(self)
 
 
@@ -106,7 +110,7 @@ class DqnAgent(LearningAgent):
 
     def normalize(self, obs) -> np.ndarray:
         """The observation scaled to the unit box, clipped; read-only."""
-        x = np.asarray(obs.as_tuple(), dtype=float)
+        x = np.asarray(obs, dtype=float)
         span = self.obs_highs - self.obs_lows
         x = np.clip((x - self.obs_lows) / span, 0.0, 1.0)
         x.flags.writeable = False

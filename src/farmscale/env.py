@@ -29,6 +29,11 @@ REWARD_TERMS = (
 )
 
 
+# normalization caps of the queue lengths and t_proc (s); larger values clip
+QUEUE_CAP = 300.0
+T_PROC_CAP = 3.0
+
+
 class LifecycleError(RuntimeError):
     pass
 
@@ -79,15 +84,14 @@ class FarmEnv:
     def max_steps(self) -> int:
         return self.nominal_steps + self.config.drain_cap
 
-    def observation_bounds(self, queue_cap: float = 300.0,
-                           t_proc_cap: float = 3.0):
+    def observation_bounds(self):
         """Per-dimension (low, high) bounds used by agents for normalization."""
         max_rate = max(
             (p.base_rate * (p.multiplier if p.kind == "steady" else p.mult_max)
              for p in self.config.phases), default=1.0)
         lows = np.zeros(9)
-        highs = np.array([queue_cap, queue_cap, queue_cap, queue_cap,
-                          self.config.n_max, t_proc_cap, t_proc_cap,
+        highs = np.array([QUEUE_CAP, QUEUE_CAP, QUEUE_CAP, QUEUE_CAP,
+                          self.config.n_max, T_PROC_CAP, T_PROC_CAP,
                           max_rate, 1.0])
         return lows, highs
 

@@ -13,6 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# where the Smooth-L1 loss turns from quadratic to linear
+SMOOTH_L1_BETA = 1.0
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _views(flat: np.ndarray, shapes) -> list:
     """Consecutive views of ``flat``: one (fan_in, fan_out) weight matrix per
@@ -104,8 +111,9 @@ class Mlp:
         return float(np.mean(loss)), self.grads
 
 
-def _smooth_l1(diff, beta: float = 1.0):
+def _smooth_l1(diff):
     """Huber-style loss element-wise plus its derivative."""
+    beta = SMOOTH_L1_BETA
     absd = np.abs(diff)
     quad = absd < beta
     loss = np.where(quad, 0.5 * diff * diff / beta, absd - 0.5 * beta)
@@ -128,13 +136,9 @@ class Adam:
     """Bias-corrected adaptive moment estimation over one flat parameter
     array, updated in place."""
 
-    def __init__(self, params: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
@@ -145,21 +149,21 @@ class Adam:
         """p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment
         updates, each operation in that order."""
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         m, v, num, den = self.m, self.v, self._num, self._den
-        m *= self.beta1
-        np.multiply(grads, 1.0 - self.beta1, out=num)
+        m *= ADAM_BETA1
+        np.multiply(grads, 1.0 - ADAM_BETA1, out=num)
         m += num
-        v *= self.beta2
-        np.multiply(grads, 1.0 - self.beta2, out=num)
+        v *= ADAM_BETA2
+        np.multiply(grads, 1.0 - ADAM_BETA2, out=num)
         num *= grads
         v += num
         np.divide(m, bc1, out=num)
         num *= self.lr
         np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += ADAM_EPS
         num /= den
         self.params -= num
 

@@ -17,7 +17,7 @@ import numpy as np
 from .agent import (LearningAgent, check_gamma_and_epsilon,
                     checkpoint_config, checkpoint_epsilon, checkpoint_value,
                     greedy_index)
-from .core import ACTIONS, OBSERVATION_FIELDS, FieldError, has_type_of
+from .core import ACTIONS, FieldError, Observation, has_type_of
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,10 @@ class Discretizer:
 
     def __post_init__(self):
         if not (isinstance(self.edges, tuple)
-                and len(self.edges) == len(OBSERVATION_FIELDS)):
+                and len(self.edges) == len(Observation._fields)):
             raise ValueError(f"need one tuple of edges per observation "
-                             f"component ({len(OBSERVATION_FIELDS)})")
-        for name, e in zip(OBSERVATION_FIELDS, self.edges):
+                             f"component ({len(Observation._fields)})")
+        for name, e in zip(Observation._fields, self.edges):
             if not (isinstance(e, tuple)
                     and all(has_type_of(v, 0.0) and not math.isnan(v)
                             for v in e)
@@ -44,7 +44,7 @@ class Discretizer:
                                  f"ascending tuple of numbers, got {e!r}")
 
     def __call__(self, obs) -> tuple:
-        return tuple(map(bisect_right, self.edges, obs.as_tuple()))
+        return tuple(map(bisect_right, self.edges, obs))
 
 
 def default_discretizer(n_max: int) -> Discretizer:
@@ -82,6 +82,8 @@ class SarsaConfig:
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
             raise FieldError("alpha", "alpha must lie in (0, 1]")
+        if not (0 <= self.trace_decay <= 1):
+            raise FieldError("trace_decay", "trace_decay must lie in [0, 1]")
         check_gamma_and_epsilon(self)
 
 

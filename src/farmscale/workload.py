@@ -8,16 +8,14 @@ window of each phase is adjusted to hit the configured target count.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter, mul
+from operator import mul
 
 import numpy as np
 
-from .core import (FieldError, TaskSpec, compute_deadline, parse_fields,
-                   write_csv)
+from .core import FieldError, TaskSpec, compute_deadline, write_csv
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -140,22 +138,23 @@ def _mix_theta(times: list, mean_target: float) -> float:
 
 
 def default_size_distribution(model: ServiceTimeModel,
-                              mean_target: float = MEAN_SERVICE_TARGET,
-                              sizes=SUPPORTED_SIZES) -> SizeDistribution:
-    """Maximum-entropy weights whose mean predicted service time hits the target.
+                              mean_target: float = MEAN_SERVICE_TARGET
+                              ) -> SizeDistribution:
+    """Maximum-entropy weights over ``SUPPORTED_SIZES`` whose mean predicted
+    service time hits the target.
 
     The weights solve w_i ∝ exp(theta * T(size_i)) with theta chosen so that
     sum(w_i * T(size_i)) == mean_target; ``_mix_theta`` finds theta by
     bisection down to a one-ulp bracket.
     """
-    t = np.array([model.predict(s) for s in sizes])
+    t = np.array([model.predict(s) for s in SUPPORTED_SIZES])
     if not (t.min() < mean_target < t.max()):
         raise FieldError("mean_target",
                          "mean_target outside the achievable range")
     theta = _mix_theta(t.tolist(), mean_target)
     w = np.exp(theta * (t - t.max()))
     w /= w.sum()
-    return SizeDistribution(sizes=tuple(sizes), weights=tuple(w))
+    return SizeDistribution(sizes=SUPPORTED_SIZES, weights=tuple(w))
 
 
 def sample_task_sizes(dist: SizeDistribution, rng: np.random.Generator,
@@ -316,25 +315,6 @@ def build_episode_workload(config, dist: SizeDistribution,
     ]
 
 
-WORKLOAD_COLUMNS = tuple(f.name for f in fields(TaskSpec))
-
-
 def write_workload_csv(tasks, path):
-    write_csv(path, WORKLOAD_COLUMNS,
-              map(attrgetter(*WORKLOAD_COLUMNS), tasks))
-
-
-def read_workload_csv(path) -> list:
-    """Tasks written by ``write_workload_csv``. A missing, unconvertible or
-    invalid value raises ``ValueError("<path>:<line>: ...")``."""
-    tasks = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            kwargs = parse_fields(TaskSpec, row, where)
-            try:
-                tasks.append(TaskSpec(**kwargs))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    return tasks
+    """The tasks as CSV rows under a header of their field names."""
+    write_csv(path, TaskSpec._fields, tasks)

@@ -91,6 +91,23 @@ class TestRangeChecks:
         (["run", "--policy", "reactive-avg"], "q_idle: 50.0\n", "q_idle"),
         (["compare", "--policies", "reactive-avg", "--seeds", "0"],
          "cost_c_burst: -1.0\n", "cost_c_burst"),
+        # values only an agent reads fail at load, before any command runs
+        (["run", "--policy", "reactive-avg"], "dqn_epsilon_decay: 1.5\n",
+         "dqn_epsilon_decay"),
+        (["run", "--policy", "reactive-avg"], "dqn_epsilon_decay: 0.0\n",
+         "dqn_epsilon_decay"),
+        (["run", "--policy", "reactive-avg"], "sarsa_epsilon_decay: 0.0\n",
+         "sarsa_epsilon_decay"),
+        (["run", "--policy", "reactive-avg"], "sarsa_trace_decay: 2.0\n",
+         "sarsa_trace_decay"),
+        (["run", "--policy", "reactive-avg"], "sarsa_trace_decay: -0.5\n",
+         "sarsa_trace_decay"),
+        (["run", "--policy", "reactive-avg"], "dqn_learning_rate: -1.0\n",
+         "dqn_learning_rate"),
+        (["run", "--policy", "reactive-avg"], "dqn_learning_rate: 0.0\n",
+         "dqn_learning_rate"),
+        (["run", "--policy", "reactive-avg"], "dqn_grad_clip: 0.0\n",
+         "dqn_grad_clip"),
     ])
     def test_cli_rejects_out_of_range_value(self, tmp_path, capsys, command,
                                             text, key):
@@ -110,6 +127,11 @@ class TestRangeChecks:
         assert dqn_config(cfg).batch_size == 1
         dqn = dqn_config(dict(cfg, dqn_batch_size=64, dqn_warmup=64))
         assert dqn.batch_size == dqn.warmup == 64
+        assert dqn_config(dict(cfg, dqn_epsilon_decay=1.0)).epsilon_decay == 1
+        for decay in (0.0, 1.0):
+            sarsa = sarsa_config(dict(cfg, sarsa_trace_decay=decay,
+                                      sarsa_epsilon_decay=1.0))
+            assert (sarsa.trace_decay, sarsa.epsilon_decay) == (decay, 1.0)
 
 
 # One valid value per key, none equal to its default or to any other value,

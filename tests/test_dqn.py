@@ -110,8 +110,8 @@ class TestDoubleDqnTargets:
 class TestAgent:
     def test_normalize_maps_bounds_to_unit_box(self):
         agent = make_agent()
-        lo = agent.normalize(Observation.from_values(BOUNDS_LO))
-        hi = agent.normalize(Observation.from_values(BOUNDS_HI))
+        lo = agent.normalize(Observation(*BOUNDS_LO))
+        hi = agent.normalize(Observation(*BOUNDS_HI))
         np.testing.assert_allclose(lo, np.zeros(9))
         np.testing.assert_allclose(hi, np.ones(9))
         over = agent.normalize(obs(q_work=10_000))

@@ -1,13 +1,13 @@
 """Control environment: reset/step lifecycle, observations, shaped reward."""
 
-import dataclasses
+import csv
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farmscale.core import RewardConfig, read_step_csv
+from farmscale.core import RewardConfig
 from farmscale.env import (REWARD_TERMS, FarmEnv, LifecycleError,
                            compute_reward)
 from tests.conftest import constant_service_tasks, single_phase_config
@@ -74,7 +74,7 @@ class TestLifecycle:
     def test_reset_initial_observation_warm(self, small_env):
         env, tasks = small_env
         obs, info = env.reset(tasks, seed=0)
-        assert obs.as_tuple()[:4] == (0, 0, 0, 0)
+        assert obs[:4] == (0, 0, 0, 0)
         assert obs.n_workers == 2
         assert obs.qos_step == 1.0
 
@@ -110,7 +110,8 @@ class TestLifecycle:
         assert actions == [1, -1]
         assert all(type(a) is int for a in actions)
         env.log.write_step_csv(tmp_path / "steps.csv")
-        assert [r.action for r in read_step_csv(tmp_path / "steps.csv")] == [1, -1]
+        with open(tmp_path / "steps.csv", newline="") as fh:
+            assert [r["action"] for r in csv.DictReader(fh)] == ["1", "-1"]
 
     def test_episode_terminates_when_drained(self, small_env):
         env, tasks = small_env
@@ -157,7 +158,7 @@ class TestStepObservations:
             assert obs.t_proc_max >= obs.t_proc_avg >= 0
             assert 0 <= obs.qos_step <= 1
             assert obs.n_workers >= 0
-            assert all(math.isfinite(v) for v in obs.as_tuple())
+            assert all(math.isfinite(v) for v in obs)
 
     def test_constant_service_reflected_in_stats(self, small_env):
         env, tasks = small_env
@@ -191,7 +192,7 @@ class TestStepObservations:
         cfg = single_phase_config(3.0, 60.0, n_init=2, warm_start=True,
                                   obs_window=window, step_duration=2.0)
         rng = np.random.default_rng(seed)
-        tasks = [dataclasses.replace(t, service_time=s, deadline=3 * s)
+        tasks = [t._replace(service_time=s, deadline=3 * s)
                  for t, s in zip(constant_service_tasks(3.0, 60.0, 1.0),
                                  rng.uniform(0.05, 2.0, size=1000))]
         env = FarmEnv(cfg, RewardConfig())

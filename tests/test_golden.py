@@ -12,11 +12,13 @@ numpy release may change the ``Generator`` streams and so these values.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 import yaml
 
 from farmscale.cli import main
-from farmscale.config import sarsa_config
+from farmscale.config import dqn_config, sarsa_config
+from farmscale.dqn import DqnAgent
 from farmscale.env import FarmEnv
 from farmscale.sarsa import SarsaAgent, default_discretizer
 from farmscale.training import train_agent
@@ -39,7 +41,7 @@ def test_fuzz_trace_digest():
 def test_default_workload_digest(ep_config, model_and_dist, shuffle, expected):
     model, dist = model_and_dist
     tasks = build_episode_workload(ep_config, dist, model, shuffle, 0)
-    assert digest([dataclasses.astuple(t) for t in tasks]) == expected
+    assert digest([tuple(t) for t in tasks]) == expected
 
 
 def test_sarsa_qtable_digest(defaults, ep_config, rw_config, model_and_dist):
@@ -54,6 +56,25 @@ def test_sarsa_qtable_digest(defaults, ep_config, rw_config, model_and_dist):
     assert digest([(state, row.tolist())
                    for state, row in sorted(agent.qtable.items())]
                   ) == "a2ea3c333dade7d4"
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="DQN weight bits depend on the BLAS build numpy "
+                           "links; pinned on numpy 2.4.6, the release the "
+                           "golden digests are pinned to")
+def test_dqn_weight_digest(defaults, ep_config, rw_config, model_and_dist):
+    # 6 episodes with a 64-transition warm-up run 199 train steps, so the
+    # pin covers normalize, the targets, the backward pass, Adam and the
+    # soft target update
+    model, dist = model_and_dist
+    env = FarmEnv(ep_config, rw_config)
+    agent = DqnAgent(*env.observation_bounds(),
+                     dataclasses.replace(dqn_config(defaults), warmup=64),
+                     seed=0)
+    train_agent(agent, env, dist, model, episodes=6)
+    assert hashlib.sha256(agent.policy.flat.tobytes()
+                          + agent.target.flat.tobytes()
+                          ).hexdigest()[:16] == "511d2530a56dbb9b"
 
 
 @pytest.mark.parametrize("config, expected", [

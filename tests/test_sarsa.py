@@ -47,7 +47,7 @@ class TestDiscretizer:
 def searchsorted_bins(discretizer, o):
     """The bins as np.searchsorted gives them, the rule Discretizer keeps."""
     return tuple(int(np.searchsorted(e, v, side="right"))
-                 for e, v in zip(discretizer.edges, o.as_tuple()))
+                 for e, v in zip(discretizer.edges, o))
 
 
 class TestDiscretizerBins:
@@ -67,7 +67,7 @@ class TestDiscretizerBins:
 
     def test_values_at_and_around_every_edge_match_searchsorted(self):
         d = default_discretizer(20)
-        base = obs().as_tuple()
+        base = obs()
         for k, edges in enumerate(d.edges):
             for edge in edges:
                 for v in (edge, np.nextafter(edge, -np.inf),

@@ -336,6 +336,44 @@ class TestConservationAndDeterminism:
                 deadline_met(task.arrival_time, time, task.deadline)
                 for task, time, _ in records]
 
+    @pytest.mark.parametrize("seed", [11, 42])
+    def test_loaded_fuzz_meets_about_half_its_deadlines(self, seed):
+        # the criterion-3 run meets 3 of 3,500 deadlines; this one exercises
+        # the met branch too, with validate=True checking every event
+        sim = _loaded_fuzz_sim(seed)
+        records = sim.completion_records
+        met = [m for _, _, m in records]
+        assert len(met) == 3500 and 0.4 < sum(met) / len(met) < 0.75
+        assert met == [deadline_met(task.arrival_time, time, task.deadline)
+                       for task, time, _ in records]
+        snap = sim.snapshot()
+        assert (snap.enqueued_total
+                == snap.q_work + snap.workers_busy + snap.completed_total
+                == 3500)
+
+
+def _loaded_fuzz_sim(seed, n_tasks=3500):
+    """The criterion-3 fuzz generator at 6 tasks/s on a pool of 6 to 12
+    workers (10 at the start): about 58% of the deadlines are met at seeds
+    11 and 42, so both branches of the deadline rule run."""
+    cfg = single_phase_config(6.0, 600.0, n_init=10, n_min=6, n_max=12,
+                              warm_start=True)
+    policy_rng = np.random.default_rng([seed, 77])
+    task_rng = np.random.default_rng([seed, 78])
+    sim = FarmSim(cfg, np.random.default_rng([seed, 79]), validate=True)
+    arrivals = np.cumsum(task_rng.exponential(1 / 6.0, size=n_tasks))
+    sim.inject_tasks([
+        TaskSpec(task_id=i, arrival_time=float(a), size_px=1024,
+                 service_time=float(task_rng.uniform(0.05, 2.5)),
+                 deadline=3.0, phase_index=0)
+        for i, a in enumerate(arrivals)])
+    for _ in range(150):
+        sim.request_scale(int(policy_rng.integers(-1, 2)))
+        sim.advance(4.0)
+    while sim.completed_total < n_tasks:  # drain the remaining backlog
+        sim.advance(60.0)
+    return sim
+
 
 def scanned_snapshot(sim):
     """Snapshot recounted by a full scan of the pool, the reference for the
