@@ -160,7 +160,8 @@ def cmd_compare(args):
     rows = []
     phase_rows = []
     for spec in args.policies.split(","):
-        policy = _make_policy(spec.strip(), env)
+        spec = spec.strip()
+        policy = _make_policy(spec, env)
         summaries, paygo, sub = [], [], []
         for seed in seeds:
             workload = build_episode_workload(episode_cfg, dist, model,

@@ -102,8 +102,8 @@ class FarmEnv:
         # the sim appends to its completion records, so the log stays current
         self.log = EpisodeLog(list(workload), self.sim.completion_records)
         self.step_index = 0
+        # per step of the last obs_window: its service times, its arrivals
         self._completion_window = deque(maxlen=self.config.obs_window)
-        self._max_window = deque(maxlen=self.config.obs_window)
         self._arrival_window = deque(maxlen=self.config.obs_window)
         self._last_qos = 1.0
         self._terminated = False
@@ -119,37 +119,42 @@ class FarmEnv:
         if action_int is None:
             raise ValueError(f"action must be in {ACTIONS}, got {action!r}")
 
-        applied = self.sim.request_scale(action_int)
-        stats = self.sim.advance(self.config.step_duration)
+        sim = self.sim
+        applied = sim.request_scale(action_int)
+        enqueued, done = sim.enqueued_total, len(sim.completion_records)
+        sim.advance(self.config.step_duration)
         self.step_index += 1
 
-        durations = stats.service_times
-        self._completion_window.append(durations)
-        # service times are positive, so 0.0 stands for a step without any
-        self._max_window.append(max(durations) if durations else 0.0)
-        self._arrival_window.append(stats.arrived)
-        if stats.completed > 0:
-            self._last_qos = stats.hits / stats.completed
+        # this step's figures from the sim's cumulative counts and records
+        arrived = sim.enqueued_total - enqueued
+        records = sim.completion_records[done:]
+        completed = len(records)
+        hits = sum([met for _, _, met in records])
+        self._completion_window.append(
+            [task.service_time for task, _, _ in records])
+        self._arrival_window.append(arrived)
+        if completed > 0:
+            self._last_qos = hits / completed
 
-        snap = self.sim.snapshot()
+        snap = sim.snapshot()
         obs = self._make_observation(snap)
         reward, terms = compute_reward(
             self.reward_config, obs.qos_step, obs.q_work,
             obs.n_workers, applied)
 
-        drained = (self.sim.pending_arrivals == 0
+        drained = (sim.pending_arrivals == 0
                    and snap.q_work == 0 and snap.workers_busy == 0)
         self._terminated = drained or self.step_index >= self.max_steps
 
         self.log.add_step(StepRecord(
             step=self.step_index, observation=obs, action=action_int,
-            applied_delta=applied, reward=reward, arrived=stats.arrived,
-            completed=stats.completed, hits=stats.hits, reward_terms=terms))
+            applied_delta=applied, reward=reward, arrived=arrived,
+            completed=completed, hits=hits, reward_terms=terms))
 
         info = {
-            "arrived": stats.arrived,
-            "completed": stats.completed,
-            "hits": stats.hits,
+            "arrived": arrived,
+            "completed": completed,
+            "hits": hits,
             "applied_delta": applied,
             "reward_terms": terms,
             "snapshot": snap,
@@ -162,7 +167,7 @@ class FarmEnv:
         if n:
             durations = np.fromiter(chain.from_iterable(window), float, n)
             t_avg = float(durations.sum()) / n  # the bits of np.mean
-            t_max = float(max(self._max_window))
+            t_max = float(durations.max())
         else:
             t_avg = t_max = 0.0
         window_arrivals = sum(self._arrival_window)

@@ -95,7 +95,7 @@ def summarize_episode(log, config) -> EpisodeSummary:
         raise ValueError("empty episode log")
     workers = [s.observation.n_workers for s in steps]
     n_scale = sum(1 for s in steps if s.applied_delta != 0)
-    emitted = log.n_tasks or log.total_arrived
+    emitted = log.n_tasks
     emitted_in = Counter(map(_phase_index, log.tasks))  # by phase
     met_in = Counter(task.phase_index for task, _, met in log.completions
                      if met)

@@ -25,13 +25,15 @@ draining) rather than recounted. Only busy workers ever drain (a starting
 victim is cancelled and an idle one exits at once), so the effective pool
 is every worker neither starting nor draining, and the committed pool is
 every worker not draining. Validate mode checks the invariant, the
-counters and the conservation identity after every event.
+counters and the conservation identity after every event. Only cumulative
+state is kept, the enqueue counter and the completion records; the env
+works out each step's figures from them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -54,14 +56,6 @@ class WorkerState:
     status: str  # starting | idle | busy
     draining: bool = False
     ready_at: float = 0.0
-
-
-@dataclass
-class StepStats:
-    arrived: int = 0
-    completed: int = 0
-    hits: int = 0
-    service_times: list = field(default_factory=list)  # one per completion
 
 
 @dataclass
@@ -91,7 +85,6 @@ class FarmSim:
         self.q_work = deque()
         self.workers: dict[int, WorkerState] = {}
         self.enqueued_total = 0
-        self.completed_total = 0
         self.completion_records = []  # (task, completion_time, met)
         self._events = []  # (time, kind, id, payload): completions, readies
         self._arrivals = deque()  # (time, _ARRIVAL, task_id, task), sorted
@@ -102,7 +95,6 @@ class FarmSim:
         self._busy = 0
         self._draining = 0
         self._last_scheduled_ready = 0.0
-        self._stats = StepStats()
         self.trace = [] if trace else None
 
         if getattr(config, "warm_start", False):
@@ -207,12 +199,11 @@ class FarmSim:
                 self._record("scale_down", worker_id=victim.worker_id)
         return applied
 
-    def advance(self, dt: float) -> StepStats:
-        """Execute all events in (clock, clock + dt] and return window stats."""
+    def advance(self, dt: float) -> None:
+        """Execute all events in (clock, clock + dt]."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         end = self.clock + dt
-        self._stats = StepStats()
         events, arrivals = self._events, self._arrivals
         pop, next_arrival = heappop, arrivals.popleft
         # bound per call, not per instance, so wrappers on the class apply
@@ -236,7 +227,6 @@ class FarmSim:
             if check is not None:
                 check()
         self.clock = end
-        return self._stats
 
     def snapshot(self) -> Snapshot:
         return Snapshot(
@@ -247,8 +237,12 @@ class FarmSim:
             workers_starting=self._starting,
             workers_draining=self._draining,
             enqueued_total=self.enqueued_total,
-            completed_total=self.completed_total,
+            completed_total=len(self.completion_records),
         )
+
+    @property
+    def completed_total(self) -> int:
+        return len(self.completion_records)
 
     @property
     def pending_arrivals(self) -> int:
@@ -262,7 +256,6 @@ class FarmSim:
 
     def _on_arrival(self, task):
         self.enqueued_total += 1
-        self._stats.arrived += 1
         trace = self.trace
         if trace is not None:
             self._record("arrival", task_id=task.task_id)
@@ -286,13 +279,8 @@ class FarmSim:
         # a busy worker leaves the pool only here, so no completion is stale
         worker = self.workers[worker_id]
         clock = self.clock
-        self.completed_total += 1
         met = clock - task.arrival_time <= task.deadline
         self.completion_records.append((task, clock, met))
-        stats = self._stats
-        stats.completed += 1
-        stats.hits += met
-        stats.service_times.append(task.service_time)
         trace = self.trace
         if trace is not None:
             self._record("completion", task_id=task.task_id,

@@ -246,6 +246,18 @@ def test_compare_two_policies(tmp_path, tiny_config, capsys):
     assert "reactive-avg:" in capsys.readouterr().out
 
 
+def test_compare_strips_spaces_around_policy_names(tmp_path, tiny_config):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", tiny_config,
+                 "--policies", "reactive-avg, reactive-max ",
+                 "--seeds", "0", "--out", str(out)]) == 0
+    for name, per_policy in (("comparison.csv", 1), ("per_phase.csv", 4)):
+        with open(out / name, newline="") as fh:
+            policies = [r["policy"] for r in csv.DictReader(fh)]
+        assert policies == (["reactive-avg"] * per_policy
+                            + ["reactive-max"] * per_policy), name
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("warp_drive: 9\n")

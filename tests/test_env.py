@@ -197,13 +197,49 @@ class TestStepObservations:
                                  rng.uniform(0.05, 2.0, size=1000))]
         env = FarmEnv(cfg, RewardConfig())
         env.reset(tasks, seed=seed)
-        done = False
+        per_step, done = [], False
         while not done:
+            seen = len(env.log.completions)
             obs, _, done, _ = env.step(int(rng.integers(-1, 2)))
-            durations = [d for step in env._completion_window for d in step]
+            per_step.append([task.service_time
+                             for task, _, _ in env.log.completions[seen:]])
+            durations = [d for step in per_step[-window:] for d in step]
             assert obs.t_proc_avg == (float(np.mean(durations))
                                       if durations else 0.0)
             assert obs.t_proc_max == (max(durations) if durations else 0.0)
+
+    @given(seed=st.integers(0, 1000), window=st.integers(1, 4),
+           step_duration=st.sampled_from([0.7, 2.0, 8.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_step_counts_match_the_clock(self, seed, window, step_duration):
+        # each step's arrivals, completions and hits against the workload's
+        # arrival times and the completion times, over (lo, hi] windows
+        # accumulated the way the simulator advances its clock
+        cfg = single_phase_config(3.0, 40.0, n_init=2, warm_start=True,
+                                  obs_window=window,
+                                  step_duration=step_duration)
+        rng = np.random.default_rng(seed)
+        tasks = [t._replace(service_time=s, deadline=2 * s)
+                 for t, s in zip(constant_service_tasks(
+                     3.0, 40.0, 1.0, spacing="poisson", seed=seed),
+                     rng.uniform(0.05, 2.0, size=1000))]
+        env = FarmEnv(cfg, RewardConfig())
+        env.reset(tasks, seed=seed)
+        arrivals, lo, done = [], 0.0, False
+        while not done:
+            obs, _, done, info = env.step(int(rng.integers(-1, 2)))
+            hi = lo + step_duration
+            record = env.log.steps[-1]
+            arrived = sum(lo < t.arrival_time <= hi for t in tasks)
+            finished = [met for _, time, met in env.log.completions
+                        if lo < time <= hi]
+            assert record.arrived == info["arrived"] == arrived
+            assert record.completed == info["completed"] == len(finished)
+            assert record.hits == info["hits"] == sum(finished)
+            arrivals.append(arrived)
+            assert obs.arrival_rate == (sum(arrivals[-window:])
+                                        / (window * step_duration))
+            lo = hi
 
     def test_task_records_complete_at_termination(self, small_env):
         env, tasks = small_env

@@ -35,7 +35,7 @@ def reference_summary(log, config) -> EpisodeSummary:
     must match bit for bit."""
     workers = [s.observation.n_workers for s in log.steps]
     n_scale = sum(1 for s in log.steps if s.applied_delta != 0)
-    emitted = log.n_tasks or log.total_arrived
+    emitted = log.n_tasks
     met_of = {t.task_id: met for t, _, met in log.completions}
     met = completed = 0
     emitted_in = dict.fromkeys(range(len(config.phases)), 0)

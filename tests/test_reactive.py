@@ -1,62 +1,49 @@
 """Reactive sizing formulas and their closed-loop behaviour."""
 
-import pytest
+import dataclasses
+
 from hypothesis import given, strategies as st
 
-from farmscale.reactive import (ReactiveInputs, estimate_active,
-                                reactive_average, reactive_maximum)
+from farmscale.core import Observation
+from farmscale.reactive import (ReactiveAveragePolicy, ReactiveMaximumPolicy,
+                                reactive_action)
+from farmscale.sim import Snapshot
+
+AVERAGE, MAXIMUM = 0.5, 1.0  # in-flight weight of each policy
 
 
-def inputs(t=1.5, t_step=8.0, k=0, l=0, m=0, w=1):
-    return ReactiveInputs(t_service=t, t_step=t_step, k_new=k, l_backlog=l,
-                          m_active=m, w_current=w)
-
-
-class TestEstimateActive:
-    def test_fresh_system_is_zero(self):
-        assert estimate_active(0, 0, 0) == 0
-
-    def test_basic_difference(self):
-        assert estimate_active(10, 6, 1) == 3
-
-    def test_clamped_at_zero(self):
-        assert estimate_active(5, 5, 2) == 0
+def action(t=1.5, t_step=8.0, k=0, l=0, m=0, w=1, weight=AVERAGE):
+    return reactive_action(t, t_step, k, l, m, w, weight)
 
 
 class TestReactiveAverage:
     def test_hand_example_scale_up(self):
         # 0.2 * (40 + 8 + 2) - 5 = 5 -> +1
-        assert reactive_average(inputs(t=1.6, k=40, l=8, m=4, w=5)) == 1
+        assert action(t=1.6, k=40, l=8, m=4, w=5) == 1
 
     def test_empty_system_scales_down(self):
-        assert reactive_average(inputs(t=1.6, w=3)) == -1
+        assert action(t=1.6, w=3) == -1
 
     def test_rounding_boundary(self):
         # delta = 0.4 rounds to 0; delta = 0.5 rounds away from zero to +1
-        assert reactive_average(inputs(t=0.4, t_step=1.0, k=1, w=0)) == 0
-        assert reactive_average(inputs(t=0.5, t_step=1.0, k=1, w=0)) == 1
+        assert action(t=0.4, t_step=1.0, k=1, w=0) == 0
+        assert action(t=0.5, t_step=1.0, k=1, w=0) == 1
 
     def test_negative_rounding_symmetry(self):
         # delta = -0.5 rounds away from zero to -1
-        assert reactive_average(inputs(t=0.5, t_step=1.0, k=1, w=1)) == -1
+        assert action(t=0.5, t_step=1.0, k=1, w=1) == -1
 
     def test_no_history_holds(self):
-        assert reactive_average(inputs(t=0.0, k=100, w=1)) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            inputs(t_step=0.0)
-        with pytest.raises(ValueError):
-            inputs(k=-1)
+        assert action(t=0.0, k=100, w=1) == 0
 
 
 class TestReactiveMaximum:
     def test_hand_example_scale_up(self):
         # 0.35875 * 52 - 5 = 13.655 -> clamped to +1
-        assert reactive_maximum(inputs(t=2.87, k=40, l=8, m=4, w=5)) == 1
+        assert action(t=2.87, k=40, l=8, m=4, w=5, weight=MAXIMUM) == 1
 
     def test_no_history_holds(self):
-        assert reactive_maximum(inputs(t=0.0, k=100, w=1)) == 0
+        assert action(t=0.0, k=100, w=1, weight=MAXIMUM) == 0
 
     @given(t_avg=st.floats(min_value=0.01, max_value=3.0),
            extra=st.floats(min_value=0.0, max_value=3.0),
@@ -65,12 +52,30 @@ class TestReactiveMaximum:
            m=st.integers(min_value=0, max_value=50),
            w=st.integers(min_value=0, max_value=20))
     def test_maximum_dominates_average(self, t_avg, extra, k, l, m, w):
-        avg = reactive_average(inputs(t=t_avg, k=k, l=l, m=m, w=w))
-        mx = reactive_maximum(inputs(t=t_avg + extra, k=k, l=l, m=m, w=w))
+        avg = action(t=t_avg, k=k, l=l, m=m, w=w)
+        mx = action(t=t_avg + extra, k=k, l=l, m=m, w=w, weight=MAXIMUM)
         assert mx >= avg
 
     @given(k=st.integers(min_value=0, max_value=1000))
     def test_statelessness(self, k):
-        first = reactive_average(inputs(k=k, w=5))
-        assert all(reactive_average(inputs(k=k, w=5)) == first
-                   for _ in range(3))
+        first = action(k=k, w=5)
+        assert all(action(k=k, w=5) == first for _ in range(3))
+
+
+class TestPolicies:
+    def test_busy_workers_are_the_tasks_in_flight(self):
+        obs = Observation(q_in=0, q_work=0, q_res=0, q_out=0, n_workers=1,
+                          t_proc_avg=1.6, t_proc_max=1.6, arrival_rate=0.0,
+                          qos_step=1.0)
+        snap = Snapshot(q_work=0, workers_effective=1, workers_busy=0,
+                        workers_starting=0, workers_draining=0,
+                        enqueued_total=9, completed_total=9)
+        idle = {"arrived": 0, "snapshot": snap}
+        busy = {"arrived": 0,
+                "snapshot": dataclasses.replace(snap, workers_busy=8)}
+        # 0.2 * 0 - 1 = -1 without work in flight; with 8 tasks in flight
+        # 0.2 * 4 - 1 = -0.2 -> 0 and 0.2 * 8 - 1 = 0.6 -> +1
+        for policy, when_busy in ((ReactiveAveragePolicy(8.0), 0),
+                                  (ReactiveMaximumPolicy(8.0), 1)):
+            assert policy.select_action(obs, idle) == -1
+            assert policy.select_action(obs, busy) == when_busy

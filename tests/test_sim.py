@@ -24,7 +24,6 @@ class DispatchReferenceSim(FarmSim):
     def _on_arrival(self, task):
         self.q_work.append(task)
         self.enqueued_total += 1
-        self._stats.arrived += 1
         if self.trace is not None:
             self._record("arrival", task_id=task.task_id)
         if self._idle:
@@ -33,13 +32,8 @@ class DispatchReferenceSim(FarmSim):
     def _on_completion(self, worker_id, task):
         # a busy worker leaves the pool only here, so no completion is stale
         worker = self.workers[worker_id]
-        self.completed_total += 1
         met = self.clock - task.arrival_time <= task.deadline
         self.completion_records.append((task, self.clock, met))
-        stats = self._stats
-        stats.completed += 1
-        stats.hits += met
-        stats.service_times.append(task.service_time)
         if self.trace is not None:
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)

@@ -5,15 +5,19 @@ callers look up, and counts simulator events by wrapping the three event
 handlers on ``FarmSim``. A refactor that inlines a handler or binds one
 before the tracer is installed would leave ``sim.events`` at 0 without any
 error, so one traced episode checks that every event is still counted.
+Each reactive policy's ``select_action`` is wrapped in its own class body,
+so a traced episode of each must record one selection span per env step.
 The tracer is loaded from its file and only used, never edited.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from farmscale import training
 from farmscale.env import FarmEnv
-from farmscale.reactive import ReactiveAveragePolicy
+from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -26,21 +30,38 @@ def load_tracer():
     return module
 
 
-def test_traced_episode_counts_every_event(ep_config, rw_config,
-                                           default_workload):
+def traced_episode(policy_cls, ep_config, rw_config, workload):
+    """One traced episode; returns the tracer, the env and the summary."""
     tracer_module = load_tracer()
     tracer = tracer_module.Tracer()
     saved = tracer_module.install(tracer)
     try:
         env = FarmEnv(ep_config, rw_config)
-        policy = ReactiveAveragePolicy(ep_config.step_duration)
+        policy = policy_cls(ep_config.step_duration)
         tracer.active = True
-        summary = training.run_episode(env, policy, default_workload, seed=0)
+        summary = training.run_episode(env, policy, workload, seed=0)
         tracer.active = False
     finally:
         tracer_module.uninstall(saved)
+    for owner, attr, original in saved:
+        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+    return tracer, env, summary
+
+
+def test_traced_episode_counts_every_event(ep_config, rw_config,
+                                           default_workload):
+    tracer, env, summary = traced_episode(ReactiveAveragePolicy, ep_config,
+                                          rw_config, default_workload)
     arrived, completed = env.log.total_arrived, env.log.total_completed
     assert arrived == len(default_workload) and completed == summary.completed
     assert tracer.counts["sim.events"] >= arrived + completed > 0
-    for owner, attr, original in saved:
-        assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("policy_cls", [ReactiveAveragePolicy,
+                                        ReactiveMaximumPolicy])
+def test_traced_episode_times_every_selection(policy_cls, ep_config,
+                                              rw_config, default_workload):
+    tracer, _, _ = traced_episode(policy_cls, ep_config, rw_config,
+                                  default_workload)
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("reactive.select") == spans.count("env.step") > 0
