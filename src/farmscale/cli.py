@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -214,7 +215,11 @@ def _write_dict_csv(path, rows):
         write_csv(path, rows[0].keys(), map(dict.values, rows))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each
+    ``parse_args`` call returns a fresh namespace, so nothing carries over
+    from one ``main`` call to the next."""
     parser = argparse.ArgumentParser(
         prog="farmscale",
         description="Virtual-time farm autoscaling simulator and policies")

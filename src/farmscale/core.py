@@ -67,6 +67,15 @@ def deadline_met(arrival: float, completion: float, deadline: float) -> bool:
     return completion - arrival <= deadline
 
 
+def check_task_timing(service_time: float, deadline: float):
+    """The checks every task's timing must pass; ``TaskSpec`` runs them on
+    each construction, the workload builder once per distinct size."""
+    if service_time <= 0:
+        raise ValueError("service_time must be positive")
+    if deadline <= service_time:
+        raise ValueError("deadline must exceed service_time")
+
+
 # typing.NamedTuple forbids overriding __new__ in its own class body, so
 # TaskSpec adds its checks in a subclass of these fields
 class _TaskFields(NamedTuple):
@@ -82,18 +91,17 @@ class TaskSpec(_TaskFields):
     """One stream item: arrival, size, expected service time and deadline.
 
     A task is its own row: it equals the plain tuple of its values, in the
-    order of ``_fields``. Every construction (positional, keyword, ``_make``
-    and ``_replace``) runs the checks; assignment raises ``AttributeError``.
+    order of ``_fields``. Every construction through the class (positional,
+    keyword, ``_make`` and ``_replace``) runs ``check_task_timing``;
+    assignment raises ``AttributeError``. The workload builder runs the
+    checks once per distinct size and makes its rows with ``tuple.__new__``.
     """
 
     __slots__ = ()
 
     def __new__(cls, task_id, arrival_time, size_px, service_time, deadline,
                 phase_index):
-        if service_time <= 0:
-            raise ValueError("service_time must be positive")
-        if deadline <= service_time:
-            raise ValueError("deadline must exceed service_time")
+        check_task_timing(service_time, deadline)
         return tuple.__new__(cls, (task_id, arrival_time, size_px,
                                    service_time, deadline, phase_index))
 
@@ -230,10 +238,6 @@ class EpisodeLog:
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
-
-    @property
-    def total_arrived(self) -> int:
-        return sum(s.arrived for s in self.steps)
 
     @property
     def total_completed(self) -> int:

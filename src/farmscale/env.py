@@ -102,6 +102,7 @@ class FarmEnv:
         # the sim appends to its completion records, so the log stays current
         self.log = EpisodeLog(list(workload), self.sim.completion_records)
         self.step_index = 0
+        self._step_cap = self.max_steps
         # per step of the last obs_window: its service times, its arrivals
         self._completion_window = deque(maxlen=self.config.obs_window)
         self._arrival_window = deque(maxlen=self.config.obs_window)
@@ -144,7 +145,7 @@ class FarmEnv:
 
         drained = (sim.pending_arrivals == 0
                    and snap.q_work == 0 and snap.workers_busy == 0)
-        self._terminated = drained or self.step_index >= self.max_steps
+        self._terminated = drained or self.step_index >= self._step_cap
 
         self.log.add_step(StepRecord(
             step=self.step_index, observation=obs, action=action_int,

@@ -13,10 +13,12 @@ import pytest
 import yaml
 
 import farmscale
-from farmscale.cli import main
+from farmscale import cli, config as cfgmod
+from farmscale.cli import build_parser, main
 from farmscale.dqn import DqnAgent
 from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
 from farmscale.training import CURVE_COLUMNS
+from farmscale.workload import build_episode_workload, write_workload_csv
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,41 @@ def test_workload_writes_csv(tmp_path, tiny_config, capsys):
     arrivals = [float(t["arrival_time"]) for t in tasks]
     assert arrivals == sorted(arrivals)
     assert f"total: {len(tasks)} tasks" in capsys.readouterr().out
+
+
+def test_repeated_workload_calls_share_no_options(tmp_path, tiny_config):
+    # main reuses one parser per process; a flag given to one call must not
+    # reach the next
+    assert build_parser() is build_parser()
+    shuffled, plain = tmp_path / "shuffled.csv", tmp_path / "plain.csv"
+    for out, flags in ((shuffled, ["--shuffle"]), (plain, [])):
+        assert main(["workload", "--config", tiny_config, "--seed", "3",
+                     *flags, "--out", str(out)]) == 0
+    cfg = cfgmod.load_config(tiny_config)
+    model, dist = cfgmod.service_model_and_sizes(cfg)
+    expected = tmp_path / "expected.csv"
+    write_workload_csv(build_episode_workload(
+        cfgmod.episode_config(cfg), dist, model, shuffle_phases=False,
+        rng_seed=3), expected)
+    assert shuffled.read_bytes() != plain.read_bytes()
+    assert plain.read_bytes() == expected.read_bytes()
+
+
+def test_repeated_train_calls_share_no_options(tmp_path, tiny_config,
+                                               monkeypatch):
+    seen = []
+
+    def spy(*args, shuffle, **kwargs):
+        seen.append(shuffle)
+        return train_agent(*args, shuffle=shuffle, **kwargs)
+
+    train_agent = cli.train_agent
+    monkeypatch.setattr(cli, "train_agent", spy)
+    for flags in (["--no-shuffle"], []):
+        assert main(["train", "--config", tiny_config, "--agent", "sarsa",
+                     "--episodes", "1", *flags,
+                     "--out", str(tmp_path / "sarsa")]) == 0
+    assert seen == [False, True]
 
 
 def test_run_reactive_writes_artifacts(tmp_path, tiny_config):

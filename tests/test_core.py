@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from farmscale.core import (STEP_COLUMNS, EpisodeConfig, EpisodeLog,
                             Observation, RewardConfig, StepRecord, TaskSpec,
-                            compute_deadline, deadline_met)
+                            check_task_timing, compute_deadline,
+                            deadline_met)
 from farmscale.workload import WorkloadPhaseSpec, write_workload_csv
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -61,6 +62,8 @@ class TestTaskSpec:
     def test_every_construction_is_checked(self, service, deadline, message):
         args = dict(zip(TaskSpec._fields, self.ARGS),
                     service_time=service, deadline=deadline)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_task_timing(service, deadline)
         with pytest.raises(ValueError, match=f"^{message}$"):
             TaskSpec(*args.values())
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -240,5 +243,5 @@ class TestEpisodeLog:
     def test_counters(self):
         log = self._small_log()
         assert log.n_tasks == 2
-        assert log.total_arrived == 3
+        assert sum(s.arrived for s in log.steps) == 3
         assert log.total_completed == 2

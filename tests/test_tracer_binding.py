@@ -52,7 +52,8 @@ def test_traced_episode_counts_every_event(ep_config, rw_config,
                                            default_workload):
     tracer, env, summary = traced_episode(ReactiveAveragePolicy, ep_config,
                                           rw_config, default_workload)
-    arrived, completed = env.log.total_arrived, env.log.total_completed
+    arrived = sum(s.arrived for s in env.log.steps)
+    completed = env.log.total_completed
     assert arrived == len(default_workload) and completed == summary.completed
     assert tracer.counts["sim.events"] >= arrived + completed > 0
 

@@ -2,19 +2,20 @@
 
 import csv
 import math
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from farmscale.core import TaskSpec
+from farmscale.core import EpisodeConfig, TaskSpec, compute_deadline
 from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 FitError, SizeDistribution, WorkloadPhaseSpec,
                                 _mix_mean, _mix_theta, _window_edges,
                                 build_episode_workload,
                                 default_phases, default_size_distribution,
                                 fit_service_model, generate_phase_arrivals,
-                                reduced_paper_model,
+                                reduced_paper_model, ServiceTimeModel,
                                 sample_task_sizes, write_workload_csv)
 
 # Published values the calibration must reproduce.
@@ -302,3 +303,105 @@ class TestArrivalGeneration:
         back = [TaskSpec._make(convert(v) for convert, v in zip(types, row))
                 for row in rows]
         assert back == default_workload
+
+
+def reference_episode_workload(config, dist, model, shuffle_phases, rng_seed):
+    """The row-at-a-time builder that ``build_episode_workload`` replaced:
+    ``(arrival, phase)`` tuples sorted as tuples, then one checked
+    ``TaskSpec`` per row."""
+    phases = list(config.phases)
+    order = list(range(len(phases)))
+    if shuffle_phases:
+        np.random.default_rng([rng_seed, 10_000]).shuffle(order)
+    entries = []
+    position_start = 0.0
+    for phase_idx in order:
+        phase = phases[phase_idx]
+        offsets = generate_phase_arrivals(
+            phase, 0.0, np.random.default_rng([rng_seed, phase_idx]))
+        entries.extend(zip((position_start + offsets).tolist(),
+                           repeat(phase_idx)))
+        position_start += phase.duration
+    entries.sort()
+    sizes = sample_task_sizes(
+        dist, np.random.default_rng([rng_seed, 20_000]), len(entries))
+    timing = {}
+    for size in dict.fromkeys(sizes):
+        service = model.predict(size)
+        timing[size] = (service, compute_deadline(service, config.beta))
+    return [TaskSpec(task_id, arrival, size, *timing[size], phase_idx)
+            for task_id, ((arrival, phase_idx), size)
+            in enumerate(zip(entries, sizes))]
+
+
+def assert_same_workload(tasks, expected):
+    assert tasks == expected
+    assert set(map(type, tasks)) <= {TaskSpec}
+    assert (list(map(type, chain.from_iterable(tasks)))
+            == list(map(type, chain.from_iterable(expected))))
+
+
+@st.composite
+def phase_lists(draw):
+    """1-5 phases of either kind; a base rate of 0 or 0.04 makes a phase
+    with no tasks."""
+    phases = []
+    for _ in range(draw(st.integers(1, 5))):
+        duration = draw(st.sampled_from([2.0, 7.5, 20.0]))
+        window = draw(st.sampled_from([0.5, 2.0, duration]))
+        rate = draw(st.sampled_from([0.0, 0.04, 1.0, 4.0]))
+        if draw(st.booleans()):
+            phases.append(WorkloadPhaseSpec(
+                "steady", rate, duration, window,
+                multiplier=draw(st.sampled_from([0.3, 1.0, 1.5]))))
+        else:
+            phases.append(WorkloadPhaseSpec(
+                "sinusoid", rate, duration, window, mult_min=0.2,
+                mult_max=1.8, cycles=draw(st.integers(1, 3))))
+    return phases
+
+
+class TestEpisodeWorkload:
+    """The columnar builder against the kept row-at-a-time reference."""
+
+    def test_matches_reference_builder(self, ep_config, model_and_dist):
+        model, dist = model_and_dist
+        for seed in range(300):
+            for shuffle in (False, True):
+                assert_same_workload(
+                    build_episode_workload(ep_config, dist, model, shuffle,
+                                           seed),
+                    reference_episode_workload(ep_config, dist, model,
+                                               shuffle, seed))
+
+    @given(phases=phase_lists(), seed=st.integers(0, 2**32 - 1),
+           shuffle=st.booleans())
+    @example(phases=[WorkloadPhaseSpec("steady", 3.0, 7.5, 2.0)], seed=5,
+             shuffle=True)
+    @example(phases=[WorkloadPhaseSpec("steady", 1.0, 7.5, 2.0),
+                     WorkloadPhaseSpec("steady", 0.0, 7.5, 2.0),
+                     WorkloadPhaseSpec("steady", 4.0, 2.0, 0.5)],
+             seed=8, shuffle=False)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_any_phases(self, model_and_dist, phases,
+                                             seed, shuffle):
+        model, dist = model_and_dist
+        config = EpisodeConfig(phases=tuple(phases))
+        tasks = build_episode_workload(config, dist, model, shuffle, seed)
+        assert_same_workload(tasks, reference_episode_workload(
+            config, dist, model, shuffle, seed))
+        assert len(tasks) == sum(p.target_count for p in phases)
+
+    def test_rows_share_per_size_timings(self, default_workload):
+        for field in ("service_time", "deadline"):
+            objects = {id(getattr(t, field)) for t in default_workload}
+            assert len(objects) <= len(SUPPORTED_SIZES)
+
+    def test_checks_each_size_timing(self, ep_config, model_and_dist):
+        # a service time that overflows to inf leaves no room for a
+        # deadline above it, so the builder's per-size check must refuse it
+        _, dist = model_and_dist
+        model = ServiceTimeModel(a=1e308, b=0.0, c=0.0, form="reduced")
+        with pytest.raises(ValueError,
+                           match="^deadline must exceed service_time$"):
+            build_episode_workload(ep_config, dist, model, False, 0)
