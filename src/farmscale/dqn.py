@@ -20,6 +20,8 @@ from .core import ACTIONS, FieldError, has_type_of
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
 HIDDEN_LAYERS = (128, 64)
+# rows a replay buffer holds before its first growth
+REPLAY_INITIAL_ROWS = 1_024
 
 
 @dataclass(frozen=True)
@@ -54,22 +56,29 @@ class DqnConfig:
 class ReplayBuffer:
     """Fixed-capacity FIFO store of (obs, action, reward, next_obs, done).
 
-    The arrays start uninitialised: ``sample`` reads only the first ``size``
-    rows, all of which ``push`` has written.
+    The arrays start with ``REPLAY_INITIAL_ROWS`` rows (fewer when
+    ``capacity`` is smaller) and double, up to ``capacity``, when ``push``
+    fills them; the ring wraps only once they hold ``capacity`` rows. A run
+    that stores few transitions never allocates the full capacity. The rows
+    are uninitialised until written: ``sample`` reads only the first
+    ``size`` rows, all of which ``push`` has written.
     """
 
     def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
-        self.obs = np.empty((capacity, obs_dim))
-        self.actions = np.empty(capacity, dtype=int)
-        self.rewards = np.empty(capacity)
-        self.next_obs = np.empty((capacity, obs_dim))
-        self.dones = np.empty(capacity, dtype=bool)
+        rows = min(capacity, REPLAY_INITIAL_ROWS)
+        self.obs = np.empty((rows, obs_dim))
+        self.actions = np.empty(rows, dtype=int)
+        self.rewards = np.empty(rows)
+        self.next_obs = np.empty((rows, obs_dim))
+        self.dones = np.empty(rows, dtype=bool)
         self.size = 0
         self._head = 0
 
     def push(self, obs, action_idx, reward, next_obs, done):
         i = self._head
+        if i == len(self.rewards):
+            self._grow()
         self.obs[i] = obs
         self.actions[i] = action_idx
         self.rewards[i] = reward
@@ -77,6 +86,15 @@ class ReplayBuffer:
         self.dones[i] = done
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
+
+    def _grow(self):
+        """Double the rows, at most to ``capacity``, keeping those written."""
+        rows = min(2 * len(self.rewards), self.capacity)
+        for name in ("obs", "actions", "rewards", "next_obs", "dones"):
+            old = getattr(self, name)
+            new = np.empty((rows, *old.shape[1:]), dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         idx = rng.choice(self.size, size=batch_size, replace=False)
@@ -91,8 +109,12 @@ def double_dqn_targets(policy: Mlp, target: Mlp, rewards, next_obs, dones,
     next_q_policy = policy.forward(next_obs)
     greedy = np.argmax(next_q_policy, axis=1)
     next_q_target = target.forward(next_obs)
+    # the operations of rewards + gamma * evaluated * ~dones, in place
     evaluated = next_q_target[np.arange(len(greedy)), greedy]
-    return rewards + gamma * evaluated * (~np.asarray(dones, dtype=bool))
+    evaluated *= gamma
+    evaluated *= ~np.asarray(dones, dtype=bool)
+    evaluated += rewards
+    return evaluated
 
 
 class DqnAgent(LearningAgent):
@@ -101,6 +123,7 @@ class DqnAgent(LearningAgent):
         super().__init__(cfg, seed, 50_000)
         self.obs_lows = np.asarray(obs_lows, dtype=float)
         self.obs_highs = np.asarray(obs_highs, dtype=float)
+        self._span = self.obs_highs - self.obs_lows
         layers = (len(self.obs_lows), *HIDDEN_LAYERS, len(ACTIONS))
         self.policy = Mlp(layers, self.rng)
         self.target = self.policy.copy()
@@ -109,10 +132,20 @@ class DqnAgent(LearningAgent):
         self.last_loss = float("nan")
 
     def normalize(self, obs) -> np.ndarray:
-        """The observation scaled to the unit box, clipped; read-only."""
-        x = np.asarray(obs, dtype=float)
-        span = self.obs_highs - self.obs_lows
-        x = np.clip((x - self.obs_lows) / span, 0.0, 1.0)
+        """The observation scaled to the unit box, clipped; read-only.
+
+        This is where an observation enters the agent, so a NaN or infinite
+        entry raises ``FloatingPointError`` here, before ``act`` or the
+        replay buffer sees it. The maximum takes 0.0 as its first operand,
+        so a -0.0 entry stays -0.0, as under ``np.clip``.
+        """
+        x = np.array(obs, dtype=float)
+        if not np.isfinite(x).all():
+            raise FloatingPointError(f"non-finite observation {obs!r}")
+        x -= self.obs_lows
+        x /= self._span
+        np.maximum(0.0, x, out=x)
+        np.minimum(x, 1.0, out=x)
         x.flags.writeable = False
         return x
 
@@ -127,8 +160,7 @@ class DqnAgent(LearningAgent):
               next_action: int, done: bool):
         lo, hi = self.cfg.reward_clip
         self.buffer.push(self.state(obs), ACTIONS.index(action),
-                         float(np.clip(reward, lo, hi)),
-                         self.state(next_obs), done)
+                         min(max(reward, lo), hi), self.state(next_obs), done)
         self.last_loss = self.train_step()
 
     def train_step(self):

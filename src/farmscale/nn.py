@@ -7,6 +7,13 @@ moment estimation. Everything is plain numpy; no autograd.
 The optimizer, the gradient clip and the target blend each run a few ufuncs
 over a network's flat parameter and gradient arrays, with the elementwise
 operation order of a loop over per-layer arrays, so the bits are the same.
+The clip and the blend write their intermediate products into a scratch
+array each network owns, and the forward and backward passes add biases,
+apply ReLU and mask deltas in place, on the arrays the matrix products
+return.
+
+Only ``Mlp.forward`` checks that its input is finite; the backward pass
+trusts the batches the agent built from inputs checked where they entered.
 """
 
 from __future__ import annotations
@@ -37,8 +44,10 @@ class Mlp:
 
     ``flat`` holds every parameter; ``weights`` and ``biases`` are views into
     it. ``grad`` is laid out like ``flat`` and ``grads`` are its views, in
-    ``parameters()`` order. With an ``rng`` the weights are He-normal and
-    the biases zero; without one every parameter is zero.
+    ``parameters()`` order. ``_scratch`` is a third array of the same
+    layout, which ``clip_gradient_norm`` and ``soft_update`` overwrite. With
+    an ``rng`` the weights are He-normal and the biases zero; without one
+    every parameter is zero.
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
@@ -50,6 +59,8 @@ class Mlp:
         params = _views(self.flat, shapes)
         self.weights, self.biases = params[:len(shapes)], params[len(shapes):]
         self.grads = _views(self.grad, shapes)
+        self._scratch = np.empty(n)
+        self._scratch_views = _views(self._scratch, shapes)
         if rng is not None:
             for w in self.weights:
                 w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]),
@@ -64,20 +75,24 @@ class Mlp:
         return clone
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values for a batch (or single vector) of inputs."""
-        out, _ = self._forward_cached(np.atleast_2d(np.asarray(x, dtype=float)))
-        return out if np.ndim(x) == 2 else out[0]
+        """Action values for a batch (or single vector) of inputs; a NaN or
+        infinite input raises ``FloatingPointError``."""
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise FloatingPointError("non-finite network input")
+        out, _ = self._forward_cached(np.atleast_2d(x))
+        return out if x.ndim == 2 else out[0]
 
     def _forward_cached(self, x):
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError("non-finite network input")
+        """(output, activations), each a new array; ``x`` is not checked."""
         activations = [x]
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i < last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             activations.append(h)
         return h, activations
 
@@ -93,41 +108,52 @@ class Mlp:
         targets = np.asarray(targets, dtype=float)
         n = x.shape[0]
         q, acts = self._forward_cached(x)
-        picked = q[np.arange(n), actions]
-        diff = picked - targets
+        rows = np.arange(n)
+        diff = q[rows, actions]
+        diff -= targets
         loss, dloss = _smooth_l1(diff)
 
-        # gradient w.r.t. the network output: only selected entries
-        dq = np.zeros_like(q)
-        dq[np.arange(n), actions] = dloss / n
+        # gradient w.r.t. the network output, only at the selected entries,
+        # written over q: the backward pass reads the activations below it
+        dloss /= n
+        q.fill(0.0)
+        q[rows, actions] = dloss
 
         layers = len(self.weights)
-        delta = dq
+        delta = q
         for i in range(layers - 1, -1, -1):
             np.matmul(acts[i].T, delta, out=self.grads[i])
             delta.sum(axis=0, out=self.grads[layers + i])
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (acts[i] > 0)
-        return float(np.mean(loss)), self.grads
+                delta = delta @ self.weights[i].T
+                delta *= acts[i] > 0
+        return float(loss.mean()), self.grads
 
 
 def _smooth_l1(diff):
-    """Huber-style loss element-wise plus its derivative."""
+    """Huber-style loss element-wise plus its derivative.
+
+    The derivative is diff / beta inside (-beta, beta) and sign(diff)
+    outside; clipping diff / beta to [-1, 1] gives those bits at every
+    finite diff, +-beta and -0.0 included, and passes a NaN through.
+    """
     beta = SMOOTH_L1_BETA
     absd = np.abs(diff)
-    quad = absd < beta
-    loss = np.where(quad, 0.5 * diff * diff / beta, absd - 0.5 * beta)
-    grad = np.where(quad, diff / beta, np.sign(diff))
+    loss = np.where(absd < beta, 0.5 * diff * diff / beta, absd - 0.5 * beta)
+    grad = diff / beta
+    np.clip(grad, -1.0, 1.0, out=grad)
     return loss, grad
 
 
 def clip_gradient_norm(net: Mlp, max_norm: float):
     """Scale ``net.grad`` in place so its global L2 norm is at most max_norm.
 
-    The squared norm is summed per parameter array, in ``parameters()``
-    order, so it has the bits of a loop over separate arrays.
+    The squares go into the net's scratch array; the squared norm is summed
+    over its per-parameter views, in ``parameters()`` order, so it has the
+    bits of a loop over separate arrays.
     """
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in net.grads))
+    np.multiply(net.grad, net.grad, out=net._scratch)
+    total = np.sqrt(sum(float(s.sum()) for s in net._scratch_views))
     if total > max_norm and total > 0:
         net.grad *= max_norm / total
 
@@ -169,6 +195,8 @@ class Adam:
 
 
 def soft_update(target: Mlp, policy: Mlp, tau: float):
-    """target <- (1 - tau) * target + tau * policy, elementwise."""
+    """target <- (1 - tau) * target + tau * policy, elementwise; the
+    product tau * policy goes into the policy's scratch array."""
     target.flat *= 1.0 - tau
-    target.flat += tau * policy.flat
+    np.multiply(policy.flat, tau, out=policy._scratch)
+    target.flat += policy._scratch

@@ -185,6 +185,8 @@ class WorkloadPhaseSpec:
     def __post_init__(self):
         if self.kind not in ("steady", "sinusoid"):
             raise ValueError(f"unknown phase kind {self.kind!r}")
+        if not self.base_rate > 0:
+            raise FieldError("base_rate", "base_rate must be positive")
         if self.duration <= 0:
             raise FieldError("duration", "need 0 < window <= duration")
         if self.window <= 0 or self.window > self.duration:

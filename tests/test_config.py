@@ -108,6 +108,12 @@ class TestRangeChecks:
          "dqn_learning_rate"),
         (["run", "--policy", "reactive-avg"], "dqn_grad_clip: 0.0\n",
          "dqn_grad_clip"),
+        # a zero rate gives the DQN observation a zero span (NaN rows in the
+        # replay buffer); a negative one empties every workload
+        (["train", "--agent", "dqn", "--episodes", "2"], "base_rate: 0.0\n",
+         "base_rate"),
+        (["run", "--policy", "reactive-avg"], "base_rate: -1.0\n",
+         "base_rate"),
     ])
     def test_cli_rejects_out_of_range_value(self, tmp_path, capsys, command,
                                             text, key):

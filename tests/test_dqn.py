@@ -73,6 +73,62 @@ class TestReplayBuffer:
             buf.sample(2, np.random.default_rng(0))
 
 
+class PreallocatedReplayBuffer:
+    """The buffer before it grew by doubling: every row allocated up front."""
+
+    def __init__(self, capacity, obs_dim):
+        self.capacity = capacity
+        self.obs = np.empty((capacity, obs_dim))
+        self.actions = np.empty(capacity, dtype=int)
+        self.rewards = np.empty(capacity)
+        self.next_obs = np.empty((capacity, obs_dim))
+        self.dones = np.empty(capacity, dtype=bool)
+        self.size = 0
+        self._head = 0
+
+    def push(self, obs, action_idx, reward, next_obs, done):
+        i = self._head
+        self.obs[i] = obs
+        self.actions[i] = action_idx
+        self.rewards[i] = reward
+        self.next_obs[i] = next_obs
+        self.dones[i] = done
+        self._head = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size, rng):
+        idx = rng.choice(self.size, size=batch_size, replace=False)
+        return (self.obs[idx], self.actions[idx], self.rewards[idx],
+                self.next_obs[idx], self.dones[idx])
+
+
+@pytest.mark.parametrize("capacity", [5, 1_024, 1_500, 4_100])
+def test_growing_buffer_samples_like_preallocated(capacity):
+    # 1,500 grows once (to its capacity), 4,100 three times; every buffer
+    # wraps before the pushes end
+    buf = ReplayBuffer(capacity, obs_dim=2)
+    ref = PreallocatedReplayBuffer(capacity, obs_dim=2)
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    data = np.random.default_rng(5)
+    rows = set()
+    for i in range(capacity + 1_300):
+        row = (data.normal(size=2), int(data.integers(3)), float(data.normal()),
+               data.normal(size=2), bool(data.random() < 0.2))
+        buf.push(*row)
+        ref.push(*row)
+        rows.add(len(buf.rewards))
+        assert buf.size == ref.size
+        if i % 97 == 0 or i in (1_023, 1_024, 2_047, 2_048, capacity):
+            batch = min(buf.size, 64)
+            got = buf.sample(batch, rng)
+            expected = ref.sample(batch, ref_rng)
+            assert [a.tobytes() for a in got] == [a.tobytes()
+                                                  for a in expected]
+    assert max(rows) == capacity
+    assert min(rows) == min(capacity, 1_024)
+    assert buf.size == capacity
+
+
 class TestDoubleDqnTargets:
     @given(seed=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=20, deadline=None)
@@ -116,6 +172,50 @@ class TestAgent:
         np.testing.assert_allclose(hi, np.ones(9))
         over = agent.normalize(obs(q_work=10_000))
         assert np.max(over) <= 1.0 and np.min(over) >= 0.0
+
+    def test_normalize_matches_clip_formula(self):
+        # the in-place scaling and clip against the allocating formula, with
+        # entries at, inside and beyond the bounds and a -0.0 at a zero low
+        agent = make_agent()
+        rng = np.random.default_rng(0)
+        rows = [BOUNDS_LO, BOUNDS_HI, -BOUNDS_HI, 2 * BOUNDS_HI,
+                np.full(9, -0.0)]
+        rows += list(rng.uniform(-0.5, 1.5, size=(200, 9)) * BOUNDS_HI)
+        for row in rows:
+            expected = np.clip((row - BOUNDS_LO) / (BOUNDS_HI - BOUNDS_LO),
+                               0.0, 1.0)
+            got = agent.normalize(Observation(*row))
+            assert got.tobytes() == expected.tobytes()
+            assert agent.normalize(row).tobytes() == expected.tobytes()
+        assert np.signbit(agent.normalize(np.full(9, -0.0))).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_rejected_before_buffer(self, bad):
+        # normalize checks where an observation enters: an infinite entry
+        # would otherwise clip to a bound, a NaN reach the replay buffer
+        agent = make_agent(warmup=4, batch_size=2)
+        poisoned = np.array(list(obs(q_work=5)), dtype=float)
+        poisoned[7] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            agent.normalize(poisoned)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            agent.act(poisoned, greedy=True)
+        # an exploring act does not read the observation; learn, which
+        # stores it, rejects it as either the current or the next one
+        for pair in ((poisoned, obs()), (obs(), poisoned)):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                agent.learn(pair[0], 0, 0.0, pair[1], 0, False)
+        assert agent.buffer.size == 0
+
+    def test_reward_clip_matches_np_clip(self):
+        for lo, hi in ((-100.0, 100.0), (0.0, 1.0), (-1.0, -0.0)):
+            agent = make_agent(warmup=64, batch_size=2, reward_clip=(lo, hi))
+            rewards = [-1e9, lo, hi, -0.0, 0.0, 0.5, -0.5, 99.9, 1e9, np.nan,
+                       np.inf, -np.inf, 7, -3]
+            for i, r in enumerate(rewards):
+                agent.learn(obs(), 0, r, obs(), 0, False)
+                assert (agent.buffer.rewards[i].tobytes()
+                        == np.float64(np.clip(r, lo, hi)).tobytes()), (lo, r)
 
     def test_state_is_memoised_read_only_normalize(self):
         agent = make_agent()

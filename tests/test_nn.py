@@ -198,3 +198,178 @@ class TestSoftUpdate:
         soft_update(target, policy, 1.0)
         for t, p in zip(target.parameters(), policy.parameters()):
             np.testing.assert_allclose(t, p, atol=1e-15)
+
+
+# The allocating formulas the in-place forward and backward passes, the
+# scratch-backed clip and the scratch-backed blend replaced.  Each kernel
+# must give their bits.
+
+def reference_forward(net, x):
+    activations = [x]
+    h = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if i < len(net.weights) - 1:
+            h = np.maximum(h, 0.0)
+        activations.append(h)
+    return h, activations
+
+
+def reference_smooth_l1(diff):
+    absd = np.abs(diff)
+    quad = absd < 1.0
+    loss = np.where(quad, 0.5 * diff * diff / 1.0, absd - 0.5 * 1.0)
+    grad = np.where(quad, diff / 1.0, np.sign(diff))
+    return loss, grad
+
+
+def reference_loss_and_gradients(net, x, actions, targets):
+    n = x.shape[0]
+    q, acts = reference_forward(net, x)
+    diff = q[np.arange(n), actions] - targets
+    loss, dloss = reference_smooth_l1(diff)
+    dq = np.zeros_like(q)
+    dq[np.arange(n), actions] = dloss / n
+    layers = len(net.weights)
+    grads = [None] * (2 * layers)
+    delta = dq
+    for i in range(layers - 1, -1, -1):
+        grads[i] = acts[i].T @ delta
+        grads[layers + i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (acts[i] > 0)
+    return float(np.mean(loss)), grads
+
+
+def reference_clip_gradient_norm(grads, max_norm):
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if total > max_norm and total > 0:
+        grads = [g * (max_norm / total) for g in grads]
+    return grads
+
+
+def reference_soft_update(target, policy, tau):
+    return [t * (1.0 - tau) + tau * p
+            for t, p in zip(target.parameters(), policy.parameters())]
+
+
+def flat_bytes(arrays):
+    return np.concatenate([a.ravel() for a in arrays]).tobytes()
+
+
+def random_case(seed, sizes=(9, 128, 64, 3), n=64):
+    """A net, a batch and actions.  The first hidden layer's biases are
+    negative, so the zero rows of the batch come out of the first ReLU as
+    all-zero rows and other rows lose some units."""
+    rng = np.random.default_rng(seed)
+    net = Mlp(sizes, rng)
+    net.biases[0][...] = -np.abs(rng.normal(0.0, 0.5, size=sizes[1]))
+    for b in net.biases[1:]:
+        b[...] = rng.normal(0.0, 0.1, size=b.shape)
+    x = rng.uniform(-1.0, 1.0, size=(n, sizes[0]))
+    x[::7] = 0.0
+    actions = rng.integers(0, sizes[-1], size=n)
+    return net, x, actions, rng
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("sizes", [(9, 128, 64, 3), (3, 6, 4, 2), (4, 5)])
+def test_forward_matches_reference(seed, sizes):
+    net, x, _, _ = random_case(seed, sizes)
+    out, acts = net._forward_cached(x)
+    ref_out, ref_acts = reference_forward(net, x)
+    assert out.tobytes() == ref_out.tobytes()
+    assert [a.tobytes() for a in acts] == [a.tobytes() for a in ref_acts]
+    assert net.forward(x).tobytes() == ref_out.tobytes()
+    # a single vector takes BLAS's matrix-vector path, with its own bits
+    assert (net.forward(x[3]).tobytes()
+            == reference_forward(net, x[3:4])[0][0].tobytes())
+    if len(sizes) > 2:
+        assert not acts[1][::7].any()  # the rows ReLU zeroes
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("sizes", [(9, 128, 64, 3), (3, 6, 4, 2), (4, 5)])
+def test_loss_and_gradients_match_reference(seed, sizes):
+    net, x, actions, rng = random_case(seed, sizes)
+    picked = reference_forward(net, x)[0][np.arange(len(x)), actions]
+    # targets a beta off the picked value hit |diff| == beta where the
+    # subtraction is exact; the rest spread over both Smooth-L1 regions
+    offsets = rng.choice([-1.0, 1.0, 0.0, 0.3, -2.5, 40.0], size=len(x))
+    targets = picked + offsets
+    diff = picked - targets
+    assert (np.abs(diff) == 1.0).any() and (diff == 0.0).any()
+    ref_loss, ref_grads = reference_loss_and_gradients(net, x, actions,
+                                                       targets)
+    loss, grads = net.loss_and_gradients(x, actions, targets)
+    assert loss == ref_loss
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+
+
+def test_smooth_l1_matches_reference():
+    tiny = np.nextafter(0.0, 1.0)
+    diff = np.array([0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0),
+                     np.nextafter(1.0, 2.0), -np.nextafter(1.0, 0.0), tiny,
+                     -tiny, 0.5, -3.0, 1e300, -1e300, np.inf, -np.inf, np.nan])
+    diff = np.concatenate(
+        [diff, np.random.default_rng(0).normal(0.0, 2.0, size=200)])
+    with np.errstate(over="ignore"):  # 0.5 * 1e300 * 1e300, unused
+        loss, grad = _smooth_l1(diff.copy())
+        ref_loss, ref_grad = reference_smooth_l1(diff)
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+def clip_cases():
+    """Backprop gradients, then random ones of mixed magnitudes, for which
+    one sum over the whole flat array would differ from the per-parameter
+    sums in about half the cases."""
+    for seed in range(4):
+        net, x, actions, rng = random_case(seed)
+        net.loss_and_gradients(x, actions, rng.normal(size=len(x)))
+        yield net
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        net.grad[...] = (rng.normal(size=net.grad.size)
+                         * rng.uniform(1e-3, 10.0, size=net.grad.size))
+        yield net
+
+
+@pytest.mark.parametrize("clipped", [False, True])
+def test_clip_gradient_norm_matches_reference(clipped):
+    for net in clip_cases():
+        grads = [g.copy() for g in net.grads]
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        max_norm = 0.5 * norm if clipped else norm
+        ref = reference_clip_gradient_norm(grads, max_norm)
+        before = net.grad.copy()
+        clip_gradient_norm(net, max_norm)
+        assert (net.grad.tobytes() != before.tobytes()) == clipped
+        assert net.grad.tobytes() == flat_bytes(ref)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.3, 1.0, 1e-7])
+def test_soft_update_matches_reference(tau):
+    target = Mlp((9, 128, 64, 3), np.random.default_rng(0))
+    policy = Mlp((9, 128, 64, 3), np.random.default_rng(1))
+    policy_bytes = policy.flat.tobytes()
+    for _ in range(3):
+        ref = reference_soft_update(target, policy, tau)
+        soft_update(target, policy, tau)
+        assert target.flat.tobytes() == flat_bytes(ref)
+    assert policy.flat.tobytes() == policy_bytes
+
+
+def test_results_do_not_alias_later_calls():
+    net, x, actions, rng = random_case(0)
+    x_bytes = x.tobytes()
+    batch = net.forward(x)
+    single = net.forward(x[1])
+    kept = batch.tobytes(), single.tobytes()
+    targets = rng.normal(size=len(x))
+    targets_bytes = targets.tobytes()
+    net.forward(x[::-1].copy())
+    net.loss_and_gradients(x, actions, targets)
+    net.forward(x[1])
+    assert (batch.tobytes(), single.tobytes()) == kept
+    assert x.tobytes() == x_bytes and targets.tobytes() == targets_bytes

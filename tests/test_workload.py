@@ -343,13 +343,13 @@ def assert_same_workload(tasks, expected):
 
 @st.composite
 def phase_lists(draw):
-    """1-5 phases of either kind; a base rate of 0 or 0.04 makes a phase
-    with no tasks."""
+    """1-5 phases of either kind; a base rate of 0.001 makes a phase with
+    no tasks, and 0.04 one with at most one."""
     phases = []
     for _ in range(draw(st.integers(1, 5))):
         duration = draw(st.sampled_from([2.0, 7.5, 20.0]))
         window = draw(st.sampled_from([0.5, 2.0, duration]))
-        rate = draw(st.sampled_from([0.0, 0.04, 1.0, 4.0]))
+        rate = draw(st.sampled_from([0.001, 0.04, 1.0, 4.0]))
         if draw(st.booleans()):
             phases.append(WorkloadPhaseSpec(
                 "steady", rate, duration, window,
@@ -379,7 +379,7 @@ class TestEpisodeWorkload:
     @example(phases=[WorkloadPhaseSpec("steady", 3.0, 7.5, 2.0)], seed=5,
              shuffle=True)
     @example(phases=[WorkloadPhaseSpec("steady", 1.0, 7.5, 2.0),
-                     WorkloadPhaseSpec("steady", 0.0, 7.5, 2.0),
+                     WorkloadPhaseSpec("steady", 0.001, 7.5, 2.0),
                      WorkloadPhaseSpec("steady", 4.0, 2.0, 0.5)],
              seed=8, shuffle=False)
     @settings(max_examples=60, deadline=None)
