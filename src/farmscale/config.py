@@ -7,6 +7,7 @@ constant it belongs to; ``DEFAULTS`` gathers them under their config keys.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import fields
 
@@ -52,10 +53,10 @@ def load_config(path=None) -> dict:
     """DEFAULTS overlaid with the flat key-value file at ``path``, if any.
 
     Each loaded value must have the type of its default: an int key takes
-    only an integer, a float key an integer or a float, a bool key only a
-    bool; a bool is never taken as a number. Every config object is built
-    once, so a value out of range raises ``ConfigError`` here, whichever
-    objects the command goes on to use.
+    only an integer, a float key a finite number, a bool key only a bool;
+    a bool is never taken as a number. Every config object is built once,
+    so a value out of range raises ``ConfigError`` here, whichever objects
+    the command goes on to use.
     """
     cfg = dict(DEFAULTS)
     if path is not None:
@@ -70,6 +71,9 @@ def load_config(path=None) -> dict:
             if not has_type_of(value, DEFAULTS[key]):
                 raise ValueError(f"{path}: {key} must be "
                                  f"{type(DEFAULTS[key]).__name__}, "
+                                 f"got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{path}: {key} must be a finite number, "
                                  f"got {value!r}")
         cfg.update(loaded)
         for build in (episode_config, reward_config, sarsa_config,

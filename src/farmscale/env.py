@@ -77,12 +77,10 @@ class FarmEnv:
         self._terminated = True
 
     @property
-    def nominal_steps(self) -> int:
-        return math.ceil(self.config.total_duration / self.config.step_duration)
-
-    @property
     def max_steps(self) -> int:
-        return self.nominal_steps + self.config.drain_cap
+        return (math.ceil(self.config.total_duration
+                          / self.config.step_duration)
+                + self.config.drain_cap)
 
     def observation_bounds(self):
         """Per-dimension (low, high) bounds used by agents for normalization."""
@@ -101,8 +99,6 @@ class FarmEnv:
         self.sim.inject_tasks(workload)
         # the sim appends to its completion records, so the log stays current
         self.log = EpisodeLog(list(workload), self.sim.completion_records)
-        self.step_index = 0
-        self._step_cap = self.max_steps
         # per step of the last obs_window: its service times, its arrivals
         self._completion_window = deque(maxlen=self.config.obs_window)
         self._arrival_window = deque(maxlen=self.config.obs_window)
@@ -124,7 +120,7 @@ class FarmEnv:
         applied = sim.request_scale(action_int)
         enqueued, done = sim.enqueued_total, len(sim.completion_records)
         sim.advance(self.config.step_duration)
-        self.step_index += 1
+        step = len(self.log.steps) + 1
 
         # this step's figures from the sim's cumulative counts and records
         arrived = sim.enqueued_total - enqueued
@@ -143,12 +139,12 @@ class FarmEnv:
             self.reward_config, obs.qos_step, obs.q_work,
             obs.n_workers, applied)
 
-        drained = (sim.pending_arrivals == 0
-                   and snap.q_work == 0 and snap.workers_busy == 0)
-        self._terminated = drained or self.step_index >= self._step_cap
+        # by conservation, nothing is pending, queued or running
+        drained = len(sim.completion_records) == len(self.log.tasks)
+        self._terminated = drained or step >= self.max_steps
 
         self.log.add_step(StepRecord(
-            step=self.step_index, observation=obs, action=action_int,
+            step=step, observation=obs, action=action_int,
             applied_delta=applied, reward=reward, arrived=arrived,
             completed=completed, hits=hits, reward_terms=terms))
 

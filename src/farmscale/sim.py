@@ -24,10 +24,12 @@ names no worker. Pool counts are kept as counters (starting, busy,
 draining) rather than recounted. Only busy workers ever drain (a starting
 victim is cancelled and an idle one exits at once), so the effective pool
 is every worker neither starting nor draining, and the committed pool is
-every worker not draining. Validate mode checks the invariant, the
-counters and the conservation identity after every event. Only cumulative
-state is kept, the enqueue counter and the completion records; the env
-works out each step's figures from them.
+every worker not draining. Startup is sequential and a scale-down takes
+the newest worker, so the starting workers are always the newest ones.
+Validate mode checks that, the invariant, the counters and the conservation
+identity after every event. A simulator takes one batch of tasks; the
+completion records are its only accounting state, and its enqueue count is
+the batch less the arrivals pending.
 """
 
 from __future__ import annotations
@@ -84,20 +86,18 @@ class FarmSim:
         self.clock = 0.0
         self.q_work = deque()
         self.workers: dict[int, WorkerState] = {}
-        self.enqueued_total = 0
         self.completion_records = []  # (task, completion_time, met)
         self._events = []  # (time, kind, id, payload): completions, readies
         self._arrivals = deque()  # (time, _ARRIVAL, task_id, task), sorted
-        self._task_ids = set()
+        self._injected = None  # the size of the one batch, once injected
         self._next_worker_id = 0
         self._idle = []  # min-heap of idle worker ids, stale ids skipped
         self._starting = 0
         self._busy = 0
         self._draining = 0
-        self._last_scheduled_ready = 0.0
         self.trace = [] if trace else None
 
-        if getattr(config, "warm_start", False):
+        if config.warm_start:
             # Initial pool brought up before the episode clock starts, the
             # way a farm deployment completes its startup handshake before
             # the emitter opens the stream.  Only mid-episode scale-ups pay
@@ -115,18 +115,16 @@ class FarmSim:
 
     def _schedule_start(self):
         lo, hi = self.config.scale_up_latency
-        base = max(self.clock, self._last_scheduled_ready)
+        # sequential startup: queue behind the newest start, the last worker
+        base = (next(reversed(self.workers.values())).ready_at
+                if self._starting else self.clock)
         ready_at = base + self.rng.uniform(lo, hi)
         wid = self._next_worker_id
         self._next_worker_id += 1
         self.workers[wid] = WorkerState(wid, STARTING, ready_at=ready_at)
         self._starting += 1
-        self._last_scheduled_ready = ready_at
         heappush(self._events, (ready_at, _WORKER_READY, wid, None))
         return wid
-
-    def _committed(self) -> int:
-        return len(self.workers) - self._draining
 
     def _record(self, kind, task_id=-1, worker_id=-1):
         """Append to the event trace; callers check ``self.trace`` first."""
@@ -135,29 +133,22 @@ class FarmSim:
     # -- public operations --------------------------------------------------
 
     def inject_tasks(self, tasks):
-        """Schedule the arrivals of ``tasks``, given in any order.
-
-        Arrivals run in (arrival time, task id) order, also across calls: a
-        batch that reaches back before arrivals still pending is merged
-        with them. A task id seen before raises ``ValueError`` and the
-        batch is not scheduled.
-        """
+        """Schedule the arrivals of ``tasks``, this simulator's one batch,
+        given in any order. Arrivals run in (arrival time, task id) order.
+        A second batch, or a task id repeated in the batch, raises
+        ``ValueError`` and schedules nothing."""
+        if self._injected is not None:
+            raise ValueError("a simulator takes one batch of tasks")
         batch = [(t.arrival_time, _ARRIVAL, t.task_id, t) for t in tasks]
-        ids = {a[2] for a in batch}
-        if len(ids) < len(batch) or not self._task_ids.isdisjoint(ids):
-            seen = set(self._task_ids)
+        if len({a[2] for a in batch}) < len(batch):
+            seen = set()
             for _, _, task_id, _ in batch:
                 if task_id in seen:
                     raise ValueError(f"duplicate task_id {task_id}")
                 seen.add(task_id)
-        self._task_ids |= ids
         batch.sort()  # ids are unique, so the tasks themselves never compare
-        pending = self._arrivals
-        if pending and batch and batch[0] < pending[-1]:
-            batch += pending
-            batch.sort()
-            pending.clear()
-        pending.extend(batch)
+        self._arrivals.extend(batch)
+        self._injected = len(batch)
 
     def request_scale(self, delta: int) -> int:
         """Apply a unit scaling request, clipped to pool bounds.
@@ -171,10 +162,9 @@ class FarmSim:
         if step is None:
             raise ValueError(f"scaling actions are unit steps in {ACTIONS},"
                              f" got {delta!r}")
-        committed = self._committed()
+        committed = len(self.workers) - self._draining
         applied = max(min(step, self.config.n_max - committed),
                       self.config.n_min - committed)
-        applied = max(-1, min(1, applied))
         if applied > 0:
             wid = self._schedule_start()
             if self.trace is not None:
@@ -187,9 +177,6 @@ class FarmSim:
             if victim.status == STARTING:
                 del self.workers[victim.worker_id]  # ready event becomes stale
                 self._starting -= 1
-                self._last_scheduled_ready = max(
-                    (w.ready_at for w in self.workers.values()
-                     if w.status == STARTING), default=0.0)
             elif victim.status == IDLE:
                 del self.workers[victim.worker_id]  # heap entry becomes stale
             else:
@@ -241,6 +228,11 @@ class FarmSim:
         )
 
     @property
+    def enqueued_total(self) -> int:
+        """Tasks arrived so far: the batch less the arrivals pending."""
+        return (self._injected or 0) - len(self._arrivals)
+
+    @property
     def completed_total(self) -> int:
         return len(self.completion_records)
 
@@ -255,7 +247,6 @@ class FarmSim:
     # per-task path.
 
     def _on_arrival(self, task):
-        self.enqueued_total += 1
         trace = self.trace
         if trace is not None:
             self._record("arrival", task_id=task.task_id)
@@ -305,7 +296,7 @@ class FarmSim:
 
     def _on_worker_ready(self, worker_id):
         worker = self.workers.get(worker_id)
-        if worker is None or worker.status != STARTING:
+        if worker is None:
             return  # cancelled by a scale-down before becoming ready
         self._starting -= 1
         trace = self.trace
@@ -326,7 +317,7 @@ class FarmSim:
 
     def _check_conservation(self):
         """Conservation identity and the backlog invariant, plus the pool
-        counters and idle heap against a full scan of the workers."""
+        counters, start order and idle heap against a scan of the workers."""
         workers = self.workers.values()
         recount = {
             "busy": (self._busy, sum(w.status == BUSY for w in workers)),
@@ -339,6 +330,10 @@ class FarmSim:
                 raise ConservationError(
                     f"{name} counter {kept} != {scanned} workers"
                     f" at t={self.clock}")
+        newest = list(workers)[len(self.workers) - self._starting:]
+        if any(w.status != STARTING for w in newest):
+            raise ConservationError("a starting worker is older than a"
+                                    f" started one at t={self.clock}")
         idle = sorted(w.worker_id for w in workers if w.status == IDLE)
         queued = sorted(i for i in self._idle if i in self.workers)
         if idle != queued:

@@ -191,6 +191,9 @@ class WorkloadPhaseSpec:
             raise FieldError("duration", "need 0 < window <= duration")
         if self.window <= 0 or self.window > self.duration:
             raise FieldError("window", "need 0 < window <= duration")
+        for name in ("multiplier", "mult_min"):
+            if not getattr(self, name) >= 0:
+                raise FieldError(name, f"{name} must be >= 0")
         if self.kind == "sinusoid":
             if not (self.mult_min < self.mult_max) or self.cycles < 1:
                 raise ValueError("sinusoid needs mult_min < mult_max and cycles >= 1")

@@ -36,6 +36,21 @@ class TestLoadTypes:
         assert path in str(err.value)
         assert key in str(err.value)
 
+    # unchecked, a NaN beta made every deadline NaN and the run exit 0, and
+    # other keys failed late with an error that named no file or key
+    @pytest.mark.parametrize("text,shown", [(".nan", "nan"), (".inf", "inf"),
+                                            ("-.inf", "-inf")])
+    @pytest.mark.parametrize("key", sorted(
+        k for k, v in DEFAULTS.items() if type(v) is float))
+    def test_cli_rejects_non_finite_float(self, tmp_path, capsys, key, text,
+                                          shown):
+        path = write_config(tmp_path, f"{key}: {text}\n")
+        assert main(["run", "--policy", "reactive-avg", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {key} must be a finite number, got {shown}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_accepted_types(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path, "dqn_learning_rate: 1.0e-3\nbeta: 3\nn_max: 18\n"

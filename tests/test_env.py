@@ -98,7 +98,7 @@ class TestLifecycle:
         env.reset(tasks, seed=0)
         with pytest.raises(ValueError, match="action must be in"):
             env.step(action)
-        assert env.step_index == 0 and env.log.steps == []
+        assert env.log.steps == []
         assert env.sim.snapshot().workers_starting == 0
 
     def test_numpy_integer_action_logged_as_int(self, small_env, tmp_path):

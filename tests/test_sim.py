@@ -5,7 +5,7 @@ import heapq
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from farmscale import sim as sim_module
 from farmscale.core import TaskSpec, deadline_met
@@ -23,7 +23,6 @@ class DispatchReferenceSim(FarmSim):
 
     def _on_arrival(self, task):
         self.q_work.append(task)
-        self.enqueued_total += 1
         if self.trace is not None:
             self._record("arrival", task_id=task.task_id)
         if self._idle:
@@ -116,17 +115,22 @@ class TestStartup:
 
 class TestInjection:
     def test_duplicate_task_id_rejected(self):
-        sim = make_sim()
-        sim.inject_tasks([simple_task(1, 0.5)])
-        with pytest.raises(ValueError):
-            sim.inject_tasks([simple_task(1, 0.7)])
+        # an id seen before can only come in a second batch, which is
+        # refused whatever it holds, after an empty first batch too
+        for first in ([simple_task(1, 0.5)], []):
+            sim = make_sim()
+            sim.inject_tasks(first)
+            for batch in ([simple_task(1, 0.7)], [simple_task(2, 0.7)], []):
+                with pytest.raises(ValueError, match="one batch of tasks"):
+                    sim.inject_tasks(batch)
+                assert sim.pending_arrivals == len(first)
 
     def test_pending_arrivals_counter(self):
         sim = make_sim(warm=True)
         sim.inject_tasks([simple_task(i, 0.1 * (i + 1)) for i in range(5)])
-        assert sim.pending_arrivals == 5
+        assert (sim.pending_arrivals, sim.enqueued_total) == (5, 0)
         sim.advance(0.35)
-        assert sim.pending_arrivals == 2
+        assert (sim.pending_arrivals, sim.enqueued_total) == (2, 3)
 
 
 def grid_sim(warm, n_init, seed, cls=FarmSim):
@@ -137,58 +141,78 @@ def grid_sim(warm, n_init, seed, cls=FarmSim):
     return cls(cfg, np.random.default_rng(seed), validate=True, trace=True)
 
 
+class TestStartQueue:
+    @given(warm=st.booleans(), n_init=st.integers(1, 3),
+           program=st.lists(st.tuples(st.sampled_from((-1, 0, 1)),
+                                      st.floats(min_value=0.05,
+                                                max_value=3.0)),
+                            min_size=1, max_size=60),
+           seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_start_queues_behind_every_pending_start(self, warm, n_init,
+                                                     program, seed):
+        # steps are shorter than the startup latency, so starts queue and
+        # scale-downs cancel them; the reference base rescans every pending
+        # start, and a second generator replays the simulator's draws
+        lo, hi = 1.0, 4.0
+        cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init, n_max=6,
+                                  warm_start=warm, scale_up_latency=(lo, hi))
+        sim = FarmSim(cfg, np.random.default_rng(seed), validate=True)
+        ref = np.random.default_rng(seed)
+        if not warm:
+            base = 0.0
+            for wid in range(n_init):
+                base += ref.uniform(lo, hi)
+                assert sim.workers[wid].ready_at == base
+        task_rng = np.random.default_rng([seed, 1])
+        arrivals = np.cumsum(task_rng.exponential(0.5, size=60))
+        sim.inject_tasks([simple_task(i, float(a), service=2.0)
+                          for i, a in enumerate(arrivals)])
+        for action, dt in program:
+            base = max([sim.clock, *(w.ready_at for w in sim.workers.values()
+                                     if w.status == STARTING)])
+            if sim.request_scale(action) > 0:
+                new = sim.workers[max(sim.workers)]
+                assert new.status == STARTING
+                assert new.ready_at == base + ref.uniform(lo, hi)
+            sim.advance(dt)
+
+
 class TestMergedArrivals:
     @given(slots=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
-                          min_size=4, max_size=40),
+                          min_size=1, max_size=40),
            program=st.lists(st.tuples(st.sampled_from((-1, 0, 1)),
                                       st.integers(1, 4)),
                             min_size=1, max_size=30),
-           split=st.integers(0, 3), late_calls=st.integers(1, 2),
            warm=st.booleans(), n_init=st.integers(1, 3),
            shuffler=st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_batches_in_any_order_match_one_sorted_batch(
-            self, slots, program, split, late_calls, warm, n_init, shuffler):
+            self, slots, program, warm, n_init, shuffler):
+        # ids follow the slots, not the arrival times, and arrivals tie on
+        # the 0.5 grid, so the (time, id) order is not the list order
         tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
                  for i, (a, s) in enumerate(slots)]
-        split = min(split, len(program))
-        cut = 0.5 * sum(dt for _, dt in program[:split])
-        late = sorted((t for t in tasks if t.arrival_time > cut),
-                      key=lambda t: (t.arrival_time, t.task_id))
-        assume(len(late) >= 2)
-        # the last late arrival is injected first, so every later batch
-        # reaches back before an arrival still pending
-        moved = shuffler.sample(late[:-1], shuffler.randint(1, len(late) - 1))
-        first = [t for t in tasks if t not in moved]
-        shuffler.shuffle(first)
-        shuffler.shuffle(moved)
-        later = [moved]
-        if late_calls == 2 and len(moved) > 1:
-            at = shuffler.randint(1, len(moved) - 1)
-            later = [moved[:at], moved[at:]]
-
-        merged, reference = grid_sim(warm, n_init, 7), grid_sim(warm, n_init, 7)
-        merged.inject_tasks(first)
-        reference.inject_tasks(sorted(
+        shuffled = list(tasks)
+        shuffler.shuffle(shuffled)
+        sims = grid_sim(warm, n_init, 7), grid_sim(warm, n_init, 7)
+        sims[0].inject_tasks(shuffled)
+        sims[1].inject_tasks(sorted(
             tasks, key=lambda t: (t.arrival_time, t.task_id)))
-        for step, (action, dt) in enumerate([*program, (0, 200)]):
-            if step == split:
-                for batch in later:
-                    merged.inject_tasks(batch)
-                assert merged.pending_arrivals == reference.pending_arrivals
-            for sim in (merged, reference):
+        for action, dt in [*program, (0, 200)]:
+            for sim in sims:
                 sim.request_scale(action)
                 sim.advance(0.5 * dt)
-        assert merged.trace == reference.trace
-        assert merged.completion_records == reference.completion_records
-        assert merged.completed_total == len(tasks)
+            assert sims[0].pending_arrivals == sims[1].pending_arrivals
+        assert sims[0].trace == sims[1].trace
+        assert sims[0].completion_records == sims[1].completion_records
+        assert sims[0].completed_total == len(tasks)
 
     def test_tie_order_at_one_clock(self):
         sim = grid_sim(warm=True, n_init=1, seed=0)
         sim.request_scale(+1)  # worker 1 ready at exactly 1.0
         sim.inject_tasks([simple_task(3, 3.0), simple_task(1, 1.0),
-                          simple_task(0, 0.0)])
-        sim.inject_tasks([simple_task(2, 3.0)])  # reaches back before 3
+                          simple_task(0, 0.0), simple_task(2, 3.0)])
         sim.advance(10.0)
         assert sim.trace == [
             (0.0, "scale_up", -1, 1),
@@ -475,6 +499,16 @@ class TestPoolCounters:
         with pytest.raises(ConservationError, match="busy counter"):
             sim.advance(1.0)
 
+    def test_validate_finds_start_older_than_a_started_worker(self):
+        sim = make_sim(n_init=2, warm=True)
+        sim.workers[0].status = STARTING  # worker 1 stays idle
+        sim._idle.remove(0)
+        sim._starting += 1
+        sim.inject_tasks([simple_task(0, 0.5)])
+        with pytest.raises(ConservationError, match="a starting worker is"
+                                                    " older than a started"):
+            sim.advance(1.0)
+
     def test_validate_finds_idle_worker_missing_from_heap(self):
         sim = make_sim(n_init=2, warm=True)
         sim._idle.remove(1)
@@ -534,7 +568,6 @@ class TestBacklogInvariant:
     def test_validate_finds_queued_task_beside_idle_worker(self):
         sim = make_sim(n_init=2, warm=True)
         sim.q_work.append(simple_task(99, 0.0))  # queued, yet 0 and 1 idle
-        sim.enqueued_total += 1
         sim.inject_tasks([simple_task(0, 0.5)])
         with pytest.raises(ConservationError,
                            match=r"2 tasks queued while workers \[0, 1\] are"

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from farmscale.core import EpisodeConfig, TaskSpec, compute_deadline
+from farmscale.core import (EpisodeConfig, FieldError, TaskSpec,
+                            compute_deadline)
 from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 FitError, SizeDistribution, WorkloadPhaseSpec,
                                 _mix_mean, _mix_theta, _window_edges,
@@ -173,6 +174,27 @@ class TestPhaseSpec:
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
             WorkloadPhaseSpec(kind="sawtooth", base_rate=5.0, duration=60.0)
+
+    # unchecked, the steady phase had target -10 and no arrivals, and the
+    # sinusoid target 150 while numpy refused its negative Poisson means
+    @pytest.mark.parametrize("kind,base_rate,field,multipliers", [
+        ("steady", 1.0, "multiplier", dict(multiplier=-1.0)),
+        ("sinusoid", 30.0, "mult_min", dict(mult_min=-0.5, mult_max=1.5)),
+    ])
+    def test_negative_multiplier_rejected(self, kind, base_rate, field,
+                                          multipliers):
+        with pytest.raises(FieldError, match=f"{field} must be >= 0") as err:
+            WorkloadPhaseSpec(kind, base_rate, 10.0, **multipliers)
+        assert err.value.field == field
+
+    def test_zero_multiplier_accepted(self):
+        steady = WorkloadPhaseSpec("steady", 1.0, 10.0, multiplier=0.0)
+        sinusoid = WorkloadPhaseSpec("sinusoid", 30.0, 10.0, mult_min=0.0,
+                                     mult_max=1.5)
+        rng = np.random.default_rng(0)
+        for phase, count in ((steady, 0), (sinusoid, 225)):
+            assert phase.target_count == count
+            assert len(generate_phase_arrivals(phase, 0.0, rng)) == count
 
 
 def reference_phase_arrivals(phase, phase_start, rng):
