@@ -56,7 +56,7 @@ class LearningAgent:
         self.epsilon = max(self.cfg.epsilon_min,
                            self.epsilon * self.cfg.epsilon_decay)
 
-    def select_action(self, obs, info) -> int:
+    def select_action(self, obs, record) -> int:
         """The agent as a frozen policy: its greedy action."""
         return self.act(obs, greedy=True)
 

@@ -6,6 +6,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,9 +35,13 @@ def _load_samples(path):
             if not row or row[0].strip().lower() in ("size", "size_px"):
                 continue
             try:
-                samples.append((float(row[0]), float(row[1])))
+                sample = (float(row[0]), float(row[1]))
             except (ValueError, IndexError):
                 raise CliError(f"{path}:{lineno}: expected 'size,mean_time'")
+            if not all(math.isfinite(v) and v > 0 for v in sample):
+                raise CliError(f"{path}:{lineno}: size and mean_time must be "
+                               f"finite and positive, got {row[0]},{row[1]}")
+            samples.append(sample)
     if not samples:
         raise CliError(f"{path}: no samples found")
     return samples

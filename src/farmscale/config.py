@@ -7,13 +7,13 @@ constant it belongs to; ``DEFAULTS`` gathers them under their config keys.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import fields
 
 import yaml
 
-from .core import EpisodeConfig, FieldError, RewardConfig, has_type_of
+from .core import (EpisodeConfig, FieldError, RewardConfig, has_type_of,
+                   is_finite)
 from .metrics import CostConfig
 from .sarsa import SarsaConfig
 from .dqn import DqnConfig
@@ -61,18 +61,23 @@ def load_config(path=None) -> dict:
     cfg = dict(DEFAULTS)
     if path is not None:
         with open(path) as fh:
-            loaded = yaml.safe_load(fh) or {}
+            try:
+                loaded = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{path}: not valid YAML: "
+                                 f"{' '.join(str(exc).split())}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"{path}: expected a flat key-value mapping")
         unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
+        if unknown:  # YAML keys need not be strings, so sort by their text
+            raise ValueError(f"{path}: unknown keys "
+                             f"{sorted(unknown, key=str)}")
         for key, value in loaded.items():
             if not has_type_of(value, DEFAULTS[key]):
                 raise ValueError(f"{path}: {key} must be "
                                  f"{type(DEFAULTS[key]).__name__}, "
                                  f"got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(DEFAULTS[key], float) and not is_finite(value):
                 raise ValueError(f"{path}: {key} must be a finite number, "
                                  f"got {value!r}")
         cfg.update(loaded)

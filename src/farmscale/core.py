@@ -42,6 +42,15 @@ def has_type_of(value, default) -> bool:
             and isinstance(value, _ACCEPTED.get(expected, expected)))
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite(value)``; False for an integer too large for a float,
+    where ``math.isfinite`` raises ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 class FieldError(ValueError):
     """A value a check rejected, tagged with the name of its field so a
     caller can name its own key for it (the config key, say)."""
@@ -194,6 +203,8 @@ class RewardConfig:
 
 @dataclass
 class StepRecord:
+    """A control step's facts, as ``FarmEnv.step`` returns and logs them."""
+
     step: int
     observation: Observation
     action: int
@@ -202,6 +213,7 @@ class StepRecord:
     arrived: int
     completed: int
     hits: int
+    workers_busy: int  # tasks in flight at the step's end
     reward_terms: dict = field(default_factory=dict)
 
 
@@ -231,9 +243,6 @@ class EpisodeLog:
     tasks: list = field(default_factory=list)
     completions: list = field(default_factory=list)
     steps: list = field(default_factory=list)
-
-    def add_step(self, record: StepRecord):
-        self.steps.append(record)
 
     @property
     def n_tasks(self) -> int:

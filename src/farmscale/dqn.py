@@ -202,9 +202,11 @@ class DqnAgent(LearningAgent):
     @classmethod
     def load(cls, path) -> "DqnAgent":
         """Read a checkpoint written by ``save``; a missing entry, a config
-        key ``DqnConfig`` lacks, an epsilon outside [0, 1] or an array whose
-        shape differs from what ``layer_sizes`` implies raises
-        ``ValueError`` naming the file and the key."""
+        key ``DqnConfig`` lacks, an epsilon outside [0, 1], an array whose
+        shape differs from what ``layer_sizes`` implies or that holds anything
+        but finite numbers, or an ``obs_highs`` entry not above its
+        ``obs_lows`` entry raises ``ValueError`` naming the file and the key.
+        """
         data = np.load(path if str(path).endswith(".npz") else f"{path}.npz",
                        allow_pickle=False)
         meta = json.loads(str(_entry(data, path, "meta", ())))
@@ -221,14 +223,18 @@ class DqnAgent(LearningAgent):
                              f"{len(ACTIONS)}, one value per action")
         cfg = checkpoint_config(
             DqnConfig, checkpoint_value(meta, path, "config", "meta"), path)
-        agent = cls(_entry(data, path, "obs_lows", sizes[:1]),
-                    _entry(data, path, "obs_highs", sizes[:1]), cfg=cfg)
+        lows = _numbers(data, path, "obs_lows", sizes[:1])
+        highs = _numbers(data, path, "obs_highs", sizes[:1])
+        if not (highs > lows).all():
+            raise ValueError(f"{path}: 'obs_highs' must exceed 'obs_lows' "
+                             f"in every component")
+        agent = cls(lows, highs, cfg=cfg)
         agent.epsilon = checkpoint_epsilon(meta, path, "meta")
         agent.policy, agent.target = Mlp(sizes), Mlp(sizes)
         for prefix, net in agent._nets():
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                w[...] = _entry(data, path, f"{prefix}w{i}", w.shape)
-                b[...] = _entry(data, path, f"{prefix}b{i}", b.shape)
+                w[...] = _numbers(data, path, f"{prefix}w{i}", w.shape)
+                b[...] = _numbers(data, path, f"{prefix}b{i}", b.shape)
         agent.optimizer = Adam(agent.policy.flat, lr=agent.cfg.learning_rate)
         return agent
 
@@ -241,4 +247,12 @@ def _entry(data, path, key, shape) -> np.ndarray:
     if value.shape != shape:
         raise ValueError(f"{path}: {key!r} has shape {value.shape}, "
                          f"expected {shape}")
+    return value
+
+
+def _numbers(data, path, key, shape) -> np.ndarray:
+    """``_entry``, also checked to hold only finite numbers."""
+    value = _entry(data, path, key, shape)
+    if value.dtype.kind not in "biuf" or not np.isfinite(value).all():
+        raise ValueError(f"{path}: {key!r} must hold only finite numbers")
     return value

@@ -2,15 +2,14 @@
 
 Follows the usual reset/step interface: each step applies a unit scaling
 action at the boundary, advances the simulator by one control interval and
-returns the 9-component observation, the shaped reward (with its seven
-terms itemized in ``info``) and a termination flag.
+returns the 9-component observation, the shaped reward, a termination flag
+and the ``StepRecord`` it logs, which itemizes the reward's seven terms.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import chain
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -94,20 +93,17 @@ class FarmEnv:
         return lows, highs
 
     def reset(self, workload, seed: int):
-        """Start a fresh episode over the given task list."""
+        """Start an episode over ``workload``; returns (obs, step-0 record)."""
         self.sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
         self.sim.inject_tasks(workload)
         # the sim appends to its completion records, so the log stays current
         self.log = EpisodeLog(list(workload), self.sim.completion_records)
-        # per step of the last obs_window: its service times, its arrivals
-        self._completion_window = deque(maxlen=self.config.obs_window)
-        self._arrival_window = deque(maxlen=self.config.obs_window)
-        self._last_qos = 1.0
         self._terminated = False
         snap = self.sim.snapshot()
-        info = {"arrived": 0, "completed": 0, "applied_delta": 0,
-                "snapshot": snap}
-        return self._make_observation(snap), info
+        obs = self._make_observation(snap, 0, 0, 0)
+        return obs, StepRecord(
+            step=0, observation=obs, action=0, applied_delta=0, reward=0.0,
+            arrived=0, completed=0, hits=0, workers_busy=snap.workers_busy)
 
     def step(self, action: int):
         if self._terminated:
@@ -126,15 +122,10 @@ class FarmEnv:
         arrived = sim.enqueued_total - enqueued
         records = sim.completion_records[done:]
         completed = len(records)
-        hits = sum([met for _, _, met in records])
-        self._completion_window.append(
-            [task.service_time for task, _, _ in records])
-        self._arrival_window.append(arrived)
-        if completed > 0:
-            self._last_qos = hits / completed
+        hits = sum(map(itemgetter(2), records))  # the records' met flags
 
         snap = sim.snapshot()
-        obs = self._make_observation(snap)
+        obs = self._make_observation(snap, arrived, completed, hits)
         reward, terms = compute_reward(
             self.reward_config, obs.qos_step, obs.q_work,
             obs.n_workers, applied)
@@ -143,31 +134,34 @@ class FarmEnv:
         drained = len(sim.completion_records) == len(self.log.tasks)
         self._terminated = drained or step >= self.max_steps
 
-        self.log.add_step(StepRecord(
+        record = StepRecord(
             step=step, observation=obs, action=action_int,
             applied_delta=applied, reward=reward, arrived=arrived,
-            completed=completed, hits=hits, reward_terms=terms))
+            completed=completed, hits=hits, workers_busy=snap.workers_busy,
+            reward_terms=terms)
+        self.log.steps.append(record)
+        return obs, reward, self._terminated, record
 
-        info = {
-            "arrived": arrived,
-            "completed": completed,
-            "hits": hits,
-            "applied_delta": applied,
-            "reward_terms": terms,
-            "snapshot": snap,
-        }
-        return obs, reward, self._terminated, info
-
-    def _make_observation(self, snap) -> Observation:
-        window = self._completion_window
-        n = sum(map(len, window))
-        if n:
-            durations = np.fromiter(chain.from_iterable(window), float, n)
+    def _make_observation(self, snap, arrived: int, completed: int,
+                          hits: int) -> Observation:
+        """The window is this step's counts and the last ``obs_window - 1``
+        logged steps; its service times are the newest completion records."""
+        steps = self.log.steps
+        n, window_arrivals = completed, arrived
+        for s in steps[max(0, len(steps) + 1 - self.config.obs_window):]:
+            n += s.completed
+            window_arrivals += s.arrived
+        if n:  # n > 0, so [-n:] is the newest n records
+            tasks = map(itemgetter(0), self.sim.completion_records[-n:])
+            durations = np.fromiter(
+                map(attrgetter("service_time"), tasks), float, n)
             t_avg = float(durations.sum()) / n  # the bits of np.mean
             t_max = float(durations.max())
         else:
             t_avg = t_max = 0.0
-        window_arrivals = sum(self._arrival_window)
+        # without a completion this step, the last step's QoS carries over
+        qos = (hits / completed if completed
+               else steps[-1].observation.qos_step if steps else 1.0)
         window_time = self.config.obs_window * self.config.step_duration
         return Observation(
             q_in=0,  # zero-delay emitter and collector: see sim.py
@@ -178,5 +172,5 @@ class FarmEnv:
             t_proc_avg=t_avg,
             t_proc_max=t_max,
             arrival_rate=window_arrivals / window_time,
-            qos_step=self._last_qos,
+            qos_step=qos,
         )

@@ -31,9 +31,9 @@ class ReactiveAveragePolicy:
     """delta = (T_avg/T_step) * (k + l + m/2) - w."""
     t_step: float
 
-    def select_action(self, obs, info) -> int:
-        return reactive_action(obs.t_proc_avg, self.t_step, info["arrived"],
-                               obs.q_work, info["snapshot"].workers_busy,
+    def select_action(self, obs, record) -> int:
+        return reactive_action(obs.t_proc_avg, self.t_step, record.arrived,
+                               obs.q_work, record.workers_busy,
                                obs.n_workers, 0.5)
 
 
@@ -42,7 +42,7 @@ class ReactiveMaximumPolicy:
     """delta = (T_max/T_step) * (k + l + m) - w."""
     t_step: float
 
-    def select_action(self, obs, info) -> int:
-        return reactive_action(obs.t_proc_max, self.t_step, info["arrived"],
-                               obs.q_work, info["snapshot"].workers_busy,
+    def select_action(self, obs, record) -> int:
+        return reactive_action(obs.t_proc_max, self.t_step, record.arrived,
+                               obs.q_work, record.workers_busy,
                                obs.n_workers, 1.0)

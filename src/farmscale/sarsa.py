@@ -17,7 +17,8 @@ import numpy as np
 from .agent import (LearningAgent, check_gamma_and_epsilon,
                     checkpoint_config, checkpoint_epsilon, checkpoint_value,
                     greedy_index)
-from .core import ACTIONS, FieldError, Observation, has_type_of
+from .core import (ACTIONS, FieldError, Observation, has_type_of,
+                   is_finite)
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,8 @@ class SarsaAgent(LearningAgent):
     def load(cls, path) -> "SarsaAgent":
         """Read a checkpoint written by ``save``; a missing entry, a config
         key ``SarsaConfig`` lacks, an epsilon outside [0, 1] or a misshapen
-        Q-table entry raises ``ValueError`` naming the file and the key."""
+        or non-finite Q-table entry raises ``ValueError`` naming the file
+        and the key."""
         with open(path) as fh:
             blob = json.load(fh)
         if not isinstance(blob, dict) or blob.get("kind") != "sarsa":
@@ -197,6 +199,9 @@ class SarsaAgent(LearningAgent):
                     and all(has_type_of(v, 0.0) for v in row)):
                 raise ValueError(f"{path}: qtable[{i}] must hold integer bins "
                                  f"and numeric values, got {entry!r}")
+            if not all(map(is_finite, row)):
+                raise ValueError(f"{path}: qtable[{i}] holds a non-finite "
+                                 f"value, got {entry!r}")
         agent = cls(cfg, discretizer)
         agent.epsilon = checkpoint_epsilon(blob, path)
         agent.qtable = {tuple(state): np.array(row, dtype=float)

@@ -1,11 +1,11 @@
 """Episode loops: policy evaluation and on-line agent training.
 
 A frozen policy (a reactive baseline or a loaded checkpoint) needs only
-select_action(obs, info). A learning agent (agent.LearningAgent) adds the
-training protocol: begin_episode(), act(obs) for the exploring action,
-learn(obs, action, reward, next_obs, next_action, done) after every step,
-and end_episode(), which decays its ``epsilon``. Its select_action is its
-greedy act. All randomness is seeded per episode, so runs are reproducible.
+select_action(obs, record), given the StepRecord that came with obs. A
+learning agent (agent.LearningAgent) adds begin_episode(), act(obs) for the
+exploring action, learn(obs, action, reward, next_obs, next_action, done)
+after every step, and end_episode(), which decays its ``epsilon``; its
+select_action is its greedy act. Randomness is seeded per episode.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ CURVE_COLUMNS = tuple(f.name for f in fields(TrainingRecord))
 
 def run_episode(env: FarmEnv, policy, workload, seed: int):
     """One greedy episode under a frozen policy; returns the summary."""
-    obs, info = env.reset(workload, seed)
+    obs, record = env.reset(workload, seed)
     done = False
     while not done:
-        action = policy.select_action(obs, info)
-        obs, _, done, info = env.step(action)
+        action = policy.select_action(obs, record)
+        obs, _, done, record = env.step(action)
     return summarize_episode(env.log, env.config)
 
 
@@ -57,12 +57,12 @@ def train_agent(agent, env: FarmEnv, dist, model, episodes: int,
         workload = build_episode_workload(env.config, dist, model,
                                           shuffle_phases=shuffle,
                                           rng_seed=seed)
-        obs, info = env.reset(workload, seed)
+        obs, _ = env.reset(workload, seed)
         agent.begin_episode()
         action = agent.act(obs)
         done = False
         while not done:
-            next_obs, reward, done, info = env.step(action)
+            next_obs, reward, done, _ = env.step(action)
             next_action = agent.act(next_obs) if not done else 0
             agent.learn(obs, action, reward, next_obs, next_action, done)
             obs, action = next_obs, next_action

@@ -241,10 +241,10 @@ def _window_edges(duration: float, window: float) -> list:
     return edges
 
 
-def generate_phase_arrivals(phase: WorkloadPhaseSpec, phase_start: float,
+def generate_phase_arrivals(phase: WorkloadPhaseSpec,
                             rng: np.random.Generator) -> np.ndarray:
-    """Arrival instants for one phase, exactly ``phase.target_count`` of them,
-    as a sorted float ndarray (empty when the target is 0).
+    """Arrival offsets within one phase, exactly ``phase.target_count`` of
+    them, as a sorted float ndarray (empty when the target is 0).
 
     Window counts are Poisson with the analytic rate integral as mean; the
     final window absorbs the difference so the total is exact. Instants
@@ -278,7 +278,7 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec, phase_start: float,
     pts = rng.uniform(np.repeat(edges[:-1], counts),
                       np.repeat(edges[1:], counts))
     pts.sort()
-    return phase_start + pts
+    return pts
 
 
 def build_episode_workload(config, dist: SizeDistribution,
@@ -305,7 +305,7 @@ def build_episode_workload(config, dist: SizeDistribution,
     for phase_idx in order:
         phase = phases[phase_idx]
         phase_rng = np.random.default_rng([rng_seed, phase_idx])
-        offsets = generate_phase_arrivals(phase, 0.0, phase_rng)
+        offsets = generate_phase_arrivals(phase, phase_rng)
         arrivals.append(position_start + offsets)
         phase_ids.append(np.full(len(offsets), phase_idx))
         position_start += phase.duration

@@ -69,7 +69,7 @@ def test_criterion_02_workload_counts():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         for phase, want in zip(phases, targets):
-            if len(generate_phase_arrivals(phase, 0.0, rng)) != want:
+            if len(generate_phase_arrivals(phase, rng)) != want:
                 counts_exact = False
     checks = {"exact counts over 100 seeds": counts_exact}
 
@@ -77,7 +77,7 @@ def test_criterion_02_workload_counts():
     # within 4 standard deviations of the rate integral, final window exempt
     for pi in (2, 3):
         phase = phases[pi]
-        arr = np.asarray(generate_phase_arrivals(phase, 0.0,
+        arr = np.asarray(generate_phase_arrivals(phase,
                                                  np.random.default_rng(0)))
         edges = np.arange(0.0, phase.duration + phase.window / 2, phase.window)
         obs, _ = np.histogram(arr, bins=edges)

@@ -70,6 +70,22 @@ def test_calibrate_rejects_malformed_samples(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# a NaN or infinite time used to fit to a=nan with R2=1 and exit 0, and a
+# negative size was taken as given
+@pytest.mark.parametrize("row", ["512,nan", "512,inf", "512,-inf", "nan,0.1",
+                                 "-512,0.1", "0,0.1", "512,0", "512,-0.1"])
+def test_calibrate_rejects_non_finite_or_non_positive_sample(tmp_path, capsys,
+                                                             row):
+    src = tmp_path / "bad.csv"
+    src.write_text(f"size,mean_time\n1024,0.2\n{row}\n")
+    out = tmp_path / "fit.json"
+    assert main(["calibrate", "--samples", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}:3: size and mean_time must be finite and positive, "
+        f"got {row}\n")
+    assert not out.exists()
+
+
 def test_workload_writes_csv(tmp_path, tiny_config, capsys):
     out = tmp_path / "tasks.csv"
     assert main(["workload", "--config", tiny_config,
@@ -249,13 +265,26 @@ def _edited_checkpoint(tmp_path, agent, edit):
      r"epsilon must be a number in \[0, 1\], got 'x'"),
     ("dqn", lambda m: m.update(epsilon=1.5),
      r"epsilon must be a number in \[0, 1\], got 1.5"),
+    # Python's JSON reads NaN and Infinity; a NaN Q value used to load, and
+    # the greedy action then picked it, as np.argmax takes NaN as largest
+    ("sarsa", lambda b: b["qtable"].append([[0] * 9, [0, float("nan"), 0]]),
+     r"qtable\[0\] holds a non-finite value, "
+     r"got \[\[0, 0, 0, 0, 0, 0, 0, 0, 0\], \[0, nan, 0\]\]"),
+    ("sarsa", lambda b: b["qtable"].append([[0] * 9, [0, 0, -float("inf")]]),
+     r"qtable\[0\] holds a non-finite value, "
+     r"got \[\[0, 0, 0, 0, 0, 0, 0, 0, 0\], \[0, 0, -inf\]\]"),
+    ("sarsa", lambda b: b["qtable"].append([[0] * 9, [0, 10 ** 400, 0]]),
+     r"qtable\[0\] holds a non-finite value, "
+     rf"got \[\[0, 0, 0, 0, 0, 0, 0, 0, 0\], \[0, {10 ** 400}, 0\]\]"),
 ], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
         "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
         "sarsa-config-value", "sarsa-config-type", "dqn-config-type",
         "dqn-reward-clip-type", "sarsa-qtable-not-list",
         "sarsa-qtable-string-value", "sarsa-qtable-entry-not-pair",
-        "sarsa-epsilon-type", "dqn-epsilon-type", "dqn-epsilon-range"])
+        "sarsa-epsilon-type", "dqn-epsilon-type", "dqn-epsilon-range",
+        "sarsa-qtable-nan-value", "sarsa-qtable-inf-value",
+        "sarsa-qtable-int-too-large"])
 def test_run_rejects_malformed_checkpoint(tmp_path, tiny_config, capsys,
                                           agent, edit, message):
     bad = _edited_checkpoint(tmp_path, agent, edit)

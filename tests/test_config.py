@@ -67,6 +67,34 @@ class TestLoadTypes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "beta" in err
 
+    # both used to escape main as a traceback: a yaml.YAMLError, and a
+    # TypeError from sorting an int key beside a str key
+    def test_cli_rejects_invalid_yaml(self, tmp_path, capsys):
+        path = write_config(tmp_path, "a: [1, 2\n")
+        assert main(["run", "--policy", "reactive-avg", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid YAML: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    # an int too large for a float used to pass the type check and escape
+    # main as an OverflowError once the run multiplied by it
+    def test_cli_rejects_int_too_large_for_a_float_key(self, tmp_path,
+                                                       capsys):
+        path = write_config(tmp_path, f"beta: {10 ** 400}\n")
+        assert main(["run", "--policy", "reactive-avg", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: beta must be a finite number, got {10 ** 400}\n")
+
+    def test_cli_rejects_unknown_keys_of_mixed_type(self, tmp_path, capsys):
+        path = write_config(tmp_path, "1: 2\nzzz: 3\n")
+        assert main(["run", "--policy", "reactive-avg", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown keys [1, 'zzz']\n")
+
 
 class TestRangeChecks:
     # Unchecked, each fails late or quietly: obs_window 0 divides by zero in

@@ -211,10 +211,10 @@ class TestEpisodeLog:
                  TaskSpec(1, 0.2, 1024, 0.17, 0.35, 0)]
         log = EpisodeLog(tasks, [(tasks[0], 0.2, False)])
         obs = Observation(0, 1, 0, 0, 2, 1.5, 2.9, 5.0, 1.0)
-        log.add_step(StepRecord(step=0, observation=obs, action=1,
-                                applied_delta=1, reward=0.5, arrived=3,
-                                completed=2, hits=2,
-                                reward_terms={"qos_tracking": 0.5}))
+        log.steps.append(StepRecord(step=0, observation=obs, action=1,
+                                    applied_delta=1, reward=0.5, arrived=3,
+                                    completed=2, hits=2, workers_busy=1,
+                                    reward_terms={"qos_tracking": 0.5}))
         return log
 
     def test_step_csv_round_trip(self, tmp_path):

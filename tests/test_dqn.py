@@ -328,6 +328,17 @@ class TestAgent:
         ("obs_lows", np.zeros(8),
          r"'obs_lows' has shape \(8,\), expected \(9,\)"),
         ("obs_highs", None, "checkpoint has no 'obs_highs'"),
+        # these used to load: NaN weights made Q values NaN, and equal
+        # bounds made the first act divide by zero
+        ("w0", np.full((9, 128), np.nan),
+         "'w0' must hold only finite numbers"),
+        ("tb1", np.full(64, np.inf), "'tb1' must hold only finite numbers"),
+        ("obs_lows", np.full(9, -np.inf),
+         "'obs_lows' must hold only finite numbers"),
+        ("obs_highs", np.zeros(9),
+         "'obs_highs' must exceed 'obs_lows' in every component"),
+        ("obs_lows", np.full(9, "0"),
+         "'obs_lows' must hold only finite numbers"),
     ])
     def test_load_rejects_bad_entry(self, tmp_path, key, value, message):
         good = tmp_path / "good.npz"

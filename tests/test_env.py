@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farmscale.core import RewardConfig
+from farmscale.core import RewardConfig, StepRecord
 from farmscale.env import (REWARD_TERMS, FarmEnv, LifecycleError,
                            compute_reward)
 from tests.conftest import constant_service_tasks, single_phase_config
@@ -73,10 +73,29 @@ class TestLifecycle:
 
     def test_reset_initial_observation_warm(self, small_env):
         env, tasks = small_env
-        obs, info = env.reset(tasks, seed=0)
+        obs, _ = env.reset(tasks, seed=0)
         assert obs[:4] == (0, 0, 0, 0)
         assert obs.n_workers == 2
         assert obs.qos_step == 1.0
+
+    def test_reset_record_is_step_zero_and_not_logged(self, small_env):
+        env, tasks = small_env
+        obs, record = env.reset(tasks, seed=0)
+        assert env.log.steps == []
+        assert record == StepRecord(
+            step=0, observation=obs, action=0, applied_delta=0, reward=0.0,
+            arrived=0, completed=0, hits=0, workers_busy=0, reward_terms={})
+
+    def test_step_returns_the_record_it_logs(self, small_env):
+        env, tasks = small_env
+        env.reset(tasks, seed=0)
+        done = False
+        while not done:
+            obs, reward, done, record = env.step(1)
+            assert record is env.log.steps[-1]
+            assert record.step == len(env.log.steps)
+            assert (record.observation, record.reward) == (obs, reward)
+            assert record.workers_busy == env.sim.snapshot().workers_busy
 
     def test_reset_initial_observation_cold(self):
         cfg = single_phase_config(2.0, 80.0, n_init=2, warm_start=False)
@@ -118,10 +137,10 @@ class TestLifecycle:
         env.reset(tasks, seed=0)
         done, steps = False, 0
         while not done:
-            _, _, done, info = env.step(0)
+            obs, _, done, record = env.step(0)
             steps += 1
         assert steps <= env.max_steps
-        assert info["snapshot"].q_work == 0
+        assert obs.q_work == record.workers_busy == 0
         assert env.sim.completed_total == len(tasks)
 
     def test_step_after_termination_raises(self, small_env):
@@ -140,8 +159,8 @@ class TestStepObservations:
         done = False
         records = []
         while not done:
-            obs, reward, done, info = env.step(policy(len(records)))
-            records.append((obs, reward, info))
+            obs, reward, done, record = env.step(policy(len(records)))
+            records.append((obs, reward, record))
         return records
 
     def test_edge_queues_always_zero(self, small_env):
@@ -175,9 +194,10 @@ class TestStepObservations:
 
     def test_reward_terms_sum_every_step(self, small_env):
         env, tasks = small_env
-        for _, reward, info in self._run(env, tasks):
-            assert reward == pytest.approx(sum(info["reward_terms"].values()),
-                                           abs=1e-12)
+        for _, reward, record in self._run(env, tasks):
+            assert set(record.reward_terms) == set(REWARD_TERMS)
+            assert reward == pytest.approx(
+                sum(record.reward_terms.values()), abs=1e-12)
 
     def test_applied_delta_respects_bounds(self, small_env):
         env, tasks = small_env
@@ -227,19 +247,45 @@ class TestStepObservations:
         env.reset(tasks, seed=seed)
         arrivals, lo, done = [], 0.0, False
         while not done:
-            obs, _, done, info = env.step(int(rng.integers(-1, 2)))
+            obs, _, done, record = env.step(int(rng.integers(-1, 2)))
             hi = lo + step_duration
-            record = env.log.steps[-1]
             arrived = sum(lo < t.arrival_time <= hi for t in tasks)
             finished = [met for _, time, met in env.log.completions
                         if lo < time <= hi]
-            assert record.arrived == info["arrived"] == arrived
-            assert record.completed == info["completed"] == len(finished)
-            assert record.hits == info["hits"] == sum(finished)
+            assert record.arrived == arrived
+            assert record.completed == len(finished)
+            assert record.hits == sum(finished)
             arrivals.append(arrived)
             assert obs.arrival_rate == (sum(arrivals[-window:])
                                         / (window * step_duration))
             lo = hi
+
+    @given(seed=st.integers(0, 1000), window=st.integers(1, 4),
+           deadline_factor=st.sampled_from([1.2, 2.0, 4.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_qos_step_carries_over_steps_without_completions(
+            self, seed, window, deadline_factor):
+        # qos_step is hits/completed of the latest step that completed a
+        # task, recounted from the completion records, and 1.0 before any;
+        # sparse arrivals and short steps leave many steps without one
+        cfg = single_phase_config(0.5, 40.0, n_init=1, warm_start=True,
+                                  obs_window=window, step_duration=0.7)
+        rng = np.random.default_rng(seed)
+        tasks = [t._replace(service_time=s, deadline=deadline_factor * s)
+                 for t, s in zip(constant_service_tasks(
+                     0.5, 40.0, 1.0, spacing="poisson", seed=seed),
+                     rng.uniform(0.05, 2.0, size=1000))]
+        env = FarmEnv(cfg, RewardConfig())
+        obs, _ = env.reset(tasks, seed=seed)
+        assert obs.qos_step == 1.0
+        expected, done = 1.0, False
+        while not done:
+            seen = len(env.log.completions)
+            obs, _, done, _ = env.step(int(rng.integers(-1, 2)))
+            met = [m for _, _, m in env.log.completions[seen:]]
+            if met:
+                expected = sum(met) / len(met)
+            assert obs.qos_step == expected
 
     def test_task_records_complete_at_termination(self, small_env):
         env, tasks = small_env

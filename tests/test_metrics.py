@@ -15,13 +15,14 @@ from tests.conftest import constant_service_tasks, single_phase_config
 
 
 def step(k, n_workers, applied_delta=0, arrived=0, completed=0, hits=0,
-         reward=0.0):
+         reward=0.0, workers_busy=0):
     obs = Observation(q_in=0, q_work=0, q_res=0, q_out=0, n_workers=n_workers,
                       t_proc_avg=0.0, t_proc_max=0.0, arrival_rate=0.0,
                       qos_step=1.0)
     return StepRecord(step=k, observation=obs, action=applied_delta,
                       applied_delta=applied_delta, reward=reward,
-                      arrived=arrived, completed=completed, hits=hits)
+                      arrived=arrived, completed=completed, hits=hits,
+                      workers_busy=workers_busy)
 
 
 def task(task_id, phase_index=0):
@@ -129,7 +130,7 @@ class TestSummarize:
         cfg = self._config()
         log = EpisodeLog()
         for k, (n, d) in enumerate(zip([2, 2, 3], [0, 0, 1])):
-            log.add_step(step(k, n, applied_delta=d, reward=1.0))
+            log.steps.append(step(k, n, applied_delta=d, reward=1.0))
         summary = summarize_episode(log, cfg)
         assert summary.n_mean == pytest.approx(7 / 3)
         assert summary.n_scale == 1
@@ -141,14 +142,14 @@ class TestSummarize:
         cfg = self._config()
         tasks = [task(0), task(1)]
         log = EpisodeLog(tasks, [(t, 0.2, True) for t in tasks])
-        log.add_step(step(0, 2, completed=2, hits=2, arrived=2))
+        log.steps.append(step(0, 2, completed=2, hits=2, arrived=2))
         assert summarize_episode(log, cfg).final_qos == 1.0
 
     def test_unfinished_tasks_count_as_missed(self):
         cfg = self._config()
         tasks = [task(0), task(1)]
         log = EpisodeLog(tasks, [(tasks[0], 0.2, True)])  # 1 never completes
-        log.add_step(step(0, 2, completed=1, hits=1, arrived=2))
+        log.steps.append(step(0, 2, completed=1, hits=1, arrived=2))
         assert summarize_episode(log, cfg).final_qos == pytest.approx(0.5)
 
     def test_empty_log_rejected(self):
@@ -198,14 +199,14 @@ class TestSummarize:
         log = EpisodeLog(specs, [(spec, 0.2, met) for spec, (_, done, met)
                                  in zip(specs, tasks) if done])
         for k, (n, delta) in enumerate(steps, start=first):
-            log.add_step(step(k, n, applied_delta=delta, reward=0.1 * n))
+            log.steps.append(step(k, n, applied_delta=delta, reward=0.1 * n))
         assert (repr(summarize_episode(log, cfg))
                 == repr(reference_summary(log, cfg)))
 
     def test_episode_summary_roundtrips_as_dict(self):
         cfg = self._config()
         log = EpisodeLog()
-        log.add_step(step(0, 2))
+        log.steps.append(step(0, 2))
         d = summarize_episode(log, cfg).as_dict()
         assert d["mean_workers"] == 2.0
         assert "final_qos" in d and "per_phase" in d

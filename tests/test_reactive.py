@@ -4,10 +4,9 @@ import dataclasses
 
 from hypothesis import given, strategies as st
 
-from farmscale.core import Observation
+from farmscale.core import Observation, StepRecord
 from farmscale.reactive import (ReactiveAveragePolicy, ReactiveMaximumPolicy,
                                 reactive_action)
-from farmscale.sim import Snapshot
 
 AVERAGE, MAXIMUM = 0.5, 1.0  # in-flight weight of each policy
 
@@ -67,12 +66,10 @@ class TestPolicies:
         obs = Observation(q_in=0, q_work=0, q_res=0, q_out=0, n_workers=1,
                           t_proc_avg=1.6, t_proc_max=1.6, arrival_rate=0.0,
                           qos_step=1.0)
-        snap = Snapshot(q_work=0, workers_effective=1, workers_busy=0,
-                        workers_starting=0, workers_draining=0,
-                        enqueued_total=9, completed_total=9)
-        idle = {"arrived": 0, "snapshot": snap}
-        busy = {"arrived": 0,
-                "snapshot": dataclasses.replace(snap, workers_busy=8)}
+        idle = StepRecord(step=3, observation=obs, action=0, applied_delta=0,
+                          reward=0.0, arrived=0, completed=0, hits=0,
+                          workers_busy=0)
+        busy = dataclasses.replace(idle, workers_busy=8)
         # 0.2 * 0 - 1 = -1 without work in flight; with 8 tasks in flight
         # 0.2 * 4 - 1 = -0.2 -> 0 and 0.2 * 8 - 1 = 0.6 -> +1
         for policy, when_busy in ((ReactiveAveragePolicy(8.0), 0),

@@ -194,7 +194,7 @@ class TestPhaseSpec:
         rng = np.random.default_rng(0)
         for phase, count in ((steady, 0), (sinusoid, 225)):
             assert phase.target_count == count
-            assert len(generate_phase_arrivals(phase, 0.0, rng)) == count
+            assert len(generate_phase_arrivals(phase, rng)) == count
 
 
 def reference_phase_arrivals(phase, phase_start, rng):
@@ -251,11 +251,12 @@ class TestArrivalGeneration:
                 batched_rng = np.random.default_rng([seed, index])
                 reference_rng = np.random.default_rng([seed, index])
                 start = 30.0 * index
-                arrivals = generate_phase_arrivals(phase, start, batched_rng)
+                offsets = generate_phase_arrivals(phase, batched_rng)
                 expected, surplus = reference_phase_arrivals(
                     phase, start, reference_rng)
-                assert isinstance(arrivals, np.ndarray)
-                assert arrivals.dtype == np.float64
+                assert isinstance(offsets, np.ndarray)
+                assert offsets.dtype == np.float64
+                arrivals = start + offsets
                 assert arrivals.tolist() == [float(a) for a in expected]
                 assert (batched_rng.bit_generator.state
                         == reference_rng.bit_generator.state)
@@ -272,13 +273,13 @@ class TestArrivalGeneration:
     def test_count_exactness_any_seed(self, seed):
         rng = np.random.default_rng(seed)
         for phase in default_phases():
-            arr = generate_phase_arrivals(phase, 0.0, rng)
+            arr = generate_phase_arrivals(phase, rng)
             assert len(arr) == phase.target_count
 
     def test_arrivals_sorted_within_bounds(self):
         rng = np.random.default_rng(7)
         phase = default_phases()[1]
-        arr = generate_phase_arrivals(phase, 120.0, rng)
+        arr = 120.0 + generate_phase_arrivals(phase, rng)
         assert all(a < b for a, b in zip(arr, arr[1:]))
         assert arr[0] >= 120.0
         assert arr[-1] < 120.0 + phase.duration
@@ -340,7 +341,7 @@ def reference_episode_workload(config, dist, model, shuffle_phases, rng_seed):
     for phase_idx in order:
         phase = phases[phase_idx]
         offsets = generate_phase_arrivals(
-            phase, 0.0, np.random.default_rng([rng_seed, phase_idx]))
+            phase, np.random.default_rng([rng_seed, phase_idx]))
         entries.extend(zip((position_start + offsets).tolist(),
                            repeat(phase_idx)))
         position_start += phase.duration
