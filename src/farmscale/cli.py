@@ -16,10 +16,11 @@ from . import config as cfgmod
 from .core import write_csv
 from .dqn import DqnAgent
 from .env import FarmEnv
-from .metrics import aggregate, cost_paygo, cost_sub
+from .metrics import aggregate_rows, cost_paygo, cost_sub
 from .reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from .sarsa import SarsaAgent, default_discretizer
-from .training import run_episode, train_agent, write_training_curve
+from .training import (evaluate_policies, run_episode, train_agent,
+                       write_training_curve)
 from .workload import (CALIBRATION_SAMPLES, build_episode_workload,
                        fit_service_model, write_workload_csv)
 
@@ -157,51 +158,48 @@ def cmd_train(args):
 
 def cmd_compare(args):
     cfg, env, model, dist = _setup(args)
-    episode_cfg = env.config
+    t_step = env.config.step_duration
     cost_cfg = cfgmod.cost_config(cfg)
     seeds = [int(s) for s in args.seeds.split(",")]
+    specs = [spec.strip() for spec in args.policies.split(",")]
+    policies = [_make_policy(spec, env) for spec in specs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    costs = [[] for _ in specs]  # per policy, (paygo, sub) per episode
+
+    def price(p, log):
+        series = [st.observation.n_workers for st in log.steps]
+        costs[p].append((cost_paygo(series, t_step, cost_cfg),
+                         cost_sub(series, t_step, cost_cfg)))
+
+    runs = evaluate_policies(policies, env, dist, model, seeds,
+                             on_episode=price)
+
+    columns = ("final_qos", "mean_workers", "max_workers", "scaling_actions",
+               "no_op_actions", "cost_paygo", "cost_sub")
     rows = []
     phase_rows = []
-    for spec in args.policies.split(","):
-        spec = spec.strip()
-        policy = _make_policy(spec, env)
-        summaries, paygo, sub = [], [], []
-        for seed in seeds:
-            workload = build_episode_workload(episode_cfg, dist, model,
-                                              shuffle_phases=False,
-                                              rng_seed=seed)
-            summaries.append(run_episode(env, policy, workload, seed))
-            series = [st.observation.n_workers for st in env.log.steps]
-            paygo.append(cost_paygo(series, episode_cfg.step_duration, cost_cfg))
-            sub.append(cost_sub(series, episode_cfg.step_duration, cost_cfg))
+    for spec, summaries, priced in zip(specs, runs, costs):
+        # one row of values per episode; each column is reduced over seeds
+        episodes = [[s.final_qos, s.n_mean, s.n_max, s.n_scale, s.no_ops,
+                     *cost] + [v for ph in s.per_phase
+                               for v in (ph.qos, ph.mean_workers)]
+                    for s, cost in zip(summaries, priced)]
+        means, stds = aggregate_rows(list(zip(*episodes)))
 
         name = spec.split(":")[0]
         row = {"policy": name}
-        for label, values in (
-                ("final_qos", [s.final_qos for s in summaries]),
-                ("mean_workers", [s.n_mean for s in summaries]),
-                ("max_workers", [s.n_max for s in summaries]),
-                ("scaling_actions", [s.n_scale for s in summaries]),
-                ("no_op_actions", [s.no_ops for s in summaries]),
-                ("cost_paygo", paygo),
-                ("cost_sub", sub)):
-            mean, std = aggregate(values)
+        for label, mean, std in zip(columns, means, stds):
             row[f"{label}_mean"] = mean
             row[f"{label}_std"] = std
         rows.append(row)
-
-        for phase in range(len(episode_cfg.phases)):
-            qos_m, qos_s = aggregate(
-                [s.per_phase[phase].qos for s in summaries])
-            w_m, w_s = aggregate(
-                [s.per_phase[phase].mean_workers for s in summaries])
+        for phase, i in enumerate(range(len(columns), len(means), 2)):
             phase_rows.append({
                 "policy": name, "phase": phase,
-                "qos_mean": qos_m, "qos_std": qos_s,
-                "mean_workers_mean": w_m, "mean_workers_std": w_s,
+                "qos_mean": means[i], "qos_std": stds[i],
+                "mean_workers_mean": means[i + 1],
+                "mean_workers_std": stds[i + 1],
             })
         print(f"{name}: qos={row['final_qos_mean']:.4f}"
               f"±{row['final_qos_std']:.4f} "

@@ -163,7 +163,17 @@ def cost_sub(n_series, t_step: float, cfg: CostConfig) -> float:
             + cfg.c_scale * _scale_events(n))
 
 
+def aggregate_rows(rows) -> tuple:
+    """(means, population stds) of equal-length rows, as two lists.
+
+    One reduction over the last axis of one array; each row's values have
+    the bits of ``np.mean``/``np.std`` of that row alone.
+    """
+    arr = np.array(rows, dtype=float)
+    return arr.mean(axis=1).tolist(), arr.std(axis=1).tolist()
+
+
 def aggregate(values) -> tuple:
     """(mean, population std) of a sequence."""
-    arr = np.asarray(list(values), dtype=float)
-    return float(arr.mean()), float(arr.std())
+    (mean,), (std,) = aggregate_rows([list(values)])
+    return mean, std

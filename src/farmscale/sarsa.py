@@ -38,7 +38,8 @@ class Discretizer:
                              f"component ({len(Observation._fields)})")
         for name, e in zip(Observation._fields, self.edges):
             if not (isinstance(e, tuple)
-                    and all(has_type_of(v, 0.0) and not math.isnan(v)
+                    and all(has_type_of(v, 0.0)
+                            and (is_finite(v) or abs(v) == math.inf)
                             for v in e)
                     and all(a < b for a, b in zip(e, e[1:]))):
                 raise ValueError(f"edges of {name} must be a strictly "

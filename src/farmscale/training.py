@@ -84,16 +84,33 @@ def train_agent(agent, env: FarmEnv, dist, model, episodes: int,
     return records
 
 
-def evaluate_policy(policy, env: FarmEnv, dist, model, seeds,
-                    shuffle: bool = False) -> list:
-    """Greedy evaluation over a list of seeds; one summary per seed."""
-    summaries = []
+def evaluate_policies(policies, env: FarmEnv, dist, model, seeds,
+                      shuffle: bool = False, on_episode=None) -> list:
+    """Greedy evaluation of every policy over a list of seeds; one list of
+    summaries per policy, in seed order.
+
+    Each seed's workload is built once and every policy runs on it: greedy
+    policies draw no random numbers and ``env.reset`` starts a fresh
+    simulator, so each summary is the one a run of that policy alone gives.
+    ``on_episode(p, log)`` runs after each episode of ``policies[p]``, with
+    that episode's log.
+    """
+    summaries = [[] for _ in policies]
     for seed in seeds:
         workload = build_episode_workload(env.config, dist, model,
                                           shuffle_phases=shuffle,
                                           rng_seed=seed)
-        summaries.append(run_episode(env, policy, workload, seed))
+        for p, policy in enumerate(policies):
+            summaries[p].append(run_episode(env, policy, workload, seed))
+            if on_episode is not None:
+                on_episode(p, env.log)
     return summaries
+
+
+def evaluate_policy(policy, env: FarmEnv, dist, model, seeds,
+                    shuffle: bool = False) -> list:
+    """Greedy evaluation over a list of seeds; one summary per seed."""
+    return evaluate_policies([policy], env, dist, model, seeds, shuffle)[0]
 
 
 def write_training_curve(records, path):

@@ -166,7 +166,10 @@ def sample_task_sizes(dist: SizeDistribution, rng: np.random.Generator,
     p=dist.weights)`` draws, so the sizes and the generator state match.
     """
     picks = rng.choice(len(dist.sizes), size=n, p=dist.weights)
-    return [int(dist.sizes[i]) for i in picks.tolist()]
+    # the n sizes share the distinct sizes' int objects; fresh ints (from
+    # ndarray.tolist) would add 28 bytes per task to every workload kept
+    sizes = [int(s) for s in dist.sizes]
+    return list(map(sizes.__getitem__, picks.tolist()))
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,9 @@ def _edited_checkpoint(tmp_path, agent, edit):
     ("sarsa", lambda b: b["qtable"].append([[0] * 9, [0, 10 ** 400, 0]]),
      r"qtable\[0\] holds a non-finite value, "
      rf"got \[\[0, 0, 0, 0, 0, 0, 0, 0, 0\], \[0, {10 ** 400}, 0\]\]"),
+    ("sarsa", lambda b: b["edges"].__setitem__(0, [1, 10 ** 400]),
+     r"'edges': edges of q_in must be a strictly ascending tuple of numbers, "
+     rf"got \(1, {10 ** 400}\)"),
 ], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
         "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
@@ -284,7 +287,7 @@ def _edited_checkpoint(tmp_path, agent, edit):
         "sarsa-qtable-string-value", "sarsa-qtable-entry-not-pair",
         "sarsa-epsilon-type", "dqn-epsilon-type", "dqn-epsilon-range",
         "sarsa-qtable-nan-value", "sarsa-qtable-inf-value",
-        "sarsa-qtable-int-too-large"])
+        "sarsa-qtable-int-too-large", "sarsa-edge-int-too-large"])
 def test_run_rejects_malformed_checkpoint(tmp_path, tiny_config, capsys,
                                           agent, edit, message):
     bad = _edited_checkpoint(tmp_path, agent, edit)

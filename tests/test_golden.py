@@ -95,3 +95,15 @@ def test_run_output_digests(tmp_path, config, expected):
     assert main(args) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
             for name in expected} == expected
+
+
+def test_compare_output_digests(tmp_path):
+    # three seeds per policy, so the pin covers the mean and std over more
+    # than one episode as well as the row order of both files
+    out = tmp_path / "cmp"
+    assert main(["compare", "--policies", "reactive-avg,reactive-max",
+                 "--seeds", "0,1,2", "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+            for name in ("comparison.csv", "per_phase.csv")} == {
+        "comparison.csv": "9292e0f6fbf9b839",
+        "per_phase.csv": "37c5e40a5c676a92"}

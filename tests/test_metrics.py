@@ -8,8 +8,8 @@ from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
                             RewardConfig, StepRecord, TaskSpec)
 from farmscale.env import FarmEnv
 from farmscale.metrics import (CostConfig, EpisodeSummary, PhaseSummary,
-                               aggregate, cost_paygo, cost_sub,
-                               summarize_episode)
+                               aggregate, aggregate_rows, cost_paygo,
+                               cost_sub, summarize_episode)
 from farmscale.workload import WorkloadPhaseSpec
 from tests.conftest import constant_service_tasks, single_phase_config
 
@@ -222,3 +222,18 @@ class TestAggregate:
         mean, std = aggregate([7.0])
         assert mean == 7.0
         assert std == 0.0
+
+    def test_rows_match_per_row_mean_and_std_bit_for_bit(self):
+        # 15 rows, as compare reduces with four phases, of every length
+        # from 1 to 200: a reduction over the rows of one array must give
+        # each row the bits np.mean and np.std give it alone
+        rng = np.random.default_rng(0)
+        for n in range(1, 201):
+            rows = (rng.standard_normal((15, n))
+                    * rng.choice([1e-3, 1.0, 1e3], size=(15, 1))).tolist()
+            rows[0] = rng.integers(0, 40, size=n).tolist()
+            means, stds = aggregate_rows(rows)
+            for row, mean, std in zip(rows, means, stds):
+                assert (mean, std) == (float(np.mean(row)),
+                                       float(np.std(row))), n
+            assert all(type(v) is float for v in means + stds)

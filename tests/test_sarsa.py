@@ -1,6 +1,7 @@
 """Tabular SARSA(lambda): discretization, traces, exploration, persistence."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -89,6 +90,8 @@ class TestDiscretizerBins:
         (((1, "2"),) + ((1, 2),) * 8, "edges of q_in"),
         (((True,),) + ((1, 2),) * 8, "edges of q_in"),
         (((float("nan"),),) + ((1, 2),) * 8, "edges of q_in"),
+        # an integer too large for a float has no float value to compare
+        (((1, 10 ** 400),) + ((1, 2),) * 8, "edges of q_in"),
     ])
     def test_rejects_bad_edges(self, edges, message):
         with pytest.raises(ValueError, match=message):
@@ -96,6 +99,10 @@ class TestDiscretizerBins:
 
     def test_accepts_empty_and_float_edges(self):
         Discretizer(edges=((),) + ((0.5, 1, 2.5),) * 8)
+
+    def test_accepts_infinite_edges(self):
+        d = Discretizer(edges=((-math.inf, 0, math.inf),) + ((1, 2),) * 8)
+        assert d.edges[0] == (-math.inf, 0, math.inf)
 
 
 class TestEpsilonGreedy:

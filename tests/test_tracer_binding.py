@@ -7,15 +7,20 @@ before the tracer is installed would leave ``sim.events`` at 0 without any
 error, so one traced episode checks that every event is still counted.
 Each reactive policy's ``select_action`` is wrapped in its own class body,
 so a traced episode of each must record one selection span per env step.
+In the CLI the tracer opens an episode at ``cli.build_episode_workload`` and
+closes it at ``cli.run_episode``, so ``compare``, which runs several
+episodes per build, must reach both through ``training``'s names.
 The tracer is loaded from its file and only used, never edited.
 """
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
-from farmscale import training
+from farmscale import cli, training
 from farmscale.env import FarmEnv
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 
@@ -65,4 +70,24 @@ def test_traced_episode_times_every_selection(policy_cls, ep_config,
     tracer, _, _ = traced_episode(policy_cls, ep_config, rw_config,
                                   default_workload)
     spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("reactive.select") == spans.count("env.step") > 0
+
+
+def test_traced_compare_builds_once_per_seed(tmp_path):
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    saved = tracer_module.install(tracer)
+    try:
+        tracer.active = True
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["compare", "--policies", "reactive-avg,reactive-max",
+                           "--seeds", "0,1", "--out", str(tmp_path / "cmp")])
+        tracer.active = False
+    finally:
+        tracer_module.uninstall(saved)
+    assert rc == 0
+    assert tracer._stack == []
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("workload.build") == 2
+    assert spans.count("training.run_episode") == 4
     assert spans.count("reactive.select") == spans.count("env.step") > 0

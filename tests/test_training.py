@@ -6,10 +6,11 @@ import pytest
 
 from farmscale.core import RewardConfig
 from farmscale.env import FarmEnv
-from farmscale.reactive import ReactiveAveragePolicy
+from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
-from farmscale.training import (CURVE_COLUMNS, evaluate_policy, run_episode,
-                                train_agent, write_training_curve)
+from farmscale.training import (CURVE_COLUMNS, evaluate_policies,
+                                evaluate_policy, run_episode, train_agent,
+                                write_training_curve)
 from farmscale.workload import (build_episode_workload,
                                 default_size_distribution,
                                 reduced_paper_model)
@@ -77,6 +78,28 @@ class TestEvaluatePolicy:
         sums = evaluate_policy(ReactiveAveragePolicy(8.0), env, dist, model,
                                seeds=[0, 1, 2])
         assert len(sums) == 3
+
+    def test_shared_workloads_give_each_policy_its_own_summaries(
+            self, tiny_setup):
+        # one build per seed for all policies: every summary must equal a
+        # run of that policy alone, the greedy SARSA agent's included
+        env, dist, model = tiny_setup
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
+        train_agent(agent, env, dist, model, episodes=3)
+        policies = [ReactiveAveragePolicy(8.0), agent,
+                    ReactiveMaximumPolicy(8.0)]
+        seeds = [4, 5]
+        seen = []
+        runs = evaluate_policies(
+            policies, env, dist, model, seeds,
+            on_episode=lambda p, log: seen.append((p, len(log.steps))))
+        alone = [[run_episode(env, policy, build_episode_workload(
+                     env.config, dist, model, False, seed), seed)
+                  for seed in seeds] for policy in policies]
+        assert runs == alone
+        assert seen == [(p, alone[p][i].steps)
+                        for i in range(len(seeds))
+                        for p in range(len(policies))]
 
 
 class TestTrainingCurve:

@@ -104,6 +104,8 @@ class TestSizeDistribution:
                   for _ in range(n)]
         assert batched == single
         assert all(type(size) is int for size in batched)
+        # the draws reuse the distinct sizes' objects, not one int per task
+        assert len(set(map(id, batched))) <= len(dist.sizes)
         assert (batched_rng.bit_generator.state
                 == single_rng.bit_generator.state)
 
