@@ -1,6 +1,6 @@
 """What the two learning agents share: the greedy tie-break, the epsilon
-schedule, the memoised observation encoding, the episode hooks of the
-training loop and the checks on a checkpoint's top-level entries."""
+schedule, the episode hooks of the training loop, the frozen-policy view
+and the checks on a checkpoint's top-level entries."""
 
 from __future__ import annotations
 
@@ -21,32 +21,16 @@ class LearningAgent:
     """Base of SarsaAgent and DqnAgent.
 
     ``cfg`` carries epsilon_start, epsilon_min and epsilon_decay.  Each
-    subclass defines ``act(obs, greedy=False)`` and ``learn`` in its own
-    class body, where perfbench/tracer.py looks them up to wrap them, and
-    ``encode(obs)``, the agent's state for an observation, which must be
-    immutable (a tuple or a read-only array).
+    subclass defines ``encode(obs)``, the agent's state for an observation,
+    and, in its own class body, where perfbench/tracer.py looks them up to
+    wrap them, ``act(state, greedy=False)`` and ``learn(state, action,
+    reward, next_state, next_action, done)``, which work on such states.
     """
 
     def __init__(self, cfg, seed: int, stream: int):
         self.cfg = cfg
         self.rng = np.random.default_rng([seed, stream])
         self.epsilon = cfg.epsilon_start
-        self._memo = ((None, None), (None, None))
-
-    def state(self, obs):
-        """``self.encode(obs)``, memoised for the last two observation
-        objects: a training step meets each observation three times (``act``,
-        then ``learn`` as next and as current observation).  The memo holds
-        its keys, so an id is not reused while cached, and observations are
-        frozen, so a hit is never stale."""
-        older, newer = self._memo
-        if newer[0] is obs:
-            return newer[1]
-        if older[0] is obs:
-            return older[1]
-        value = self.encode(obs)
-        self._memo = (newer, (obs, value))
-        return value
 
     def begin_episode(self):
         """Called before an episode's first action."""
@@ -58,7 +42,7 @@ class LearningAgent:
 
     def select_action(self, obs, record) -> int:
         """The agent as a frozen policy: its greedy action."""
-        return self.act(obs, greedy=True)
+        return self.act(self.encode(obs), greedy=True)
 
 
 def check_gamma_and_epsilon(cfg):

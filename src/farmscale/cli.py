@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -84,9 +85,7 @@ def cmd_workload(args):
                                    shuffle_phases=args.shuffle,
                                    rng_seed=args.seed)
     write_workload_csv(tasks, args.out)
-    counts = {}
-    for t in tasks:
-        counts[t.phase_index] = counts.get(t.phase_index, 0) + 1
+    counts = Counter(t.phase_index for t in tasks)
     for phase in sorted(counts):
         print(f"phase {phase}: {counts[phase]} tasks")
     print(f"total: {len(tasks)} tasks -> {args.out}")
@@ -99,14 +98,10 @@ def _make_policy(spec: str, env: FarmEnv):
         return ReactiveAveragePolicy(env.config.step_duration)
     if kind == "reactive-max":
         return ReactiveMaximumPolicy(env.config.step_duration)
-    if kind == "sarsa":
+    if kind in ("sarsa", "dqn"):
         if not ckpt:
-            raise CliError("sarsa policy needs a checkpoint: sarsa:<path>")
-        return SarsaAgent.load(ckpt)
-    if kind == "dqn":
-        if not ckpt:
-            raise CliError("dqn policy needs a checkpoint: dqn:<path>")
-        return DqnAgent.load(ckpt)
+            raise CliError(f"{kind} policy needs a checkpoint: {kind}:<path>")
+        return (SarsaAgent if kind == "sarsa" else DqnAgent).load(ckpt)
     raise CliError(f"unknown policy {spec!r}; use reactive-avg, reactive-max, "
                    f"sarsa:<ckpt> or dqn:<ckpt>")
 

@@ -9,6 +9,7 @@ target update.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -16,10 +17,11 @@ import numpy as np
 from .agent import (LearningAgent, check_gamma_and_epsilon,
                     checkpoint_config, checkpoint_epsilon, checkpoint_value,
                     greedy_index)
-from .core import ACTIONS, FieldError, has_type_of
+from .core import ACTIONS, FieldError, Observation, has_type_of
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
 HIDDEN_LAYERS = (128, 64)
+_UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile)  # bad archive/member
 # rows a replay buffer holds before its first growth
 REPLAY_INITIAL_ROWS = 1_024
 
@@ -132,7 +134,7 @@ class DqnAgent(LearningAgent):
         self.last_loss = float("nan")
 
     def normalize(self, obs) -> np.ndarray:
-        """The observation scaled to the unit box, clipped; read-only.
+        """The observation scaled to the unit box, clipped.
 
         This is where an observation enters the agent, so a NaN or infinite
         entry raises ``FloatingPointError`` here, before ``act`` or the
@@ -146,21 +148,20 @@ class DqnAgent(LearningAgent):
         x /= self._span
         np.maximum(0.0, x, out=x)
         np.minimum(x, 1.0, out=x)
-        x.flags.writeable = False
         return x
 
     encode = normalize
 
-    def act(self, obs, greedy: bool = False) -> int:
+    def act(self, state, greedy: bool = False) -> int:
         if not greedy and self.rng.random() < self.epsilon:
             return ACTIONS[int(self.rng.integers(len(ACTIONS)))]
-        return ACTIONS[greedy_index(self.policy.forward(self.state(obs)))]
+        return ACTIONS[greedy_index(self.policy.forward(state))]
 
-    def learn(self, obs, action: int, reward: float, next_obs,
+    def learn(self, state, action: int, reward: float, next_state,
               next_action: int, done: bool):
         lo, hi = self.cfg.reward_clip
-        self.buffer.push(self.state(obs), ACTIONS.index(action),
-                         min(max(reward, lo), hi), self.state(next_obs), done)
+        self.buffer.push(state, ACTIONS.index(action),
+                         min(max(reward, lo), hi), next_state, done)
         self.last_loss = self.train_step()
 
     def train_step(self):
@@ -205,11 +206,21 @@ class DqnAgent(LearningAgent):
         key ``DqnConfig`` lacks, an epsilon outside [0, 1], an array whose
         shape differs from what ``layer_sizes`` implies or that holds anything
         but finite numbers, or an ``obs_highs`` entry not above its
-        ``obs_lows`` entry raises ``ValueError`` naming the file and the key.
+        ``obs_lows`` entry raises ``ValueError`` naming the file and the key,
+        or the file alone if it is not an archive of arrays with JSON meta.
         """
-        data = np.load(path if str(path).endswith(".npz") else f"{path}.npz",
-                       allow_pickle=False)
-        meta = json.loads(str(_entry(data, path, "meta", ())))
+        try:
+            data = np.lib.npyio.NpzFile(
+                path if str(path).endswith(".npz") else f"{path}.npz")
+            meta = json.loads(str(data["meta"])) if "meta" in data else None
+        except _UNREADABLE as exc:
+            raise ValueError(f"{path} is not a dqn checkpoint: {exc}") from None
+        with data:  # members are read on demand, only those checked
+            return cls._from_archive(data, meta, path)
+
+    @classmethod
+    def _from_archive(cls, data, meta, path) -> "DqnAgent":
+        """``load``'s checks and assembly, on the open archive ``data``."""
         if not isinstance(meta, dict) or meta.get("kind") != "dqn":
             raise ValueError(f"{path} is not a dqn checkpoint")
         sizes = checkpoint_value(meta, path, "layer_sizes", "meta")
@@ -221,6 +232,10 @@ class DqnAgent(LearningAgent):
         if sizes[-1:] != (len(ACTIONS),):
             raise ValueError(f"{path}: layer_sizes {list(sizes)} must end in "
                              f"{len(ACTIONS)}, one value per action")
+        if sizes[0] != len(Observation._fields):
+            raise ValueError(f"{path}: layer_sizes {list(sizes)} must start "
+                             f"with {len(Observation._fields)}, one input per "
+                             f"observation component")
         cfg = checkpoint_config(
             DqnConfig, checkpoint_value(meta, path, "config", "meta"), path)
         lows = _numbers(data, path, "obs_lows", sizes[:1])
@@ -243,7 +258,12 @@ def _entry(data, path, key, shape) -> np.ndarray:
     """Checkpoint array ``key``, checked to exist and to have ``shape``."""
     if key not in data:
         raise ValueError(f"{path}: checkpoint has no {key!r}")
-    value = data[key]
+    try:
+        value = data[key]
+    except _UNREADABLE as exc:
+        raise ValueError(f"{path}: {key!r} is not a .npy array: {exc}") from None
+    if not isinstance(value, np.ndarray):  # a member that is not .npy
+        raise ValueError(f"{path}: {key!r} is not a .npy array")
     if value.shape != shape:
         raise ValueError(f"{path}: {key!r} has shape {value.shape}, "
                          f"expected {shape}")

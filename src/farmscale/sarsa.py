@@ -134,19 +134,16 @@ class SarsaAgent(LearningAgent):
     def encode(self, obs) -> tuple:
         return self.discretizer(obs)
 
-    def act(self, obs, greedy: bool = False) -> int:
-        state = self.state(obs)
+    def act(self, state, greedy: bool = False) -> int:
         values = self.qtable.get(state, _ZERO)
         idx = epsilon_greedy(values, 0.0 if greedy else self.epsilon, self.rng)
         return ACTIONS[idx]
 
-    def learn(self, obs, action: int, reward: float, next_obs,
+    def learn(self, state, action: int, reward: float, next_state,
               next_action: int, done: bool):
-        sarsa_update(
-            self.qtable, self.traces,
-            self.state(obs), ACTIONS.index(action), reward,
-            self.state(next_obs), ACTIONS.index(next_action),
-            done, self.cfg)
+        sarsa_update(self.qtable, self.traces, state, ACTIONS.index(action),
+                     reward, next_state, ACTIONS.index(next_action), done,
+                     self.cfg)
 
     # -- persistence ---------------------------------------------------------
 
@@ -168,9 +165,12 @@ class SarsaAgent(LearningAgent):
         """Read a checkpoint written by ``save``; a missing entry, a config
         key ``SarsaConfig`` lacks, an epsilon outside [0, 1] or a misshapen
         or non-finite Q-table entry raises ``ValueError`` naming the file
-        and the key."""
-        with open(path) as fh:
-            blob = json.load(fh)
+        and the key, or the file alone if it is not JSON."""
+        try:
+            with open(path, "rb") as fh:  # json.load detects UTF-8/16/32
+                blob = json.load(fh)
+        except ValueError as exc:  # not JSON, or not in a UTF encoding
+            raise ValueError(f"{path} is not a sarsa checkpoint: {exc}") from None
         if not isinstance(blob, dict) or blob.get("kind") != "sarsa":
             raise ValueError(f"{path} is not a sarsa checkpoint")
         cfg = checkpoint_config(SarsaConfig,

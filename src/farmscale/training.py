@@ -2,10 +2,10 @@
 
 A frozen policy (a reactive baseline or a loaded checkpoint) needs only
 select_action(obs, record), given the StepRecord that came with obs. A
-learning agent (agent.LearningAgent) adds begin_episode(), act(obs) for the
-exploring action, learn(obs, action, reward, next_obs, next_action, done)
-after every step, and end_episode(), which decays its ``epsilon``; its
-select_action is its greedy act. Randomness is seeded per episode.
+learning agent (agent.LearningAgent) adds begin_episode(), encode(obs) for
+its state, act(state) for the exploring action, learn(state, action, reward,
+next_state, next_action, done) after every step, and end_episode(); training
+encodes each observation once. Randomness is seeded per episode.
 """
 
 from __future__ import annotations
@@ -59,13 +59,15 @@ def train_agent(agent, env: FarmEnv, dist, model, episodes: int,
                                           rng_seed=seed)
         obs, _ = env.reset(workload, seed)
         agent.begin_episode()
-        action = agent.act(obs)
+        state = agent.encode(obs)
+        action = agent.act(state)
         done = False
         while not done:
             next_obs, reward, done, _ = env.step(action)
-            next_action = agent.act(next_obs) if not done else 0
-            agent.learn(obs, action, reward, next_obs, next_action, done)
-            obs, action = next_obs, next_action
+            next_state = agent.encode(next_obs)
+            next_action = agent.act(next_state) if not done else 0
+            agent.learn(state, action, reward, next_state, next_action, done)
+            state, action = next_state, next_action
         agent.end_episode()
         summary = summarize_episode(env.log, env.config)
         records.append(TrainingRecord(
@@ -85,7 +87,7 @@ def train_agent(agent, env: FarmEnv, dist, model, episodes: int,
 
 
 def evaluate_policies(policies, env: FarmEnv, dist, model, seeds,
-                      shuffle: bool = False, on_episode=None) -> list:
+                      on_episode=None) -> list:
     """Greedy evaluation of every policy over a list of seeds; one list of
     summaries per policy, in seed order.
 
@@ -98,8 +100,7 @@ def evaluate_policies(policies, env: FarmEnv, dist, model, seeds,
     summaries = [[] for _ in policies]
     for seed in seeds:
         workload = build_episode_workload(env.config, dist, model,
-                                          shuffle_phases=shuffle,
-                                          rng_seed=seed)
+                                          shuffle_phases=False, rng_seed=seed)
         for p, policy in enumerate(policies):
             summaries[p].append(run_episode(env, policy, workload, seed))
             if on_episode is not None:
@@ -107,10 +108,9 @@ def evaluate_policies(policies, env: FarmEnv, dist, model, seeds,
     return summaries
 
 
-def evaluate_policy(policy, env: FarmEnv, dist, model, seeds,
-                    shuffle: bool = False) -> list:
+def evaluate_policy(policy, env: FarmEnv, dist, model, seeds) -> list:
     """Greedy evaluation over a list of seeds; one summary per seed."""
-    return evaluate_policies([policy], env, dist, model, seeds, shuffle)[0]
+    return evaluate_policies([policy], env, dist, model, seeds)[0]
 
 
 def write_training_curve(records, path):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness via main()."""
 
+import collections
 import csv
 import json
 import os
@@ -96,7 +97,10 @@ def test_workload_writes_csv(tmp_path, tiny_config, capsys):
     assert [int(t["task_id"]) for t in tasks] == list(range(len(tasks)))
     arrivals = [float(t["arrival_time"]) for t in tasks]
     assert arrivals == sorted(arrivals)
-    assert f"total: {len(tasks)} tasks" in capsys.readouterr().out
+    counts = collections.Counter(t["phase_index"] for t in tasks)
+    assert capsys.readouterr().out == "".join(
+        f"phase {p}: {counts[p]} tasks\n" for p in sorted(counts, key=int)
+    ) + f"total: {len(tasks)} tasks -> {out}\n"
 
 
 def test_repeated_workload_calls_share_no_options(tmp_path, tiny_config):
@@ -154,11 +158,20 @@ def test_run_unknown_policy_fails(tmp_path, tiny_config, capsys):
     assert "unknown policy" in capsys.readouterr().err
 
 
-def test_run_sarsa_needs_checkpoint(tmp_path, tiny_config, capsys):
-    code = main(["run", "--config", tiny_config, "--policy", "sarsa",
+def _run_without_checkpoint(tmp_path, tiny_config, capsys, kind):
+    code = main(["run", "--config", tiny_config, "--policy", kind,
                  "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "checkpoint" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {kind} policy needs a checkpoint: {kind}:<path>\n")
+
+
+def test_run_sarsa_needs_checkpoint(tmp_path, tiny_config, capsys):
+    _run_without_checkpoint(tmp_path, tiny_config, capsys, "sarsa")
+
+
+def test_run_dqn_needs_checkpoint(tmp_path, tiny_config, capsys):
+    _run_without_checkpoint(tmp_path, tiny_config, capsys, "dqn")
 
 
 @pytest.mark.parametrize("agent,ckpt", [("sarsa", "sarsa.json"),
@@ -210,7 +223,12 @@ def test_run_rejects_misshapen_dqn_checkpoint(tmp_path, tiny_config, capsys):
 
 def _edited_checkpoint(tmp_path, agent, edit):
     """A fresh checkpoint whose top-level JSON (DQN ``meta``, or the whole
-    SARSA file) went through ``edit``."""
+    SARSA file) went through ``edit``; an ``edit`` given as bytes is the
+    whole file instead."""
+    if isinstance(edit, bytes):
+        bad = tmp_path / ("bad.npz" if agent == "dqn" else "bad.json")
+        bad.write_bytes(edit)
+        return bad
     if agent == "dqn":
         good = tmp_path / "good.npz"
         DqnAgent(np.zeros(9), np.ones(9)).save(good)
@@ -279,6 +297,14 @@ def _edited_checkpoint(tmp_path, agent, edit):
     ("sarsa", lambda b: b["edges"].__setitem__(0, [1, 10 ** 400]),
      r"'edges': edges of q_in must be a strictly ascending tuple of numbers, "
      rf"got \(1, {10 ** 400}\)"),
+    # files that are not checkpoints at all used to escape as a traceback
+    # or to print a reason that named no file
+    ("dqn", b"PK\x03\x04garbage", "File is not a zip file"),
+    ("dqn", b"", "File is not a zip file"),
+    ("dqn", b"size,mean_time\n512,0.05\n", "File is not a zip file"),
+    ("sarsa", b"size,mean_time\n", r"Expecting value: line 1 column 1 \(char 0\)"),
+    ("sarsa", b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                        "invalid start byte"),
 ], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
         "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
@@ -287,14 +313,17 @@ def _edited_checkpoint(tmp_path, agent, edit):
         "sarsa-qtable-string-value", "sarsa-qtable-entry-not-pair",
         "sarsa-epsilon-type", "dqn-epsilon-type", "dqn-epsilon-range",
         "sarsa-qtable-nan-value", "sarsa-qtable-inf-value",
-        "sarsa-qtable-int-too-large", "sarsa-edge-int-too-large"])
+        "sarsa-qtable-int-too-large", "sarsa-edge-int-too-large",
+        "dqn-corrupt-zip", "dqn-empty-file", "dqn-text-file",
+        "sarsa-not-json", "sarsa-not-utf8"])
 def test_run_rejects_malformed_checkpoint(tmp_path, tiny_config, capsys,
                                           agent, edit, message):
     bad = _edited_checkpoint(tmp_path, agent, edit)
     assert main(["run", "--config", tiny_config, "--policy", f"{agent}:{bad}",
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}\n", err)
+    sep = f" is not a {agent} checkpoint: " if isinstance(edit, bytes) else ": "
+    assert re.fullmatch(f"error: {re.escape(str(bad))}{sep}{message}\n", err)
 
 
 def test_compare_two_policies(tmp_path, tiny_config, capsys):

@@ -2,15 +2,20 @@
 
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farmscale.core import Observation
+from farmscale.core import Observation, RewardConfig
 from farmscale.dqn import (DqnAgent, DqnConfig, ReplayBuffer,
                            double_dqn_targets)
+from farmscale.env import FarmEnv
 from farmscale.nn import Mlp
+from farmscale.training import train_agent
+from farmscale.workload import default_size_distribution, reduced_paper_model
+from tests.conftest import single_phase_config
 
 
 def obs(q_work=0, n_workers=4, qos=1.0):
@@ -26,6 +31,36 @@ BOUNDS_HI = np.array([300, 300, 300, 300, 20, 3.0, 3.0, 10.0, 1.0])
 def make_agent(**cfg_kw):
     cfg = DqnConfig(**cfg_kw) if cfg_kw else DqnConfig()
     return DqnAgent(BOUNDS_LO, BOUNDS_HI, cfg, seed=0)
+
+
+def learn(agent, o, action, reward, next_o):
+    """One non-terminal ``agent.learn`` on the encoded observations, as
+    ``train_agent`` makes it."""
+    agent.learn(agent.encode(o), action, reward, agent.encode(next_o), 0,
+                False)
+
+
+class PoisonedEnv(FarmEnv):
+    """A short one-phase episode whose observation at step ``at`` (0 is the
+    reset) has ``bad`` as its arrival rate."""
+
+    def __init__(self, at, bad):
+        super().__init__(single_phase_config(2.0, 60.0, n_init=2,
+                                             warm_start=True), RewardConfig())
+        self.at, self.bad = at, bad
+
+    def _poison(self, obs):
+        if len(self.log.steps) == self.at:
+            return obs._replace(arrival_rate=self.bad)
+        return obs
+
+    def reset(self, workload, seed):
+        obs, record = super().reset(workload, seed)
+        return self._poison(obs), record
+
+    def step(self, action):
+        obs, reward, done, record = super().step(action)
+        return self._poison(obs), reward, done, record
 
 
 class TestReplayBuffer:
@@ -191,21 +226,24 @@ class TestAgent:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_observation_rejected_before_buffer(self, bad):
-        # normalize checks where an observation enters: an infinite entry
-        # would otherwise clip to a bound, a NaN reach the replay buffer
+        # normalize (encode) checks where an observation enters: an infinite
+        # entry would otherwise clip to a bound, a NaN reach the replay buffer
         agent = make_agent(warmup=4, batch_size=2)
-        poisoned = np.array(list(obs(q_work=5)), dtype=float)
-        poisoned[7] = bad
+        poisoned = obs(q_work=5)._replace(arrival_rate=bad)
         with pytest.raises(FloatingPointError, match="non-finite"):
             agent.normalize(poisoned)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            agent.act(poisoned, greedy=True)
-        # an exploring act does not read the observation; learn, which
-        # stores it, rejects it as either the current or the next one
-        for pair in ((poisoned, obs()), (obs(), poisoned)):
+            agent.select_action(poisoned, None)
+        # training stops at the poisoned observation, as the reset's or as a
+        # step's, with only the transitions before it in the buffer
+        model = reduced_paper_model()
+        for at in (0, 3):
+            agent = make_agent(warmup=4, batch_size=2)
             with pytest.raises(FloatingPointError, match="non-finite"):
-                agent.learn(pair[0], 0, 0.0, pair[1], 0, False)
-        assert agent.buffer.size == 0
+                train_agent(agent, PoisonedEnv(at, bad),
+                            default_size_distribution(model), model,
+                            episodes=1)
+            assert agent.buffer.size == max(at - 1, 0)
 
     def test_reward_clip_matches_np_clip(self):
         for lo, hi in ((-100.0, 100.0), (0.0, 1.0), (-1.0, -0.0)):
@@ -213,28 +251,14 @@ class TestAgent:
             rewards = [-1e9, lo, hi, -0.0, 0.0, 0.5, -0.5, 99.9, 1e9, np.nan,
                        np.inf, -np.inf, 7, -3]
             for i, r in enumerate(rewards):
-                agent.learn(obs(), 0, r, obs(), 0, False)
+                learn(agent, obs(), 0, r, obs())
                 assert (agent.buffer.rewards[i].tobytes()
                         == np.float64(np.clip(r, lo, hi)).tobytes()), (lo, r)
-
-    def test_state_is_memoised_read_only_normalize(self):
-        agent = make_agent()
-        a, b = obs(q_work=30), obs(q_work=30)  # equal, distinct objects
-        c = obs(q_work=60)
-        state = agent.state(a)
-        assert agent.state(a) is state
-        assert not state.flags.writeable
-        with pytest.raises(ValueError):
-            state[0] = 1.0
-        assert agent.state(b) is not state
-        np.testing.assert_array_equal(agent.state(b), state)
-        np.testing.assert_array_equal(agent.state(c), agent.normalize(c))
-        assert not agent.normalize(c).flags.writeable
 
     def test_no_training_before_warmup(self):
         agent = make_agent(warmup=50, batch_size=8)
         for i in range(20):
-            agent.learn(obs(q_work=i), 0, 0.0, obs(q_work=i + 1), 0, False)
+            learn(agent, obs(q_work=i), 0, 0.0, obs(q_work=i + 1))
         assert np.isnan(agent.last_loss)
 
     def test_training_after_warmup_updates_network(self):
@@ -242,18 +266,17 @@ class TestAgent:
         before = [w.copy() for w in agent.policy.weights]
         rng = np.random.default_rng(0)
         for i in range(40):
-            agent.learn(obs(q_work=int(rng.integers(0, 100))),
-                        int(rng.integers(-1, 2)), float(rng.normal()),
-                        obs(), 0, False)
+            learn(agent, obs(q_work=int(rng.integers(0, 100))),
+                  int(rng.integers(-1, 2)), float(rng.normal()), obs())
         assert not np.isnan(agent.last_loss)
         assert any(not np.array_equal(b, w)
                    for b, w in zip(before, agent.policy.weights))
 
     def test_reward_clipping(self):
         agent = make_agent(warmup=4, batch_size=2, reward_clip=(-10.0, 10.0))
-        agent.learn(obs(), 0, 1e9, obs(), 0, False)
+        learn(agent, obs(), 0, 1e9, obs())
         assert agent.buffer.rewards[0] == 10.0
-        agent.learn(obs(), 0, -1e9, obs(), 0, False)
+        learn(agent, obs(), 0, -1e9, obs())
         assert agent.buffer.rewards[1] == -10.0
 
     def test_epsilon_schedule(self):
@@ -271,9 +294,8 @@ class TestAgent:
         agent = make_agent(warmup=16, batch_size=8)
         rng = np.random.default_rng(2)
         for _ in range(60):
-            agent.learn(obs(q_work=int(rng.integers(0, 200))),
-                        int(rng.integers(-1, 2)), float(rng.normal()),
-                        obs(), 0, False)
+            learn(agent, obs(q_work=int(rng.integers(0, 200))),
+                  int(rng.integers(-1, 2)), float(rng.normal()), obs())
         path = tmp_path / "dqn.npz"
         agent.save(path)
         back = DqnAgent.load(path)
@@ -281,13 +303,12 @@ class TestAgent:
                   for q in (0, 30, 200) for n in (1, 10, 20)
                   for s in (0.1, 0.95)]
         for p in probes:
-            assert back.act(p, greedy=True) == agent.act(p, greedy=True)
+            assert back.select_action(p, None) == agent.select_action(p, None)
 
     def test_load_restores_flat_layout(self, tmp_path):
         agent = make_agent(warmup=16, batch_size=8)
         for i in range(30):
-            agent.learn(obs(q_work=i), 1, float(i), obs(q_work=i + 1), 0,
-                        False)
+            learn(agent, obs(q_work=i), 1, float(i), obs(q_work=i + 1))
         path = tmp_path / "dqn.npz"
         agent.save(path)
         back = DqnAgent.load(path)
@@ -298,8 +319,7 @@ class TestAgent:
                        for p in mine.parameters())
         assert back.optimizer.params is back.policy.flat
         for i in range(20):
-            back.learn(obs(q_work=i), 1, float(i), obs(q_work=i + 1), 0,
-                       False)
+            learn(back, obs(q_work=i), 1, float(i), obs(q_work=i + 1))
         assert back.policy.flat.tobytes() != agent.policy.flat.tobytes()
 
     @pytest.mark.parametrize("sizes", [[9, 0, 3], [9, 64.5, 3], [9, -4, 3],
@@ -364,6 +384,56 @@ class TestAgent:
         bad = tmp_path / "bad.npz"
         np.savez(bad, **arrays)
         with pytest.raises(ValueError, match="must end in 3"):
+            DqnAgent.load(bad)
+
+    def test_load_rejects_input_width_other_than_observation(self, tmp_path):
+        # this loaded, and the first act then failed to broadcast (9,) to (5,)
+        path = tmp_path / "five.npz"
+        DqnAgent(np.zeros(5), np.ones(5)).save(path)
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: layer_sizes \\[5, 128, 64, 3\\] "
+                f"must start with 9, one input per observation component$")):
+            DqnAgent.load(path)
+
+    def test_load_rejects_archive_without_json_meta(self, tmp_path):
+        good = tmp_path / "good.npz"
+        make_agent().save(good)
+        arrays = dict(np.load(good))
+        meta, arrays["meta"] = arrays["meta"], np.array("not json")
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(bad))} is not a dqn checkpoint: "
+                f"Expecting value")):
+            DqnAgent.load(bad)
+        np.savez(bad, **{k: v for k, v in arrays.items() if k != "meta"})
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(bad))} is not a dqn checkpoint$")):
+            DqnAgent.load(bad)
+        arrays["meta"] = meta
+        np.savez(bad, **{k: v for k, v in arrays.items() if k != "w0"})
+        with zipfile.ZipFile(bad, "a") as archive:
+            archive.writestr("w0", b"{}")  # a member that is not .npy
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(bad))}: 'w0' is not a .npy array$")):
+            DqnAgent.load(bad)
+
+    def test_load_reads_only_the_members_it_checks(self, tmp_path):
+        agent = make_agent()
+        path = tmp_path / "a.npz"
+        agent.save(path)
+        arrays = dict(np.load(path))
+        broken = b"\x93NUMPY\x01\x00garbage"  # an .npy header cut short
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("extra.npy", broken)  # never read
+        assert np.array_equal(DqnAgent.load(path).policy.flat,
+                              agent.policy.flat)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{k: v for k, v in arrays.items() if k != "w0"})
+        with zipfile.ZipFile(bad, "a") as archive:
+            archive.writestr("w0.npy", broken)
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(bad))}: 'w0' is not a .npy array: ")):
             DqnAgent.load(bad)
 
     def test_config_validation(self):

@@ -178,15 +178,16 @@ class TestSarsaAgent:
 
     def test_traces_cleared_between_episodes(self):
         agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
-        agent.learn(obs(), 0, 1.0, obs(q_work=50), 0, False)
+        agent.learn(agent.encode(obs()), 0, 1.0, agent.encode(obs(q_work=50)),
+                    0, False)
         assert agent.traces
         agent.begin_episode()
         assert not agent.traces
 
     def test_greedy_act_is_deterministic(self):
         agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
-        o = obs(q_work=120, qos=0.2)
-        assert all(agent.act(o, greedy=True) == agent.act(o, greedy=True)
+        s = agent.encode(obs(q_work=120, qos=0.2))
+        assert all(agent.act(s, greedy=True) == agent.act(s, greedy=True)
                    for _ in range(5))
 
     def test_save_load_round_trip(self, tmp_path):
@@ -196,15 +197,16 @@ class TestSarsaAgent:
             o = obs(q_work=int(rng.integers(0, 200)),
                     n_workers=int(rng.integers(1, 20)),
                     qos=float(rng.uniform()))
-            agent.learn(o, int(rng.integers(-1, 2)), float(rng.normal()),
-                        obs(), 0, False)
+            agent.learn(agent.encode(o), int(rng.integers(-1, 2)),
+                        float(rng.normal()), agent.encode(obs()), 0, False)
         path = tmp_path / "sarsa.json"
         agent.save(path)
         back = SarsaAgent.load(path)
         assert back.epsilon == agent.epsilon
         assert set(back.qtable) == set(agent.qtable)
         probe = obs(q_work=120, qos=0.2)
-        assert back.act(probe, greedy=True) == agent.act(probe, greedy=True)
+        assert (back.select_action(probe, None)
+                == agent.select_action(probe, None))
 
     @pytest.mark.parametrize("state, row", [
         ([0] * 9, [0.0, 1.0]),
@@ -236,16 +238,6 @@ class TestSarsaAgent:
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(path))}: 'edges': "):
             SarsaAgent.load(path)
-
-    def test_state_is_memoised_per_observation_object(self):
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
-        a, b, c = obs(q_work=5), obs(q_work=5), obs(q_work=50)
-        assert agent.state(a) == agent.discretizer(a)
-        assert agent.state(c) == agent.discretizer(c)
-        assert agent.state(b) == agent.state(a)  # equal, distinct objects
-        assert agent.state(c) != agent.state(a)
-        for o in (a, b, c, a, c, b):
-            assert agent.state(o) == agent.discretizer(o)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

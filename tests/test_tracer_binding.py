@@ -6,7 +6,8 @@ handlers on ``FarmSim``. A refactor that inlines a handler or binds one
 before the tracer is installed would leave ``sim.events`` at 0 without any
 error, so one traced episode checks that every event is still counted.
 Each reactive policy's ``select_action`` is wrapped in its own class body,
-so a traced episode of each must record one selection span per env step.
+so a traced episode of each must record one selection span per env step;
+likewise SARSA's ``act`` and ``learn``, once each per env step of training.
 In the CLI the tracer opens an episode at ``cli.build_episode_workload`` and
 closes it at ``cli.run_episode``, so ``compare``, which runs several
 episodes per build, must reach both through ``training``'s names.
@@ -21,8 +22,12 @@ from pathlib import Path
 import pytest
 
 from farmscale import cli, training
+from farmscale.core import RewardConfig
 from farmscale.env import FarmEnv
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
+from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
+from farmscale.workload import default_size_distribution, reduced_paper_model
+from tests.conftest import single_phase_config
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -91,3 +96,23 @@ def test_traced_compare_builds_once_per_seed(tmp_path):
     assert spans.count("workload.build") == 2
     assert spans.count("training.run_episode") == 4
     assert spans.count("reactive.select") == spans.count("env.step") > 0
+
+
+def test_traced_sarsa_training_times_every_act_and_learn():
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    saved = tracer_module.install(tracer)
+    try:
+        env = FarmEnv(single_phase_config(2.0, 60.0, n_init=2,
+                                          warm_start=True), RewardConfig())
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
+        model = reduced_paper_model()
+        tracer.active = True
+        training.train_agent(agent, env, default_size_distribution(model),
+                             model, episodes=2)
+        tracer.active = False
+    finally:
+        tracer_module.uninstall(saved)
+    spans = [tracer.names[i] for i in tracer.name]
+    assert (spans.count("sarsa.act") == spans.count("sarsa.learn")
+            == spans.count("env.step") > 0)

@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from farmscale.core import RewardConfig
+from farmscale.dqn import DqnAgent
 from farmscale.env import FarmEnv
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
@@ -64,6 +65,27 @@ class TestTrainAgent:
         agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         train_agent(agent, env, dist, model, episodes=3)
         assert len(agent.qtable) > 0
+
+    @pytest.mark.parametrize("kind", ["sarsa", "dqn"])
+    def test_encodes_each_observation_once(self, tiny_setup, kind):
+        # the reset's observation and each step's, passed on as states to
+        # act and learn; counted per episode through the progress hook
+        env, dist, model = tiny_setup
+        agent = (SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
+                 if kind == "sarsa"
+                 else DqnAgent(*env.observation_bounds(), seed=0))
+        encoded = []
+
+        def encode(obs, original=agent.encode):
+            encoded.append(obs)
+            return original(obs)
+
+        agent.encode = encode
+        counts = []
+        records = train_agent(agent, env, dist, model, episodes=3,
+                              progress=lambda r: counts.append(len(encoded)))
+        assert ([b - a for a, b in zip([0] + counts, counts)]
+                == [r.steps + 1 for r in records])
 
     def test_rejects_zero_episodes(self, tiny_setup):
         env, dist, model = tiny_setup
