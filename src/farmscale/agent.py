@@ -1,6 +1,6 @@
-"""What the two learning agents share: the greedy tie-break, the epsilon
-schedule, the episode hooks of the training loop, the frozen-policy view
-and the checks on a checkpoint's top-level entries."""
+"""What the two learning agents share: the greedy tie-break, epsilon-greedy
+exploration and its schedule, the episode hooks of the training loop, the
+frozen-policy view and the checks on a checkpoint's top-level entries."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import FieldError, has_type_of
+from .core import ACTIONS, FieldError, has_type_of, is_finite
 
 
 def greedy_index(values) -> int:
@@ -32,6 +32,13 @@ class LearningAgent:
         self.rng = np.random.default_rng([seed, stream])
         self.epsilon = cfg.epsilon_start
 
+    def explore(self):
+        """A uniformly random action with probability epsilon, else None.
+        At epsilon 0 it draws nothing from the agent's generator."""
+        if self.epsilon > 0 and self.rng.random() < self.epsilon:
+            return ACTIONS[int(self.rng.integers(len(ACTIONS)))]
+        return None
+
     def begin_episode(self):
         """Called before an episode's first action."""
 
@@ -47,14 +54,16 @@ class LearningAgent:
 
 def check_gamma_and_epsilon(cfg):
     """The checks both agents' configs share: 0 <= gamma < 1,
-    epsilon_min <= epsilon_start <= 1 and 0 < epsilon_decay <= 1."""
+    0 <= epsilon_min <= epsilon_start <= 1 and 0 < epsilon_decay <= 1; each
+    is written so that a NaN fails it."""
     if not (0 <= cfg.gamma < 1):
         raise FieldError("gamma", "gamma must lie in [0, 1)")
-    if cfg.epsilon_start > 1:
+    if not cfg.epsilon_start <= 1:
         raise FieldError("epsilon_start",
-                         "need epsilon_min <= epsilon_start <= 1")
-    if cfg.epsilon_min > cfg.epsilon_start:
-        raise FieldError("epsilon_min", "need epsilon_min <= epsilon_start <= 1")
+                         "need 0 <= epsilon_min <= epsilon_start <= 1")
+    if not (0 <= cfg.epsilon_min <= cfg.epsilon_start):
+        raise FieldError("epsilon_min",
+                         "need 0 <= epsilon_min <= epsilon_start <= 1")
     if not (0 < cfg.epsilon_decay <= 1):
         raise FieldError("epsilon_decay", "epsilon_decay must lie in (0, 1]")
 
@@ -81,8 +90,9 @@ def checkpoint_epsilon(blob: dict, path, where: str = "checkpoint") -> float:
 def checkpoint_config(cls, values, path):
     """``cls(**values)`` for a checkpoint's saved config, a JSON list standing
     for a tuple; a key ``cls`` lacks, a value whose type does not match the
-    field's default (``core.has_type_of``) or a value ``cls`` rejects raises
-    ``ValueError`` naming the file and the key."""
+    field's default (``core.has_type_of``), a float that is not finite or a
+    value ``cls`` rejects raises ``ValueError`` naming the file and the
+    key."""
     if not isinstance(values, dict):
         raise ValueError(f"{path}: 'config' is not a mapping")
     defaults = {f.name: f.default for f in fields(cls)}
@@ -96,6 +106,9 @@ def checkpoint_config(cls, values, path):
         if not has_type_of(value, default):
             raise ValueError(f"{path}: config {key!r} must be "
                              f"{type(default).__name__}, got {value!r}")
+        if isinstance(default, float) and not is_finite(value):
+            raise ValueError(f"{path}: config {key!r} must be a finite "
+                             f"number, got {value!r}")
         kwargs[key] = value
     try:
         return cls(**kwargs)

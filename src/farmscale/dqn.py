@@ -17,7 +17,7 @@ import numpy as np
 from .agent import (LearningAgent, check_gamma_and_epsilon,
                     checkpoint_config, checkpoint_epsilon, checkpoint_value,
                     greedy_index)
-from .core import ACTIONS, FieldError, Observation, has_type_of
+from .core import ACTIONS, FieldError, Observation, has_type_of, is_finite
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
 HIDDEN_LAYERS = (128, 64)
@@ -52,6 +52,12 @@ class DqnConfig:
             raise FieldError("learning_rate", "learning_rate must be positive")
         if not self.grad_clip > 0:
             raise FieldError("grad_clip", "grad_clip must be positive")
+        clip = self.reward_clip
+        if not (isinstance(clip, tuple) and len(clip) == 2
+                and all(has_type_of(v, 0.0) and is_finite(v) for v in clip)
+                and clip[0] < clip[1]):
+            raise FieldError("reward_clip", f"reward_clip must be two finite "
+                             f"numbers lo < hi, got {clip!r}")
         check_gamma_and_epsilon(self)
 
 
@@ -153,9 +159,10 @@ class DqnAgent(LearningAgent):
     encode = normalize
 
     def act(self, state, greedy: bool = False) -> int:
-        if not greedy and self.rng.random() < self.epsilon:
-            return ACTIONS[int(self.rng.integers(len(ACTIONS)))]
-        return ACTIONS[greedy_index(self.policy.forward(state))]
+        action = None if greedy else self.explore()
+        if action is None:
+            action = ACTIONS[greedy_index(self.policy.forward(state))]
+        return action
 
     def learn(self, state, action: int, reward: float, next_state,
               next_action: int, done: bool):

@@ -62,15 +62,6 @@ def default_discretizer(n_max: int) -> Discretizer:
     ))
 
 
-def epsilon_greedy(values, epsilon: float, rng: np.random.Generator) -> int:
-    """Index of the chosen action; greedy ties break to the largest index."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError("epsilon must lie in [0, 1]")
-    if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(len(values)))
-    return greedy_index(values)
-
-
 @dataclass(frozen=True)
 class SarsaConfig:
     alpha: float = 0.1
@@ -86,6 +77,9 @@ class SarsaConfig:
             raise FieldError("alpha", "alpha must lie in (0, 1]")
         if not (0 <= self.trace_decay <= 1):
             raise FieldError("trace_decay", "trace_decay must lie in [0, 1]")
+        if not (0 <= self.prune_threshold < math.inf):
+            raise FieldError("prune_threshold",
+                             "prune_threshold must be a finite number >= 0")
         check_gamma_and_epsilon(self)
 
 
@@ -135,9 +129,10 @@ class SarsaAgent(LearningAgent):
         return self.discretizer(obs)
 
     def act(self, state, greedy: bool = False) -> int:
-        values = self.qtable.get(state, _ZERO)
-        idx = epsilon_greedy(values, 0.0 if greedy else self.epsilon, self.rng)
-        return ACTIONS[idx]
+        action = None if greedy else self.explore()
+        if action is None:
+            action = ACTIONS[greedy_index(self.qtable.get(state, _ZERO))]
+        return action
 
     def learn(self, state, action: int, reward: float, next_state,
               next_action: int, done: bool):

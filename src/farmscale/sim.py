@@ -11,32 +11,33 @@ zero-delay: arriving tasks land in the worker queue instantly and completed
 tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
 
-Between events the backlog invariant holds: while the worker queue is
-non-empty, no live worker is idle. So each event hands a task straight to
-its worker. An arrival with no backlog starts at once on the lowest idle
-worker id, the same tie-break as a scan over the pool, and otherwise joins
-the queue; a completion under backlog gives the finishing worker the head
-of the queue; a worker that becomes ready takes the head of the queue, or
-goes idle when there is none. Idle workers wait in a min-heap of worker
-ids. A worker that exits through a scale-down while idle keeps its heap
-entry, which is skipped when popped; ids are never reused, so a stale id
-names no worker. Pool counts are kept as counters (starting, busy,
-draining) rather than recounted. Only busy workers ever drain (a starting
-victim is cancelled and an idle one exits at once), so the effective pool
-is every worker neither starting nor draining, and the committed pool is
-every worker not draining. Startup is sequential and a scale-down takes
-the newest worker, so the starting workers are always the newest ones.
-Validate mode checks that, the invariant, the counters and the conservation
-identity after every event. A simulator takes one batch of tasks; the
-completion records are its only accounting state, and its enqueue count is
-the batch less the arrivals pending.
+The pool is one map from worker id to status, in start order: starting,
+idle, busy, or draining (busy, and leaving when its task completes). Only
+busy workers ever drain: a starting scale-down victim is cancelled and an
+idle one exits at once. Pool counts are worked out from the statuses when
+asked for. Between events the backlog invariant holds: while the worker
+queue is non-empty, no live worker is idle. So each event hands a task
+straight to its worker. An arrival with no backlog starts at once on the
+lowest idle worker id, the same tie-break as a scan over the pool, and
+otherwise joins the queue; a completion under backlog gives the finishing
+worker the head of the queue; a worker that becomes ready takes the head of
+the queue, or goes idle when there is none. The idle workers are kept as an
+ascending list of their ids. Startup is sequential and a scale-down takes
+the newest worker, so the starting workers are always the newest ones, and
+their ready times are a deque of pending starts, oldest first: a new start
+queues behind the last of them. Validate mode checks that, the invariant,
+the idle list and the conservation identity after every event. A simulator
+takes one batch of tasks; the completion records are its only accounting
+state, and its enqueue count is the batch less the arrivals pending.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count, islice
 
 import numpy as np
 
@@ -50,14 +51,7 @@ _WORKER_READY = 2
 STARTING = "starting"
 IDLE = "idle"
 BUSY = "busy"
-
-
-@dataclass
-class WorkerState:
-    worker_id: int
-    status: str  # starting | idle | busy
-    draining: bool = False
-    ready_at: float = 0.0
+DRAINING = "draining"  # busy, and exits when its task completes
 
 
 @dataclass
@@ -85,16 +79,14 @@ class FarmSim:
         self.validate = validate
         self.clock = 0.0
         self.q_work = deque()
-        self.workers: dict[int, WorkerState] = {}
+        self.workers: dict[int, str] = {}  # id -> status, in start order
         self.completion_records = []  # (task, completion_time, met)
         self._events = []  # (time, kind, id, payload): completions, readies
         self._arrivals = deque()  # (time, _ARRIVAL, task_id, task), sorted
         self._injected = None  # the size of the one batch, once injected
-        self._next_worker_id = 0
-        self._idle = []  # min-heap of idle worker ids, stale ids skipped
-        self._starting = 0
-        self._busy = 0
-        self._draining = 0
+        self._ids = count()  # worker ids, never reused
+        self._idle = []  # ids of the idle workers, ascending
+        self._starts = deque()  # pending starts' ready times, oldest first
         self.trace = [] if trace else None
 
         if config.warm_start:
@@ -102,11 +94,8 @@ class FarmSim:
             # way a farm deployment completes its startup handshake before
             # the emitter opens the stream.  Only mid-episode scale-ups pay
             # the sequential startup latency.
-            for _ in range(config.n_init):
-                wid = self._next_worker_id
-                self._next_worker_id += 1
-                self.workers[wid] = WorkerState(wid, IDLE, ready_at=0.0)
-                self._idle.append(wid)  # ascending ids: already a heap
+            self._idle = list(islice(self._ids, config.n_init))
+            self.workers = dict.fromkeys(self._idle, IDLE)
         else:
             for _ in range(config.n_init):
                 self._schedule_start()
@@ -115,14 +104,12 @@ class FarmSim:
 
     def _schedule_start(self):
         lo, hi = self.config.scale_up_latency
-        # sequential startup: queue behind the newest start, the last worker
-        base = (next(reversed(self.workers.values())).ready_at
-                if self._starting else self.clock)
+        # sequential startup: queue behind the newest pending start
+        base = self._starts[-1] if self._starts else self.clock
         ready_at = base + self.rng.uniform(lo, hi)
-        wid = self._next_worker_id
-        self._next_worker_id += 1
-        self.workers[wid] = WorkerState(wid, STARTING, ready_at=ready_at)
-        self._starting += 1
+        wid = next(self._ids)
+        self.workers[wid] = STARTING
+        self._starts.append(ready_at)
         heappush(self._events, (ready_at, _WORKER_READY, wid, None))
         return wid
 
@@ -162,7 +149,8 @@ class FarmSim:
         if step is None:
             raise ValueError(f"scaling actions are unit steps in {ACTIONS},"
                              f" got {delta!r}")
-        committed = len(self.workers) - self._draining
+        workers = self.workers
+        committed = len(workers) - list(workers.values()).count(DRAINING)
         applied = max(min(step, self.config.n_max - committed),
                       self.config.n_min - committed)
         if applied > 0:
@@ -171,19 +159,20 @@ class FarmSim:
                 self._record("scale_up", worker_id=wid)
         elif applied < 0:
             # ids are inserted in ascending order and never reused, so the
-            # dict's last non-draining entry is the most recently started
-            victim = next(w for w in reversed(self.workers.values())
-                          if not w.draining)
-            if victim.status == STARTING:
-                del self.workers[victim.worker_id]  # ready event becomes stale
-                self._starting -= 1
-            elif victim.status == IDLE:
-                del self.workers[victim.worker_id]  # heap entry becomes stale
+            # last non-draining id is the most recently started worker
+            victim = next(w for w in reversed(workers)
+                          if workers[w] != DRAINING)
+            status = workers[victim]
+            if status == STARTING:
+                del workers[victim]  # its ready event becomes stale
+                self._starts.pop()
+            elif status == IDLE:
+                del workers[victim]
+                self._idle.pop()  # the newest worker has the highest idle id
             else:
-                victim.draining = True
-                self._draining += 1
+                workers[victim] = DRAINING
             if self.trace is not None:
-                self._record("scale_down", worker_id=victim.worker_id)
+                self._record("scale_down", worker_id=victim)
         return applied
 
     def advance(self, dt: float) -> None:
@@ -216,13 +205,15 @@ class FarmSim:
         self.clock = end
 
     def snapshot(self) -> Snapshot:
+        statuses = list(self.workers.values())
+        starting = statuses.count(STARTING)
+        draining = statuses.count(DRAINING)
         return Snapshot(
             q_work=len(self.q_work),
-            workers_effective=(len(self.workers) - self._starting
-                               - self._draining),
-            workers_busy=self._busy,
-            workers_starting=self._starting,
-            workers_draining=self._draining,
+            workers_effective=len(statuses) - starting - draining,
+            workers_busy=statuses.count(BUSY) + draining,
+            workers_starting=starting,
+            workers_draining=draining,
             enqueued_total=self.enqueued_total,
             completed_total=len(self.completion_records),
         )
@@ -250,25 +241,18 @@ class FarmSim:
         trace = self.trace
         if trace is not None:
             self._record("arrival", task_id=task.task_id)
-        if not self.q_work:
-            idle, workers = self._idle, self.workers
-            while idle:
-                worker = workers.get(heappop(idle))
-                if worker is not None:  # else it exited while idle
-                    worker.status = BUSY
-                    self._busy += 1
-                    heappush(self._events, (self.clock + task.service_time,
-                                            _COMPLETION, worker.worker_id,
-                                            task))
-                    if trace is not None:
-                        self._record("dispatch", task_id=task.task_id,
-                                     worker_id=worker.worker_id)
-                    return
-        self.q_work.append(task)
+        if self.q_work or not self._idle:
+            self.q_work.append(task)
+            return
+        wid = self._idle.pop(0)
+        self.workers[wid] = BUSY
+        heappush(self._events, (self.clock + task.service_time, _COMPLETION,
+                                wid, task))
+        if trace is not None:
+            self._record("dispatch", task_id=task.task_id, worker_id=wid)
 
     def _on_completion(self, worker_id, task):
         # a busy worker leaves the pool only here, so no completion is stale
-        worker = self.workers[worker_id]
         clock = self.clock
         met = clock - task.arrival_time <= task.deadline
         self.completion_records.append((task, clock, met))
@@ -276,10 +260,8 @@ class FarmSim:
         if trace is not None:
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)
-        if worker.draining:
+        if self.workers[worker_id] == DRAINING:
             del self.workers[worker_id]
-            self._busy -= 1
-            self._draining -= 1
             if trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
         elif self.q_work:
@@ -290,66 +272,52 @@ class FarmSim:
                 self._record("dispatch", task_id=queued.task_id,
                              worker_id=worker_id)
         else:
-            worker.status = IDLE
-            self._busy -= 1
-            heappush(self._idle, worker_id)
+            self.workers[worker_id] = IDLE
+            insort(self._idle, worker_id)
 
     def _on_worker_ready(self, worker_id):
-        worker = self.workers.get(worker_id)
-        if worker is None:
+        if worker_id not in self.workers:
             return  # cancelled by a scale-down before becoming ready
-        self._starting -= 1
+        self._starts.popleft()  # the oldest pending start is this one
         trace = self.trace
         if trace is not None:
             self._record("worker_ready", worker_id=worker_id)
         if self.q_work:
             task = self.q_work.popleft()
-            worker.status = BUSY
-            self._busy += 1
+            self.workers[worker_id] = BUSY
             heappush(self._events, (self.clock + task.service_time,
                                     _COMPLETION, worker_id, task))
             if trace is not None:
                 self._record("dispatch", task_id=task.task_id,
                              worker_id=worker_id)
         else:
-            worker.status = IDLE
-            heappush(self._idle, worker_id)
+            self.workers[worker_id] = IDLE
+            insort(self._idle, worker_id)
 
     def _check_conservation(self):
-        """Conservation identity and the backlog invariant, plus the pool
-        counters, start order and idle heap against a scan of the workers."""
-        workers = self.workers.values()
-        recount = {
-            "busy": (self._busy, sum(w.status == BUSY for w in workers)),
-            "starting": (self._starting,
-                         sum(w.status == STARTING for w in workers)),
-            "draining": (self._draining, sum(w.draining for w in workers)),
-        }
-        for name, (kept, scanned) in recount.items():
-            if kept != scanned:
-                raise ConservationError(
-                    f"{name} counter {kept} != {scanned} workers"
-                    f" at t={self.clock}")
-        newest = list(workers)[len(self.workers) - self._starting:]
-        if any(w.status != STARTING for w in newest):
-            raise ConservationError("a starting worker is older than a"
-                                    f" started one at t={self.clock}")
-        idle = sorted(w.worker_id for w in workers if w.status == IDLE)
-        queued = sorted(i for i in self._idle if i in self.workers)
-        if idle != queued:
+        """Conservation identity and the backlog invariant, plus the start
+        order, the pending starts and the idle list against the statuses."""
+        statuses = list(self.workers.values())
+        pending = len(self._starts)
+        if ([s == STARTING for s in statuses]
+                != [False] * (len(statuses) - pending) + [True] * pending):
             raise ConservationError(
-                f"idle heap holds {queued}, idle workers are {idle}"
+                f"{pending} pending starts, but the starting workers are not"
+                f" the newest {pending} of {statuses} at t={self.clock}")
+        idle = [w for w, status in self.workers.items() if status == IDLE]
+        if self._idle != idle:
+            raise ConservationError(
+                f"idle list holds {self._idle}, idle workers are {idle}"
                 f" at t={self.clock}")
         if self.q_work and idle:
             raise ConservationError(
                 f"{len(self.q_work)} tasks queued while workers {idle} are"
                 f" idle at t={self.clock}")
-        expected = len(self.q_work) + self._busy + self.completed_total
-        if self.enqueued_total != expected:
-            raise ConservationError(
-                f"enqueued {self.enqueued_total} != queued {len(self.q_work)}"
-                f" + busy {self._busy} + completed {self.completed_total}"
-                f" at t={self.clock}")
+        snap = self.snapshot()
+        if snap.enqueued_total != (snap.q_work + snap.workers_busy
+                                   + snap.completed_total):
+            raise ConservationError(f"enqueued != queued + busy + completed"
+                                    f" in {snap} at t={self.clock}")
 
 
 @dataclass(frozen=True)
@@ -367,7 +335,7 @@ def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunRe
     cfg = replace(config, n_min=n_fixed, n_max=n_fixed, n_init=n_fixed,
                   warm_start=False)
     sim = FarmSim(cfg, np.random.default_rng([rng_seed, 30_000]))
-    init_overhead = max(w.ready_at for w in sim.workers.values())
+    init_overhead = sim._starts[-1]  # the last pending start
     sim.inject_tasks(workload)
     total = len(workload)
     while sim.completed_total < total:

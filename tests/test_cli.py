@@ -305,6 +305,29 @@ def _edited_checkpoint(tmp_path, agent, edit):
     ("sarsa", b"size,mean_time\n", r"Expecting value: line 1 column 1 \(char 0\)"),
     ("sarsa", b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: "
                         "invalid start byte"),
+    # these used to load: Python's JSON reads NaN and Infinity, a NaN
+    # comparison passed every range check, and reward_clip was checked to
+    # be a tuple only
+    ("sarsa", lambda b: b["config"].update(prune_threshold=float("nan")),
+     "config 'prune_threshold' must be a finite number, got nan"),
+    ("sarsa", lambda b: b["config"].update(prune_threshold=float("inf")),
+     "config 'prune_threshold' must be a finite number, got inf"),
+    ("sarsa", lambda b: b["config"].update(prune_threshold=-1e-4),
+     "config: prune_threshold must be a finite number >= 0"),
+    ("sarsa", lambda b: b["config"].update(epsilon_start=float("nan")),
+     "config 'epsilon_start' must be a finite number, got nan"),
+    ("sarsa", lambda b: b["config"].update(epsilon_min=float("nan")),
+     "config 'epsilon_min' must be a finite number, got nan"),
+    ("dqn", lambda m: m["config"].update(reward_clip=["a", None]),
+     r"config: reward_clip must be two finite numbers lo < hi, "
+     r"got \('a', None\)"),
+    ("dqn", lambda m: m["config"].update(reward_clip=[5.0]),
+     r"config: reward_clip must be two finite numbers lo < hi, got \(5.0,\)"),
+    ("dqn", lambda m: m["config"].update(reward_clip=[float("nan"), 1.0]),
+     r"config: reward_clip must be two finite numbers lo < hi, "
+     r"got \(nan, 1.0\)"),
+    ("dqn", lambda m: m["config"].update(epsilon_min=float("nan")),
+     "config 'epsilon_min' must be a finite number, got nan"),
 ], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
         "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
@@ -315,7 +338,11 @@ def _edited_checkpoint(tmp_path, agent, edit):
         "sarsa-qtable-nan-value", "sarsa-qtable-inf-value",
         "sarsa-qtable-int-too-large", "sarsa-edge-int-too-large",
         "dqn-corrupt-zip", "dqn-empty-file", "dqn-text-file",
-        "sarsa-not-json", "sarsa-not-utf8"])
+        "sarsa-not-json", "sarsa-not-utf8", "sarsa-prune-nan",
+        "sarsa-prune-inf", "sarsa-prune-negative", "sarsa-epsilon-start-nan",
+        "sarsa-epsilon-min-nan", "dqn-reward-clip-not-numbers",
+        "dqn-reward-clip-one-number", "dqn-reward-clip-nan",
+        "dqn-epsilon-min-nan"])
 def test_run_rejects_malformed_checkpoint(tmp_path, tiny_config, capsys,
                                           agent, edit, message):
     bad = _edited_checkpoint(tmp_path, agent, edit)

@@ -1,0 +1,45 @@
+"""tools/code_lines.py: code lines are not blank, comments or docstrings."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "code_lines", ROOT / "tools" / "code_lines.py")
+code_lines = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(code_lines)
+
+SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        text = """a string that is
+not a docstring"""
+        return (text,
+                os.sep)
+'''
+
+
+def test_counts_only_code_lines(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE)
+    # import, class, def, the two lines of the string, the two of the return
+    assert code_lines.code_lines(path) == 7
+
+
+def test_main_prints_each_file_and_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SAMPLE)
+    (tmp_path / "b.py").write_text("x = 1\n\ny = 2\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["7", "2", "9"]
+    assert lines[-1].split()[1] == "total"

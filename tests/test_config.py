@@ -157,6 +157,11 @@ class TestRangeChecks:
          "base_rate"),
         (["run", "--policy", "reactive-avg"], "base_rate: -1.0\n",
          "base_rate"),
+        # a negative epsilon trained, then saved a checkpoint that no command
+        # could load (a checkpoint's epsilon must lie in [0, 1])
+        (["run", "--policy", "reactive-avg"],
+         "sarsa_epsilon_start: -0.5\nsarsa_epsilon_min: -1.0\n",
+         "sarsa_epsilon_min"),
     ])
     def test_cli_rejects_out_of_range_value(self, tmp_path, capsys, command,
                                             text, key):

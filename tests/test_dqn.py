@@ -198,6 +198,27 @@ class TestDoubleDqnTargets:
         np.testing.assert_array_equal(targets, rewards)
 
 
+class TestDoubleDqnOracle:
+    def test_terminal_bandit_regresses_q_to_reward(self):
+        # a contextual bandit (van Hasselt et al. 2016, arXiv:1509.06461,
+        # with every transition terminal): each target is its reward, so
+        # train_step alone is least squares on the nine (context, action)
+        # rewards, and Q must reach them whatever the target network holds
+        rewards = np.array([[1.0, -0.5, 0.25], [0.0, 2.0, -1.0],
+                            [-2.0, 0.5, 1.5]])
+        contexts = np.eye(3)
+        cfg = DqnConfig(replay_capacity=128, batch_size=32, warmup=32)
+        agent = DqnAgent(np.zeros(3), np.ones(3), cfg, seed=0)
+        for _ in range(8):
+            for c, a in np.ndindex(rewards.shape):
+                agent.buffer.push(contexts[c], a, rewards[c, a],
+                                  contexts[(c + 1) % 3], True)
+        for _ in range(500):
+            agent.train_step()
+        assert np.abs(agent.policy.forward(contexts) - rewards).max() < 1e-6
+        assert np.abs(agent.target.forward(contexts) - rewards).max() > 1e-3
+
+
 class TestAgent:
     def test_normalize_maps_bounds_to_unit_box(self):
         agent = make_agent()
@@ -278,6 +299,17 @@ class TestAgent:
         assert agent.buffer.rewards[0] == 10.0
         learn(agent, obs(), 0, -1e9, obs())
         assert agent.buffer.rewards[1] == -10.0
+
+    def test_act_draws_nothing_when_greedy_or_epsilon_zero(self):
+        # exploration is LearningAgent.explore, which draws nothing at
+        # epsilon 0
+        agent = make_agent()
+        state = agent.encode(obs())
+        for epsilon, greedy in ((0.8, True), (0.0, False)):
+            agent.epsilon = epsilon
+            before = agent.rng.bit_generator.state
+            agent.act(state, greedy=greedy)
+            assert agent.rng.bit_generator.state == before
 
     def test_epsilon_schedule(self):
         agent = make_agent(epsilon_start=0.8, epsilon_min=0.05,
@@ -448,6 +480,14 @@ class TestAgent:
             DqnConfig(epsilon_min=0.9, epsilon_start=0.5)
         with pytest.raises(ValueError, match="epsilon_min <= epsilon_start"):
             DqnConfig(epsilon_start=1.5)
+        for key in ("epsilon_start", "epsilon_min"):  # a NaN fails each check
+            with pytest.raises(ValueError, match="epsilon_min <= epsilon_st"):
+                DqnConfig(**{key: float("nan")})
+        for clip in ((1.0, 1.0), (2.0, -2.0), (0.0, float("inf")),
+                     (True, 2.0), [-1.0, 1.0]):
+            with pytest.raises(ValueError, match="reward_clip must be two"):
+                DqnConfig(reward_clip=clip)
+        assert DqnConfig(reward_clip=(-1, 1)).reward_clip == (-1, 1)
         assert DqnConfig(gamma=0.0, epsilon_min=0.8).gamma == 0.0
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farmscale.core import Observation
+from farmscale.agent import greedy_index
+from farmscale.core import ACTIONS, Observation
 from farmscale.sarsa import (Discretizer, SarsaAgent, SarsaConfig,
-                             default_discretizer, epsilon_greedy,
-                             sarsa_update)
+                             default_discretizer, sarsa_update)
 
 
 def obs(q_work=0, n_workers=4, t_avg=0.0, t_max=0.0, rate=0.0, qos=1.0):
@@ -105,26 +105,50 @@ class TestDiscretizerBins:
         assert d.edges[0] == (-math.inf, 0, math.inf)
 
 
+STATE = (0,) * 9
+
+
 class TestEpsilonGreedy:
+    """``LearningAgent.explore`` and the greedy fallback of ``act``, shown on
+    a SarsaAgent; DqnAgent's ``act`` calls the same helper (test_dqn)."""
+
+    def agent(self, epsilon, values=(0.0, 0.0, 0.0)):
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
+        agent.epsilon = epsilon
+        agent.qtable[STATE] = np.array(values)
+        return agent
+
     def test_greedy_picks_argmax(self):
-        rng = np.random.default_rng(0)
-        assert epsilon_greedy(np.array([0.1, 0.9, 0.3]), 0.0, rng) == 1
+        agent = self.agent(0.0, [0.1, 0.9, 0.3])
+        before = agent.rng.bit_generator.state
+        assert agent.explore() is None
+        assert agent.act(STATE) == ACTIONS[1]
+        assert agent.rng.bit_generator.state == before  # nothing drawn
 
     def test_ties_resolve_to_largest_index(self):
-        rng = np.random.default_rng(0)
-        assert epsilon_greedy(np.zeros(3), 0.0, rng) == 2
-        assert epsilon_greedy(np.array([1.0, 1.0, 0.5]), 0.0, rng) == 1
+        assert greedy_index(np.zeros(3)) == 2
+        assert greedy_index(np.array([1.0, 1.0, 0.5])) == 1
+        assert self.agent(0.0).act(STATE) == ACTIONS[2]
 
     def test_full_exploration_covers_actions(self):
-        rng = np.random.default_rng(0)
-        picks = {epsilon_greedy(np.array([5.0, 0.0, 0.0]), 1.0, rng)
-                 for _ in range(200)}
-        assert picks == {0, 1, 2}
+        agent = self.agent(1.0, [5.0, 0.0, 0.0])
+        assert {agent.explore() for _ in range(200)} == set(ACTIONS)
+        assert {agent.act(STATE) for _ in range(200)} == set(ACTIONS)
 
     @given(eps=st.floats(min_value=0, max_value=1))
     def test_valid_action_range(self, eps):
-        rng = np.random.default_rng(3)
-        assert epsilon_greedy(np.array([0.2, -0.1, 0.4]), eps, rng) in (0, 1, 2)
+        agent = self.agent(eps, [0.2, -0.1, 0.4])
+        assert agent.explore() in (None, *ACTIONS)
+        assert agent.act(STATE) in ACTIONS
+
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 1.0])
+    def test_draws_one_coin_then_one_index(self, eps):
+        # the stream the pinned SARSA and DQN runs were recorded with
+        agent, ref = self.agent(eps), np.random.default_rng([0, 40_000])
+        for _ in range(100):
+            coin = ref.random() < eps
+            assert agent.explore() == (ACTIONS[int(ref.integers(3))]
+                                       if coin else None)
 
 
 class TestSarsaUpdate:
@@ -165,6 +189,92 @@ class TestSarsaUpdate:
         for step in range(12):
             sarsa_update(qtable, traces, ("b",), 0, 0.0, ("b",), 0, False, cfg)
         assert (("a",), 0) not in traces  # decayed below the threshold
+
+
+# A deterministic ring of five states under a fixed policy: state s takes
+# action RING_POLICY[s], earns RING_REWARDS[s] and moves to s + 1 (mod 5).
+RING_REWARDS = np.array([1.0, -0.5, 2.0, 0.0, 0.3])
+RING_POLICY = (1, 0, 2, 1, 0)
+RING_GAMMA = 0.95
+
+
+def ring_q_pi():
+    """Q^pi(s, pi(s)) of the ring, from (I - gamma P) q = r."""
+    n = len(RING_REWARDS)
+    shift = np.roll(np.eye(n), 1, axis=1)  # P[s, s + 1] = 1
+    return np.linalg.solve(np.eye(n) - RING_GAMMA * shift, RING_REWARDS)
+
+
+def ring_updates(trace_decay, prune_threshold, steps=20_000):
+    """``sarsa_update`` driven around the ring from a zero table at
+    alpha 0.05; yields (Q table, traces) after every update."""
+    cfg = SarsaConfig(alpha=0.05, gamma=RING_GAMMA, trace_decay=trace_decay,
+                      prune_threshold=prune_threshold)
+    qtable, traces = {}, {}
+    n = len(RING_REWARDS)
+    for t in range(steps):
+        s, s2 = t % n, (t + 1) % n
+        sarsa_update(qtable, traces, (s,), RING_POLICY[s], RING_REWARDS[s],
+                     (s2,), RING_POLICY[s2], False, cfg)
+        yield qtable, traces
+
+
+def ring_values(qtable):
+    return np.array([qtable[(s,)][a] for s, a in enumerate(RING_POLICY)])
+
+
+class TestSarsaOracle:
+    """SARSA(lambda) with accumulating traces is exact policy evaluation on
+    a deterministic ring (Sutton & Barto 2018, ch. 12): every TD error is 0
+    at Q^pi, whatever the traces, so the table must converge to it. Larger
+    lambda carries each reward back further per update, so it gets closer
+    in the same number of updates."""
+
+    @pytest.mark.parametrize("trace_decay, tolerance",
+                             [(0.0, 1e-3), (0.5, 1e-6), (0.9, 1e-12)])
+    def test_converges_to_q_pi(self, trace_decay, tolerance):
+        for qtable, traces in ring_updates(trace_decay, prune_threshold=0.0):
+            pass
+        assert np.abs(ring_values(qtable) - ring_q_pi()).max() < tolerance
+        # accumulating traces: a state last visited j updates ago holds
+        # d^(j + 1) (1 + d^n + d^2n + ...), with d = gamma * lambda
+        n, d = len(RING_REWARDS), RING_GAMMA * trace_decay
+        last = (20_000 - 1) % n
+        for s, a in enumerate(RING_POLICY):
+            assert traces[(s,), a] == pytest.approx(
+                d ** ((last - s) % n + 1) / (1 - d ** n), rel=1e-12)
+        # only the policy's action of each state was ever updated
+        for s, a in enumerate(RING_POLICY):
+            assert np.count_nonzero(qtable[(s,)]) == 1 and qtable[(s,)][a]
+
+    def test_pruning_stays_within_derived_bound(self):
+        theta, n = 1e-4, len(RING_REWARDS)
+        # lambda 0.1: decay d = 0.095 and d^4 < theta, so a trace is pruned
+        # at its fourth decay, two updates before the ring revisits it. Each
+        # pruned value is below theta, and prunings of one entry are n
+        # updates apart, so what pruning has dropped from a trace sums to
+        # less than theta / (1 - d^n)
+        d = RING_GAMMA * 0.1
+        bound = theta / (1 - d ** n)
+        for (full_q, full), (pruned_q, pruned) in zip(
+                ring_updates(0.1, 0.0), ring_updates(0.1, theta)):
+            assert all(e >= theta for e in pruned.values())
+            for key, e in full.items():
+                assert 0 <= e - pruned.get(key, 0.0) < bound
+        assert (len(pruned), len(full)) == (3, n)  # two traces pruned
+        # the traces change the path, not the fixed point
+        q_pi = ring_q_pi()
+        for qtable in (full_q, pruned_q):
+            assert np.abs(ring_values(qtable) - q_pi).max() < 1e-3
+        # lambda 0.9: the smallest trace the check sees, d^n = 0.46 at the
+        # decay before a revisit, is above theta, so nothing is pruned and
+        # the tables match bit for bit
+        assert (RING_GAMMA * 0.9) ** n > theta
+        for (full_q, full), (pruned_q, pruned) in zip(
+                ring_updates(0.9, 0.0, 2_000),
+                ring_updates(0.9, theta, 2_000)):
+            assert pruned == full
+        assert ring_values(pruned_q).tobytes() == ring_values(full_q).tobytes()
 
 
 class TestSarsaAgent:
@@ -246,3 +356,10 @@ class TestSarsaAgent:
             SarsaConfig(gamma=1.5)
         with pytest.raises(ValueError):
             SarsaConfig(epsilon_min=0.9, epsilon_start=0.5)
+        for key in ("epsilon_start", "epsilon_min"):  # a NaN fails each check
+            with pytest.raises(ValueError, match="epsilon_min <= epsilon_st"):
+                SarsaConfig(**{key: float("nan")})
+        for bad in (-1e-4, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="prune_threshold must be"):
+                SarsaConfig(prune_threshold=bad)
+        assert SarsaConfig(prune_threshold=0.0).prune_threshold == 0.0

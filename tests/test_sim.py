@@ -1,6 +1,6 @@
 """Event-driven farm simulator: startup, conservation, scaling, static runs."""
 
-import dataclasses
+import bisect
 import heapq
 
 import numpy as np
@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from farmscale import sim as sim_module
 from farmscale.core import TaskSpec, deadline_met
-from farmscale.sim import (BUSY, IDLE, STARTING, ConservationError, FarmSim,
-                           Snapshot, static_run, static_scaling_experiment)
+from farmscale.sim import (BUSY, DRAINING, IDLE, STARTING, ConservationError,
+                           FarmSim, Snapshot, static_run,
+                           static_scaling_experiment)
 from tests.conftest import constant_service_tasks, single_phase_config
 from tests.test_acceptance import _fuzz_sim
 
@@ -18,61 +19,60 @@ from tests.test_acceptance import _fuzz_sim
 class DispatchReferenceSim(FarmSim):
     """The simulator's event handlers before tasks were handed straight to
     their workers: every arrival joins the queue, every freed or ready
-    worker joins the idle heap, and ``_dispatch`` pairs the two. Kept as
+    worker joins the idle list, and ``_dispatch`` pairs the two. Kept as
     the reference the direct handoff must match event for event."""
 
     def _on_arrival(self, task):
         self.q_work.append(task)
         if self.trace is not None:
             self._record("arrival", task_id=task.task_id)
-        if self._idle:
-            self._dispatch()
+        self._dispatch()
 
     def _on_completion(self, worker_id, task):
-        # a busy worker leaves the pool only here, so no completion is stale
-        worker = self.workers[worker_id]
         met = self.clock - task.arrival_time <= task.deadline
         self.completion_records.append((task, self.clock, met))
         if self.trace is not None:
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)
-        self._busy -= 1
-        if worker.draining:
+        if self.workers[worker_id] == DRAINING:
             del self.workers[worker_id]
-            self._draining -= 1
             if self.trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
         else:
-            worker.status = IDLE
-            heapq.heappush(self._idle, worker_id)
-            if self.q_work:
-                self._dispatch()
+            self.workers[worker_id] = IDLE
+            bisect.insort(self._idle, worker_id)
+            self._dispatch()
 
     def _on_worker_ready(self, worker_id):
-        worker = self.workers.get(worker_id)
-        if worker is None or worker.status != STARTING:
+        if self.workers.get(worker_id) != STARTING:
             return  # cancelled by a scale-down before becoming ready
-        worker.status = IDLE
-        self._starting -= 1
-        heapq.heappush(self._idle, worker_id)
+        self._starts.popleft()
+        self.workers[worker_id] = IDLE
+        bisect.insort(self._idle, worker_id)
         if self.trace is not None:
             self._record("worker_ready", worker_id=worker_id)
         self._dispatch()
 
     def _dispatch(self):
         while self.q_work and self._idle:
-            worker = self.workers.get(heapq.heappop(self._idle))
-            if worker is None:
-                continue  # exited through a scale-down while idle
+            worker_id = self._idle.pop(0)
             task = self.q_work.popleft()
-            worker.status = BUSY
-            self._busy += 1
+            self.workers[worker_id] = BUSY
             heapq.heappush(self._events, (self.clock + task.service_time,
-                                          sim_module._COMPLETION,
-                                          worker.worker_id, task))
+                                          sim_module._COMPLETION, worker_id,
+                                          task))
             if self.trace is not None:
                 self._record("dispatch", task_id=task.task_id,
-                             worker_id=worker.worker_id)
+                             worker_id=worker_id)
+
+
+def ready_times(sim):
+    """{worker id: ready time} of the starting workers, read from the ready
+    events left in the event heap; a cancelled start's event stays there but
+    names no worker."""
+    return {wid: t for t, kind, wid, _ in sim._events
+            if kind == sim_module._WORKER_READY
+            and sim.workers.get(wid) == STARTING}
 
 
 def make_sim(n_init=4, seed=0, warm=False, **kwargs):
@@ -91,7 +91,8 @@ class TestStartup:
     @settings(max_examples=25, deadline=None)
     def test_sequential_gaps_within_latency(self, seed):
         sim = make_sim(n_init=8, seed=seed, n_max=20)
-        readies = sorted(w.ready_at for w in sim.workers.values())
+        readies = sorted(ready_times(sim).values())
+        assert len(readies) == 8
         prev = 0.0
         for r in readies:
             assert 5.0 <= r - prev <= 8.0
@@ -105,7 +106,8 @@ class TestStartup:
         sim = make_sim(n_init=4, warm=True)
         snap = sim.snapshot()
         assert snap.workers_effective == 4
-        assert all(w.ready_at == 0.0 for w in sim.workers.values())
+        assert list(sim.workers.values()) == [IDLE] * 4
+        assert not sim._events  # no start pending
 
     def test_zero_latency_degenerate(self):
         sim = make_sim(n_init=1, scale_up_latency=(0.0, 0.0))
@@ -163,18 +165,18 @@ class TestStartQueue:
             base = 0.0
             for wid in range(n_init):
                 base += ref.uniform(lo, hi)
-                assert sim.workers[wid].ready_at == base
+                assert ready_times(sim)[wid] == base
         task_rng = np.random.default_rng([seed, 1])
         arrivals = np.cumsum(task_rng.exponential(0.5, size=60))
         sim.inject_tasks([simple_task(i, float(a), service=2.0)
                           for i, a in enumerate(arrivals)])
         for action, dt in program:
-            base = max([sim.clock, *(w.ready_at for w in sim.workers.values()
-                                     if w.status == STARTING)])
+            base = max([sim.clock, *ready_times(sim).values()])
             if sim.request_scale(action) > 0:
-                new = sim.workers[max(sim.workers)]
-                assert new.status == STARTING
-                assert new.ready_at == base + ref.uniform(lo, hi)
+                new = max(sim.workers)
+                assert sim.workers[new] == STARTING
+                assert ready_times(sim)[new] == base + ref.uniform(lo, hi)
+            assert list(sim._starts) == sorted(ready_times(sim).values())
             sim.advance(dt)
 
 
@@ -254,9 +256,8 @@ class TestScaling:
         sim.advance(100.0)
         applied = sim.request_scale(+1)
         assert applied == 1
-        starting = [w for w in sim.workers.values() if w.status == STARTING]
-        assert len(starting) == 1
-        assert 105.0 < starting[0].ready_at <= 108.0
+        [ready_at] = ready_times(sim).values()
+        assert 105.0 < ready_at <= 108.0
 
     def test_scale_down_idle_exits_now(self):
         sim = make_sim(n_init=2, warm=True)
@@ -276,8 +277,7 @@ class TestScaling:
         sim = make_sim(n_init=1, warm=True)
         sim.inject_tasks([simple_task(0, 0.5, service=10.0)])
         sim.advance(1.0)  # worker picks the task up
-        busy = [w for w in sim.workers.values() if w.status == BUSY]
-        assert len(busy) == 1
+        assert list(sim.workers.values()) == [BUSY]
         sim.request_scale(-1)
         assert sim.request_scale(-1) == 0  # nothing left to remove
         sim.advance(60.0)
@@ -394,16 +394,15 @@ def _loaded_fuzz_sim(seed, n_tasks=3500):
 
 
 def scanned_snapshot(sim):
-    """Snapshot recounted by a full scan of the pool, the reference for the
-    simulator's incremental counters."""
-    workers = sim.workers.values()
+    """Snapshot recounted worker by worker, the reference for the counts
+    ``snapshot`` works out: a draining worker is busy but not effective."""
+    statuses = sim.workers.values()
     return Snapshot(
         q_work=len(sim.q_work),
-        workers_effective=sum(w.status in (IDLE, BUSY) and not w.draining
-                              for w in workers),
-        workers_busy=sum(w.status == BUSY for w in workers),
-        workers_starting=sum(w.status == STARTING for w in workers),
-        workers_draining=sum(w.draining for w in workers),
+        workers_effective=sum(s in (IDLE, BUSY) for s in statuses),
+        workers_busy=sum(s in (BUSY, DRAINING) for s in statuses),
+        workers_starting=sum(s == STARTING for s in statuses),
+        workers_draining=sum(s == DRAINING for s in statuses),
         enqueued_total=sim.enqueued_total,
         completed_total=sim.completed_total,
     )
@@ -412,7 +411,7 @@ def scanned_snapshot(sim):
 def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed,
                   reference=False):
     """Run (action, dt) pairs through request_scale/advance on a validating
-    sim, checking the counters against a full scan after every call. With
+    sim, checking the pool counts against a full scan after every call. With
     ``reference``, a tracing ``DispatchReferenceSim`` runs the same program
     in step, and every applied action, snapshot, the trace and the
     completion records must equal the simulator's.
@@ -436,17 +435,16 @@ def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed,
     sim, others = sims[0], sims[1:]
     victims = set()
     for action, dt in program:
-        victim = max((w for w in sim.workers.values() if not w.draining),
-                     key=lambda w: w.worker_id)
-        status = victim.status
+        victim = max(w for w, s in sim.workers.items() if s != DRAINING)
+        status = sim.workers[victim]
         applied = sim.request_scale(action)
         if applied < 0:
             victims.add(status)
             if status == BUSY:
-                assert sim.workers[victim.worker_id].draining
+                assert sim.workers[victim] == DRAINING
             else:
-                assert victim.worker_id not in sim.workers
-        committed = sum(not w.draining for w in sim.workers.values())
+                assert victim not in sim.workers
+        committed = sum(s != DRAINING for s in sim.workers.values())
         assert n_min <= committed <= n_max
         assert sim.snapshot() == scanned_snapshot(sim)
         for other in others:
@@ -492,28 +490,32 @@ class TestPoolCounters:
                                          program, seed=3)
         assert victims == {STARTING, IDLE, BUSY}
 
-    def test_validate_names_a_drifted_counter(self):
+    def test_validate_finds_start_deque_disagreeing_with_starting_workers(
+            self):
         sim = make_sim(n_init=2, warm=True)
         sim.inject_tasks([simple_task(0, 0.5)])
-        sim._busy += 1
-        with pytest.raises(ConservationError, match="busy counter"):
+        sim._starts.append(3.0)  # a pending start with no starting worker
+        with pytest.raises(ConservationError,
+                           match="1 pending starts, but the starting"
+                                 " workers are not the newest 1 of"):
             sim.advance(1.0)
 
     def test_validate_finds_start_older_than_a_started_worker(self):
         sim = make_sim(n_init=2, warm=True)
-        sim.workers[0].status = STARTING  # worker 1 stays idle
+        sim.workers[0] = STARTING  # worker 1 stays idle
         sim._idle.remove(0)
-        sim._starting += 1
+        sim._starts.append(9.0)
         sim.inject_tasks([simple_task(0, 0.5)])
-        with pytest.raises(ConservationError, match="a starting worker is"
-                                                    " older than a started"):
+        with pytest.raises(ConservationError, match="1 pending starts, but the"
+                                                    " starting workers are not"
+                                                    " the newest 1 of"):
             sim.advance(1.0)
 
-    def test_validate_finds_idle_worker_missing_from_heap(self):
+    def test_validate_finds_idle_worker_missing_from_idle_list(self):
         sim = make_sim(n_init=2, warm=True)
         sim._idle.remove(1)
         sim.inject_tasks([simple_task(0, 0.5)])
-        with pytest.raises(ConservationError, match="idle heap"):
+        with pytest.raises(ConservationError, match="idle list"):
             sim.advance(1.0)
 
 
@@ -565,6 +567,16 @@ class TestDispatchReference:
 
 
 class TestBacklogInvariant:
+    def test_validate_finds_a_task_lost_from_the_count(self):
+        sim = make_sim(n_init=2, warm=True)
+        sim.inject_tasks([simple_task(0, 0.5), simple_task(1, 5.0)])
+        sim.advance(2.0)  # task 0 completed at 1.5
+        sim.completion_records.pop()
+        with pytest.raises(ConservationError,
+                           match=r"enqueued != queued \+ busy \+ completed in"
+                                 r" Snapshot\(.*enqueued_total=2"):
+            sim.advance(5.0)
+
     def test_validate_finds_queued_task_beside_idle_worker(self):
         sim = make_sim(n_init=2, warm=True)
         sim.q_work.append(simple_task(99, 0.0))  # queued, yet 0 and 1 idle

@@ -1,0 +1,52 @@
+"""Print the code lines of each Python file in a directory, and their total.
+
+    python3 tools/code_lines.py [DIR]    (default: src/farmscale)
+
+A code line holds at least one token that is not a comment, and is not part
+of a docstring (the leading string of a module, class or function). Blank
+lines, comment lines and docstrings are not counted. Standard library only.
+"""
+
+import ast
+import sys
+import tokenize
+from pathlib import Path
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def docstring_lines(tree) -> set:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, _SCOPES) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            lines.update(range(doc.lineno, doc.end_lineno + 1))
+    return lines
+
+
+def code_lines(path) -> int:
+    with open(path, "rb") as fh:
+        tokens = list(tokenize.tokenize(fh.readline))
+    lines = set()
+    for tok in tokens:
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    tree = ast.parse(Path(path).read_bytes(), filename=str(path))
+    return len(lines - docstring_lines(tree))
+
+
+def main(argv) -> int:
+    root = Path(argv[0] if argv else "src/farmscale")
+    total = 0
+    for path in sorted(root.glob("*.py")):
+        n = code_lines(path)
+        total += n
+        print(f"{n:6d}  {path}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
