@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import ACTIONS, FieldError, has_type_of, is_finite
+from .core import ACTIONS, FieldError, has_type_of
 
 
 def greedy_index(values) -> int:
@@ -53,9 +53,10 @@ class LearningAgent:
 
 
 def check_gamma_and_epsilon(cfg):
-    """The checks both agents' configs share: 0 <= gamma < 1,
-    0 <= epsilon_min <= epsilon_start <= 1 and 0 < epsilon_decay <= 1; each
-    is written so that a NaN fails it."""
+    """The range checks both agents' configs share: 0 <= gamma < 1,
+    0 <= epsilon_min <= epsilon_start <= 1 and 0 < epsilon_decay <= 1.
+    ``core.check_fields`` rejects a NaN before they run; each is still
+    written so that a NaN fails it, as a backstop."""
     if not (0 <= cfg.gamma < 1):
         raise FieldError("gamma", "gamma must lie in [0, 1)")
     if not cfg.epsilon_start <= 1:
@@ -81,7 +82,7 @@ def checkpoint_epsilon(blob: dict, path, where: str = "checkpoint") -> float:
     """``blob["epsilon"]``, which must be a number in [0, 1]; otherwise
     ``ValueError`` naming the file and the key."""
     value = checkpoint_value(blob, path, "epsilon", where)
-    if not (has_type_of(value, 0.0) and 0 <= value <= 1):
+    if not (has_type_of(value, "float") and 0 <= value <= 1):
         raise ValueError(f"{path}: epsilon must be a number in [0, 1], "
                          f"got {value!r}")
     return value
@@ -89,28 +90,17 @@ def checkpoint_epsilon(blob: dict, path, where: str = "checkpoint") -> float:
 
 def checkpoint_config(cls, values, path):
     """``cls(**values)`` for a checkpoint's saved config, a JSON list standing
-    for a tuple; a key ``cls`` lacks, a value whose type does not match the
-    field's default (``core.has_type_of``), a float that is not finite or a
-    value ``cls`` rejects raises ``ValueError`` naming the file and the
-    key."""
+    for a tuple. A key ``cls`` lacks, or a value ``cls`` rejects (its type
+    and finiteness are checked by ``core.check_fields``, its range by
+    ``cls``), raises ``ValueError`` naming the file and the key."""
     if not isinstance(values, dict):
         raise ValueError(f"{path}: 'config' is not a mapping")
-    defaults = {f.name: f.default for f in fields(cls)}
-    kwargs = {}
-    for key, value in values.items():
-        if key not in defaults:
+    names = {f.name for f in fields(cls)}
+    for key in values:
+        if key not in names:
             raise ValueError(f"{path}: config has unknown key {key!r}")
-        default = defaults[key]
-        if isinstance(value, list) and isinstance(default, tuple):
-            value = tuple(value)
-        if not has_type_of(value, default):
-            raise ValueError(f"{path}: config {key!r} must be "
-                             f"{type(default).__name__}, got {value!r}")
-        if isinstance(default, float) and not is_finite(value):
-            raise ValueError(f"{path}: config {key!r} must be a finite "
-                             f"number, got {value!r}")
-        kwargs[key] = value
     try:
-        return cls(**kwargs)
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in values.items()})
     except ValueError as exc:
         raise ValueError(f"{path}: config: {exc}") from None

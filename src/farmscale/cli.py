@@ -26,10 +26,6 @@ from .workload import (CALIBRATION_SAMPLES, build_episode_workload,
                        fit_service_model, write_workload_csv)
 
 
-class CliError(Exception):
-    pass
-
-
 def _load_samples(path):
     samples = []
     with open(path, newline="") as fh:
@@ -39,13 +35,13 @@ def _load_samples(path):
             try:
                 sample = (float(row[0]), float(row[1]))
             except (ValueError, IndexError):
-                raise CliError(f"{path}:{lineno}: expected 'size,mean_time'")
+                raise ValueError(f"{path}:{lineno}: expected 'size,mean_time'")
             if not all(math.isfinite(v) and v > 0 for v in sample):
-                raise CliError(f"{path}:{lineno}: size and mean_time must be "
-                               f"finite and positive, got {row[0]},{row[1]}")
+                raise ValueError(f"{path}:{lineno}: size and mean_time must be "
+                                 f"finite and positive, got {row[0]},{row[1]}")
             samples.append(sample)
     if not samples:
-        raise CliError(f"{path}: no samples found")
+        raise ValueError(f"{path}: no samples found")
     return samples
 
 
@@ -100,10 +96,10 @@ def _make_policy(spec: str, env: FarmEnv):
         return ReactiveMaximumPolicy(env.config.step_duration)
     if kind in ("sarsa", "dqn"):
         if not ckpt:
-            raise CliError(f"{kind} policy needs a checkpoint: {kind}:<path>")
+            raise ValueError(f"{kind} policy needs a checkpoint: {kind}:<path>")
         return (SarsaAgent if kind == "sarsa" else DqnAgent).load(ckpt)
-    raise CliError(f"unknown policy {spec!r}; use reactive-avg, reactive-max, "
-                   f"sarsa:<ckpt> or dqn:<ckpt>")
+    raise ValueError(f"unknown policy {spec!r}; use reactive-avg, reactive-max, "
+                     f"sarsa:<ckpt> or dqn:<ckpt>")
 
 
 def cmd_run(args):
@@ -137,7 +133,7 @@ def cmd_train(args):
         agent = DqnAgent(lows, highs, cfgmod.dqn_config(cfg), seed=args.seed)
         ckpt_name = "dqn.npz"
     else:
-        raise CliError(f"unknown agent {args.agent!r}")
+        raise ValueError(f"unknown agent {args.agent!r}")
 
     records = train_agent(agent, env, dist, model, episodes=args.episodes,
                           base_seed=args.seed, shuffle=args.shuffle)
@@ -152,10 +148,14 @@ def cmd_train(args):
 
 
 def cmd_compare(args):
+    seeds = args.seeds.split(",")
+    if not all(seed.strip().isdecimal() for seed in seeds):
+        raise ValueError(f"--seeds must be comma-separated integers >= 0, "
+                         f"got {args.seeds!r}")
+    seeds = [int(seed) for seed in seeds]
     cfg, env, model, dist = _setup(args)
     t_step = env.config.step_duration
     cost_cfg = cfgmod.cost_config(cfg)
-    seeds = [int(s) for s in args.seeds.split(",")]
     specs = [spec.strip() for spec in args.policies.split(",")]
     policies = [_make_policy(spec, env) for spec in specs]
     out = Path(args.out)
@@ -183,20 +183,19 @@ def cmd_compare(args):
                     for s, cost in zip(summaries, priced)]
         means, stds = aggregate_rows(list(zip(*episodes)))
 
-        name = spec.split(":")[0]
-        row = {"policy": name}
+        row = {"policy": spec}
         for label, mean, std in zip(columns, means, stds):
             row[f"{label}_mean"] = mean
             row[f"{label}_std"] = std
         rows.append(row)
         for phase, i in enumerate(range(len(columns), len(means), 2)):
             phase_rows.append({
-                "policy": name, "phase": phase,
+                "policy": spec, "phase": phase,
                 "qos_mean": means[i], "qos_std": stds[i],
                 "mean_workers_mean": means[i + 1],
                 "mean_workers_std": stds[i + 1],
             })
-        print(f"{name}: qos={row['final_qos_mean']:.4f}"
+        print(f"{spec}: qos={row['final_qos_mean']:.4f}"
               f"±{row['final_qos_std']:.4f} "
               f"scaling={row['scaling_actions_mean']:.1f}")
 
@@ -268,10 +267,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except cfgmod.ConfigError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return 1
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

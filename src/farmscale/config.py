@@ -12,8 +12,7 @@ from dataclasses import fields
 
 import yaml
 
-from .core import (EpisodeConfig, FieldError, RewardConfig, has_type_of,
-                   is_finite)
+from .core import EpisodeConfig, FieldError, RewardConfig
 from .metrics import CostConfig
 from .sarsa import SarsaConfig
 from .dqn import DqnConfig
@@ -52,11 +51,12 @@ DEFAULTS = {
 def load_config(path=None) -> dict:
     """DEFAULTS overlaid with the flat key-value file at ``path``, if any.
 
-    Each loaded value must have the type of its default: an int key takes
-    only an integer, a float key a finite number, a bool key only a bool;
-    a bool is never taken as a number. Every config object is built once,
-    so a value out of range raises ``ConfigError`` here, whichever objects
-    the command goes on to use.
+    Every config object is built once from the result, so a value the
+    objects reject raises ``ConfigError`` here, naming ``path`` and the
+    key, whichever objects the command goes on to use. The objects check
+    each value's type (``core.check_fields``: an int key takes only an
+    integer, a float key a finite number, a bool key only a bool) and then
+    its range.
     """
     cfg = dict(DEFAULTS)
     if path is not None:
@@ -72,29 +72,26 @@ def load_config(path=None) -> dict:
         if unknown:  # YAML keys need not be strings, so sort by their text
             raise ValueError(f"{path}: unknown keys "
                              f"{sorted(unknown, key=str)}")
-        for key, value in loaded.items():
-            if not has_type_of(value, DEFAULTS[key]):
-                raise ValueError(f"{path}: {key} must be "
-                                 f"{type(DEFAULTS[key]).__name__}, "
-                                 f"got {value!r}")
-            if isinstance(DEFAULTS[key], float) and not is_finite(value):
-                raise ValueError(f"{path}: {key} must be a finite number, "
-                                 f"got {value!r}")
         cfg.update(loaded)
-        for build in (episode_config, reward_config, sarsa_config,
-                      dqn_config, cost_config):
-            build(cfg)
+        try:
+            for build in (episode_config, reward_config, sarsa_config,
+                          dqn_config, cost_config, service_model_and_sizes):
+                build(cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
 class ConfigError(ValueError):
-    """A config value a builder rejected; the message starts with its key.
-    The command line prefixes the config file's path."""
+    """A config value a builder rejected; the message starts with its key,
+    which ``load_config`` prefixes with the config file's path."""
 
 
 # the config key named for a rejected field that no key maps to directly
-_DERIVED_KEYS = {"scale_up_latency": "latency_lo", "duration": "phase_duration",
-                 "window": "poisson_window", "mean_target": "mean_service_target"}
+_DERIVED_KEYS = {"scale_up_latency[0]": "latency_lo",
+                 "scale_up_latency[1]": "latency_hi",
+                 "duration": "phase_duration", "window": "poisson_window",
+                 "mean_target": "mean_service_target"}
 
 
 @contextmanager
@@ -103,9 +100,7 @@ def _naming_key(prefix: str = ""):
     try:
         yield
     except FieldError as exc:
-        key = prefix + exc.field
-        if key not in DEFAULTS:
-            key = _DERIVED_KEYS.get(exc.field, key)
+        key = _DERIVED_KEYS.get(exc.field, prefix + exc.field)
         raise ConfigError(f"{key}: {exc}") from None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -28,18 +28,18 @@ def as_action(value):
     return value if value in ACTIONS else None
 
 
-# The types a value may have to replace a default of each type; a bool is
-# never taken as a number.
-_ACCEPTED = {bool: bool, int: int, float: (int, float)}
+# The types a value may have for a field annotated ``bool``, ``int`` or
+# ``float``; a bool is never taken as a number.
+_ACCEPTED = {"bool": bool, "int": int, "float": (int, float)}
 
 
-def has_type_of(value, default) -> bool:
-    """True when ``value`` may replace ``default``: an int default takes only
-    an integer, a float default an integer or a float, a bool default only a
-    bool and any other default a value of its own type."""
-    expected = type(default)
-    return (isinstance(value, bool) == (expected is bool)
-            and isinstance(value, _ACCEPTED.get(expected, expected)))
+def has_type_of(value, kind: str) -> bool:
+    """True when ``value`` may stand for a field annotated ``kind``, one of
+    ``"bool"``, ``"int"`` and ``"float"``: an int field takes only an
+    integer, a float field an integer or a float and a bool field only a
+    bool."""
+    return (isinstance(value, bool) == (kind == "bool")
+            and isinstance(value, _ACCEPTED[kind]))
 
 
 def is_finite(value) -> bool:
@@ -58,6 +58,24 @@ class FieldError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def check_value(name: str, value, kind: str = "float"):
+    """Raise ``FieldError(name, ...)`` unless ``has_type_of(value, kind)``
+    holds and, for a float, ``value`` is finite."""
+    if not has_type_of(value, kind):
+        raise FieldError(name, f"{name} must be {kind}, got {value!r}")
+    if kind == "float" and not is_finite(value):
+        raise FieldError(name, f"{name} must be a finite number, got {value!r}")
+
+
+def check_fields(obj):
+    """``check_value`` on each field of the dataclass ``obj`` annotated
+    ``bool``, ``int`` or ``float``; every config class's ``__post_init__``
+    calls it first, so its range checks compare only numbers."""
+    for f in fields(obj):
+        if f.type in _ACCEPTED:
+            check_value(f.name, getattr(obj, f.name), f.type)
 
 
 def compute_deadline(expected_service: float, beta: float) -> float:
@@ -150,6 +168,7 @@ class EpisodeConfig:
     warm_start: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         for name, ok in (("n_min", 1 <= self.n_min),
                          ("n_init", self.n_min <= self.n_init),
                          ("n_max", self.n_init <= self.n_max)):
@@ -167,8 +186,10 @@ class EpisodeConfig:
             raise FieldError("drain_cap",
                              f"drain_cap must be >= 0, got {self.drain_cap}")
         lo, hi = self.scale_up_latency
+        for i, value in enumerate((lo, hi)):
+            check_value(f"scale_up_latency[{i}]", value)
         if lo > hi or lo < 0:
-            raise FieldError("scale_up_latency",
+            raise FieldError("scale_up_latency[0]",
                              f"bad scale_up_latency interval [{lo}, {hi}]")
 
     @property
@@ -192,6 +213,7 @@ class RewardConfig:
     w_down: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.q_queue_target <= 0:
             raise FieldError("q_queue_target",
                              "q_queue_target must be positive")

@@ -17,7 +17,8 @@ import numpy as np
 from .agent import (LearningAgent, check_gamma_and_epsilon,
                     checkpoint_config, checkpoint_epsilon, checkpoint_value,
                     greedy_index)
-from .core import ACTIONS, FieldError, Observation, has_type_of, is_finite
+from .core import (ACTIONS, FieldError, Observation, check_fields,
+                   has_type_of, is_finite)
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
 HIDDEN_LAYERS = (128, 64)
@@ -41,6 +42,7 @@ class DqnConfig:
     reward_clip: tuple = (-100.0, 100.0)
 
     def __post_init__(self):
+        check_fields(self)
         if self.warmup > self.replay_capacity:
             raise FieldError("warmup", "warmup must not exceed replay capacity")
         if not (1 <= self.batch_size <= self.warmup):
@@ -54,7 +56,7 @@ class DqnConfig:
             raise FieldError("grad_clip", "grad_clip must be positive")
         clip = self.reward_clip
         if not (isinstance(clip, tuple) and len(clip) == 2
-                and all(has_type_of(v, 0.0) and is_finite(v) for v in clip)
+                and all(has_type_of(v, "float") and is_finite(v) for v in clip)
                 and clip[0] < clip[1]):
             raise FieldError("reward_clip", f"reward_clip must be two finite "
                              f"numbers lo < hi, got {clip!r}")
@@ -232,7 +234,7 @@ class DqnAgent(LearningAgent):
             raise ValueError(f"{path} is not a dqn checkpoint")
         sizes = checkpoint_value(meta, path, "layer_sizes", "meta")
         if not (isinstance(sizes, list)
-                and all(has_type_of(n, 0) and n > 0 for n in sizes)):
+                and all(has_type_of(n, "int") and n > 0 for n in sizes)):
             raise ValueError(f"{path}: layer_sizes {sizes!r} must be a list "
                              f"of positive integers")
         sizes = tuple(sizes)

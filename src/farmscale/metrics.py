@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import FieldError
+from .core import FieldError, check_fields
 
 _phase_index = attrgetter("phase_index")
 
@@ -29,6 +29,7 @@ class CostConfig:
     n_sub: int = 10  # reserved worker count
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("c_w", "c_scale", "c_sub", "c_burst"):
             if getattr(self, name) < 0:
                 raise FieldError(name, "tariffs must be nonnegative")

@@ -17,8 +17,8 @@ import numpy as np
 from .agent import (LearningAgent, check_gamma_and_epsilon,
                     checkpoint_config, checkpoint_epsilon, checkpoint_value,
                     greedy_index)
-from .core import (ACTIONS, FieldError, Observation, has_type_of,
-                   is_finite)
+from .core import (ACTIONS, FieldError, Observation, check_fields,
+                   has_type_of, is_finite)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class Discretizer:
                              f"component ({len(Observation._fields)})")
         for name, e in zip(Observation._fields, self.edges):
             if not (isinstance(e, tuple)
-                    and all(has_type_of(v, 0.0)
+                    and all(has_type_of(v, "float")
                             and (is_finite(v) or abs(v) == math.inf)
                             for v in e)
                     and all(a < b for a, b in zip(e, e[1:]))):
@@ -73,11 +73,12 @@ class SarsaConfig:
     prune_threshold: float = 1e-4
 
     def __post_init__(self):
+        check_fields(self)
         if not (0 < self.alpha <= 1):
             raise FieldError("alpha", "alpha must lie in (0, 1]")
         if not (0 <= self.trace_decay <= 1):
             raise FieldError("trace_decay", "trace_decay must lie in [0, 1]")
-        if not (0 <= self.prune_threshold < math.inf):
+        if self.prune_threshold < 0:
             raise FieldError("prune_threshold",
                              "prune_threshold must be a finite number >= 0")
         check_gamma_and_epsilon(self)
@@ -191,8 +192,8 @@ class SarsaAgent(LearningAgent):
                     f"{path}: qtable[{i}] has a {len(state)}-component state "
                     f"and {len(row)} values, expected {n_dims} and "
                     f"{len(ACTIONS)}")
-            if not (all(has_type_of(v, 0) for v in state)
-                    and all(has_type_of(v, 0.0) for v in row)):
+            if not (all(has_type_of(v, "int") for v in state)
+                    and all(has_type_of(v, "float") for v in row)):
                 raise ValueError(f"{path}: qtable[{i}] must hold integer bins "
                                  f"and numeric values, got {entry!r}")
             if not all(map(is_finite, row)):

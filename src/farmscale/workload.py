@@ -15,8 +15,8 @@ from operator import mul
 
 import numpy as np
 
-from .core import (FieldError, TaskSpec, check_task_timing, compute_deadline,
-                   write_csv)
+from .core import (FieldError, TaskSpec, check_fields, check_task_timing,
+                   check_value, compute_deadline, write_csv)
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -148,6 +148,7 @@ def default_size_distribution(model: ServiceTimeModel,
     sum(w_i * T(size_i)) == mean_target; ``_mix_theta`` finds theta by
     bisection down to a one-ulp bracket.
     """
+    check_value("mean_target", mean_target)
     t = np.array([model.predict(s) for s in SUPPORTED_SIZES])
     if not (t.min() < mean_target < t.max()):
         raise FieldError("mean_target",
@@ -186,6 +187,7 @@ class WorkloadPhaseSpec:
     cycles: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("steady", "sinusoid"):
             raise ValueError(f"unknown phase kind {self.kind!r}")
         if not self.base_rate > 0:

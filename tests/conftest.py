@@ -57,3 +57,19 @@ def constant_service_tasks(rate: float, duration: float, service: float,
 def single_phase_config(rate: float, duration: float, **kwargs) -> EpisodeConfig:
     phase = WorkloadPhaseSpec(kind="steady", base_rate=rate, duration=duration)
     return EpisodeConfig(phases=(phase,), **kwargs)
+
+
+# the field an error names, for each config key that is not a prefix plus
+# the field's name
+DERIVED_FIELDS = {"phase_duration": "duration", "poisson_window": "window",
+                  "mean_service_target": "mean_target",
+                  "latency_lo": "scale_up_latency[0]",
+                  "latency_hi": "scale_up_latency[1]"}
+
+
+def field_of(key: str) -> str:
+    """The name of the field that an error about config ``key`` names."""
+    for prefix in ("sarsa_", "dqn_", "cost_"):
+        if key.startswith(prefix):
+            return key[len(prefix):]
+    return DERIVED_FIELDS.get(key, key)

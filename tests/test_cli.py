@@ -264,11 +264,11 @@ def _edited_checkpoint(tmp_path, agent, edit):
     ("sarsa", lambda b: b["config"].update(alpha=0.0),
      r"config: alpha must lie in \(0, 1\]"),
     ("sarsa", lambda b: b["config"].update(alpha="high"),
-     "config 'alpha' must be float, got 'high'"),
+     "config: alpha must be float, got 'high'"),
     ("dqn", lambda m: m["config"].update(batch_size=8.5),
-     "config 'batch_size' must be int, got 8.5"),
+     "config: batch_size must be int, got 8.5"),
     ("dqn", lambda m: m["config"].update(reward_clip=100.0),
-     "config 'reward_clip' must be tuple, got 100.0"),
+     "config: reward_clip must be two finite numbers lo < hi, got 100.0"),
     ("sarsa", lambda b: b.update(qtable=5),
      r"qtable must be a list of \[state, values\] pairs, got 5"),
     ("sarsa", lambda b: b["qtable"].append([[0] * 9, [0, 0, "x"]]),
@@ -309,15 +309,15 @@ def _edited_checkpoint(tmp_path, agent, edit):
     # comparison passed every range check, and reward_clip was checked to
     # be a tuple only
     ("sarsa", lambda b: b["config"].update(prune_threshold=float("nan")),
-     "config 'prune_threshold' must be a finite number, got nan"),
+     "config: prune_threshold must be a finite number, got nan"),
     ("sarsa", lambda b: b["config"].update(prune_threshold=float("inf")),
-     "config 'prune_threshold' must be a finite number, got inf"),
+     "config: prune_threshold must be a finite number, got inf"),
     ("sarsa", lambda b: b["config"].update(prune_threshold=-1e-4),
      "config: prune_threshold must be a finite number >= 0"),
     ("sarsa", lambda b: b["config"].update(epsilon_start=float("nan")),
-     "config 'epsilon_start' must be a finite number, got nan"),
+     "config: epsilon_start must be a finite number, got nan"),
     ("sarsa", lambda b: b["config"].update(epsilon_min=float("nan")),
-     "config 'epsilon_min' must be a finite number, got nan"),
+     "config: epsilon_min must be a finite number, got nan"),
     ("dqn", lambda m: m["config"].update(reward_clip=["a", None]),
      r"config: reward_clip must be two finite numbers lo < hi, "
      r"got \('a', None\)"),
@@ -327,7 +327,7 @@ def _edited_checkpoint(tmp_path, agent, edit):
      r"config: reward_clip must be two finite numbers lo < hi, "
      r"got \(nan, 1.0\)"),
     ("dqn", lambda m: m["config"].update(epsilon_min=float("nan")),
-     "config 'epsilon_min' must be a finite number, got nan"),
+     "config: epsilon_min must be a finite number, got nan"),
 ], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
         "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
@@ -381,6 +381,42 @@ def test_compare_strips_spaces_around_policy_names(tmp_path, tiny_config):
             policies = [r["policy"] for r in csv.DictReader(fh)]
         assert policies == (["reactive-avg"] * per_policy
                             + ["reactive-max"] * per_policy), name
+
+
+# rows used to be named by the spec's kind, so two checkpoints of one kind
+# wrote two rows both named "sarsa"
+def test_compare_names_checkpoint_rows_by_their_spec(tmp_path, tiny_config,
+                                                     capsys):
+    specs = []
+    for name in ("a.json", "b.json"):
+        SarsaAgent(SarsaConfig(), default_discretizer(6)).save(tmp_path / name)
+        specs.append(f"sarsa:{tmp_path / name}")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", tiny_config,
+                 "--policies", ",".join(specs), "--seeds", "0",
+                 "--out", str(out)]) == 0
+    for name, per_policy in (("comparison.csv", 1), ("per_phase.csv", 4)):
+        with open(out / name, newline="") as fh:
+            policies = [r["policy"] for r in csv.DictReader(fh)]
+        assert policies == ([specs[0]] * per_policy
+                            + [specs[1]] * per_policy), name
+    printed = capsys.readouterr().out
+    assert all(f"{spec}: qos=" in printed for spec in specs)
+
+
+# a malformed list used to fail with int()'s own message, and a negative
+# seed with numpy's after the out directory was made; neither named the
+# flag or the text
+@pytest.mark.parametrize("seeds", ["0,x", "", "0,,1", "1.5", "0,-1"])
+def test_compare_rejects_malformed_seeds(tmp_path, tiny_config, capsys,
+                                         seeds):
+    assert main(["compare", "--config", tiny_config,
+                 "--policies", "reactive-avg", f"--seeds={seeds}",
+                 "--out", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --seeds must be comma-separated integers >= 0, "
+        f"got {seeds!r}\n")
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):

@@ -9,6 +9,7 @@ from farmscale.config import (DEFAULTS, cost_config, dqn_config,
                               episode_config, load_config, reward_config,
                               sarsa_config, service_model_and_sizes)
 from farmscale.workload import default_phases
+from tests.conftest import field_of
 
 
 def write_config(tmp_path, text):
@@ -48,7 +49,8 @@ class TestLoadTypes:
         assert main(["run", "--policy", "reactive-avg", "--config", path,
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: {key} must be a finite number, got {shown}\n")
+            f"error: {path}: {key}: {field_of(key)} must be a finite number, "
+            f"got {shown}\n")
         assert not (tmp_path / "out").exists()
 
     def test_accepted_types(self, tmp_path):
@@ -86,7 +88,8 @@ class TestLoadTypes:
         assert main(["run", "--policy", "reactive-avg", "--config", path,
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: beta must be a finite number, got {10 ** 400}\n")
+            f"error: {path}: beta: beta must be a finite number, "
+            f"got {10 ** 400}\n")
 
     def test_cli_rejects_unknown_keys_of_mixed_type(self, tmp_path, capsys):
         path = write_config(tmp_path, "1: 2\nzzz: 3\n")

@@ -480,8 +480,9 @@ class TestAgent:
             DqnConfig(epsilon_min=0.9, epsilon_start=0.5)
         with pytest.raises(ValueError, match="epsilon_min <= epsilon_start"):
             DqnConfig(epsilon_start=1.5)
-        for key in ("epsilon_start", "epsilon_min"):  # a NaN fails each check
-            with pytest.raises(ValueError, match="epsilon_min <= epsilon_st"):
+        for key in ("epsilon_start", "epsilon_min"):
+            with pytest.raises(ValueError,
+                               match=f"{key} must be a finite number, got nan"):
                 DqnConfig(**{key: float("nan")})
         for clip in ((1.0, 1.0), (2.0, -2.0), (0.0, float("inf")),
                      (True, 2.0), [-1.0, 1.0]):

@@ -356,8 +356,9 @@ class TestSarsaAgent:
             SarsaConfig(gamma=1.5)
         with pytest.raises(ValueError):
             SarsaConfig(epsilon_min=0.9, epsilon_start=0.5)
-        for key in ("epsilon_start", "epsilon_min"):  # a NaN fails each check
-            with pytest.raises(ValueError, match="epsilon_min <= epsilon_st"):
+        for key in ("epsilon_start", "epsilon_min"):
+            with pytest.raises(ValueError,
+                               match=f"{key} must be a finite number, got nan"):
                 SarsaConfig(**{key: float("nan")})
         for bad in (-1e-4, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="prune_threshold must be"):
