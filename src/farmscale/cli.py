@@ -67,6 +67,19 @@ def cmd_calibrate(args):
     return 0
 
 
+def _seeds(flag: str, text: str, many: bool = False) -> list:
+    """The seeds in ``text``: one integer >= 0, or with ``many`` a
+    comma-separated list of them. Any other text raises ``ValueError``
+    naming ``flag`` and ``text``, before a command reads or writes a file;
+    numpy would reject a negative seed only inside the run, naming neither.
+    """
+    seeds = text.split(",") if many else [text]
+    if not all(seed.strip().isdecimal() for seed in seeds):
+        kind = "comma-separated integers" if many else "an integer"
+        raise ValueError(f"{flag} must be {kind} >= 0, got {text!r}")
+    return [int(seed) for seed in seeds]
+
+
 def _setup(args):
     """(config dict, env, service model, size distribution) of a command."""
     cfg = cfgmod.load_config(args.config)
@@ -76,10 +89,11 @@ def _setup(args):
 
 
 def cmd_workload(args):
+    [seed] = _seeds("--seed", args.seed)
     _, env, model, dist = _setup(args)
     tasks = build_episode_workload(env.config, dist, model,
                                    shuffle_phases=args.shuffle,
-                                   rng_seed=args.seed)
+                                   rng_seed=seed)
     write_workload_csv(tasks, args.out)
     counts = Counter(t.phase_index for t in tasks)
     for phase in sorted(counts):
@@ -103,12 +117,13 @@ def _make_policy(spec: str, env: FarmEnv):
 
 
 def cmd_run(args):
+    [seed] = _seeds("--seed", args.seed)
     _, env, model, dist = _setup(args)
     policy = _make_policy(args.policy, env)
     workload = build_episode_workload(env.config, dist, model,
                                       shuffle_phases=args.shuffle,
-                                      rng_seed=args.seed)
-    summary = run_episode(env, policy, workload, args.seed)
+                                      rng_seed=seed)
+    summary = run_episode(env, policy, workload, seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -121,22 +136,20 @@ def cmd_run(args):
 
 
 def cmd_train(args):
+    [seed] = _seeds("--seed", args.seed)
     cfg, env, model, dist = _setup(args)
 
     if args.agent == "sarsa":
         agent = SarsaAgent(cfgmod.sarsa_config(cfg),
-                           default_discretizer(env.config.n_max),
-                           seed=args.seed)
+                           default_discretizer(env.config.n_max), seed=seed)
         ckpt_name = "sarsa.json"
-    elif args.agent == "dqn":
+    else:  # dqn, the one other choice the parser takes
         lows, highs = env.observation_bounds()
-        agent = DqnAgent(lows, highs, cfgmod.dqn_config(cfg), seed=args.seed)
+        agent = DqnAgent(lows, highs, cfgmod.dqn_config(cfg), seed=seed)
         ckpt_name = "dqn.npz"
-    else:
-        raise ValueError(f"unknown agent {args.agent!r}")
 
     records = train_agent(agent, env, dist, model, episodes=args.episodes,
-                          base_seed=args.seed, shuffle=args.shuffle)
+                          base_seed=seed, shuffle=args.shuffle)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     agent.save(out / ckpt_name)
@@ -148,11 +161,7 @@ def cmd_train(args):
 
 
 def cmd_compare(args):
-    seeds = args.seeds.split(",")
-    if not all(seed.strip().isdecimal() for seed in seeds):
-        raise ValueError(f"--seeds must be comma-separated integers >= 0, "
-                         f"got {args.seeds!r}")
-    seeds = [int(seed) for seed in seeds]
+    seeds = _seeds("--seeds", args.seeds, many=True)
     cfg, env, model, dist = _setup(args)
     t_step = env.config.step_duration
     cost_cfg = cfgmod.cost_config(cfg)
@@ -229,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("workload", help="generate an episode task stream")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--shuffle", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_workload)
@@ -238,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--policy", required=True,
                    help="reactive-avg | reactive-max | sarsa:<ckpt> | dqn:<ckpt>")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--shuffle", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
@@ -247,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--agent", choices=("sarsa", "dqn"), required=True)
     p.add_argument("--episodes", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--shuffle", action="store_true", default=True)
     p.add_argument("--no-shuffle", dest="shuffle", action="store_false")
     p.add_argument("--out", required=True)

@@ -37,13 +37,11 @@ def _keyed_fields(cls) -> list:
 
 
 DEFAULTS = {
-    # workload: the default phases, the size mix and the scale-up delay
+    # workload: the default phases and the size mix
     "base_rate": BASE_RATE,
     "phase_duration": PHASE_DURATION,
     "poisson_window": POISSON_WINDOW,
     "mean_service_target": MEAN_SERVICE_TARGET,
-    "latency_lo": EpisodeConfig.scale_up_latency[0],
-    "latency_hi": EpisodeConfig.scale_up_latency[1],
     **{key: f.default for cls in _PREFIXES for key, f in _keyed_fields(cls)},
 }
 
@@ -88,9 +86,7 @@ class ConfigError(ValueError):
 
 
 # the config key named for a rejected field that no key maps to directly
-_DERIVED_KEYS = {"scale_up_latency[0]": "latency_lo",
-                 "scale_up_latency[1]": "latency_hi",
-                 "duration": "phase_duration", "window": "poisson_window",
+_DERIVED_KEYS = {"duration": "phase_duration", "window": "poisson_window",
                  "mean_target": "mean_service_target"}
 
 
@@ -117,8 +113,7 @@ def episode_config(cfg: dict) -> EpisodeConfig:
         phases = default_phases(base_rate=cfg["base_rate"],
                                 duration=cfg["phase_duration"],
                                 window=cfg["poisson_window"])
-    return _build(EpisodeConfig, cfg, phases=phases,
-                  scale_up_latency=(cfg["latency_lo"], cfg["latency_hi"]))
+    return _build(EpisodeConfig, cfg, phases=phases)
 
 
 def reward_config(cfg: dict) -> RewardConfig:

@@ -162,7 +162,8 @@ class EpisodeConfig:
     n_max: int = 20
     n_init: int = 4
     beta: float = 2.0
-    scale_up_latency: tuple = (5.0, 8.0)
+    latency_lo: float = 5.0  # bounds of a scale-up's uniform startup delay
+    latency_hi: float = 8.0
     obs_window: int = 3
     drain_cap: int = 15
     warm_start: bool = True
@@ -185,12 +186,10 @@ class EpisodeConfig:
         if self.drain_cap < 0:
             raise FieldError("drain_cap",
                              f"drain_cap must be >= 0, got {self.drain_cap}")
-        lo, hi = self.scale_up_latency
-        for i, value in enumerate((lo, hi)):
-            check_value(f"scale_up_latency[{i}]", value)
-        if lo > hi or lo < 0:
-            raise FieldError("scale_up_latency[0]",
-                             f"bad scale_up_latency interval [{lo}, {hi}]")
+        if not 0 <= self.latency_lo <= self.latency_hi:
+            raise FieldError("latency_lo",
+                             f"need 0 <= latency_lo <= latency_hi, got "
+                             f"{self.latency_lo}/{self.latency_hi}")
 
     @property
     def total_duration(self) -> float:

@@ -103,10 +103,10 @@ class FarmSim:
     # -- scheduling helpers -------------------------------------------------
 
     def _schedule_start(self):
-        lo, hi = self.config.scale_up_latency
         # sequential startup: queue behind the newest pending start
         base = self._starts[-1] if self._starts else self.clock
-        ready_at = base + self.rng.uniform(lo, hi)
+        ready_at = base + self.rng.uniform(self.config.latency_lo,
+                                           self.config.latency_hi)
         wid = next(self._ids)
         self.workers[wid] = STARTING
         self._starts.append(ready_at)

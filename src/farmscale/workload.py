@@ -251,12 +251,15 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
     """Arrival offsets within one phase, exactly ``phase.target_count`` of
     them, as a sorted float ndarray (empty when the target is 0).
 
-    Window counts are Poisson with the analytic rate integral as mean; the
-    final window absorbs the difference so the total is exact. Instants
-    within a window are uniform order statistics. All window counts come
-    from one ``rng.poisson`` call and all instants from one ``rng.uniform``
-    call over per-instant window bounds: the same stream and the same values
-    as one draw per window, since the windows are disjoint and ordered.
+    Window counts are Poisson with the analytic rate integral as mean. The
+    final window is given the whole target, and each count is then capped
+    at what the target leaves after the windows before it: the final window
+    takes up any shortfall and a surplus is trimmed from the last windows,
+    so the total is exact. Instants within a window are uniform order
+    statistics. All window counts come from one ``rng.poisson`` call and all
+    instants from one ``rng.uniform`` call over per-instant window bounds:
+    the same stream and the same values as one draw per window, since the
+    windows are disjoint and ordered.
     """
     target = phase.target_count
     if target <= 0:
@@ -265,20 +268,11 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
     means = [phase.rate_integral(lo, hi)
              for lo, hi in zip(edges[:-2], edges[1:-1])]
     counts = rng.poisson(means).tolist()
-    last = target - sum(counts)
-    if last < 0:
-        # Surplus: zero the final window and trim the excess from the tail
-        # of the last nonempty windows.
-        counts.append(0)
-        surplus = -last
-        for i in range(len(counts) - 1, -1, -1):
-            take = min(surplus, counts[i])
-            counts[i] -= take
-            surplus -= take
-            if surplus == 0:
-                break
-    else:
-        counts.append(last)
+    counts.append(target)
+    total = 0
+    for i, count in enumerate(counts):
+        counts[i] = min(count, target - total)
+        total += counts[i]
 
     pts = rng.uniform(np.repeat(edges[:-1], counts),
                       np.repeat(edges[1:], counts))

@@ -28,7 +28,8 @@ from farmscale.training import evaluate_policy, run_episode, train_agent
 from farmscale.workload import (CALIBRATION_SAMPLES, build_episode_workload,
                                 default_phases, fit_service_model,
                                 generate_phase_arrivals, reduced_paper_model)
-from tests.conftest import constant_service_tasks, single_phase_config
+from tests.conftest import (constant_service_tasks, fuzz_sim,
+                            single_phase_config)
 
 
 def _report(num, label, checks, elapsed, budget):
@@ -90,39 +91,18 @@ def test_criterion_02_workload_counts():
     _report(2, "workload generation", checks, time.perf_counter() - t0, 10.0)
 
 
-def _fuzz_sim(seed, n_tasks=3500, trace=False):
-    cfg = single_phase_config(8.0, 600.0, n_init=2, n_max=12, warm_start=True)
-    policy_rng = np.random.default_rng([seed, 77])
-    task_rng = np.random.default_rng([seed, 78])
-    sim = FarmSim(cfg, np.random.default_rng([seed, 79]),
-                  validate=True, trace=trace)
-    arrivals = np.cumsum(task_rng.exponential(1 / 8.0, size=n_tasks))
-    from farmscale.core import TaskSpec
-    sim.inject_tasks([
-        TaskSpec(task_id=i, arrival_time=float(a), size_px=1024,
-                 service_time=float(task_rng.uniform(0.05, 2.5)),
-                 deadline=3.0, phase_index=0)
-        for i, a in enumerate(arrivals)])
-    for _ in range(150):
-        sim.request_scale(int(policy_rng.integers(-1, 2)))
-        sim.advance(4.0)
-    while sim.completed_total < n_tasks:  # drain the remaining backlog
-        sim.advance(60.0)
-    return sim
-
-
 def test_criterion_03_conservation_and_determinism():
     t0 = time.perf_counter()
     checks = {}
     for seed in (11, 42, 1234):
         # validate=True re-checks the conservation identity at every event
-        sim = _fuzz_sim(seed, trace=True)
+        sim = fuzz_sim(seed, trace=True)
         snap = sim.snapshot()
         checks[f"seed {seed} conservation"] = (
             snap.enqueued_total
             == snap.q_work + snap.workers_busy + snap.completed_total)
         checks[f"seed {seed} >=1e4 events"] = len(sim.trace) >= 10_000
-        replay = _fuzz_sim(seed, trace=True)
+        replay = fuzz_sim(seed, trace=True)
         checks[f"seed {seed} bitwise trace"] = sim.trace == replay.trace
     _report(3, "conservation & determinism", checks,
             time.perf_counter() - t0, 30.0)

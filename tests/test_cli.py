@@ -419,6 +419,21 @@ def test_compare_rejects_malformed_seeds(tmp_path, tiny_config, capsys,
     assert not (tmp_path / "cmp").exists()
 
 
+# a negative --seed used to fail inside numpy with "expected non-negative
+# integer", naming neither the flag nor the value
+@pytest.mark.parametrize("seed", ["-1", "1,2", "x"])
+@pytest.mark.parametrize("command", [
+    ["workload"], ["run", "--policy", "reactive-avg"],
+    ["train", "--agent", "sarsa", "--episodes", "1"]], ids=lambda c: c[0])
+def test_rejects_malformed_seed(tmp_path, tiny_config, capsys, command, seed):
+    out = tmp_path / "out"
+    assert main([*command, "--config", tiny_config, f"--seed={seed}",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --seed must be an integer >= 0, got {seed!r}\n")
+    assert not out.exists()
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("warp_drive: 9\n")

@@ -186,7 +186,8 @@ class TestEpisodeConfig:
 
     def test_latency_interval_ordered(self):
         with pytest.raises(ValueError):
-            EpisodeConfig(phases=self._phases(), scale_up_latency=(8.0, 5.0))
+            EpisodeConfig(phases=self._phases(), latency_lo=8.0,
+                          latency_hi=5.0)
 
     def test_total_duration_sums_phases(self):
         phases = (WorkloadPhaseSpec(kind="steady", base_rate=5.0, duration=60.0),

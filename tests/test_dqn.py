@@ -16,6 +16,9 @@ from farmscale.nn import Mlp
 from farmscale.training import train_agent
 from farmscale.workload import default_size_distribution, reduced_paper_model
 from tests.conftest import single_phase_config
+from tests.test_nn import (flat_bytes, reference_clip_gradient_norm,
+                           reference_forward, reference_loss_and_gradients,
+                           reference_soft_update)
 
 
 def obs(q_work=0, n_workers=4, qos=1.0):
@@ -494,7 +497,8 @@ class TestAgent:
 
 # The list-based train step the flat parameter buffers replaced: one array
 # per weight and bias, gradients as new arrays, and one Adam, clip and blend
-# loop per array.  DqnAgent.train_step must give the same bits.
+# loop per array, with the forward, backward, clip and blend formulas of
+# test_nn.  DqnAgent.train_step must give the same bits.
 
 class ListMlp:
     def __init__(self, net):
@@ -505,52 +509,8 @@ class ListMlp:
         return self.weights + self.biases
 
     def forward(self, x):
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        activations = [h]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
-            activations.append(h)
-        return h, activations
-
-    def loss_and_gradients(self, x, actions, targets):
-        n = x.shape[0]
-        q, acts = self.forward(x)
-        diff = q[np.arange(n), actions] - targets
-        absd = np.abs(diff)
-        quad = absd < 1.0
-        loss = np.where(quad, 0.5 * diff * diff / 1.0, absd - 0.5 * 1.0)
-        dloss = np.where(quad, diff / 1.0, np.sign(diff))
-        dq = np.zeros_like(q)
-        dq[np.arange(n), actions] = dloss / n
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        delta = dq
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self.weights[i].T) * (acts[i] > 0)
-        return float(np.mean(loss)), grads_w + grads_b
-
-
-class ListForward:
-    """What double_dqn_targets calls on a network."""
-
-    def __init__(self, net):
-        self.net = net
-
-    def forward(self, x):
-        return self.net.forward(x)[0]
-
-
-def list_clip_gradient_norm(grads, max_norm):
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        grads = [g * scale for g in grads]
-    return grads, total > max_norm
+        """What double_dqn_targets calls on a network."""
+        return reference_forward(self, x)[0]
 
 
 class ListAdam:
@@ -573,16 +533,6 @@ class ListAdam:
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def list_soft_update(target, policy, tau):
-    for tp, pp in zip(target.parameters(), policy.parameters()):
-        tp *= 1.0 - tau
-        tp += tau * pp
-
-
-def flat_bytes(arrays):
-    return np.concatenate([a.ravel() for a in arrays]).tobytes()
-
-
 def test_train_step_matches_list_based_reference():
     # a small grad_clip, so both sides of the clip are taken
     agent = make_agent(warmup=200, grad_clip=2.0)
@@ -601,13 +551,16 @@ def test_train_step_matches_list_based_reference():
         agent.train_step()
         obs_b, actions, rewards, next_obs, dones = agent.buffer.sample(
             cfg.batch_size, sample_rng)
-        targets = double_dqn_targets(ListForward(policy), ListForward(target),
-                                     rewards, next_obs, dones, cfg.gamma)
-        _, grads = policy.loss_and_gradients(obs_b, actions, targets)
-        grads, clip = list_clip_gradient_norm(grads, cfg.grad_clip)
-        clipped += clip
-        adam.step(grads)
-        list_soft_update(target, policy, cfg.tau)
+        targets = double_dqn_targets(policy, target, rewards, next_obs, dones,
+                                     cfg.gamma)
+        _, grads = reference_loss_and_gradients(policy, obs_b, actions,
+                                                targets)
+        scaled = reference_clip_gradient_norm(grads, cfg.grad_clip)
+        clipped += scaled is not grads  # a clip returns new arrays
+        adam.step(scaled)
+        blended = reference_soft_update(target, policy, cfg.tau)
+        for param, value in zip(target.parameters(), blended):
+            param[...] = value
     assert 0 < clipped < 200
     assert agent.policy.flat.tobytes() == flat_bytes(policy.parameters())
     assert agent.target.flat.tobytes() == flat_bytes(target.parameters())

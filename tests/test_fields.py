@@ -22,7 +22,7 @@ from tests.conftest import field_of
 CLASSES = (EpisodeConfig, RewardConfig, SarsaConfig, DqnConfig, CostConfig,
            WorkloadPhaseSpec)
 # the fields no scalar check covers; each class checks them itself
-NON_SCALAR = {"phases", "scale_up_latency", "reward_clip", "kind"}
+NON_SCALAR = {"phases", "reward_clip", "kind"}
 # the fields a class needs besides its defaults
 REQUIRED = {EpisodeConfig: {"phases": default_phases()},
             WorkloadPhaseSpec: {"kind": "steady", "base_rate": 5.0,

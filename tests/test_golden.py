@@ -23,7 +23,7 @@ from farmscale.env import FarmEnv
 from farmscale.sarsa import SarsaAgent, default_discretizer
 from farmscale.training import train_agent
 from farmscale.workload import build_episode_workload
-from tests.test_acceptance import _fuzz_sim
+from tests.conftest import fuzz_sim
 
 
 def digest(value) -> str:
@@ -31,7 +31,7 @@ def digest(value) -> str:
 
 
 def test_fuzz_trace_digest():
-    assert digest(_fuzz_sim(11, trace=True).trace) == "2dc42c4719ae63e8"
+    assert digest(fuzz_sim(11, trace=True).trace) == "2dc42c4719ae63e8"
 
 
 @pytest.mark.parametrize("shuffle, expected", [

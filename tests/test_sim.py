@@ -12,8 +12,8 @@ from farmscale.core import TaskSpec, deadline_met
 from farmscale.sim import (BUSY, DRAINING, IDLE, STARTING, ConservationError,
                            FarmSim, Snapshot, static_run,
                            static_scaling_experiment)
-from tests.conftest import constant_service_tasks, single_phase_config
-from tests.test_acceptance import _fuzz_sim
+from tests.conftest import (constant_service_tasks, fuzz_sim,
+                            single_phase_config)
 
 
 class DispatchReferenceSim(FarmSim):
@@ -110,7 +110,7 @@ class TestStartup:
         assert not sim._events  # no start pending
 
     def test_zero_latency_degenerate(self):
-        sim = make_sim(n_init=1, scale_up_latency=(0.0, 0.0))
+        sim = make_sim(n_init=1, latency_lo=0.0, latency_hi=0.0)
         sim.advance(1e-9)
         assert sim.snapshot().workers_effective == 1
 
@@ -139,7 +139,8 @@ def grid_sim(warm, n_init, seed, cls=FarmSim):
     """Validating, tracing sim whose startups take exactly 1.0: with task
     times on a 0.5 grid, readies tie with arrivals and completions."""
     cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init, n_max=4,
-                              warm_start=warm, scale_up_latency=(1.0, 1.0))
+                              warm_start=warm, latency_lo=1.0,
+                              latency_hi=1.0)
     return cls(cfg, np.random.default_rng(seed), validate=True, trace=True)
 
 
@@ -158,7 +159,8 @@ class TestStartQueue:
         # start, and a second generator replays the simulator's draws
         lo, hi = 1.0, 4.0
         cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init, n_max=6,
-                                  warm_start=warm, scale_up_latency=(lo, hi))
+                                  warm_start=warm, latency_lo=lo,
+                                  latency_hi=hi)
         sim = FarmSim(cfg, np.random.default_rng(seed), validate=True)
         ref = np.random.default_rng(seed)
         if not warm:
@@ -340,7 +342,7 @@ class TestConservationAndDeterminism:
         assert t1 == t2
 
     def test_completions_follow_the_one_deadline_rule(self):
-        fuzz = _fuzz_sim(11).completion_records  # the criterion-3 run
+        fuzz = fuzz_sim(11).completion_records  # the criterion-3 run
         met = [m for _, _, m in fuzz]
         assert len(met) == 3500 and 0 < sum(met) < len(met)
         # one worker, three tasks at 0 with deadline 2: latencies 1, 2, 3
@@ -356,9 +358,11 @@ class TestConservationAndDeterminism:
 
     @pytest.mark.parametrize("seed", [11, 42])
     def test_loaded_fuzz_meets_about_half_its_deadlines(self, seed):
-        # the criterion-3 run meets 3 of 3,500 deadlines; this one exercises
-        # the met branch too, with validate=True checking every event
-        sim = _loaded_fuzz_sim(seed)
+        # the criterion-3 run meets 3 of 3,500 deadlines; at 6 tasks/s on a
+        # pool of 6 to 12 workers about 58% are met at seeds 11 and 42, so
+        # both branches of the deadline rule run, validate=True checking
+        # every event
+        sim = fuzz_sim(seed, rate=6.0, n_init=10, n_min=6)
         records = sim.completion_records
         met = [m for _, _, m in records]
         assert len(met) == 3500 and 0.4 < sum(met) / len(met) < 0.75
@@ -368,29 +372,6 @@ class TestConservationAndDeterminism:
         assert (snap.enqueued_total
                 == snap.q_work + snap.workers_busy + snap.completed_total
                 == 3500)
-
-
-def _loaded_fuzz_sim(seed, n_tasks=3500):
-    """The criterion-3 fuzz generator at 6 tasks/s on a pool of 6 to 12
-    workers (10 at the start): about 58% of the deadlines are met at seeds
-    11 and 42, so both branches of the deadline rule run."""
-    cfg = single_phase_config(6.0, 600.0, n_init=10, n_min=6, n_max=12,
-                              warm_start=True)
-    policy_rng = np.random.default_rng([seed, 77])
-    task_rng = np.random.default_rng([seed, 78])
-    sim = FarmSim(cfg, np.random.default_rng([seed, 79]), validate=True)
-    arrivals = np.cumsum(task_rng.exponential(1 / 6.0, size=n_tasks))
-    sim.inject_tasks([
-        TaskSpec(task_id=i, arrival_time=float(a), size_px=1024,
-                 service_time=float(task_rng.uniform(0.05, 2.5)),
-                 deadline=3.0, phase_index=0)
-        for i, a in enumerate(arrivals)])
-    for _ in range(150):
-        sim.request_scale(int(policy_rng.integers(-1, 2)))
-        sim.advance(4.0)
-    while sim.completed_total < n_tasks:  # drain the remaining backlog
-        sim.advance(60.0)
-    return sim
 
 
 def scanned_snapshot(sim):
@@ -420,7 +401,7 @@ def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed,
     "idle" (exited at once) or "busy" (drained)."""
     cfg = single_phase_config(2.0, 60.0, n_min=n_min, n_init=n_init,
                               n_max=n_max, warm_start=warm,
-                              scale_up_latency=(1.0, 4.0))
+                              latency_lo=1.0, latency_hi=4.0)
     task_rng = np.random.default_rng([seed, 1])
     arrivals = np.cumsum(task_rng.exponential(0.5, size=120))
     tasks = [simple_task(i, float(a),
