@@ -22,8 +22,8 @@ from .reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from .sarsa import SarsaAgent, default_discretizer
 from .training import (evaluate_policies, run_episode, train_agent,
                        write_training_curve)
-from .workload import (CALIBRATION_SAMPLES, build_episode_workload,
-                       fit_service_model, write_workload_csv)
+from .workload import (CALIBRATION_SAMPLES, FitError, build_episode_workload,
+                       fit_service_model, phase_order, write_workload_csv)
 
 
 def _load_samples(path):
@@ -33,13 +33,13 @@ def _load_samples(path):
             if not row or row[0].strip().lower() in ("size", "size_px"):
                 continue
             try:
-                sample = (float(row[0]), float(row[1]))
-            except (ValueError, IndexError):
+                size, mean_time = map(float, row)
+            except ValueError:  # not exactly two numbers
                 raise ValueError(f"{path}:{lineno}: expected 'size,mean_time'")
-            if not all(math.isfinite(v) and v > 0 for v in sample):
+            if not all(math.isfinite(v) and v > 0 for v in (size, mean_time)):
                 raise ValueError(f"{path}:{lineno}: size and mean_time must be "
                                  f"finite and positive, got {row[0]},{row[1]}")
-            samples.append(sample)
+            samples.append((size, mean_time))
     if not samples:
         raise ValueError(f"{path}: no samples found")
     return samples
@@ -48,8 +48,11 @@ def _load_samples(path):
 def cmd_calibrate(args):
     samples = (_load_samples(args.samples) if args.samples
                else list(CALIBRATION_SAMPLES))
-    full = fit_service_model(samples, form="full")
-    reduced = fit_service_model(samples, form="reduced")
+    try:
+        full = fit_service_model(samples, form="full")
+        reduced = fit_service_model(samples, form="reduced")
+    except FitError as exc:  # only a samples file can fail the fit
+        raise ValueError(f"{args.samples}: {exc}")
     report = {
         "full": {"a": full.a, "b": full.b, "c": full.c,
                  "r_squared": full.r_squared, "rss": full.rss},
@@ -123,7 +126,8 @@ def cmd_run(args):
     workload = build_episode_workload(env.config, dist, model,
                                       shuffle_phases=args.shuffle,
                                       rng_seed=seed)
-    summary = run_episode(env, policy, workload, seed)
+    order = phase_order(len(env.config.phases), args.shuffle, seed)
+    summary = run_episode(env, policy, workload, seed, order)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,26 +174,20 @@ def cmd_compare(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    costs = [[] for _ in specs]  # per policy, (paygo, sub) per episode
-
-    def price(p, log):
-        series = [st.observation.n_workers for st in log.steps]
-        costs[p].append((cost_paygo(series, t_step, cost_cfg),
-                         cost_sub(series, t_step, cost_cfg)))
-
-    runs = evaluate_policies(policies, env, dist, model, seeds,
-                             on_episode=price)
+    runs = evaluate_policies(policies, env, dist, model, seeds)
 
     columns = ("final_qos", "mean_workers", "max_workers", "scaling_actions",
                "no_op_actions", "cost_paygo", "cost_sub")
     rows = []
     phase_rows = []
-    for spec, summaries, priced in zip(specs, runs, costs):
+    for spec, summaries in zip(specs, runs):
         # one row of values per episode; each column is reduced over seeds
         episodes = [[s.final_qos, s.n_mean, s.n_max, s.n_scale, s.no_ops,
-                     *cost] + [v for ph in s.per_phase
-                               for v in (ph.qos, ph.mean_workers)]
-                    for s, cost in zip(summaries, priced)]
+                     cost_paygo(s.workers, t_step, cost_cfg),
+                     cost_sub(s.workers, t_step, cost_cfg)]
+                    + [v for ph in s.per_phase
+                       for v in (ph.qos, ph.mean_workers)]
+                    for s in summaries]
         means, stds = aggregate_rows(list(zip(*episodes)))
 
         row = {"policy": spec}

@@ -259,11 +259,13 @@ def write_csv(path, header, rows):
 @dataclass
 class EpisodeLog:
     """One episode: its workload, the simulator's completion records
-    ``(task, completion_time, met)`` and the per-step records."""
+    ``(task, completion_time, met)``, the per-step records and the order
+    its phases ran in (empty: the configured order)."""
 
     tasks: list = field(default_factory=list)
     completions: list = field(default_factory=list)
     steps: list = field(default_factory=list)
+    phase_order: tuple = ()
 
     @property
     def n_tasks(self) -> int:

@@ -13,8 +13,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .core import (ACTIONS, EpisodeLog, Observation, StepRecord,
-                   RewardConfig, as_action)
+from .core import EpisodeLog, Observation, StepRecord, RewardConfig
 from .sim import FarmSim
 
 REWARD_TERMS = (
@@ -92,12 +91,14 @@ class FarmEnv:
                           max_rate, 1.0])
         return lows, highs
 
-    def reset(self, workload, seed: int):
-        """Start an episode over ``workload``; returns (obs, step-0 record)."""
+    def reset(self, workload, seed: int, order=()):
+        """Start an episode over ``workload``, whose phases ran in ``order``
+        (empty: the configured order); returns (obs, step-0 record)."""
         self.sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
         self.sim.inject_tasks(workload)
         # the sim appends to its completion records, so the log stays current
-        self.log = EpisodeLog(list(workload), self.sim.completion_records)
+        self.log = EpisodeLog(list(workload), self.sim.completion_records,
+                              phase_order=tuple(order))
         self._terminated = False
         snap = self.sim.snapshot()
         obs = self._make_observation(snap, 0, 0, 0)
@@ -108,12 +109,9 @@ class FarmEnv:
     def step(self, action: int):
         if self._terminated:
             raise LifecycleError("episode already terminated; call reset()")
-        action_int = as_action(action)
-        if action_int is None:
-            raise ValueError(f"action must be in {ACTIONS}, got {action!r}")
-
         sim = self.sim
-        applied = sim.request_scale(action_int)
+        # the sim checks the action and raises before it changes anything
+        applied = sim.request_scale(action)
         enqueued, done = sim.enqueued_total, len(sim.completion_records)
         sim.advance(self.config.step_duration)
         step = len(self.log.steps) + 1
@@ -135,7 +133,7 @@ class FarmEnv:
         self._terminated = drained or step >= self.max_steps
 
         record = StepRecord(
-            step=step, observation=obs, action=action_int,
+            step=step, observation=obs, action=int(action),
             applied_delta=applied, reward=reward, arrived=arrived,
             completed=completed, hits=hits, workers_busy=snap.workers_busy,
             reward_terms=terms)

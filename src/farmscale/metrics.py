@@ -1,8 +1,10 @@
 """Episode summaries, per-phase aggregates, and the two pricing models.
 
 Pure post-processing over immutable episode logs. Worker counts are
-sampled at step end (post-action, post-advance); per-phase QoS attributes
-each task to its emission phase.
+sampled at step end (post-action, post-advance) and kept per step in the
+summary, where the pricing models read them; per-phase QoS attributes each
+task to its emission phase, and per-phase workers follow the order the
+phases ran in.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ class EpisodeSummary:
     completed: int
     met: int
     per_phase: list = field(default_factory=list)
+    workers: list = field(default_factory=list)  # per step; not in as_dict
 
     def as_dict(self) -> dict:
         return {
@@ -103,14 +106,15 @@ def summarize_episode(log, config) -> EpisodeSummary:
     met = sum(met_in.values())
     completed = len(log.completions)
 
-    # step -> phase by step start time over the nominal spans [start, end)
-    ends = list(accumulate(phase.duration for phase in config.phases))
+    # step -> time slot by step start time over the spans [start, end) of
+    # the phases in the order they ran; slot k ran phase order[k]
+    order = log.phase_order or range(len(config.phases))
+    ends = list(accumulate(config.phases[i].duration for i in order))
     phase_workers = [[] for _ in ends]
     for s, n in zip(steps, workers):
-        start = (s.step - 1) * config.step_duration
-        i = bisect_right(ends, start)
-        if start >= 0 and i < len(ends):
-            phase_workers[i].append(n)
+        slot = bisect_right(ends, (s.step - 1) * config.step_duration)
+        if slot < len(ends):
+            phase_workers[order[slot]].append(n)
 
     per_phase = [
         PhaseSummary(
@@ -135,6 +139,7 @@ def summarize_episode(log, config) -> EpisodeSummary:
         completed=completed,
         met=met,
         per_phase=per_phase,
+        workers=workers,
     )
 
 

@@ -12,8 +12,9 @@ array each network owns, and the forward and backward passes add biases,
 apply ReLU and mask deltas in place, on the arrays the matrix products
 return.
 
-Only ``Mlp.forward`` checks that its input is finite; the backward pass
-trusts the batches the agent built from inputs checked where they entered.
+No pass checks its input: the agent checks that each observation is
+finite where it enters (``DqnAgent.normalize``), and every network input is
+built from observations checked there.
 """
 
 from __future__ import annotations
@@ -75,11 +76,9 @@ class Mlp:
         return clone
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values for a batch (or single vector) of inputs; a NaN or
-        infinite input raises ``FloatingPointError``."""
+        """Action values for a batch (or single vector) of inputs. The input
+        is not checked: the agent checks each observation where it enters."""
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise FloatingPointError("non-finite network input")
         out, _ = self._forward_cached(np.atleast_2d(x))
         return out if x.ndim == 2 else out[0]
 

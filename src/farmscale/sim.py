@@ -143,7 +143,8 @@ class FarmSim:
         Scale-up queues a new worker behind any pending start (sequential
         startup). Scale-down drains the most-recently-started worker: a
         pending start is cancelled, an idle worker exits now, a busy worker
-        exits when its task completes.
+        exits when its task completes. A delta that is not an integer in
+        ``ACTIONS`` raises ``ValueError`` before anything changes.
         """
         step = as_action(delta)
         if step is None:
@@ -222,14 +223,6 @@ class FarmSim:
     def enqueued_total(self) -> int:
         """Tasks arrived so far: the batch less the arrivals pending."""
         return (self._injected or 0) - len(self._arrivals)
-
-    @property
-    def completed_total(self) -> int:
-        return len(self.completion_records)
-
-    @property
-    def pending_arrivals(self) -> int:
-        return len(self._arrivals)
 
     # -- event handlers -----------------------------------------------------
     # Each keeps the backlog invariant: a task joins the queue only when no
@@ -338,7 +331,7 @@ def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunRe
     init_overhead = sim._starts[-1]  # the last pending start
     sim.inject_tasks(workload)
     total = len(workload)
-    while sim.completed_total < total:
+    while len(sim.completion_records) < total:
         sim.advance(60.0)
     first_arrival = min(t.arrival_time for t in workload)
     last_completion = max(t for _, t, _ in sim.completion_records)

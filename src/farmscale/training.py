@@ -16,7 +16,7 @@ from operator import attrgetter
 from .core import write_csv
 from .env import FarmEnv
 from .metrics import summarize_episode
-from .workload import build_episode_workload
+from .workload import build_episode_workload, phase_order
 
 
 @dataclass
@@ -35,9 +35,11 @@ class TrainingRecord:
 CURVE_COLUMNS = tuple(f.name for f in fields(TrainingRecord))
 
 
-def run_episode(env: FarmEnv, policy, workload, seed: int):
-    """One greedy episode under a frozen policy; returns the summary."""
-    obs, record = env.reset(workload, seed)
+def run_episode(env: FarmEnv, policy, workload, seed: int, order=()):
+    """One greedy episode under a frozen policy, over ``workload`` with its
+    phases in ``order`` (empty: the configured order); returns the
+    summary."""
+    obs, record = env.reset(workload, seed, order)
     done = False
     while not done:
         action = policy.select_action(obs, record)
@@ -57,7 +59,8 @@ def train_agent(agent, env: FarmEnv, dist, model, episodes: int,
         workload = build_episode_workload(env.config, dist, model,
                                           shuffle_phases=shuffle,
                                           rng_seed=seed)
-        obs, _ = env.reset(workload, seed)
+        order = phase_order(len(env.config.phases), shuffle, seed)
+        obs, _ = env.reset(workload, seed, order)
         agent.begin_episode()
         state = agent.encode(obs)
         action = agent.act(state)
@@ -86,16 +89,13 @@ def train_agent(agent, env: FarmEnv, dist, model, episodes: int,
     return records
 
 
-def evaluate_policies(policies, env: FarmEnv, dist, model, seeds,
-                      on_episode=None) -> list:
+def evaluate_policies(policies, env: FarmEnv, dist, model, seeds) -> list:
     """Greedy evaluation of every policy over a list of seeds; one list of
     summaries per policy, in seed order.
 
     Each seed's workload is built once and every policy runs on it: greedy
     policies draw no random numbers and ``env.reset`` starts a fresh
     simulator, so each summary is the one a run of that policy alone gives.
-    ``on_episode(p, log)`` runs after each episode of ``policies[p]``, with
-    that episode's log.
     """
     summaries = [[] for _ in policies]
     for seed in seeds:
@@ -103,8 +103,6 @@ def evaluate_policies(policies, env: FarmEnv, dist, model, seeds,
                                           shuffle_phases=False, rng_seed=seed)
         for p, policy in enumerate(policies):
             summaries[p].append(run_episode(env, policy, workload, seed))
-            if on_episode is not None:
-                on_episode(p, env.log)
     return summaries
 
 

@@ -280,28 +280,35 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
     return pts
 
 
+def phase_order(n_phases: int, shuffle: bool, rng_seed: int) -> list:
+    """The order an episode's phases run in: as configured, or with
+    ``shuffle`` a permutation drawn from the seed's own shuffle stream, so
+    every caller that knows the seed gets the order its workload has."""
+    order = list(range(n_phases))
+    if shuffle:
+        np.random.default_rng([rng_seed, 10_000]).shuffle(order)
+    return order
+
+
 def build_episode_workload(config, dist: SizeDistribution,
                            model: ServiceTimeModel, shuffle_phases: bool,
                            rng_seed: int) -> list:
     """Full task list for one episode, sorted by arrival, ids in arrival order.
 
-    Each phase owns a private RNG stream keyed by (seed, phase index), so
-    per-phase arrival offsets are independent of phase placement. Rows are
-    ordered by arrival, ties by phase index. Service time and deadline are
+    The phases run in the order ``phase_order`` gives. Each phase owns a
+    private RNG stream keyed by (seed, phase index), so per-phase arrival
+    offsets are independent of phase placement. Rows are ordered by
+    arrival, ties by phase index. Service time and deadline are
     worked out and checked once per distinct size, and every row of a size
     shares those two float objects.
     """
     phases = list(config.phases)
     if not phases:
         raise ValueError("config needs at least one phase")
-    order = list(range(len(phases)))
-    if shuffle_phases:
-        shuffle_rng = np.random.default_rng([rng_seed, 10_000])
-        shuffle_rng.shuffle(order)
 
     arrivals, phase_ids = [], []
     position_start = 0.0
-    for phase_idx in order:
+    for phase_idx in phase_order(len(phases), shuffle_phases, rng_seed):
         phase = phases[phase_idx]
         phase_rng = np.random.default_rng([rng_seed, phase_idx])
         offsets = generate_phase_arrivals(phase, phase_rng)

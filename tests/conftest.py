@@ -81,7 +81,7 @@ def fuzz_sim(seed, rate=8.0, n_init=2, n_min=1, n_tasks=3500, trace=False):
     for _ in range(150):
         sim.request_scale(int(policy_rng.integers(-1, 2)))
         sim.advance(4.0)
-    while sim.completed_total < n_tasks:  # drain the remaining backlog
+    while len(sim.completion_records) < n_tasks:  # drain the remaining backlog
         sim.advance(60.0)
     return sim
 

@@ -19,7 +19,8 @@ from farmscale.cli import build_parser, main
 from farmscale.dqn import DqnAgent
 from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
 from farmscale.training import CURVE_COLUMNS
-from farmscale.workload import build_episode_workload, write_workload_csv
+from farmscale.workload import (build_episode_workload, phase_order,
+                                write_workload_csv)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,22 @@ def test_calibrate_rejects_malformed_samples(tmp_path, capsys):
     src.write_text("512,not-a-number\n")
     assert main(["calibrate", "--samples", str(src)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_calibrate_fit_error_names_the_file(tmp_path, capsys):
+    src = tmp_path / "three.csv"
+    src.write_text("512,0.04\n1024,0.17\n2048,0.74\n")
+    assert main(["calibrate", "--samples", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}: full fit needs >= 4 distinct sizes, got 3\n")
+
+
+def test_calibrate_rejects_a_row_with_extra_values(tmp_path, capsys):
+    src = tmp_path / "wide.csv"
+    src.write_text("size,mean_time\n1024,0.2\n512,0.04,9\n")
+    assert main(["calibrate", "--samples", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}:3: expected 'size,mean_time'\n")
 
 
 # a NaN or infinite time used to fit to a=nan with R2=1 and exit 0, and a
@@ -149,6 +166,30 @@ def test_run_reactive_writes_artifacts(tmp_path, tiny_config):
     assert 0.0 <= summary["final_qos"] <= 1.0
     assert sum(int(rec["arrived"]) for rec in steps) == summary["emitted"]
     assert (out / "tasks.csv").exists()
+
+
+def test_shuffled_run_gives_each_phase_the_workers_of_its_slot(tmp_path):
+    # seed 0 runs the phases in the order 2, 0, 1, 3; each phase's mean
+    # workers must come from the steps of the time slot it ran in
+    out = tmp_path / "run"
+    assert main(["run", "--policy", "reactive-avg", "--seed", "0",
+                 "--shuffle", "--out", str(out)]) == 0
+    episode = cfgmod.episode_config(cfgmod.load_config())
+    order = phase_order(len(episode.phases), True, 0)
+    assert order == [2, 0, 1, 3]
+    with open(out / "steps.csv", newline="") as fh:
+        steps = list(csv.DictReader(fh))
+    in_slot = collections.defaultdict(list)
+    for row in steps:
+        start = (int(row["step"]) - 1) * episode.step_duration
+        slot = int(start // episode.phases[0].duration)
+        if slot < len(order):
+            in_slot[order[slot]].append(int(row["n_workers"]))
+    per_phase = json.loads((out / "summary.json").read_text())["per_phase"]
+    assert [p["mean_workers"] for p in per_phase] == [
+        float(np.mean(in_slot[p["phase"]])) for p in per_phase]
+    assert [round(p["mean_workers"], 2) for p in per_phase] == [
+        7.0, 6.5, 7.5, 13.71]
 
 
 def test_run_unknown_policy_fails(tmp_path, tiny_config, capsys):

@@ -57,8 +57,8 @@ class PoisonedEnv(FarmEnv):
             return obs._replace(arrival_rate=self.bad)
         return obs
 
-    def reset(self, workload, seed):
-        obs, record = super().reset(workload, seed)
+    def reset(self, workload, seed, order=()):
+        obs, record = super().reset(workload, seed, order)
         return self._poison(obs), record
 
     def step(self, action):

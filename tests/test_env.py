@@ -115,10 +115,31 @@ class TestLifecycle:
     def test_non_integer_action_rejected(self, small_env, action):
         env, tasks = small_env
         env.reset(tasks, seed=0)
-        with pytest.raises(ValueError, match="action must be in"):
+        with pytest.raises(ValueError, match="scaling actions are unit steps"):
             env.step(action)
         assert env.log.steps == []
         assert env.sim.snapshot().workers_starting == 0
+
+    @pytest.mark.parametrize("action", [2, -2, 1.0, True, "1", None],
+                             ids=repr)
+    def test_rejected_action_changes_nothing(self, small_env, action):
+        # the sim checks the action, so the env must not move before it:
+        # after the error the episode goes on as if the call never happened
+        env, tasks = small_env
+        clean = FarmEnv(env.config, env.reward_config)
+        for e in (env, clean):
+            e.reset(tasks, seed=0)
+            e.step(1)
+            e.step(1)  # the pool has grown by two at the bad call
+        sim = env.sim
+        before = (len(env.log.steps), sim.clock, dict(sim.workers),
+                  sim.enqueued_total)
+        with pytest.raises(ValueError, match="scaling actions are unit steps"):
+            env.step(action)
+        assert before == (len(env.log.steps), sim.clock, sim.workers,
+                          sim.enqueued_total)
+        assert env.step(-1)[3] == clean.step(-1)[3]
+        assert env.log.steps == clean.log.steps
 
     def test_numpy_integer_action_logged_as_int(self, small_env, tmp_path):
         env, tasks = small_env
@@ -141,7 +162,7 @@ class TestLifecycle:
             steps += 1
         assert steps <= env.max_steps
         assert obs.q_work == record.workers_busy == 0
-        assert env.sim.completed_total == len(tasks)
+        assert len(env.sim.completion_records) == len(tasks)
 
     def test_step_after_termination_raises(self, small_env):
         env, tasks = small_env

@@ -32,8 +32,9 @@ def task(task_id, phase_index=0):
 
 def reference_summary(log, config) -> EpisodeSummary:
     """``summarize_episode`` as a plain loop per task and a scan of the
-    steps per phase, with ``np.mean``: the reference the counted version
-    must match bit for bit."""
+    steps per phase, over the phases' time slots in the order they ran,
+    with ``np.mean``: the reference the counted version must match bit for
+    bit."""
     workers = [s.observation.n_workers for s in log.steps]
     n_scale = sum(1 for s in log.steps if s.applied_delta != 0)
     emitted = log.n_tasks
@@ -48,23 +49,23 @@ def reference_summary(log, config) -> EpisodeSummary:
         if t.phase_index in emitted_in:
             emitted_in[t.phase_index] += 1
             met_in[t.phase_index] += bool(t_met)
-    per_phase = []
+    per_phase = [None] * len(config.phases)
     start = 0.0
-    for i, phase in enumerate(config.phases):
-        lo, hi = start, start + phase.duration
-        start += phase.duration
+    for i in log.phase_order or range(len(config.phases)):
+        lo, hi = start, start + config.phases[i].duration
+        start = hi
         in_phase = [s.observation.n_workers for s in log.steps
                     if lo <= (s.step - 1) * config.step_duration < hi]
-        per_phase.append(PhaseSummary(
+        per_phase[i] = PhaseSummary(
             i, met_in[i] / emitted_in[i] if emitted_in[i] else 1.0,
             float(np.mean(in_phase)) if in_phase else 0.0,
-            emitted_in[i], met_in[i]))
+            emitted_in[i], met_in[i])
     return EpisodeSummary(
         met / emitted if emitted else 1.0, float(np.mean(workers)),
         int(max(workers)), n_scale, len(log.steps) - n_scale, len(log.steps),
         len(log.steps) * config.step_duration,
         float(sum(s.reward for s in log.steps)), emitted, completed, met,
-        per_phase)
+        per_phase, workers)
 
 
 class TestCostPaygo:
@@ -182,23 +183,27 @@ class TestSummarize:
                               | st.floats(1.0, 40.0), min_size=1, max_size=5),
            step_duration=st.sampled_from((0.5, 1.0, 2.0, 8.0))
                          | st.floats(0.5, 16.0),
-           first=st.integers(0, 1),
+           shuffle=st.randoms(use_true_random=False),
            steps=st.lists(st.tuples(st.integers(0, 20),
                                     st.sampled_from((-1, 0, 1))),
                           min_size=1, max_size=80),
            tasks=st.lists(st.tuples(st.integers(-1, 5), st.booleans(),
                                     st.booleans()), max_size=200))
     @settings(max_examples=100, deadline=None)
-    def test_matches_reference_loop(self, durations, step_duration, first,
+    def test_matches_reference_loop(self, durations, step_duration, shuffle,
                                     steps, tasks):
         cfg = EpisodeConfig(
             phases=tuple(WorkloadPhaseSpec("steady", 1.0, d, window=1.0)
                          for d in durations),
             step_duration=step_duration)
         specs = [task(i, phase) for i, (phase, _, _) in enumerate(tasks)]
+        order = list(range(len(durations)))  # the order the phases ran in
+        shuffle.shuffle(order)
         log = EpisodeLog(specs, [(spec, 0.2, met) for spec, (_, done, met)
-                                 in zip(specs, tasks) if done])
-        for k, (n, delta) in enumerate(steps, start=first):
+                                 in zip(specs, tasks) if done],
+                         phase_order=tuple(order))
+        # steps are numbered from 1, as the env logs them
+        for k, (n, delta) in enumerate(steps, start=1):
             log.steps.append(step(k, n, applied_delta=delta, reward=0.1 * n))
         assert (repr(summarize_episode(log, cfg))
                 == repr(reference_summary(log, cfg)))

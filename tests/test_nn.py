@@ -37,11 +37,6 @@ class TestForward:
         for i in range(5):
             np.testing.assert_allclose(net.forward(x[i]), batch[i])
 
-    def test_rejects_non_finite_input(self):
-        net = Mlp((4, 8, 3), np.random.default_rng(0))
-        with pytest.raises(FloatingPointError):
-            net.forward(np.array([1.0, np.nan, 0.0, 0.0]))
-
     def test_copy_is_independent(self):
         net = Mlp((4, 8, 3), np.random.default_rng(0))
         clone = net.copy()

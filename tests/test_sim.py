@@ -125,14 +125,14 @@ class TestInjection:
             for batch in ([simple_task(1, 0.7)], [simple_task(2, 0.7)], []):
                 with pytest.raises(ValueError, match="one batch of tasks"):
                     sim.inject_tasks(batch)
-                assert sim.pending_arrivals == len(first)
+                assert len(sim._arrivals) == len(first)
 
-    def test_pending_arrivals_counter(self):
+    def test_enqueued_total_counts_arrived_tasks(self):
         sim = make_sim(warm=True)
         sim.inject_tasks([simple_task(i, 0.1 * (i + 1)) for i in range(5)])
-        assert (sim.pending_arrivals, sim.enqueued_total) == (5, 0)
+        assert sim.enqueued_total == 0
         sim.advance(0.35)
-        assert (sim.pending_arrivals, sim.enqueued_total) == (2, 3)
+        assert sim.enqueued_total == 3
 
 
 def grid_sim(warm, n_init, seed, cls=FarmSim):
@@ -207,10 +207,10 @@ class TestMergedArrivals:
             for sim in sims:
                 sim.request_scale(action)
                 sim.advance(0.5 * dt)
-            assert sims[0].pending_arrivals == sims[1].pending_arrivals
+            assert sims[0].enqueued_total == sims[1].enqueued_total
         assert sims[0].trace == sims[1].trace
         assert sims[0].completion_records == sims[1].completion_records
-        assert sims[0].completed_total == len(tasks)
+        assert len(sims[0].completion_records) == len(tasks)
 
     def test_tie_order_at_one_clock(self):
         sim = grid_sim(warm=True, n_init=1, seed=0)
@@ -241,7 +241,7 @@ class TestMergedArrivals:
         sim = make_sim()
         with pytest.raises(ValueError, match="duplicate task_id 2"):
             sim.inject_tasks([simple_task(2, 0.5), simple_task(2, 0.7)])
-        assert sim.pending_arrivals == 0
+        assert not sim._arrivals
 
 
 class TestScaling:
@@ -283,7 +283,7 @@ class TestScaling:
         sim.request_scale(-1)
         assert sim.request_scale(-1) == 0  # nothing left to remove
         sim.advance(60.0)
-        assert sim.completed_total == 1  # drain preserved the task
+        assert len(sim.completion_records) == 1  # drain preserved the task
 
     @pytest.mark.parametrize("delta", [0.5, -0.5, 1.0, -1.0, True, False, 2,
                                        np.float64(1.0), np.bool_(True)],
@@ -385,7 +385,7 @@ def scanned_snapshot(sim):
         workers_starting=sum(s == STARTING for s in statuses),
         workers_draining=sum(s == DRAINING for s in statuses),
         enqueued_total=sim.enqueued_total,
-        completed_total=sim.completed_total,
+        completed_total=len(sim.completion_records),
     )
 
 
@@ -544,7 +544,7 @@ class TestDispatchReference:
             assert sim.snapshot() == reference.snapshot()
         assert sim.trace == reference.trace
         assert sim.completion_records == reference.completion_records
-        assert sim.completed_total == len(tasks)
+        assert len(sim.completion_records) == len(tasks)
 
 
 class TestBacklogInvariant:

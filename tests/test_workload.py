@@ -16,8 +16,9 @@ from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 build_episode_workload,
                                 default_phases, default_size_distribution,
                                 fit_service_model, generate_phase_arrivals,
-                                reduced_paper_model, ServiceTimeModel,
-                                sample_task_sizes, write_workload_csv)
+                                phase_order, reduced_paper_model,
+                                ServiceTimeModel, sample_task_sizes,
+                                write_workload_csv)
 
 # Published values the calibration must reproduce.
 TABLE_PREDICTIONS = {512: 0.046, 1024: 0.181, 2048: 0.719, 4096: 2.870}
@@ -416,6 +417,20 @@ class TestEpisodeWorkload:
         assert_same_workload(tasks, reference_episode_workload(
             config, dist, model, shuffle, seed))
         assert len(tasks) == sum(p.target_count for p in phases)
+
+    def test_phase_order_is_the_order_the_phases_ran_in(self, ep_config,
+                                                        model_and_dist):
+        model, dist = model_and_dist
+        duration = ep_config.phases[0].duration  # the phases are equally long
+        for seed in range(20):
+            for shuffle in (False, True):
+                order = phase_order(len(ep_config.phases), shuffle, seed)
+                assert sorted(order) == list(range(len(ep_config.phases)))
+                tasks = build_episode_workload(ep_config, dist, model,
+                                               shuffle, seed)
+                assert all(t.phase_index
+                           == order[int(t.arrival_time // duration)]
+                           for t in tasks)
 
     def test_rows_share_per_size_timings(self, default_workload):
         for field in ("service_time", "deadline"):
