@@ -9,7 +9,7 @@ and the ``StepRecord`` it logs, which itemizes the reward's seven terms.
 from __future__ import annotations
 
 import math
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -70,15 +70,14 @@ class FarmEnv:
     def __init__(self, episode_config, reward_config: RewardConfig):
         self.config = episode_config
         self.reward_config = reward_config
+        # the config is frozen, so the step cap is worked out once
+        self.max_steps = (math.ceil(episode_config.total_duration
+                                    / episode_config.step_duration)
+                          + episode_config.drain_cap)
         self.sim = None
         self.log = None
+        self._service = None
         self._terminated = True
-
-    @property
-    def max_steps(self) -> int:
-        return (math.ceil(self.config.total_duration
-                          / self.config.step_duration)
-                + self.config.drain_cap)
 
     def observation_bounds(self):
         """Per-dimension (low, high) bounds used by agents for normalization."""
@@ -94,11 +93,14 @@ class FarmEnv:
     def reset(self, workload, seed: int, order=()):
         """Start an episode over ``workload``, whose phases ran in ``order``
         (empty: the configured order); returns (obs, step-0 record)."""
+        tasks = list(workload)  # read once: ``workload`` may be an iterator
         self.sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
-        self.sim.inject_tasks(workload)
+        self.sim.inject_tasks(tasks)
         # the sim appends to its completion records, so the log stays current
-        self.log = EpisodeLog(list(workload), self.sim.completion_records,
+        self.log = EpisodeLog(tasks, self.sim.completion_records,
                               phase_order=tuple(order))
+        # the completions' service times in completion order, filled by step
+        self._service = np.empty(len(tasks))
         self._terminated = False
         snap = self.sim.snapshot()
         obs = self._make_observation(snap, 0, 0, 0)
@@ -121,6 +123,8 @@ class FarmEnv:
         records = sim.completion_records[done:]
         completed = len(records)
         hits = sum(map(itemgetter(2), records))  # the records' met flags
+        self._service[done:done + completed] = [r[0].service_time
+                                                for r in records]
 
         snap = sim.snapshot()
         obs = self._make_observation(snap, arrived, completed, hits)
@@ -143,18 +147,18 @@ class FarmEnv:
     def _make_observation(self, snap, arrived: int, completed: int,
                           hits: int) -> Observation:
         """The window is this step's counts and the last ``obs_window - 1``
-        logged steps; its service times are the newest completion records."""
+        logged steps; its service times are the newest ``n`` entries of the
+        service-time column."""
         steps = self.log.steps
         n, window_arrivals = completed, arrived
         for s in steps[max(0, len(steps) + 1 - self.config.obs_window):]:
             n += s.completed
             window_arrivals += s.arrived
-        if n:  # n > 0, so [-n:] is the newest n records
-            tasks = map(itemgetter(0), self.sim.completion_records[-n:])
-            durations = np.fromiter(
-                map(attrgetter("service_time"), tasks), float, n)
-            t_avg = float(durations.sum()) / n  # the bits of np.mean
-            t_max = float(durations.max())
+        if n:
+            total = len(self.sim.completion_records)
+            window = self._service[total - n:total]  # a view, not a copy
+            t_avg = float(window.sum()) / n  # the bits of np.mean
+            t_max = float(window.max())
         else:
             t_avg = t_max = 0.0
         # without a completion this step, the last step's QoS carries over

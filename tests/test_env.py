@@ -5,12 +5,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from farmscale.core import RewardConfig, StepRecord
 from farmscale.env import (REWARD_TERMS, FarmEnv, LifecycleError,
                            compute_reward)
+from farmscale.reactive import ReactiveAveragePolicy
+from farmscale.training import run_episode
+from farmscale.workload import build_episode_workload
 from tests.conftest import constant_service_tasks, single_phase_config
+
+# pools per arrival rate (tasks/s) for the window-statistics test; at 80/s
+# a 2 s step completes about 160 tasks, so every window spans numpy's
+# 128-element pairwise-sum blocks
+WINDOW_POOLS = {3.0: {"n_init": 2},
+                80.0: {"n_min": 90, "n_init": 100, "n_max": 110}}
 
 UNIT_CFG = RewardConfig(q_target=0.9, q_queue_target=100.0, q_idle=10.0,
                         n_target=10, w_qos=1.0, w_backlog=1.0, w_scale=1.0,
@@ -164,6 +173,36 @@ class TestLifecycle:
         assert obs.q_work == record.workers_busy == 0
         assert len(env.sim.completion_records) == len(tasks)
 
+    def test_iterator_workload_runs_the_list_episode(
+            self, ep_config, rw_config, model_and_dist):
+        # reset reads the workload once: an iterator gives the simulator
+        # and the log the same tasks a list does
+        model, dist = model_and_dist
+        tasks = build_episode_workload(ep_config, dist, model,
+                                       shuffle_phases=False, rng_seed=7)
+        policy = ReactiveAveragePolicy(ep_config.step_duration)
+        runs = []
+        for workload in (tasks, iter(tasks)):
+            env = FarmEnv(ep_config, rw_config)
+            runs.append((run_episode(env, policy, workload, 7),
+                         env.log.tasks, env.log.steps))
+        assert runs[0][0].emitted == len(tasks)
+        assert runs[1] == runs[0]
+
+    def test_one_env_runs_workloads_of_any_size_in_turn(
+            self, ep_config, rw_config, default_workload):
+        # the service-time column belongs to one episode: after a shorter or
+        # a longer one on the same env, every step record is a fresh env's
+        policy = ReactiveAveragePolicy(ep_config.step_duration)
+        long, short = default_workload, default_workload[:150]
+        env = FarmEnv(ep_config, rw_config)
+        for seed, tasks in enumerate((short, long, short, long)):
+            run_episode(env, policy, tasks, seed)
+            fresh = FarmEnv(ep_config, rw_config)
+            run_episode(fresh, policy, tasks, seed)
+            assert len(env.log.completions) == len(tasks)
+            assert env.log.steps == fresh.log.steps
+
     def test_step_after_termination_raises(self, small_env):
         env, tasks = small_env
         env.reset(tasks, seed=0)
@@ -225,20 +264,24 @@ class TestStepObservations:
         recs = self._run(env, tasks, policy=lambda k: -1)  # always scale down
         assert all(o.n_workers >= env.config.n_min for o, _, _ in recs)
 
-    @given(seed=st.integers(0, 1000), window=st.integers(1, 4))
+    @given(seed=st.integers(0, 1000), window=st.integers(1, 4),
+           rate=st.sampled_from(sorted(WINDOW_POOLS)))
+    @example(seed=0, window=1, rate=80.0)
     @settings(max_examples=20, deadline=None)
-    def test_window_service_stats_match_numpy(self, seed, window):
+    def test_window_service_stats_match_numpy(self, seed, window, rate):
         # t_proc_avg and t_proc_max against np.mean and max over the flat
         # window, compared bit for bit
-        cfg = single_phase_config(3.0, 60.0, n_init=2, warm_start=True,
-                                  obs_window=window, step_duration=2.0)
+        cfg = single_phase_config(rate, 60.0, warm_start=True,
+                                  obs_window=window, step_duration=2.0,
+                                  **WINDOW_POOLS[rate])
         rng = np.random.default_rng(seed)
+        stream = constant_service_tasks(rate, 60.0, 1.0)
         tasks = [t._replace(service_time=s, deadline=3 * s)
-                 for t, s in zip(constant_service_tasks(3.0, 60.0, 1.0),
-                                 rng.uniform(0.05, 2.0, size=1000))]
+                 for t, s in zip(stream,
+                                 rng.uniform(0.05, 2.0, size=len(stream)))]
         env = FarmEnv(cfg, RewardConfig())
         env.reset(tasks, seed=seed)
-        per_step, done = [], False
+        per_step, largest, done = [], 0, False
         while not done:
             seen = len(env.log.completions)
             obs, _, done, _ = env.step(int(rng.integers(-1, 2)))
@@ -248,6 +291,9 @@ class TestStepObservations:
             assert obs.t_proc_avg == (float(np.mean(durations))
                                       if durations else 0.0)
             assert obs.t_proc_max == (max(durations) if durations else 0.0)
+            largest = max(largest, len(durations))
+        if rate > 3.0:
+            assert largest > 128
 
     @given(seed=st.integers(0, 1000), window=st.integers(1, 4),
            step_duration=st.sampled_from([0.7, 2.0, 8.0]))
