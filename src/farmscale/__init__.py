@@ -1,20 +1,1 @@
 """Virtual-time simulator and autoscaling policies for a serverless task farm."""
-
-from .core import (EpisodeConfig, EpisodeLog, Observation, RewardConfig,
-                   TaskSpec, compute_deadline, deadline_met)
-from .env import FarmEnv, compute_reward
-from .sim import FarmSim, static_run
-from .workload import (ServiceTimeModel, SizeDistribution, WorkloadPhaseSpec,
-                       build_episode_workload, default_phases,
-                       default_size_distribution, fit_service_model,
-                       reduced_paper_model)
-
-__all__ = [
-    "EpisodeConfig", "EpisodeLog", "Observation", "RewardConfig", "TaskSpec",
-    "compute_deadline", "deadline_met", "FarmEnv", "compute_reward",
-    "FarmSim", "static_run", "ServiceTimeModel", "SizeDistribution",
-    "WorkloadPhaseSpec", "build_episode_workload", "default_phases",
-    "default_size_distribution", "fit_service_model", "reduced_paper_model",
-]
-
-__version__ = "0.1.0"

@@ -10,6 +10,9 @@ import numpy as np
 
 from .core import ACTIONS, FieldError, has_type_of
 
+# the checkpoint layout both agents' savers write; a loader takes no other
+CHECKPOINT_VERSION = 1
+
 
 def greedy_index(values) -> int:
     """Index of the largest value; ties break to the largest index."""
@@ -78,29 +81,46 @@ def checkpoint_value(blob: dict, path, key: str, where: str = "checkpoint"):
         raise ValueError(f"{path}: {where} has no {key!r}") from None
 
 
-def checkpoint_epsilon(blob: dict, path, where: str = "checkpoint") -> float:
-    """``blob["epsilon"]``, which must be a number in [0, 1]; otherwise
-    ``ValueError`` naming the file and the key."""
-    value = checkpoint_value(blob, path, "epsilon", where)
-    if not (has_type_of(value, "float") and 0 <= value <= 1):
-        raise ValueError(f"{path}: epsilon must be a number in [0, 1], "
-                         f"got {value!r}")
-    return value
+def checkpoint_header(blob, path, kind: str, cls, retired: dict,
+                      where: str = "checkpoint"):
+    """(config, epsilon) of a ``kind`` checkpoint's top-level JSON ``blob``,
+    the entries both agents save.
 
-
-def checkpoint_config(cls, values, path):
-    """``cls(**values)`` for a checkpoint's saved config, a JSON list standing
-    for a tuple. A key ``cls`` lacks, or a value ``cls`` rejects (its type
-    and finiteness are checked by ``core.check_fields``, its range by
-    ``cls``), raises ``ValueError`` naming the file and the key."""
+    ``blob`` must be a mapping whose ``kind`` is ``kind`` and whose
+    ``version`` is ``CHECKPOINT_VERSION``. Its ``config`` must hold only
+    keys of ``cls`` whose values ``cls`` accepts (their type and finiteness
+    are checked by ``core.check_fields``, their range by ``cls``), and
+    entries of ``retired``. That maps each entry that older checkpoints
+    saved and ``cls`` no longer has to the one value it may hold, as JSON
+    reads it back: the module constant that replaced it. ``epsilon`` must be
+    a number in [0, 1]. Otherwise ``ValueError`` names the file, and the key
+    where there is one.
+    """
+    if not isinstance(blob, dict) or blob.get("kind") != kind:
+        raise ValueError(f"{path} is not a {kind} checkpoint")
+    version = checkpoint_value(blob, path, "version", where)
+    if not (has_type_of(version, "int") and version == CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: version must be {CHECKPOINT_VERSION}, "
+                         f"got {version!r}")
+    values = checkpoint_value(blob, path, "config", where)
     if not isinstance(values, dict):
         raise ValueError(f"{path}: 'config' is not a mapping")
-    names = {f.name for f in fields(cls)}
+    for key, constant in retired.items():
+        if values.get(key, constant) != constant:
+            raise ValueError(f"{path}: config: {key} is a constant now; a "
+                             f"checkpoint may hold only {constant!r}, "
+                             f"got {values[key]!r}")
+    known = {f.name for f in fields(cls)} | retired.keys()
     for key in values:
-        if key not in names:
+        if key not in known:
             raise ValueError(f"{path}: config has unknown key {key!r}")
     try:
-        return cls(**{key: tuple(value) if isinstance(value, list) else value
-                      for key, value in values.items()})
+        cfg = cls(**{key: value for key, value in values.items()
+                     if key not in retired})
     except ValueError as exc:
         raise ValueError(f"{path}: config: {exc}") from None
+    epsilon = checkpoint_value(blob, path, "epsilon", where)
+    if not (has_type_of(epsilon, "float") and 0 <= epsilon <= 1):
+        raise ValueError(f"{path}: epsilon must be a number in [0, 1], "
+                         f"got {epsilon!r}")
+    return cfg, epsilon

@@ -22,18 +22,15 @@ from .workload import (BASE_RATE, MEAN_SERVICE_TARGET, PHASE_DURATION,
 
 # Each config class and its key prefix. Every field with a bool, int or
 # float default is the config key ``prefix + field name`` with that default;
-# the tuple fields and the phases are not keys.
+# the phases are not a key.
 _PREFIXES = {EpisodeConfig: "", RewardConfig: "", SarsaConfig: "sarsa_",
              DqnConfig: "dqn_", CostConfig: "cost_"}
-# a scalar field with no key: the trace-pruning cutoff is not a tuning knob
-_UNKEYED = {(SarsaConfig, "prune_threshold")}
 
 
 def _keyed_fields(cls) -> list:
     """(config key, field) of each field of ``cls`` that has a key."""
     return [(_PREFIXES[cls] + f.name, f) for f in fields(cls)
-            if type(f.default) in (bool, int, float)
-            and (cls, f.name) not in _UNKEYED]
+            if type(f.default) in (bool, int, float)]
 
 
 DEFAULTS = {

@@ -14,17 +14,20 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .agent import (LearningAgent, check_gamma_and_epsilon,
-                    checkpoint_config, checkpoint_epsilon, checkpoint_value,
-                    greedy_index)
+from .agent import (CHECKPOINT_VERSION, LearningAgent,
+                    check_gamma_and_epsilon, checkpoint_header,
+                    checkpoint_value, greedy_index)
 from .core import (ACTIONS, FieldError, Observation, check_fields,
-                   has_type_of, is_finite)
+                   has_type_of)
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
 HIDDEN_LAYERS = (128, 64)
 _UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile)  # bad archive/member
 # rows a replay buffer holds before its first growth
 REPLAY_INITIAL_ROWS = 1_024
+# the range a reward is clipped to before it is stored; older checkpoints
+# hold it as the config entry "reward_clip"
+REWARD_CLIP = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,6 @@ class DqnConfig:
     tau: float = 0.01
     learning_rate: float = 1e-3
     grad_clip: float = 10.0
-    reward_clip: tuple = (-100.0, 100.0)
 
     def __post_init__(self):
         check_fields(self)
@@ -54,12 +56,6 @@ class DqnConfig:
             raise FieldError("learning_rate", "learning_rate must be positive")
         if not self.grad_clip > 0:
             raise FieldError("grad_clip", "grad_clip must be positive")
-        clip = self.reward_clip
-        if not (isinstance(clip, tuple) and len(clip) == 2
-                and all(has_type_of(v, "float") and is_finite(v) for v in clip)
-                and clip[0] < clip[1]):
-            raise FieldError("reward_clip", f"reward_clip must be two finite "
-                             f"numbers lo < hi, got {clip!r}")
         check_gamma_and_epsilon(self)
 
 
@@ -168,7 +164,7 @@ class DqnAgent(LearningAgent):
 
     def learn(self, state, action: int, reward: float, next_state,
               next_action: int, done: bool):
-        lo, hi = self.cfg.reward_clip
+        lo, hi = REWARD_CLIP
         self.buffer.push(state, ACTIONS.index(action),
                          min(max(reward, lo), hi), next_state, done)
         self.last_loss = self.train_step()
@@ -196,7 +192,7 @@ class DqnAgent(LearningAgent):
     def save(self, path):
         meta = {
             "kind": "dqn",
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "config": asdict(self.cfg),
             "epsilon": self.epsilon,
             "layer_sizes": list(self.policy.layer_sizes),
@@ -211,12 +207,14 @@ class DqnAgent(LearningAgent):
 
     @classmethod
     def load(cls, path) -> "DqnAgent":
-        """Read a checkpoint written by ``save``; a missing entry, a config
-        key ``DqnConfig`` lacks, an epsilon outside [0, 1], an array whose
-        shape differs from what ``layer_sizes`` implies or that holds anything
-        but finite numbers, or an ``obs_highs`` entry not above its
-        ``obs_lows`` entry raises ``ValueError`` naming the file and the key,
-        or the file alone if it is not an archive of arrays with JSON meta.
+        """Read a checkpoint written by ``save``; a missing entry, a version
+        other than 1, a config key ``DqnConfig`` lacks, a saved
+        ``reward_clip`` other than ``REWARD_CLIP``, an epsilon outside
+        [0, 1], an array whose shape differs from what ``layer_sizes``
+        implies or that holds anything but finite numbers, or an
+        ``obs_highs`` entry not above its ``obs_lows`` entry raises
+        ``ValueError`` naming the file and the key, or the file alone if it
+        is not an archive of arrays with JSON meta.
         """
         try:
             data = np.lib.npyio.NpzFile(
@@ -230,8 +228,9 @@ class DqnAgent(LearningAgent):
     @classmethod
     def _from_archive(cls, data, meta, path) -> "DqnAgent":
         """``load``'s checks and assembly, on the open archive ``data``."""
-        if not isinstance(meta, dict) or meta.get("kind") != "dqn":
-            raise ValueError(f"{path} is not a dqn checkpoint")
+        cfg, epsilon = checkpoint_header(
+            meta, path, "dqn", DqnConfig,
+            retired={"reward_clip": list(REWARD_CLIP)}, where="meta")
         sizes = checkpoint_value(meta, path, "layer_sizes", "meta")
         if not (isinstance(sizes, list)
                 and all(has_type_of(n, "int") and n > 0 for n in sizes)):
@@ -245,15 +244,13 @@ class DqnAgent(LearningAgent):
             raise ValueError(f"{path}: layer_sizes {list(sizes)} must start "
                              f"with {len(Observation._fields)}, one input per "
                              f"observation component")
-        cfg = checkpoint_config(
-            DqnConfig, checkpoint_value(meta, path, "config", "meta"), path)
         lows = _numbers(data, path, "obs_lows", sizes[:1])
         highs = _numbers(data, path, "obs_highs", sizes[:1])
         if not (highs > lows).all():
             raise ValueError(f"{path}: 'obs_highs' must exceed 'obs_lows' "
                              f"in every component")
         agent = cls(lows, highs, cfg=cfg)
-        agent.epsilon = checkpoint_epsilon(meta, path, "meta")
+        agent.epsilon = epsilon
         agent.policy, agent.target = Mlp(sizes), Mlp(sizes)
         for prefix, net in agent._nets():
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):

@@ -14,11 +14,15 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .agent import (LearningAgent, check_gamma_and_epsilon,
-                    checkpoint_config, checkpoint_epsilon, checkpoint_value,
-                    greedy_index)
+from .agent import (CHECKPOINT_VERSION, LearningAgent,
+                    check_gamma_and_epsilon, checkpoint_header,
+                    checkpoint_value, greedy_index)
 from .core import (ACTIONS, FieldError, Observation, check_fields,
                    has_type_of, is_finite)
+
+# a trace that decays below this is dropped; older checkpoints hold it as
+# the config entry "prune_threshold"
+PRUNE_THRESHOLD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,6 @@ class SarsaConfig:
     epsilon_start: float = 1.0
     epsilon_min: float = 0.05
     epsilon_decay: float = 0.98  # multiplicative, per episode
-    prune_threshold: float = 1e-4
 
     def __post_init__(self):
         check_fields(self)
@@ -78,9 +81,6 @@ class SarsaConfig:
             raise FieldError("alpha", "alpha must lie in (0, 1]")
         if not (0 <= self.trace_decay <= 1):
             raise FieldError("trace_decay", "trace_decay must lie in [0, 1]")
-        if self.prune_threshold < 0:
-            raise FieldError("prune_threshold",
-                             "prune_threshold must be a finite number >= 0")
         check_gamma_and_epsilon(self)
 
 
@@ -104,7 +104,7 @@ def sarsa_update(qtable: dict, traces: dict, state, action_idx: int,
             qtable[s] = row
         row[a] += cfg.alpha * delta * e
         e *= decay
-        if e < cfg.prune_threshold:
+        if e < PRUNE_THRESHOLD:
             dead.append((s, a))
         else:
             traces[(s, a)] = e
@@ -146,7 +146,7 @@ class SarsaAgent(LearningAgent):
     def save(self, path):
         blob = {
             "kind": "sarsa",
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "config": asdict(self.cfg),
             "epsilon": self.epsilon,
             "edges": [list(e) for e in self.discretizer.edges],
@@ -158,19 +158,20 @@ class SarsaAgent(LearningAgent):
 
     @classmethod
     def load(cls, path) -> "SarsaAgent":
-        """Read a checkpoint written by ``save``; a missing entry, a config
-        key ``SarsaConfig`` lacks, an epsilon outside [0, 1] or a misshapen
-        or non-finite Q-table entry raises ``ValueError`` naming the file
-        and the key, or the file alone if it is not JSON."""
+        """Read a checkpoint written by ``save``; a missing entry, a version
+        other than 1, a config key ``SarsaConfig`` lacks, a saved
+        ``prune_threshold`` other than ``PRUNE_THRESHOLD``, an epsilon
+        outside [0, 1] or a misshapen or non-finite Q-table entry raises
+        ``ValueError`` naming the file and the key, or the file alone if it
+        is not JSON."""
         try:
             with open(path, "rb") as fh:  # json.load detects UTF-8/16/32
                 blob = json.load(fh)
         except ValueError as exc:  # not JSON, or not in a UTF encoding
             raise ValueError(f"{path} is not a sarsa checkpoint: {exc}") from None
-        if not isinstance(blob, dict) or blob.get("kind") != "sarsa":
-            raise ValueError(f"{path} is not a sarsa checkpoint")
-        cfg = checkpoint_config(SarsaConfig,
-                                checkpoint_value(blob, path, "config"), path)
+        cfg, epsilon = checkpoint_header(
+            blob, path, "sarsa", SarsaConfig,
+            retired={"prune_threshold": PRUNE_THRESHOLD})
         edges = checkpoint_value(blob, path, "edges")
         qtable = checkpoint_value(blob, path, "qtable")
         try:
@@ -200,7 +201,7 @@ class SarsaAgent(LearningAgent):
                 raise ValueError(f"{path}: qtable[{i}] holds a non-finite "
                                  f"value, got {entry!r}")
         agent = cls(cfg, discretizer)
-        agent.epsilon = checkpoint_epsilon(blob, path)
+        agent.epsilon = epsilon
         agent.qtable = {tuple(state): np.array(row, dtype=float)
                         for state, row in qtable}
         return agent

@@ -315,7 +315,6 @@ class FarmSim:
 
 @dataclass(frozen=True)
 class StaticRunResult:
-    n_workers: int
     runtime: float
     init_overhead: float
 
@@ -335,7 +334,7 @@ def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunRe
         sim.advance(60.0)
     first_arrival = min(t.arrival_time for t in workload)
     last_completion = max(t for _, t, _ in sim.completion_records)
-    return StaticRunResult(n_fixed, last_completion - first_arrival, init_overhead)
+    return StaticRunResult(last_completion - first_arrival, init_overhead)
 
 
 def static_scaling_experiment(config, workload, pool_sizes, rng_seed: int = 0):

@@ -49,7 +49,6 @@ class ServiceTimeModel:
     a: float
     b: float
     c: float
-    form: str  # "full" | "reduced"
     r_squared: float = float("nan")
     rss: float = float("nan")
 
@@ -64,7 +63,7 @@ class ServiceTimeModel:
 
 def reduced_paper_model() -> ServiceTimeModel:
     """Reduced quadratic with the published calibration coefficients."""
-    return ServiceTimeModel(a=1.7101e-07, b=0.0, c=1.665e-03, form="reduced",
+    return ServiceTimeModel(a=1.7101e-07, b=0.0, c=1.665e-03,
                             r_squared=0.999904, rss=4.946e-04)
 
 
@@ -96,7 +95,7 @@ def fit_service_model(samples, form: str = "reduced") -> ServiceTimeModel:
     else:
         a, c = coef
         b = 0.0
-    return ServiceTimeModel(a=float(a), b=float(b), c=float(c), form=form,
+    return ServiceTimeModel(a=float(a), b=float(b), c=float(c),
                             r_squared=r2, rss=rss)
 
 

@@ -3,6 +3,7 @@ on synthetic numbers; no benchmark runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,54 @@ class TestPairChecks:
         assert bench_pairs.parse_output(stdout) == {
             "correct": True, "failed": 0, "qos": 0.5, "digest": "f4e2",
             "metrics": {"qos": 0.5, "episodes_per_s": 400.0}}
+
+
+RESULT = "\n".join([
+    "details " + json.dumps({"output_digest": "f4e2"}),
+    json.dumps({"correct": True, "attempted": 9, "failed": 0,
+                "metrics": {"qos": {"value": 0.5, "unit": "ratio"}}})])
+
+
+def test_compiles_both_trees_before_the_first_pair(tmp_path, monkeypatch,
+                                                   capsys):
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"], "run_seconds": 16,
+        "end_to_end": [{"name": "qos", "better": "higher", "bound": 0.25}]}))
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append((argv[1:3], Path(cwd).name))
+        return subprocess.CompletedProcess(argv, 0, stdout=RESULT, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["--base", str(base), "--change", str(change),
+                             "--workload", "replay", "--pairs", "2",
+                             "--seed", "1"]) == 0
+    compile_all = ["-m", "compileall"]
+    assert calls == [
+        (compile_all, "base"), (compile_all, "change"),
+        (["perfbench/run.py", "--workload"], "base"),
+        (["perfbench/run.py", "--workload"], "change"),
+        (["perfbench/run.py", "--workload"], "change"),
+        (["perfbench/run.py", "--workload"], "base")]
+    assert "2 pairs" in capsys.readouterr().out
+
+
+def test_a_tree_that_does_not_compile_stops_the_run(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "perfbench/run.py"], "run_seconds": 16,
+        "end_to_end": []}))
+
+    def fake_run(argv, cwd, **kwargs):
+        assert argv[1:3] == ["-m", "compileall"]
+        return subprocess.CompletedProcess(argv, 1, stdout="*** Error",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit, match="compileall exit 1"):
+        bench_pairs.main(["--base", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "replay", "--pairs", "1",
+                          "--seed", "1"])

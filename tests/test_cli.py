@@ -288,6 +288,14 @@ def _edited_checkpoint(tmp_path, agent, edit):
     return bad
 
 
+# how a load rejects a retired config entry with a value other than the
+# constant that replaced it (a regular expression)
+RETIRED_PRUNE = ("config: prune_threshold is a constant now; a checkpoint "
+                 "may hold only 0.0001, ")
+RETIRED_CLIP = (r"config: reward_clip is a constant now; a checkpoint may "
+                r"hold only \[-100.0, 100.0\], ")
+
+
 @pytest.mark.parametrize("agent, edit, message", [
     ("dqn", lambda m: m["config"].update(momentum=0.9),
      "config has unknown key 'momentum'"),
@@ -309,7 +317,7 @@ def _edited_checkpoint(tmp_path, agent, edit):
     ("dqn", lambda m: m["config"].update(batch_size=8.5),
      "config: batch_size must be int, got 8.5"),
     ("dqn", lambda m: m["config"].update(reward_clip=100.0),
-     "config: reward_clip must be two finite numbers lo < hi, got 100.0"),
+     RETIRED_CLIP + "got 100.0"),
     ("sarsa", lambda b: b.update(qtable=5),
      r"qtable must be a list of \[state, values\] pairs, got 5"),
     ("sarsa", lambda b: b["qtable"].append([[0] * 9, [0, 0, "x"]]),
@@ -346,29 +354,38 @@ def _edited_checkpoint(tmp_path, agent, edit):
     ("sarsa", b"size,mean_time\n", r"Expecting value: line 1 column 1 \(char 0\)"),
     ("sarsa", b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: "
                         "invalid start byte"),
-    # these used to load: Python's JSON reads NaN and Infinity, a NaN
-    # comparison passed every range check, and reward_clip was checked to
-    # be a tuple only
+    # Python's JSON reads NaN and Infinity; these used to load, as a NaN
+    # comparison passed every range check. The trace-pruning cutoff and the
+    # reward clip are constants now, and a checkpoint may still hold them,
+    # with the constant's value only
     ("sarsa", lambda b: b["config"].update(prune_threshold=float("nan")),
-     "config: prune_threshold must be a finite number, got nan"),
+     RETIRED_PRUNE + "got nan"),
     ("sarsa", lambda b: b["config"].update(prune_threshold=float("inf")),
-     "config: prune_threshold must be a finite number, got inf"),
+     RETIRED_PRUNE + "got inf"),
     ("sarsa", lambda b: b["config"].update(prune_threshold=-1e-4),
-     "config: prune_threshold must be a finite number >= 0"),
+     RETIRED_PRUNE + "got -0.0001"),
     ("sarsa", lambda b: b["config"].update(epsilon_start=float("nan")),
      "config: epsilon_start must be a finite number, got nan"),
     ("sarsa", lambda b: b["config"].update(epsilon_min=float("nan")),
      "config: epsilon_min must be a finite number, got nan"),
     ("dqn", lambda m: m["config"].update(reward_clip=["a", None]),
-     r"config: reward_clip must be two finite numbers lo < hi, "
-     r"got \('a', None\)"),
+     RETIRED_CLIP + r"got \['a', None\]"),
     ("dqn", lambda m: m["config"].update(reward_clip=[5.0]),
-     r"config: reward_clip must be two finite numbers lo < hi, got \(5.0,\)"),
+     RETIRED_CLIP + r"got \[5.0\]"),
     ("dqn", lambda m: m["config"].update(reward_clip=[float("nan"), 1.0]),
-     r"config: reward_clip must be two finite numbers lo < hi, "
-     r"got \(nan, 1.0\)"),
+     RETIRED_CLIP + r"got \[nan, 1.0\]"),
     ("dqn", lambda m: m["config"].update(epsilon_min=float("nan")),
      "config: epsilon_min must be a finite number, got nan"),
+    ("sarsa", lambda b: b["config"].update(prune_threshold=0.5),
+     RETIRED_PRUNE + "got 0.5"),
+    ("dqn", lambda m: m["config"].update(reward_clip=[-1, 1]),
+     RETIRED_CLIP + r"got \[-1, 1\]"),
+    # both savers write version 1, and the loaders used to take any version
+    ("sarsa", lambda b: b.update(version=3), "version must be 1, got 3"),
+    ("dqn", lambda m: m.update(version=3), "version must be 1, got 3"),
+    ("sarsa", lambda b: b.update(version=True), "version must be 1, got True"),
+    ("sarsa", lambda b: b.pop("version"), "checkpoint has no 'version'"),
+    ("dqn", lambda m: m.pop("version"), "meta has no 'version'"),
 ], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
         "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
@@ -383,7 +400,9 @@ def _edited_checkpoint(tmp_path, agent, edit):
         "sarsa-prune-inf", "sarsa-prune-negative", "sarsa-epsilon-start-nan",
         "sarsa-epsilon-min-nan", "dqn-reward-clip-not-numbers",
         "dqn-reward-clip-one-number", "dqn-reward-clip-nan",
-        "dqn-epsilon-min-nan"])
+        "dqn-epsilon-min-nan", "sarsa-prune-other-value",
+        "dqn-reward-clip-other-value", "sarsa-version-3", "dqn-version-3",
+        "sarsa-version-bool", "sarsa-no-version", "dqn-no-version"])
 def test_run_rejects_malformed_checkpoint(tmp_path, tiny_config, capsys,
                                           agent, edit, message):
     bad = _edited_checkpoint(tmp_path, agent, edit)

@@ -36,10 +36,19 @@ def test_counts_only_code_lines(tmp_path):
     assert code_lines.code_lines(path) == 7
 
 
+def test_counts_non_blank_lines_as_grep_does(tmp_path):
+    path = tmp_path / "sample.py"
+    # blank, spaces only, a tab and a form feed, and a last line with no
+    # newline: grep -cv '^[[:space:]]*$' counts 13 here
+    path.write_text(SAMPLE + "\n   \n\t\x0c\nz = 3")
+    assert code_lines.nonblank_lines(path) == 13
+
+
 def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     (tmp_path / "a.py").write_text(SAMPLE)
     (tmp_path / "b.py").write_text("x = 1\n\ny = 2\n")
     assert code_lines.main([str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["7", "2", "9"]
-    assert lines[-1].split()[1] == "total"
+    assert [line.split()[:2] for line in lines] == [
+        ["7", "12"], ["2", "2"], ["9", "14"]]
+    assert lines[-1].split()[2] == "total"

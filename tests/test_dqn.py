@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from farmscale.core import Observation, RewardConfig
-from farmscale.dqn import (DqnAgent, DqnConfig, ReplayBuffer,
+from farmscale import dqn
+from farmscale.dqn import (REWARD_CLIP, DqnAgent, DqnConfig, ReplayBuffer,
                            double_dqn_targets)
 from farmscale.env import FarmEnv
 from farmscale.nn import Mlp
@@ -222,6 +223,17 @@ class TestDoubleDqnOracle:
         assert np.abs(agent.target.forward(contexts) - rewards).max() > 1e-3
 
 
+# A DQN checkpoint's meta as the saver wrote it while the reward clip was a
+# config field, for a default agent with epsilon 0.5
+EARLIER_META = (
+    '{"kind": "dqn", "version": 1, "config": {"replay_capacity": 75000, '
+    '"batch_size": 64, "warmup": 1000, "gamma": 0.95, "epsilon_start": 0.8, '
+    '"epsilon_min": 0.05, "epsilon_decay": 0.97, "tau": 0.01, '
+    '"learning_rate": 0.001, "grad_clip": 10.0, '
+    '"reward_clip": [-100.0, 100.0]}, "epsilon": 0.5, '
+    '"layer_sizes": [9, 128, 64, 3]}')
+
+
 class TestAgent:
     def test_normalize_maps_bounds_to_unit_box(self):
         agent = make_agent()
@@ -269,9 +281,10 @@ class TestAgent:
                             episodes=1)
             assert agent.buffer.size == max(at - 1, 0)
 
-    def test_reward_clip_matches_np_clip(self):
-        for lo, hi in ((-100.0, 100.0), (0.0, 1.0), (-1.0, -0.0)):
-            agent = make_agent(warmup=64, batch_size=2, reward_clip=(lo, hi))
+    def test_reward_clip_matches_np_clip(self, monkeypatch):
+        for lo, hi in (REWARD_CLIP, (0.0, 1.0), (-1.0, -0.0)):
+            monkeypatch.setattr(dqn, "REWARD_CLIP", (lo, hi))
+            agent = make_agent(warmup=64, batch_size=2)
             rewards = [-1e9, lo, hi, -0.0, 0.0, 0.5, -0.5, 99.9, 1e9, np.nan,
                        np.inf, -np.inf, 7, -3]
             for i, r in enumerate(rewards):
@@ -297,11 +310,12 @@ class TestAgent:
                    for b, w in zip(before, agent.policy.weights))
 
     def test_reward_clipping(self):
-        agent = make_agent(warmup=4, batch_size=2, reward_clip=(-10.0, 10.0))
+        assert REWARD_CLIP == (-100.0, 100.0)
+        agent = make_agent(warmup=4, batch_size=2)
         learn(agent, obs(), 0, 1e9, obs())
-        assert agent.buffer.rewards[0] == 10.0
+        assert agent.buffer.rewards[0] == 100.0
         learn(agent, obs(), 0, -1e9, obs())
-        assert agent.buffer.rewards[1] == -10.0
+        assert agent.buffer.rewards[1] == -100.0
 
     def test_act_draws_nothing_when_greedy_or_epsilon_zero(self):
         # exploration is LearningAgent.explore, which draws nothing at
@@ -339,6 +353,26 @@ class TestAgent:
                   for s in (0.1, 0.95)]
         for p in probes:
             assert back.select_action(p, None) == agent.select_action(p, None)
+
+    def test_loads_checkpoint_that_saved_reward_clip(self, tmp_path):
+        # the saver wrote the reward clip into the config while it was a
+        # DqnConfig field; such a checkpoint loads as long as the value is
+        # the constant's. Only the meta differs from what a saver writes
+        # today, so the arrays come from one
+        agent = make_agent()
+        path = tmp_path / "dqn.npz"
+        agent.save(path)
+        arrays = dict(np.load(path))
+        assert "reward_clip" not in json.loads(str(arrays["meta"]))["config"]
+        np.savez(path, **dict(arrays, meta=np.array(EARLIER_META)))
+        back = DqnAgent.load(path)
+        assert back.cfg == agent.cfg and back.epsilon == 0.5
+        rng = np.random.default_rng(5)
+        probes = [obs(q_work=int(rng.integers(0, 300)),
+                      n_workers=int(rng.integers(1, 21)),
+                      qos=float(rng.uniform())) for _ in range(30)]
+        assert ([back.select_action(p, None) for p in probes]
+                == [agent.select_action(p, None) for p in probes])
 
     def test_load_restores_flat_layout(self, tmp_path):
         agent = make_agent(warmup=16, batch_size=8)
@@ -487,11 +521,6 @@ class TestAgent:
             with pytest.raises(ValueError,
                                match=f"{key} must be a finite number, got nan"):
                 DqnConfig(**{key: float("nan")})
-        for clip in ((1.0, 1.0), (2.0, -2.0), (0.0, float("inf")),
-                     (True, 2.0), [-1.0, 1.0]):
-            with pytest.raises(ValueError, match="reward_clip must be two"):
-                DqnConfig(reward_clip=clip)
-        assert DqnConfig(reward_clip=(-1, 1)).reward_clip == (-1, 1)
         assert DqnConfig(gamma=0.0, epsilon_min=0.8).gamma == 0.0
 
 

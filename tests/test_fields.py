@@ -15,14 +15,15 @@ from farmscale.config import DEFAULTS, load_config
 from farmscale.core import EpisodeConfig, FieldError, RewardConfig
 from farmscale.dqn import DqnAgent, DqnConfig
 from farmscale.metrics import CostConfig
-from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
+from farmscale.sarsa import (PRUNE_THRESHOLD, SarsaAgent, SarsaConfig,
+                             default_discretizer)
 from farmscale.workload import WorkloadPhaseSpec, default_phases
 from tests.conftest import field_of
 
 CLASSES = (EpisodeConfig, RewardConfig, SarsaConfig, DqnConfig, CostConfig,
            WorkloadPhaseSpec)
 # the fields no scalar check covers; each class checks them itself
-NON_SCALAR = {"phases", "reward_clip", "kind"}
+NON_SCALAR = {"phases", "kind"}
 # the fields a class needs besides its defaults
 REQUIRED = {EpisodeConfig: {"phases": default_phases()},
             WorkloadPhaseSpec: {"kind": "steady", "base_rate": 5.0,
@@ -57,6 +58,14 @@ def test_every_field_is_scalar_or_listed():
             names.add(f.name)
             assert f.type in BAD or f.name in NON_SCALAR, (cls, f.name)
     assert NON_SCALAR <= names
+
+
+def test_every_agent_field_is_a_config_key():
+    """No agent field can be set in code alone: each is the config key of
+    its name under the agent's prefix, with the field's default."""
+    for cls, prefix in ((SarsaConfig, "sarsa_"), (DqnConfig, "dqn_")):
+        for f in dataclasses.fields(cls):
+            assert DEFAULTS.get(prefix + f.name) == f.default, (cls, f.name)
 
 
 @pytest.mark.parametrize("cls,name,kind,bad", cases(CLASSES))
@@ -95,8 +104,15 @@ def checkpoints(tmp_path_factory):
             DqnConfig: (arrays, json.loads(str(arrays["meta"])))}
 
 
+# a config entry that older SARSA checkpoints saved and that is a constant
+# now: a checkpoint may still hold it, with the constant's value only
+RETIRED = [pytest.param(SarsaConfig, "prune_threshold", "float", bad,
+                        id=f"SarsaConfig.prune_threshold={bad!r}")
+           for bad in BAD["float"]]
+
+
 @pytest.mark.parametrize("cls,name,kind,bad",
-                         cases((SarsaConfig, DqnConfig)))
+                         cases((SarsaConfig, DqnConfig)) + RETIRED)
 def test_checkpoint_rejects(tmp_path, checkpoints, cls, name, kind, bad):
     if cls is SarsaConfig:
         blob = json.loads(json.dumps(checkpoints[cls]))
@@ -113,4 +129,10 @@ def test_checkpoint_rejects(tmp_path, checkpoints, cls, name, kind, bad):
         agent = DqnAgent
     with pytest.raises(ValueError) as err:
         agent.load(path)
-    assert str(err.value) == f"{path}: config: {expected(name, kind, bad)}"
+    if name == "prune_threshold":
+        assert str(err.value) == (
+            f"{path}: config: prune_threshold is a constant now; a checkpoint "
+            f"may hold only {PRUNE_THRESHOLD!r}, got {bad!r}")
+    else:
+        assert str(err.value) == (
+            f"{path}: config: {expected(name, kind, bad)}")

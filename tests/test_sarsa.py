@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from farmscale.agent import greedy_index
 from farmscale.core import ACTIONS, Observation
-from farmscale.sarsa import (Discretizer, SarsaAgent, SarsaConfig,
-                             default_discretizer, sarsa_update)
+from farmscale import sarsa
+from farmscale.sarsa import (PRUNE_THRESHOLD, Discretizer, SarsaAgent,
+                             SarsaConfig, default_discretizer, sarsa_update)
 
 
 def obs(q_work=0, n_workers=4, t_avg=0.0, t_max=0.0, rate=0.0, qos=1.0):
@@ -181,14 +182,13 @@ class TestSarsaUpdate:
 
     def test_traces_decay_and_prune(self):
         qtable, traces = {}, {}
-        cfg = self._cfg(alpha=0.1, gamma=0.5, trace_decay=0.5,
-                        prune_threshold=1e-4)
+        cfg = self._cfg(alpha=0.1, gamma=0.5, trace_decay=0.5)
         sarsa_update(qtable, traces, ("a",), 0, 1.0, ("b",), 0, False, cfg)
         first = traces[("a",), 0]
         assert first == pytest.approx(0.25)  # (1) * gamma * lambda
         for step in range(12):
             sarsa_update(qtable, traces, ("b",), 0, 0.0, ("b",), 0, False, cfg)
-        assert (("a",), 0) not in traces  # decayed below the threshold
+        assert (("a",), 0) not in traces  # decayed below PRUNE_THRESHOLD
 
 
 # A deterministic ring of five states under a fixed policy: state s takes
@@ -207,15 +207,20 @@ def ring_q_pi():
 
 def ring_updates(trace_decay, prune_threshold, steps=20_000):
     """``sarsa_update`` driven around the ring from a zero table at
-    alpha 0.05; yields (Q table, traces) after every update."""
-    cfg = SarsaConfig(alpha=0.05, gamma=RING_GAMMA, trace_decay=trace_decay,
-                      prune_threshold=prune_threshold)
+    alpha 0.05, with traces pruned below ``prune_threshold`` in place of
+    ``PRUNE_THRESHOLD`` (0 prunes none); yields (Q table, traces) after
+    every update."""
+    cfg = SarsaConfig(alpha=0.05, gamma=RING_GAMMA, trace_decay=trace_decay)
     qtable, traces = {}, {}
     n = len(RING_REWARDS)
     for t in range(steps):
         s, s2 = t % n, (t + 1) % n
-        sarsa_update(qtable, traces, (s,), RING_POLICY[s], RING_REWARDS[s],
-                     (s2,), RING_POLICY[s2], False, cfg)
+        sarsa.PRUNE_THRESHOLD = prune_threshold  # for this update alone
+        try:
+            sarsa_update(qtable, traces, (s,), RING_POLICY[s],
+                         RING_REWARDS[s], (s2,), RING_POLICY[s2], False, cfg)
+        finally:
+            sarsa.PRUNE_THRESHOLD = PRUNE_THRESHOLD
         yield qtable, traces
 
 
@@ -248,7 +253,7 @@ class TestSarsaOracle:
             assert np.count_nonzero(qtable[(s,)]) == 1 and qtable[(s,)][a]
 
     def test_pruning_stays_within_derived_bound(self):
-        theta, n = 1e-4, len(RING_REWARDS)
+        theta, n = PRUNE_THRESHOLD, len(RING_REWARDS)
         # lambda 0.1: decay d = 0.095 and d^4 < theta, so a trace is pruned
         # at its fourth decay, two updates before the ring revisits it. Each
         # pruned value is below theta, and prunings of one entry are n
@@ -275,6 +280,24 @@ class TestSarsaOracle:
                 ring_updates(0.9, theta, 2_000)):
             assert pruned == full
         assert ring_values(pruned_q).tobytes() == ring_values(full_q).tobytes()
+
+
+# A checkpoint as the saver wrote it while the trace-pruning cutoff was a
+# config field, of a default_discretizer(8) agent with epsilon 0.25 and the
+# Q-table EARLIER_QTABLE
+EARLIER_CHECKPOINT = (
+    '{"kind": "sarsa", "version": 1, "config": {"alpha": 0.1, "gamma": 0.95, '
+    '"trace_decay": 0.9, "epsilon_start": 1.0, "epsilon_min": 0.05, '
+    '"epsilon_decay": 0.98, "prune_threshold": 0.0001}, "epsilon": 0.25, '
+    '"edges": [[1, 11, 41, 101], [1, 11, 41, 101], [1, 11, 41, 101], '
+    '[1, 11, 41, 101], [4, 8], [0.5, 1.0, 2.0], [0.5, 1.0, 2.0], '
+    '[2.5, 5.0, 7.5], [0.5, 0.9]], "qtable": '
+    '[[[0, 0, 0, 0, 1, 0, 0, 2, 2], [0.5, -1.0, 0.25]], '
+    '[[1, 2, 0, 0, 1, 1, 1, 2, 1], [-0.5, 0.0, 1.5]], '
+    '[[4, 4, 0, 0, 2, 3, 3, 3, 0], [2.0, 1.0, -3.0]]]}')
+EARLIER_QTABLE = {(0, 0, 0, 0, 1, 0, 0, 2, 2): (0.5, -1.0, 0.25),
+                  (1, 2, 0, 0, 1, 1, 1, 2, 1): (-0.5, 0.0, 1.5),
+                  (4, 4, 0, 0, 2, 3, 3, 3, 0): (2.0, 1.0, -3.0)}
 
 
 class TestSarsaAgent:
@@ -318,6 +341,27 @@ class TestSarsaAgent:
         assert (back.select_action(probe, None)
                 == agent.select_action(probe, None))
 
+    def test_loads_checkpoint_that_saved_prune_threshold(self, tmp_path):
+        # the saver wrote the trace-pruning cutoff into the config while it
+        # was a SarsaConfig field; such a checkpoint loads as long as the
+        # value is the constant's
+        path = tmp_path / "sarsa.json"
+        path.write_text(EARLIER_CHECKPOINT)
+        back = SarsaAgent.load(path)
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(8))
+        for state, row in EARLIER_QTABLE.items():
+            agent.qtable[state] = np.array(row)
+        assert back.cfg == agent.cfg and back.epsilon == 0.25
+        assert back.discretizer == agent.discretizer
+        for state in (*EARLIER_QTABLE, (0,) * 9):
+            assert (back.act(state, greedy=True)
+                    == agent.act(state, greedy=True))
+        assert [back.act(state, greedy=True) for state in EARLIER_QTABLE] == [
+            -1, 1, -1]
+        # a saver today writes no such entry
+        agent.save(path)
+        assert "prune_threshold" not in json.loads(path.read_text())["config"]
+
     @pytest.mark.parametrize("state, row", [
         ([0] * 9, [0.0, 1.0]),
         ([0] * 8, [0.0, 1.0, 2.0]),
@@ -360,7 +404,3 @@ class TestSarsaAgent:
             with pytest.raises(ValueError,
                                match=f"{key} must be a finite number, got nan"):
                 SarsaConfig(**{key: float("nan")})
-        for bad in (-1e-4, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="prune_threshold must be"):
-                SarsaConfig(prune_threshold=bad)
-        assert SarsaConfig(prune_threshold=0.0).prune_threshold == 0.0

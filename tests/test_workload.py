@@ -441,7 +441,7 @@ class TestEpisodeWorkload:
         # a service time that overflows to inf leaves no room for a
         # deadline above it, so the builder's per-size check must refuse it
         _, dist = model_and_dist
-        model = ServiceTimeModel(a=1e308, b=0.0, c=0.0, form="reduced")
+        model = ServiceTimeModel(a=1e308, b=0.0, c=0.0)
         with pytest.raises(ValueError,
                            match="^deadline must exceed service_time$"):
             build_episode_workload(ep_config, dist, model, False, 0)

@@ -3,10 +3,13 @@
     python3 tools/bench_pairs.py --base DIR --change DIR --workload W \\
         --pairs N --seed S [--seconds T] [--out FILE]
 
-Each pair runs the benchmark command of ``BENCHMARK.json`` (read from the
-change tree) with ``--workload W --seed S --seconds T --trace 0`` once in
-each source tree, from that tree's root; the side that runs first
-alternates. ``--seconds`` defaults to ``run_seconds``.
+Before the first pair, ``python3 -m compileall -q src`` byte-compiles each
+tree's sources, so that neither side's import time includes compiling the
+modules that the other side has cached. Each pair runs the benchmark
+command of ``BENCHMARK.json`` (read from the change tree) with ``--workload
+W --seed S --seconds T --trace 0`` once in each source tree, from that
+tree's root; the side that runs first alternates. ``--seconds`` defaults
+to ``run_seconds``.
 
 For each end-to-end metric it prints each side's median and quartiles, the
 pairs the change won (ties count for neither side), whether a gain may be
@@ -90,6 +93,16 @@ def problems(pair: int, base: dict, change: dict) -> list:
     return found
 
 
+def compile_sources(tree: Path):
+    """Byte-compile ``src`` in ``tree``; exit with a message if it fails."""
+    proc = subprocess.run(["python3", "-m", "compileall", "-q", "src"],
+                          cwd=tree, capture_output=True, text=True,
+                          check=False)
+    if proc.returncode:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"error: {tree}: compileall exit {proc.returncode}")
+
+
 def run_once(tree: Path, command, workload: str, seed: int,
              seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed),
@@ -125,6 +138,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
+    compile_sources(args.base)
+    compile_sources(args.change)
     runs, found = [], []
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")

@@ -1,10 +1,13 @@
-"""Print the code lines of each Python file in a directory, and their total.
+"""Print the code lines and the non-blank lines of each Python file in a
+directory, and their totals.
 
     python3 tools/code_lines.py [DIR]    (default: src/farmscale)
 
-A code line holds at least one token that is not a comment, and is not part
-of a docstring (the leading string of a module, class or function). Blank
-lines, comment lines and docstrings are not counted. Standard library only.
+Each row is the code lines, the non-blank lines and the file; the last row
+is the totals. A code line holds at least one token that is not a comment,
+and is not part of a docstring (the leading string of a module, class or
+function). A non-blank line holds anything but whitespace, as
+``grep -cv '^[[:space:]]*$'`` counts it. Standard library only.
 """
 
 import ast
@@ -37,14 +40,20 @@ def code_lines(path) -> int:
     return len(lines - docstring_lines(tree))
 
 
+def nonblank_lines(path) -> int:
+    return sum(1 for line in Path(path).read_bytes().split(b"\n")
+               if line.strip())
+
+
 def main(argv) -> int:
     root = Path(argv[0] if argv else "src/farmscale")
-    total = 0
+    code_total = nonblank_total = 0
     for path in sorted(root.glob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path}")
-    print(f"{total:6d}  total")
+        code, nonblank = code_lines(path), nonblank_lines(path)
+        code_total += code
+        nonblank_total += nonblank
+        print(f"{code:6d}  {nonblank:6d}  {path}")
+    print(f"{code_total:6d}  {nonblank_total:6d}  total")
     return 0
 
 
