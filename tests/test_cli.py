@@ -380,7 +380,7 @@ RETIRED_CLIP = (r"config: reward_clip is a constant now; a checkpoint may "
      RETIRED_PRUNE + "got 0.5"),
     ("dqn", lambda m: m["config"].update(reward_clip=[-1, 1]),
      RETIRED_CLIP + r"got \[-1, 1\]"),
-    # both savers write version 1, and the loaders used to take any version
+    # both savers write version 1, and a loader takes no other
     ("sarsa", lambda b: b.update(version=3), "version must be 1, got 3"),
     ("dqn", lambda m: m.update(version=3), "version must be 1, got 3"),
     ("sarsa", lambda b: b.update(version=True), "version must be 1, got True"),
