@@ -119,15 +119,19 @@ class TaskSpec(_TaskFields):
 
     A task is its own row: it equals the plain tuple of its values, in the
     order of ``_fields``. Every construction through the class (positional,
-    keyword, ``_make`` and ``_replace``) runs ``check_task_timing``;
-    assignment raises ``AttributeError``. The workload builder runs the
-    checks once per distinct size and makes its rows with ``tuple.__new__``.
+    keyword, ``_make`` and ``_replace``) rejects an arrival time that is not
+    finite and runs ``check_task_timing``; assignment raises
+    ``AttributeError``. The workload builder runs the timing checks once per
+    distinct size and makes its rows with ``tuple.__new__``: its arrival
+    times are finite by construction.
     """
 
     __slots__ = ()
 
     def __new__(cls, task_id, arrival_time, size_px, service_time, deadline,
                 phase_index):
+        if not is_finite(arrival_time):
+            raise ValueError(f"arrival_time must be finite, got {arrival_time!r}")
         check_task_timing(service_time, deadline)
         return tuple.__new__(cls, (task_id, arrival_time, size_px,
                                    service_time, deadline, phase_index))

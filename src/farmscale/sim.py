@@ -2,38 +2,46 @@
 
 Events execute in time order with a fixed tie-break (completion < arrival <
 worker-ready, then ascending id) so that identical (config, workload, seed)
-always produce bitwise-identical traces. Injected arrivals wait in their own
-deque, sorted by (time, task id); the event heap holds only completions and
-worker-ready events, about one per worker. Each step of the event loop takes
-the smaller of the two heads, comparing whole (time, kind, id) keys, so the
-merged stream runs in exactly that order. The emitter and collector are
+always produce bitwise-identical traces. The emitter and collector are
 zero-delay: arriving tasks land in the worker queue instantly and completed
 tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
+
+A simulator takes one batch of tasks, kept as one list of arrivals sorted by
+(time, task id) and ended by a sentinel that never arrives. Workers take
+tasks first come, first served in that order, so the tasks dispatched are a
+prefix of the list and the worker queue is a span of it: from ``_next``, the
+first task not dispatched, to the last arrival before the current event.
+The event heap holds only completions and worker-ready events, about one per
+worker. Between events the backlog invariant holds: while the queue is
+non-empty, no live worker is idle. So an arrival is an event only while some
+worker is idle, and then it is the head of the list and starts at once on
+the lowest idle worker id, the same tie-break as a scan over the pool. Under
+backlog arrivals are not events: a completion gives its worker the head of
+the list if that task arrived strictly before it, a worker that becomes
+ready takes it if it arrived at or before that moment (the tie-break above),
+and otherwise the worker goes idle and arrivals are events again. The
+enqueue count is one bisect of the list at the end of each ``advance``; in
+trace mode the arrivals passed over are written to the trace in merged
+order, before the next event that follows them.
 
 The pool is one map from worker id to status, in start order: starting,
 idle, busy, or draining (busy, and leaving when its task completes). Only
 busy workers ever drain: a starting scale-down victim is cancelled and an
 idle one exits at once. Pool counts are worked out from the statuses when
-asked for. Between events the backlog invariant holds: while the worker
-queue is non-empty, no live worker is idle. So each event hands a task
-straight to its worker. An arrival with no backlog starts at once on the
-lowest idle worker id, the same tie-break as a scan over the pool, and
-otherwise joins the queue; a completion under backlog gives the finishing
-worker the head of the queue; a worker that becomes ready takes the head of
-the queue, or goes idle when there is none. The idle workers are kept as an
-ascending list of their ids. Startup is sequential and a scale-down takes
-the newest worker, so the starting workers are always the newest ones, and
-their ready times are a deque of pending starts, oldest first: a new start
-queues behind the last of them. Validate mode checks that, the invariant,
-the idle list and the conservation identity after every event. A simulator
-takes one batch of tasks; the completion records are its only accounting
-state, and its enqueue count is the batch less the arrivals pending.
+asked for. The idle workers are kept as an ascending list of their ids.
+Startup is sequential and a scale-down takes the newest worker, so the
+starting workers are always the newest ones, and their ready times are a
+deque of pending starts, oldest first: a new start queues behind the last of
+them. Validate mode checks that, the invariant, the idle list and the
+conservation identity after every event. The task counts come from three
+values alone: the completion records, ``_next`` and the enqueue count.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+import math
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -47,6 +55,9 @@ from .core import ACTIONS, as_action
 _COMPLETION = 0
 _ARRIVAL = 1
 _WORKER_READY = 2
+# ends every arrival list: it never arrives, so no read of the head checks
+# the list's length
+_END = (math.inf, _ARRIVAL, -1, None)
 
 STARTING = "starting"
 IDLE = "idle"
@@ -78,12 +89,14 @@ class FarmSim:
         self.rng = rng
         self.validate = validate
         self.clock = 0.0
-        self.q_work = deque()
         self.workers: dict[int, str] = {}  # id -> status, in start order
         self.completion_records = []  # (task, completion_time, met)
         self._events = []  # (time, kind, id, payload): completions, readies
-        self._arrivals = deque()  # (time, _ARRIVAL, task_id, task), sorted
-        self._injected = None  # the size of the one batch, once injected
+        self._arrivals = [_END]  # (time, _ARRIVAL, task_id, task), sorted
+        self._next = 0  # index of the first arrival not yet dispatched
+        self._traced = 0  # arrivals written to the trace so far
+        self._injected = False
+        self.enqueued_total = 0  # arrivals up to the end of the last advance
         self._ids = count()  # worker ids, never reused
         self._idle = []  # ids of the idle workers, ascending
         self._starts = deque()  # pending starts' ready times, oldest first
@@ -124,7 +137,7 @@ class FarmSim:
         given in any order. Arrivals run in (arrival time, task id) order.
         A second batch, or a task id repeated in the batch, raises
         ``ValueError`` and schedules nothing."""
-        if self._injected is not None:
+        if self._injected:
             raise ValueError("a simulator takes one batch of tasks")
         batch = [(t.arrival_time, _ARRIVAL, t.task_id, t) for t in tasks]
         if len({a[2] for a in batch}) < len(batch):
@@ -134,8 +147,9 @@ class FarmSim:
                     raise ValueError(f"duplicate task_id {task_id}")
                 seen.add(task_id)
         batch.sort()  # ids are unique, so the tasks themselves never compare
-        self._arrivals.extend(batch)
-        self._injected = len(batch)
+        batch.append(_END)
+        self._arrivals = batch
+        self._injected = True
 
     def request_scale(self, delta: int) -> int:
         """Apply a unit scaling request, clipped to pool bounds.
@@ -177,24 +191,29 @@ class FarmSim:
         return applied
 
     def advance(self, dt: float) -> None:
-        """Execute all events in (clock, clock + dt]."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        """Execute all events in (clock, clock + dt]. A ``dt`` that is not
+        positive and finite raises ``ValueError``."""
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         end = self.clock + dt
-        events, arrivals = self._events, self._arrivals
-        pop, next_arrival = heappop, arrivals.popleft
+        events, arrivals, idle = self._events, self._arrivals, self._idle
+        pop = heappop
         # bound per call, not per instance, so wrappers on the class apply
         on_arrival, on_completion, on_ready = (
             self._on_arrival, self._on_completion, self._on_worker_ready)
         check = self._check_conservation if self.validate else None
         while True:
-            if arrivals and (not events or arrivals[0] < events[0]):
-                if arrivals[0][0] > end:
+            # with a worker idle the queue is empty: the next arrival is an
+            # event, and it is the head of the list
+            if idle and (not events or arrivals[self._next] < events[0]):
+                event = arrivals[self._next]
+                if event[0] > end:
                     break
-                self.clock, _, _, task = next_arrival()
-                on_arrival(task)
+                self.clock = event[0]
+                on_arrival(event[3])
             elif events and events[0][0] <= end:
-                self.clock, kind, eid, task = pop(events)
+                event = pop(events)
+                self.clock, kind, eid, task = event
                 if kind == _COMPLETION:
                     on_completion(eid, task)
                 else:
@@ -202,46 +221,54 @@ class FarmSim:
             else:
                 break
             if check is not None:
-                check()
+                check(event)
         self.clock = end
+        self.enqueued_total = bisect_right(arrivals, (end, _WORKER_READY),
+                                           self._next)
+        if self.trace is not None:
+            self._record_arrivals((end, _WORKER_READY))
 
     def snapshot(self) -> Snapshot:
+        return self._snapshot(self.enqueued_total)
+
+    def _snapshot(self, arrived: int) -> Snapshot:
+        """The pool and task counts, with ``arrived`` tasks arrived."""
         statuses = list(self.workers.values())
         starting = statuses.count(STARTING)
         draining = statuses.count(DRAINING)
         return Snapshot(
-            q_work=len(self.q_work),
+            q_work=arrived - self._next,
             workers_effective=len(statuses) - starting - draining,
             workers_busy=statuses.count(BUSY) + draining,
             workers_starting=starting,
             workers_draining=draining,
-            enqueued_total=self.enqueued_total,
+            enqueued_total=arrived,
             completed_total=len(self.completion_records),
         )
 
-    @property
-    def enqueued_total(self) -> int:
-        """Tasks arrived so far: the batch less the arrivals pending."""
-        return (self._injected or 0) - len(self._arrivals)
+    def _record_arrivals(self, key):
+        """Trace the arrivals not traced yet whose keys are at most ``key``;
+        callers check ``self.trace`` first."""
+        first, self._traced = self._traced, bisect_right(
+            self._arrivals, key, self._traced)
+        self.trace.extend((time, "arrival", task_id, -1) for time, _, task_id, _
+                          in self._arrivals[first:self._traced])
 
     # -- event handlers -----------------------------------------------------
-    # Each keeps the backlog invariant: a task joins the queue only when no
-    # live worker is idle, and a worker goes idle only when the queue is
-    # empty. Starting a task is written out in each of them, as this is the
-    # per-task path.
+    # Each keeps the backlog invariant: a worker goes idle only when the head
+    # of the list has not arrived, and an arrival is an event only while a
+    # worker is idle. Starting a task is written out in each of them, as this
+    # is the per-task path.
 
     def _on_arrival(self, task):
-        trace = self.trace
-        if trace is not None:
-            self._record("arrival", task_id=task.task_id)
-        if self.q_work or not self._idle:
-            self.q_work.append(task)
-            return
+        # a worker is idle, so the queue is empty and ``task`` is its head
+        self._next += 1
         wid = self._idle.pop(0)
         self.workers[wid] = BUSY
         heappush(self._events, (self.clock + task.service_time, _COMPLETION,
                                 wid, task))
-        if trace is not None:
+        if self.trace is not None:
+            self._record_arrivals((self.clock, _ARRIVAL, task.task_id, task))
             self._record("dispatch", task_id=task.task_id, worker_id=wid)
 
     def _on_completion(self, worker_id, task):
@@ -251,14 +278,17 @@ class FarmSim:
         self.completion_records.append((task, clock, met))
         trace = self.trace
         if trace is not None:
+            self._record_arrivals((clock, _COMPLETION))
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)
         if self.workers[worker_id] == DRAINING:
             del self.workers[worker_id]
             if trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
-        elif self.q_work:
-            queued = self.q_work.popleft()
+        elif (head := self._arrivals[self._next])[0] < clock:
+            # the head arrived before this completion: the queue's first task
+            self._next += 1
+            queued = head[3]
             heappush(self._events, (clock + queued.service_time, _COMPLETION,
                                     worker_id, queued))
             if trace is not None:
@@ -274,9 +304,11 @@ class FarmSim:
         self._starts.popleft()  # the oldest pending start is this one
         trace = self.trace
         if trace is not None:
+            self._record_arrivals((self.clock, _WORKER_READY))
             self._record("worker_ready", worker_id=worker_id)
-        if self.q_work:
-            task = self.q_work.popleft()
+        if (head := self._arrivals[self._next])[0] <= self.clock:
+            self._next += 1
+            task = head[3]
             self.workers[worker_id] = BUSY
             heappush(self._events, (self.clock + task.service_time,
                                     _COMPLETION, worker_id, task))
@@ -287,9 +319,10 @@ class FarmSim:
             self.workers[worker_id] = IDLE
             insort(self._idle, worker_id)
 
-    def _check_conservation(self):
-        """Conservation identity and the backlog invariant, plus the start
-        order, the pending starts and the idle list against the statuses."""
+    def _check_conservation(self, key):
+        """Conservation identity and the backlog invariant after the event
+        ``key``, plus the start order, the pending starts and the idle list
+        against the statuses."""
         statuses = list(self.workers.values())
         pending = len(self._starts)
         if ([s == STARTING for s in statuses]
@@ -297,16 +330,17 @@ class FarmSim:
             raise ConservationError(
                 f"{pending} pending starts, but the starting workers are not"
                 f" the newest {pending} of {statuses} at t={self.clock}")
+        # the arrivals up to the event have arrived
+        snap = self._snapshot(bisect_right(self._arrivals, key, self._next))
         idle = [w for w, status in self.workers.items() if status == IDLE]
+        if snap.q_work and idle:
+            raise ConservationError(
+                f"{snap.q_work} tasks queued while workers {idle} are"
+                f" idle at t={self.clock}")
         if self._idle != idle:
             raise ConservationError(
                 f"idle list holds {self._idle}, idle workers are {idle}"
                 f" at t={self.clock}")
-        if self.q_work and idle:
-            raise ConservationError(
-                f"{len(self.q_work)} tasks queued while workers {idle} are"
-                f" idle at t={self.clock}")
-        snap = self.snapshot()
         if snap.enqueued_total != (snap.q_work + snap.workers_busy
                                    + snap.completed_total):
             raise ConservationError(f"enqueued != queued + busy + completed"

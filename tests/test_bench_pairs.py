@@ -116,32 +116,94 @@ RESULT = "\n".join([
                 "metrics": {"qos": {"value": 0.5, "unit": "ratio"}}})])
 
 
-def test_compiles_both_trees_before_the_first_pair(tmp_path, monkeypatch,
-                                                   capsys):
-    base, change = tmp_path / "base", tmp_path / "change"
-    base.mkdir()
-    change.mkdir()
-    (change / "BENCHMARK.json").write_text(json.dumps({
-        "command": ["python3", "perfbench/run.py"], "run_seconds": 16,
-        "end_to_end": [{"name": "qos", "better": "higher", "bound": 0.25}]}))
+def two_trees(tmp_path):
+    """A base and a change tree, each naming its side in ``side.txt``, with
+    leftovers a copy must not carry."""
+    trees = []
+    for side in ("base", "change"):
+        tree = tmp_path / side
+        (tree / "src" / "__pycache__").mkdir(parents=True)
+        (tree / "perfbench" / "out").mkdir(parents=True)
+        (tree / "side.txt").write_text(side)
+        (tree / "BENCHMARK.json").write_text(json.dumps({
+            "command": ["python3", "perfbench/run.py"], "run_seconds": 16,
+            "end_to_end": [{"name": "qos", "better": "higher",
+                            "bound": 0.25}]}))
+        trees.append(tree)
+    return trees
+
+
+def fake_runs(monkeypatch):
+    """Stand in for every subprocess; returns the (argv head, side, cwd)
+    of each call, the side read from the copy it ran in."""
     calls = []
 
     def fake_run(argv, cwd, **kwargs):
-        calls.append((argv[1:3], Path(cwd).name))
+        cwd = Path(cwd)
+        assert not (cwd / "src" / "__pycache__").exists()
+        assert not (cwd / "perfbench" / "out").exists()
+        calls.append((argv[1:3], (cwd / "side.txt").read_text(), cwd))
         return subprocess.CompletedProcess(argv, 0, stdout=RESULT, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    return calls
+
+
+def test_each_run_compiles_a_fresh_copy_of_its_tree(tmp_path, monkeypatch,
+                                                     capsys):
+    base, change = two_trees(tmp_path)
+    calls = fake_runs(monkeypatch)
     assert bench_pairs.main(["--base", str(base), "--change", str(change),
                              "--workload", "replay", "--pairs", "2",
                              "--seed", "1"]) == 0
-    compile_all = ["-m", "compileall"]
-    assert calls == [
-        (compile_all, "base"), (compile_all, "change"),
-        (["perfbench/run.py", "--workload"], "base"),
-        (["perfbench/run.py", "--workload"], "change"),
-        (["perfbench/run.py", "--workload"], "change"),
-        (["perfbench/run.py", "--workload"], "base")]
+    compile_all, bench = ["-m", "compileall"], ["perfbench/run.py",
+                                                "--workload"]
+    assert [call[:2] for call in calls] == [
+        (compile_all, "base"), (bench, "base"),
+        (compile_all, "change"), (bench, "change"),
+        (compile_all, "change"), (bench, "change"),
+        (compile_all, "base"), (bench, "base")]
+    cwds = [cwd for _, _, cwd in calls]
+    assert cwds[0::2] == cwds[1::2]  # each run where its copy compiled
+    for cwd in cwds:
+        assert cwd.parent not in (tmp_path, base, change)
+        assert set(cwd.name) == {"t"}
+        assert 1 <= len(cwd.name) <= bench_pairs.MAX_PAD
+        assert not cwd.exists()  # deleted after its run
     assert "2 pairs" in capsys.readouterr().out
+
+
+def test_aa_runs_the_base_against_a_copy_of_itself(tmp_path, monkeypatch,
+                                                   capsys):
+    base, _ = two_trees(tmp_path)
+    calls = fake_runs(monkeypatch)
+    out = tmp_path / "aa.json"
+    assert bench_pairs.main(["--base", str(base), "--aa", "--workload",
+                             "replay", "--pairs", "2", "--seed", "1",
+                             "--out", str(out)]) == 0
+    assert {side for _, side, _ in calls} == {"base"} and len(calls) == 8
+    printed = capsys.readouterr().out
+    assert "2 A/A pairs" in printed
+    assert ("A/A floor qos: median gap +0.00%, base IQR 0.00% of the base"
+            " median") in printed
+    written = json.loads(out.read_text())
+    assert written["aa"] and written["aa_floor"] == {
+        "qos": {"gap": 0.0, "iqr": 0.0}}
+
+
+def test_aa_floor_is_a_share_of_the_base_median():
+    floor = bench_pairs.aa_floor(judge(BASE, [b * 0.95 for b in BASE],
+                                       "higher", 0.25))
+    assert floor["gap"] == pytest.approx(-0.05)
+    assert floor["iqr"] == pytest.approx(9.0 / 379.0)
+
+
+@pytest.mark.parametrize("argv", [[], ["--change", "x", "--aa"]])
+def test_needs_exactly_one_of_change_and_aa(argv, capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["--base", "b", "--workload", "replay",
+                                "--pairs", "1", "--seed", "1", *argv])
+    assert "--change" in capsys.readouterr().err
 
 
 def test_a_tree_that_does_not_compile_stops_the_run(tmp_path, monkeypatch):

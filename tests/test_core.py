@@ -1,6 +1,7 @@
 """Domain vocabulary: deadlines, observations, configs, episode logs."""
 
 import csv
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +74,28 @@ class TestTaskSpec:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TaskSpec(*self.ARGS)._replace(service_time=service,
                                           deadline=deadline)
+
+    BUILDS = {
+        "positional": lambda args: TaskSpec(*args.values()),
+        "keyword": lambda args: TaskSpec(**args),
+        "_make": lambda args: TaskSpec._make(args.values()),
+        "_replace": lambda args: TaskSpec(*TestTaskSpec.ARGS)._replace(
+            arrival_time=args["arrival_time"]),
+    }
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf,
+                                         10 ** 400], ids=repr)
+    def test_every_construction_rejects_an_arrival_not_finite(self, build,
+                                                               arrival):
+        # a NaN arrival never runs in the simulator, and a static run over
+        # one would never end
+        args = dict(zip(TaskSpec._fields, self.ARGS), arrival_time=arrival)
+        with pytest.raises(ValueError,
+                           match="^arrival_time must be finite, got "):
+            self.BUILDS[build](args)
+        assert self.BUILDS[build](dict(args, arrival_time=-2.5)) == (
+            7, -2.5, *self.ARGS[2:])
 
     def test_replace_builds_a_new_spec(self):
         spec = TaskSpec(*self.ARGS)

@@ -2,6 +2,8 @@
 
 import bisect
 import heapq
+import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,13 +19,48 @@ from tests.conftest import (constant_service_tasks, fuzz_sim,
 
 
 class DispatchReferenceSim(FarmSim):
-    """The simulator's event handlers before tasks were handed straight to
-    their workers: every arrival joins the queue, every freed or ready
-    worker joins the idle list, and ``_dispatch`` pairs the two. Kept as
-    the reference the direct handoff must match event for event."""
+    """The simulator before tasks were handed straight to their workers and
+    queued arrivals stopped being events: every arrival is an event and
+    joins an explicit queue, every freed or ready worker joins the idle
+    list, and ``_dispatch`` pairs the two. Its own loop merges a deque of
+    pending arrivals with the event heap, and its snapshot is a recount of
+    its own queue and the statuses. Only the pool, scaling and the trace
+    record are shared with ``FarmSim``. Kept as the reference the span queue
+    and the direct handoff must match event for event."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pending, self.queue, self.arrived = deque(), deque(), 0
+
+    def inject_tasks(self, tasks):
+        self.pending.extend(sorted((t.arrival_time, sim_module._ARRIVAL,
+                                    t.task_id, t) for t in tasks))
+
+    def advance(self, dt):
+        end = self.clock + dt
+        pending, events = self.pending, self._events
+        while True:
+            if pending and (not events or pending[0] < events[0]):
+                if pending[0][0] > end:
+                    break
+                self.clock, _, _, task = pending.popleft()
+                self._on_arrival(task)
+            elif events and events[0][0] <= end:
+                self.clock, kind, eid, task = heapq.heappop(events)
+                if kind == sim_module._COMPLETION:
+                    self._on_completion(eid, task)
+                else:
+                    self._on_worker_ready(eid)
+            else:
+                break
+        self.clock = end
+
+    def snapshot(self):
+        return recount(self, len(self.queue), self.arrived)
 
     def _on_arrival(self, task):
-        self.q_work.append(task)
+        self.arrived += 1
+        self.queue.append(task)
         if self.trace is not None:
             self._record("arrival", task_id=task.task_id)
         self._dispatch()
@@ -54,9 +91,9 @@ class DispatchReferenceSim(FarmSim):
         self._dispatch()
 
     def _dispatch(self):
-        while self.q_work and self._idle:
+        while self.queue and self._idle:
             worker_id = self._idle.pop(0)
-            task = self.q_work.popleft()
+            task = self.queue.popleft()
             self.workers[worker_id] = BUSY
             heapq.heappush(self._events, (self.clock + task.service_time,
                                           sim_module._COMPLETION, worker_id,
@@ -114,6 +151,14 @@ class TestStartup:
         sim.advance(1e-9)
         assert sim.snapshot().workers_effective == 1
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_advance_rejects_a_step_not_positive_and_finite(self, dt):
+        sim = make_sim(n_init=1, warm=True)
+        sim.inject_tasks([simple_task(0, 0.5)])
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            sim.advance(dt)
+        assert sim.clock == 0.0 and sim.snapshot() == scanned_snapshot(sim)
+
 
 class TestInjection:
     def test_duplicate_task_id_rejected(self):
@@ -125,7 +170,9 @@ class TestInjection:
             for batch in ([simple_task(1, 0.7)], [simple_task(2, 0.7)], []):
                 with pytest.raises(ValueError, match="one batch of tasks"):
                     sim.inject_tasks(batch)
-                assert len(sim._arrivals) == len(first)
+                assert sim._arrivals == [(t.arrival_time, sim_module._ARRIVAL,
+                                          t.task_id, t) for t in first] + [
+                    sim_module._END]
 
     def test_enqueued_total_counts_arrived_tasks(self):
         sim = make_sim(warm=True)
@@ -241,7 +288,10 @@ class TestMergedArrivals:
         sim = make_sim()
         with pytest.raises(ValueError, match="duplicate task_id 2"):
             sim.inject_tasks([simple_task(2, 0.5), simple_task(2, 0.7)])
-        assert not sim._arrivals
+        assert sim._arrivals == [sim_module._END]
+        sim.inject_tasks([simple_task(2, 0.5)])  # still takes its one batch
+        sim.advance(1.0)
+        assert sim.snapshot().enqueued_total == 1
 
 
 class TestScaling:
@@ -374,19 +424,33 @@ class TestConservationAndDeterminism:
                 == 3500)
 
 
-def scanned_snapshot(sim):
-    """Snapshot recounted worker by worker, the reference for the counts
-    ``snapshot`` works out: a draining worker is busy but not effective."""
+def recount(sim, queued, arrived):
+    """Snapshot with the given task counts and the pool recounted worker by
+    worker: a draining worker is busy but not effective."""
     statuses = sim.workers.values()
     return Snapshot(
-        q_work=len(sim.q_work),
+        q_work=queued,
         workers_effective=sum(s in (IDLE, BUSY) for s in statuses),
         workers_busy=sum(s in (BUSY, DRAINING) for s in statuses),
         workers_starting=sum(s == STARTING for s in statuses),
         workers_draining=sum(s == DRAINING for s in statuses),
-        enqueued_total=sim.enqueued_total,
+        enqueued_total=arrived,
         completed_total=len(sim.completion_records),
     )
+
+
+def scanned_snapshot(sim):
+    """``FarmSim.snapshot`` recounted, between calls to ``advance``, the
+    reference for the counts it works out: the tasks arrived are those of
+    the batch at or before the clock, once the clock has moved, and the
+    queue is those of them neither completed nor held by a busy worker."""
+    arrived = {task_id for time, _, task_id, _ in sim._arrivals
+               if time <= sim.clock and sim.clock > 0}
+    dispatched = {task.task_id for task, _, _ in sim.completion_records}
+    dispatched |= {task.task_id for _, kind, _, task in sim._events
+                   if kind == sim_module._COMPLETION}
+    assert dispatched <= arrived
+    return recount(sim, len(arrived - dispatched), len(arrived))
 
 
 def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed,
@@ -546,6 +610,37 @@ class TestDispatchReference:
         assert sim.completion_records == reference.completion_records
         assert len(sim.completion_records) == len(tasks)
 
+    @given(slots=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
+                          max_size=40),
+           program=st.lists(st.tuples(st.sampled_from((-1, 0, 1)),
+                                      st.integers(1, 4)),
+                            min_size=1, max_size=30),
+           warm=st.booleans(), n_init=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_snapshot_matches_the_reference_recount_at_every_step(
+            self, slots, program, warm, n_init):
+        # untraced and unvalidated, as an episode runs; on the 0.5 grid the
+        # step ends tie with arrivals, completions and readies, so the
+        # bisect's key at the end of a step decides which tasks have arrived
+        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
+                 for i, (a, s) in enumerate(slots)]
+        cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init, n_max=4,
+                                  warm_start=warm, latency_lo=1.0,
+                                  latency_hi=1.0)
+        sim, reference = (cls(cfg, np.random.default_rng(7))
+                          for cls in (FarmSim, DispatchReferenceSim))
+        sim.inject_tasks(tasks)
+        reference.inject_tasks(tasks)
+        assert sim.snapshot() == reference.snapshot()
+        for action, dt in [*program, (0, 200)]:
+            assert sim.request_scale(action) == reference.request_scale(action)
+            assert sim.snapshot() == reference.snapshot()
+            sim.advance(0.5 * dt)
+            reference.advance(0.5 * dt)
+            assert sim.snapshot() == reference.snapshot()
+            assert sim.enqueued_total == reference.arrived
+        assert sim.completion_records == reference.completion_records
+
 
 class TestBacklogInvariant:
     def test_validate_finds_a_task_lost_from_the_count(self):
@@ -559,13 +654,16 @@ class TestBacklogInvariant:
             sim.advance(5.0)
 
     def test_validate_finds_queued_task_beside_idle_worker(self):
-        sim = make_sim(n_init=2, warm=True)
-        sim.q_work.append(simple_task(99, 0.0))  # queued, yet 0 and 1 idle
-        sim.inject_tasks([simple_task(0, 0.5)])
+        # workers 0 and 1 idle but lost from the idle list, so both arrivals
+        # queue; worker 2, ready at 1.0, takes one and the other stays queued
+        sim = make_sim(n_init=2, warm=True, latency_lo=1.0, latency_hi=1.0)
+        sim._idle.clear()
+        sim.request_scale(+1)
+        sim.inject_tasks([simple_task(0, 0.5), simple_task(1, 0.6)])
         with pytest.raises(ConservationError,
-                           match=r"2 tasks queued while workers \[0, 1\] are"
-                                 r" idle at t=0\.5"):
-            sim.advance(1.0)
+                           match=r"^1 tasks queued while workers \[0, 1\] are"
+                                 r" idle at t=1\.0$"):
+            sim.advance(2.0)
 
 
 class TestQueueingBehaviour:

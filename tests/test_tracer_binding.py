@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` wraps functions and methods at the names their
 callers look up, and counts simulator events by wrapping the three event
 handlers on ``FarmSim``. A refactor that inlines a handler or binds one
-before the tracer is installed would leave ``sim.events`` at 0 without any
-error, so one traced episode checks that every event is still counted.
+before the tracer is installed would leave those events uncounted without
+any error, so one traced episode checks that every kind is still counted,
+against the event trace of the same episode.
 Each reactive policy's ``select_action`` is wrapped in its own class body,
 so a traced episode of each must record one selection span per env step;
 likewise SARSA's ``act`` and ``learn``, once each per env step of training.
@@ -15,17 +16,19 @@ The tracer is loaded from its file and only used, never edited.
 """
 
 import contextlib
+import functools
 import importlib.util
 import io
 from pathlib import Path
 
 import pytest
 
-from farmscale import cli, training
+from farmscale import cli, env as env_module, training
 from farmscale.core import RewardConfig
 from farmscale.env import FarmEnv
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
+from farmscale.sim import FarmSim
 from farmscale.workload import default_size_distribution, reduced_paper_model
 from tests.conftest import single_phase_config
 
@@ -59,13 +62,33 @@ def traced_episode(policy_cls, ep_config, rw_config, workload):
 
 
 def test_traced_episode_counts_every_event(ep_config, rw_config,
-                                           default_workload):
+                                           default_workload, monkeypatch):
     tracer, env, summary = traced_episode(ReactiveAveragePolicy, ep_config,
                                           rw_config, default_workload)
-    arrived = sum(s.arrived for s in env.log.steps)
-    completed = env.log.total_completed
-    assert arrived == len(default_workload) and completed == summary.completed
-    assert tracer.counts["sim.events"] >= arrived + completed > 0
+    assert env.log.total_completed == summary.completed
+    # the same episode again, with the simulator's event trace on
+    monkeypatch.setattr(env_module, "FarmSim",
+                        functools.partial(FarmSim, trace=True))
+    traced_env = FarmEnv(ep_config, rw_config)
+    assert training.run_episode(
+        traced_env, ReactiveAveragePolicy(ep_config.step_duration),
+        default_workload, seed=0) == summary
+    trace = traced_env.sim.trace
+    kinds = [kind for _, kind, _, _ in trace]
+    # a queued arrival is no handler call, so only an arrival dispatched at
+    # its own instant, its dispatch the next record, was an arrival event
+    arrival_events = sum(
+        kind == "arrival" and nxt[1:3] == ("dispatch", task_id)
+        and nxt[0] == time
+        for (time, kind, task_id, _), nxt in zip(trace, trace[1:]))
+    completions, readies = kinds.count("completion"), kinds.count(
+        "worker_ready")
+    assert completions == summary.completed
+    assert min(arrival_events, completions, readies) > 0
+    # each of the three handlers must be counted: stale readies add to
+    # sim.events, and nothing else may
+    assert tracer.counts["sim.events"] >= (arrival_events + completions
+                                           + readies)
 
 
 @pytest.mark.parametrize("policy_cls", [ReactiveAveragePolicy,

@@ -1,15 +1,25 @@
 """Run alternating parent/change pairs of the benchmark and judge the change.
 
-    python3 tools/bench_pairs.py --base DIR --change DIR --workload W \\
-        --pairs N --seed S [--seconds T] [--out FILE]
+    python3 tools/bench_pairs.py --base DIR (--change DIR | --aa) \\
+        --workload W --pairs N --seed S [--seconds T] [--out FILE]
 
-Before the first pair, ``python3 -m compileall -q src`` byte-compiles each
-tree's sources, so that neither side's import time includes compiling the
-modules that the other side has cached. Each pair runs the benchmark
-command of ``BENCHMARK.json`` (read from the change tree) with ``--workload
-W --seed S --seconds T --trace 0`` once in each source tree, from that
-tree's root; the side that runs first alternates. ``--seconds`` defaults
-to ``run_seconds``.
+Each pair runs the benchmark command of ``BENCHMARK.json`` (read from the
+change tree) with ``--workload W --seed S --seconds T --trace 0`` once for
+each side; the side that runs first alternates. ``--seconds`` defaults to
+``run_seconds``. Every run starts from a fresh copy of its side's tree, made
+in a temporary directory under a name of random length and deleted after the
+run. ``python3 -m compileall -q src`` byte-compiles the copy first, so that
+no run's import time includes compiling. Timings follow where a tree sits
+and how long its path is, not only its code (Mytkowicz et al., ASPLOS 2009),
+so a fixed pair of trees can differ by a few percent with identical code;
+fresh, randomly placed copies turn that offset into noise that the
+verdict sees.
+
+``--aa`` runs the base tree against a fresh copy of itself in place of a
+change, and prints the A/A floor: the median gap between the two sides and
+the base's interquartile range, each as a share of the base median. A
+claimed gain must exceed that floor; an A/A run that passes the gain rule
+shows the rule is not enough on this machine.
 
 For each end-to-end metric it prints each side's median and quartiles, the
 pairs the change won (ties count for neither side), whether a gain may be
@@ -27,13 +37,20 @@ other side of its pair in ``qos`` or in the output digest of its
 
 import argparse
 import json
+import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 GAIN_SHARE = 0.9  # of the pairs the change must win to claim a gain
 GAIN_PAIRS = 10  # the fewest pairs a gain may be claimed from
+MAX_PAD = 64  # a copy's directory name is 1 to MAX_PAD characters long
+# build and run leftovers a copy leaves out; "out" is perfbench's run output
+SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
+                              ".pytest_cache", "out")
 
 
 def quartiles(values) -> tuple:
@@ -103,12 +120,26 @@ def compile_sources(tree: Path):
         raise SystemExit(f"error: {tree}: compileall exit {proc.returncode}")
 
 
+def fresh_copy(tree: Path, workdir: Path, rng: random.Random) -> Path:
+    """A copy of ``tree`` in ``workdir``, under a name of random length and
+    without build or run leftovers; ``workdir`` holds one copy at a time."""
+    copy = workdir / ("t" * rng.randint(1, MAX_PAD))
+    shutil.copytree(tree, copy, ignore=SKIP)
+    return copy
+
+
 def run_once(tree: Path, command, workload: str, seed: int,
-             seconds: float) -> dict:
-    argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
-                          check=False)
+             seconds: float, workdir: Path, rng: random.Random) -> dict:
+    """One benchmark run in a fresh, byte-compiled copy of ``tree``."""
+    copy = fresh_copy(tree, workdir, rng)
+    try:
+        compile_sources(copy)
+        argv = [*command, "--workload", workload, "--seed", str(seed),
+                "--seconds", f"{seconds:g}", "--trace", "0"]
+        proc = subprocess.run(argv, cwd=copy, capture_output=True, text=True,
+                              check=False)
+    finally:
+        shutil.rmtree(copy)
     try:
         return parse_output(proc.stdout)
     except (ValueError, KeyError, IndexError, StopIteration):
@@ -117,10 +148,21 @@ def run_once(tree: Path, command, workload: str, seed: int,
                          f"no benchmark result in its output")
 
 
+def aa_floor(verdict: dict) -> dict:
+    """The median gap between the two sides of an A/A run, and the base's
+    interquartile range, each as a share of the base median."""
+    base, change = verdict["base"], verdict["change"]
+    return {"gap": (change["median"] - base["median"]) / base["median"],
+            "iqr": (base["q3"] - base["q1"]) / base["median"]}
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
+    side = parser.add_mutually_exclusive_group(required=True)
+    side.add_argument("--change", type=Path)
+    side.add_argument("--aa", action="store_true",
+                      help="run the base against a fresh copy of itself")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
@@ -131,6 +173,8 @@ def parse_args(argv):
         parser.error("--pairs must be >= 1 and --seed >= 0")
     if args.seconds is not None and args.seconds <= 0:
         parser.error("--seconds must be > 0")
+    if args.aa:
+        args.change = args.base
     return args
 
 
@@ -138,27 +182,28 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
-    compile_sources(args.base)
-    compile_sources(args.change)
+    rng = random.Random()
     runs, found = [], []
-    for i in range(args.pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        pair = {side: run_once(getattr(args, side), bench["command"],
-                               args.workload, args.seed, seconds)
-                for side in order}
-        print(f"pair {i}: " + ", ".join(
-            f"{side} {pair[side]['metrics'].get('episodes_per_s', 0):.1f}/s"
-            for side in order), flush=True)
-        found += problems(i, pair["base"], pair["change"])
-        runs.append({"first": order[0], **pair})
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair = {side: run_once(getattr(args, side), bench["command"],
+                                   args.workload, args.seed, seconds,
+                                   Path(workdir), rng)
+                    for side in order}
+            print(f"pair {i}: " + ", ".join(
+                f"{side} {pair[side]['metrics'].get('episodes_per_s', 0):.1f}/s"
+                for side in order), flush=True)
+            found += problems(i, pair["base"], pair["change"])
+            runs.append({"first": order[0], **pair})
     verdicts = {}
     for metric in bench["end_to_end"]:
         name = metric["name"]
         verdicts[name] = judge([r["base"]["metrics"][name] for r in runs],
                                [r["change"]["metrics"][name] for r in runs],
                                metric["better"], metric["bound"])
-    print(f"{args.workload}, {args.pairs} pairs at --seed {args.seed} "
-          f"--seconds {seconds:g}")
+    print(f"{args.workload}, {args.pairs} {'A/A ' if args.aa else ''}pairs"
+          f" at --seed {args.seed} --seconds {seconds:g}")
     print(f"{'metric':16s} {'base q1/median/q3':>30s} "
           f"{'change q1/median/q3':>30s}  won  gain  in bound")
     for name, v in verdicts.items():
@@ -168,13 +213,18 @@ def main(argv=None) -> int:
                                                           "within_bound"))
         print(f"{name:16s} {cells[0]:>30s} {cells[1]:>30s}  "
               f"{v['wins']:>2d}/{v['pairs']:<2d} {gain:>4s}  {bound}")
+    floors = ({name: aa_floor(v) for name, v in verdicts.items()}
+              if args.aa else None)
+    for name, floor in (floors or {}).items():
+        print(f"A/A floor {name}: median gap {floor['gap']:+.2%}, "
+              f"base IQR {floor['iqr']:.2%} of the base median")
     for line in found:
         print(line, file=sys.stderr)
     if args.out:
         args.out.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed, "seconds": seconds,
-            "pairs": runs, "verdicts": verdicts, "problems": found},
-            indent=2) + "\n")
+            "aa": args.aa, "pairs": runs, "verdicts": verdicts,
+            "aa_floor": floors, "problems": found}, indent=2) + "\n")
     return 1 if found else 0
 
 
