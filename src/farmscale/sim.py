@@ -11,19 +11,24 @@ A simulator takes one batch of tasks, kept as one list of arrivals sorted by
 (time, task id) and ended by a sentinel that never arrives. Workers take
 tasks first come, first served in that order, so the tasks dispatched are a
 prefix of the list and the worker queue is a span of it: from ``_next``, the
-first task not dispatched, to the last arrival before the current event.
-The event heap holds only completions and worker-ready events, about one per
-worker. Between events the backlog invariant holds: while the queue is
-non-empty, no live worker is idle. So an arrival is an event only while some
-worker is idle, and then it is the head of the list and starts at once on
-the lowest idle worker id, the same tie-break as a scan over the pool. Under
-backlog arrivals are not events: a completion gives its worker the head of
-the list if that task arrived strictly before it, a worker that becomes
-ready takes it if it arrived at or before that moment (the tie-break above),
-and otherwise the worker goes idle and arrivals are events again. The
-enqueue count is one bisect of the list at the end of each ``advance``; in
-trace mode the arrivals passed over are written to the trace in merged
-order, before the next event that follows them.
+first task not dispatched, to the last arrival before the current event. The
+event heap holds only completions and worker-ready events, about one per
+worker. Each event costs one heap operation. ``advance`` only peeks at the
+root, and the handler of a heap event takes its own event off: with
+``heapreplace`` when it starts a task on the freed or ready worker, whose
+completion takes the event's place, and with ``heappop`` otherwise. An
+arrival event pushes its task's completion. Between events the backlog
+invariant holds: while the queue is non-empty, no live worker is idle. So an
+arrival is an event only while some worker is idle, and then it is the head
+of the list and starts at once on the lowest idle worker id, the same
+tie-break as a scan over the pool. Under backlog arrivals are not events: a
+completion gives its worker the head of the list if that task arrived
+strictly before it, a worker that becomes ready takes it if it arrived at or
+before that moment (the tie-break above), and otherwise the worker goes idle
+and arrivals are events again. The enqueue count is one bisect of the list
+at the end of each ``advance``; in trace mode the arrivals passed over are
+written to the trace in merged order, before the next event that follows
+them.
 
 The pool is one map from worker id to status, in start order: starting,
 idle, busy, or draining (busy, and leaving when its task completes). Only
@@ -33,9 +38,10 @@ asked for. The idle workers are kept as an ascending list of their ids.
 Startup is sequential and a scale-down takes the newest worker, so the
 starting workers are always the newest ones, and their ready times are a
 deque of pending starts, oldest first: a new start queues behind the last of
-them. Validate mode checks that, the invariant, the idle list and the
-conservation identity after every event. The task counts come from three
-values alone: the completion records, ``_next`` and the enqueue count.
+them. Validate mode checks that, the invariant, the idle list, one
+completion on the heap per busy or draining worker and the conservation
+identity after every event. The task counts come from three values alone:
+the completion records, ``_next`` and the enqueue count.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import math
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import count, islice
 
 import numpy as np
@@ -118,8 +124,10 @@ class FarmSim:
     def _schedule_start(self):
         # sequential startup: queue behind the newest pending start
         base = self._starts[-1] if self._starts else self.clock
-        ready_at = base + self.rng.uniform(self.config.latency_lo,
-                                           self.config.latency_hi)
+        # Generator.uniform's formula on one double: the same bits and
+        # generator state, without its argument handling
+        lo, hi = self.config.latency_lo, self.config.latency_hi
+        ready_at = base + (lo + (hi - lo) * self.rng.random())
         wid = next(self._ids)
         self.workers[wid] = STARTING
         self._starts.append(ready_at)
@@ -197,7 +205,6 @@ class FarmSim:
             raise ValueError("dt must be positive and finite")
         end = self.clock + dt
         events, arrivals, idle = self._events, self._arrivals, self._idle
-        pop = heappop
         # bound per call, not per instance, so wrappers on the class apply
         on_arrival, on_completion, on_ready = (
             self._on_arrival, self._on_completion, self._on_worker_ready)
@@ -211,8 +218,8 @@ class FarmSim:
                     break
                 self.clock = event[0]
                 on_arrival(event[3])
-            elif events and events[0][0] <= end:
-                event = pop(events)
+            elif events and (event := events[0])[0] <= end:
+                # the handler takes its event off the heap
                 self.clock, kind, eid, task = event
                 if kind == _COMPLETION:
                     on_completion(eid, task)
@@ -258,7 +265,8 @@ class FarmSim:
     # Each keeps the backlog invariant: a worker goes idle only when the head
     # of the list has not arrived, and an arrival is an event only while a
     # worker is idle. Starting a task is written out in each of them, as this
-    # is the per-task path.
+    # is the per-task path. A heap event is still the heap's root when its
+    # handler runs, and the handler takes it off.
 
     def _on_arrival(self, task):
         # a worker is idle, so the queue is empty and ``task`` is its head
@@ -282,6 +290,7 @@ class FarmSim:
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)
         if self.workers[worker_id] == DRAINING:
+            heappop(self._events)
             del self.workers[worker_id]
             if trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
@@ -289,17 +298,19 @@ class FarmSim:
             # the head arrived before this completion: the queue's first task
             self._next += 1
             queued = head[3]
-            heappush(self._events, (clock + queued.service_time, _COMPLETION,
-                                    worker_id, queued))
+            heapreplace(self._events, (clock + queued.service_time,
+                                       _COMPLETION, worker_id, queued))
             if trace is not None:
                 self._record("dispatch", task_id=queued.task_id,
                              worker_id=worker_id)
         else:
+            heappop(self._events)
             self.workers[worker_id] = IDLE
             insort(self._idle, worker_id)
 
     def _on_worker_ready(self, worker_id):
         if worker_id not in self.workers:
+            heappop(self._events)
             return  # cancelled by a scale-down before becoming ready
         self._starts.popleft()  # the oldest pending start is this one
         trace = self.trace
@@ -310,19 +321,20 @@ class FarmSim:
             self._next += 1
             task = head[3]
             self.workers[worker_id] = BUSY
-            heappush(self._events, (self.clock + task.service_time,
-                                    _COMPLETION, worker_id, task))
+            heapreplace(self._events, (self.clock + task.service_time,
+                                       _COMPLETION, worker_id, task))
             if trace is not None:
                 self._record("dispatch", task_id=task.task_id,
                              worker_id=worker_id)
         else:
+            heappop(self._events)
             self.workers[worker_id] = IDLE
             insort(self._idle, worker_id)
 
     def _check_conservation(self, key):
         """Conservation identity and the backlog invariant after the event
-        ``key``, plus the start order, the pending starts and the idle list
-        against the statuses."""
+        ``key``, plus the start order, the pending starts, the idle list and
+        the heap's completions against the statuses."""
         statuses = list(self.workers.values())
         pending = len(self._starts)
         if ([s == STARTING for s in statuses]
@@ -341,6 +353,15 @@ class FarmSim:
             raise ConservationError(
                 f"idle list holds {self._idle}, idle workers are {idle}"
                 f" at t={self.clock}")
+        # one completion per busy or draining worker: ids ascend in the pool
+        completing = sorted(wid for _, kind, wid, _ in self._events
+                            if kind == _COMPLETION)
+        busy = [w for w, status in self.workers.items()
+                if status in (BUSY, DRAINING)]
+        if completing != busy:
+            raise ConservationError(
+                f"the heap holds completions of workers {completing}, busy"
+                f" and draining workers are {busy} at t={self.clock}")
         if snap.enqueued_total != (snap.q_work + snap.workers_busy
                                    + snap.completed_total):
             raise ConservationError(f"enqueued != queued + busy + completed"
@@ -354,27 +375,31 @@ class StaticRunResult:
 
 
 def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunResult:
-    """Run the whole workload with a fixed pool of n_fixed workers."""
+    """Run the whole workload, any iterable of tasks, with a fixed pool of
+    n_fixed workers. An empty workload raises ``ValueError``."""
     if n_fixed < 1:
         raise ValueError("n_fixed must be >= 1")
+    tasks = list(workload)  # read once: an iterator is used up by reading
+    if not tasks:
+        raise ValueError("the workload has no tasks")
     from dataclasses import replace
     cfg = replace(config, n_min=n_fixed, n_max=n_fixed, n_init=n_fixed,
                   warm_start=False)
     sim = FarmSim(cfg, np.random.default_rng([rng_seed, 30_000]))
     init_overhead = sim._starts[-1]  # the last pending start
-    sim.inject_tasks(workload)
-    total = len(workload)
-    while len(sim.completion_records) < total:
+    sim.inject_tasks(tasks)
+    while len(sim.completion_records) < len(tasks):
         sim.advance(60.0)
-    first_arrival = min(t.arrival_time for t in workload)
+    first_arrival = min(t.arrival_time for t in tasks)
     last_completion = max(t for _, t, _ in sim.completion_records)
     return StaticRunResult(last_completion - first_arrival, init_overhead)
 
 
 def static_scaling_experiment(config, workload, pool_sizes, rng_seed: int = 0):
     """Static runs over several pool sizes plus speedups relative to n=1."""
-    results = {n: static_run(config, workload, n, rng_seed) for n in pool_sizes}
+    tasks = list(workload)  # each run reads it
+    results = {n: static_run(config, tasks, n, rng_seed) for n in pool_sizes}
     base = (results[1] if 1 in results
-            else static_run(config, workload, 1, rng_seed))
+            else static_run(config, tasks, 1, rng_seed))
     speedups = {n: base.runtime / r.runtime for n, r in results.items()}
     return results, speedups

@@ -15,6 +15,7 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 judge = bench_pairs.judge
 
+MACHINE = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
 BASE = [370.0, 372.0, 374.0, 376.0, 378.0, 380.0, 382.0, 384.0, 386.0, 388.0]
 
 
@@ -100,18 +101,20 @@ class TestPairChecks:
     def test_parse_output_reads_the_last_line_and_the_details(self):
         stdout = "\n".join([
             "perfbench replay seed=5 trace=0 seconds=16",
-            "details " + json.dumps({"output_digest": "f4e2", "x": 1}),
+            "details " + json.dumps({"output_digest": "f4e2", "x": 1,
+                                     "machine": MACHINE}),
             json.dumps({"correct": True, "attempted": 9, "failed": 0,
                         "metrics": {"qos": {"value": 0.5, "unit": "ratio"},
                                     "episodes_per_s": {"value": 400.0,
                                                        "unit": "1/s"}}})])
         assert bench_pairs.parse_output(stdout) == {
             "correct": True, "failed": 0, "qos": 0.5, "digest": "f4e2",
-            "metrics": {"qos": 0.5, "episodes_per_s": 400.0}}
+            "metrics": {"qos": 0.5, "episodes_per_s": 400.0},
+            "machine": MACHINE}
 
 
 RESULT = "\n".join([
-    "details " + json.dumps({"output_digest": "f4e2"}),
+    "details " + json.dumps({"output_digest": "f4e2", "machine": MACHINE}),
     json.dumps({"correct": True, "attempted": 9, "failed": 0,
                 "metrics": {"qos": {"value": 0.5, "unit": "ratio"}}})])
 
@@ -189,6 +192,10 @@ def test_aa_runs_the_base_against_a_copy_of_itself(tmp_path, monkeypatch,
     written = json.loads(out.read_text())
     assert written["aa"] and written["aa_floor"] == {
         "qos": {"gap": 0.0, "iqr": 0.0}}
+    # every run keeps the machine block of its details line
+    assert [(pair["first"], pair["base"]["machine"], pair["change"]["machine"])
+            for pair in written["pairs"]] == [("base", MACHINE, MACHINE),
+                                              ("change", MACHINE, MACHINE)]
 
 
 def test_aa_floor_is_a_share_of_the_base_median():

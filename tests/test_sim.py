@@ -192,6 +192,10 @@ def grid_sim(warm, n_init, seed, cls=FarmSim):
 
 
 class TestStartQueue:
+    # wide, narrow, zero-width and empty latency ranges, each drawn with
+    # Generator.uniform's bits
+    @pytest.mark.parametrize("lo, hi", [(5.0, 8.0), (1.0, 4.0), (0.0, 0.0),
+                                        (2.5, 2.5), (0.0, 1e-3)])
     @given(warm=st.booleans(), n_init=st.integers(1, 3),
            program=st.lists(st.tuples(st.sampled_from((-1, 0, 1)),
                                       st.floats(min_value=0.05,
@@ -199,12 +203,11 @@ class TestStartQueue:
                             min_size=1, max_size=60),
            seed=st.integers(0, 1000))
     @settings(max_examples=60, deadline=None)
-    def test_start_queues_behind_every_pending_start(self, warm, n_init,
-                                                     program, seed):
-        # steps are shorter than the startup latency, so starts queue and
+    def test_start_queues_behind_every_pending_start(self, lo, hi, warm,
+                                                     n_init, program, seed):
+        # steps shorter than the startup latency queue starts, and
         # scale-downs cancel them; the reference base rescans every pending
         # start, and a second generator replays the simulator's draws
-        lo, hi = 1.0, 4.0
         cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init, n_max=6,
                                   warm_start=warm, latency_lo=lo,
                                   latency_hi=hi)
@@ -556,6 +559,19 @@ class TestPoolCounters:
                                                     " the newest 1 of"):
             sim.advance(1.0)
 
+    def test_validate_finds_a_second_completion_of_a_busy_worker(self):
+        # worker 0 runs task 0 until 1.5; task 1 arrives at 1.2 for worker 1
+        sim = make_sim(n_init=2, warm=True)
+        task = simple_task(0, 0.5)
+        sim.inject_tasks([task, simple_task(1, 1.2)])
+        sim.advance(1.0)
+        heapq.heappush(sim._events, (3.0, sim_module._COMPLETION, 0, task))
+        with pytest.raises(ConservationError,
+                           match=r"^the heap holds completions of workers"
+                                 r" \[0, 0, 1\], busy and draining workers"
+                                 r" are \[0, 1\] at t=1\.2$"):
+            sim.advance(1.0)
+
     def test_validate_finds_idle_worker_missing_from_idle_list(self):
         sim = make_sim(n_init=2, warm=True)
         sim._idle.remove(1)
@@ -724,3 +740,20 @@ class TestStaticRuns:
     def test_rejects_empty_pool(self, ep_config):
         with pytest.raises(ValueError):
             static_run(ep_config, self._workload(), 0)
+
+    def test_rejects_a_workload_without_tasks(self, ep_config, monkeypatch):
+        built = []
+        monkeypatch.setattr(sim_module, "FarmSim",
+                            lambda *args, **kwargs: built.append(args))
+        for workload in ([], iter([])):
+            with pytest.raises(ValueError,
+                               match="^the workload has no tasks$"):
+                static_run(ep_config, workload, 2)
+        assert built == []  # refused before any simulator is built
+
+    def test_reads_an_iterator_workload_once(self, ep_config):
+        tasks = self._workload()
+        assert (static_run(ep_config, iter(tasks), 2)
+                == static_run(ep_config, tasks, 2))
+        assert (static_scaling_experiment(ep_config, iter(tasks), (2, 4))
+                == static_scaling_experiment(ep_config, tasks, (2, 4)))

@@ -28,7 +28,7 @@ the medians differ in its favour by more than the parent's interquartile
 range), and
 whether the change's median is within the metric's ``bound``, a fraction of
 the parent's median. ``--out`` writes the same facts, with every pair's
-values, as JSON.
+values and each run's machine block, as JSON.
 
 Exits 1 if a run is not ``correct``, fails an operation, or differs from the
 other side of its pair in ``qos`` or in the output digest of its
@@ -83,8 +83,9 @@ def judge(base, change, better: str, bound: float) -> dict:
 
 
 def parse_output(stdout: str) -> dict:
-    """A run's verdict, metric values, qos and digest from its stdout: the
-    last line is the result object, the ``details`` line holds the digest."""
+    """A run's verdict, metric values, qos, digest and machine block from
+    its stdout: the last line is the result object, the ``details`` line
+    holds the digest and the machine block."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     details = next(json.loads(line[len("details "):]) for line in lines
@@ -92,7 +93,8 @@ def parse_output(stdout: str) -> dict:
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return {"correct": result["correct"], "failed": result["failed"],
             "metrics": metrics, "qos": metrics.get("qos"),
-            "digest": details.get("output_digest")}
+            "digest": details.get("output_digest"),
+            "machine": details.get("machine")}
 
 
 def problems(pair: int, base: dict, change: dict) -> list:
