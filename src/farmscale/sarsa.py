@@ -3,16 +3,23 @@
 The 9-component observation is mapped to a tuple of bin indices; the agent
 keeps a sparse Q-table over those tuples and uses accumulating eligibility
 traces so multi-step returns propagate backwards within an episode.
+
+A Q-table row is an ``array('d')`` of ``len(ACTIONS)`` doubles, not an
+ndarray: an update reads and writes one scalar at a time, which numpy
+boxes and dispatches per call, while ``array('d')`` stores the same
+doubles (``tobytes()`` gives the bytes of the float64 ndarray) and
+exchanges Python floats directly. The update therefore runs on Python
+floats, in the association order the ndarray code used, so every Q-value
+keeps its bits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, asdict
-
-import numpy as np
 
 from .agent import (CHECKPOINT_VERSION, LearningAgent,
                     check_gamma_and_epsilon, checkpoint_header,
@@ -87,7 +94,13 @@ class SarsaConfig:
 def sarsa_update(qtable: dict, traces: dict, state, action_idx: int,
                  reward: float, next_state, next_action_idx, done: bool,
                  cfg: SarsaConfig):
-    """One on-policy TD(lambda) update with accumulating traces."""
+    """One on-policy TD(lambda) update with accumulating traces.
+
+    Each live trace ``e`` moves its entry by ``cfg.alpha * delta * e``,
+    computed as ``step * e`` with ``step = cfg.alpha * delta``: the same
+    left-to-right product. A state seen for the first time gets a zero
+    row.
+    """
     q_sa = qtable.get(state, _ZERO)[action_idx]
     q_next = 0.0 if done else qtable.get(next_state, _ZERO)[next_action_idx]
     delta = reward + cfg.gamma * q_next - q_sa
@@ -95,24 +108,27 @@ def sarsa_update(qtable: dict, traces: dict, state, action_idx: int,
     key = (state, action_idx)
     traces[key] = traces.get(key, 0.0) + 1.0
 
+    step = cfg.alpha * delta
     decay = cfg.gamma * cfg.trace_decay
     dead = []
-    for (s, a), e in traces.items():
+    for key, e in traces.items():
+        s, a = key
         row = qtable.get(s)
         if row is None:
-            row = np.zeros(len(ACTIONS))
-            qtable[s] = row
-        row[a] += cfg.alpha * delta * e
+            row = qtable[s] = _ZERO[:]
+        row[a] += step * e
         e *= decay
         if e < PRUNE_THRESHOLD:
-            dead.append((s, a))
+            dead.append(key)
         else:
-            traces[(s, a)] = e
-    for k in dead:
-        del traces[k]
+            traces[key] = e
+    for key in dead:
+        del traces[key]
 
 
-_ZERO = np.zeros(len(ACTIONS))
+# the row of a state not in the Q-table; read only, and copied (a slice of
+# an array is a new array) to start a new row
+_ZERO = array("d", [0.0] * len(ACTIONS))
 
 
 class SarsaAgent(LearningAgent):
@@ -150,7 +166,7 @@ class SarsaAgent(LearningAgent):
             "config": asdict(self.cfg),
             "epsilon": self.epsilon,
             "edges": [list(e) for e in self.discretizer.edges],
-            "qtable": [[list(state), [float(v) for v in row]]
+            "qtable": [[list(state), row.tolist()]
                        for state, row in sorted(self.qtable.items())],
         }
         with open(path, "w") as fh:
@@ -202,7 +218,7 @@ class SarsaAgent(LearningAgent):
                                  f"value, got {entry!r}")
         agent = cls(cfg, discretizer)
         agent.epsilon = epsilon
-        agent.qtable = {tuple(state): np.array(row, dtype=float)
+        agent.qtable = {tuple(state): array("d", row)
                         for state, row in qtable}
         return agent
 

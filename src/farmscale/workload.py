@@ -105,6 +105,10 @@ class SizeDistribution:
     weights: tuple
 
     def __post_init__(self):
+        if len(self.weights) != len(self.sizes):
+            raise FieldError("weights", f"need one weight per size: "
+                             f"{len(self.sizes)} sizes, "
+                             f"{len(self.weights)} weights")
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < 0) or not math.isclose(w.sum(), 1.0, abs_tol=1e-9):
             raise ValueError("weights must be nonnegative and sum to 1")
@@ -162,10 +166,16 @@ def sample_task_sizes(dist: SizeDistribution, rng: np.random.Generator,
                       n: int) -> list:
     """n sizes drawn in one call, as Python ints.
 
-    Consumes ``rng`` exactly like n single ``rng.choice(dist.sizes,
-    p=dist.weights)`` draws, so the sizes and the generator state match.
+    Runs the sampling step of ``rng.choice(len(dist.sizes), size=n,
+    p=dist.weights)`` without that call's argument handling: n doubles
+    from ``rng.random`` placed in the normalised cumulative weights with
+    ``searchsorted(side="right")``. So the sizes and the generator state
+    match that call's, which are those of n single ``rng.choice(dist.sizes,
+    p=dist.weights)`` draws.
     """
-    picks = rng.choice(len(dist.sizes), size=n, p=dist.weights)
+    cdf = np.cumsum(dist.weights)
+    cdf /= cdf[-1]
+    picks = cdf.searchsorted(rng.random(n), side="right")
     # the n sizes share the distinct sizes' int objects; fresh ints (from
     # ndarray.tolist) would add 28 bytes per task to every workload kept
     sizes = [int(s) for s in dist.sizes]
@@ -256,8 +266,11 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
     takes up any shortfall and a surplus is trimmed from the last windows,
     so the total is exact. Instants within a window are uniform order
     statistics. All window counts come from one ``rng.poisson`` call and all
-    instants from one ``rng.uniform`` call over per-instant window bounds:
-    the same stream and the same values as one draw per window, since the
+    instants from one ``rng.random(total)`` call, each double ``u`` mapped
+    to ``lo + (hi - lo) * u`` over its window [lo, hi). That is the formula
+    ``rng.uniform(lo, hi)`` evaluates on the same double, so the instants
+    and the generator state match one ``rng.uniform`` call over
+    per-instant window bounds, which match one draw per window, since the
     windows are disjoint and ordered.
     """
     target = phase.target_count
@@ -273,8 +286,10 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
         counts[i] = min(count, target - total)
         total += counts[i]
 
-    pts = rng.uniform(np.repeat(edges[:-1], counts),
-                      np.repeat(edges[1:], counts))
+    widths = [hi - lo for lo, hi in zip(edges, edges[1:])]
+    pts = rng.random(total)
+    pts *= np.repeat(widths, counts)
+    pts += np.repeat(edges[:-1], counts)
     pts.sort()
     return pts
 

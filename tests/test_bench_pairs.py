@@ -145,6 +145,7 @@ def fake_runs(monkeypatch):
         cwd = Path(cwd)
         assert not (cwd / "src" / "__pycache__").exists()
         assert not (cwd / "perfbench" / "out").exists()
+        assert not (cwd / ".git").exists()
         calls.append((argv[1:3], (cwd / "side.txt").read_text(), cwd))
         return subprocess.CompletedProcess(argv, 0, stdout=RESULT, stderr="")
 
@@ -196,6 +197,51 @@ def test_aa_runs_the_base_against_a_copy_of_itself(tmp_path, monkeypatch,
     assert [(pair["first"], pair["base"]["machine"], pair["change"]["machine"])
             for pair in written["pairs"]] == [("base", MACHINE, MACHINE),
                                               ("change", MACHINE, MACHINE)]
+
+
+BASE_SHA = "a" * 40
+CHANGE_SHA = "b" * 40
+
+
+def fake_git(tree, sha, packed):
+    """A ``.git`` in ``tree`` whose HEAD is branch main at ``sha``, kept as
+    a loose ref file or as a line of ``packed-refs``."""
+    git = tree / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    if packed:
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'9' * 40} refs/heads/other\n{sha} refs/heads/main\n")
+    else:
+        (git / "refs" / "heads" / "main").write_text(sha + "\n")
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_git_sha_reads_head_through_its_ref(tmp_path, packed):
+    fake_git(tmp_path, BASE_SHA, packed)
+    assert bench_pairs.git_sha(tmp_path) == BASE_SHA
+
+
+def test_git_sha_reads_a_detached_head_and_no_checkout(tmp_path):
+    assert bench_pairs.git_sha(tmp_path) == "unknown"
+    (tmp_path / ".git").mkdir()
+    (tmp_path / ".git" / "HEAD").write_text(CHANGE_SHA + "\n")
+    assert bench_pairs.git_sha(tmp_path) == CHANGE_SHA
+
+
+def test_out_records_the_commit_of_each_side(tmp_path, monkeypatch):
+    # copies leave .git out, so each commit is read before any copy
+    base, change = two_trees(tmp_path)
+    fake_git(base, BASE_SHA, packed=True)
+    fake_git(change, CHANGE_SHA, packed=False)
+    fake_runs(monkeypatch)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change),
+                             "--workload", "replay", "--pairs", "1",
+                             "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["commits"] == {
+        "base": BASE_SHA, "change": CHANGE_SHA}
 
 
 def test_aa_floor_is_a_share_of_the_base_median():

@@ -3,16 +3,19 @@
 import json
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from farmscale.agent import greedy_index
 from farmscale.core import ACTIONS, Observation
+from farmscale.env import FarmEnv
 from farmscale import sarsa
 from farmscale.sarsa import (PRUNE_THRESHOLD, Discretizer, SarsaAgent,
                              SarsaConfig, default_discretizer, sarsa_update)
+from farmscale.training import train_agent
 
 
 def obs(q_work=0, n_workers=4, t_avg=0.0, t_max=0.0, rate=0.0, qos=1.0):
@@ -116,7 +119,7 @@ class TestEpsilonGreedy:
     def agent(self, epsilon, values=(0.0, 0.0, 0.0)):
         agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
         agent.epsilon = epsilon
-        agent.qtable[STATE] = np.array(values)
+        agent.qtable[STATE] = array("d", values)
         return agent
 
     def test_greedy_picks_argmax(self):
@@ -150,6 +153,28 @@ class TestEpsilonGreedy:
             coin = ref.random() < eps
             assert agent.explore() == (ACTIONS[int(ref.integers(3))]
                                        if coin else None)
+
+
+# the values where np.argmax's rules show: ties, signed zeros, infinities
+# and NaN, mixed with arbitrary floats
+EDGE_FLOATS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
+                                math.nan])
+               | st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestGreedyIndex:
+    @given(values=st.lists(EDGE_FLOATS, min_size=3, max_size=3),
+           kind=st.sampled_from([list, lambda v: array("d", v), np.array]))
+    @example(values=[1.0, 1.0, 0.5], kind=list)
+    @example(values=[0.0, -0.0, -0.0], kind=list)
+    @example(values=[-0.0, 0.0, -math.inf], kind=np.array)
+    @example(values=[math.inf, math.inf, 1.0], kind=list)
+    @example(values=[math.nan, 2.0, math.nan], kind=list)
+    @example(values=[math.nan, math.inf, 1.0], kind=list)
+    @example(values=[-math.inf, -math.inf, -math.inf], kind=list)
+    def test_matches_argmax_of_the_reversed_values(self, values, kind):
+        expected = len(values) - 1 - int(np.argmax(np.asarray(values)[::-1]))
+        assert greedy_index(kind(values)) == expected
 
 
 class TestSarsaUpdate:
@@ -341,6 +366,23 @@ class TestSarsaAgent:
         assert (back.select_action(probe, None)
                 == agent.select_action(probe, None))
 
+    def test_rows_are_double_arrays_after_training_and_loading(
+            self, tmp_path, ep_config, rw_config, model_and_dist):
+        model, dist = model_and_dist
+        agent = SarsaAgent(SarsaConfig(), default_discretizer(ep_config.n_max),
+                           seed=0)
+        train_agent(agent, FarmEnv(ep_config, rw_config), dist, model,
+                    episodes=2)
+        path = tmp_path / "sarsa.json"
+        agent.save(path)
+        back = SarsaAgent.load(path)
+        assert agent.qtable and back.qtable.keys() == agent.qtable.keys()
+        for state, row in agent.qtable.items():
+            for r in (row, back.qtable[state]):
+                assert type(r) is array and r.typecode == "d"
+                assert len(r) == len(ACTIONS)
+            assert back.qtable[state].tobytes() == row.tobytes()
+
     def test_loads_checkpoint_that_saved_prune_threshold(self, tmp_path):
         # the saver wrote the trace-pruning cutoff into the config while it
         # was a SarsaConfig field; such a checkpoint loads as long as the
@@ -350,7 +392,7 @@ class TestSarsaAgent:
         back = SarsaAgent.load(path)
         agent = SarsaAgent(SarsaConfig(), default_discretizer(8))
         for state, row in EARLIER_QTABLE.items():
-            agent.qtable[state] = np.array(row)
+            agent.qtable[state] = array("d", row)
         assert back.cfg == agent.cfg and back.epsilon == 0.25
         assert back.discretizer == agent.discretizer
         for state in (*EARLIER_QTABLE, (0,) * 9):
@@ -368,7 +410,7 @@ class TestSarsaAgent:
     ])
     def test_load_rejects_misshapen_qtable_entry(self, tmp_path, state, row):
         agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
-        agent.qtable[(1,) * 9] = np.zeros(3)
+        agent.qtable[(1,) * 9] = array("d", [0.0] * 3)
         path = tmp_path / "sarsa.json"
         agent.save(path)
         blob = json.loads(path.read_text())

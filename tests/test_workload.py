@@ -87,6 +87,14 @@ class TestSizeDistribution:
         with pytest.raises(ValueError):
             SizeDistribution(sizes=(512, 1024), weights=(0.7, 0.2))
 
+    # the weights sum to 1 and are nonnegative: only the lengths are wrong
+    @pytest.mark.parametrize("sizes, weights", [
+        ((512, 1024, 2048), (0.5, 0.5)), ((512, 1024), (0.5, 0.25, 0.25))])
+    def test_needs_one_weight_per_size(self, sizes, weights):
+        with pytest.raises(FieldError, match="need one weight per size") as err:
+            SizeDistribution(sizes=sizes, weights=weights)
+        assert err.value.field == "weights"
+
     def test_sampling_tracks_weights(self):
         dist = default_size_distribution(reduced_paper_model())
         rng = np.random.default_rng(1)
@@ -109,6 +117,53 @@ class TestSizeDistribution:
         assert len(set(map(id, batched))) <= len(dist.sizes)
         assert (batched_rng.bit_generator.state
                 == single_rng.bit_generator.state)
+
+
+def choice_sizes(dist, rng, n):
+    """The sizes ``sample_task_sizes`` drew before it ran the sampling step
+    of ``Generator.choice`` itself."""
+    return [dist.sizes[i]
+            for i in rng.choice(len(dist.sizes), size=n, p=dist.weights)]
+
+
+@st.composite
+def weight_lists(draw):
+    raw = draw(st.lists(st.sampled_from([0.0, 0.1, 1.0, 3.0])
+                        | st.floats(0.0, 10.0), min_size=1, max_size=5)
+               .filter(lambda w: sum(w) > 0))
+    return [w / math.fsum(raw) for w in raw]
+
+
+class TestSizeSampling:
+    """``sample_task_sizes`` against the ``rng.choice`` call it replaced:
+    the sizes and the generator state after the draw."""
+
+    @pytest.mark.parametrize("weights", [
+        (0.0, 0.5, 0.0, 0.5),  # sizes that are never drawn, first and
+        (0.25, 0.75, 0.0, 0.0),  # last ones among them
+        (0.0, 0.0, 1.0, 0.0),  # a single size
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 1140])
+    def test_zero_weight_sizes(self, weights, n):
+        dist = SizeDistribution(sizes=SUPPORTED_SIZES, weights=weights)
+        rng = np.random.default_rng([3, 20_000])
+        ref = np.random.default_rng([3, 20_000])
+        sizes = sample_task_sizes(dist, rng, n)
+        assert sizes == choice_sizes(dist, ref, n)
+        assert not set(sizes) & {s for s, w in zip(dist.sizes, weights)
+                                 if w == 0}
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @given(weights=weight_lists(),
+           n=st.integers(min_value=0, max_value=300),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_choice_on_any_weights(self, weights, n, seed):
+        dist = SizeDistribution(sizes=tuple(range(1, len(weights) + 1)),
+                                weights=tuple(weights))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_task_sizes(dist, rng, n) == choice_sizes(dist, ref, n)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestMixTheta:
@@ -246,7 +301,45 @@ REFERENCE_PHASES = default_phases() + (
 )
 
 
+def uniform_phase_arrivals(phase, rng):
+    """``generate_phase_arrivals`` as it drew the instants before it mapped
+    one ``rng.random`` call itself: one ``rng.uniform`` call over
+    per-instant window bounds."""
+    target = phase.target_count
+    if target <= 0:
+        return np.empty(0)
+    edges = _window_edges(phase.duration, phase.window)
+    counts = rng.poisson([phase.rate_integral(lo, hi) for lo, hi
+                          in zip(edges[:-2], edges[1:-1])]).tolist()
+    counts.append(target)
+    total = 0
+    for i, count in enumerate(counts):
+        counts[i] = min(count, target - total)
+        total += counts[i]
+    pts = rng.uniform(np.repeat(edges[:-1], counts),
+                      np.repeat(edges[1:], counts))
+    pts.sort()
+    return pts
+
+
 class TestArrivalGeneration:
+    @pytest.mark.parametrize("phase", [
+        *default_phases(),
+        WorkloadPhaseSpec("steady", 2.0, 10.5, 5.0),  # a partial last window
+        WorkloadPhaseSpec("steady", 3.0, 7.0, 7.0),  # window == duration
+        WorkloadPhaseSpec("steady", 4.0, 6.0, 0.5),
+        WorkloadPhaseSpec("steady", 1.0, 10.0, multiplier=0.0),  # target 0
+    ])
+    def test_instants_and_state_match_one_uniform_call(self, phase):
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 2])
+            ref = np.random.default_rng([seed, 2])
+            offsets = generate_phase_arrivals(phase, rng)
+            assert offsets.tolist() == uniform_phase_arrivals(
+                phase, ref).tolist()
+            assert len(offsets) == phase.target_count
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_batched_draws_match_per_window_reference(self):
         surplus_hits = zero_windows = 0
         for seed in range(60):

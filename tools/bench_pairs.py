@@ -28,7 +28,9 @@ the medians differ in its favour by more than the parent's interquartile
 range), and
 whether the change's median is within the metric's ``bound``, a fraction of
 the parent's median. ``--out`` writes the same facts, with every pair's
-values and each run's machine block, as JSON.
+values, each run's machine block and each side's commit, as JSON. A copy
+leaves out ``.git``, so each side's commit is read from its tree, the
+HEAD of its checkout, before any copy is made.
 
 Exits 1 if a run is not ``correct``, fails an operation, or differs from the
 other side of its pair in ``qos`` or in the output digest of its
@@ -112,6 +114,25 @@ def problems(pair: int, base: dict, change: dict) -> list:
     return found
 
 
+def git_sha(tree: Path) -> str:
+    """HEAD of the checkout at ``tree``, read from its ``.git`` without
+    running git, as ``perfbench/run.py`` reads it; 'unknown' if absent."""
+    git = tree / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
 def compile_sources(tree: Path):
     """Byte-compile ``src`` in ``tree``; exit with a message if it fails."""
     proc = subprocess.run(["python3", "-m", "compileall", "-q", "src"],
@@ -185,6 +206,8 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
     rng = random.Random()
+    commits = {side: git_sha(getattr(args, side))
+               for side in ("base", "change")}
     runs, found = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
         for i in range(args.pairs):
@@ -225,8 +248,9 @@ def main(argv=None) -> int:
     if args.out:
         args.out.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed, "seconds": seconds,
-            "aa": args.aa, "pairs": runs, "verdicts": verdicts,
-            "aa_floor": floors, "problems": found}, indent=2) + "\n")
+            "aa": args.aa, "commits": commits, "pairs": runs,
+            "verdicts": verdicts, "aa_floor": floors, "problems": found},
+            indent=2) + "\n")
     return 1 if found else 0
 
 
