@@ -226,9 +226,11 @@ class RewardConfig:
             raise FieldError("q_target", "q_target must lie in (0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
-    """A control step's facts, as ``FarmEnv.step`` returns and logs them."""
+    """A control step's facts, as ``FarmEnv.step`` returns and logs them;
+    ``reward_terms`` holds the reward's terms in ``env.REWARD_TERMS``
+    order, and is empty in the record of ``reset``."""
 
     step: int
     observation: Observation
@@ -239,7 +241,7 @@ class StepRecord:
     completed: int
     hits: int
     workers_busy: int  # tasks in flight at the step's end
-    reward_terms: dict = field(default_factory=dict)
+    reward_terms: tuple = ()
 
 
 _STEP_SCALARS = ("action", "applied_delta", "reward", "arrived", "completed",

@@ -38,7 +38,8 @@ class LifecycleError(RuntimeError):
 
 def compute_reward(cfg: RewardConfig, q_k: float, backlog: float,
                    n_workers: float, applied_delta: int):
-    """Shaped per-step reward; returns (total, per-term dict).
+    """Shaped per-step reward; returns (total, terms), the terms a tuple in
+    ``REWARD_TERMS`` order and the total their sum in that order.
 
     The backlog penalty applies only to overflow above the queue target
     (max(0, Q/Q* - 1)^2) and the scaling cost is charged only when a
@@ -46,22 +47,21 @@ def compute_reward(cfg: RewardConfig, q_k: float, backlog: float,
     """
     ratio = backlog / cfg.q_queue_target
     qos_ok = q_k >= cfg.q_target
-    terms = {
-        "qos_tracking": cfg.w_qos * (q_k - cfg.q_target),
-        "backlog_penalty": -cfg.w_backlog * max(0.0, ratio - 1.0) ** 2,
-        "scale_cost": -cfg.w_scale if applied_delta != 0 else 0.0,
-        "overprovision_penalty": (
-            -cfg.w_eff * max(0.0, n_workers - cfg.n_target)
-            if backlog <= cfg.q_idle and qos_ok else 0.0),
-        "scale_up_bonus": (
-            cfg.w_up if applied_delta > 0 and (ratio > 1.0 or not qos_ok)
-            else 0.0),
-        "scale_down_bonus": (
-            cfg.w_down if applied_delta < 0 and ratio <= 1.0 and qos_ok
-            else 0.0),
-        "stable_bonus": cfg.w_qos if qos_ok and ratio <= 0.5 else 0.0,
-    }
-    return sum(terms.values()), terms
+    # qos_tracking, backlog_penalty, scale_cost, overprovision_penalty,
+    # scale_up_bonus, scale_down_bonus, stable_bonus
+    terms = (
+        cfg.w_qos * (q_k - cfg.q_target),
+        -cfg.w_backlog * max(0.0, ratio - 1.0) ** 2,
+        -cfg.w_scale if applied_delta != 0 else 0.0,
+        (-cfg.w_eff * max(0.0, n_workers - cfg.n_target)
+         if backlog <= cfg.q_idle and qos_ok else 0.0),
+        (cfg.w_up if applied_delta > 0 and (ratio > 1.0 or not qos_ok)
+         else 0.0),
+        (cfg.w_down if applied_delta < 0 and ratio <= 1.0 and qos_ok
+         else 0.0),
+        cfg.w_qos if qos_ok and ratio <= 0.5 else 0.0,
+    )
+    return sum(terms), terms
 
 
 class FarmEnv:
@@ -70,10 +70,14 @@ class FarmEnv:
     def __init__(self, episode_config, reward_config: RewardConfig):
         self.config = episode_config
         self.reward_config = reward_config
-        # the config is frozen, so the step cap is worked out once
+        # the config is frozen, so the step cap, the step length and the
+        # observation window are worked out once
         self.max_steps = (math.ceil(episode_config.total_duration
                                     / episode_config.step_duration)
                           + episode_config.drain_cap)
+        self._step_duration = episode_config.step_duration
+        self._obs_window = episode_config.obs_window
+        self._window_time = self._obs_window * self._step_duration
         self.sim = None
         self.log = None
         self._service = None
@@ -104,9 +108,9 @@ class FarmEnv:
         self._terminated = False
         snap = self.sim.snapshot()
         obs = self._make_observation(snap, 0, 0, 0)
-        return obs, StepRecord(
-            step=0, observation=obs, action=0, applied_delta=0, reward=0.0,
-            arrived=0, completed=0, hits=0, workers_busy=snap.workers_busy)
+        # step, observation, action, applied_delta, reward, arrived,
+        # completed, hits, workers_busy
+        return obs, StepRecord(0, obs, 0, 0, 0.0, 0, 0, 0, snap.workers_busy)
 
     def step(self, action: int):
         if self._terminated:
@@ -115,8 +119,9 @@ class FarmEnv:
         # the sim checks the action and raises before it changes anything
         applied = sim.request_scale(action)
         enqueued, done = sim.enqueued_total, len(sim.completion_records)
-        sim.advance(self.config.step_duration)
-        step = len(self.log.steps) + 1
+        sim.advance(self._step_duration)
+        steps = self.log.steps
+        step = len(steps) + 1
 
         # this step's figures from the sim's cumulative counts and records
         arrived = sim.enqueued_total - enqueued
@@ -133,15 +138,12 @@ class FarmEnv:
             obs.n_workers, applied)
 
         # by conservation, nothing is pending, queued or running
-        drained = len(sim.completion_records) == len(self.log.tasks)
+        drained = snap.completed_total == len(self.log.tasks)
         self._terminated = drained or step >= self.max_steps
 
-        record = StepRecord(
-            step=step, observation=obs, action=int(action),
-            applied_delta=applied, reward=reward, arrived=arrived,
-            completed=completed, hits=hits, workers_busy=snap.workers_busy,
-            reward_terms=terms)
-        self.log.steps.append(record)
+        record = StepRecord(step, obs, int(action), applied, reward, arrived,
+                            completed, hits, snap.workers_busy, terms)
+        steps.append(record)
         return obs, reward, self._terminated, record
 
     def _make_observation(self, snap, arrived: int, completed: int,
@@ -151,11 +153,11 @@ class FarmEnv:
         service-time column."""
         steps = self.log.steps
         n, window_arrivals = completed, arrived
-        for s in steps[max(0, len(steps) + 1 - self.config.obs_window):]:
+        for s in steps[max(0, len(steps) + 1 - self._obs_window):]:
             n += s.completed
             window_arrivals += s.arrived
         if n:
-            total = len(self.sim.completion_records)
+            total = snap.completed_total
             window = self._service[total - n:total]  # a view, not a copy
             t_avg = float(window.sum()) / n  # the bits of np.mean
             t_max = float(window.max())
@@ -164,15 +166,9 @@ class FarmEnv:
         # without a completion this step, the last step's QoS carries over
         qos = (hits / completed if completed
                else steps[-1].observation.qos_step if steps else 1.0)
-        window_time = self.config.obs_window * self.config.step_duration
-        return Observation(
-            q_in=0,  # zero-delay emitter and collector: see sim.py
-            q_work=snap.q_work,
-            q_res=0,
-            q_out=0,
-            n_workers=snap.workers_effective,
-            t_proc_avg=t_avg,
-            t_proc_max=t_max,
-            arrival_rate=window_arrivals / window_time,
-            qos_step=qos,
-        )
+        # q_in, q_work, q_res, q_out, n_workers, t_proc_avg, t_proc_max,
+        # arrival_rate, qos_step; the emitter and collector are zero-delay,
+        # so q_in, q_res and q_out are 0: see sim.py
+        return Observation(0, snap.q_work, 0, 0, snap.workers_effective,
+                           t_avg, t_max, window_arrivals / self._window_time,
+                           qos)

@@ -7,25 +7,37 @@ zero-delay: arriving tasks land in the worker queue instantly and completed
 tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
 
-A simulator takes one batch of tasks, kept as one list of arrivals sorted by
-(time, task id) and ended by a sentinel that never arrives. Workers take
-tasks first come, first served in that order, so the tasks dispatched are a
-prefix of the list and the worker queue is a span of it: from ``_next``, the
-first task not dispatched, to the last arrival before the current event. The
-event heap holds only completions and worker-ready events, about one per
-worker. Each event costs one heap operation. ``advance`` only peeks at the
-root, and the handler of a heap event takes its own event off: with
-``heapreplace`` when it starts a task on the freed or ready worker, whose
-completion takes the event's place, and with ``heappop`` otherwise. An
-arrival event pushes its task's completion. Between events the backlog
-invariant holds: while the queue is non-empty, no live worker is idle. So an
-arrival is an event only while some worker is idle, and then it is the head
-of the list and starts at once on the lowest idle worker id, the same
-tie-break as a scan over the pool. Under backlog arrivals are not events: a
-completion gives its worker the head of the list if that task arrived
-strictly before it, a worker that becomes ready takes it if it arrived at or
-before that moment (the tie-break above), and otherwise the worker goes idle
-and arrivals are events again. The enqueue count is one bisect of the list
+A simulator takes one batch of tasks, kept in (arrival time, task id) order
+as two columns of the same length: the tasks, and their arrival times. Each
+ends in a sentinel that never arrives, ``None`` in the tasks and ``math.inf``
+in the times, so no read of the head checks the length. Workers take tasks
+first come, first served in that order, so the tasks dispatched are a prefix
+of the batch and the worker queue is a span of it: from ``_next``, the first
+task not dispatched, to the last arrival before the current event. The event
+heap holds only completions and worker-ready events, about one per worker,
+as ``(time, kind, worker id, task)`` tuples; its tuple order is the
+tie-break. An arrival at time ``t`` comes before the heap's root when ``t``
+is earlier than the root's time, or equal to it with the root a worker-ready
+event; a completion at ``t`` comes before it.
+
+Each event costs one heap operation. ``advance`` only peeks at the root, and
+the handler of a heap event takes its own event off: with ``heapreplace``
+when it starts a task on the freed or ready worker, whose completion takes
+the event's place, and with ``heappop`` otherwise. An arrival event pushes
+its task's completion. Between events the backlog invariant holds: while the
+queue is non-empty, no live worker is idle. So an arrival is an event only
+while some worker is idle, and then it is the head of the batch and starts
+at once on the lowest idle worker id, the same tie-break as a scan over the
+pool. Under backlog arrivals are not events: a completion gives its worker
+the head of the batch if that task arrived strictly before it, a worker that
+becomes ready takes it if it arrived at or before that moment (the tie-break
+above), and otherwise the worker goes idle and arrivals are events again.
+
+The tasks arrived by an event at the clock are one bisect of the time
+column, starting from ``_next``: ``bisect_left`` for a completion, which
+comes before an arrival at its time, and ``bisect_right`` for a worker-ready
+event or the end of an ``advance``, which come after one. After an arrival
+event they are the tasks up to ``_next``. The enqueue count is that bisect
 at the end of each ``advance``; in trace mode the arrivals passed over are
 written to the trace in merged order, before the next event that follows
 them.
@@ -47,11 +59,13 @@ the completion records, ``_next`` and the enqueue count.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from itertools import count, islice
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +75,10 @@ from .core import ACTIONS, as_action
 _COMPLETION = 0
 _ARRIVAL = 1
 _WORKER_READY = 2
-# ends every arrival list: it never arrives, so no read of the head checks
-# the list's length
-_END = (math.inf, _ARRIVAL, -1, None)
+
+_arrival_time = attrgetter("arrival_time")
+_task_id = attrgetter("task_id")
+_arrival_order = attrgetter("arrival_time", "task_id")
 
 STARTING = "starting"
 IDLE = "idle"
@@ -71,8 +86,7 @@ BUSY = "busy"
 DRAINING = "draining"  # busy, and exits when its task completes
 
 
-@dataclass
-class Snapshot:
+class Snapshot(NamedTuple):
     q_work: int
     workers_effective: int
     workers_busy: int
@@ -98,8 +112,9 @@ class FarmSim:
         self.workers: dict[int, str] = {}  # id -> status, in start order
         self.completion_records = []  # (task, completion_time, met)
         self._events = []  # (time, kind, id, payload): completions, readies
-        self._arrivals = [_END]  # (time, _ARRIVAL, task_id, task), sorted
-        self._next = 0  # index of the first arrival not yet dispatched
+        self._tasks = [None]  # the batch in (arrival time, task id) order
+        self._times = [math.inf]  # their arrival times
+        self._next = 0  # index of the first task not yet dispatched
         self._traced = 0  # arrivals written to the trace so far
         self._injected = False
         self.enqueued_total = 0  # arrivals up to the end of the last advance
@@ -147,16 +162,24 @@ class FarmSim:
         ``ValueError`` and schedules nothing."""
         if self._injected:
             raise ValueError("a simulator takes one batch of tasks")
-        batch = [(t.arrival_time, _ARRIVAL, t.task_id, t) for t in tasks]
-        if len({a[2] for a in batch}) < len(batch):
+        batch = list(tasks)  # the caller's list keeps its order
+        times = list(map(_arrival_time, batch))
+        ids = list(map(_task_id, batch))
+        if len(set(ids)) < len(ids):
             seen = set()
-            for _, _, task_id, _ in batch:
+            for task_id in ids:
                 if task_id in seen:
                     raise ValueError(f"duplicate task_id {task_id}")
                 seen.add(task_id)
-        batch.sort()  # ids are unique, so the tasks themselves never compare
-        batch.append(_END)
-        self._arrivals = batch
+        # with unique ids that rise and times that never fall the batch is
+        # in order already, as every built workload is; a sorted list sorts
+        # in one pass of comparisons made in C, with no Python call per pair
+        if ids != sorted(ids) or times != sorted(times):
+            batch.sort(key=_arrival_order)
+            times = list(map(_arrival_time, batch))
+        batch.append(None)
+        times.append(math.inf)
+        self._tasks, self._times = batch, times
         self._injected = True
 
     def request_scale(self, delta: int) -> int:
@@ -204,36 +227,41 @@ class FarmSim:
         if not 0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
         end = self.clock + dt
-        events, arrivals, idle = self._events, self._arrivals, self._idle
+        events, times, tasks, idle = (self._events, self._times, self._tasks,
+                                      self._idle)
         # bound per call, not per instance, so wrappers on the class apply
         on_arrival, on_completion, on_ready = (
             self._on_arrival, self._on_completion, self._on_worker_ready)
         check = self._check_conservation if self.validate else None
         while True:
             # with a worker idle the queue is empty: the next arrival is an
-            # event, and it is the head of the list
-            if idle and (not events or arrivals[self._next] < events[0]):
-                event = arrivals[self._next]
-                if event[0] > end:
-                    break
-                self.clock = event[0]
-                on_arrival(event[3])
-            elif events and (event := events[0])[0] <= end:
+            # event, and it is the head of the batch
+            if idle:
+                time = times[self._next]
+                if (not events or time < (root := events[0])[0]
+                        or time == root[0] and root[1] == _WORKER_READY):
+                    if time > end:
+                        break
+                    self.clock = time
+                    on_arrival(tasks[self._next])
+                    if check is not None:
+                        check(_ARRIVAL)
+                    continue
+            if events and (event := events[0])[0] <= end:
                 # the handler takes its event off the heap
                 self.clock, kind, eid, task = event
                 if kind == _COMPLETION:
                     on_completion(eid, task)
                 else:
                     on_ready(eid)
+                if check is not None:
+                    check(kind)
             else:
                 break
-            if check is not None:
-                check(event)
         self.clock = end
-        self.enqueued_total = bisect_right(arrivals, (end, _WORKER_READY),
-                                           self._next)
+        self.enqueued_total = bisect_right(times, end, self._next)
         if self.trace is not None:
-            self._record_arrivals((end, _WORKER_READY))
+            self._record_arrivals(_WORKER_READY)
 
     def snapshot(self) -> Snapshot:
         return self._snapshot(self.enqueued_total)
@@ -243,27 +271,34 @@ class FarmSim:
         statuses = list(self.workers.values())
         starting = statuses.count(STARTING)
         draining = statuses.count(DRAINING)
-        return Snapshot(
-            q_work=arrived - self._next,
-            workers_effective=len(statuses) - starting - draining,
-            workers_busy=statuses.count(BUSY) + draining,
-            workers_starting=starting,
-            workers_draining=draining,
-            enqueued_total=arrived,
-            completed_total=len(self.completion_records),
-        )
+        # q_work, workers_effective, workers_busy, workers_starting,
+        # workers_draining, enqueued_total, completed_total
+        return Snapshot(arrived - self._next,
+                        len(statuses) - starting - draining,
+                        statuses.count(BUSY) + draining, starting, draining,
+                        arrived, len(self.completion_records))
 
-    def _record_arrivals(self, key):
-        """Trace the arrivals not traced yet whose keys are at most ``key``;
-        callers check ``self.trace`` first."""
-        first, self._traced = self._traced, bisect_right(
-            self._arrivals, key, self._traced)
-        self.trace.extend((time, "arrival", task_id, -1) for time, _, task_id, _
-                          in self._arrivals[first:self._traced])
+    def _arrived_by(self, kind, lo: int) -> int:
+        """The tasks arrived by an event of ``kind`` at the clock, searched
+        for from index ``lo``: a task arriving at the clock arrives after a
+        completion and before a worker-ready event, and an arrival event's
+        own task is the last one arrived."""
+        if kind == _ARRIVAL:
+            return self._next
+        find = bisect_left if kind == _COMPLETION else bisect_right
+        return find(self._times, self.clock, lo)
+
+    def _record_arrivals(self, kind):
+        """Trace the arrivals not traced yet up to an event of ``kind`` at
+        the clock; callers check ``self.trace`` first."""
+        first, self._traced = self._traced, self._arrived_by(kind,
+                                                             self._traced)
+        self.trace.extend((task.arrival_time, "arrival", task.task_id, -1)
+                          for task in self._tasks[first:self._traced])
 
     # -- event handlers -----------------------------------------------------
     # Each keeps the backlog invariant: a worker goes idle only when the head
-    # of the list has not arrived, and an arrival is an event only while a
+    # of the batch has not arrived, and an arrival is an event only while a
     # worker is idle. Starting a task is written out in each of them, as this
     # is the per-task path. A heap event is still the heap's root when its
     # handler runs, and the handler takes it off.
@@ -276,7 +311,7 @@ class FarmSim:
         heappush(self._events, (self.clock + task.service_time, _COMPLETION,
                                 wid, task))
         if self.trace is not None:
-            self._record_arrivals((self.clock, _ARRIVAL, task.task_id, task))
+            self._record_arrivals(_ARRIVAL)
             self._record("dispatch", task_id=task.task_id, worker_id=wid)
 
     def _on_completion(self, worker_id, task):
@@ -286,7 +321,7 @@ class FarmSim:
         self.completion_records.append((task, clock, met))
         trace = self.trace
         if trace is not None:
-            self._record_arrivals((clock, _COMPLETION))
+            self._record_arrivals(_COMPLETION)
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)
         if self.workers[worker_id] == DRAINING:
@@ -294,10 +329,10 @@ class FarmSim:
             del self.workers[worker_id]
             if trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
-        elif (head := self._arrivals[self._next])[0] < clock:
+        elif self._times[nxt := self._next] < clock:
             # the head arrived before this completion: the queue's first task
-            self._next += 1
-            queued = head[3]
+            queued = self._tasks[nxt]
+            self._next = nxt + 1
             heapreplace(self._events, (clock + queued.service_time,
                                        _COMPLETION, worker_id, queued))
             if trace is not None:
@@ -315,11 +350,11 @@ class FarmSim:
         self._starts.popleft()  # the oldest pending start is this one
         trace = self.trace
         if trace is not None:
-            self._record_arrivals((self.clock, _WORKER_READY))
+            self._record_arrivals(_WORKER_READY)
             self._record("worker_ready", worker_id=worker_id)
-        if (head := self._arrivals[self._next])[0] <= self.clock:
-            self._next += 1
-            task = head[3]
+        if self._times[nxt := self._next] <= self.clock:
+            task = self._tasks[nxt]
+            self._next = nxt + 1
             self.workers[worker_id] = BUSY
             heapreplace(self._events, (self.clock + task.service_time,
                                        _COMPLETION, worker_id, task))
@@ -331,9 +366,9 @@ class FarmSim:
             self.workers[worker_id] = IDLE
             insort(self._idle, worker_id)
 
-    def _check_conservation(self, key):
-        """Conservation identity and the backlog invariant after the event
-        ``key``, plus the start order, the pending starts, the idle list and
+    def _check_conservation(self, kind):
+        """Conservation identity and the backlog invariant after an event of
+        ``kind`` at the clock, plus the start order, the pending starts, the idle list and
         the heap's completions against the statuses."""
         statuses = list(self.workers.values())
         pending = len(self._starts)
@@ -342,8 +377,7 @@ class FarmSim:
             raise ConservationError(
                 f"{pending} pending starts, but the starting workers are not"
                 f" the newest {pending} of {statuses} at t={self.clock}")
-        # the arrivals up to the event have arrived
-        snap = self._snapshot(bisect_right(self._arrivals, key, self._next))
+        snap = self._snapshot(self._arrived_by(kind, self._next))
         idle = [w for w, status in self.workers.items() if status == IDLE]
         if snap.q_work and idle:
             raise ConservationError(

@@ -205,8 +205,9 @@ def test_criterion_07_reward_and_cost():
             backlog=float(rng.uniform(0, 500)),
             n_workers=int(rng.integers(1, 21)),
             applied_delta=int(rng.integers(-1, 2)))
-        sums_ok &= abs(total - sum(terms.values())) <= 1e-12
-        names_ok &= set(terms) == set(REWARD_TERMS)
+        # the terms are a tuple in REWARD_TERMS order
+        sums_ok &= abs(total - sum(terms)) <= 1e-12
+        names_ok &= len(terms) == len(REWARD_TERMS)
     checks["terms sum to total (1e-12)"] = sums_ok
     checks["all seven terms present"] = names_ok and len(REWARD_TERMS) == 7
 

@@ -244,6 +244,42 @@ def test_out_records_the_commit_of_each_side(tmp_path, monkeypatch):
         "base": BASE_SHA, "change": CHANGE_SHA}
 
 
+def test_out_tells_apart_two_trees_at_one_commit(tmp_path, monkeypatch):
+    # a side run from a checkout with uncommitted edits names its HEAD, so
+    # only the digest of its files shows that the two sides differ
+    base, change = two_trees(tmp_path)
+    for tree in (base, change):
+        fake_git(tree, BASE_SHA, packed=False)
+        (tree / "src" / "sim.py").write_text("a = 1\n")
+    (change / "src" / "sim.py").write_text("a = 2\n")
+    fake_runs(monkeypatch)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change),
+                             "--workload", "replay", "--pairs", "1",
+                             "--seed", "1", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert written["commits"] == {"base": BASE_SHA, "change": BASE_SHA}
+    digests = written["tree_sha256"]
+    assert digests == {side: bench_pairs.tree_digest(tree)
+                       for side, tree in (("base", base), ("change", change))}
+    assert digests["base"] != digests["change"]
+    assert all(len(d) == 64 for d in digests.values())
+
+
+def test_tree_digest_covers_what_a_copy_carries(tmp_path):
+    base, change = two_trees(tmp_path)
+    (change / "side.txt").write_text("base")  # now a byte copy of base
+    assert bench_pairs.tree_digest(base) == bench_pairs.tree_digest(change)
+    # leftovers a copy leaves out do not count, .git included
+    fake_git(change, CHANGE_SHA, packed=False)
+    (change / "src" / "__pycache__" / "sim.pyc").write_bytes(b"\0")
+    (change / "perfbench" / "out" / "run.json").write_text("{}")
+    assert bench_pairs.tree_digest(base) == bench_pairs.tree_digest(change)
+    # a file's path counts, not only its bytes
+    (change / "side.txt").rename(change / "src" / "side.txt")
+    assert bench_pairs.tree_digest(base) != bench_pairs.tree_digest(change)
+
+
 def test_aa_floor_is_a_share_of_the_base_median():
     floor = bench_pairs.aa_floor(judge(BASE, [b * 0.95 for b in BASE],
                                        "higher", 0.25))

@@ -238,7 +238,7 @@ class TestEpisodeLog:
         log.steps.append(StepRecord(step=0, observation=obs, action=1,
                                     applied_delta=1, reward=0.5, arrived=3,
                                     completed=2, hits=2, workers_busy=1,
-                                    reward_terms={"qos_tracking": 0.5}))
+                                    reward_terms=(0.5,) + (0.0,) * 6))
         return log
 
     def test_step_csv_round_trip(self, tmp_path):

@@ -26,6 +26,13 @@ UNIT_CFG = RewardConfig(q_target=0.9, q_queue_target=100.0, q_idle=10.0,
                         w_eff=1.0, w_up=1.0, w_down=1.0)
 
 
+def named(terms):
+    """The reward terms of ``compute_reward`` keyed by their names: the
+    tuple holds them in ``REWARD_TERMS`` order."""
+    assert len(terms) == len(REWARD_TERMS)
+    return dict(zip(REWARD_TERMS, terms))
+
+
 class TestComputeReward:
     def test_neutral_operating_point_is_zero(self):
         total, _ = compute_reward(UNIT_CFG, q_k=0.9, backlog=100.0,
@@ -36,27 +43,27 @@ class TestComputeReward:
         total, terms = compute_reward(UNIT_CFG, q_k=1.0, backlog=20.0,
                                       n_workers=8, applied_delta=0)
         assert total == pytest.approx(1.1, abs=1e-9)
-        assert terms["stable_bonus"] == pytest.approx(1.0)
+        assert named(terms)["stable_bonus"] == pytest.approx(1.0)
 
     def test_hand_example_overloaded_scale_up(self):
         total, terms = compute_reward(UNIT_CFG, q_k=0.5, backlog=300.0,
                                       n_workers=12, applied_delta=+1)
         assert total == pytest.approx(-4.4, abs=1e-9)
-        assert terms["backlog_penalty"] == pytest.approx(-4.0)
-        assert terms["scale_up_bonus"] == pytest.approx(1.0)
+        assert named(terms)["backlog_penalty"] == pytest.approx(-4.0)
+        assert named(terms)["scale_up_bonus"] == pytest.approx(1.0)
 
     def test_scale_up_bonus_under_load(self):
         _, terms = compute_reward(UNIT_CFG, q_k=1.0, backlog=150.0,
                                   n_workers=5, applied_delta=+1)
-        assert terms["scale_up_bonus"] == pytest.approx(1.0)
+        assert named(terms)["scale_up_bonus"] == pytest.approx(1.0)
 
     def test_overprovision_penalty_gated_on_idle(self):
         _, busy = compute_reward(UNIT_CFG, q_k=0.95, backlog=50.0,
                                  n_workers=15, applied_delta=0)
-        assert busy["overprovision_penalty"] == 0.0
+        assert named(busy)["overprovision_penalty"] == 0.0
         _, idle = compute_reward(UNIT_CFG, q_k=0.95, backlog=5.0,
                                  n_workers=15, applied_delta=0)
-        assert idle["overprovision_penalty"] == pytest.approx(-5.0)
+        assert named(idle)["overprovision_penalty"] == pytest.approx(-5.0)
 
     @given(q=st.floats(min_value=0, max_value=1),
            backlog=st.floats(min_value=0, max_value=500),
@@ -64,8 +71,45 @@ class TestComputeReward:
            delta=st.sampled_from([-1, 0, 1]))
     def test_terms_always_sum_to_total(self, q, backlog, n, delta):
         total, terms = compute_reward(UNIT_CFG, q, backlog, n, delta)
-        assert set(terms) == set(REWARD_TERMS)
-        assert total == pytest.approx(sum(terms.values()), abs=1e-12)
+        assert len(terms) == len(REWARD_TERMS)
+        # summed in REWARD_TERMS order, the order of the total's own sum
+        assert total == sum(terms)
+
+    @given(q=st.floats(min_value=0, max_value=1),
+           backlog=st.floats(min_value=0, max_value=500),
+           n=st.integers(min_value=0, max_value=30),
+           delta=st.sampled_from([-1, 0, 1]),
+           cfg=st.sampled_from([UNIT_CFG, RewardConfig()]))
+    def test_terms_have_the_bits_of_the_named_terms(self, q, backlog, n,
+                                                    delta, cfg):
+        reference = reference_reward_terms(cfg, q, backlog, n, delta)
+        total, terms = compute_reward(cfg, q, backlog, n, delta)
+        assert terms == tuple(reference.values())
+        assert total == sum(reference.values())
+
+
+def reference_reward_terms(cfg, q_k, backlog, n_workers, applied_delta):
+    """The reward terms as ``compute_reward`` built them before they became
+    a tuple: a dict keyed by ``REWARD_TERMS``, in that order."""
+    ratio = backlog / cfg.q_queue_target
+    qos_ok = q_k >= cfg.q_target
+    terms = {
+        "qos_tracking": cfg.w_qos * (q_k - cfg.q_target),
+        "backlog_penalty": -cfg.w_backlog * max(0.0, ratio - 1.0) ** 2,
+        "scale_cost": -cfg.w_scale if applied_delta != 0 else 0.0,
+        "overprovision_penalty": (
+            -cfg.w_eff * max(0.0, n_workers - cfg.n_target)
+            if backlog <= cfg.q_idle and qos_ok else 0.0),
+        "scale_up_bonus": (
+            cfg.w_up if applied_delta > 0 and (ratio > 1.0 or not qos_ok)
+            else 0.0),
+        "scale_down_bonus": (
+            cfg.w_down if applied_delta < 0 and ratio <= 1.0 and qos_ok
+            else 0.0),
+        "stable_bonus": cfg.w_qos if qos_ok and ratio <= 0.5 else 0.0,
+    }
+    assert tuple(terms) == REWARD_TERMS
+    return terms
 
 
 @pytest.fixture
@@ -93,7 +137,7 @@ class TestLifecycle:
         assert env.log.steps == []
         assert record == StepRecord(
             step=0, observation=obs, action=0, applied_delta=0, reward=0.0,
-            arrived=0, completed=0, hits=0, workers_busy=0, reward_terms={})
+            arrived=0, completed=0, hits=0, workers_busy=0, reward_terms=())
 
     def test_step_returns_the_record_it_logs(self, small_env):
         env, tasks = small_env
@@ -105,6 +149,25 @@ class TestLifecycle:
             assert record.step == len(env.log.steps)
             assert (record.observation, record.reward) == (obs, reward)
             assert record.workers_busy == env.sim.snapshot().workers_busy
+
+    def test_an_unsorted_workload_keeps_its_order_in_the_log(self, small_env,
+                                                             tmp_path):
+        # the simulator sorts a copy of a batch out of (time, id) order, so
+        # the log and tasks.csv list the tasks in the order they were given
+        env, tasks = small_env
+        workload = tasks[1::2] + tasks[0::2]
+        given_order = list(workload)
+        env.reset(workload, seed=0)
+        done = False
+        while not done:
+            _, _, done, _ = env.step(0)
+        assert workload == given_order and env.log.tasks == given_order
+        assert ([task.task_id for task, _, _ in env.log.completions]
+                == sorted(t.task_id for t in tasks))  # ran in time order
+        env.log.write_task_csv(tmp_path / "tasks.csv")
+        with open(tmp_path / "tasks.csv", newline="") as fh:
+            _, *rows = csv.reader(fh)
+        assert [int(row[0]) for row in rows] == [t.task_id for t in workload]
 
     def test_reset_initial_observation_cold(self):
         cfg = single_phase_config(2.0, 80.0, n_init=2, warm_start=False)
@@ -255,9 +318,9 @@ class TestStepObservations:
     def test_reward_terms_sum_every_step(self, small_env):
         env, tasks = small_env
         for _, reward, record in self._run(env, tasks):
-            assert set(record.reward_terms) == set(REWARD_TERMS)
-            assert reward == pytest.approx(
-                sum(record.reward_terms.values()), abs=1e-12)
+            assert type(record.reward_terms) is tuple
+            assert len(record.reward_terms) == len(REWARD_TERMS)
+            assert reward == sum(record.reward_terms)
 
     def test_applied_delta_respects_bounds(self, small_env):
         env, tasks = small_env

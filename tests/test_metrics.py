@@ -1,8 +1,10 @@
 """Episode summaries and the two pricing models."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
                             RewardConfig, StepRecord, TaskSpec)
@@ -207,6 +209,34 @@ class TestSummarize:
             log.steps.append(step(k, n, applied_delta=delta, reward=0.1 * n))
         assert (repr(summarize_episode(log, cfg))
                 == repr(reference_summary(log, cfg)))
+
+    @given(n_phases=st.integers(1, 4),
+           tasks=st.lists(st.tuples(st.integers(-2, 5), st.booleans(),
+                                    st.booleans()), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    @example(n_phases=3, tasks=[(0, True, True), (0, True, False),
+                                (2, True, True), (3, True, True),
+                                (-1, False, False), (7, True, True)])
+    def test_phase_counts_match_a_counter(self, n_phases, tasks):
+        # a phase index outside the configured phases counts in emitted and
+        # met but in no phase, and a phase without tasks counts zero
+        cfg = EpisodeConfig(
+            phases=tuple(WorkloadPhaseSpec("steady", 1.0, 8.0, window=1.0)
+                         for _ in range(n_phases)), step_duration=8.0)
+        specs = [task(i, phase) for i, (phase, _, _) in enumerate(tasks)]
+        log = EpisodeLog(specs, [(spec, 0.2, met) for spec, (_, done, met)
+                                 in zip(specs, tasks) if done])
+        log.steps.append(step(1, 2))
+        emitted_in = Counter(t.phase_index for t in specs)
+        met_in = Counter(t.phase_index for t, _, met in log.completions if met)
+        summary = summarize_episode(log, cfg)
+        assert (summary.emitted, summary.met) == (
+            len(specs), sum(met_in.values()))
+        assert [(p.phase_index, p.emitted, p.met) for p in summary.per_phase
+                ] == [(i, emitted_in[i], met_in[i]) for i in range(n_phases)]
+        assert [p.qos for p in summary.per_phase] == [
+            met_in[i] / emitted_in[i] if emitted_in[i] else 1.0
+            for i in range(n_phases)]
 
     def test_episode_summary_roundtrips_as_dict(self):
         cfg = self._config()

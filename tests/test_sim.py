@@ -170,9 +170,9 @@ class TestInjection:
             for batch in ([simple_task(1, 0.7)], [simple_task(2, 0.7)], []):
                 with pytest.raises(ValueError, match="one batch of tasks"):
                     sim.inject_tasks(batch)
-                assert sim._arrivals == [(t.arrival_time, sim_module._ARRIVAL,
-                                          t.task_id, t) for t in first] + [
-                    sim_module._END]
+                assert sim._tasks == [*first, None]
+                assert sim._times == [*(t.arrival_time for t in first),
+                                      math.inf]
 
     def test_enqueued_total_counts_arrived_tasks(self):
         sim = make_sim(warm=True)
@@ -291,10 +291,70 @@ class TestMergedArrivals:
         sim = make_sim()
         with pytest.raises(ValueError, match="duplicate task_id 2"):
             sim.inject_tasks([simple_task(2, 0.5), simple_task(2, 0.7)])
-        assert sim._arrivals == [sim_module._END]
+        assert sim._tasks == [None] and sim._times == [math.inf]
         sim.inject_tasks([simple_task(2, 0.5)])  # still takes its one batch
         sim.advance(1.0)
         assert sim.snapshot().enqueued_total == 1
+
+
+class TestInjectionPaths:
+    """``inject_tasks`` keeps a batch whose ids rise and whose times never
+    fall as it comes, and sorts a copy of any other by (arrival time, task
+    id); both paths must schedule the same run."""
+
+    @given(slots=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                          min_size=1, max_size=24),
+           shuffler=st.randoms(use_true_random=False),
+           warm=st.booleans(), n_init=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_every_permutation_runs_as_the_sorted_batch(self, slots, shuffler,
+                                                        warm, n_init):
+        # few distinct times, so arrivals tie, and ids that are neither
+        # contiguous nor in list order, so each tie is decided by the ids
+        ids = list(range(0, 3 * len(slots), 3))
+        shuffler.shuffle(ids)
+        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
+                 for i, (a, s) in zip(ids, slots)]
+        ordered = sorted(tasks, key=lambda t: (t.arrival_time, t.task_id))
+        permuted = list(tasks)
+        shuffler.shuffle(permuted)
+        given_order = list(permuted)
+        sims = grid_sim(warm, n_init, 7), grid_sim(warm, n_init, 7)
+        sims[0].inject_tasks(ordered)  # in order: kept as it comes
+        sims[1].inject_tasks(permuted)  # sorted, unless in order by chance
+        assert permuted == given_order  # the caller's list is not sorted
+        for sim in sims:
+            assert sim._tasks == [*ordered, None]
+            assert sim._times == [*(t.arrival_time for t in ordered),
+                                  math.inf]
+            sim.advance(200.0)
+        assert sims[0].trace == sims[1].trace
+        assert sims[0].completion_records == sims[1].completion_records
+        assert len(sims[0].completion_records) == len(tasks)
+
+    @given(slots=st.lists(st.integers(0, 6), min_size=2, max_size=24),
+           pick=st.integers(1, 23), in_order=st.booleans(),
+           shuffler=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_a_duplicate_id_schedules_nothing_on_either_path(
+            self, slots, pick, in_order, shuffler):
+        tasks = [simple_task(i, 0.5 * a) for i, a in enumerate(sorted(slots))]
+        # a task takes the id of the one before it: in order, the times and
+        # the ids still never fall
+        k = 1 + pick % (len(tasks) - 1)
+        first = k - 1
+        tasks[k] = tasks[k]._replace(task_id=first)
+        if not in_order:
+            shuffler.shuffle(tasks)
+        sim = make_sim(n_init=2, warm=True)
+        with pytest.raises(ValueError, match=f"^duplicate task_id {first}$"):
+            sim.inject_tasks(tasks)
+        assert sim._tasks == [None] and sim._times == [math.inf]
+        sim.advance(10.0)
+        assert sim.snapshot() == recount(sim, 0, 0)
+        sim.inject_tasks([simple_task(0, 0.5)])  # still takes its one batch
+        sim.advance(1.0)
+        assert sim.enqueued_total == 1
 
 
 class TestScaling:
@@ -447,7 +507,7 @@ def scanned_snapshot(sim):
     reference for the counts it works out: the tasks arrived are those of
     the batch at or before the clock, once the clock has moved, and the
     queue is those of them neither completed nor held by a busy worker."""
-    arrived = {task_id for time, _, task_id, _ in sim._arrivals
+    arrived = {task.task_id for time, task in zip(sim._times, sim._tasks)
                if time <= sim.clock and sim.clock > 0}
     dispatched = {task.task_id for task, _, _ in sim.completion_records}
     dispatched |= {task.task_id for _, kind, _, task in sim._events

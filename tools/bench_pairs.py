@@ -30,7 +30,10 @@ whether the change's median is within the metric's ``bound``, a fraction of
 the parent's median. ``--out`` writes the same facts, with every pair's
 values, each run's machine block and each side's commit, as JSON. A copy
 leaves out ``.git``, so each side's commit is read from its tree, the
-HEAD of its checkout, before any copy is made.
+HEAD of its checkout, before any copy is made. A checkout with uncommitted
+edits still names its HEAD, so ``--out`` also records for each side a
+sha256 over the relative paths and bytes of the files its copies carry:
+two sides at one commit with different files have different digests.
 
 Exits 1 if a run is not ``correct``, fails an operation, or differs from the
 other side of its pair in ``qos`` or in the output digest of its
@@ -38,7 +41,9 @@ other side of its pair in ``qos`` or in the output digest of its
 """
 
 import argparse
+import hashlib
 import json
+import os
 import random
 import shutil
 import statistics
@@ -133,6 +138,21 @@ def git_sha(tree: Path) -> str:
     return "unknown"
 
 
+def tree_digest(tree: Path) -> str:
+    """sha256 over the files a copy of ``tree`` carries, in path order:
+    each file's path relative to ``tree``, its length and its bytes."""
+    digest = hashlib.sha256()
+    for root, dirs, files in os.walk(tree):
+        skipped = SKIP(root, dirs + files)
+        dirs[:] = sorted(d for d in dirs if d not in skipped)
+        for name in sorted(set(files) - skipped):
+            path = Path(root, name)
+            data = path.read_bytes()
+            digest.update(path.relative_to(tree).as_posix().encode() + b"\0")
+            digest.update(len(data).to_bytes(8, "little") + data)
+    return digest.hexdigest()
+
+
 def compile_sources(tree: Path):
     """Byte-compile ``src`` in ``tree``; exit with a message if it fails."""
     proc = subprocess.run(["python3", "-m", "compileall", "-q", "src"],
@@ -208,6 +228,8 @@ def main(argv=None) -> int:
     rng = random.Random()
     commits = {side: git_sha(getattr(args, side))
                for side in ("base", "change")}
+    trees = {side: tree_digest(getattr(args, side))
+             for side in ("base", "change")}
     runs, found = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
         for i in range(args.pairs):
@@ -248,7 +270,8 @@ def main(argv=None) -> int:
     if args.out:
         args.out.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed, "seconds": seconds,
-            "aa": args.aa, "commits": commits, "pairs": runs,
+            "aa": args.aa, "commits": commits, "tree_sha256": trees,
+            "pairs": runs,
             "verdicts": verdicts, "aa_floor": floors, "problems": found},
             indent=2) + "\n")
     return 1 if found else 0
