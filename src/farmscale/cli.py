@@ -98,7 +98,7 @@ def cmd_workload(args):
                                    shuffle_phases=args.shuffle,
                                    rng_seed=seed)
     write_workload_csv(tasks, args.out)
-    counts = Counter(t.phase_index for t in tasks)
+    counts = Counter(tasks.phase_index)
     for phase in sorted(counts):
         print(f"phase {phase}: {counts[phase]} tasks")
     print(f"total: {len(tasks)} tasks -> {args.out}")

@@ -10,8 +10,11 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from functools import reduce
+from itertools import repeat
+from operator import add, attrgetter, eq
 from typing import Iterable, NamedTuple
 
 ACTIONS = (-1, 0, 1)
@@ -49,6 +52,14 @@ def is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def left_sum(values) -> float:
+    """The float sum of ``values`` added one at a time, left to right, from
+    0.0: the bits of the builtin ``sum`` before Python 3.12, whose ``sum``
+    compensates the rounding of float terms and so can differ in the last
+    bit."""
+    return reduce(add, values, 0.0)
 
 
 class FieldError(ValueError):
@@ -121,9 +132,10 @@ class TaskSpec(_TaskFields):
     order of ``_fields``. Every construction through the class (positional,
     keyword, ``_make`` and ``_replace``) rejects an arrival time that is not
     finite and runs ``check_task_timing``; assignment raises
-    ``AttributeError``. The workload builder runs the timing checks once per
-    distinct size and makes its rows with ``tuple.__new__``: its arrival
-    times are finite by construction.
+    ``AttributeError``. A ``Workload`` makes its rows with ``tuple.__new__``
+    from columns of checked values: the workload builder runs the timing
+    checks once per distinct size, and its arrival times are finite by
+    construction.
     """
 
     __slots__ = ()
@@ -139,6 +151,72 @@ class TaskSpec(_TaskFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+# a workload's six columns, in the order of ``TaskSpec._fields``
+task_columns = attrgetter(*TaskSpec._fields)
+
+
+class Workload(Sequence):
+    """An episode's tasks as six read-only columns, one per field of
+    ``TaskSpec`` and named after it: ``workload.service_time[i]`` is the
+    service time of task ``i``. A column is a tuple or a ``range``; a
+    built workload's ``task_id`` column is ``range(len(workload))``, and
+    its rows of one size share that size's service time and deadline float
+    objects.
+
+    It is also a sequence of ``TaskSpec`` rows: ``len``, indexing (a slice
+    is a ``Workload``), iteration and ``==`` with any sequence of equal
+    tasks behave as on a list of the rows. A row is made only when one is
+    indexed or iterated; the simulator, the env and the summaries read the
+    columns by task index and make none. ``from_tasks`` is the one path
+    from rows to columns.
+    """
+
+    __slots__ = TaskSpec._fields
+    __hash__ = None
+
+    def __init__(self, task_id, arrival_time, size_px, service_time,
+                 deadline, phase_index):
+        columns = [c if isinstance(c, (tuple, range)) else tuple(c)
+                   for c in (task_id, arrival_time, size_px, service_time,
+                             deadline, phase_index)]
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"columns of unequal lengths "
+                             f"{[len(c) for c in columns]}")
+        for name, column in zip(self.__slots__, columns):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_tasks(cls, tasks) -> "Workload":
+        """The tasks of ``tasks``, any iterable of ``TaskSpec``, as columns
+        in the order it gives them; a ``Workload`` is returned as it is. An
+        item that is not a ``TaskSpec`` is made one, with its checks."""
+        if isinstance(tasks, Workload):
+            return tasks
+        rows = [t if isinstance(t, TaskSpec) else TaskSpec._make(t)
+                for t in tasks]
+        return cls(*(zip(*rows) if rows else repeat((), len(cls.__slots__))))
+
+    def __len__(self) -> int:
+        return len(self.task_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Workload(*[column[index] for column in task_columns(self)])
+        return tuple.__new__(TaskSpec,
+                             [column[index] for column in task_columns(self)])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(TaskSpec), zip(*task_columns(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Workload({list(self)!r})"
 
 
 class Observation(NamedTuple):
@@ -197,7 +275,7 @@ class EpisodeConfig:
 
     @property
     def total_duration(self) -> float:
-        return sum(p.duration for p in self.phases)
+        return left_sum(p.duration for p in self.phases)
 
 
 @dataclass(frozen=True)
@@ -264,14 +342,19 @@ def write_csv(path, header, rows):
 
 @dataclass
 class EpisodeLog:
-    """One episode: its workload, the simulator's completion records
-    ``(task, completion_time, met)``, the per-step records and the order
-    its phases ran in (empty: the configured order)."""
+    """One episode: its workload as a ``Workload`` (any other sequence of
+    tasks is turned into one), the simulator's completion records
+    ``(index, completion_time, met)``, whose ``index`` points into
+    ``tasks``, the per-step records and the order its phases ran in (empty:
+    the configured order)."""
 
-    tasks: list = field(default_factory=list)
+    tasks: Sequence = ()
     completions: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     phase_order: tuple = ()
+
+    def __post_init__(self):
+        self.tasks = Workload.from_tasks(self.tasks)
 
     @property
     def n_tasks(self) -> int:
@@ -292,10 +375,10 @@ class EpisodeLog:
         """One row per task in workload order: its fields but the phase,
         then completion and met. A task that never completed has completion
         ``nan`` and counts as missed. ``met`` is 0/1."""
-        done = {task.task_id: (time, int(met))
-                for task, time, met in self.completions}
-        unfinished = (math.nan, 0)
+        n = len(self.tasks)
+        completion, met = [math.nan] * n, [0] * n
+        for i, time, hit in self.completions:
+            completion[i], met[i] = time, int(hit)
         write_csv(path, TASK_COLUMNS,
-                  ((*t[:5], *done.get(t.task_id, unfinished))
-                   for t in self.tasks))
+                  zip(*task_columns(self.tasks)[:5], completion, met))
 

@@ -13,7 +13,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import EpisodeLog, Observation, StepRecord, RewardConfig
+from .core import (EpisodeLog, Observation, RewardConfig, StepRecord,
+                   Workload, left_sum)
 from .sim import FarmSim
 
 REWARD_TERMS = (
@@ -61,7 +62,7 @@ def compute_reward(cfg: RewardConfig, q_k: float, backlog: float,
          else 0.0),
         cfg.w_qos if qos_ok and ratio <= 0.5 else 0.0,
     )
-    return sum(terms), terms
+    return left_sum(terms), terms
 
 
 class FarmEnv:
@@ -97,7 +98,8 @@ class FarmEnv:
     def reset(self, workload, seed: int, order=()):
         """Start an episode over ``workload``, whose phases ran in ``order``
         (empty: the configured order); returns (obs, step-0 record)."""
-        tasks = list(workload)  # read once: ``workload`` may be an iterator
+        # read once: ``workload`` may be an iterator of tasks
+        tasks = Workload.from_tasks(workload)
         self.sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
         self.sim.inject_tasks(tasks)
         # the sim appends to its completion records, so the log stays current
@@ -128,8 +130,9 @@ class FarmEnv:
         records = sim.completion_records[done:]
         completed = len(records)
         hits = sum(map(itemgetter(2), records))  # the records' met flags
-        self._service[done:done + completed] = [r[0].service_time
-                                                for r in records]
+        service = self.log.tasks.service_time
+        self._service[done:done + completed] = [service[i]
+                                                for i, _, _ in records]
 
         snap = sim.snapshot()
         obs = self._make_observation(snap, arrived, completed, hits)

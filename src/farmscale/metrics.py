@@ -12,13 +12,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter
 
 import numpy as np
 
-from .core import FieldError, check_fields
-
-_phase_index = attrgetter("phase_index")
+from .core import FieldError, check_fields, left_sum
 
 
 @dataclass(frozen=True)
@@ -106,9 +103,9 @@ def summarize_episode(log, config) -> EpisodeSummary:
     emitted = log.n_tasks
     # the phase of each task and of each task that met its deadline, sorted,
     # so a phase's counts take two bisects each, not a scan per phase
-    emitted_phases = sorted(map(_phase_index, log.tasks))
-    met_phases = sorted([task.phase_index for task, _, met in log.completions
-                         if met])
+    phases = log.tasks.phase_index
+    emitted_phases = sorted(phases)
+    met_phases = sorted([phases[i] for i, _, met in log.completions if met])
     met = len(met_phases)
     completed = len(log.completions)
 
@@ -138,7 +135,7 @@ def summarize_episode(log, config) -> EpisodeSummary:
         no_ops=len(steps) - n_scale,
         steps=len(steps),
         duration=len(steps) * config.step_duration,
-        total_reward=float(sum(s.reward for s in steps)),
+        total_reward=left_sum(s.reward for s in steps),
         emitted=emitted,
         completed=completed,
         met=met,

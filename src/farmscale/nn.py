@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import left_sum
+
 # where the Smooth-L1 loss turns from quadratic to linear
 SMOOTH_L1_BETA = 1.0
 # Adam's moment decay rates and denominator offset
@@ -152,7 +154,7 @@ def clip_gradient_norm(net: Mlp, max_norm: float):
     bits of a loop over separate arrays.
     """
     np.multiply(net.grad, net.grad, out=net._scratch)
-    total = np.sqrt(sum(float(s.sum()) for s in net._scratch_views))
+    total = np.sqrt(left_sum(float(s.sum()) for s in net._scratch_views))
     if total > max_norm and total > 0:
         net.grad *= max_norm / total
 

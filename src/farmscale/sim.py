@@ -7,18 +7,24 @@ zero-delay: arriving tasks land in the worker queue instantly and completed
 tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
 
-A simulator takes one batch of tasks, kept in (arrival time, task id) order
-as two columns of the same length: the tasks, and their arrival times. Each
-ends in a sentinel that never arrives, ``None`` in the tasks and ``math.inf``
-in the times, so no read of the head checks the length. Workers take tasks
-first come, first served in that order, so the tasks dispatched are a prefix
-of the batch and the worker queue is a span of it: from ``_next``, the first
-task not dispatched, to the last arrival before the current event. The event
-heap holds only completions and worker-ready events, about one per worker,
-as ``(time, kind, worker id, task)`` tuples; its tuple order is the
-tie-break. An arrival at time ``t`` comes before the heap's root when ``t``
-is earlier than the root's time, or equal to it with the root a worker-ready
-event; a completion at ``t`` comes before it.
+A simulator takes one batch of tasks, a ``core.Workload`` of six columns,
+and keeps it in (arrival time, task id) order: a batch already in that
+order, as every built workload is, is read in place, and any other is read
+through a sorted copy of its columns and a list of each task's index in the
+caller's order. A task is known by its position in that order. The
+simulator's own copy of the arrival-time column ends in a sentinel,
+``math.inf``, that never arrives, so no read of the head checks the length.
+Workers take tasks first come, first served in that order, so the tasks
+dispatched are a prefix of the batch and the worker queue is a span of it:
+from ``_next``, the first task not dispatched, to the last arrival before
+the current event. The event heap holds only completions and worker-ready
+events, about one per worker, as ``(time, kind, worker id, position)``
+tuples; its tuple order is the tie-break. An arrival at time ``t`` comes
+before the heap's root when ``t`` is earlier than the root's time, or equal
+to it with the root a worker-ready event; a completion at ``t`` comes before
+it. A completion record is ``(index, completion_time, met)``, ``index`` the
+task's index in the batch as the caller gave it, so a log reads the task's
+fields from the caller's columns.
 
 Each event costs one heap operation. ``advance`` only peeks at the root, and
 the handler of a heap event takes its own event off: with ``heapreplace``
@@ -63,22 +69,17 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
-from itertools import count, islice
-from operator import attrgetter
+from itertools import count, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ACTIONS, as_action
+from .core import ACTIONS, Workload, as_action, task_columns
 
 # event kind priorities (tie-break after time)
 _COMPLETION = 0
 _ARRIVAL = 1
 _WORKER_READY = 2
-
-_arrival_time = attrgetter("arrival_time")
-_task_id = attrgetter("task_id")
-_arrival_order = attrgetter("arrival_time", "task_id")
 
 STARTING = "starting"
 IDLE = "idle"
@@ -110,11 +111,16 @@ class FarmSim:
         self.validate = validate
         self.clock = 0.0
         self.workers: dict[int, str] = {}  # id -> status, in start order
-        self.completion_records = []  # (task, completion_time, met)
-        self._events = []  # (time, kind, id, payload): completions, readies
-        self._tasks = [None]  # the batch in (arrival time, task id) order
-        self._times = [math.inf]  # their arrival times
-        self._next = 0  # index of the first task not yet dispatched
+        # (index in the caller's batch, completion_time, met)
+        self.completion_records = []
+        # (time, kind, worker id, position): completions, readies
+        self._events = []
+        # the batch in (arrival time, task id) order, and for each position
+        # the task's index in the caller's batch (None: the same)
+        self._tasks, self._index = Workload.from_tasks(()), None
+        self._times = [math.inf]  # their arrival times, then the sentinel
+        self._service = self._deadline = ()  # columns of ``_tasks``
+        self._next = 0  # position of the first task not yet dispatched
         self._traced = 0  # arrivals written to the trace so far
         self._injected = False
         self.enqueued_total = 0  # arrivals up to the end of the last advance
@@ -156,30 +162,38 @@ class FarmSim:
     # -- public operations --------------------------------------------------
 
     def inject_tasks(self, tasks):
-        """Schedule the arrivals of ``tasks``, this simulator's one batch,
-        given in any order. Arrivals run in (arrival time, task id) order.
-        A second batch, or a task id repeated in the batch, raises
-        ``ValueError`` and schedules nothing."""
+        """Schedule the arrivals of ``tasks``, this simulator's one batch: a
+        ``Workload`` or any iterable of ``TaskSpec``, in any order.
+        Arrivals run in (arrival time, task id) order. A second batch, or a
+        task id repeated in the batch, raises ``ValueError`` and schedules
+        nothing."""
         if self._injected:
             raise ValueError("a simulator takes one batch of tasks")
-        batch = list(tasks)  # the caller's list keeps its order
-        times = list(map(_arrival_time, batch))
-        ids = list(map(_task_id, batch))
-        if len(set(ids)) < len(ids):
+        tasks = Workload.from_tasks(tasks)
+        ids, times = tasks.task_id, list(tasks.arrival_time)
+        if type(ids) is not range and len(set(ids)) < len(ids):
             seen = set()
             for task_id in ids:
                 if task_id in seen:
                     raise ValueError(f"duplicate task_id {task_id}")
                 seen.add(task_id)
-        # with unique ids that rise and times that never fall the batch is
-        # in order already, as every built workload is; a sorted list sorts
-        # in one pass of comparisons made in C, with no Python call per pair
-        if ids != sorted(ids) or times != sorted(times):
-            batch.sort(key=_arrival_order)
-            times = list(map(_arrival_time, batch))
-        batch.append(None)
+        # a batch in (arrival time, task id) order already, as every built
+        # workload is, is read in place; a built workload's ids are a
+        # rising range, so only its times need checking, and a sorted list
+        # sorts in one pass of comparisons made in C
+        index = None
+        if not (type(ids) is range and ids.step > 0
+                and times == sorted(times)):
+            keys = list(zip(times, ids))
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            if order != list(range(len(keys))):
+                index = order
+                tasks = Workload(*[map(column.__getitem__, order)
+                                   for column in task_columns(tasks)])
+                times = list(tasks.arrival_time)
         times.append(math.inf)
-        self._tasks, self._times = batch, times
+        self._tasks, self._index, self._times = tasks, index, times
+        self._service, self._deadline = tasks.service_time, tasks.deadline
         self._injected = True
 
     def request_scale(self, delta: int) -> int:
@@ -227,8 +241,7 @@ class FarmSim:
         if not 0 < dt < math.inf:
             raise ValueError("dt must be positive and finite")
         end = self.clock + dt
-        events, times, tasks, idle = (self._events, self._times, self._tasks,
-                                      self._idle)
+        events, times, idle = self._events, self._times, self._idle
         # bound per call, not per instance, so wrappers on the class apply
         on_arrival, on_completion, on_ready = (
             self._on_arrival, self._on_completion, self._on_worker_ready)
@@ -243,15 +256,15 @@ class FarmSim:
                     if time > end:
                         break
                     self.clock = time
-                    on_arrival(tasks[self._next])
+                    on_arrival()
                     if check is not None:
                         check(_ARRIVAL)
                     continue
             if events and (event := events[0])[0] <= end:
                 # the handler takes its event off the heap
-                self.clock, kind, eid, task = event
+                self.clock, kind, eid, position = event
                 if kind == _COMPLETION:
-                    on_completion(eid, task)
+                    on_completion(eid, position)
                 else:
                     on_ready(eid)
                 if check is not None:
@@ -280,8 +293,8 @@ class FarmSim:
 
     def _arrived_by(self, kind, lo: int) -> int:
         """The tasks arrived by an event of ``kind`` at the clock, searched
-        for from index ``lo``: a task arriving at the clock arrives after a
-        completion and before a worker-ready event, and an arrival event's
+        for from position ``lo``: a task arriving at the clock arrives after
+        a completion and before a worker-ready event, and an arrival event's
         own task is the last one arrived."""
         if kind == _ARRIVAL:
             return self._next
@@ -293,50 +306,56 @@ class FarmSim:
         the clock; callers check ``self.trace`` first."""
         first, self._traced = self._traced, self._arrived_by(kind,
                                                              self._traced)
-        self.trace.extend((task.arrival_time, "arrival", task.task_id, -1)
-                          for task in self._tasks[first:self._traced])
+        self.trace.extend(zip(self._times[first:self._traced],
+                              repeat("arrival"),
+                              self._tasks.task_id[first:self._traced],
+                              repeat(-1)))
 
     # -- event handlers -----------------------------------------------------
     # Each keeps the backlog invariant: a worker goes idle only when the head
     # of the batch has not arrived, and an arrival is an event only while a
     # worker is idle. Starting a task is written out in each of them, as this
-    # is the per-task path. A heap event is still the heap's root when its
-    # handler runs, and the handler takes it off.
+    # is the per-task path; they read a task's fields from the columns by
+    # its position. A heap event is still the heap's root when its handler
+    # runs, and the handler takes it off.
 
-    def _on_arrival(self, task):
-        # a worker is idle, so the queue is empty and ``task`` is its head
-        self._next += 1
+    def _on_arrival(self):
+        # a worker is idle, so the queue is empty and its head has arrived
+        head = self._next
+        self._next = head + 1
         wid = self._idle.pop(0)
         self.workers[wid] = BUSY
-        heappush(self._events, (self.clock + task.service_time, _COMPLETION,
-                                wid, task))
+        heappush(self._events, (self.clock + self._service[head], _COMPLETION,
+                                wid, head))
         if self.trace is not None:
             self._record_arrivals(_ARRIVAL)
-            self._record("dispatch", task_id=task.task_id, worker_id=wid)
+            self._record("dispatch", task_id=self._tasks.task_id[head],
+                         worker_id=wid)
 
-    def _on_completion(self, worker_id, task):
+    def _on_completion(self, worker_id, position):
         # a busy worker leaves the pool only here, so no completion is stale
         clock = self.clock
-        met = clock - task.arrival_time <= task.deadline
-        self.completion_records.append((task, clock, met))
+        index = self._index
+        self.completion_records.append((
+            position if index is None else index[position], clock,
+            clock - self._times[position] <= self._deadline[position]))
         trace = self.trace
         if trace is not None:
             self._record_arrivals(_COMPLETION)
-            self._record("completion", task_id=task.task_id,
+            self._record("completion", task_id=self._tasks.task_id[position],
                          worker_id=worker_id)
         if self.workers[worker_id] == DRAINING:
             heappop(self._events)
             del self.workers[worker_id]
             if trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
-        elif self._times[nxt := self._next] < clock:
+        elif self._times[head := self._next] < clock:
             # the head arrived before this completion: the queue's first task
-            queued = self._tasks[nxt]
-            self._next = nxt + 1
-            heapreplace(self._events, (clock + queued.service_time,
-                                       _COMPLETION, worker_id, queued))
+            self._next = head + 1
+            heapreplace(self._events, (clock + self._service[head],
+                                       _COMPLETION, worker_id, head))
             if trace is not None:
-                self._record("dispatch", task_id=queued.task_id,
+                self._record("dispatch", task_id=self._tasks.task_id[head],
                              worker_id=worker_id)
         else:
             heappop(self._events)
@@ -352,14 +371,13 @@ class FarmSim:
         if trace is not None:
             self._record_arrivals(_WORKER_READY)
             self._record("worker_ready", worker_id=worker_id)
-        if self._times[nxt := self._next] <= self.clock:
-            task = self._tasks[nxt]
-            self._next = nxt + 1
+        if self._times[head := self._next] <= self.clock:
+            self._next = head + 1
             self.workers[worker_id] = BUSY
-            heapreplace(self._events, (self.clock + task.service_time,
-                                       _COMPLETION, worker_id, task))
+            heapreplace(self._events, (self.clock + self._service[head],
+                                       _COMPLETION, worker_id, head))
             if trace is not None:
-                self._record("dispatch", task_id=task.task_id,
+                self._record("dispatch", task_id=self._tasks.task_id[head],
                              worker_id=worker_id)
         else:
             heappop(self._events)
@@ -409,11 +427,12 @@ class StaticRunResult:
 
 
 def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunResult:
-    """Run the whole workload, any iterable of tasks, with a fixed pool of
-    n_fixed workers. An empty workload raises ``ValueError``."""
+    """Run the whole workload, a ``Workload`` or any iterable of tasks, with
+    a fixed pool of n_fixed workers. An empty workload raises
+    ``ValueError``."""
     if n_fixed < 1:
         raise ValueError("n_fixed must be >= 1")
-    tasks = list(workload)  # read once: an iterator is used up by reading
+    tasks = Workload.from_tasks(workload)  # an iterator is read once
     if not tasks:
         raise ValueError("the workload has no tasks")
     from dataclasses import replace
@@ -424,14 +443,14 @@ def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunRe
     sim.inject_tasks(tasks)
     while len(sim.completion_records) < len(tasks):
         sim.advance(60.0)
-    first_arrival = min(t.arrival_time for t in tasks)
+    first_arrival = min(tasks.arrival_time)
     last_completion = max(t for _, t, _ in sim.completion_records)
     return StaticRunResult(last_completion - first_arrival, init_overhead)
 
 
 def static_scaling_experiment(config, workload, pool_sizes, rng_seed: int = 0):
     """Static runs over several pool sizes plus speedups relative to n=1."""
-    tasks = list(workload)  # each run reads it
+    tasks = Workload.from_tasks(workload)  # each run reads it
     results = {n: static_run(config, tasks, n, rng_seed) for n in pool_sizes}
     base = (results[1] if 1 in results
             else static_run(config, tasks, 1, rng_seed))

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import mul
 
 import numpy as np
 
-from .core import (FieldError, TaskSpec, check_fields, check_task_timing,
-                   check_value, compute_deadline, write_csv)
+from .core import (FieldError, TaskSpec, Workload, check_fields,
+                   check_task_timing, check_value, compute_deadline, left_sum,
+                   write_csv)
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -121,7 +121,7 @@ def _mix_mean(theta: float, times: list) -> float:
     each exponent shifted by ``max(times)`` for numerical stability."""
     top = max(times)
     w = [math.exp(theta * (x - top)) for x in times]
-    return sum(map(mul, w, times)) / sum(w)
+    return left_sum(map(mul, w, times)) / left_sum(w)
 
 
 def _mix_theta(times: list, mean_target: float) -> float:
@@ -162,24 +162,30 @@ def default_size_distribution(model: ServiceTimeModel,
     return SizeDistribution(sizes=SUPPORTED_SIZES, weights=tuple(w))
 
 
+def _size_picks(dist: SizeDistribution, rng: np.random.Generator,
+                n: int) -> np.ndarray:
+    """n indices into ``dist.sizes`` drawn in one call: the sampling step of
+    ``rng.choice(len(dist.sizes), size=n, p=dist.weights)`` without that
+    call's argument handling, n doubles from ``rng.random`` placed in the
+    normalised cumulative weights with ``searchsorted(side="right")``."""
+    cdf = np.cumsum(dist.weights)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
 def sample_task_sizes(dist: SizeDistribution, rng: np.random.Generator,
                       n: int) -> list:
     """n sizes drawn in one call, as Python ints.
 
-    Runs the sampling step of ``rng.choice(len(dist.sizes), size=n,
-    p=dist.weights)`` without that call's argument handling: n doubles
-    from ``rng.random`` placed in the normalised cumulative weights with
-    ``searchsorted(side="right")``. So the sizes and the generator state
-    match that call's, which are those of n single ``rng.choice(dist.sizes,
-    p=dist.weights)`` draws.
+    The picks of ``_size_picks``, so the sizes and the generator state
+    match those of ``rng.choice(len(dist.sizes), size=n, p=dist.weights)``,
+    which are those of n single ``rng.choice(dist.sizes, p=dist.weights)``
+    draws.
     """
-    cdf = np.cumsum(dist.weights)
-    cdf /= cdf[-1]
-    picks = cdf.searchsorted(rng.random(n), side="right")
     # the n sizes share the distinct sizes' int objects; fresh ints (from
     # ndarray.tolist) would add 28 bytes per task to every workload kept
     sizes = [int(s) for s in dist.sizes]
-    return list(map(sizes.__getitem__, picks.tolist()))
+    return list(map(sizes.__getitem__, _size_picks(dist, rng, n).tolist()))
 
 
 @dataclass(frozen=True)
@@ -306,15 +312,16 @@ def phase_order(n_phases: int, shuffle: bool, rng_seed: int) -> list:
 
 def build_episode_workload(config, dist: SizeDistribution,
                            model: ServiceTimeModel, shuffle_phases: bool,
-                           rng_seed: int) -> list:
-    """Full task list for one episode, sorted by arrival, ids in arrival order.
+                           rng_seed: int) -> Workload:
+    """All tasks of one episode as a ``Workload``, sorted by arrival, ids
+    ``range(n)`` in arrival order.
 
     The phases run in the order ``phase_order`` gives. Each phase owns a
     private RNG stream keyed by (seed, phase index), so per-phase arrival
-    offsets are independent of phase placement. Rows are ordered by
-    arrival, ties by phase index. Service time and deadline are
-    worked out and checked once per distinct size, and every row of a size
-    shares those two float objects.
+    offsets are independent of phase placement. Tasks are ordered by
+    arrival, ties by phase index. Service time and deadline are worked out
+    and checked once per distinct size, and every task of a size shares
+    those two float objects.
     """
     phases = list(config.phases)
     if not phases:
@@ -332,24 +339,27 @@ def build_episode_workload(config, dist: SizeDistribution,
     arrival = np.concatenate(arrivals)
     phase_id = np.concatenate(phase_ids)
     rows = np.lexsort((phase_id, arrival))
-    # Lists now, so the arrays are freed before the rows are made: kept
+    # Lists now, so the arrays are freed before the columns are made: kept
     # alive through the build, they left DQN training's peak RSS 1 MB higher.
     arrival, phase_id = arrival[rows].tolist(), phase_id[rows].tolist()
     n = len(rows)
 
-    sizes = sample_task_sizes(
-        dist, np.random.default_rng([rng_seed, 20_000]), n)
-    service_of, deadline_of = {}, {}
-    for size in dict.fromkeys(sizes):
+    # the sizes of ``sample_task_sizes``, as picks into ``dist.sizes``
+    picks = _size_picks(dist, np.random.default_rng([rng_seed, 20_000]), n)
+    # Each size picked is worked out and checked once, in the order the
+    # sizes first appear. A task's checks read only its service time and
+    # deadline, so no TaskSpec is made: each column gathers its size's
+    # objects from one object array, and every task of a size shares its
+    # int and its two floats.
+    per_size = np.empty((3, len(dist.sizes)), dtype=object)
+    for k in dict.fromkeys(picks.tolist()):
+        size = int(dist.sizes[k])
         service = model.predict(size)
         deadline = compute_deadline(service, config.beta)
         check_task_timing(service, deadline)
-        service_of[size], deadline_of[size] = service, deadline
-    # A row's checks read only its service time and deadline, which were
-    # checked above for its size, so the rows skip TaskSpec.__new__.
-    return list(map(tuple.__new__, repeat(TaskSpec), zip(
-        range(n), arrival, sizes, map(service_of.__getitem__, sizes),
-        map(deadline_of.__getitem__, sizes), phase_id)))
+        per_size[:, k] = size, service, deadline
+    sizes, services, deadlines = per_size[:, picks].tolist()
+    return Workload(range(n), arrival, sizes, services, deadlines, phase_id)
 
 
 def write_workload_csv(tasks, path):

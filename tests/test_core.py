@@ -4,15 +4,86 @@ import csv
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from farmscale.core import (STEP_COLUMNS, EpisodeConfig, EpisodeLog,
                             Observation, RewardConfig, StepRecord, TaskSpec,
-                            check_task_timing, compute_deadline,
-                            deadline_met)
+                            Workload, check_task_timing, compute_deadline,
+                            deadline_met, left_sum, task_columns)
 from farmscale.workload import WorkloadPhaseSpec, write_workload_csv
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+class TestLeftSum:
+    @given(values=st.lists(st.floats(allow_nan=False) | st.integers(-9, 9)))
+    @example(values=[0.1] * 10)
+    @example(values=[1e16, 1.0, -1e16])
+    @example(values=[-0.0])
+    def test_adds_left_to_right_from_zero(self, values):
+        # the bits of the builtin sum before Python 3.12, which from 3.12
+        # compensates float rounding: there [0.1] * 10 sums to 1.0
+        total = 0.0
+        for value in values:
+            total = total + value
+        assert left_sum(values).hex() == total.hex()
+        assert left_sum(iter(values)).hex() == total.hex()
+
+    def test_ten_tenths_keep_their_rounding(self):
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+
+
+class TestWorkload:
+    """A ``Workload`` is a read-only sequence of ``TaskSpec`` rows kept as
+    six columns."""
+
+    def test_agrees_with_its_rows(self, default_workload):
+        w = default_workload
+        rows = list(w)
+        assert len(w) == len(rows) > 2
+        assert set(map(type, rows)) == {TaskSpec}
+        assert w.task_id == range(len(w))  # a built workload's ids
+        assert [tuple(c) for c in task_columns(w)] == list(zip(*rows))
+        for i in (0, 1, len(w) - 1, -1, -2, -len(w)):
+            assert type(w[i]) is TaskSpec and w[i] == rows[i]
+        for part in (slice(None), slice(5, 40), slice(-10, None),
+                     slice(None, None, -3), slice(7, 3), slice(3, -3, 2)):
+            assert type(w[part]) is Workload
+            assert w[part] == rows[part] and list(w[part]) == rows[part]
+        for i in (len(w), -len(w) - 1):
+            with pytest.raises(IndexError):
+                w[i]
+        assert w == rows and rows == w and w == tuple(rows)
+        assert w == [tuple(t) for t in rows]  # a row equals its plain tuple
+        assert not w != rows
+        assert w != rows[:-1] and w != rows[::-1] and w != [*rows, rows[0]]
+        assert w == Workload.from_tasks(iter(rows))
+        assert rows[3] in w and w.index(rows[3]) == 3
+        assert list(reversed(w)) == rows[::-1]
+
+    def test_columns_are_read_only(self, default_workload):
+        assert {type(c) for c in task_columns(default_workload)} <= {tuple,
+                                                                    range}
+        built = Workload([0], [0.5], [512], [0.05], [0.1], [0])
+        assert type(built.arrival_time) is tuple
+        with pytest.raises(TypeError):
+            hash(default_workload)  # it equals a list of its rows
+
+    def test_from_tasks(self):
+        tasks = [TaskSpec(4, 0.5, 512, 0.05, 0.1, 0),
+                 TaskSpec(2, 0.1, 1024, 0.2, 0.4, 1)]
+        w = Workload.from_tasks(tasks)
+        assert w.task_id == (4, 2) and w.service_time == (0.05, 0.2)
+        assert Workload.from_tasks(w) is w
+        assert len(Workload.from_tasks(())) == 0 == len(Workload.from_tasks(
+            iter([])))
+        # a plain row is made a TaskSpec, with its checks
+        assert Workload.from_tasks(map(tuple, tasks)) == tasks
+        with pytest.raises(ValueError, match="service_time must be positive"):
+            Workload.from_tasks([(0, 0.1, 512, 0.0, 0.1, 0)])
+        with pytest.raises(ValueError, match="unequal lengths"):
+            Workload(range(2), (0.1,), (512,) * 2, (0.05,) * 2, (0.1,) * 2,
+                     (0,) * 2)
 
 
 class TestComputeDeadline:
@@ -233,7 +304,7 @@ class TestEpisodeLog:
     def _small_log(self):
         tasks = [TaskSpec(0, 0.1, 512, 0.05, 0.09, 0),
                  TaskSpec(1, 0.2, 1024, 0.17, 0.35, 0)]
-        log = EpisodeLog(tasks, [(tasks[0], 0.2, False)])
+        log = EpisodeLog(tasks, [(0, 0.2, False)])  # task 0's record
         obs = Observation(0, 1, 0, 0, 2, 1.5, 2.9, 5.0, 1.0)
         log.steps.append(StepRecord(step=0, observation=obs, action=1,
                                     applied_delta=1, reward=0.5, arrived=3,

@@ -162,7 +162,8 @@ class TestLifecycle:
         while not done:
             _, _, done, _ = env.step(0)
         assert workload == given_order and env.log.tasks == given_order
-        assert ([task.task_id for task, _, _ in env.log.completions]
+        # records name tasks by their index in the workload as given
+        assert ([workload[i].task_id for i, _, _ in env.log.completions]
                 == sorted(t.task_id for t in tasks))  # ran in time order
         env.log.write_task_csv(tmp_path / "tasks.csv")
         with open(tmp_path / "tasks.csv", newline="") as fh:
@@ -348,8 +349,8 @@ class TestStepObservations:
         while not done:
             seen = len(env.log.completions)
             obs, _, done, _ = env.step(int(rng.integers(-1, 2)))
-            per_step.append([task.service_time
-                             for task, _, _ in env.log.completions[seen:]])
+            per_step.append([tasks[i].service_time
+                             for i, _, _ in env.log.completions[seen:]])
             durations = [d for step in per_step[-window:] for d in step]
             assert obs.t_proc_avg == (float(np.mean(durations))
                                       if durations else 0.0)

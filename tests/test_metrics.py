@@ -40,7 +40,7 @@ def reference_summary(log, config) -> EpisodeSummary:
     workers = [s.observation.n_workers for s in log.steps]
     n_scale = sum(1 for s in log.steps if s.applied_delta != 0)
     emitted = log.n_tasks
-    met_of = {t.task_id: met for t, _, met in log.completions}
+    met_of = {log.tasks[i].task_id: met for i, _, met in log.completions}
     met = completed = 0
     emitted_in = dict.fromkeys(range(len(config.phases)), 0)
     met_in = dict(emitted_in)
@@ -144,14 +144,14 @@ class TestSummarize:
     def test_all_met_gives_unit_qos(self):
         cfg = self._config()
         tasks = [task(0), task(1)]
-        log = EpisodeLog(tasks, [(t, 0.2, True) for t in tasks])
+        log = EpisodeLog(tasks, [(i, 0.2, True) for i in range(len(tasks))])
         log.steps.append(step(0, 2, completed=2, hits=2, arrived=2))
         assert summarize_episode(log, cfg).final_qos == 1.0
 
     def test_unfinished_tasks_count_as_missed(self):
         cfg = self._config()
         tasks = [task(0), task(1)]
-        log = EpisodeLog(tasks, [(tasks[0], 0.2, True)])  # 1 never completes
+        log = EpisodeLog(tasks, [(0, 0.2, True)])  # 1 never completes
         log.steps.append(step(0, 2, completed=1, hits=1, arrived=2))
         assert summarize_episode(log, cfg).final_qos == pytest.approx(0.5)
 
@@ -170,7 +170,8 @@ class TestSummarize:
         while not done:
             _, _, done, _ = env.step(1)
         summary = summarize_episode(env.log, ep_config)
-        met_ids = {t.task_id for t, _, met in env.log.completions if met}
+        met_ids = {env.log.tasks[i].task_id
+                   for i, _, met in env.log.completions if met}
         for idx, phase in enumerate(summary.per_phase):
             members = [t for t in env.log.tasks if t.phase_index == idx]
             assert phase.emitted == len(members)
@@ -201,8 +202,8 @@ class TestSummarize:
         specs = [task(i, phase) for i, (phase, _, _) in enumerate(tasks)]
         order = list(range(len(durations)))  # the order the phases ran in
         shuffle.shuffle(order)
-        log = EpisodeLog(specs, [(spec, 0.2, met) for spec, (_, done, met)
-                                 in zip(specs, tasks) if done],
+        log = EpisodeLog(specs, [(i, 0.2, met) for i, (_, done, met)
+                                 in enumerate(tasks) if done],
                          phase_order=tuple(order))
         # steps are numbered from 1, as the env logs them
         for k, (n, delta) in enumerate(steps, start=1):
@@ -224,11 +225,12 @@ class TestSummarize:
             phases=tuple(WorkloadPhaseSpec("steady", 1.0, 8.0, window=1.0)
                          for _ in range(n_phases)), step_duration=8.0)
         specs = [task(i, phase) for i, (phase, _, _) in enumerate(tasks)]
-        log = EpisodeLog(specs, [(spec, 0.2, met) for spec, (_, done, met)
-                                 in zip(specs, tasks) if done])
+        log = EpisodeLog(specs, [(i, 0.2, met) for i, (_, done, met)
+                                 in enumerate(tasks) if done])
         log.steps.append(step(1, 2))
         emitted_in = Counter(t.phase_index for t in specs)
-        met_in = Counter(t.phase_index for t, _, met in log.completions if met)
+        met_in = Counter(specs[i].phase_index
+                         for i, _, met in log.completions if met)
         summary = summarize_episode(log, cfg)
         assert (summary.emitted, summary.met) == (
             len(specs), sum(met_in.values()))

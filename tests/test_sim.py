@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from farmscale import sim as sim_module
-from farmscale.core import TaskSpec, deadline_met
+from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
+                            StepRecord, TaskSpec, Workload, deadline_met)
+from farmscale.metrics import summarize_episode
 from farmscale.sim import (BUSY, DRAINING, IDLE, STARTING, ConservationError,
                            FarmSim, Snapshot, static_run,
                            static_scaling_experiment)
@@ -25,16 +27,20 @@ class DispatchReferenceSim(FarmSim):
     list, and ``_dispatch`` pairs the two. Its own loop merges a deque of
     pending arrivals with the event heap, and its snapshot is a recount of
     its own queue and the statuses. Only the pool, scaling and the trace
-    record are shared with ``FarmSim``. Kept as the reference the span queue
-    and the direct handoff must match event for event."""
+    record are shared with ``FarmSim``. It reads each task as a row of the
+    batch as given, and its events and queue carry the task's index there.
+    Kept as the reference the span queue and the direct handoff must match
+    event for event."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.pending, self.queue, self.arrived = deque(), deque(), 0
 
     def inject_tasks(self, tasks):
+        self.rows = list(tasks)
         self.pending.extend(sorted((t.arrival_time, sim_module._ARRIVAL,
-                                    t.task_id, t) for t in tasks))
+                                    t.task_id, i)
+                                   for i, t in enumerate(self.rows)))
 
     def advance(self, dt):
         end = self.clock + dt
@@ -43,12 +49,12 @@ class DispatchReferenceSim(FarmSim):
             if pending and (not events or pending[0] < events[0]):
                 if pending[0][0] > end:
                     break
-                self.clock, _, _, task = pending.popleft()
-                self._on_arrival(task)
+                self.clock, _, _, index = pending.popleft()
+                self._on_arrival(index)
             elif events and events[0][0] <= end:
-                self.clock, kind, eid, task = heapq.heappop(events)
+                self.clock, kind, eid, index = heapq.heappop(events)
                 if kind == sim_module._COMPLETION:
-                    self._on_completion(eid, task)
+                    self._on_completion(eid, index)
                 else:
                     self._on_worker_ready(eid)
             else:
@@ -58,16 +64,17 @@ class DispatchReferenceSim(FarmSim):
     def snapshot(self):
         return recount(self, len(self.queue), self.arrived)
 
-    def _on_arrival(self, task):
+    def _on_arrival(self, index):
         self.arrived += 1
-        self.queue.append(task)
+        self.queue.append(index)
         if self.trace is not None:
-            self._record("arrival", task_id=task.task_id)
+            self._record("arrival", task_id=self.rows[index].task_id)
         self._dispatch()
 
-    def _on_completion(self, worker_id, task):
+    def _on_completion(self, worker_id, index):
+        task = self.rows[index]
         met = self.clock - task.arrival_time <= task.deadline
-        self.completion_records.append((task, self.clock, met))
+        self.completion_records.append((index, self.clock, met))
         if self.trace is not None:
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)
@@ -93,11 +100,12 @@ class DispatchReferenceSim(FarmSim):
     def _dispatch(self):
         while self.queue and self._idle:
             worker_id = self._idle.pop(0)
-            task = self.queue.popleft()
+            index = self.queue.popleft()
+            task = self.rows[index]
             self.workers[worker_id] = BUSY
             heapq.heappush(self._events, (self.clock + task.service_time,
                                           sim_module._COMPLETION, worker_id,
-                                          task))
+                                          index))
             if self.trace is not None:
                 self._record("dispatch", task_id=task.task_id,
                              worker_id=worker_id)
@@ -110,6 +118,24 @@ def ready_times(sim):
     return {wid: t for t, kind, wid, _ in sim._events
             if kind == sim_module._WORKER_READY
             and sim.workers.get(wid) == STARTING}
+
+
+def given_tasks(sim):
+    """The sim's batch in the order it was given, the order the indices of
+    its completion records point into."""
+    if sim._index is None:
+        return list(sim._tasks)
+    given = [None] * len(sim._tasks)
+    for task, index in zip(sim._tasks, sim._index):
+        given[index] = task
+    return given
+
+
+def task_records(sim):
+    """The completion records with each index replaced by its task, so
+    runs of one batch given in different orders compare equal."""
+    given = given_tasks(sim)
+    return [(given[i], time, met) for i, time, met in sim.completion_records]
 
 
 def make_sim(n_init=4, seed=0, warm=False, **kwargs):
@@ -170,7 +196,7 @@ class TestInjection:
             for batch in ([simple_task(1, 0.7)], [simple_task(2, 0.7)], []):
                 with pytest.raises(ValueError, match="one batch of tasks"):
                     sim.inject_tasks(batch)
-                assert sim._tasks == [*first, None]
+                assert sim._tasks == first
                 assert sim._times == [*(t.arrival_time for t in first),
                                       math.inf]
 
@@ -259,7 +285,7 @@ class TestMergedArrivals:
                 sim.advance(0.5 * dt)
             assert sims[0].enqueued_total == sims[1].enqueued_total
         assert sims[0].trace == sims[1].trace
-        assert sims[0].completion_records == sims[1].completion_records
+        assert task_records(sims[0]) == task_records(sims[1])
         assert len(sims[0].completion_records) == len(tasks)
 
     def test_tie_order_at_one_clock(self):
@@ -291,18 +317,21 @@ class TestMergedArrivals:
         sim = make_sim()
         with pytest.raises(ValueError, match="duplicate task_id 2"):
             sim.inject_tasks([simple_task(2, 0.5), simple_task(2, 0.7)])
-        assert sim._tasks == [None] and sim._times == [math.inf]
+        assert sim._tasks == [] and sim._times == [math.inf]
         sim.inject_tasks([simple_task(2, 0.5)])  # still takes its one batch
         sim.advance(1.0)
         assert sim.snapshot().enqueued_total == 1
 
 
 class TestInjectionPaths:
-    """``inject_tasks`` keeps a batch whose ids rise and whose times never
-    fall as it comes, and sorts a copy of any other by (arrival time, task
-    id); both paths must schedule the same run."""
+    """``inject_tasks`` reads a batch in (arrival time, task id) order in
+    place, and any other through a copy sorted in that order; both paths,
+    given a ``Workload`` or a list of ``TaskSpec``, must schedule the same
+    run, and each run's records must index the batch in the order it was
+    given."""
 
-    @given(slots=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)),
+    @given(slots=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6),
+                                    st.integers(0, 2)),
                           min_size=1, max_size=24),
            shuffler=st.randoms(use_true_random=False),
            warm=st.booleans(), n_init=st.integers(1, 3))
@@ -310,34 +339,57 @@ class TestInjectionPaths:
     def test_every_permutation_runs_as_the_sorted_batch(self, slots, shuffler,
                                                         warm, n_init):
         # few distinct times, so arrivals tie, and ids that are neither
-        # contiguous nor in list order, so each tie is decided by the ids
+        # contiguous nor in list order, so each tie is decided by the ids;
+        # three phases, so a record pointing at the wrong task shows in the
+        # per-phase counts
         ids = list(range(0, 3 * len(slots), 3))
         shuffler.shuffle(ids)
-        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
-                 for i, (a, s) in zip(ids, slots)]
+        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)._replace(
+                     phase_index=phase)
+                 for i, (a, s, phase) in zip(ids, slots)]
         ordered = sorted(tasks, key=lambda t: (t.arrival_time, t.task_id))
         permuted = list(tasks)
         shuffler.shuffle(permuted)
         given_order = list(permuted)
-        sims = grid_sim(warm, n_init, 7), grid_sim(warm, n_init, 7)
-        sims[0].inject_tasks(ordered)  # in order: kept as it comes
-        sims[1].inject_tasks(permuted)  # sorted, unless in order by chance
+        # in order: read in place; permuted: sorted, unless in order by
+        # chance; each as a list of rows and as a Workload
+        batches = [ordered, permuted, Workload.from_tasks(ordered),
+                   Workload.from_tasks(permuted)]
+        sims = [grid_sim(warm, n_init, 7) for _ in batches]
+        for sim, batch in zip(sims, batches):
+            sim.inject_tasks(batch)
         assert permuted == given_order  # the caller's list is not sorted
-        for sim in sims:
-            assert sim._tasks == [*ordered, None]
+        # a batch in order is read in place
+        assert sims[0]._index is None and sims[2]._tasks is batches[2]
+        cfg = EpisodeConfig(phases=single_phase_config(2.0, 60.0).phases * 3)
+        step = StepRecord(1, Observation(*[0] * 9), 0, 0, 0.0, 0, 0, 0, 0)
+        summaries = []
+        for sim, batch in zip(sims, batches):
+            assert sim._tasks == ordered
             assert sim._times == [*(t.arrival_time for t in ordered),
                                   math.inf]
             sim.advance(200.0)
-        assert sims[0].trace == sims[1].trace
-        assert sims[0].completion_records == sims[1].completion_records
+            assert given_tasks(sim) == batch
+            log = EpisodeLog(batch, sim.completion_records, [step])
+            summaries.append(summarize_episode(log, cfg).as_dict())
+        for sim, summary in zip(sims[1:], summaries[1:]):
+            assert sim.trace == sims[0].trace
+            assert task_records(sim) == task_records(sims[0])
+            assert summary == summaries[0]
+        # a batch as a list and as a Workload, in one order, give one run
+        for pair in (sims[0::2], sims[1::2]):
+            assert pair[0].completion_records == pair[1].completion_records
         assert len(sims[0].completion_records) == len(tasks)
+        assert summaries[0]["met"] == sum(
+            met for _, _, met in sims[0].completion_records)
 
     @given(slots=st.lists(st.integers(0, 6), min_size=2, max_size=24),
            pick=st.integers(1, 23), in_order=st.booleans(),
+           as_workload=st.booleans(),
            shuffler=st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_a_duplicate_id_schedules_nothing_on_either_path(
-            self, slots, pick, in_order, shuffler):
+            self, slots, pick, in_order, as_workload, shuffler):
         tasks = [simple_task(i, 0.5 * a) for i, a in enumerate(sorted(slots))]
         # a task takes the id of the one before it: in order, the times and
         # the ids still never fall
@@ -348,8 +400,9 @@ class TestInjectionPaths:
             shuffler.shuffle(tasks)
         sim = make_sim(n_init=2, warm=True)
         with pytest.raises(ValueError, match=f"^duplicate task_id {first}$"):
-            sim.inject_tasks(tasks)
-        assert sim._tasks == [None] and sim._times == [math.inf]
+            sim.inject_tasks(Workload.from_tasks(tasks) if as_workload
+                             else tasks)
+        assert sim._tasks == [] and sim._times == [math.inf]
         sim.advance(10.0)
         assert sim.snapshot() == recount(sim, 0, 0)
         sim.inject_tasks([simple_task(0, 0.5)])  # still takes its one batch
@@ -455,8 +508,8 @@ class TestConservationAndDeterminism:
         assert t1 == t2
 
     def test_completions_follow_the_one_deadline_rule(self):
-        fuzz = fuzz_sim(11).completion_records  # the criterion-3 run
-        met = [m for _, _, m in fuzz]
+        fuzz = fuzz_sim(11)  # the criterion-3 run
+        met = [m for _, _, m in fuzz.completion_records]
         assert len(met) == 3500 and 0 < sum(met) < len(met)
         # one worker, three tasks at 0 with deadline 2: latencies 1, 2, 3
         sim = make_sim(n_init=1, warm=True)
@@ -464,7 +517,7 @@ class TestConservationAndDeterminism:
         sim.advance(10.0)
         boundary = sim.completion_records
         assert [m for _, _, m in boundary] == [True, True, False]
-        for records in (fuzz, boundary):
+        for records in (task_records(fuzz), task_records(sim)):
             assert [m for _, _, m in records] == [
                 deadline_met(task.arrival_time, time, task.deadline)
                 for task, time, _ in records]
@@ -476,11 +529,10 @@ class TestConservationAndDeterminism:
         # both branches of the deadline rule run, validate=True checking
         # every event
         sim = fuzz_sim(seed, rate=6.0, n_init=10, n_min=6)
-        records = sim.completion_records
-        met = [m for _, _, m in records]
+        met = [m for _, _, m in sim.completion_records]
         assert len(met) == 3500 and 0.4 < sum(met) / len(met) < 0.75
         assert met == [deadline_met(task.arrival_time, time, task.deadline)
-                       for task, time, _ in records]
+                       for task, time, _ in task_records(sim)]
         snap = sim.snapshot()
         assert (snap.enqueued_total
                 == snap.q_work + snap.workers_busy + snap.completed_total
@@ -507,10 +559,11 @@ def scanned_snapshot(sim):
     reference for the counts it works out: the tasks arrived are those of
     the batch at or before the clock, once the clock has moved, and the
     queue is those of them neither completed nor held by a busy worker."""
-    arrived = {task.task_id for time, task in zip(sim._times, sim._tasks)
+    ids = sim._tasks.task_id  # in arrival order, read by position
+    arrived = {task_id for time, task_id in zip(sim._times, ids)
                if time <= sim.clock and sim.clock > 0}
-    dispatched = {task.task_id for task, _, _ in sim.completion_records}
-    dispatched |= {task.task_id for _, kind, _, task in sim._events
+    dispatched = {task.task_id for task, _, _ in task_records(sim)}
+    dispatched |= {ids[position] for _, kind, _, position in sim._events
                    if kind == sim_module._COMPLETION}
     assert dispatched <= arrived
     return recount(sim, len(arrived - dispatched), len(arrived))

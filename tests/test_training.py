@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from farmscale.core import RewardConfig
+from farmscale.core import RewardConfig, Workload
 from farmscale.dqn import DqnAgent
 from farmscale.env import FarmEnv
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
@@ -41,6 +41,42 @@ class TestRunEpisode:
         a = run_episode(env, ReactiveAveragePolicy(8.0), workload, 3)
         b = run_episode(env, ReactiveAveragePolicy(8.0), workload, 3)
         assert a == b
+
+
+class TestEpisodePathBuildsNoRow:
+    """The simulator, env and summaries read a built workload's columns by
+    task index: indexing or iterating the workload, the only ways to make a
+    ``TaskSpec`` row of it, fails the episode here."""
+
+    @pytest.fixture
+    def default_setup(self, monkeypatch, ep_config, rw_config,
+                      model_and_dist):
+        def refuse(*args):
+            raise AssertionError("a TaskSpec row was made on the episode path")
+
+        monkeypatch.setattr(Workload, "__iter__", refuse)
+        monkeypatch.setattr(Workload, "__getitem__", refuse)
+        model, dist = model_and_dist
+        return FarmEnv(ep_config, rw_config), dist, model
+
+    def test_run_episode(self, default_setup):
+        env, dist, model = default_setup
+        workload = build_episode_workload(env.config, dist, model, False, 0)
+        with pytest.raises(AssertionError, match="episode path"):
+            list(workload)  # the patch is in place
+        summary = run_episode(env, ReactiveAveragePolicy(8.0), workload, 0)
+        assert summary.emitted == len(workload) > 0
+        assert summary.completed > 0
+
+    @pytest.mark.parametrize("kind", ["sarsa", "dqn"])
+    def test_one_training_episode(self, default_setup, kind):
+        env, dist, model = default_setup
+        agent = (SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
+                 if kind == "sarsa"
+                 else DqnAgent(*env.observation_bounds(), seed=0))
+        [record] = train_agent(agent, env, dist, model, episodes=1)
+        assert record.steps == len(env.log.steps) > 0
+        assert env.log.n_tasks > 0 and env.log.completions
 
 
 class TestTrainAgent:

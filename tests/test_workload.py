@@ -527,7 +527,9 @@ class TestEpisodeWorkload:
 
     def test_rows_share_per_size_timings(self, default_workload):
         for field in ("service_time", "deadline"):
+            column = getattr(default_workload, field)
             objects = {id(getattr(t, field)) for t in default_workload}
+            assert objects == set(map(id, column))
             assert len(objects) <= len(SUPPORTED_SIZES)
 
     def test_checks_each_size_timing(self, ep_config, model_and_dist):
