@@ -162,8 +162,9 @@ class FarmEnv:
         if n:
             total = snap.completed_total
             window = self._service[total - n:total]  # a view, not a copy
-            t_avg = float(window.sum()) / n  # the bits of np.mean
-            t_max = float(window.max())
+            # the bits of np.mean and ndarray.max, without their wrappers
+            t_avg = float(np.add.reduce(window)) / n
+            t_max = float(np.maximum.reduce(window))
         else:
             t_avg = t_max = 0.0
         # without a completion this step, the last step's QoS carries over

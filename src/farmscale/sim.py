@@ -51,15 +51,18 @@ them.
 The pool is one map from worker id to status, in start order: starting,
 idle, busy, or draining (busy, and leaving when its task completes). Only
 busy workers ever drain: a starting scale-down victim is cancelled and an
-idle one exits at once. Pool counts are worked out from the statuses when
-asked for. The idle workers are kept as an ascending list of their ids.
-Startup is sequential and a scale-down takes the newest worker, so the
-starting workers are always the newest ones, and their ready times are a
-deque of pending starts, oldest first: a new start queues behind the last of
-them. Validate mode checks that, the invariant, the idle list, one
-completion on the heap per busy or draining worker and the conservation
-identity after every event. The task counts come from three values alone:
-the completion records, ``_next`` and the enqueue count.
+idle one exits at once. The idle workers are kept as an ascending list of
+their ids, and the draining ones as a count, changed only by a scale-down
+and by a draining worker's exit. Startup is sequential and a scale-down
+takes the newest worker, so the starting workers are always the newest
+ones, and their ready times are a deque of pending starts, oldest first: a
+new start queues behind the last of them. Pool counts are the lengths of
+the pool, the idle list and that deque, and the draining count; no count
+scans the statuses. Validate mode checks that, the invariant, the idle
+list, the draining count, one completion on the heap per busy or draining
+worker and the conservation identity after every event. The task counts
+come from three values alone: the completion records, ``_next`` and the
+enqueue count.
 """
 
 from __future__ import annotations
@@ -126,6 +129,7 @@ class FarmSim:
         self.enqueued_total = 0  # arrivals up to the end of the last advance
         self._ids = count()  # worker ids, never reused
         self._idle = []  # ids of the idle workers, ascending
+        self._draining = 0  # workers that exit when their task completes
         self._starts = deque()  # pending starts' ready times, oldest first
         self.trace = [] if trace else None
 
@@ -210,7 +214,7 @@ class FarmSim:
             raise ValueError(f"scaling actions are unit steps in {ACTIONS},"
                              f" got {delta!r}")
         workers = self.workers
-        committed = len(workers) - list(workers.values()).count(DRAINING)
+        committed = len(workers) - self._draining
         applied = max(min(step, self.config.n_max - committed),
                       self.config.n_min - committed)
         if applied > 0:
@@ -231,6 +235,7 @@ class FarmSim:
                 self._idle.pop()  # the newest worker has the highest idle id
             else:
                 workers[victim] = DRAINING
+                self._draining += 1
             if self.trace is not None:
                 self._record("scale_down", worker_id=victim)
         return applied
@@ -281,15 +286,16 @@ class FarmSim:
 
     def _snapshot(self, arrived: int) -> Snapshot:
         """The pool and task counts, with ``arrived`` tasks arrived."""
-        statuses = list(self.workers.values())
-        starting = statuses.count(STARTING)
-        draining = statuses.count(DRAINING)
+        workers = len(self.workers)
+        starting, draining = len(self._starts), self._draining
         # q_work, workers_effective, workers_busy, workers_starting,
-        # workers_draining, enqueued_total, completed_total
-        return Snapshot(arrived - self._next,
-                        len(statuses) - starting - draining,
-                        statuses.count(BUSY) + draining, starting, draining,
-                        arrived, len(self.completion_records))
+        # workers_draining, enqueued_total, completed_total; busy counts
+        # the draining workers, and tuple.__new__ skips the NamedTuple's
+        # Python-level constructor
+        return tuple.__new__(Snapshot, (
+            arrived - self._next, workers - starting - draining,
+            workers - starting - len(self._idle), starting, draining,
+            arrived, len(self.completion_records)))
 
     def _arrived_by(self, kind, lo: int) -> int:
         """The tasks arrived by an event of ``kind`` at the clock, searched
@@ -347,6 +353,7 @@ class FarmSim:
         if self.workers[worker_id] == DRAINING:
             heappop(self._events)
             del self.workers[worker_id]
+            self._draining -= 1
             if trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
         elif self._times[head := self._next] < clock:
@@ -386,8 +393,9 @@ class FarmSim:
 
     def _check_conservation(self, kind):
         """Conservation identity and the backlog invariant after an event of
-        ``kind`` at the clock, plus the start order, the pending starts, the idle list and
-        the heap's completions against the statuses."""
+        ``kind`` at the clock, plus the start order, the pending starts, the
+        idle list, the draining count and the heap's completions against the
+        statuses."""
         statuses = list(self.workers.values())
         pending = len(self._starts)
         if ([s == STARTING for s in statuses]
@@ -395,6 +403,10 @@ class FarmSim:
             raise ConservationError(
                 f"{pending} pending starts, but the starting workers are not"
                 f" the newest {pending} of {statuses} at t={self.clock}")
+        if self._draining != statuses.count(DRAINING):
+            raise ConservationError(
+                f"draining count {self._draining}, but the statuses are"
+                f" {statuses} at t={self.clock}")
         snap = self._snapshot(self._arrived_by(kind, self._next))
         idle = [w for w, status in self.workers.items() if status == IDLE]
         if snap.q_work and idle:

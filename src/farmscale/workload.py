@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -115,6 +116,15 @@ class SizeDistribution:
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError("sizes must be distinct")
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cumulative weights divided by their last entry, as a
+        read-only float array; worked out once per distribution."""
+        cdf = np.cumsum(self.weights)
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
+
 
 def _mix_mean(theta: float, times: list) -> float:
     """Mean of ``times`` under weights ∝ exp(theta * time), computed with
@@ -167,25 +177,9 @@ def _size_picks(dist: SizeDistribution, rng: np.random.Generator,
     """n indices into ``dist.sizes`` drawn in one call: the sampling step of
     ``rng.choice(len(dist.sizes), size=n, p=dist.weights)`` without that
     call's argument handling, n doubles from ``rng.random`` placed in the
-    normalised cumulative weights with ``searchsorted(side="right")``."""
-    cdf = np.cumsum(dist.weights)
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(n), side="right")
-
-
-def sample_task_sizes(dist: SizeDistribution, rng: np.random.Generator,
-                      n: int) -> list:
-    """n sizes drawn in one call, as Python ints.
-
-    The picks of ``_size_picks``, so the sizes and the generator state
-    match those of ``rng.choice(len(dist.sizes), size=n, p=dist.weights)``,
-    which are those of n single ``rng.choice(dist.sizes, p=dist.weights)``
-    draws.
-    """
-    # the n sizes share the distinct sizes' int objects; fresh ints (from
-    # ndarray.tolist) would add 28 bytes per task to every workload kept
-    sizes = [int(s) for s in dist.sizes]
-    return list(map(sizes.__getitem__, _size_picks(dist, rng, n).tolist()))
+    normalised cumulative weights, ``dist.cdf``, with
+    ``searchsorted(side="right")``."""
+    return dist.cdf.searchsorted(rng.random(n), side="right")
 
 
 @dataclass(frozen=True)
@@ -238,6 +232,21 @@ class WorkloadPhaseSpec:
         osc = -(amp / omega) * (math.cos(omega * t1) - math.cos(omega * t0))
         return self.base_rate * (mid * (t1 - t0) + osc)
 
+    @cached_property
+    def windows(self) -> tuple:
+        """The Poisson window layout, worked out once per phase: (means,
+        widths, lows) as read-only float arrays, the mean count of every
+        window but the last, and the width and the lower edge of every
+        window."""
+        edges = _window_edges(self.duration, self.window)
+        means = np.array([self.rate_integral(lo, hi)
+                          for lo, hi in zip(edges[:-2], edges[1:-1])])
+        widths = np.array([hi - lo for lo, hi in zip(edges, edges[1:])])
+        lows = np.array(edges[:-1])
+        for array in (means, widths, lows):
+            array.flags.writeable = False
+        return means, widths, lows
+
 
 def default_phases(base_rate: float = BASE_RATE,
                    duration: float = PHASE_DURATION,
@@ -271,9 +280,10 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
     at what the target leaves after the windows before it: the final window
     takes up any shortfall and a surplus is trimmed from the last windows,
     so the total is exact. Instants within a window are uniform order
-    statistics. All window counts come from one ``rng.poisson`` call and all
-    instants from one ``rng.random(total)`` call, each double ``u`` mapped
-    to ``lo + (hi - lo) * u`` over its window [lo, hi). That is the formula
+    statistics. The window layout is the phase's cached ``windows``. All
+    window counts come from one ``rng.poisson`` call and all instants from
+    one ``rng.random(total)`` call, each double ``u`` mapped to
+    ``lo + (hi - lo) * u`` over its window [lo, hi). That is the formula
     ``rng.uniform(lo, hi)`` evaluates on the same double, so the instants
     and the generator state match one ``rng.uniform`` call over
     per-instant window bounds, which match one draw per window, since the
@@ -282,9 +292,7 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
     target = phase.target_count
     if target <= 0:
         return np.empty(0)
-    edges = _window_edges(phase.duration, phase.window)
-    means = [phase.rate_integral(lo, hi)
-             for lo, hi in zip(edges[:-2], edges[1:-1])]
+    means, widths, lows = phase.windows
     counts = rng.poisson(means).tolist()
     counts.append(target)
     total = 0
@@ -292,10 +300,9 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
         counts[i] = min(count, target - total)
         total += counts[i]
 
-    widths = [hi - lo for lo, hi in zip(edges, edges[1:])]
     pts = rng.random(total)
-    pts *= np.repeat(widths, counts)
-    pts += np.repeat(edges[:-1], counts)
+    pts *= widths.repeat(counts)
+    pts += lows.repeat(counts)
     pts.sort()
     return pts
 
@@ -344,7 +351,6 @@ def build_episode_workload(config, dist: SizeDistribution,
     arrival, phase_id = arrival[rows].tolist(), phase_id[rows].tolist()
     n = len(rows)
 
-    # the sizes of ``sample_task_sizes``, as picks into ``dist.sizes``
     picks = _size_picks(dist, np.random.default_rng([rng_seed, 20_000]), n)
     # Each size picked is worked out and checked once, in the order the
     # sizes first appear. A task's checks read only its service time and

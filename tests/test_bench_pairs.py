@@ -158,8 +158,7 @@ def test_each_run_compiles_a_fresh_copy_of_its_tree(tmp_path, monkeypatch,
     base, change = two_trees(tmp_path)
     calls = fake_runs(monkeypatch)
     assert bench_pairs.main(["--base", str(base), "--change", str(change),
-                             "--workload", "replay", "--pairs", "2",
-                             "--seed", "1"]) == 0
+                             "--workload", "replay", "--seeds", "1-2"]) == 0
     compile_all, bench = ["-m", "compileall"], ["perfbench/run.py",
                                                 "--workload"]
     assert [call[:2] for call in calls] == [
@@ -183,7 +182,7 @@ def test_aa_runs_the_base_against_a_copy_of_itself(tmp_path, monkeypatch,
     calls = fake_runs(monkeypatch)
     out = tmp_path / "aa.json"
     assert bench_pairs.main(["--base", str(base), "--aa", "--workload",
-                             "replay", "--pairs", "2", "--seed", "1",
+                             "replay", "--seeds", "1-2",
                              "--out", str(out)]) == 0
     assert {side for _, side, _ in calls} == {"base"} and len(calls) == 8
     printed = capsys.readouterr().out
@@ -238,8 +237,7 @@ def test_out_records_the_commit_of_each_side(tmp_path, monkeypatch):
     fake_runs(monkeypatch)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--base", str(base), "--change", str(change),
-                             "--workload", "replay", "--pairs", "1",
-                             "--seed", "1", "--out", str(out)]) == 0
+                             "--workload", "replay", "--seeds", "1-1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["commits"] == {
         "base": BASE_SHA, "change": CHANGE_SHA}
 
@@ -255,8 +253,7 @@ def test_out_tells_apart_two_trees_at_one_commit(tmp_path, monkeypatch):
     fake_runs(monkeypatch)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--base", str(base), "--change", str(change),
-                             "--workload", "replay", "--pairs", "1",
-                             "--seed", "1", "--out", str(out)]) == 0
+                             "--workload", "replay", "--seeds", "1-1", "--out", str(out)]) == 0
     written = json.loads(out.read_text())
     assert written["commits"] == {"base": BASE_SHA, "change": BASE_SHA}
     digests = written["tree_sha256"]
@@ -291,7 +288,7 @@ def test_aa_floor_is_a_share_of_the_base_median():
 def test_needs_exactly_one_of_change_and_aa(argv, capsys):
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(["--base", "b", "--workload", "replay",
-                                "--pairs", "1", "--seed", "1", *argv])
+                                "--seeds", "1-1", *argv])
     assert "--change" in capsys.readouterr().err
 
 
@@ -308,5 +305,51 @@ def test_a_tree_that_does_not_compile_stops_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     with pytest.raises(SystemExit, match="compileall exit 1"):
         bench_pairs.main(["--base", str(tmp_path), "--change", str(tmp_path),
-                          "--workload", "replay", "--pairs", "1",
-                          "--seed", "1"])
+                          "--workload", "replay", "--seeds", "1-1"])
+
+
+def parsed(*argv):
+    return bench_pairs.parse_args(["--base", "b", "--change", "c",
+                                   "--workload", "replay", *argv])
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    (["--seeds", "3-7"], [3, 4, 5, 6, 7]),
+    (["--seeds", "0-0"], [0]),
+])
+def test_seeds_name_one_seed_per_pair(argv, seeds):
+    assert list(parsed(*argv).seeds) == seeds
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seeds", "7-3"], "need A-B with 0 <= A <= B"),
+    (["--seeds", "3"], "need A-B"),
+    (["--seeds=-1-3"], "need A-B"),
+    (["--seeds", "a-b"], "need A-B"),
+    ([], "the following arguments are required: --seeds"),
+])
+def test_bad_seeds_are_refused(argv, message, capsys):
+    with pytest.raises(SystemExit):
+        parsed(*argv)
+    assert message in capsys.readouterr().err
+
+
+def test_out_records_each_pairs_seed(tmp_path, monkeypatch, capsys):
+    base, change = two_trees(tmp_path)
+    seeds = []
+
+    def fake_run(argv, cwd, **kwargs):
+        if "--seed" in argv:
+            seeds.append(int(argv[argv.index("--seed") + 1]))
+        return subprocess.CompletedProcess(argv, 0, stdout=RESULT, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change),
+                             "--workload", "replay", "--seeds", "4-6",
+                             "--out", str(out)]) == 0
+    assert seeds == [4, 4, 5, 5, 6, 6]  # both sides of a pair at its seed
+    written = json.loads(out.read_text())
+    assert [pair["seed"] for pair in written["pairs"]] == [4, 5, 6]
+    assert written["seeds"] == "4-6"
+    assert "3 pairs at --seeds 4-6" in capsys.readouterr().out

@@ -80,6 +80,7 @@ class DispatchReferenceSim(FarmSim):
                          worker_id=worker_id)
         if self.workers[worker_id] == DRAINING:
             del self.workers[worker_id]
+            self._draining -= 1
             if self.trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
         else:
@@ -690,6 +691,17 @@ class TestPoolCounters:
         sim._idle.remove(1)
         sim.inject_tasks([simple_task(0, 0.5)])
         with pytest.raises(ConservationError, match="idle list"):
+            sim.advance(1.0)
+
+    def test_validate_finds_a_draining_count_off_the_statuses(self):
+        # no worker drains, but the count says one does; the arrival at 0.5
+        # is the first event checked
+        sim = make_sim(n_init=2, warm=True)
+        sim.inject_tasks([simple_task(0, 0.5)])
+        sim._draining = 1
+        with pytest.raises(ConservationError,
+                           match=r"^draining count 1, but the statuses are"
+                                 r" \['busy', 'idle'\] at t=0\.5$"):
             sim.advance(1.0)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 from itertools import chain, repeat
 
 import numpy as np
@@ -12,13 +13,25 @@ from farmscale.core import (EpisodeConfig, FieldError, TaskSpec,
                             compute_deadline)
 from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 FitError, SizeDistribution, WorkloadPhaseSpec,
-                                _mix_mean, _mix_theta, _window_edges,
+                                _mix_mean, _mix_theta, _size_picks,
+                                _window_edges,
                                 build_episode_workload,
                                 default_phases, default_size_distribution,
                                 fit_service_model, generate_phase_arrivals,
                                 phase_order, reduced_paper_model,
-                                ServiceTimeModel, sample_task_sizes,
-                                write_workload_csv)
+                                ServiceTimeModel, write_workload_csv)
+
+
+def sample_task_sizes(dist, rng, n) -> list:
+    """n sizes drawn in one call, as Python ints: the sizes the picks of
+    ``_size_picks`` name, which the workload build reads, so the sizes and
+    the generator state match those of
+    ``rng.choice(len(dist.sizes), size=n, p=dist.weights)``, which are those
+    of n single ``rng.choice(dist.sizes, p=dist.weights)`` draws. The n
+    sizes share the distinct sizes' int objects, as a built workload's do."""
+    sizes = [int(s) for s in dist.sizes]
+    return list(map(sizes.__getitem__, _size_picks(dist, rng, n).tolist()))
+
 
 # Published values the calibration must reproduce.
 TABLE_PREDICTIONS = {512: 0.046, 1024: 0.181, 2048: 0.719, 4096: 2.870}
@@ -422,6 +435,67 @@ class TestArrivalGeneration:
         back = [TaskSpec._make(convert(v) for convert, v in zip(types, row))
                 for row in rows]
         assert back == default_workload
+
+
+CACHED = [
+    pytest.param(lambda: default_phases()[3], "windows", id="phase"),
+    pytest.param(lambda: default_size_distribution(reduced_paper_model()),
+                 "cdf", id="sizes"),
+]
+
+
+def window_layout(phase):
+    """The layout ``windows`` caches, worked out from the window edges as
+    ``generate_phase_arrivals`` worked it out on every call."""
+    edges = _window_edges(phase.duration, phase.window)
+    return ([phase.rate_integral(lo, hi)
+             for lo, hi in zip(edges[:-2], edges[1:-1])],
+            [hi - lo for lo, hi in zip(edges, edges[1:])], edges[:-1])
+
+
+class TestCachedTables:
+    """The window layout of a phase and the CDF of a size distribution are
+    worked out once per frozen spec and cached on it."""
+
+    @pytest.mark.parametrize("make, cached", CACHED)
+    def test_equal_specs_compare_and_hash_equal(self, make, cached):
+        filled, empty = make(), make()
+        getattr(filled, cached)
+        assert cached in vars(filled) and cached not in vars(empty)
+        assert filled == empty and empty == filled
+        assert hash(filled) == hash(empty)
+        assert len({filled, empty, replace(filled)}) == 1
+
+    @pytest.mark.parametrize("phase", REFERENCE_PHASES)
+    def test_layout_is_the_window_edges(self, phase):
+        means, widths, lows = phase.windows
+        assert (means.tolist(), widths.tolist(), lows.tolist()) == (
+            window_layout(phase))
+
+    def test_replace_gives_a_fresh_layout(self):
+        phase = default_phases()[2]
+        phase.windows
+        for changed in (dict(window=2.0), dict(duration=45.0),
+                        dict(cycles=3), {}):
+            other = replace(phase, **changed)
+            assert "windows" not in vars(other)
+            means, widths, lows = other.windows
+            assert means is not phase.windows[0]
+            assert (means.tolist(), widths.tolist(), lows.tolist()) == (
+                window_layout(other))
+        dist = default_size_distribution(reduced_paper_model())
+        dist.cdf
+        flat = replace(dist, weights=(0.25,) * 4)
+        assert flat.cdf.tolist() == [0.25, 0.5, 0.75, 1.0]
+
+    def test_cached_arrays_refuse_writes(self):
+        means, widths, lows = default_phases()[1].windows
+        cdf = default_size_distribution(reduced_paper_model()).cdf
+        for array in (means, widths, lows, cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
 
 
 def reference_episode_workload(config, dist, model, shuffle_phases, rng_seed):

@@ -1,19 +1,21 @@
 """Run alternating parent/change pairs of the benchmark and judge the change.
 
     python3 tools/bench_pairs.py --base DIR (--change DIR | --aa) \\
-        --workload W --pairs N --seed S [--seconds T] [--out FILE]
+        --workload W --seeds A-B [--seconds T] [--out FILE]
 
 Each pair runs the benchmark command of ``BENCHMARK.json`` (read from the
 change tree) with ``--workload W --seed S --seconds T --trace 0`` once for
-each side; the side that runs first alternates. ``--seconds`` defaults to
-``run_seconds``. Every run starts from a fresh copy of its side's tree, made
-in a temporary directory under a name of random length and deleted after the
-run. ``python3 -m compileall -q src`` byte-compiles the copy first, so that
-no run's import time includes compiling. Timings follow where a tree sits
-and how long its path is, not only its code (Mytkowicz et al., ASPLOS 2009),
-so a fixed pair of trees can differ by a few percent with identical code;
-fresh, randomly placed copies turn that offset into noise that the
-verdict sees.
+each side; the side that runs first alternates. ``--seeds A-B`` runs one
+pair per seed from A to B, pair ``i`` at seed A + i, so a verdict does not
+rest on one seed's workload. ``--seconds`` defaults to ``run_seconds``.
+Every run starts from a fresh copy of its side's tree, made in a temporary
+directory under a name of random length and deleted after the run.
+``python3 -m compileall -q src`` byte-compiles the copy first, so that no
+run's import time includes compiling. Timings follow where a tree sits and
+how long its path is, not only its code (Mytkowicz et al., ASPLOS 2009), so
+a fixed pair of trees can differ by a few percent with identical code;
+fresh, randomly placed copies turn that offset into noise that the verdict
+sees.
 
 ``--aa`` runs the base tree against a fresh copy of itself in place of a
 change, and prints the A/A floor: the median gap between the two sides and
@@ -28,8 +30,8 @@ the medians differ in its favour by more than the parent's interquartile
 range), and
 whether the change's median is within the metric's ``bound``, a fraction of
 the parent's median. ``--out`` writes the same facts, with every pair's
-values, each run's machine block and each side's commit, as JSON. A copy
-leaves out ``.git``, so each side's commit is read from its tree, the
+seed and values, each run's machine block and each side's commit, as JSON.
+A copy leaves out ``.git``, so each side's commit is read from its tree, the
 HEAD of its checkout, before any copy is made. A checkout with uncommitted
 edits still names its HEAD, so ``--out`` also records for each side a
 sha256 over the relative paths and bytes of the files its copies carry:
@@ -199,6 +201,15 @@ def aa_floor(verdict: dict) -> dict:
             "iqr": (base["q3"] - base["q1"]) / base["median"]}
 
 
+def seed_range(text: str) -> range:
+    """The seeds A to B, both included, of an ``A-B`` argument."""
+    lo, dash, hi = text.partition("-")
+    if not (dash and lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(
+            f"need A-B with 0 <= A <= B, got {text!r}")
+    return range(int(lo), int(hi) + 1)
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -207,13 +218,11 @@ def parse_args(argv):
     side.add_argument("--aa", action="store_true",
                       help="run the base against a fresh copy of itself")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seeds", type=seed_range, required=True,
+                        help="A-B: one pair per seed, pair i at seed A + i")
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0:
-        parser.error("--pairs must be >= 1 and --seed >= 0")
     if args.seconds is not None and args.seconds <= 0:
         parser.error("--seconds must be > 0")
     if args.aa:
@@ -232,25 +241,26 @@ def main(argv=None) -> int:
              for side in ("base", "change")}
     runs, found = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
-        for i in range(args.pairs):
+        for i, seed in enumerate(args.seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {side: run_once(getattr(args, side), bench["command"],
-                                   args.workload, args.seed, seconds,
+                                   args.workload, seed, seconds,
                                    Path(workdir), rng)
                     for side in order}
             print(f"pair {i}: " + ", ".join(
                 f"{side} {pair[side]['metrics'].get('episodes_per_s', 0):.1f}/s"
                 for side in order), flush=True)
             found += problems(i, pair["base"], pair["change"])
-            runs.append({"first": order[0], **pair})
+            runs.append({"first": order[0], "seed": seed, **pair})
     verdicts = {}
     for metric in bench["end_to_end"]:
         name = metric["name"]
         verdicts[name] = judge([r["base"]["metrics"][name] for r in runs],
                                [r["change"]["metrics"][name] for r in runs],
                                metric["better"], metric["bound"])
-    print(f"{args.workload}, {args.pairs} {'A/A ' if args.aa else ''}pairs"
-          f" at --seed {args.seed} --seconds {seconds:g}")
+    seeds = f"{args.seeds[0]}-{args.seeds[-1]}"
+    print(f"{args.workload}, {len(runs)} {'A/A ' if args.aa else ''}pairs"
+          f" at --seeds {seeds} --seconds {seconds:g}")
     print(f"{'metric':16s} {'base q1/median/q3':>30s} "
           f"{'change q1/median/q3':>30s}  won  gain  in bound")
     for name, v in verdicts.items():
@@ -269,7 +279,7 @@ def main(argv=None) -> int:
         print(line, file=sys.stderr)
     if args.out:
         args.out.write_text(json.dumps({
-            "workload": args.workload, "seed": args.seed, "seconds": seconds,
+            "workload": args.workload, "seeds": seeds, "seconds": seconds,
             "aa": args.aa, "commits": commits, "tree_sha256": trees,
             "pairs": runs,
             "verdicts": verdicts, "aa_floor": floors, "problems": found},
