@@ -97,13 +97,18 @@ class FarmEnv:
 
     def reset(self, workload, seed: int, order=()):
         """Start an episode over ``workload``, whose phases ran in ``order``
-        (empty: the configured order); returns (obs, step-0 record)."""
+        (empty: the configured order); returns (obs, step-0 record). Task
+        ``i`` of the workload must be its ``i``-th arrival, as the workload
+        builder makes it (see ``FarmSim.inject_tasks``); any other workload
+        raises ``ValueError`` and leaves the env terminated."""
+        self._terminated = True  # until the new batch is in
         # read once: ``workload`` may be an iterator of tasks
         tasks = Workload.from_tasks(workload)
-        self.sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
-        self.sim.inject_tasks(tasks)
+        sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
+        sim.inject_tasks(tasks)
+        self.sim = sim
         # the sim appends to its completion records, so the log stays current
-        self.log = EpisodeLog(tasks, self.sim.completion_records,
+        self.log = EpisodeLog(tasks, sim.completion_records,
                               phase_order=tuple(order))
         # the completions' service times in completion order, filled by step
         self._service = np.empty(len(tasks))

@@ -8,23 +8,22 @@ tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
 
 A simulator takes one batch of tasks, a ``core.Workload`` of six columns,
-and keeps it in (arrival time, task id) order: a batch already in that
-order, as every built workload is, is read in place, and any other is read
-through a sorted copy of its columns and a list of each task's index in the
-caller's order. A task is known by its position in that order. The
-simulator's own copy of the arrival-time column ends in a sentinel,
-``math.inf``, that never arrives, so no read of the head checks the length.
-Workers take tasks first come, first served in that order, so the tasks
-dispatched are a prefix of the batch and the worker queue is a span of it:
-from ``_next``, the first task not dispatched, to the last arrival before
-the current event. The event heap holds only completions and worker-ready
-events, about one per worker, as ``(time, kind, worker id, position)``
-tuples; its tuple order is the tie-break. An arrival at time ``t`` comes
-before the heap's root when ``t`` is earlier than the root's time, or equal
-to it with the root a worker-ready event; a completion at ``t`` comes before
-it. A completion record is ``(index, completion_time, met)``, ``index`` the
-task's index in the batch as the caller gave it, so a log reads the task's
-fields from the caller's columns.
+in the shape the workload builder makes: task ``i`` is the ``i``-th
+arrival, so the ``task_id`` column is ``range(n)`` and the arrival times
+never fall. It reads such a batch in place and refuses any other. A task
+is known by its position, which is its id. The simulator keeps the three
+columns it reads: the arrival times, ending in a sentinel, ``math.inf``,
+that never arrives, so no read of the head checks the length, the service
+times and the deadlines. Workers take tasks first come, first served, so
+the tasks dispatched are a prefix of the batch and the worker queue is a
+span of it: from ``_next``, the first task not dispatched, to the last
+arrival before the current event. The event heap holds only completions and
+worker-ready events, about one per worker, as ``(time, kind, worker id,
+position)`` tuples; its tuple order is the tie-break. An arrival at time
+``t`` comes before the heap's root when ``t`` is earlier than the root's
+time, or equal to it with the root a worker-ready event; a completion at
+``t`` comes before it. A completion record is ``(task_id, completion_time,
+met)``, so a log reads the task's fields from the batch's columns.
 
 Each event costs one heap operation. ``advance`` only peeks at the root, and
 the handler of a heap event takes its own event off: with ``heapreplace``
@@ -77,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ACTIONS, Workload, as_action, task_columns
+from .core import ACTIONS, Workload, as_action
 
 # event kind priorities (tie-break after time)
 _COMPLETION = 0
@@ -114,15 +113,12 @@ class FarmSim:
         self.validate = validate
         self.clock = 0.0
         self.workers: dict[int, str] = {}  # id -> status, in start order
-        # (index in the caller's batch, completion_time, met)
+        # (task_id, completion_time, met)
         self.completion_records = []
         # (time, kind, worker id, position): completions, readies
         self._events = []
-        # the batch in (arrival time, task id) order, and for each position
-        # the task's index in the caller's batch (None: the same)
-        self._tasks, self._index = Workload.from_tasks(()), None
-        self._times = [math.inf]  # their arrival times, then the sentinel
-        self._service = self._deadline = ()  # columns of ``_tasks``
+        self._times = [math.inf]  # the arrival times, then the sentinel
+        self._service = self._deadline = ()  # the batch's columns
         self._next = 0  # position of the first task not yet dispatched
         self._traced = 0  # arrivals written to the trace so far
         self._injected = False
@@ -167,36 +163,28 @@ class FarmSim:
 
     def inject_tasks(self, tasks):
         """Schedule the arrivals of ``tasks``, this simulator's one batch: a
-        ``Workload`` or any iterable of ``TaskSpec``, in any order.
-        Arrivals run in (arrival time, task id) order. A second batch, or a
-        task id repeated in the batch, raises ``ValueError`` and schedules
-        nothing."""
+        ``Workload`` or any iterable of ``TaskSpec`` in which task ``i`` is
+        the ``i``-th arrival, its id ``i`` and its arrival time no earlier
+        than the one before. A second batch, or a batch of any other shape,
+        raises ``ValueError`` and schedules nothing; the message names the
+        first position that breaks the rule."""
         if self._injected:
             raise ValueError("a simulator takes one batch of tasks")
         tasks = Workload.from_tasks(tasks)
         ids, times = tasks.task_id, list(tasks.arrival_time)
-        if type(ids) is not range and len(set(ids)) < len(ids):
-            seen = set()
-            for task_id in ids:
-                if task_id in seen:
-                    raise ValueError(f"duplicate task_id {task_id}")
-                seen.add(task_id)
-        # a batch in (arrival time, task id) order already, as every built
-        # workload is, is read in place; a built workload's ids are a
-        # rising range, so only its times need checking, and a sorted list
-        # sorts in one pass of comparisons made in C
-        index = None
-        if not (type(ids) is range and ids.step > 0
-                and times == sorted(times)):
-            keys = list(zip(times, ids))
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            if order != list(range(len(keys))):
-                index = order
-                tasks = Workload(*[map(column.__getitem__, order)
-                                   for column in task_columns(tasks)])
-                times = list(tasks.arrival_time)
+        n = len(times)
+        # a built workload's ids are a range, compared in one step, and a
+        # sorted list sorts in one pass of comparisons made in C
+        if (ids != range(n) and list(ids) != list(range(n))
+                or times != sorted(times)):
+            position = next(i for i in range(n) if ids[i] != i
+                            or i and not times[i - 1] <= times[i])
+            raise ValueError(
+                f"task {position} of the batch has id {ids[position]!r} and"
+                f" arrival time {times[position]!r}: task i must be the i-th"
+                f" arrival, with id i")
         times.append(math.inf)
-        self._tasks, self._index, self._times = tasks, index, times
+        self._times = times
         self._service, self._deadline = tasks.service_time, tasks.deadline
         self._injected = True
 
@@ -313,8 +301,7 @@ class FarmSim:
         first, self._traced = self._traced, self._arrived_by(kind,
                                                              self._traced)
         self.trace.extend(zip(self._times[first:self._traced],
-                              repeat("arrival"),
-                              self._tasks.task_id[first:self._traced],
+                              repeat("arrival"), range(first, self._traced),
                               repeat(-1)))
 
     # -- event handlers -----------------------------------------------------
@@ -335,21 +322,18 @@ class FarmSim:
                                 wid, head))
         if self.trace is not None:
             self._record_arrivals(_ARRIVAL)
-            self._record("dispatch", task_id=self._tasks.task_id[head],
-                         worker_id=wid)
+            self._record("dispatch", task_id=head, worker_id=wid)
 
     def _on_completion(self, worker_id, position):
         # a busy worker leaves the pool only here, so no completion is stale
         clock = self.clock
-        index = self._index
         self.completion_records.append((
-            position if index is None else index[position], clock,
+            position, clock,
             clock - self._times[position] <= self._deadline[position]))
         trace = self.trace
         if trace is not None:
             self._record_arrivals(_COMPLETION)
-            self._record("completion", task_id=self._tasks.task_id[position],
-                         worker_id=worker_id)
+            self._record("completion", task_id=position, worker_id=worker_id)
         if self.workers[worker_id] == DRAINING:
             heappop(self._events)
             del self.workers[worker_id]
@@ -362,8 +346,7 @@ class FarmSim:
             heapreplace(self._events, (clock + self._service[head],
                                        _COMPLETION, worker_id, head))
             if trace is not None:
-                self._record("dispatch", task_id=self._tasks.task_id[head],
-                             worker_id=worker_id)
+                self._record("dispatch", task_id=head, worker_id=worker_id)
         else:
             heappop(self._events)
             self.workers[worker_id] = IDLE
@@ -384,8 +367,7 @@ class FarmSim:
             heapreplace(self._events, (self.clock + self._service[head],
                                        _COMPLETION, worker_id, head))
             if trace is not None:
-                self._record("dispatch", task_id=self._tasks.task_id[head],
-                             worker_id=worker_id)
+                self._record("dispatch", task_id=head, worker_id=worker_id)
         else:
             heappop(self._events)
             self.workers[worker_id] = IDLE
@@ -439,9 +421,10 @@ class StaticRunResult:
 
 
 def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunResult:
-    """Run the whole workload, a ``Workload`` or any iterable of tasks, with
-    a fixed pool of n_fixed workers. An empty workload raises
-    ``ValueError``."""
+    """Run the whole workload, a ``Workload`` or any iterable of tasks in
+    which task ``i`` is the ``i``-th arrival (see ``FarmSim.inject_tasks``),
+    with a fixed pool of n_fixed workers. An empty workload, or one of any
+    other shape, raises ``ValueError``."""
     if n_fixed < 1:
         raise ValueError("n_fixed must be >= 1")
     tasks = Workload.from_tasks(workload)  # an iterator is read once
@@ -455,9 +438,9 @@ def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunRe
     sim.inject_tasks(tasks)
     while len(sim.completion_records) < len(tasks):
         sim.advance(60.0)
-    first_arrival = min(tasks.arrival_time)
-    last_completion = max(t for _, t, _ in sim.completion_records)
-    return StaticRunResult(last_completion - first_arrival, init_overhead)
+    # the batch is in arrival order, and the records in completion order
+    return StaticRunResult(sim.completion_records[-1][1]
+                           - tasks.arrival_time[0], init_overhead)
 
 
 def static_scaling_experiment(config, workload, pool_sizes, rng_seed: int = 0):

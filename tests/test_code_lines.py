@@ -52,3 +52,21 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     assert [line.split()[:2] for line in lines] == [
         ["7", "12"], ["2", "2"], ["9", "14"]]
     assert lines[-1].split()[2] == "total"
+
+
+def test_main_prints_a_block_and_a_total_for_each_directory(tmp_path,
+                                                            capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    (first / "a.py").write_text(SAMPLE)
+    (second / "b.py").write_text("x = 1\n\ny = 2\n")
+    (second / "c.py").write_text("z = 3\n")
+    assert code_lines.main([str(first), str(second)]) == 0
+    blocks = [block.splitlines() for block
+              in capsys.readouterr().out.split("\n\n")]
+    assert [[line.split()[:2] for line in block] for block in blocks] == [
+        [["7", "12"], ["7", "12"]],
+        [["2", "2"], ["1", "1"], ["3", "3"]]]
+    assert [block[-1].split()[2:] for block in blocks] == [
+        ["total", str(first)], ["total", str(second)]]

@@ -150,25 +150,32 @@ class TestLifecycle:
             assert (record.observation, record.reward) == (obs, reward)
             assert record.workers_busy == env.sim.snapshot().workers_busy
 
-    def test_an_unsorted_workload_keeps_its_order_in_the_log(self, small_env,
-                                                             tmp_path):
-        # the simulator sorts a copy of a batch out of (time, id) order, so
-        # the log and tasks.csv list the tasks in the order they were given
+    def test_an_unsorted_workload_is_rejected(self, small_env):
+        # task i must be the i-th arrival: here task 1 comes first
         env, tasks = small_env
-        workload = tasks[1::2] + tasks[0::2]
-        given_order = list(workload)
-        env.reset(workload, seed=0)
+        with pytest.raises(ValueError, match="^task 0 of the batch has id 1"):
+            env.reset(tasks[1::2] + tasks[0::2], seed=0)
+        with pytest.raises(LifecycleError):
+            env.step(0)
+
+    def test_a_failed_reset_leaves_the_env_terminated(self, small_env):
+        # a batch rejected mid-episode ends that episode: the next step
+        # raises, and the env keeps the old simulator beside the old log
+        env, tasks = small_env
+        env.reset(tasks, seed=0)
+        env.step(0)
+        env.step(0)
+        sim, log = env.sim, env.log
+        with pytest.raises(ValueError, match="^task 1 of the batch has id 0"):
+            env.reset([tasks[0], tasks[0]], seed=1)
+        with pytest.raises(LifecycleError):
+            env.step(0)
+        assert env.sim is sim and env.log is log and len(log.steps) == 2
+        env.reset(tasks, seed=0)  # a valid batch starts a fresh episode
         done = False
         while not done:
             _, _, done, _ = env.step(0)
-        assert workload == given_order and env.log.tasks == given_order
-        # records name tasks by their index in the workload as given
-        assert ([workload[i].task_id for i, _, _ in env.log.completions]
-                == sorted(t.task_id for t in tasks))  # ran in time order
-        env.log.write_task_csv(tmp_path / "tasks.csv")
-        with open(tmp_path / "tasks.csv", newline="") as fh:
-            _, *rows = csv.reader(fh)
-        assert [int(row[0]) for row in rows] == [t.task_id for t in workload]
+        assert len(env.log.completions) == len(tasks)
 
     def test_reset_initial_observation_cold(self):
         cfg = single_phase_config(2.0, 80.0, n_init=2, warm_start=False)

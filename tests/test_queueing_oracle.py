@@ -1,19 +1,27 @@
-"""The simulator against queueing theory: an M/M/4 queue at rho = 0.75.
+"""The simulator against queueing theory: fixed pools fed Poisson arrivals.
 
-A fixed warm pool of c = 4 workers serves Poisson arrivals at lambda = 3
-tasks/s with exponential service of mean 1 s, and deadlines far above any
-service time, so nothing but the queue shapes the run. Erlang C gives the
-exact mean wait in the queue (Kleinrock, *Queueing Systems* vol. 1, 1975),
-and Little's law (Little, 1961) the mean number waiting. Every other check
-of ``FarmSim`` compares it with itself or with a model written the same
-way; these compare it, ``snapshot()`` included, with theory.
+An M/M/4 queue at rho = 0.75: a fixed warm pool of c = 4 workers serves
+Poisson arrivals at lambda = 3 tasks/s with exponential service of mean 1 s.
+Erlang C gives the exact probability of waiting, the mean wait in the queue
+and the FIFO wait tail C * exp(-(c*mu - lambda) * t) (Kleinrock, *Queueing
+Systems* vol. 1, 1975), and Little's law (Little, 1961) the mean number
+waiting. Two M/D/1 queues, at rho = 0.5 and 0.8, serve the same kind of
+stream with a fixed service time of 1 s; Pollaczek-Khinchine gives their
+mean waits, 0.5 s and 2 s. Deadlines are far above any service time, so
+nothing but the queue shapes a run. A cold pool of n workers comes up by n
+sequential starts, each uniform in [lo, hi], so the last is ready at
+n * (lo + hi) / 2 on average. Every other check of ``FarmSim`` compares it
+with itself or with a model written the same way; these compare it,
+``snapshot()`` included, with theory.
 
 Each tolerance is the half-width of a 99% batch-means confidence interval
-(Law and Kelton, *Simulation Modeling and Analysis*): the first 10% of the
-run is dropped as warm-up and the rest split into 20 batches in time order.
-The level, the warm-up, the batch count and the seed were fixed before the
-first run. A wait is recovered as ``completion - arrival - service``, which
-rounds at clocks near 6.7e4 s, so waits are compared with a 1e-6 tolerance.
+(Law and Kelton, *Simulation Modeling and Analysis*): the first 10% of a
+run is dropped as warm-up and the rest split into 20 batches in time order;
+independent samples, the cold starts, drop nothing. The level, the warm-up,
+the batch count and the seed were fixed before the first run. A wait is
+recovered as ``completion - arrival - service``, which rounds at large
+clocks (near 6.7e4 s in the M/M/4 run), so waits are compared with a 1e-6
+tolerance.
 """
 
 import heapq
@@ -32,54 +40,79 @@ SEED = 18
 WAIT_TOL = 1e-6
 BATCHES, WARM_UP = 20, 0.1
 T_99 = 2.861  # two-sided 99% quantile of Student's t with 19 degrees
+COLD_STARTS = 2_000  # cold pools per pool size
+
+
+def erlang_c(c: int, lam: float, mu: float) -> float:
+    """Erlang C: the probability that a task of an M/M/c queue waits."""
+    a = lam / mu
+    top = a ** c / math.factorial(c) * c / (c - a)
+    return top / (sum(a ** k / math.factorial(k) for k in range(c)) + top)
 
 
 def erlang_c_wait(c: int, lam: float, mu: float) -> float:
     """Mean wait in the queue of an M/M/c queue: Erlang C's probability of
     waiting over c*mu - lambda."""
-    a = lam / mu
-    top = a ** c / math.factorial(c) * c / (c - a)
-    p_wait = top / (sum(a ** k / math.factorial(k) for k in range(c)) + top)
-    return p_wait / (c * mu - lam)
+    return erlang_c(c, lam, mu) / (c * mu - lam)
 
 
-def batch_means(values) -> tuple:
-    """(mean, 99% half-width) of ``values`` in time order, warm-up dropped,
-    from ``BATCHES`` batch means."""
-    kept = np.asarray(values, dtype=float)[int(WARM_UP * len(values)):]
+def pollaczek_khinchine_wait(lam: float, service: float) -> float:
+    """Mean wait in the queue of an M/D/1 queue with a fixed service time:
+    lambda * E[S^2] / (2 * (1 - rho))."""
+    return lam * service ** 2 / (2 * (1 - lam * service))
+
+
+def batch_means(values, warm_up=WARM_UP) -> tuple:
+    """(mean, 99% half-width) of ``values`` in time order, the first
+    ``warm_up`` share dropped, from ``BATCHES`` batch means."""
+    kept = np.asarray(values, dtype=float)[int(warm_up * len(values)):]
     means = [batch.mean() for batch in np.array_split(kept, BATCHES)]
     return (float(np.mean(means)),
             T_99 * float(np.std(means, ddof=1)) / math.sqrt(BATCHES))
 
 
-@pytest.fixture(scope="module")
-def mm4_run():
-    """The run's tasks, each task's wait, and ``snapshot().q_work`` sampled
-    every 1 s until the last arrival."""
+def run_queue(servers, rate, draw_service, sample=False):
+    """A fixed warm pool of ``servers`` fed ``N_TASKS`` Poisson arrivals at
+    ``rate`` with service times ``draw_service(rng)``; returns the tasks, each
+    task's wait, and with ``sample`` ``snapshot().q_work`` every 1 s until
+    the last arrival."""
     rng = np.random.default_rng(SEED)
-    arrival = np.cumsum(rng.exponential(1 / ARRIVAL_RATE, N_TASKS)).tolist()
-    service = rng.exponential(SERVICE_MEAN, N_TASKS).tolist()
+    arrival = np.cumsum(rng.exponential(1 / rate, N_TASKS)).tolist()
+    service = draw_service(rng)
     tasks = Workload(range(N_TASKS), arrival, [1024] * N_TASKS, service,
                      [1e9] * N_TASKS, [0] * N_TASKS)
-    cfg = single_phase_config(ARRIVAL_RATE, 60.0, n_min=SERVERS,
-                              n_init=SERVERS, n_max=SERVERS, warm_start=True)
+    cfg = single_phase_config(rate, 60.0, n_min=servers, n_init=servers,
+                              n_max=servers, warm_start=True)
     sim = FarmSim(cfg, np.random.default_rng([SEED, 1]))
     sim.inject_tasks(tasks)
     queued = []
-    while sim.clock + 1.0 <= arrival[-1]:
+    while sample and sim.clock + 1.0 <= arrival[-1]:
         sim.advance(1.0)
         queued.append(sim.snapshot().q_work)
     while len(sim.completion_records) < N_TASKS:
         sim.advance(60.0)
     wait = [0.0] * N_TASKS
-    for index, done, _ in sim.completion_records:
-        wait[index] = done - arrival[index] - service[index]
+    for task_id, done, _ in sim.completion_records:
+        wait[task_id] = done - arrival[task_id] - service[task_id]
     return tasks, wait, queued
+
+
+@pytest.fixture(scope="module")
+def mm4_run():
+    return run_queue(SERVERS, ARRIVAL_RATE, lambda rng: rng.exponential(
+        SERVICE_MEAN, N_TASKS).tolist(), sample=True)
 
 
 def test_erlang_c_reference_value():
     assert erlang_c_wait(SERVERS, ARRIVAL_RATE,
                          1 / SERVICE_MEAN) == pytest.approx(0.509, abs=5e-4)
+    assert erlang_c(SERVERS, ARRIVAL_RATE,
+                    1 / SERVICE_MEAN) == pytest.approx(0.5094, abs=5e-5)
+
+
+def test_pollaczek_khinchine_reference_values():
+    assert pollaczek_khinchine_wait(0.5, 1.0) == 0.5
+    assert pollaczek_khinchine_wait(0.8, 1.0) == pytest.approx(2.0)
 
 
 def test_waits_are_the_fifo_recursion(mm4_run):
@@ -104,6 +137,25 @@ def test_mean_wait_matches_erlang_c(mm4_run):
     assert abs(mean - exact) <= half, (mean, half, exact)
 
 
+def test_probability_of_waiting_matches_erlang_c(mm4_run):
+    _, wait, _ = mm4_run
+    mean, half = batch_means(np.greater(wait, WAIT_TOL))
+    exact = erlang_c(SERVERS, ARRIVAL_RATE, 1 / SERVICE_MEAN)
+    assert abs(mean - exact) <= half, (mean, half, exact)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
+def test_wait_tail_is_the_fifo_exponential(mm4_run, t):
+    # first come, first served: P(W > t) = C * exp(-(c*mu - lambda) * t);
+    # the mean wait alone does not depend on the queue's order
+    _, wait, _ = mm4_run
+    mean, half = batch_means(np.greater(wait, t))
+    mu = 1 / SERVICE_MEAN
+    exact = (erlang_c(SERVERS, ARRIVAL_RATE, mu)
+             * math.exp(-(SERVERS * mu - ARRIVAL_RATE) * t))
+    assert abs(mean - exact) <= half, (t, mean, half, exact)
+
+
 def test_snapshot_queue_obeys_littles_law(mm4_run):
     # the mean number waiting is lambda times the mean wait
     _, _, queued = mm4_run
@@ -111,3 +163,25 @@ def test_snapshot_queue_obeys_littles_law(mm4_run):
     exact = ARRIVAL_RATE * erlang_c_wait(SERVERS, ARRIVAL_RATE,
                                          1 / SERVICE_MEAN)
     assert abs(mean - exact) <= half, (mean, half, exact)
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.8])
+def test_md1_mean_wait_matches_pollaczek_khinchine(rate):
+    _, wait, _ = run_queue(1, rate, lambda rng: [1.0] * N_TASKS)
+    assert min(wait) > -WAIT_TOL
+    mean, half = batch_means(wait)
+    exact = pollaczek_khinchine_wait(rate, 1.0)
+    assert abs(mean - exact) <= half, (rate, mean, half, exact)
+
+
+@pytest.mark.parametrize("n", [1, 8, 32])
+def test_cold_pool_is_ready_after_n_mean_latencies(n):
+    # one cold pool per seed: the last of its n sequential starts is ready
+    # after n startup latencies, each uniform in [lo, hi]
+    cfg = single_phase_config(1.0, 60.0, n_min=1, n_init=n, n_max=n,
+                              warm_start=False)
+    ready = [FarmSim(cfg, np.random.default_rng([SEED, k]))._starts[-1]
+             for k in range(COLD_STARTS)]
+    mean, half = batch_means(ready, warm_up=0.0)
+    exact = n * (cfg.latency_lo + cfg.latency_hi) / 2
+    assert abs(mean - exact) <= half, (n, mean, half, exact)

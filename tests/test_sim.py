@@ -7,15 +7,17 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from farmscale import sim as sim_module
+from farmscale.config import episode_config
 from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
                             StepRecord, TaskSpec, Workload, deadline_met)
 from farmscale.metrics import summarize_episode
 from farmscale.sim import (BUSY, DRAINING, IDLE, STARTING, ConservationError,
                            FarmSim, Snapshot, static_run,
                            static_scaling_experiment)
+from farmscale.workload import build_episode_workload
 from tests.conftest import (constant_service_tasks, fuzz_sim,
                             single_phase_config)
 
@@ -121,22 +123,18 @@ def ready_times(sim):
             and sim.workers.get(wid) == STARTING}
 
 
-def given_tasks(sim):
-    """The sim's batch in the order it was given, the order the indices of
-    its completion records point into."""
-    if sim._index is None:
-        return list(sim._tasks)
-    given = [None] * len(sim._tasks)
-    for task, index in zip(sim._tasks, sim._index):
-        given[index] = task
-    return given
+def in_arrival_order(tasks):
+    """``tasks`` renumbered in (arrival time, id) order, the one batch shape
+    a simulator takes: task ``i`` is the ``i``-th arrival."""
+    ordered = sorted(tasks, key=lambda t: (t.arrival_time, t.task_id))
+    return [t._replace(task_id=i) for i, t in enumerate(ordered)]
 
 
-def task_records(sim):
-    """The completion records with each index replaced by its task, so
-    runs of one batch given in different orders compare equal."""
-    given = given_tasks(sim)
-    return [(given[i], time, met) for i, time, met in sim.completion_records]
+def met_by_the_rule(sim):
+    """The met flags ``core.deadline_met`` gives the sim's completion
+    records, each task read from the sim's columns by its id."""
+    return [deadline_met(sim._times[i], time, sim._deadline[i])
+            for i, time, _ in sim.completion_records]
 
 
 def make_sim(n_init=4, seed=0, warm=False, **kwargs):
@@ -191,15 +189,15 @@ class TestInjection:
     def test_duplicate_task_id_rejected(self):
         # an id seen before can only come in a second batch, which is
         # refused whatever it holds, after an empty first batch too
-        for first in ([simple_task(1, 0.5)], []):
+        for first in ([simple_task(0, 0.5)], []):
             sim = make_sim()
             sim.inject_tasks(first)
-            for batch in ([simple_task(1, 0.7)], [simple_task(2, 0.7)], []):
+            for batch in ([simple_task(0, 0.7)], [simple_task(1, 0.7)], []):
                 with pytest.raises(ValueError, match="one batch of tasks"):
                     sim.inject_tasks(batch)
-                assert sim._tasks == first
                 assert sim._times == [*(t.arrival_time for t in first),
                                       math.inf]
+                assert sim._service == tuple(t.service_time for t in first)
 
     def test_enqueued_total_counts_arrived_tasks(self):
         sim = make_sim(warm=True)
@@ -259,41 +257,49 @@ class TestStartQueue:
             sim.advance(dt)
 
 
+def first_offence(batch):
+    """The first position of ``batch`` whose task is not the next arrival
+    numbered by its position, the reference for ``inject_tasks``' check."""
+    return next(i for i, task in enumerate(batch) if task.task_id != i
+                or i and task.arrival_time < batch[i - 1].arrival_time)
+
+
+def assert_refused(batch, position, as_workload=False):
+    """``batch`` raises ``ValueError`` naming ``position`` and schedules
+    nothing: the simulator then runs a valid batch as a fresh one does."""
+    sim, fresh = grid_sim(True, 2, 7), grid_sim(True, 2, 7)
+    with pytest.raises(ValueError, match=f"^task {position} of the batch "):
+        sim.inject_tasks(Workload.from_tasks(batch) if as_workload
+                         else batch)
+    assert sim._times == [math.inf] and sim._service == ()
+    valid = [simple_task(0, 0.5), simple_task(1, 0.5), simple_task(2, 1.0)]
+    for one in (sim, fresh):
+        one.inject_tasks(valid)
+        one.advance(10.0)
+    assert sim.snapshot() == fresh.snapshot()
+    assert sim.trace == fresh.trace
+    assert sim.completion_records == fresh.completion_records
+
+
 class TestMergedArrivals:
-    @given(slots=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6)),
-                          min_size=1, max_size=40),
-           program=st.lists(st.tuples(st.sampled_from((-1, 0, 1)),
-                                      st.integers(1, 4)),
-                            min_size=1, max_size=30),
-           warm=st.booleans(), n_init=st.integers(1, 3),
-           shuffler=st.randoms(use_true_random=False))
+    @given(slots=st.lists(st.integers(0, 40), min_size=2, max_size=40),
+           as_workload=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_batches_in_any_order_match_one_sorted_batch(
-            self, slots, program, warm, n_init, shuffler):
-        # ids follow the slots, not the arrival times, and arrivals tie on
-        # the 0.5 grid, so the (time, id) order is not the list order
-        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
-                 for i, (a, s) in enumerate(slots)]
-        shuffled = list(tasks)
-        shuffler.shuffle(shuffled)
-        sims = grid_sim(warm, n_init, 7), grid_sim(warm, n_init, 7)
-        sims[0].inject_tasks(shuffled)
-        sims[1].inject_tasks(sorted(
-            tasks, key=lambda t: (t.arrival_time, t.task_id)))
-        for action, dt in [*program, (0, 200)]:
-            for sim in sims:
-                sim.request_scale(action)
-                sim.advance(0.5 * dt)
-            assert sims[0].enqueued_total == sims[1].enqueued_total
-        assert sims[0].trace == sims[1].trace
-        assert task_records(sims[0]) == task_records(sims[1])
-        assert len(sims[0].completion_records) == len(tasks)
+    def test_a_batch_out_of_order_schedules_nothing(self, slots, as_workload):
+        # ids are the positions, so only a falling arrival time breaks the
+        # rule; the permutation test below moves the ids too
+        assume(slots != sorted(slots))
+        tasks = [simple_task(i, 0.5 * a) for i, a in enumerate(slots)]
+        position = next(i for i in range(1, len(slots))
+                        if slots[i] < slots[i - 1])
+        assert first_offence(tasks) == position
+        assert_refused(tasks, position, as_workload)
 
     def test_tie_order_at_one_clock(self):
         sim = grid_sim(warm=True, n_init=1, seed=0)
         sim.request_scale(+1)  # worker 1 ready at exactly 1.0
-        sim.inject_tasks([simple_task(3, 3.0), simple_task(1, 1.0),
-                          simple_task(0, 0.0), simple_task(2, 3.0)])
+        sim.inject_tasks([simple_task(0, 0.0), simple_task(1, 1.0),
+                          simple_task(2, 3.0), simple_task(3, 3.0)])
         sim.advance(10.0)
         assert sim.trace == [
             (0.0, "scale_up", -1, 1),
@@ -305,7 +311,7 @@ class TestMergedArrivals:
             (1.0, "dispatch", 1, 0),
             (1.0, "worker_ready", -1, 1),
             (2.0, "completion", 1, 0),
-            # tied arrivals in ascending task id, whatever the inject order
+            # tied arrivals in ascending task id
             (3.0, "arrival", 2, -1),
             (3.0, "dispatch", 2, 0),
             (3.0, "arrival", 3, -1),
@@ -315,71 +321,53 @@ class TestMergedArrivals:
         ]
 
     def test_duplicate_in_batch_schedules_nothing(self):
-        sim = make_sim()
-        with pytest.raises(ValueError, match="duplicate task_id 2"):
-            sim.inject_tasks([simple_task(2, 0.5), simple_task(2, 0.7)])
-        assert sim._tasks == [] and sim._times == [math.inf]
-        sim.inject_tasks([simple_task(2, 0.5)])  # still takes its one batch
-        sim.advance(1.0)
-        assert sim.snapshot().enqueued_total == 1
+        assert_refused([simple_task(0, 0.5), simple_task(0, 0.7)], 1)
+        assert_refused([simple_task(0, 0.5), simple_task(1, 0.5),
+                        simple_task(1, 0.7)], 2)
 
 
 class TestInjectionPaths:
-    """``inject_tasks`` reads a batch in (arrival time, task id) order in
-    place, and any other through a copy sorted in that order; both paths,
-    given a ``Workload`` or a list of ``TaskSpec``, must schedule the same
-    run, and each run's records must index the batch in the order it was
-    given."""
+    """``inject_tasks`` takes one batch shape, the one the workload builder
+    makes: task ``i`` is the ``i``-th arrival, its id ``i``. It reads such a
+    batch in place, given as a ``Workload`` or as a list of ``TaskSpec``,
+    and refuses any other before it schedules anything."""
 
     @given(slots=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6),
                                     st.integers(0, 2)),
                           min_size=1, max_size=24),
            shuffler=st.randoms(use_true_random=False),
-           warm=st.booleans(), n_init=st.integers(1, 3))
+           as_workload=st.booleans(), warm=st.booleans(),
+           n_init=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
-    def test_every_permutation_runs_as_the_sorted_batch(self, slots, shuffler,
-                                                        warm, n_init):
-        # few distinct times, so arrivals tie, and ids that are neither
-        # contiguous nor in list order, so each tie is decided by the ids;
-        # three phases, so a record pointing at the wrong task shows in the
-        # per-phase counts
-        ids = list(range(0, 3 * len(slots), 3))
-        shuffler.shuffle(ids)
-        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)._replace(
-                     phase_index=phase)
-                 for i, (a, s, phase) in zip(ids, slots)]
-        ordered = sorted(tasks, key=lambda t: (t.arrival_time, t.task_id))
+    def test_every_permutation_but_arrival_order_is_rejected(
+            self, slots, shuffler, as_workload, warm, n_init):
+        # few distinct times, so arrivals tie; three phases, so a record
+        # pointing at the wrong task shows in the per-phase counts
+        tasks = in_arrival_order(
+            simple_task(i, 0.5 * a, service=0.5 * s)._replace(
+                phase_index=phase)
+            for i, (a, s, phase) in enumerate(slots))
         permuted = list(tasks)
         shuffler.shuffle(permuted)
-        given_order = list(permuted)
-        # in order: read in place; permuted: sorted, unless in order by
-        # chance; each as a list of rows and as a Workload
-        batches = [ordered, permuted, Workload.from_tasks(ordered),
-                   Workload.from_tasks(permuted)]
+        if permuted != tasks:
+            assert_refused(permuted, first_offence(permuted), as_workload)
+        # the batch in arrival order is read in place, as a list of rows
+        # and as a Workload, and both give one run
+        batches = [tasks, Workload.from_tasks(tasks)]
         sims = [grid_sim(warm, n_init, 7) for _ in batches]
-        for sim, batch in zip(sims, batches):
-            sim.inject_tasks(batch)
-        assert permuted == given_order  # the caller's list is not sorted
-        # a batch in order is read in place
-        assert sims[0]._index is None and sims[2]._tasks is batches[2]
         cfg = EpisodeConfig(phases=single_phase_config(2.0, 60.0).phases * 3)
         step = StepRecord(1, Observation(*[0] * 9), 0, 0, 0.0, 0, 0, 0, 0)
         summaries = []
         for sim, batch in zip(sims, batches):
-            assert sim._tasks == ordered
-            assert sim._times == [*(t.arrival_time for t in ordered),
-                                  math.inf]
+            sim.inject_tasks(batch)
+            assert sim._times == [*(t.arrival_time for t in tasks), math.inf]
             sim.advance(200.0)
-            assert given_tasks(sim) == batch
             log = EpisodeLog(batch, sim.completion_records, [step])
             summaries.append(summarize_episode(log, cfg).as_dict())
-        for sim, summary in zip(sims[1:], summaries[1:]):
-            assert sim.trace == sims[0].trace
-            assert task_records(sim) == task_records(sims[0])
-            assert summary == summaries[0]
-        # a batch as a list and as a Workload, in one order, give one run
-        for pair in (sims[0::2], sims[1::2]):
-            assert pair[0].completion_records == pair[1].completion_records
+        assert sims[1]._service is batches[1].service_time
+        assert sims[0].trace == sims[1].trace
+        assert sims[0].completion_records == sims[1].completion_records
+        assert summaries[0] == summaries[1]
         assert len(sims[0].completion_records) == len(tasks)
         assert summaries[0]["met"] == sum(
             met for _, _, met in sims[0].completion_records)
@@ -391,24 +379,42 @@ class TestInjectionPaths:
     @settings(max_examples=60, deadline=None)
     def test_a_duplicate_id_schedules_nothing_on_either_path(
             self, slots, pick, in_order, as_workload, shuffler):
+        # either path: the batch as a list of rows or as a Workload
         tasks = [simple_task(i, 0.5 * a) for i, a in enumerate(sorted(slots))]
         # a task takes the id of the one before it: in order, the times and
-        # the ids still never fall
+        # the ids still never fall, and the check names that task
         k = 1 + pick % (len(tasks) - 1)
-        first = k - 1
-        tasks[k] = tasks[k]._replace(task_id=first)
-        if not in_order:
+        tasks[k] = tasks[k]._replace(task_id=k - 1)
+        if in_order:
+            assert first_offence(tasks) == k
+        else:
             shuffler.shuffle(tasks)
-        sim = make_sim(n_init=2, warm=True)
-        with pytest.raises(ValueError, match=f"^duplicate task_id {first}$"):
-            sim.inject_tasks(Workload.from_tasks(tasks) if as_workload
-                             else tasks)
-        assert sim._tasks == [] and sim._times == [math.inf]
-        sim.advance(10.0)
-        assert sim.snapshot() == recount(sim, 0, 0)
-        sim.inject_tasks([simple_task(0, 0.5)])  # still takes its one batch
-        sim.advance(1.0)
-        assert sim.enqueued_total == 1
+        assert_refused(tasks, first_offence(tasks), as_workload)
+
+    @pytest.mark.parametrize("ids, position", [
+        (range(1, 4), 0), (range(0, 6, 2), 1), ((0, 1, 3), 2),
+        (range(3, 0, -1), 0)])
+    def test_ids_other_than_the_positions_are_rejected(self, ids, position):
+        # ids that do not start at 0, skip a number, or run backwards, as a
+        # range column, a tuple column and a list of rows
+        batch = Workload(ids, [0.5, 0.5, 1.0], [1024] * 3, [1.0] * 3,
+                         [2.0] * 3, [0] * 3)
+        assert_refused(batch, position)
+        assert_refused(list(batch), position)
+
+    @given(seed=st.integers(0, 2**32 - 1), shuffle=st.booleans(),
+           window=st.sampled_from((0.25, 1.0, 5.0)))
+    @settings(max_examples=30, deadline=None)
+    def test_every_built_workload_is_accepted(self, defaults, model_and_dist,
+                                              seed, shuffle, window):
+        model, dist = model_and_dist
+        cfg = episode_config({**defaults, "poisson_window": window})
+        tasks = build_episode_workload(cfg, dist, model,
+                                       shuffle_phases=shuffle, rng_seed=seed)
+        sim = make_sim()
+        sim.inject_tasks(tasks)  # read in place
+        assert sim._times == [*tasks.arrival_time, math.inf]
+        assert sim._service is tasks.service_time
 
 
 class TestScaling:
@@ -518,10 +524,9 @@ class TestConservationAndDeterminism:
         sim.advance(10.0)
         boundary = sim.completion_records
         assert [m for _, _, m in boundary] == [True, True, False]
-        for records in (task_records(fuzz), task_records(sim)):
-            assert [m for _, _, m in records] == [
-                deadline_met(task.arrival_time, time, task.deadline)
-                for task, time, _ in records]
+        for one in (fuzz, sim):
+            assert [m for _, _, m in one.completion_records] == (
+                met_by_the_rule(one))
 
     @pytest.mark.parametrize("seed", [11, 42])
     def test_loaded_fuzz_meets_about_half_its_deadlines(self, seed):
@@ -532,8 +537,7 @@ class TestConservationAndDeterminism:
         sim = fuzz_sim(seed, rate=6.0, n_init=10, n_min=6)
         met = [m for _, _, m in sim.completion_records]
         assert len(met) == 3500 and 0.4 < sum(met) / len(met) < 0.75
-        assert met == [deadline_met(task.arrival_time, time, task.deadline)
-                       for task, time, _ in task_records(sim)]
+        assert met == met_by_the_rule(sim)
         snap = sim.snapshot()
         assert (snap.enqueued_total
                 == snap.q_work + snap.workers_busy + snap.completed_total
@@ -560,11 +564,11 @@ def scanned_snapshot(sim):
     reference for the counts it works out: the tasks arrived are those of
     the batch at or before the clock, once the clock has moved, and the
     queue is those of them neither completed nor held by a busy worker."""
-    ids = sim._tasks.task_id  # in arrival order, read by position
-    arrived = {task_id for time, task_id in zip(sim._times, ids)
+    # a task's id is its position in the batch; the sentinel never arrives
+    arrived = {task_id for task_id, time in enumerate(sim._times)
                if time <= sim.clock and sim.clock > 0}
-    dispatched = {task.task_id for task, _, _ in task_records(sim)}
-    dispatched |= {ids[position] for _, kind, _, position in sim._events
+    dispatched = {task_id for task_id, _, _ in sim.completion_records}
+    dispatched |= {position for _, kind, _, position in sim._events
                    if kind == sim_module._COMPLETION}
     assert dispatched <= arrived
     return recount(sim, len(arrived - dispatched), len(arrived))
@@ -736,8 +740,10 @@ class TestDispatchReference:
            warm=st.booleans(), n_init=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_matches_dispatch_under_ties(self, slots, program, warm, n_init):
-        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
-                 for i, (a, s) in enumerate(slots)]
+        # arrivals tie on the 0.5 grid; ids follow the slots, then the batch
+        # is renumbered in (arrival, id) order
+        tasks = in_arrival_order(simple_task(i, 0.5 * a, service=0.5 * s)
+                                 for i, (a, s) in enumerate(slots))
         sim, reference = (grid_sim(warm, n_init, 7, cls)
                           for cls in (FarmSim, DispatchReferenceSim))
         sim.inject_tasks(tasks)
@@ -763,8 +769,8 @@ class TestDispatchReference:
         # untraced and unvalidated, as an episode runs; on the 0.5 grid the
         # step ends tie with arrivals, completions and readies, so the
         # bisect's key at the end of a step decides which tasks have arrived
-        tasks = [simple_task(i, 0.5 * a, service=0.5 * s)
-                 for i, (a, s) in enumerate(slots)]
+        tasks = in_arrival_order(simple_task(i, 0.5 * a, service=0.5 * s)
+                                 for i, (a, s) in enumerate(slots))
         cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init, n_max=4,
                                   warm_start=warm, latency_lo=1.0,
                                   latency_hi=1.0)

@@ -1,13 +1,15 @@
-"""Print the code lines and the non-blank lines of each Python file in a
-directory, and their totals.
+"""Print the code lines and the non-blank lines of each Python file in one
+or more directories, and their totals per directory.
 
-    python3 tools/code_lines.py [DIR]    (default: src/farmscale)
+    python3 tools/code_lines.py [DIR ...]    (default: src/farmscale)
 
-Each row is the code lines, the non-blank lines and the file; the last row
-is the totals. A code line holds at least one token that is not a comment,
-and is not part of a docstring (the leading string of a module, class or
-function). A non-blank line holds anything but whitespace, as
-``grep -cv '^[[:space:]]*$'`` counts it. Standard library only.
+Each directory is one block, the blocks apart by a blank line. Each row is
+the code lines, the non-blank lines and the file; the last row of a block
+is its totals, followed by ``total`` and the directory. A code line holds
+at least one token that is not a comment, and is not part of a docstring
+(the leading string of a module, class or function). A non-blank line
+holds anything but whitespace, as ``grep -cv '^[[:space:]]*$'`` counts it.
+Standard library only.
 """
 
 import ast
@@ -46,14 +48,16 @@ def nonblank_lines(path) -> int:
 
 
 def main(argv) -> int:
-    root = Path(argv[0] if argv else "src/farmscale")
-    code_total = nonblank_total = 0
-    for path in sorted(root.glob("*.py")):
-        code, nonblank = code_lines(path), nonblank_lines(path)
-        code_total += code
-        nonblank_total += nonblank
-        print(f"{code:6d}  {nonblank:6d}  {path}")
-    print(f"{code_total:6d}  {nonblank_total:6d}  total")
+    for i, root in enumerate(map(Path, argv or ["src/farmscale"])):
+        if i:
+            print()
+        code_total = nonblank_total = 0
+        for path in sorted(root.glob("*.py")):
+            code, nonblank = code_lines(path), nonblank_lines(path)
+            code_total += code
+            nonblank_total += nonblank
+            print(f"{code:6d}  {nonblank:6d}  {path}")
+        print(f"{code_total:6d}  {nonblank_total:6d}  total  {root}")
     return 0
 
 
