@@ -23,7 +23,7 @@ from .sarsa import SarsaAgent, default_discretizer
 from .training import (evaluate_policies, run_episode, train_agent,
                        write_training_curve)
 from .workload import (CALIBRATION_SAMPLES, FitError, build_episode_workload,
-                       fit_service_model, phase_order, write_workload_csv)
+                       fit_service_model, write_workload_csv)
 
 
 def _load_samples(path):
@@ -126,8 +126,7 @@ def cmd_run(args):
     workload = build_episode_workload(env.config, dist, model,
                                       shuffle_phases=args.shuffle,
                                       rng_seed=seed)
-    order = phase_order(len(env.config.phases), args.shuffle, seed)
-    summary = run_episode(env, policy, workload, seed, order)
+    summary = run_episode(env, policy, workload, seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

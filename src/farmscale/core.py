@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import repeat
-from operator import add, attrgetter, eq
+from operator import add, attrgetter
 from typing import Iterable, NamedTuple
 
 ACTIONS = (-1, 0, 1)
@@ -98,13 +97,6 @@ def compute_deadline(expected_service: float, beta: float) -> float:
     return beta * expected_service
 
 
-def deadline_met(arrival: float, completion: float, deadline: float) -> bool:
-    """True when end-to-end latency is within the allowance (boundary counts)."""
-    if completion < arrival:
-        raise ValueError(f"completion {completion} precedes arrival {arrival}")
-    return completion - arrival <= deadline
-
-
 def check_task_timing(service_time: float, deadline: float):
     """The checks every task's timing must pass; ``TaskSpec`` runs them on
     each construction, the workload builder once per distinct size."""
@@ -157,66 +149,53 @@ class TaskSpec(_TaskFields):
 task_columns = attrgetter(*TaskSpec._fields)
 
 
-class Workload(Sequence):
+class Workload:
     """An episode's tasks as six read-only columns, one per field of
     ``TaskSpec`` and named after it: ``workload.service_time[i]`` is the
     service time of task ``i``. A column is a tuple or a ``range``; a
     built workload's ``task_id`` column is ``range(len(workload))``, and
     its rows of one size share that size's service time and deadline float
-    objects.
+    objects. ``phase_order`` is the order its phases ran in, a tuple of
+    phase indices (empty: the configured order).
 
-    It is also a sequence of ``TaskSpec`` rows: ``len``, indexing (a slice
-    is a ``Workload``), iteration and ``==`` with any sequence of equal
-    tasks behave as on a list of the rows. A row is made only when one is
-    indexed or iterated; the simulator, the env and the summaries read the
-    columns by task index and make none. ``from_tasks`` is the one path
-    from rows to columns.
+    ``len`` is its number of tasks, and iterating it gives its
+    ``TaskSpec`` rows, each made only then; the simulator, the env and the
+    summaries read the columns by task index and make none.
+    ``from_tasks`` is the one path from rows to columns.
     """
 
-    __slots__ = TaskSpec._fields
-    __hash__ = None
+    __slots__ = (*TaskSpec._fields, "phase_order")
 
     def __init__(self, task_id, arrival_time, size_px, service_time,
-                 deadline, phase_index):
+                 deadline, phase_index, phase_order=()):
         columns = [c if isinstance(c, (tuple, range)) else tuple(c)
                    for c in (task_id, arrival_time, size_px, service_time,
                              deadline, phase_index)]
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"columns of unequal lengths "
                              f"{[len(c) for c in columns]}")
-        for name, column in zip(self.__slots__, columns):
+        for name, column in zip(TaskSpec._fields, columns):
             setattr(self, name, column)
+        self.phase_order = tuple(phase_order)
 
     @classmethod
     def from_tasks(cls, tasks) -> "Workload":
         """The tasks of ``tasks``, any iterable of ``TaskSpec``, as columns
-        in the order it gives them; a ``Workload`` is returned as it is. An
-        item that is not a ``TaskSpec`` is made one, with its checks."""
+        in the order it gives them, with the configured phase order; a
+        ``Workload`` is returned as it is. An item that is not a
+        ``TaskSpec`` is made one, with its checks."""
         if isinstance(tasks, Workload):
             return tasks
         rows = [t if isinstance(t, TaskSpec) else TaskSpec._make(t)
                 for t in tasks]
-        return cls(*(zip(*rows) if rows else repeat((), len(cls.__slots__))))
+        return cls(*(zip(*rows) if rows
+                     else repeat((), len(TaskSpec._fields))))
 
     def __len__(self) -> int:
         return len(self.task_id)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Workload(*[column[index] for column in task_columns(self)])
-        return tuple.__new__(TaskSpec,
-                             [column[index] for column in task_columns(self)])
-
     def __iter__(self):
         return map(tuple.__new__, repeat(TaskSpec), zip(*task_columns(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"Workload({list(self)!r})"
 
 
 class Observation(NamedTuple):
@@ -345,13 +324,11 @@ class EpisodeLog:
     """One episode: its workload as a ``Workload`` (any other sequence of
     tasks is turned into one), the simulator's completion records
     ``(index, completion_time, met)``, whose ``index`` points into
-    ``tasks``, the per-step records and the order its phases ran in (empty:
-    the configured order)."""
+    ``tasks``, and the per-step records."""
 
-    tasks: Sequence = ()
+    tasks: Workload = ()
     completions: list = field(default_factory=list)
     steps: list = field(default_factory=list)
-    phase_order: tuple = ()
 
     def __post_init__(self):
         self.tasks = Workload.from_tasks(self.tasks)

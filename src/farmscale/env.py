@@ -95,12 +95,11 @@ class FarmEnv:
                           max_rate, 1.0])
         return lows, highs
 
-    def reset(self, workload, seed: int, order=()):
-        """Start an episode over ``workload``, whose phases ran in ``order``
-        (empty: the configured order); returns (obs, step-0 record). Task
-        ``i`` of the workload must be its ``i``-th arrival, as the workload
-        builder makes it (see ``FarmSim.inject_tasks``); any other workload
-        raises ``ValueError`` and leaves the env terminated."""
+    def reset(self, workload, seed: int):
+        """Start an episode over ``workload``; returns (obs, step-0 record).
+        Task ``i`` of the workload must be its ``i``-th arrival, as the
+        workload builder makes it (see ``FarmSim.inject_tasks``); any other
+        workload raises ``ValueError`` and leaves the env terminated."""
         self._terminated = True  # until the new batch is in
         # read once: ``workload`` may be an iterator of tasks
         tasks = Workload.from_tasks(workload)
@@ -108,8 +107,7 @@ class FarmEnv:
         sim.inject_tasks(tasks)
         self.sim = sim
         # the sim appends to its completion records, so the log stays current
-        self.log = EpisodeLog(tasks, sim.completion_records,
-                              phase_order=tuple(order))
+        self.log = EpisodeLog(tasks, sim.completion_records)
         # the completions' service times in completion order, filled by step
         self._service = np.empty(len(tasks))
         self._terminated = False

@@ -111,7 +111,7 @@ def summarize_episode(log, config) -> EpisodeSummary:
 
     # step -> time slot by step start time over the spans [start, end) of
     # the phases in the order they ran; slot k ran phase order[k]
-    order = log.phase_order or range(len(config.phases))
+    order = log.tasks.phase_order or range(len(config.phases))
     ends = list(accumulate(config.phases[i].duration for i in order))
     phase_workers = [[] for _ in ends]
     for s, n in zip(steps, workers):

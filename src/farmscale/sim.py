@@ -10,7 +10,8 @@ result or output queue; the env reports those observation fields as 0.
 A simulator takes one batch of tasks, a ``core.Workload`` of six columns,
 in the shape the workload builder makes: task ``i`` is the ``i``-th
 arrival, so the ``task_id`` column is ``range(n)`` and the arrival times
-never fall. It reads such a batch in place and refuses any other. A task
+are finite and never fall. It reads such a batch in place and refuses any
+other. A task
 is known by its position, which is its id. The simulator keeps the three
 columns it reads: the arrival times, ending in a sentinel, ``math.inf``,
 that never arrives, so no read of the head checks the length, the service
@@ -69,7 +70,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from itertools import count, islice, repeat
 from typing import NamedTuple
@@ -164,25 +164,29 @@ class FarmSim:
     def inject_tasks(self, tasks):
         """Schedule the arrivals of ``tasks``, this simulator's one batch: a
         ``Workload`` or any iterable of ``TaskSpec`` in which task ``i`` is
-        the ``i``-th arrival, its id ``i`` and its arrival time no earlier
-        than the one before. A second batch, or a batch of any other shape,
-        raises ``ValueError`` and schedules nothing; the message names the
-        first position that breaks the rule."""
+        the ``i``-th arrival, its id ``i`` and its arrival time finite and no
+        earlier than the one before. A second batch, or a batch of any other
+        shape, raises ``ValueError`` and schedules nothing; the message
+        names the first position that breaks the rule."""
         if self._injected:
             raise ValueError("a simulator takes one batch of tasks")
         tasks = Workload.from_tasks(tasks)
         ids, times = tasks.task_id, list(tasks.arrival_time)
         n = len(times)
-        # a built workload's ids are a range, compared in one step, and a
-        # sorted list sorts in one pass of comparisons made in C
+        # a built workload's ids are a range, compared in one step, a sorted
+        # list sorts in one pass of comparisons made in C, and a NaN or an
+        # infinity makes the sum of the times non-finite; so does an
+        # overflow, which the scan lets through
         if (ids != range(n) and list(ids) != list(range(n))
-                or times != sorted(times)):
-            position = next(i for i in range(n) if ids[i] != i
-                            or i and not times[i - 1] <= times[i])
-            raise ValueError(
-                f"task {position} of the batch has id {ids[position]!r} and"
-                f" arrival time {times[position]!r}: task i must be the i-th"
-                f" arrival, with id i")
+                or times != sorted(times) or not math.isfinite(sum(times))):
+            position = next((i for i in range(n) if ids[i] != i
+                             or not math.isfinite(times[i])
+                             or i and not times[i - 1] <= times[i]), None)
+            if position is not None:
+                raise ValueError(
+                    f"task {position} of the batch has id {ids[position]!r}"
+                    f" and arrival time {times[position]!r}: task i must be"
+                    f" the i-th arrival, with id i and a finite arrival time")
         times.append(math.inf)
         self._times = times
         self._service, self._deadline = tasks.service_time, tasks.deadline
@@ -412,42 +416,3 @@ class FarmSim:
                                    + snap.completed_total):
             raise ConservationError(f"enqueued != queued + busy + completed"
                                     f" in {snap} at t={self.clock}")
-
-
-@dataclass(frozen=True)
-class StaticRunResult:
-    runtime: float
-    init_overhead: float
-
-
-def static_run(config, workload, n_fixed: int, rng_seed: int = 0) -> StaticRunResult:
-    """Run the whole workload, a ``Workload`` or any iterable of tasks in
-    which task ``i`` is the ``i``-th arrival (see ``FarmSim.inject_tasks``),
-    with a fixed pool of n_fixed workers. An empty workload, or one of any
-    other shape, raises ``ValueError``."""
-    if n_fixed < 1:
-        raise ValueError("n_fixed must be >= 1")
-    tasks = Workload.from_tasks(workload)  # an iterator is read once
-    if not tasks:
-        raise ValueError("the workload has no tasks")
-    from dataclasses import replace
-    cfg = replace(config, n_min=n_fixed, n_max=n_fixed, n_init=n_fixed,
-                  warm_start=False)
-    sim = FarmSim(cfg, np.random.default_rng([rng_seed, 30_000]))
-    init_overhead = sim._starts[-1]  # the last pending start
-    sim.inject_tasks(tasks)
-    while len(sim.completion_records) < len(tasks):
-        sim.advance(60.0)
-    # the batch is in arrival order, and the records in completion order
-    return StaticRunResult(sim.completion_records[-1][1]
-                           - tasks.arrival_time[0], init_overhead)
-
-
-def static_scaling_experiment(config, workload, pool_sizes, rng_seed: int = 0):
-    """Static runs over several pool sizes plus speedups relative to n=1."""
-    tasks = Workload.from_tasks(workload)  # each run reads it
-    results = {n: static_run(config, tasks, n, rng_seed) for n in pool_sizes}
-    base = (results[1] if 1 in results
-            else static_run(config, tasks, 1, rng_seed))
-    speedups = {n: base.runtime / r.runtime for n, r in results.items()}
-    return results, speedups

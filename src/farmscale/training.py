@@ -16,7 +16,7 @@ from operator import attrgetter
 from .core import write_csv
 from .env import FarmEnv
 from .metrics import summarize_episode
-from .workload import build_episode_workload, phase_order
+from .workload import build_episode_workload
 
 
 @dataclass
@@ -35,11 +35,9 @@ class TrainingRecord:
 CURVE_COLUMNS = tuple(f.name for f in fields(TrainingRecord))
 
 
-def run_episode(env: FarmEnv, policy, workload, seed: int, order=()):
-    """One greedy episode under a frozen policy, over ``workload`` with its
-    phases in ``order`` (empty: the configured order); returns the
-    summary."""
-    obs, record = env.reset(workload, seed, order)
+def run_episode(env: FarmEnv, policy, workload, seed: int):
+    """One greedy episode under a frozen policy; returns the summary."""
+    obs, record = env.reset(workload, seed)
     done = False
     while not done:
         action = policy.select_action(obs, record)
@@ -59,8 +57,7 @@ def train_agent(agent, env: FarmEnv, dist, model, episodes: int,
         workload = build_episode_workload(env.config, dist, model,
                                           shuffle_phases=shuffle,
                                           rng_seed=seed)
-        order = phase_order(len(env.config.phases), shuffle, seed)
-        obs, _ = env.reset(workload, seed, order)
+        obs, _ = env.reset(workload, seed)
         agent.begin_episode()
         state = agent.encode(obs)
         action = agent.act(state)

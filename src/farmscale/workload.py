@@ -309,8 +309,7 @@ def generate_phase_arrivals(phase: WorkloadPhaseSpec,
 
 def phase_order(n_phases: int, shuffle: bool, rng_seed: int) -> list:
     """The order an episode's phases run in: as configured, or with
-    ``shuffle`` a permutation drawn from the seed's own shuffle stream, so
-    every caller that knows the seed gets the order its workload has."""
+    ``shuffle`` a permutation drawn from the seed's own shuffle stream."""
     order = list(range(n_phases))
     if shuffle:
         np.random.default_rng([rng_seed, 10_000]).shuffle(order)
@@ -323,7 +322,8 @@ def build_episode_workload(config, dist: SizeDistribution,
     """All tasks of one episode as a ``Workload``, sorted by arrival, ids
     ``range(n)`` in arrival order.
 
-    The phases run in the order ``phase_order`` gives. Each phase owns a
+    The phases run in the order ``phase_order`` gives, and the workload
+    keeps that order as its ``phase_order``. Each phase owns a
     private RNG stream keyed by (seed, phase index), so per-phase arrival
     offsets are independent of phase placement. Tasks are ordered by
     arrival, ties by phase index. Service time and deadline are worked out
@@ -336,7 +336,8 @@ def build_episode_workload(config, dist: SizeDistribution,
 
     arrivals, phase_ids = [], []
     position_start = 0.0
-    for phase_idx in phase_order(len(phases), shuffle_phases, rng_seed):
+    order = phase_order(len(phases), shuffle_phases, rng_seed)
+    for phase_idx in order:
         phase = phases[phase_idx]
         phase_rng = np.random.default_rng([rng_seed, phase_idx])
         offsets = generate_phase_arrivals(phase, phase_rng)
@@ -365,7 +366,8 @@ def build_episode_workload(config, dist: SizeDistribution,
         check_task_timing(service, deadline)
         per_size[:, k] = size, service, deadline
     sizes, services, deadlines = per_size[:, picks].tolist()
-    return Workload(range(n), arrival, sizes, services, deadlines, phase_id)
+    return Workload(range(n), arrival, sizes, services, deadlines, phase_id,
+                    order)
 
 
 def write_workload_csv(tasks, path):

@@ -9,6 +9,7 @@ finite differences).
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ import pytest
 from farmscale.config import (DEFAULTS, dqn_config, episode_config,
                               reward_config, sarsa_config,
                               service_model_and_sizes)
-from farmscale.core import RewardConfig
+from farmscale.core import RewardConfig, Workload
 from farmscale.dqn import DqnAgent, double_dqn_targets
 from farmscale.env import REWARD_TERMS, FarmEnv, compute_reward
 from farmscale.metrics import CostConfig, cost_paygo, cost_sub
 from farmscale.nn import Mlp
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from farmscale.sarsa import SarsaAgent, default_discretizer
-from farmscale.sim import FarmSim, static_scaling_experiment
+from farmscale.sim import FarmSim
 from farmscale.training import evaluate_policy, run_episode, train_agent
 from farmscale.workload import (CALIBRATION_SAMPLES, build_episode_workload,
                                 default_phases, fit_service_model,
@@ -135,17 +136,34 @@ def test_criterion_04_queueing_regimes():
     _report(4, "queueing regimes", checks, time.perf_counter() - t0, 30.0)
 
 
+def static_run(config, tasks, n):
+    """The whole of ``tasks`` on a fixed pool of ``n`` workers started cold
+    and in sequence, the starts drawing from ``default_rng([0, 30_000])``;
+    returns (runtime, init overhead): the time from the first arrival to
+    the last completion, and the ready time of the last start."""
+    cfg = replace(config, n_min=n, n_max=n, n_init=n, warm_start=False)
+    sim = FarmSim(cfg, np.random.default_rng([0, 30_000]))
+    init_overhead = sim._starts[-1]  # the last pending start
+    sim.inject_tasks(tasks)
+    while len(sim.completion_records) < len(tasks):
+        sim.advance(60.0)
+    # the batch is in arrival order, and the records in completion order
+    return (sim.completion_records[-1][1] - tasks.arrival_time[0],
+            init_overhead)
+
+
 def test_criterion_05_static_scaling():
     t0 = time.perf_counter()
     cfg = single_phase_config(5.0, 60.0, n_init=1, n_max=32,
                               warm_start=False)
-    workload = constant_service_tasks(5.0, 60.0, 1.0)
+    workload = Workload.from_tasks(constant_service_tasks(5.0, 60.0, 1.0))
     pools = (1, 2, 4, 8, 16, 32)
-    results, speedups = static_scaling_experiment(cfg, workload, pools)
-    overheads = np.array([results[n].init_overhead for n in pools])
+    runtimes, overheads = np.array([static_run(cfg, workload, n)
+                                    for n in pools]).T
+    speedups = dict(zip(pools, runtimes[0] / runtimes))
     checks = {
-        f"n={n} startup in [5n, 8n]": 5.0 * n <= results[n].init_overhead <= 8.0 * n
-        for n in pools
+        f"n={n} startup in [5n, 8n]": 5.0 * n <= overhead <= 8.0 * n
+        for n, overhead in zip(pools, overheads)
     }
     corr = np.corrcoef(pools, overheads)[0, 1]
     checks["linear correlation >= 0.95"] = corr >= 0.95

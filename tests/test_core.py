@@ -1,4 +1,5 @@
-"""Domain vocabulary: deadlines, observations, configs, episode logs."""
+"""Domain vocabulary: tasks, workloads, deadlines, observations, configs,
+episode logs."""
 
 import csv
 import math
@@ -9,11 +10,8 @@ from hypothesis import example, given, strategies as st
 from farmscale.core import (STEP_COLUMNS, EpisodeConfig, EpisodeLog,
                             Observation, RewardConfig, StepRecord, TaskSpec,
                             Workload, check_task_timing, compute_deadline,
-                            deadline_met, left_sum, task_columns)
+                            left_sum, task_columns)
 from farmscale.workload import WorkloadPhaseSpec, write_workload_csv
-
-finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
-
 
 class TestLeftSum:
     @given(values=st.lists(st.floats(allow_nan=False) | st.integers(-9, 9)))
@@ -34,8 +32,8 @@ class TestLeftSum:
 
 
 class TestWorkload:
-    """A ``Workload`` is a read-only sequence of ``TaskSpec`` rows kept as
-    six columns."""
+    """A ``Workload`` keeps its ``TaskSpec`` rows as six columns: ``len``
+    counts them and iteration makes them."""
 
     def test_agrees_with_its_rows(self, default_workload):
         w = default_workload
@@ -44,30 +42,15 @@ class TestWorkload:
         assert set(map(type, rows)) == {TaskSpec}
         assert w.task_id == range(len(w))  # a built workload's ids
         assert [tuple(c) for c in task_columns(w)] == list(zip(*rows))
-        for i in (0, 1, len(w) - 1, -1, -2, -len(w)):
-            assert type(w[i]) is TaskSpec and w[i] == rows[i]
-        for part in (slice(None), slice(5, 40), slice(-10, None),
-                     slice(None, None, -3), slice(7, 3), slice(3, -3, 2)):
-            assert type(w[part]) is Workload
-            assert w[part] == rows[part] and list(w[part]) == rows[part]
-        for i in (len(w), -len(w) - 1):
-            with pytest.raises(IndexError):
-                w[i]
-        assert w == rows and rows == w and w == tuple(rows)
-        assert w == [tuple(t) for t in rows]  # a row equals its plain tuple
-        assert not w != rows
-        assert w != rows[:-1] and w != rows[::-1] and w != [*rows, rows[0]]
-        assert w == Workload.from_tasks(iter(rows))
-        assert rows[3] in w and w.index(rows[3]) == 3
-        assert list(reversed(w)) == rows[::-1]
+        assert list(Workload.from_tasks(iter(rows))) == rows
+        assert w.phase_order == (0, 1, 2, 3)  # built unshuffled
 
     def test_columns_are_read_only(self, default_workload):
         assert {type(c) for c in task_columns(default_workload)} <= {tuple,
                                                                     range}
         built = Workload([0], [0.5], [512], [0.05], [0.1], [0])
         assert type(built.arrival_time) is tuple
-        with pytest.raises(TypeError):
-            hash(default_workload)  # it equals a list of its rows
+        assert built.phase_order == ()
 
     def test_from_tasks(self):
         tasks = [TaskSpec(4, 0.5, 512, 0.05, 0.1, 0),
@@ -78,7 +61,8 @@ class TestWorkload:
         assert len(Workload.from_tasks(())) == 0 == len(Workload.from_tasks(
             iter([])))
         # a plain row is made a TaskSpec, with its checks
-        assert Workload.from_tasks(map(tuple, tasks)) == tasks
+        assert list(Workload.from_tasks(map(tuple, tasks))) == tasks
+        assert Workload.from_tasks(tasks).phase_order == ()
         with pytest.raises(ValueError, match="service_time must be positive"):
             Workload.from_tasks([(0, 0.1, 512, 0.0, 0.1, 0)])
         with pytest.raises(ValueError, match="unequal lengths"):
@@ -210,32 +194,6 @@ class TestTaskSpec:
         write_workload_csv([TaskSpec(*self.ARGS)], path)
         assert path.read_text().splitlines() == [
             ",".join(TaskSpec._fields), "7,1.25,1024,0.18,0.36,2"]
-
-
-class TestDeadlineMet:
-    def test_boundary_counts_as_met(self):
-        assert deadline_met(10.0, 13.0, 3.0)
-
-    def test_late_misses(self):
-        assert not deadline_met(10.0, 13.0 + 1e-9, 3.0)
-
-    def test_derived_table_example(self):
-        assert deadline_met(0.0, 5.58, 5.74)
-
-    @given(arrival=finite, deadline=st.floats(min_value=1e-3, max_value=1e3),
-           latency=st.floats(min_value=0, max_value=1e3),
-           earlier=st.floats(min_value=0, max_value=1e3))
-    def test_monotone_in_completion(self, arrival, deadline, latency,
-                                    earlier):
-        # meeting the deadline at some completion implies meeting it earlier
-        completion = arrival + latency
-        if deadline_met(arrival, completion, deadline):
-            assert deadline_met(arrival, max(arrival, completion - earlier),
-                                deadline)
-
-    def test_rejects_completion_before_arrival(self):
-        with pytest.raises(ValueError):
-            deadline_met(5.0, 4.0, 1.0)
 
 
 class TestObservation:

@@ -58,8 +58,8 @@ class PoisonedEnv(FarmEnv):
             return obs._replace(arrival_rate=self.bad)
         return obs
 
-    def reset(self, workload, seed, order=()):
-        obs, record = super().reset(workload, seed, order)
+    def reset(self, workload, seed):
+        obs, record = super().reset(workload, seed)
         return self._poison(obs), record
 
     def step(self, action):

@@ -256,7 +256,7 @@ class TestLifecycle:
         for workload in (tasks, iter(tasks)):
             env = FarmEnv(ep_config, rw_config)
             runs.append((run_episode(env, policy, workload, 7),
-                         env.log.tasks, env.log.steps))
+                         list(env.log.tasks), env.log.steps))
         assert runs[0][0].emitted == len(tasks)
         assert runs[1] == runs[0]
 
@@ -265,7 +265,7 @@ class TestLifecycle:
         # the service-time column belongs to one episode: after a shorter or
         # a longer one on the same env, every step record is a fresh env's
         policy = ReactiveAveragePolicy(ep_config.step_duration)
-        long, short = default_workload, default_workload[:150]
+        long, short = default_workload, list(default_workload)[:150]
         env = FarmEnv(ep_config, rw_config)
         for seed, tasks in enumerate((short, long, short, long)):
             run_episode(env, policy, tasks, seed)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
-                            RewardConfig, StepRecord, TaskSpec)
+                            RewardConfig, StepRecord, TaskSpec, Workload,
+                            task_columns)
 from farmscale.env import FarmEnv
 from farmscale.metrics import (CostConfig, EpisodeSummary, PhaseSummary,
                                aggregate, aggregate_rows, cost_paygo,
@@ -40,7 +41,7 @@ def reference_summary(log, config) -> EpisodeSummary:
     workers = [s.observation.n_workers for s in log.steps]
     n_scale = sum(1 for s in log.steps if s.applied_delta != 0)
     emitted = log.n_tasks
-    met_of = {log.tasks[i].task_id: met for i, _, met in log.completions}
+    met_of = {log.tasks.task_id[i]: met for i, _, met in log.completions}
     met = completed = 0
     emitted_in = dict.fromkeys(range(len(config.phases)), 0)
     met_in = dict(emitted_in)
@@ -53,7 +54,7 @@ def reference_summary(log, config) -> EpisodeSummary:
             met_in[t.phase_index] += bool(t_met)
     per_phase = [None] * len(config.phases)
     start = 0.0
-    for i in log.phase_order or range(len(config.phases)):
+    for i in log.tasks.phase_order or range(len(config.phases)):
         lo, hi = start, start + config.phases[i].duration
         start = hi
         in_phase = [s.observation.n_workers for s in log.steps
@@ -170,7 +171,7 @@ class TestSummarize:
         while not done:
             _, _, done, _ = env.step(1)
         summary = summarize_episode(env.log, ep_config)
-        met_ids = {env.log.tasks[i].task_id
+        met_ids = {env.log.tasks.task_id[i]
                    for i, _, met in env.log.completions if met}
         for idx, phase in enumerate(summary.per_phase):
             members = [t for t in env.log.tasks if t.phase_index == idx]
@@ -202,9 +203,10 @@ class TestSummarize:
         specs = [task(i, phase) for i, (phase, _, _) in enumerate(tasks)]
         order = list(range(len(durations)))  # the order the phases ran in
         shuffle.shuffle(order)
-        log = EpisodeLog(specs, [(i, 0.2, met) for i, (_, done, met)
-                                 in enumerate(tasks) if done],
-                         phase_order=tuple(order))
+        workload = Workload(*task_columns(Workload.from_tasks(specs)),
+                            phase_order=order)
+        log = EpisodeLog(workload, [(i, 0.2, met) for i, (_, done, met)
+                                    in enumerate(tasks) if done])
         # steps are numbered from 1, as the env logs them
         for k, (n, delta) in enumerate(steps, start=1):
             log.steps.append(step(k, n, applied_delta=delta, reward=0.1 * n))

@@ -5,7 +5,9 @@ Poisson arrivals at lambda = 3 tasks/s with exponential service of mean 1 s.
 Erlang C gives the exact probability of waiting, the mean wait in the queue
 and the FIFO wait tail C * exp(-(c*mu - lambda) * t) (Kleinrock, *Queueing
 Systems* vol. 1, 1975), and Little's law (Little, 1961) the mean number
-waiting. Two M/D/1 queues, at rho = 0.5 and 0.8, serve the same kind of
+waiting. Three more M/M/c queues, M/M/4 at rho = 0.5, M/M/1 at rho = 0.7
+and M/M/10 at rho = 0.8, check Erlang C's mean wait over other pool sizes
+and loads. Two M/D/1 queues, at rho = 0.5 and 0.8, serve the same kind of
 stream with a fixed service time of 1 s; Pollaczek-Khinchine gives their
 mean waits, 0.5 s and 2 s. Deadlines are far above any service time, so
 nothing but the queue shapes a run. A cold pool of n workers comes up by n
@@ -163,6 +165,18 @@ def test_snapshot_queue_obeys_littles_law(mm4_run):
     exact = ARRIVAL_RATE * erlang_c_wait(SERVERS, ARRIVAL_RATE,
                                          1 / SERVICE_MEAN)
     assert abs(mean - exact) <= half, (mean, half, exact)
+
+
+@pytest.mark.parametrize("servers, rate, exact", [
+    (4, 2.0, 0.0870), (1, 0.7, 2.333), (10, 8.0, 0.205)])
+def test_mmc_mean_wait_matches_erlang_c(servers, rate, exact):
+    mu = 1 / SERVICE_MEAN
+    assert erlang_c_wait(servers, rate, mu) == pytest.approx(exact, abs=5e-4)
+    _, wait, _ = run_queue(servers, rate, lambda rng: rng.exponential(
+        SERVICE_MEAN, N_TASKS).tolist())
+    mean, half = batch_means(wait)
+    exact = erlang_c_wait(servers, rate, mu)
+    assert abs(mean - exact) <= half, (servers, rate, mean, half, exact)
 
 
 @pytest.mark.parametrize("rate", [0.5, 0.8])

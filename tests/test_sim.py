@@ -12,14 +12,14 @@ from hypothesis import assume, given, settings, strategies as st
 from farmscale import sim as sim_module
 from farmscale.config import episode_config
 from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
-                            StepRecord, TaskSpec, Workload, deadline_met)
+                            StepRecord, TaskSpec, Workload)
 from farmscale.metrics import summarize_episode
 from farmscale.sim import (BUSY, DRAINING, IDLE, STARTING, ConservationError,
-                           FarmSim, Snapshot, static_run,
-                           static_scaling_experiment)
+                           FarmSim, Snapshot)
 from farmscale.workload import build_episode_workload
 from tests.conftest import (constant_service_tasks, fuzz_sim,
                             single_phase_config)
+from tests.test_acceptance import static_run
 
 
 class DispatchReferenceSim(FarmSim):
@@ -130,9 +130,16 @@ def in_arrival_order(tasks):
     return [t._replace(task_id=i) for i, t in enumerate(ordered)]
 
 
+def deadline_met(arrival, completion, deadline):
+    """The met rule: a task meets its deadline when it completes within
+    ``deadline`` of its arrival, the boundary included."""
+    assert arrival <= completion
+    return completion - arrival <= deadline
+
+
 def met_by_the_rule(sim):
-    """The met flags ``core.deadline_met`` gives the sim's completion
-    records, each task read from the sim's columns by its id."""
+    """The met flags ``deadline_met`` gives the sim's completion records,
+    each task read from the sim's columns by its id."""
     return [deadline_met(sim._times[i], time, sim._deadline[i])
             for i, time, _ in sim.completion_records]
 
@@ -402,6 +409,24 @@ class TestInjectionPaths:
         assert_refused(batch, position)
         assert_refused(list(batch), position)
 
+    @pytest.mark.parametrize("times, position", [
+        ((math.nan, 1.0, 2.0), 0), ((0.5, math.nan, 2.0), 1),
+        ((0.5, 1.0, math.inf), 2), ((-math.inf, 1.0, 2.0), 0)],
+        ids=["nan-first", "nan", "inf-last", "minus-inf-first"])
+    def test_an_arrival_time_not_finite_is_rejected(self, times, position):
+        # NaN leaves a sorted list as it is and infinities sort, so only the
+        # finiteness check refuses these, as a Workload and as a list of rows
+        batch = Workload(range(3), times, [1024] * 3, [1.0] * 3, [2.0] * 3,
+                         [0] * 3)
+        assert_refused(batch, position)
+        assert_refused(list(batch), position)
+
+    def test_finite_times_whose_sum_overflows_are_accepted(self):
+        sim = make_sim()
+        sim.inject_tasks(Workload(range(2), (1e308, 1.5e308), (1024,) * 2,
+                                  (1.0,) * 2, (2.0,) * 2, (0,) * 2))
+        assert sim._times == [1e308, 1.5e308, math.inf]
+
     @given(seed=st.integers(0, 2**32 - 1), shuffle=st.booleans(),
            window=st.sampled_from((0.25, 1.0, 5.0)))
     @settings(max_examples=30, deadline=None)
@@ -527,6 +552,18 @@ class TestConservationAndDeterminism:
         for one in (fuzz, sim):
             assert [m for _, _, m in one.completion_records] == (
                 met_by_the_rule(one))
+
+    @pytest.mark.parametrize("deadline, met", [
+        (2.0, True), (math.nextafter(2.0, 0), False)],
+        ids=["at", "one-ulp-below"])
+    def test_a_completion_at_the_deadline_meets_it(self, deadline, met):
+        # one warm worker, two tasks at 0 of service 1: the second completes
+        # at exactly 2.0, met with deadline 2.0 and missed one ulp below
+        sim = make_sim(n_init=1, warm=True)
+        sim.inject_tasks([TaskSpec(i, 0.0, 1024, 1.0, deadline, 0)
+                          for i in range(2)])
+        sim.advance(10.0)
+        assert sim.completion_records == [(0, 1.0, True), (1, 2.0, met)]
 
     @pytest.mark.parametrize("seed", [11, 42])
     def test_loaded_fuzz_meets_about_half_its_deadlines(self, seed):
@@ -839,52 +876,19 @@ class TestQueueingBehaviour:
 
 
 class TestStaticRuns:
+    """Fixed cold pools, through acceptance criterion 5's static run."""
+
     def _workload(self):
-        return constant_service_tasks(5.0, 60.0, 1.0)
+        return Workload.from_tasks(constant_service_tasks(5.0, 60.0, 1.0))
 
     def test_init_overhead_grows_with_pool(self, ep_config):
-        res, _ = static_scaling_experiment(ep_config, self._workload(),
-                                           (1, 4, 8))
-        overheads = [res[n].init_overhead for n in (1, 4, 8)]
+        overheads = [static_run(ep_config, self._workload(), n)[1]
+                     for n in (1, 4, 8)]
         assert overheads == sorted(overheads)
         assert 5.0 <= overheads[0] <= 8.0
         assert 40.0 <= overheads[2] <= 64.0
 
     def test_runtime_improves_with_workers(self, ep_config):
-        res, speedups = static_scaling_experiment(ep_config, self._workload(),
-                                                  (1, 8))
-        assert res[8].runtime < res[1].runtime
-        assert speedups[8] > 1.0
-        assert speedups[1] == pytest.approx(1.0)
-
-    def test_one_static_run_per_pool_size(self, ep_config, monkeypatch):
-        calls = []
-
-        def counting_run(config, workload, n_fixed, rng_seed=0):
-            calls.append(n_fixed)
-            return static_run(config, workload, n_fixed, rng_seed)
-
-        monkeypatch.setattr(sim_module, "static_run", counting_run)
-        static_scaling_experiment(ep_config, self._workload(), (1, 2, 4))
-        assert calls == [1, 2, 4]
-
-    def test_rejects_empty_pool(self, ep_config):
-        with pytest.raises(ValueError):
-            static_run(ep_config, self._workload(), 0)
-
-    def test_rejects_a_workload_without_tasks(self, ep_config, monkeypatch):
-        built = []
-        monkeypatch.setattr(sim_module, "FarmSim",
-                            lambda *args, **kwargs: built.append(args))
-        for workload in ([], iter([])):
-            with pytest.raises(ValueError,
-                               match="^the workload has no tasks$"):
-                static_run(ep_config, workload, 2)
-        assert built == []  # refused before any simulator is built
-
-    def test_reads_an_iterator_workload_once(self, ep_config):
-        tasks = self._workload()
-        assert (static_run(ep_config, iter(tasks), 2)
-                == static_run(ep_config, tasks, 2))
-        assert (static_scaling_experiment(ep_config, iter(tasks), (2, 4))
-                == static_scaling_experiment(ep_config, tasks, (2, 4)))
+        runtimes = [static_run(ep_config, self._workload(), n)[0]
+                    for n in (1, 8)]
+        assert runtimes[1] < runtimes[0]

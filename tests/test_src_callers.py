@@ -4,9 +4,10 @@ The AST of each module is walked for its module-level functions and
 classes and every method that is not a dunder. A symbol counts as called
 when some module of the package names it: a bare name (``foo``) or an
 attribute (``obj.foo``), apart from its own definition. A symbol with no
-such caller fails the check unless ``ALLOWED`` names its caller outside
-the package; an entry that no longer exists, whose caller no longer names
-it, or that has gained a caller in the package fails it too.
+such caller fails the check unless ``ALLOWED`` names its caller under
+``perfbench/``: tests are no reason to keep code in the package. An entry
+that no longer exists, whose caller is not under ``perfbench/`` or no
+longer names it, or that has gained a caller in the package fails it too.
 """
 
 import ast
@@ -15,17 +16,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "farmscale"
 
-# (module, symbol) -> the file outside src/ that calls it; a method is
+# (module, symbol) -> the file under perfbench/ that calls it; a method is
 # ``Class.method``
 ALLOWED = {
     ("metrics", "aggregate"): "perfbench/workloads.py",
     ("training", "evaluate_policy"): "perfbench/workloads.py",
     ("core", "EpisodeLog.total_completed"): "perfbench/workloads.py",
     ("nn", "Mlp.parameters"): "perfbench/workloads.py",
-    # acceptance criterion 5
-    ("sim", "static_scaling_experiment"): "tests/test_acceptance.py",
-    # the reference rule the simulator's met flags are checked against
-    ("core", "deadline_met"): "tests/test_sim.py",
 }
 
 
@@ -94,6 +91,8 @@ def test_every_allowed_symbol_exists_with_its_caller_outside_src_only():
     symbols, used = package_symbols()
     for (module, symbol), caller in ALLOWED.items():
         entry = f"{module}.{symbol}"
+        assert caller.startswith("perfbench/"), (
+            f"{entry} is kept for {caller}: move it there or delete it")
         assert (module, symbol) in symbols, f"{entry} no longer exists"
         name = symbols[module, symbol]
         assert name not in used, f"{entry} has a caller in src/: drop it"

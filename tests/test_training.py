@@ -1,7 +1,10 @@
 """Episode loops shared by the reactive baselines and both agents."""
 
 import csv
+from collections import defaultdict
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from farmscale.core import RewardConfig, Workload
@@ -13,7 +16,7 @@ from farmscale.training import (CURVE_COLUMNS, evaluate_policies,
                                 evaluate_policy, run_episode, train_agent,
                                 write_training_curve)
 from farmscale.workload import (build_episode_workload,
-                                default_size_distribution,
+                                default_size_distribution, phase_order,
                                 reduced_paper_model)
 from tests.conftest import single_phase_config
 
@@ -35,6 +38,32 @@ class TestRunEpisode:
         assert summary.emitted == len(workload)
         assert 0.0 <= summary.final_qos <= 1.0
 
+    @pytest.mark.parametrize("seed, order", [
+        (0, [2, 0, 1, 3]), (1, [1, 0, 3, 2]), (2, [0, 3, 1, 2]),
+        (3, [2, 3, 1, 0])])
+    def test_a_shuffled_workload_brings_its_phase_order(
+            self, ep_config, rw_config, model_and_dist, seed, order):
+        # each phase's mean workers come from the steps of the time slot it
+        # ran in, which only the workload knows
+        model, dist = model_and_dist
+        assert phase_order(len(ep_config.phases), True, seed) == order
+        workload = build_episode_workload(ep_config, dist, model, True, seed)
+        assert Workload.from_tasks(list(workload)).phase_order == ()
+        env = FarmEnv(ep_config, rw_config)
+        summary = run_episode(
+            env, ReactiveAveragePolicy(ep_config.step_duration), workload,
+            seed)
+        ends = list(accumulate(ep_config.phases[i].duration for i in order))
+        in_slot = defaultdict(list)
+        for s in env.log.steps:
+            start = (s.step - 1) * ep_config.step_duration
+            slot = next((k for k, end in enumerate(ends) if start < end),
+                        None)
+            if slot is not None:
+                in_slot[order[slot]].append(s.observation.n_workers)
+        assert [p.mean_workers for p in summary.per_phase] == [
+            float(np.mean(in_slot[i])) for i in range(len(order))]
+
     def test_same_seed_same_summary(self, tiny_setup):
         env, dist, model = tiny_setup
         workload = build_episode_workload(env.config, dist, model, False, 3)
@@ -45,8 +74,8 @@ class TestRunEpisode:
 
 class TestEpisodePathBuildsNoRow:
     """The simulator, env and summaries read a built workload's columns by
-    task index: indexing or iterating the workload, the only ways to make a
-    ``TaskSpec`` row of it, fails the episode here."""
+    task index: iterating the workload, the only way to make a ``TaskSpec``
+    row of it, fails the episode here."""
 
     @pytest.fixture
     def default_setup(self, monkeypatch, ep_config, rw_config,
@@ -55,7 +84,6 @@ class TestEpisodePathBuildsNoRow:
             raise AssertionError("a TaskSpec row was made on the episode path")
 
         monkeypatch.setattr(Workload, "__iter__", refuse)
-        monkeypatch.setattr(Workload, "__getitem__", refuse)
         model, dist = model_and_dist
         return FarmEnv(ep_config, rw_config), dist, model
 

@@ -397,7 +397,7 @@ class TestArrivalGeneration:
         model, dist = model_and_dist
         a = build_episode_workload(ep_config, dist, model, False, 42)
         b = build_episode_workload(ep_config, dist, model, False, 42)
-        assert a == b
+        assert list(a) == list(b) and a.phase_order == b.phase_order
 
     def test_task_ids_follow_arrival_order(self, default_workload):
         arrivals = [t.arrival_time for t in default_workload]
@@ -409,7 +409,7 @@ class TestArrivalGeneration:
                                              default_workload,
                                              model_and_dist):
         model, _ = model_and_dist
-        for task in default_workload[::37]:
+        for task in list(default_workload)[::37]:
             assert task.service_time == pytest.approx(
                 model.predict(task.size_px))
             assert task.deadline == pytest.approx(
@@ -434,7 +434,7 @@ class TestArrivalGeneration:
         types = (int, float, int, float, float, int)
         back = [TaskSpec._make(convert(v) for convert, v in zip(types, row))
                 for row in rows]
-        assert back == default_workload
+        assert back == list(default_workload)
 
 
 CACHED = [
@@ -528,7 +528,7 @@ def reference_episode_workload(config, dist, model, shuffle_phases, rng_seed):
 
 
 def assert_same_workload(tasks, expected):
-    assert tasks == expected
+    assert list(tasks) == expected
     assert set(map(type, tasks)) <= {TaskSpec}
     assert (list(map(type, chain.from_iterable(tasks)))
             == list(map(type, chain.from_iterable(expected))))
@@ -595,6 +595,7 @@ class TestEpisodeWorkload:
                 assert sorted(order) == list(range(len(ep_config.phases)))
                 tasks = build_episode_workload(ep_config, dist, model,
                                                shuffle, seed)
+                assert tasks.phase_order == tuple(order)
                 assert all(t.phase_index
                            == order[int(t.arrival_time // duration)]
                            for t in tasks)
