@@ -97,18 +97,10 @@ def compute_deadline(expected_service: float, beta: float) -> float:
     return beta * expected_service
 
 
-def check_task_timing(service_time: float, deadline: float):
-    """The checks every task's timing must pass; ``TaskSpec`` runs them on
-    each construction, the workload builder once per distinct size."""
-    if service_time <= 0:
-        raise ValueError("service_time must be positive")
-    if deadline <= service_time:
-        raise ValueError("deadline must exceed service_time")
+class TaskSpec(NamedTuple):
+    """One task as a row, in the order of the CSV columns: iterating a
+    ``Workload`` makes them, and a row is the plain tuple of its values."""
 
-
-# typing.NamedTuple forbids overriding __new__ in its own class body, so
-# TaskSpec adds its checks in a subclass of these fields
-class _TaskFields(NamedTuple):
     task_id: int
     arrival_time: float
     size_px: int
@@ -117,82 +109,65 @@ class _TaskFields(NamedTuple):
     phase_index: int
 
 
-class TaskSpec(_TaskFields):
-    """One stream item: arrival, size, expected service time and deadline.
-
-    A task is its own row: it equals the plain tuple of its values, in the
-    order of ``_fields``. Every construction through the class (positional,
-    keyword, ``_make`` and ``_replace``) rejects an arrival time that is not
-    finite and runs ``check_task_timing``; assignment raises
-    ``AttributeError``. A ``Workload`` makes its rows with ``tuple.__new__``
-    from columns of checked values: the workload builder runs the timing
-    checks once per distinct size, and its arrival times are finite by
-    construction.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, task_id, arrival_time, size_px, service_time, deadline,
-                phase_index):
-        if not is_finite(arrival_time):
-            raise ValueError(f"arrival_time must be finite, got {arrival_time!r}")
-        check_task_timing(service_time, deadline)
-        return tuple.__new__(cls, (task_id, arrival_time, size_px,
-                                   service_time, deadline, phase_index))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 # a workload's six columns, in the order of ``TaskSpec._fields``
 task_columns = attrgetter(*TaskSpec._fields)
 
 
 class Workload:
-    """An episode's tasks as six read-only columns, one per field of
+    """An episode's tasks as read-only columns, one per field of
     ``TaskSpec`` and named after it: ``workload.service_time[i]`` is the
-    service time of task ``i``. A column is a tuple or a ``range``; a
-    built workload's ``task_id`` column is ``range(len(workload))``, and
-    its rows of one size share that size's service time and deadline float
-    objects. ``phase_order`` is the order its phases ran in, a tuple of
-    phase indices (empty: the configured order).
+    service time of task ``i``. Task ``i`` is the ``i``-th arrival, so
+    ``task_id`` is ``range(len(workload))`` and is not stored; the other
+    five columns are tuples. A built workload's rows of one size share that
+    size's service time and deadline float objects. ``phase_order`` is the
+    order its phases ran in, a tuple of phase indices (empty: the
+    configured order).
 
-    ``len`` is its number of tasks, and iterating it gives its
-    ``TaskSpec`` rows, each made only then; the simulator, the env and the
-    summaries read the columns by task index and make none.
-    ``from_tasks`` is the one path from rows to columns.
+    This is the one place a batch's shape is checked: the constructor
+    raises ``ValueError`` unless the arrival times are finite and never
+    fall, naming the first position that breaks the rule. The simulator,
+    the env and the summaries take a workload as it is and read its columns
+    by task index. ``len`` is its number of tasks, and iterating it gives
+    its ``TaskSpec`` rows, each made only then.
     """
 
-    __slots__ = (*TaskSpec._fields, "phase_order")
+    __slots__ = (*TaskSpec._fields[1:], "phase_order")
 
-    def __init__(self, task_id, arrival_time, size_px, service_time,
-                 deadline, phase_index, phase_order=()):
-        columns = [c if isinstance(c, (tuple, range)) else tuple(c)
-                   for c in (task_id, arrival_time, size_px, service_time,
-                             deadline, phase_index)]
+    def __init__(self, arrival_time, size_px, service_time, deadline,
+                 phase_index, phase_order=()):
+        # tuple() returns a tuple as it is
+        columns = list(map(tuple, (arrival_time, size_px, service_time,
+                                   deadline, phase_index)))
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"columns of unequal lengths "
                              f"{[len(c) for c in columns]}")
-        for name, column in zip(TaskSpec._fields, columns):
+        times = columns[0]
+        # a sorted list sorts in one pass of comparisons made in C, and a
+        # NaN or an infinity makes the sum of the times non-finite; so does
+        # an overflow of finite times, which the scan accepts, and an int
+        # too large for a float makes the sum raise
+        try:
+            in_order = (list(times) == sorted(times)
+                        and math.isfinite(sum(times)))
+        except OverflowError:
+            in_order = False
+        if not in_order:
+            for i, t in enumerate(times):
+                if not is_finite(t) or i and not times[i - 1] <= t:
+                    raise ValueError(
+                        f"task {i} of the batch has arrival time {t!r}: task"
+                        f" i must be the i-th arrival, with a finite arrival"
+                        f" time")
+        for name, column in zip(TaskSpec._fields[1:], columns):
             setattr(self, name, column)
         self.phase_order = tuple(phase_order)
 
-    @classmethod
-    def from_tasks(cls, tasks) -> "Workload":
-        """The tasks of ``tasks``, any iterable of ``TaskSpec``, as columns
-        in the order it gives them, with the configured phase order; a
-        ``Workload`` is returned as it is. An item that is not a
-        ``TaskSpec`` is made one, with its checks."""
-        if isinstance(tasks, Workload):
-            return tasks
-        rows = [t if isinstance(t, TaskSpec) else TaskSpec._make(t)
-                for t in tasks]
-        return cls(*(zip(*rows) if rows
-                     else repeat((), len(TaskSpec._fields))))
+    @property
+    def task_id(self) -> range:
+        return range(len(self.arrival_time))
 
     def __len__(self) -> int:
-        return len(self.task_id)
+        return len(self.arrival_time)
 
     def __iter__(self):
         return map(tuple.__new__, repeat(TaskSpec), zip(*task_columns(self)))
@@ -321,17 +296,13 @@ def write_csv(path, header, rows):
 
 @dataclass
 class EpisodeLog:
-    """One episode: its workload as a ``Workload`` (any other sequence of
-    tasks is turned into one), the simulator's completion records
+    """One episode: its ``Workload``, the simulator's completion records
     ``(index, completion_time, met)``, whose ``index`` points into
     ``tasks``, and the per-step records."""
 
-    tasks: Workload = ()
+    tasks: Workload
     completions: list = field(default_factory=list)
     steps: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.tasks = Workload.from_tasks(self.tasks)
 
     @property
     def n_tasks(self) -> int:

@@ -14,7 +14,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import (EpisodeLog, Observation, RewardConfig, StepRecord,
-                   Workload, left_sum)
+                   left_sum)
 from .sim import FarmSim
 
 REWARD_TERMS = (
@@ -96,20 +96,18 @@ class FarmEnv:
         return lows, highs
 
     def reset(self, workload, seed: int):
-        """Start an episode over ``workload``; returns (obs, step-0 record).
-        Task ``i`` of the workload must be its ``i``-th arrival, as the
-        workload builder makes it (see ``FarmSim.inject_tasks``); any other
-        workload raises ``ValueError`` and leaves the env terminated."""
+        """Start an episode over ``workload``, a ``core.Workload`` read as
+        it is; returns (obs, step-0 record). An object without a workload's
+        columns, a list of its rows say, raises ``AttributeError`` and
+        leaves the env terminated."""
         self._terminated = True  # until the new batch is in
-        # read once: ``workload`` may be an iterator of tasks
-        tasks = Workload.from_tasks(workload)
         sim = FarmSim(self.config, np.random.default_rng([seed, 1]))
-        sim.inject_tasks(tasks)
+        sim.inject_tasks(workload)
         self.sim = sim
         # the sim appends to its completion records, so the log stays current
-        self.log = EpisodeLog(tasks, sim.completion_records)
+        self.log = EpisodeLog(workload, sim.completion_records)
         # the completions' service times in completion order, filled by step
-        self._service = np.empty(len(tasks))
+        self._service = np.empty(len(workload))
         self._terminated = False
         snap = self.sim.snapshot()
         obs = self._make_observation(snap, 0, 0, 0)

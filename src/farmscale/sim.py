@@ -7,11 +7,9 @@ zero-delay: arriving tasks land in the worker queue instantly and completed
 tasks leave the farm at once. The simulator therefore keeps no input,
 result or output queue; the env reports those observation fields as 0.
 
-A simulator takes one batch of tasks, a ``core.Workload`` of six columns,
-in the shape the workload builder makes: task ``i`` is the ``i``-th
-arrival, so the ``task_id`` column is ``range(n)`` and the arrival times
-are finite and never fall. It reads such a batch in place and refuses any
-other. A task
+A simulator takes one batch of tasks, a ``core.Workload``, and reads its
+columns in place: task ``i`` is the ``i``-th arrival, with finite arrival
+times that never fall, which the workload checked when it was made. A task
 is known by its position, which is its id. The simulator keeps the three
 columns it reads: the arrival times, ending in a sentinel, ``math.inf``,
 that never arrives, so no read of the head checks the length, the service
@@ -76,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ACTIONS, Workload, as_action
+from .core import ACTIONS, as_action
 
 # event kind priorities (tie-break after time)
 _COMPLETION = 0
@@ -162,33 +160,13 @@ class FarmSim:
     # -- public operations --------------------------------------------------
 
     def inject_tasks(self, tasks):
-        """Schedule the arrivals of ``tasks``, this simulator's one batch: a
-        ``Workload`` or any iterable of ``TaskSpec`` in which task ``i`` is
-        the ``i``-th arrival, its id ``i`` and its arrival time finite and no
-        earlier than the one before. A second batch, or a batch of any other
-        shape, raises ``ValueError`` and schedules nothing; the message
-        names the first position that breaks the rule."""
+        """Schedule the arrivals of ``tasks``, a ``Workload`` and this
+        simulator's one batch, read in place: the workload has checked its
+        shape when it was made. A second batch raises ``ValueError`` and
+        schedules nothing."""
         if self._injected:
             raise ValueError("a simulator takes one batch of tasks")
-        tasks = Workload.from_tasks(tasks)
-        ids, times = tasks.task_id, list(tasks.arrival_time)
-        n = len(times)
-        # a built workload's ids are a range, compared in one step, a sorted
-        # list sorts in one pass of comparisons made in C, and a NaN or an
-        # infinity makes the sum of the times non-finite; so does an
-        # overflow, which the scan lets through
-        if (ids != range(n) and list(ids) != list(range(n))
-                or times != sorted(times) or not math.isfinite(sum(times))):
-            position = next((i for i in range(n) if ids[i] != i
-                             or not math.isfinite(times[i])
-                             or i and not times[i - 1] <= times[i]), None)
-            if position is not None:
-                raise ValueError(
-                    f"task {position} of the batch has id {ids[position]!r}"
-                    f" and arrival time {times[position]!r}: task i must be"
-                    f" the i-th arrival, with id i and a finite arrival time")
-        times.append(math.inf)
-        self._times = times
+        self._times = [*tasks.arrival_time, math.inf]
         self._service, self._deadline = tasks.service_time, tasks.deadline
         self._injected = True
 

@@ -15,9 +15,8 @@ from operator import mul
 
 import numpy as np
 
-from .core import (FieldError, TaskSpec, Workload, check_fields,
-                   check_task_timing, check_value, compute_deadline, left_sum,
-                   write_csv)
+from .core import (FieldError, TaskSpec, Workload, check_fields, check_value,
+                   compute_deadline, left_sum, write_csv)
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -319,16 +318,15 @@ def phase_order(n_phases: int, shuffle: bool, rng_seed: int) -> list:
 def build_episode_workload(config, dist: SizeDistribution,
                            model: ServiceTimeModel, shuffle_phases: bool,
                            rng_seed: int) -> Workload:
-    """All tasks of one episode as a ``Workload``, sorted by arrival, ids
-    ``range(n)`` in arrival order.
+    """All tasks of one episode as a ``Workload``, sorted by arrival.
 
     The phases run in the order ``phase_order`` gives, and the workload
     keeps that order as its ``phase_order``. Each phase owns a
     private RNG stream keyed by (seed, phase index), so per-phase arrival
     offsets are independent of phase placement. Tasks are ordered by
-    arrival, ties by phase index. Service time and deadline are worked out
-    and checked once per distinct size, and every task of a size shares
-    those two float objects.
+    arrival, ties by phase index, which the ``Workload`` checks. Service
+    time and deadline are worked out and checked once per distinct size,
+    and every task of a size shares those two float objects.
     """
     phases = list(config.phases)
     if not phases:
@@ -354,20 +352,21 @@ def build_episode_workload(config, dist: SizeDistribution,
 
     picks = _size_picks(dist, np.random.default_rng([rng_seed, 20_000]), n)
     # Each size picked is worked out and checked once, in the order the
-    # sizes first appear. A task's checks read only its service time and
-    # deadline, so no TaskSpec is made: each column gathers its size's
-    # objects from one object array, and every task of a size shares its
-    # int and its two floats.
+    # sizes first appear: each column gathers its size's objects from one
+    # object array, and every task of a size shares its int and its two
+    # floats. ``predict`` and ``compute_deadline`` refuse a service time
+    # that is not positive, and beta * service rounds to service only when
+    # the service time is subnormal or infinite.
     per_size = np.empty((3, len(dist.sizes)), dtype=object)
     for k in dict.fromkeys(picks.tolist()):
         size = int(dist.sizes[k])
         service = model.predict(size)
         deadline = compute_deadline(service, config.beta)
-        check_task_timing(service, deadline)
+        if deadline <= service:
+            raise ValueError("deadline must exceed service_time")
         per_size[:, k] = size, service, deadline
     sizes, services, deadlines = per_size[:, picks].tolist()
-    return Workload(range(n), arrival, sizes, services, deadlines, phase_id,
-                    order)
+    return Workload(arrival, sizes, services, deadlines, phase_id, order)
 
 
 def write_workload_csv(tasks, path):

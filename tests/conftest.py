@@ -1,11 +1,12 @@
-"""Shared fixtures: default configs, small workloads, constant-service streams."""
+"""Shared fixtures: default configs, small workloads, constant-service
+streams, and ``workload_of``, the rows-to-``Workload`` step of the tests."""
 
 import numpy as np
 import pytest
 
 from farmscale.config import (DEFAULTS, episode_config, reward_config,
                               service_model_and_sizes)
-from farmscale.core import EpisodeConfig, TaskSpec
+from farmscale.core import EpisodeConfig, TaskSpec, Workload
 from farmscale.sim import FarmSim
 from farmscale.workload import WorkloadPhaseSpec, build_episode_workload
 
@@ -37,9 +38,18 @@ def default_workload(ep_config, model_and_dist):
                                   shuffle_phases=False, rng_seed=0)
 
 
+def workload_of(rows, phase_order=()) -> Workload:
+    """The ``Workload`` of ``rows``, tuples in ``TaskSpec`` field order
+    whose ids are their positions, with ``phase_order``."""
+    rows = list(rows)
+    ids, *columns = zip(*rows) if rows else ((),) * len(TaskSpec._fields)
+    assert ids == tuple(range(len(rows))), "row ids must be their positions"
+    return Workload(*columns, phase_order)
+
+
 def constant_service_tasks(rate: float, duration: float, service: float,
                            beta: float = 2.0, spacing: str = "uniform",
-                           seed: int = 0):
+                           seed: int = 0) -> Workload:
     """Deterministic- or Poisson-spaced stream with a fixed service time."""
     if spacing == "uniform":
         arrivals = np.arange(1.0 / rate, duration, 1.0 / rate)
@@ -48,11 +58,10 @@ def constant_service_tasks(rate: float, duration: float, service: float,
         gaps = rng.exponential(1.0 / rate, size=int(rate * duration * 2))
         arrivals = np.cumsum(gaps)
         arrivals = arrivals[arrivals < duration]
-    return [
+    return workload_of(
         TaskSpec(task_id=i, arrival_time=float(a), size_px=2048,
                  service_time=service, deadline=beta * service, phase_index=0)
-        for i, a in enumerate(arrivals)
-    ]
+        for i, a in enumerate(arrivals))
 
 
 def single_phase_config(rate: float, duration: float, **kwargs) -> EpisodeConfig:
@@ -73,11 +82,11 @@ def fuzz_sim(seed, rate=8.0, n_init=2, n_min=1, n_tasks=3500, trace=False):
     sim = FarmSim(cfg, np.random.default_rng([seed, 79]),
                   validate=True, trace=trace)
     arrivals = np.cumsum(task_rng.exponential(1 / rate, size=n_tasks))
-    sim.inject_tasks([
+    sim.inject_tasks(workload_of(
         TaskSpec(task_id=i, arrival_time=float(a), size_px=1024,
                  service_time=float(task_rng.uniform(0.05, 2.5)),
                  deadline=3.0, phase_index=0)
-        for i, a in enumerate(arrivals)])
+        for i, a in enumerate(arrivals)))
     for _ in range(150):
         sim.request_scale(int(policy_rng.integers(-1, 2)))
         sim.advance(4.0)

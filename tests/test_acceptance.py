@@ -17,7 +17,7 @@ import pytest
 from farmscale.config import (DEFAULTS, dqn_config, episode_config,
                               reward_config, sarsa_config,
                               service_model_and_sizes)
-from farmscale.core import RewardConfig, Workload
+from farmscale.core import RewardConfig
 from farmscale.dqn import DqnAgent, double_dqn_targets
 from farmscale.env import REWARD_TERMS, FarmEnv, compute_reward
 from farmscale.metrics import CostConfig, cost_paygo, cost_sub
@@ -156,7 +156,7 @@ def test_criterion_05_static_scaling():
     t0 = time.perf_counter()
     cfg = single_phase_config(5.0, 60.0, n_init=1, n_max=32,
                               warm_start=False)
-    workload = Workload.from_tasks(constant_service_tasks(5.0, 60.0, 1.0))
+    workload = constant_service_tasks(5.0, 60.0, 1.0)
     pools = (1, 2, 4, 8, 16, 32)
     runtimes, overheads = np.array([static_run(cfg, workload, n)
                                     for n in pools]).T

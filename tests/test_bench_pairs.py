@@ -190,12 +190,13 @@ def test_aa_runs_the_base_against_a_copy_of_itself(tmp_path, monkeypatch,
     assert ("A/A floor qos: median gap +0.00%, base IQR 0.00% of the base"
             " median") in printed
     written = json.loads(out.read_text())
-    assert written["aa"] and written["aa_floor"] == {
+    replay = written["workloads"]["replay"]
+    assert written["aa"] and replay["aa_floor"] == {
         "qos": {"gap": 0.0, "iqr": 0.0}}
     # every run keeps the machine block of its details line
     assert [(pair["first"], pair["base"]["machine"], pair["change"]["machine"])
-            for pair in written["pairs"]] == [("base", MACHINE, MACHINE),
-                                              ("change", MACHINE, MACHINE)]
+            for pair in replay["pairs"]] == [("base", MACHINE, MACHINE),
+                                             ("change", MACHINE, MACHINE)]
 
 
 BASE_SHA = "a" * 40
@@ -350,6 +351,74 @@ def test_out_records_each_pairs_seed(tmp_path, monkeypatch, capsys):
                              "--out", str(out)]) == 0
     assert seeds == [4, 4, 5, 5, 6, 6]  # both sides of a pair at its seed
     written = json.loads(out.read_text())
-    assert [pair["seed"] for pair in written["pairs"]] == [4, 5, 6]
+    assert [pair["seed"] for pair in written["workloads"]["replay"]["pairs"]
+            ] == [4, 5, 6]
     assert written["seeds"] == "4-6"
     assert "3 pairs at --seeds 4-6" in capsys.readouterr().out
+
+
+def test_a_workload_list_runs_each_workload_s_pairs_in_turn(
+        tmp_path, monkeypatch, capsys):
+    base, change = two_trees(tmp_path)
+    calls = fake_runs(monkeypatch)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change),
+                             "--workload", "compare,replay,train_dqn",
+                             "--seeds", "4-5", "--out", str(out)]) == 0
+    # each workload's two pairs, the first side alternating, on fresh copies
+    benched = [(argv, side, cwd) for argv, side, cwd in calls
+               if argv == ["perfbench/run.py", "--workload"]]
+    assert [side for _, side, _ in benched] == [
+        "base", "change", "change", "base"] * 3
+    assert all(not cwd.exists() for _, _, cwd in calls)
+    printed = capsys.readouterr().out
+    for workload in ("compare", "replay", "train_dqn"):
+        assert f"{workload}, 2 pairs at --seeds 4-5" in printed
+    written = json.loads(out.read_text())
+    assert list(written["workloads"]) == ["compare", "replay", "train_dqn"]
+    for result in written["workloads"].values():
+        assert [(pair["first"], pair["seed"]) for pair in result["pairs"]
+                ] == [("base", 4), ("change", 5)]
+        assert result["verdicts"]["qos"]["pairs"] == 2
+        assert result["problems"] == []
+    assert written["seeds"] == "4-5"
+
+
+def test_a_workload_list_names_each_run_s_workload(tmp_path, monkeypatch,
+                                                   capsys):
+    # the change side of compare gives another digest: the run fails, and
+    # the problem names its workload
+    base, change = two_trees(tmp_path)
+    workloads = []
+
+    def fake_run(argv, cwd, **kwargs):
+        stdout = RESULT
+        if "--workload" in argv:
+            workloads.append(argv[argv.index("--workload") + 1])
+            if (workloads[-1] == "compare"
+                    and (Path(cwd) / "side.txt").read_text() == "change"):
+                stdout = RESULT.replace("f4e2", "f4e3")
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--base", str(base), "--change", str(change),
+                             "--workload", "train_sarsa,compare",
+                             "--seeds", "1-2", "--out", str(out)]) == 1
+    assert workloads == ["train_sarsa"] * 4 + ["compare"] * 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"compare pair {i}: digest differs: base 'f4e2', change"
+                   f" 'f4e3'" for i in range(2)]
+    written = json.loads(out.read_text())["workloads"]
+    assert written["train_sarsa"]["problems"] == []
+    assert len(written["compare"]["problems"]) == 2
+
+
+@pytest.mark.parametrize("text", ["replay,", ",replay", "replay,,compare",
+                                  "replay,replay", ""])
+def test_bad_workload_lists_are_refused(text, capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(["--base", "b", "--change", "c",
+                                "--workload", text, "--seeds", "1-1"])
+    assert "need distinct comma-separated workloads" in (
+        capsys.readouterr().err)

@@ -9,9 +9,10 @@ from hypothesis import example, given, strategies as st
 
 from farmscale.core import (STEP_COLUMNS, EpisodeConfig, EpisodeLog,
                             Observation, RewardConfig, StepRecord, TaskSpec,
-                            Workload, check_task_timing, compute_deadline,
-                            left_sum, task_columns)
+                            Workload, compute_deadline, left_sum,
+                            task_columns)
 from farmscale.workload import WorkloadPhaseSpec, write_workload_csv
+from tests.conftest import workload_of
 
 class TestLeftSum:
     @given(values=st.lists(st.floats(allow_nan=False) | st.integers(-9, 9)))
@@ -32,42 +33,30 @@ class TestLeftSum:
 
 
 class TestWorkload:
-    """A ``Workload`` keeps its ``TaskSpec`` rows as six columns: ``len``
-    counts them and iteration makes them."""
+    """A ``Workload`` keeps its ``TaskSpec`` rows as columns: ``len``
+    counts them, iteration makes them, and ``task_id`` is the positions."""
 
     def test_agrees_with_its_rows(self, default_workload):
         w = default_workload
         rows = list(w)
         assert len(w) == len(rows) > 2
         assert set(map(type, rows)) == {TaskSpec}
-        assert w.task_id == range(len(w))  # a built workload's ids
+        assert w.task_id == range(len(w))
         assert [tuple(c) for c in task_columns(w)] == list(zip(*rows))
-        assert list(Workload.from_tasks(iter(rows))) == rows
+        assert list(workload_of(iter(rows))) == rows
         assert w.phase_order == (0, 1, 2, 3)  # built unshuffled
 
     def test_columns_are_read_only(self, default_workload):
         assert {type(c) for c in task_columns(default_workload)} <= {tuple,
                                                                     range}
-        built = Workload([0], [0.5], [512], [0.05], [0.1], [0])
+        built = Workload([0.5], [512], [0.05], [0.1], [0])
         assert type(built.arrival_time) is tuple
-        assert built.phase_order == ()
+        assert built.task_id == range(1) and built.phase_order == ()
+        assert len(Workload((), (), (), (), ())) == 0
 
-    def test_from_tasks(self):
-        tasks = [TaskSpec(4, 0.5, 512, 0.05, 0.1, 0),
-                 TaskSpec(2, 0.1, 1024, 0.2, 0.4, 1)]
-        w = Workload.from_tasks(tasks)
-        assert w.task_id == (4, 2) and w.service_time == (0.05, 0.2)
-        assert Workload.from_tasks(w) is w
-        assert len(Workload.from_tasks(())) == 0 == len(Workload.from_tasks(
-            iter([])))
-        # a plain row is made a TaskSpec, with its checks
-        assert list(Workload.from_tasks(map(tuple, tasks))) == tasks
-        assert Workload.from_tasks(tasks).phase_order == ()
-        with pytest.raises(ValueError, match="service_time must be positive"):
-            Workload.from_tasks([(0, 0.1, 512, 0.0, 0.1, 0)])
+    def test_columns_of_unequal_lengths_are_rejected(self):
         with pytest.raises(ValueError, match="unequal lengths"):
-            Workload(range(2), (0.1,), (512,) * 2, (0.05,) * 2, (0.1,) * 2,
-                     (0,) * 2)
+            Workload((0.1,), (512,) * 2, (0.05,) * 2, (0.1,) * 2, (0,) * 2)
 
 
 class TestComputeDeadline:
@@ -93,7 +82,8 @@ class TestComputeDeadline:
 
 
 class TestTaskSpec:
-    """A task is a NamedTuple row whose every construction is checked."""
+    """A task is a plain NamedTuple row; a ``Workload`` made of rows checks
+    their arrival times."""
 
     ARGS = (7, 1.25, 1024, 0.18, 0.36, 2)
 
@@ -109,27 +99,6 @@ class TestTaskSpec:
         assert TaskSpec._make(self.ARGS) == spec
         assert type(TaskSpec._make(self.ARGS)) is TaskSpec
 
-    @pytest.mark.parametrize("service, deadline, message", [
-        (0.0, 1.0, "service_time must be positive"),
-        (-0.5, 1.0, "service_time must be positive"),
-        (0.5, 0.5, "deadline must exceed service_time"),
-        (0.5, 0.25, "deadline must exceed service_time"),
-    ])
-    def test_every_construction_is_checked(self, service, deadline, message):
-        args = dict(zip(TaskSpec._fields, self.ARGS),
-                    service_time=service, deadline=deadline)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            check_task_timing(service, deadline)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            TaskSpec(*args.values())
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            TaskSpec(**args)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            TaskSpec._make(args.values())
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            TaskSpec(*self.ARGS)._replace(service_time=service,
-                                          deadline=deadline)
-
     BUILDS = {
         "positional": lambda args: TaskSpec(*args.values()),
         "keyword": lambda args: TaskSpec(**args),
@@ -144,13 +113,18 @@ class TestTaskSpec:
     def test_every_construction_rejects_an_arrival_not_finite(self, build,
                                                                arrival):
         # a NaN arrival never runs in the simulator, and a static run over
-        # one would never end
+        # one would never end: however the row is made, the workload made
+        # of it refuses it
         args = dict(zip(TaskSpec._fields, self.ARGS), arrival_time=arrival)
-        with pytest.raises(ValueError,
-                           match="^arrival_time must be finite, got "):
-            self.BUILDS[build](args)
-        assert self.BUILDS[build](dict(args, arrival_time=-2.5)) == (
-            7, -2.5, *self.ARGS[2:])
+        row = self.BUILDS[build](args)
+        assert row.arrival_time is arrival
+        with pytest.raises(ValueError, match=(
+                f"^task 0 of the batch has arrival time {arrival!r}: ")):
+            Workload(*([value] for value in row[1:]))
+        row = self.BUILDS[build](dict(args, arrival_time=-2.5))
+        assert row == (7, -2.5, *self.ARGS[2:])
+        assert list(Workload(*([value] for value in row[1:]))) == [
+            (0, *row[1:])]
 
     def test_replace_builds_a_new_spec(self):
         spec = TaskSpec(*self.ARGS)
@@ -260,8 +234,8 @@ class TestRewardConfig:
 
 class TestEpisodeLog:
     def _small_log(self):
-        tasks = [TaskSpec(0, 0.1, 512, 0.05, 0.09, 0),
-                 TaskSpec(1, 0.2, 1024, 0.17, 0.35, 0)]
+        tasks = workload_of([TaskSpec(0, 0.1, 512, 0.05, 0.09, 0),
+                             TaskSpec(1, 0.2, 1024, 0.17, 0.35, 0)])
         log = EpisodeLog(tasks, [(0, 0.2, False)])  # task 0's record
         obs = Observation(0, 1, 0, 0, 2, 1.5, 2.9, 5.0, 1.0)
         log.steps.append(StepRecord(step=0, observation=obs, action=1,

@@ -12,8 +12,8 @@ from farmscale.env import (REWARD_TERMS, FarmEnv, LifecycleError,
                            compute_reward)
 from farmscale.reactive import ReactiveAveragePolicy
 from farmscale.training import run_episode
-from farmscale.workload import build_episode_workload
-from tests.conftest import constant_service_tasks, single_phase_config
+from tests.conftest import (constant_service_tasks, single_phase_config,
+                            workload_of)
 
 # pools per arrival rate (tasks/s) for the window-statistics test; at 80/s
 # a 2 s step completes about 160 tasks, so every window spans numpy's
@@ -151,27 +151,34 @@ class TestLifecycle:
             assert record.workers_busy == env.sim.snapshot().workers_busy
 
     def test_an_unsorted_workload_is_rejected(self, small_env):
-        # task i must be the i-th arrival: here task 1 comes first
+        # task i must be the i-th arrival: the rows out of order make no
+        # workload, and reset takes no rows
         env, tasks = small_env
-        with pytest.raises(ValueError, match="^task 0 of the batch has id 1"):
-            env.reset(tasks[1::2] + tasks[0::2], seed=0)
+        rows = list(tasks)
+        unsorted = [row._replace(task_id=i)
+                    for i, row in enumerate(rows[1::2] + rows[0::2])]
+        with pytest.raises(ValueError, match=f"^task {len(rows[1::2])} of "
+                           f"the batch has arrival time 0.5: "):
+            workload_of(unsorted)
+        with pytest.raises(AttributeError):
+            env.reset(unsorted, seed=0)
         with pytest.raises(LifecycleError):
             env.step(0)
 
     def test_a_failed_reset_leaves_the_env_terminated(self, small_env):
-        # a batch rejected mid-episode ends that episode: the next step
+        # a reset refused mid-episode ends that episode: the next step
         # raises, and the env keeps the old simulator beside the old log
         env, tasks = small_env
         env.reset(tasks, seed=0)
         env.step(0)
         env.step(0)
         sim, log = env.sim, env.log
-        with pytest.raises(ValueError, match="^task 1 of the batch has id 0"):
-            env.reset([tasks[0], tasks[0]], seed=1)
+        with pytest.raises(AttributeError):
+            env.reset(list(tasks), seed=1)
         with pytest.raises(LifecycleError):
             env.step(0)
         assert env.sim is sim and env.log is log and len(log.steps) == 2
-        env.reset(tasks, seed=0)  # a valid batch starts a fresh episode
+        env.reset(tasks, seed=0)  # a workload starts a fresh episode
         done = False
         while not done:
             _, _, done, _ = env.step(0)
@@ -244,28 +251,13 @@ class TestLifecycle:
         assert obs.q_work == record.workers_busy == 0
         assert len(env.sim.completion_records) == len(tasks)
 
-    def test_iterator_workload_runs_the_list_episode(
-            self, ep_config, rw_config, model_and_dist):
-        # reset reads the workload once: an iterator gives the simulator
-        # and the log the same tasks a list does
-        model, dist = model_and_dist
-        tasks = build_episode_workload(ep_config, dist, model,
-                                       shuffle_phases=False, rng_seed=7)
-        policy = ReactiveAveragePolicy(ep_config.step_duration)
-        runs = []
-        for workload in (tasks, iter(tasks)):
-            env = FarmEnv(ep_config, rw_config)
-            runs.append((run_episode(env, policy, workload, 7),
-                         list(env.log.tasks), env.log.steps))
-        assert runs[0][0].emitted == len(tasks)
-        assert runs[1] == runs[0]
-
     def test_one_env_runs_workloads_of_any_size_in_turn(
             self, ep_config, rw_config, default_workload):
         # the service-time column belongs to one episode: after a shorter or
         # a longer one on the same env, every step record is a fresh env's
         policy = ReactiveAveragePolicy(ep_config.step_duration)
-        long, short = default_workload, list(default_workload)[:150]
+        long = default_workload
+        short = workload_of(list(default_workload)[:150])
         env = FarmEnv(ep_config, rw_config)
         for seed, tasks in enumerate((short, long, short, long)):
             run_episode(env, policy, tasks, seed)
@@ -347,16 +339,16 @@ class TestStepObservations:
                                   **WINDOW_POOLS[rate])
         rng = np.random.default_rng(seed)
         stream = constant_service_tasks(rate, 60.0, 1.0)
-        tasks = [t._replace(service_time=s, deadline=3 * s)
-                 for t, s in zip(stream,
-                                 rng.uniform(0.05, 2.0, size=len(stream)))]
+        tasks = workload_of(
+            t._replace(service_time=s, deadline=3 * s)
+            for t, s in zip(stream, rng.uniform(0.05, 2.0, size=len(stream))))
         env = FarmEnv(cfg, RewardConfig())
         env.reset(tasks, seed=seed)
         per_step, largest, done = [], 0, False
         while not done:
             seen = len(env.log.completions)
             obs, _, done, _ = env.step(int(rng.integers(-1, 2)))
-            per_step.append([tasks[i].service_time
+            per_step.append([tasks.service_time[i]
                              for i, _, _ in env.log.completions[seen:]])
             durations = [d for step in per_step[-window:] for d in step]
             assert obs.t_proc_avg == (float(np.mean(durations))
@@ -377,17 +369,18 @@ class TestStepObservations:
                                   obs_window=window,
                                   step_duration=step_duration)
         rng = np.random.default_rng(seed)
-        tasks = [t._replace(service_time=s, deadline=2 * s)
-                 for t, s in zip(constant_service_tasks(
-                     3.0, 40.0, 1.0, spacing="poisson", seed=seed),
-                     rng.uniform(0.05, 2.0, size=1000))]
+        tasks = workload_of(
+            t._replace(service_time=s, deadline=2 * s)
+            for t, s in zip(constant_service_tasks(
+                3.0, 40.0, 1.0, spacing="poisson", seed=seed),
+                rng.uniform(0.05, 2.0, size=1000)))
         env = FarmEnv(cfg, RewardConfig())
         env.reset(tasks, seed=seed)
         arrivals, lo, done = [], 0.0, False
         while not done:
             obs, _, done, record = env.step(int(rng.integers(-1, 2)))
             hi = lo + step_duration
-            arrived = sum(lo < t.arrival_time <= hi for t in tasks)
+            arrived = sum(lo < t <= hi for t in tasks.arrival_time)
             finished = [met for _, time, met in env.log.completions
                         if lo < time <= hi]
             assert record.arrived == arrived
@@ -409,10 +402,11 @@ class TestStepObservations:
         cfg = single_phase_config(0.5, 40.0, n_init=1, warm_start=True,
                                   obs_window=window, step_duration=0.7)
         rng = np.random.default_rng(seed)
-        tasks = [t._replace(service_time=s, deadline=deadline_factor * s)
-                 for t, s in zip(constant_service_tasks(
-                     0.5, 40.0, 1.0, spacing="poisson", seed=seed),
-                     rng.uniform(0.05, 2.0, size=1000))]
+        tasks = workload_of(
+            t._replace(service_time=s, deadline=deadline_factor * s)
+            for t, s in zip(constant_service_tasks(
+                0.5, 40.0, 1.0, spacing="poisson", seed=seed),
+                rng.uniform(0.05, 2.0, size=1000)))
         env = FarmEnv(cfg, RewardConfig())
         obs, _ = env.reset(tasks, seed=seed)
         assert obs.qos_step == 1.0

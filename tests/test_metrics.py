@@ -7,14 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
-                            RewardConfig, StepRecord, TaskSpec, Workload,
-                            task_columns)
+                            StepRecord, TaskSpec)
 from farmscale.env import FarmEnv
 from farmscale.metrics import (CostConfig, EpisodeSummary, PhaseSummary,
                                aggregate, aggregate_rows, cost_paygo,
                                cost_sub, summarize_episode)
 from farmscale.workload import WorkloadPhaseSpec
-from tests.conftest import constant_service_tasks, single_phase_config
+from tests.conftest import single_phase_config, workload_of
 
 
 def step(k, n_workers, applied_delta=0, arrived=0, completed=0, hits=0,
@@ -132,7 +131,7 @@ class TestSummarize:
 
     def test_hand_built_counters(self):
         cfg = self._config()
-        log = EpisodeLog()
+        log = EpisodeLog(workload_of([]))
         for k, (n, d) in enumerate(zip([2, 2, 3], [0, 0, 1])):
             log.steps.append(step(k, n, applied_delta=d, reward=1.0))
         summary = summarize_episode(log, cfg)
@@ -144,21 +143,21 @@ class TestSummarize:
 
     def test_all_met_gives_unit_qos(self):
         cfg = self._config()
-        tasks = [task(0), task(1)]
+        tasks = workload_of([task(0), task(1)])
         log = EpisodeLog(tasks, [(i, 0.2, True) for i in range(len(tasks))])
         log.steps.append(step(0, 2, completed=2, hits=2, arrived=2))
         assert summarize_episode(log, cfg).final_qos == 1.0
 
     def test_unfinished_tasks_count_as_missed(self):
         cfg = self._config()
-        tasks = [task(0), task(1)]
+        tasks = workload_of([task(0), task(1)])
         log = EpisodeLog(tasks, [(0, 0.2, True)])  # 1 never completes
         log.steps.append(step(0, 2, completed=1, hits=1, arrived=2))
         assert summarize_episode(log, cfg).final_qos == pytest.approx(0.5)
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            summarize_episode(EpisodeLog(), self._config())
+            summarize_episode(EpisodeLog(workload_of([])), self._config())
 
     def test_per_phase_matches_direct_recount(self, ep_config, rw_config,
                                               model_and_dist):
@@ -203,8 +202,7 @@ class TestSummarize:
         specs = [task(i, phase) for i, (phase, _, _) in enumerate(tasks)]
         order = list(range(len(durations)))  # the order the phases ran in
         shuffle.shuffle(order)
-        workload = Workload(*task_columns(Workload.from_tasks(specs)),
-                            phase_order=order)
+        workload = workload_of(specs, order)
         log = EpisodeLog(workload, [(i, 0.2, met) for i, (_, done, met)
                                     in enumerate(tasks) if done])
         # steps are numbered from 1, as the env logs them
@@ -227,8 +225,9 @@ class TestSummarize:
             phases=tuple(WorkloadPhaseSpec("steady", 1.0, 8.0, window=1.0)
                          for _ in range(n_phases)), step_duration=8.0)
         specs = [task(i, phase) for i, (phase, _, _) in enumerate(tasks)]
-        log = EpisodeLog(specs, [(i, 0.2, met) for i, (_, done, met)
-                                 in enumerate(tasks) if done])
+        log = EpisodeLog(workload_of(specs),
+                         [(i, 0.2, met) for i, (_, done, met)
+                          in enumerate(tasks) if done])
         log.steps.append(step(1, 2))
         emitted_in = Counter(t.phase_index for t in specs)
         met_in = Counter(specs[i].phase_index
@@ -244,7 +243,7 @@ class TestSummarize:
 
     def test_episode_summary_roundtrips_as_dict(self):
         cfg = self._config()
-        log = EpisodeLog()
+        log = EpisodeLog(workload_of([]))
         log.steps.append(step(0, 2))
         d = summarize_episode(log, cfg).as_dict()
         assert d["mean_workers"] == 2.0

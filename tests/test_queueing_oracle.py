@@ -81,8 +81,8 @@ def run_queue(servers, rate, draw_service, sample=False):
     rng = np.random.default_rng(SEED)
     arrival = np.cumsum(rng.exponential(1 / rate, N_TASKS)).tolist()
     service = draw_service(rng)
-    tasks = Workload(range(N_TASKS), arrival, [1024] * N_TASKS, service,
-                     [1e9] * N_TASKS, [0] * N_TASKS)
+    tasks = Workload(arrival, [1024] * N_TASKS, service, [1e9] * N_TASKS,
+                     [0] * N_TASKS)
     cfg = single_phase_config(rate, 60.0, n_min=servers, n_init=servers,
                               n_max=servers, warm_start=True)
     sim = FarmSim(cfg, np.random.default_rng([SEED, 1]))

@@ -18,7 +18,7 @@ from farmscale.sim import (BUSY, DRAINING, IDLE, STARTING, ConservationError,
                            FarmSim, Snapshot)
 from farmscale.workload import build_episode_workload
 from tests.conftest import (constant_service_tasks, fuzz_sim,
-                            single_phase_config)
+                            single_phase_config, workload_of)
 from tests.test_acceptance import static_run
 
 
@@ -124,10 +124,10 @@ def ready_times(sim):
 
 
 def in_arrival_order(tasks):
-    """``tasks`` renumbered in (arrival time, id) order, the one batch shape
-    a simulator takes: task ``i`` is the ``i``-th arrival."""
+    """The ``Workload`` of ``tasks`` renumbered in (arrival time, id) order,
+    the one batch shape there is: task ``i`` is the ``i``-th arrival."""
     ordered = sorted(tasks, key=lambda t: (t.arrival_time, t.task_id))
-    return [t._replace(task_id=i) for i, t in enumerate(ordered)]
+    return workload_of(t._replace(task_id=i) for i, t in enumerate(ordered))
 
 
 def deadline_met(arrival, completion, deadline):
@@ -186,7 +186,7 @@ class TestStartup:
     @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_advance_rejects_a_step_not_positive_and_finite(self, dt):
         sim = make_sim(n_init=1, warm=True)
-        sim.inject_tasks([simple_task(0, 0.5)])
+        sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
         with pytest.raises(ValueError, match="^dt must be positive and finite$"):
             sim.advance(dt)
         assert sim.clock == 0.0 and sim.snapshot() == scanned_snapshot(sim)
@@ -194,21 +194,23 @@ class TestStartup:
 
 class TestInjection:
     def test_duplicate_task_id_rejected(self):
-        # an id seen before can only come in a second batch, which is
-        # refused whatever it holds, after an empty first batch too
-        for first in ([simple_task(0, 0.5)], []):
+        # a simulator takes one batch: a second one is refused whatever it
+        # holds, the same workload again too, after an empty first batch
+        # as well
+        for first in (workload_of([simple_task(0, 0.5)]), workload_of([])):
             sim = make_sim()
             sim.inject_tasks(first)
-            for batch in ([simple_task(0, 0.7)], [simple_task(1, 0.7)], []):
+            for batch in (workload_of([simple_task(0, 0.7)]), first,
+                          workload_of([])):
                 with pytest.raises(ValueError, match="one batch of tasks"):
                     sim.inject_tasks(batch)
-                assert sim._times == [*(t.arrival_time for t in first),
-                                      math.inf]
-                assert sim._service == tuple(t.service_time for t in first)
+                assert sim._times == [*first.arrival_time, math.inf]
+                assert sim._service is first.service_time
 
     def test_enqueued_total_counts_arrived_tasks(self):
         sim = make_sim(warm=True)
-        sim.inject_tasks([simple_task(i, 0.1 * (i + 1)) for i in range(5)])
+        sim.inject_tasks(workload_of(simple_task(i, 0.1 * (i + 1))
+                                     for i in range(5)))
         assert sim.enqueued_total == 0
         sim.advance(0.35)
         assert sim.enqueued_total == 3
@@ -252,8 +254,8 @@ class TestStartQueue:
                 assert ready_times(sim)[wid] == base
         task_rng = np.random.default_rng([seed, 1])
         arrivals = np.cumsum(task_rng.exponential(0.5, size=60))
-        sim.inject_tasks([simple_task(i, float(a), service=2.0)
-                          for i, a in enumerate(arrivals)])
+        sim.inject_tasks(workload_of(simple_task(i, float(a), service=2.0)
+                                     for i, a in enumerate(arrivals)))
         for action, dt in program:
             base = max([sim.clock, *ready_times(sim).values()])
             if sim.request_scale(action) > 0:
@@ -265,21 +267,25 @@ class TestStartQueue:
 
 
 def first_offence(batch):
-    """The first position of ``batch`` whose task is not the next arrival
-    numbered by its position, the reference for ``inject_tasks``' check."""
-    return next(i for i, task in enumerate(batch) if task.task_id != i
-                or i and task.arrival_time < batch[i - 1].arrival_time)
+    """The first position of ``batch`` whose task arrives before the one
+    before it, the reference for the ``Workload`` check."""
+    return next(i for i in range(1, len(batch))
+                if batch[i].arrival_time < batch[i - 1].arrival_time)
 
 
-def assert_refused(batch, position, as_workload=False):
-    """``batch`` raises ``ValueError`` naming ``position`` and schedules
-    nothing: the simulator then runs a valid batch as a fresh one does."""
-    sim, fresh = grid_sim(True, 2, 7), grid_sim(True, 2, 7)
+def assert_refused(batch, position):
+    """The rows of ``batch`` make no ``Workload``: the constructor raises
+    ``ValueError`` naming ``position``. A simulator handed the rows
+    themselves raises before it schedules anything, and then runs a valid
+    batch as a fresh one does."""
     with pytest.raises(ValueError, match=f"^task {position} of the batch "):
-        sim.inject_tasks(Workload.from_tasks(batch) if as_workload
-                         else batch)
+        Workload(*list(zip(*batch))[1:])
+    sim, fresh = grid_sim(True, 2, 7), grid_sim(True, 2, 7)
+    with pytest.raises(AttributeError):
+        sim.inject_tasks(batch)
     assert sim._times == [math.inf] and sim._service == ()
-    valid = [simple_task(0, 0.5), simple_task(1, 0.5), simple_task(2, 1.0)]
+    valid = workload_of([simple_task(0, 0.5), simple_task(1, 0.5),
+                         simple_task(2, 1.0)])
     for one in (sim, fresh):
         one.inject_tasks(valid)
         one.advance(10.0)
@@ -289,24 +295,23 @@ def assert_refused(batch, position, as_workload=False):
 
 
 class TestMergedArrivals:
-    @given(slots=st.lists(st.integers(0, 40), min_size=2, max_size=40),
-           as_workload=st.booleans())
+    @given(slots=st.lists(st.integers(0, 40), min_size=2, max_size=40))
     @settings(max_examples=80, deadline=None)
-    def test_a_batch_out_of_order_schedules_nothing(self, slots, as_workload):
-        # ids are the positions, so only a falling arrival time breaks the
-        # rule; the permutation test below moves the ids too
+    def test_a_batch_out_of_order_schedules_nothing(self, slots):
+        # a falling arrival time breaks the rule, named at its first
+        # position; the permutation test below shuffles whole rows
         assume(slots != sorted(slots))
         tasks = [simple_task(i, 0.5 * a) for i, a in enumerate(slots)]
         position = next(i for i in range(1, len(slots))
                         if slots[i] < slots[i - 1])
         assert first_offence(tasks) == position
-        assert_refused(tasks, position, as_workload)
+        assert_refused(tasks, position)
 
     def test_tie_order_at_one_clock(self):
         sim = grid_sim(warm=True, n_init=1, seed=0)
         sim.request_scale(+1)  # worker 1 ready at exactly 1.0
-        sim.inject_tasks([simple_task(0, 0.0), simple_task(1, 1.0),
-                          simple_task(2, 3.0), simple_task(3, 3.0)])
+        sim.inject_tasks(workload_of(
+            simple_task(i, t) for i, t in enumerate((0.0, 1.0, 3.0, 3.0))))
         sim.advance(10.0)
         assert sim.trace == [
             (0.0, "scale_up", -1, 1),
@@ -327,27 +332,21 @@ class TestMergedArrivals:
             (4.0, "completion", 3, 1),
         ]
 
-    def test_duplicate_in_batch_schedules_nothing(self):
-        assert_refused([simple_task(0, 0.5), simple_task(0, 0.7)], 1)
-        assert_refused([simple_task(0, 0.5), simple_task(1, 0.5),
-                        simple_task(1, 0.7)], 2)
-
 
 class TestInjectionPaths:
-    """``inject_tasks`` takes one batch shape, the one the workload builder
-    makes: task ``i`` is the ``i``-th arrival, its id ``i``. It reads such a
-    batch in place, given as a ``Workload`` or as a list of ``TaskSpec``,
-    and refuses any other before it schedules anything."""
+    """A batch has one shape, the one the workload builder makes: task
+    ``i`` is the ``i``-th arrival, with finite arrival times that never
+    fall. ``Workload`` checks it where a batch is made, and refuses any
+    other; ``inject_tasks`` takes a workload only, and reads it in place."""
 
     @given(slots=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6),
                                     st.integers(0, 2)),
                           min_size=1, max_size=24),
            shuffler=st.randoms(use_true_random=False),
-           as_workload=st.booleans(), warm=st.booleans(),
-           n_init=st.integers(1, 3))
+           warm=st.booleans(), n_init=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_every_permutation_but_arrival_order_is_rejected(
-            self, slots, shuffler, as_workload, warm, n_init):
+            self, slots, shuffler, warm, n_init):
         # few distinct times, so arrivals tie; three phases, so a record
         # pointing at the wrong task shows in the per-phase counts
         tasks = in_arrival_order(
@@ -356,58 +355,23 @@ class TestInjectionPaths:
             for i, (a, s, phase) in enumerate(slots))
         permuted = list(tasks)
         shuffler.shuffle(permuted)
-        if permuted != tasks:
-            assert_refused(permuted, first_offence(permuted), as_workload)
-        # the batch in arrival order is read in place, as a list of rows
-        # and as a Workload, and both give one run
-        batches = [tasks, Workload.from_tasks(tasks)]
-        sims = [grid_sim(warm, n_init, 7) for _ in batches]
+        times = [t.arrival_time for t in permuted]
+        if times != sorted(times):
+            assert_refused(permuted, first_offence(permuted))
+        # the batch in arrival order is read in place, and runs every task
+        sim = grid_sim(warm, n_init, 7)
         cfg = EpisodeConfig(phases=single_phase_config(2.0, 60.0).phases * 3)
         step = StepRecord(1, Observation(*[0] * 9), 0, 0, 0.0, 0, 0, 0, 0)
-        summaries = []
-        for sim, batch in zip(sims, batches):
-            sim.inject_tasks(batch)
-            assert sim._times == [*(t.arrival_time for t in tasks), math.inf]
-            sim.advance(200.0)
-            log = EpisodeLog(batch, sim.completion_records, [step])
-            summaries.append(summarize_episode(log, cfg).as_dict())
-        assert sims[1]._service is batches[1].service_time
-        assert sims[0].trace == sims[1].trace
-        assert sims[0].completion_records == sims[1].completion_records
-        assert summaries[0] == summaries[1]
-        assert len(sims[0].completion_records) == len(tasks)
-        assert summaries[0]["met"] == sum(
-            met for _, _, met in sims[0].completion_records)
-
-    @given(slots=st.lists(st.integers(0, 6), min_size=2, max_size=24),
-           pick=st.integers(1, 23), in_order=st.booleans(),
-           as_workload=st.booleans(),
-           shuffler=st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_a_duplicate_id_schedules_nothing_on_either_path(
-            self, slots, pick, in_order, as_workload, shuffler):
-        # either path: the batch as a list of rows or as a Workload
-        tasks = [simple_task(i, 0.5 * a) for i, a in enumerate(sorted(slots))]
-        # a task takes the id of the one before it: in order, the times and
-        # the ids still never fall, and the check names that task
-        k = 1 + pick % (len(tasks) - 1)
-        tasks[k] = tasks[k]._replace(task_id=k - 1)
-        if in_order:
-            assert first_offence(tasks) == k
-        else:
-            shuffler.shuffle(tasks)
-        assert_refused(tasks, first_offence(tasks), as_workload)
-
-    @pytest.mark.parametrize("ids, position", [
-        (range(1, 4), 0), (range(0, 6, 2), 1), ((0, 1, 3), 2),
-        (range(3, 0, -1), 0)])
-    def test_ids_other_than_the_positions_are_rejected(self, ids, position):
-        # ids that do not start at 0, skip a number, or run backwards, as a
-        # range column, a tuple column and a list of rows
-        batch = Workload(ids, [0.5, 0.5, 1.0], [1024] * 3, [1.0] * 3,
-                         [2.0] * 3, [0] * 3)
-        assert_refused(batch, position)
-        assert_refused(list(batch), position)
+        sim.inject_tasks(tasks)
+        assert sim._times == [*tasks.arrival_time, math.inf]
+        assert sim._service is tasks.service_time
+        sim.advance(200.0)
+        summary = summarize_episode(
+            EpisodeLog(tasks, sim.completion_records, [step]), cfg)
+        assert len(sim.completion_records) == len(tasks)
+        assert summary.met == sum(met for _, _, met in sim.completion_records)
+        assert [p.emitted for p in summary.per_phase] == [
+            tasks.phase_index.count(k) for k in range(3)]
 
     @pytest.mark.parametrize("times, position", [
         ((math.nan, 1.0, 2.0), 0), ((0.5, math.nan, 2.0), 1),
@@ -415,16 +379,14 @@ class TestInjectionPaths:
         ids=["nan-first", "nan", "inf-last", "minus-inf-first"])
     def test_an_arrival_time_not_finite_is_rejected(self, times, position):
         # NaN leaves a sorted list as it is and infinities sort, so only the
-        # finiteness check refuses these, as a Workload and as a list of rows
-        batch = Workload(range(3), times, [1024] * 3, [1.0] * 3, [2.0] * 3,
-                         [0] * 3)
-        assert_refused(batch, position)
-        assert_refused(list(batch), position)
+        # finiteness check refuses these
+        assert_refused([simple_task(i, t) for i, t in enumerate(times)],
+                       position)
 
     def test_finite_times_whose_sum_overflows_are_accepted(self):
         sim = make_sim()
-        sim.inject_tasks(Workload(range(2), (1e308, 1.5e308), (1024,) * 2,
-                                  (1.0,) * 2, (2.0,) * 2, (0,) * 2))
+        sim.inject_tasks(Workload((1e308, 1.5e308), (1024,) * 2, (1.0,) * 2,
+                                  (2.0,) * 2, (0,) * 2))
         assert sim._times == [1e308, 1.5e308, math.inf]
 
     @given(seed=st.integers(0, 2**32 - 1), shuffle=st.booleans(),
@@ -475,7 +437,7 @@ class TestScaling:
 
     def test_scale_down_busy_drains_in_flight_work(self):
         sim = make_sim(n_init=1, warm=True)
-        sim.inject_tasks([simple_task(0, 0.5, service=10.0)])
+        sim.inject_tasks(workload_of([simple_task(0, 0.5, service=10.0)]))
         sim.advance(1.0)  # worker picks the task up
         assert list(sim.workers.values()) == [BUSY]
         sim.request_scale(-1)
@@ -517,10 +479,10 @@ class TestConservationAndDeterminism:
         sim = FarmSim(cfg, np.random.default_rng([seed, 79]),
                       validate=True, trace=trace)
         arrivals = np.cumsum(task_rng.exponential(1 / 8.0, size=1500))
-        sim.inject_tasks([
+        sim.inject_tasks(workload_of(
             simple_task(i, float(a),
                         service=float(task_rng.uniform(0.05, 2.5)))
-            for i, a in enumerate(arrivals)])
+            for i, a in enumerate(arrivals)))
         for _ in range(80):
             sim.request_scale(int(policy_rng.integers(-1, 2)))
             sim.advance(4.0)
@@ -545,7 +507,7 @@ class TestConservationAndDeterminism:
         assert len(met) == 3500 and 0 < sum(met) < len(met)
         # one worker, three tasks at 0 with deadline 2: latencies 1, 2, 3
         sim = make_sim(n_init=1, warm=True)
-        sim.inject_tasks([simple_task(i, 0.0) for i in range(3)])
+        sim.inject_tasks(workload_of(simple_task(i, 0.0) for i in range(3)))
         sim.advance(10.0)
         boundary = sim.completion_records
         assert [m for _, _, m in boundary] == [True, True, False]
@@ -560,8 +522,8 @@ class TestConservationAndDeterminism:
         # one warm worker, two tasks at 0 of service 1: the second completes
         # at exactly 2.0, met with deadline 2.0 and missed one ulp below
         sim = make_sim(n_init=1, warm=True)
-        sim.inject_tasks([TaskSpec(i, 0.0, 1024, 1.0, deadline, 0)
-                          for i in range(2)])
+        sim.inject_tasks(workload_of(TaskSpec(i, 0.0, 1024, 1.0, deadline, 0)
+                                     for i in range(2)))
         sim.advance(10.0)
         assert sim.completion_records == [(0, 1.0, True), (1, 2.0, met)]
 
@@ -626,9 +588,10 @@ def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed,
                               latency_lo=1.0, latency_hi=4.0)
     task_rng = np.random.default_rng([seed, 1])
     arrivals = np.cumsum(task_rng.exponential(0.5, size=120))
-    tasks = [simple_task(i, float(a),
-                         service=float(task_rng.uniform(0.1, service_scale)))
-             for i, a in enumerate(arrivals)]
+    tasks = workload_of(
+        simple_task(i, float(a),
+                    service=float(task_rng.uniform(0.1, service_scale)))
+        for i, a in enumerate(arrivals))
     sims = [cls(cfg, np.random.default_rng([seed, 0]), validate=True,
                 trace=reference)
             for cls in ((FarmSim, DispatchReferenceSim) if reference
@@ -696,7 +659,7 @@ class TestPoolCounters:
     def test_validate_finds_start_deque_disagreeing_with_starting_workers(
             self):
         sim = make_sim(n_init=2, warm=True)
-        sim.inject_tasks([simple_task(0, 0.5)])
+        sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
         sim._starts.append(3.0)  # a pending start with no starting worker
         with pytest.raises(ConservationError,
                            match="1 pending starts, but the starting"
@@ -708,7 +671,7 @@ class TestPoolCounters:
         sim.workers[0] = STARTING  # worker 1 stays idle
         sim._idle.remove(0)
         sim._starts.append(9.0)
-        sim.inject_tasks([simple_task(0, 0.5)])
+        sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
         with pytest.raises(ConservationError, match="1 pending starts, but the"
                                                     " starting workers are not"
                                                     " the newest 1 of"):
@@ -718,7 +681,7 @@ class TestPoolCounters:
         # worker 0 runs task 0 until 1.5; task 1 arrives at 1.2 for worker 1
         sim = make_sim(n_init=2, warm=True)
         task = simple_task(0, 0.5)
-        sim.inject_tasks([task, simple_task(1, 1.2)])
+        sim.inject_tasks(workload_of([task, simple_task(1, 1.2)]))
         sim.advance(1.0)
         heapq.heappush(sim._events, (3.0, sim_module._COMPLETION, 0, task))
         with pytest.raises(ConservationError,
@@ -730,7 +693,7 @@ class TestPoolCounters:
     def test_validate_finds_idle_worker_missing_from_idle_list(self):
         sim = make_sim(n_init=2, warm=True)
         sim._idle.remove(1)
-        sim.inject_tasks([simple_task(0, 0.5)])
+        sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
         with pytest.raises(ConservationError, match="idle list"):
             sim.advance(1.0)
 
@@ -738,7 +701,7 @@ class TestPoolCounters:
         # no worker drains, but the count says one does; the arrival at 0.5
         # is the first event checked
         sim = make_sim(n_init=2, warm=True)
-        sim.inject_tasks([simple_task(0, 0.5)])
+        sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
         sim._draining = 1
         with pytest.raises(ConservationError,
                            match=r"^draining count 1, but the statuses are"
@@ -829,7 +792,8 @@ class TestDispatchReference:
 class TestBacklogInvariant:
     def test_validate_finds_a_task_lost_from_the_count(self):
         sim = make_sim(n_init=2, warm=True)
-        sim.inject_tasks([simple_task(0, 0.5), simple_task(1, 5.0)])
+        sim.inject_tasks(workload_of([simple_task(0, 0.5),
+                                      simple_task(1, 5.0)]))
         sim.advance(2.0)  # task 0 completed at 1.5
         sim.completion_records.pop()
         with pytest.raises(ConservationError,
@@ -843,7 +807,8 @@ class TestBacklogInvariant:
         sim = make_sim(n_init=2, warm=True, latency_lo=1.0, latency_hi=1.0)
         sim._idle.clear()
         sim.request_scale(+1)
-        sim.inject_tasks([simple_task(0, 0.5), simple_task(1, 0.6)])
+        sim.inject_tasks(workload_of([simple_task(0, 0.5),
+                                      simple_task(1, 0.6)]))
         with pytest.raises(ConservationError,
                            match=r"^1 tasks queued while workers \[0, 1\] are"
                                  r" idle at t=1\.0$"):
@@ -879,7 +844,7 @@ class TestStaticRuns:
     """Fixed cold pools, through acceptance criterion 5's static run."""
 
     def _workload(self):
-        return Workload.from_tasks(constant_service_tasks(5.0, 60.0, 1.0))
+        return constant_service_tasks(5.0, 60.0, 1.0)
 
     def test_init_overhead_grows_with_pool(self, ep_config):
         overheads = [static_run(ep_config, self._workload(), n)[1]

@@ -9,7 +9,7 @@ import pytest
 
 from farmscale.core import RewardConfig, Workload
 from farmscale.dqn import DqnAgent
-from farmscale.env import FarmEnv
+from farmscale.env import FarmEnv, LifecycleError
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
 from farmscale.training import (CURVE_COLUMNS, evaluate_policies,
@@ -48,7 +48,6 @@ class TestRunEpisode:
         model, dist = model_and_dist
         assert phase_order(len(ep_config.phases), True, seed) == order
         workload = build_episode_workload(ep_config, dist, model, True, seed)
-        assert Workload.from_tasks(list(workload)).phase_order == ()
         env = FarmEnv(ep_config, rw_config)
         summary = run_episode(
             env, ReactiveAveragePolicy(ep_config.step_duration), workload,
@@ -63,6 +62,27 @@ class TestRunEpisode:
                 in_slot[order[slot]].append(s.observation.n_workers)
         assert [p.mean_workers for p in summary.per_phase] == [
             float(np.mean(in_slot[i])) for i in range(len(order))]
+
+    def test_rows_of_a_shuffled_workload_are_refused(
+            self, ep_config, rw_config, model_and_dist):
+        # the phase order lives on the workload, so its rows, which cannot
+        # carry it, start no episode: each attempt raises and leaves the env
+        # terminated, also in the middle of an episode
+        model, dist = model_and_dist
+        workload = build_episode_workload(ep_config, dist, model, True, 0)
+        assert workload.phase_order == (2, 0, 1, 3)
+        env = FarmEnv(ep_config, rw_config)
+        policy = ReactiveAveragePolicy(ep_config.step_duration)
+        attempts = [lambda: env.reset(list(workload), 0),
+                    lambda: env.reset(iter(workload), 0),
+                    lambda: run_episode(env, policy, list(workload), 0)]
+        for attempt in attempts:
+            env.reset(workload, 0)
+            env.step(0)
+            with pytest.raises((AttributeError, TypeError)):
+                attempt()
+            with pytest.raises(LifecycleError):
+                env.step(0)
 
     def test_same_seed_same_summary(self, tiny_setup):
         env, dist, model = tiny_setup

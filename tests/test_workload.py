@@ -500,8 +500,8 @@ class TestCachedTables:
 
 def reference_episode_workload(config, dist, model, shuffle_phases, rng_seed):
     """The row-at-a-time builder that ``build_episode_workload`` replaced:
-    ``(arrival, phase)`` tuples sorted as tuples, then one checked
-    ``TaskSpec`` per row."""
+    ``(arrival, phase)`` tuples sorted as tuples, then one ``TaskSpec`` per
+    row."""
     phases = list(config.phases)
     order = list(range(len(phases)))
     if shuffle_phases:

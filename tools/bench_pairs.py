@@ -1,11 +1,14 @@
 """Run alternating parent/change pairs of the benchmark and judge the change.
 
     python3 tools/bench_pairs.py --base DIR (--change DIR | --aa) \\
-        --workload W --seeds A-B [--seconds T] [--out FILE]
+        --workload W[,W...] --seeds A-B [--seconds T] [--out FILE]
 
 Each pair runs the benchmark command of ``BENCHMARK.json`` (read from the
 change tree) with ``--workload W --seed S --seconds T --trace 0`` once for
-each side; the side that runs first alternates. ``--seeds A-B`` runs one
+each side; the side that runs first alternates. ``--workload`` takes one
+workload or a comma-separated list of distinct ones, such as
+``compare,replay,train_sarsa,train_dqn``: each runs all its pairs, and
+prints its verdicts, before the next one starts. ``--seeds A-B`` runs one
 pair per seed from A to B, pair ``i`` at seed A + i, so a verdict does not
 rest on one seed's workload. ``--seconds`` defaults to ``run_seconds``.
 Every run starts from a fresh copy of its side's tree, made in a temporary
@@ -29,17 +32,20 @@ claimed (at least ten pairs ran, the change won nine tenths of them, and
 the medians differ in its favour by more than the parent's interquartile
 range), and
 whether the change's median is within the metric's ``bound``, a fraction of
-the parent's median. ``--out`` writes the same facts, with every pair's
-seed and values, each run's machine block and each side's commit, as JSON.
+the parent's median. ``--out`` writes the same facts as one JSON object:
+the seeds, the seconds, each side's commit and tree digest, and under
+``workloads``, keyed by workload, every pair's seed and values, each run's
+machine block, the verdicts, the A/A floor and the problems found.
 A copy leaves out ``.git``, so each side's commit is read from its tree, the
 HEAD of its checkout, before any copy is made. A checkout with uncommitted
 edits still names its HEAD, so ``--out`` also records for each side a
 sha256 over the relative paths and bytes of the files its copies carry:
 two sides at one commit with different files have different digests.
 
-Exits 1 if a run is not ``correct``, fails an operation, or differs from the
-other side of its pair in ``qos`` or in the output digest of its
-``details`` line; 0 otherwise, gain or not. Standard library only.
+Exits 1 if a run of any workload is not ``correct``, fails an operation,
+or differs from the other side of its pair in ``qos`` or in the output
+digest of its ``details`` line; 0 otherwise, gain or not. Standard library
+only.
 """
 
 import argparse
@@ -210,6 +216,15 @@ def seed_range(text: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
+def workload_list(text: str) -> list:
+    """The workloads of a comma-separated ``--workload`` argument."""
+    names = text.split(",")
+    if "" in names or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(
+            f"need distinct comma-separated workloads, got {text!r}")
+    return names
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -217,7 +232,8 @@ def parse_args(argv):
     side.add_argument("--change", type=Path)
     side.add_argument("--aa", action="store_true",
                       help="run the base against a fresh copy of itself")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=workload_list, required=True,
+                        help="W[,W...]: the workloads, run one after another")
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="A-B: one pair per seed, pair i at seed A + i")
     parser.add_argument("--seconds", type=float)
@@ -230,28 +246,30 @@ def parse_args(argv):
     return args
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    rng = random.Random()
-    commits = {side: git_sha(getattr(args, side))
-               for side in ("base", "change")}
-    trees = {side: tree_digest(getattr(args, side))
-             for side in ("base", "change")}
+def run_pairs(args, workload: str, command, seconds: float, workdir: Path,
+              rng: random.Random) -> tuple:
+    """(pairs, problems): the pairs of ``workload``, one per seed of
+    ``args.seeds`` with the side that runs first alternating, and the
+    problems found in them."""
     runs, found = [], []
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
-        for i, seed in enumerate(args.seeds):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            pair = {side: run_once(getattr(args, side), bench["command"],
-                                   args.workload, seed, seconds,
-                                   Path(workdir), rng)
-                    for side in order}
-            print(f"pair {i}: " + ", ".join(
-                f"{side} {pair[side]['metrics'].get('episodes_per_s', 0):.1f}/s"
-                for side in order), flush=True)
-            found += problems(i, pair["base"], pair["change"])
-            runs.append({"first": order[0], "seed": seed, **pair})
+    for i, seed in enumerate(args.seeds):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        pair = {side: run_once(getattr(args, side), command, workload, seed,
+                               seconds, workdir, rng)
+                for side in order}
+        print(f"{workload} pair {i}: " + ", ".join(
+            f"{side} {pair[side]['metrics'].get('episodes_per_s', 0):.1f}/s"
+            for side in order), flush=True)
+        found += problems(i, pair["base"], pair["change"])
+        runs.append({"first": order[0], "seed": seed, **pair})
+    return runs, found
+
+
+def judge_pairs(args, workload: str, runs: list, bench: dict,
+                seconds: float) -> tuple:
+    """(verdicts, A/A floors): the verdict on each end-to-end metric over
+    the ``runs`` of ``workload``, and with ``--aa`` its A/A floor (else
+    None), printed as a table."""
     verdicts = {}
     for metric in bench["end_to_end"]:
         name = metric["name"]
@@ -259,7 +277,7 @@ def main(argv=None) -> int:
                                [r["change"]["metrics"][name] for r in runs],
                                metric["better"], metric["bound"])
     seeds = f"{args.seeds[0]}-{args.seeds[-1]}"
-    print(f"{args.workload}, {len(runs)} {'A/A ' if args.aa else ''}pairs"
+    print(f"{workload}, {len(runs)} {'A/A ' if args.aa else ''}pairs"
           f" at --seeds {seeds} --seconds {seconds:g}")
     print(f"{'metric':16s} {'base q1/median/q3':>30s} "
           f"{'change q1/median/q3':>30s}  won  gain  in bound")
@@ -275,15 +293,36 @@ def main(argv=None) -> int:
     for name, floor in (floors or {}).items():
         print(f"A/A floor {name}: median gap {floor['gap']:+.2%}, "
               f"base IQR {floor['iqr']:.2%} of the base median")
+    return verdicts, floors
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = args.seconds or bench["run_seconds"]
+    rng = random.Random()
+    commits = {side: git_sha(getattr(args, side))
+               for side in ("base", "change")}
+    trees = {side: tree_digest(getattr(args, side))
+             for side in ("base", "change")}
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
+        for workload in args.workload:
+            runs, found = run_pairs(args, workload, bench["command"],
+                                    seconds, Path(workdir), rng)
+            verdicts, floors = judge_pairs(args, workload, runs, bench,
+                                           seconds)
+            results[workload] = {"pairs": runs, "verdicts": verdicts,
+                                 "aa_floor": floors, "problems": found}
+    found = [f"{workload} {line}" for workload, result in results.items()
+             for line in result["problems"]]
     for line in found:
         print(line, file=sys.stderr)
     if args.out:
         args.out.write_text(json.dumps({
-            "workload": args.workload, "seeds": seeds, "seconds": seconds,
-            "aa": args.aa, "commits": commits, "tree_sha256": trees,
-            "pairs": runs,
-            "verdicts": verdicts, "aa_floor": floors, "problems": found},
-            indent=2) + "\n")
+            "seeds": f"{args.seeds[0]}-{args.seeds[-1]}",
+            "seconds": seconds, "aa": args.aa, "commits": commits,
+            "tree_sha256": trees, "workloads": results}, indent=2) + "\n")
     return 1 if found else 0
 
 
