@@ -10,8 +10,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import fields
 
-import yaml
-
 from .core import EpisodeConfig, FieldError, RewardConfig
 from .metrics import CostConfig
 from .sarsa import SarsaConfig
@@ -55,12 +53,15 @@ def load_config(path=None) -> dict:
     """
     cfg = dict(DEFAULTS)
     if path is not None:
+        import yaml  # only a process that reads a config file loads PyYAML
         with open(path) as fh:
             try:
-                loaded = yaml.safe_load(fh) or {}
+                loaded = yaml.safe_load(fh)
             except yaml.YAMLError as exc:
                 raise ValueError(f"{path}: not valid YAML: "
                                  f"{' '.join(str(exc).split())}") from None
+        if loaded is None:  # an empty or comment-only file: no overrides
+            loaded = {}
         if not isinstance(loaded, dict):
             raise ValueError(f"{path}: expected a flat key-value mapping")
         unknown = set(loaded) - set(DEFAULTS)

@@ -545,3 +545,23 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c",
          'import sys, farmscale.cli; assert "scipy" not in sys.modules'],
         env=env, check=True, timeout=60)
+
+
+def test_pyyaml_loads_only_when_a_config_file_is_read(tmp_path):
+    # no benchmark workload and no command without --config parses YAML, so
+    # neither the import nor the defaults may pay for PyYAML
+    src = str(Path(farmscale.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    path = tmp_path / "one.yaml"
+    path.write_text("beta: 2.5\n")
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, farmscale.cli\n"
+         "from farmscale.config import DEFAULTS, load_config\n"
+         "assert 'yaml' not in sys.modules\n"
+         "assert load_config() == DEFAULTS\n"
+         "assert 'yaml' not in sys.modules\n"
+         "assert load_config(sys.argv[1]) == dict(DEFAULTS, beta=2.5)\n"
+         "assert 'yaml' in sys.modules\n",
+         str(path)],
+        env=env, check=True, timeout=60)

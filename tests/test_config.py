@@ -98,6 +98,20 @@ class TestLoadTypes:
         assert capsys.readouterr().err == (
             f"error: {path}: unknown keys [1, 'zzz']\n")
 
+    # a falsy document (0, false, [], '') used to load as no overrides,
+    # while 3 or [1] was refused
+    @pytest.mark.parametrize("text", ["0\n", "false\n", "[]\n", "''\n",
+                                      "3\n", "[1]\n"])
+    def test_a_document_not_a_mapping_is_rejected(self, tmp_path, text):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: expected a flat key-value mapping"
+
+    @pytest.mark.parametrize("text", ["", "# nothing set\n"])
+    def test_an_empty_document_sets_nothing(self, tmp_path, text):
+        assert load_config(write_config(tmp_path, text)) == DEFAULTS
+
 
 class TestRangeChecks:
     # Unchecked, each fails late or quietly: obs_window 0 divides by zero in

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from farmscale.nn import (Adam, Mlp, _smooth_l1, clip_gradient_norm,
                           soft_update)
@@ -57,6 +57,14 @@ class TestGradients:
         x = rng.normal(size=(4, 3))
         actions = rng.integers(0, 2, size=4)
         targets = rng.normal(size=4)
+        # the jitter alone does not keep every pre-activation off the kink
+        # (seeds 3759, 7931 and 9547 put one within 1e-6 of it, which the
+        # differences straddle); a draw with one near the kink is skipped
+        h = x
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            h = h @ w + b
+            assume(np.abs(h).min() > 1e-4)
+            h = np.maximum(h, 0.0)
         _, grads = net.loss_and_gradients(x, actions, targets)
         analytic = [g.copy() for g in grads]  # the next call overwrites grads
         numeric = finite_difference_grads(net, x, actions, targets)
