@@ -46,21 +46,25 @@ at the end of each ``advance``; in trace mode the arrivals passed over are
 written to the trace in merged order, before the next event that follows
 them.
 
-The pool is one map from worker id to status, in start order: starting,
-idle, busy, or draining (busy, and leaving when its task completes). Only
-busy workers ever drain: a starting scale-down victim is cancelled and an
-idle one exits at once. The idle workers are kept as an ascending list of
-their ids, and the draining ones as a count, changed only by a scale-down
-and by a draining worker's exit. Startup is sequential and a scale-down
-takes the newest worker, so the starting workers are always the newest
-ones, and their ready times are a deque of pending starts, oldest first: a
-new start queues behind the last of them. Pool counts are the lengths of
-the pool, the idle list and that deque, and the draining count; no count
-scans the statuses. Validate mode checks that, the invariant, the idle
-list, the draining count, one completion on the heap per busy or draining
-worker and the conservation identity after every event. The task counts
-come from three values alone: the completion records, ``_next`` and the
-enqueue count.
+The pool keeps each fact once. The workers that are not draining are a
+list of their ids in start order, ``_live``. Startup is sequential and a
+scale-down takes the newest of them, so the starting workers are always its
+last entries, and their ready times are a deque of pending starts, oldest
+first: a new start queues behind the last of them. The idle workers are an
+ascending list of their ids; a started live worker that is not idle is
+busy, and the heap holds its completion. The draining workers, busy and
+leaving when their task completes, are a set: only busy workers ever
+drain, as a starting scale-down victim is cancelled and an idle one exits
+at once. No handler writes a status when a worker takes a task or goes
+idle. Pool counts are the lengths of those four; none scans the pool. A
+ready event whose worker is not the oldest pending start was cancelled:
+ids are never reused. Validate mode checks the facts that sit in two
+places after every event: the idle list against the started workers with
+no completion on the heap, one completion on the heap per busy or draining
+worker, no draining worker among the live ones, and one ready event per
+pending start at the time the deque records; and the backlog invariant and
+the conservation identity. The task counts come from three values alone:
+the completion records, ``_next`` and the enqueue count.
 """
 
 from __future__ import annotations
@@ -80,11 +84,6 @@ from .core import ACTIONS, as_action
 _COMPLETION = 0
 _ARRIVAL = 1
 _WORKER_READY = 2
-
-STARTING = "starting"
-IDLE = "idle"
-BUSY = "busy"
-DRAINING = "draining"  # busy, and exits when its task completes
 
 
 class Snapshot(NamedTuple):
@@ -110,7 +109,6 @@ class FarmSim:
         self.rng = rng
         self.validate = validate
         self.clock = 0.0
-        self.workers: dict[int, str] = {}  # id -> status, in start order
         # (task_id, completion_time, met)
         self.completion_records = []
         # (time, kind, worker id, position): completions, readies
@@ -122,8 +120,11 @@ class FarmSim:
         self._injected = False
         self.enqueued_total = 0  # arrivals up to the end of the last advance
         self._ids = count()  # worker ids, never reused
+        # ids of the workers not draining, in start order; the last
+        # len(_starts) of them are starting
+        self._live = []
         self._idle = []  # ids of the idle workers, ascending
-        self._draining = 0  # workers that exit when their task completes
+        self._draining = set()  # ids of the busy workers leaving
         self._starts = deque()  # pending starts' ready times, oldest first
         self.trace = [] if trace else None
 
@@ -133,7 +134,7 @@ class FarmSim:
             # the emitter opens the stream.  Only mid-episode scale-ups pay
             # the sequential startup latency.
             self._idle = list(islice(self._ids, config.n_init))
-            self.workers = dict.fromkeys(self._idle, IDLE)
+            self._live = self._idle.copy()
         else:
             for _ in range(config.n_init):
                 self._schedule_start()
@@ -148,7 +149,7 @@ class FarmSim:
         lo, hi = self.config.latency_lo, self.config.latency_hi
         ready_at = base + (lo + (hi - lo) * self.rng.random())
         wid = next(self._ids)
-        self.workers[wid] = STARTING
+        self._live.append(wid)
         self._starts.append(ready_at)
         heappush(self._events, (ready_at, _WORKER_READY, wid, None))
         return wid
@@ -183,8 +184,7 @@ class FarmSim:
         if step is None:
             raise ValueError(f"scaling actions are unit steps in {ACTIONS},"
                              f" got {delta!r}")
-        workers = self.workers
-        committed = len(workers) - self._draining
+        committed = len(self._live)
         applied = max(min(step, self.config.n_max - committed),
                       self.config.n_min - committed)
         if applied > 0:
@@ -192,20 +192,15 @@ class FarmSim:
             if self.trace is not None:
                 self._record("scale_up", worker_id=wid)
         elif applied < 0:
-            # ids are inserted in ascending order and never reused, so the
-            # last non-draining id is the most recently started worker
-            victim = next(w for w in reversed(workers)
-                          if workers[w] != DRAINING)
-            status = workers[victim]
-            if status == STARTING:
-                del workers[victim]  # its ready event becomes stale
+            victim = self._live.pop()  # the most recently started worker
+            if self._starts:
+                # the starting workers are the newest: its ready event
+                # becomes stale
                 self._starts.pop()
-            elif status == IDLE:
-                del workers[victim]
+            elif self._idle and self._idle[-1] == victim:
                 self._idle.pop()  # the newest worker has the highest idle id
             else:
-                workers[victim] = DRAINING
-                self._draining += 1
+                self._draining.add(victim)
             if self.trace is not None:
                 self._record("scale_down", worker_id=victim)
         return applied
@@ -256,15 +251,15 @@ class FarmSim:
 
     def _snapshot(self, arrived: int) -> Snapshot:
         """The pool and task counts, with ``arrived`` tasks arrived."""
-        workers = len(self.workers)
-        starting, draining = len(self._starts), self._draining
+        starting, draining = len(self._starts), len(self._draining)
+        effective = len(self._live) - starting
         # q_work, workers_effective, workers_busy, workers_starting,
         # workers_draining, enqueued_total, completed_total; busy counts
         # the draining workers, and tuple.__new__ skips the NamedTuple's
         # Python-level constructor
         return tuple.__new__(Snapshot, (
-            arrived - self._next, workers - starting - draining,
-            workers - starting - len(self._idle), starting, draining,
+            arrived - self._next, effective,
+            effective - len(self._idle) + draining, starting, draining,
             arrived, len(self.completion_records)))
 
     def _arrived_by(self, kind, lo: int) -> int:
@@ -299,7 +294,6 @@ class FarmSim:
         head = self._next
         self._next = head + 1
         wid = self._idle.pop(0)
-        self.workers[wid] = BUSY
         heappush(self._events, (self.clock + self._service[head], _COMPLETION,
                                 wid, head))
         if self.trace is not None:
@@ -316,10 +310,9 @@ class FarmSim:
         if trace is not None:
             self._record_arrivals(_COMPLETION)
             self._record("completion", task_id=position, worker_id=worker_id)
-        if self.workers[worker_id] == DRAINING:
+        if self._draining and worker_id in self._draining:
             heappop(self._events)
-            del self.workers[worker_id]
-            self._draining -= 1
+            self._draining.remove(worker_id)
             if trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
         elif self._times[head := self._next] < clock:
@@ -331,65 +324,68 @@ class FarmSim:
                 self._record("dispatch", task_id=head, worker_id=worker_id)
         else:
             heappop(self._events)
-            self.workers[worker_id] = IDLE
             insort(self._idle, worker_id)
 
     def _on_worker_ready(self, worker_id):
-        if worker_id not in self.workers:
+        starts = self._starts
+        # ready events come in start order, so a live one is the oldest
+        # pending start's
+        if not starts or worker_id != self._live[-len(starts)]:
             heappop(self._events)
             return  # cancelled by a scale-down before becoming ready
-        self._starts.popleft()  # the oldest pending start is this one
+        starts.popleft()
         trace = self.trace
         if trace is not None:
             self._record_arrivals(_WORKER_READY)
             self._record("worker_ready", worker_id=worker_id)
         if self._times[head := self._next] <= self.clock:
             self._next = head + 1
-            self.workers[worker_id] = BUSY
             heapreplace(self._events, (self.clock + self._service[head],
                                        _COMPLETION, worker_id, head))
             if trace is not None:
                 self._record("dispatch", task_id=head, worker_id=worker_id)
         else:
             heappop(self._events)
-            self.workers[worker_id] = IDLE
             insort(self._idle, worker_id)
 
     def _check_conservation(self, kind):
         """Conservation identity and the backlog invariant after an event of
-        ``kind`` at the clock, plus the start order, the pending starts, the
-        idle list, the draining count and the heap's completions against the
-        statuses."""
-        statuses = list(self.workers.values())
-        pending = len(self._starts)
-        if ([s == STARTING for s in statuses]
-                != [False] * (len(statuses) - pending) + [True] * pending):
-            raise ConservationError(
-                f"{pending} pending starts, but the starting workers are not"
-                f" the newest {pending} of {statuses} at t={self.clock}")
-        if self._draining != statuses.count(DRAINING):
-            raise ConservationError(
-                f"draining count {self._draining}, but the statuses are"
-                f" {statuses} at t={self.clock}")
+        ``kind`` at the clock, plus the idle list, the draining set and the
+        pending starts against the live workers and the event heap."""
+        live, idle, draining = self._live, self._idle, self._draining
+        split = len(live) - len(self._starts)
+        started, pending = live[:split], list(zip(live[split:], self._starts))
+        completing = sorted(wid for _, k, wid, _ in self._events
+                            if k == _COMPLETION)
+        # the started workers running no task: the truth the idle list keeps
+        free = sorted(set(started).difference(completing))
         snap = self._snapshot(self._arrived_by(kind, self._next))
-        idle = [w for w, status in self.workers.items() if status == IDLE]
-        if snap.q_work and idle:
+        if snap.q_work and free:
             raise ConservationError(
-                f"{snap.q_work} tasks queued while workers {idle} are"
+                f"{snap.q_work} tasks queued while workers {free} are"
                 f" idle at t={self.clock}")
-        if self._idle != idle:
+        if idle != free:
             raise ConservationError(
-                f"idle list holds {self._idle}, idle workers are {idle}"
-                f" at t={self.clock}")
-        # one completion per busy or draining worker: ids ascend in the pool
-        completing = sorted(wid for _, kind, wid, _ in self._events
-                            if kind == _COMPLETION)
-        busy = [w for w, status in self.workers.items()
-                if status in (BUSY, DRAINING)]
+                f"idle list holds {idle}, but the started workers with no"
+                f" completion on the heap are {free} at t={self.clock}")
+        # one completion per busy or draining worker
+        busy = sorted(set(started).difference(idle).union(draining))
         if completing != busy:
             raise ConservationError(
                 f"the heap holds completions of workers {completing}, busy"
                 f" and draining workers are {busy} at t={self.clock}")
+        if not draining.isdisjoint(live):
+            raise ConservationError(
+                f"draining workers {sorted(draining)} are among the live"
+                f" workers {live} at t={self.clock}")
+        # a cancelled start's ready event stays on the heap, but its id is
+        # not live
+        readies = sorted((wid, time) for time, k, wid, _ in self._events
+                         if k == _WORKER_READY and wid in live)
+        if readies != pending:
+            raise ConservationError(
+                f"the heap holds ready events {readies}, but the pending"
+                f" starts are {pending} at t={self.clock}")
         if snap.enqueued_total != (snap.q_work + snap.workers_busy
                                    + snap.completed_total):
             raise ConservationError(f"enqueued != queued + busy + completed"

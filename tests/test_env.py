@@ -219,12 +219,16 @@ class TestLifecycle:
             e.step(1)
             e.step(1)  # the pool has grown by two at the bad call
         sim = env.sim
-        before = (len(env.log.steps), sim.clock, dict(sim.workers),
-                  sim.enqueued_total)
+
+        def state():
+            return (len(env.log.steps), sim.clock, list(sim._live),
+                    list(sim._idle), set(sim._draining), list(sim._starts),
+                    sim.enqueued_total)
+
+        before = state()
         with pytest.raises(ValueError, match="scaling actions are unit steps"):
             env.step(action)
-        assert before == (len(env.log.steps), sim.clock, sim.workers,
-                          sim.enqueued_total)
+        assert before == state()
         assert env.step(-1)[3] == clean.step(-1)[3]
         assert env.log.steps == clean.log.steps
 

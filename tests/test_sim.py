@@ -3,6 +3,7 @@
 import bisect
 import heapq
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -14,12 +15,32 @@ from farmscale.config import episode_config
 from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
                             StepRecord, TaskSpec, Workload)
 from farmscale.metrics import summarize_episode
-from farmscale.sim import (BUSY, DRAINING, IDLE, STARTING, ConservationError,
-                           FarmSim, Snapshot)
+from farmscale.sim import ConservationError, FarmSim, Snapshot
 from farmscale.workload import build_episode_workload
 from tests.conftest import (constant_service_tasks, fuzz_sim,
                             single_phase_config, workload_of)
 from tests.test_acceptance import static_run
+
+STARTING, IDLE, BUSY, DRAINING = "starting", "idle", "busy", "draining"
+
+
+def status(sim, worker_id):
+    """The status of worker ``worker_id``, read from ``sim``'s pool:
+    starting (one of the newest pending starts), idle, busy, draining (busy,
+    and leaving when its task completes), or None once it has left."""
+    if worker_id in sim._draining:
+        return DRAINING
+    if worker_id not in sim._live:
+        return None
+    if sim._live.index(worker_id) >= len(sim._live) - len(sim._starts):
+        return STARTING
+    return IDLE if worker_id in sim._idle else BUSY
+
+
+def statuses(sim):
+    """{worker id: status} of every worker in ``sim``'s pool, in start
+    order: ids are never reused, so it is ascending id order."""
+    return {w: status(sim, w) for w in sorted([*sim._live, *sim._draining])}
 
 
 class DispatchReferenceSim(FarmSim):
@@ -29,7 +50,8 @@ class DispatchReferenceSim(FarmSim):
     list, and ``_dispatch`` pairs the two. Its own loop merges a deque of
     pending arrivals with the event heap, and its snapshot is a recount of
     its own queue and the statuses. Only the pool, scaling and the trace
-    record are shared with ``FarmSim``. It reads each task as a row of the
+    record are shared with ``FarmSim``, and it reads a worker's status
+    through ``status``. It reads each task as a row of the
     batch as given, and its events and queue carry the task's index there.
     Kept as the reference the span queue and the direct handoff must match
     event for event."""
@@ -80,21 +102,18 @@ class DispatchReferenceSim(FarmSim):
         if self.trace is not None:
             self._record("completion", task_id=task.task_id,
                          worker_id=worker_id)
-        if self.workers[worker_id] == DRAINING:
-            del self.workers[worker_id]
-            self._draining -= 1
+        if status(self, worker_id) == DRAINING:
+            self._draining.remove(worker_id)
             if self.trace is not None:
                 self._record("worker_exit", worker_id=worker_id)
         else:
-            self.workers[worker_id] = IDLE
             bisect.insort(self._idle, worker_id)
             self._dispatch()
 
     def _on_worker_ready(self, worker_id):
-        if self.workers.get(worker_id) != STARTING:
+        if status(self, worker_id) != STARTING:
             return  # cancelled by a scale-down before becoming ready
         self._starts.popleft()
-        self.workers[worker_id] = IDLE
         bisect.insort(self._idle, worker_id)
         if self.trace is not None:
             self._record("worker_ready", worker_id=worker_id)
@@ -105,7 +124,6 @@ class DispatchReferenceSim(FarmSim):
             worker_id = self._idle.pop(0)
             index = self.queue.popleft()
             task = self.rows[index]
-            self.workers[worker_id] = BUSY
             heapq.heappush(self._events, (self.clock + task.service_time,
                                           sim_module._COMPLETION, worker_id,
                                           index))
@@ -120,7 +138,7 @@ def ready_times(sim):
     names no worker."""
     return {wid: t for t, kind, wid, _ in sim._events
             if kind == sim_module._WORKER_READY
-            and sim.workers.get(wid) == STARTING}
+            and status(sim, wid) == STARTING}
 
 
 def in_arrival_order(tasks):
@@ -175,7 +193,7 @@ class TestStartup:
         sim = make_sim(n_init=4, warm=True)
         snap = sim.snapshot()
         assert snap.workers_effective == 4
-        assert list(sim.workers.values()) == [IDLE] * 4
+        assert list(statuses(sim).values()) == [IDLE] * 4
         assert not sim._events  # no start pending
 
     def test_zero_latency_degenerate(self):
@@ -259,8 +277,8 @@ class TestStartQueue:
         for action, dt in program:
             base = max([sim.clock, *ready_times(sim).values()])
             if sim.request_scale(action) > 0:
-                new = max(sim.workers)
-                assert sim.workers[new] == STARTING
+                new = max(statuses(sim))
+                assert status(sim, new) == STARTING
                 assert ready_times(sim)[new] == base + ref.uniform(lo, hi)
             assert list(sim._starts) == sorted(ready_times(sim).values())
             sim.advance(dt)
@@ -439,7 +457,7 @@ class TestScaling:
         sim = make_sim(n_init=1, warm=True)
         sim.inject_tasks(workload_of([simple_task(0, 0.5, service=10.0)]))
         sim.advance(1.0)  # worker picks the task up
-        assert list(sim.workers.values()) == [BUSY]
+        assert list(statuses(sim).values()) == [BUSY]
         sim.request_scale(-1)
         assert sim.request_scale(-1) == 0  # nothing left to remove
         sim.advance(60.0)
@@ -453,7 +471,7 @@ class TestScaling:
         with pytest.raises(ValueError, match="scaling actions are unit steps"):
             sim.request_scale(delta)
         assert sim.snapshot() == scanned_snapshot(sim)
-        assert sorted(sim.workers) == [0, 1]
+        assert list(statuses(sim)) == [0, 1]
         assert sim.snapshot().workers_starting == 0
 
     def test_numpy_integer_applied_as_int(self):
@@ -467,7 +485,7 @@ class TestScaling:
         sim = make_sim(n_init=3, warm=True)
         sim.advance(1.0)
         sim.request_scale(-1)
-        assert set(sim.workers) == {0, 1}
+        assert list(statuses(sim)) == [0, 1]
 
 
 class TestConservationAndDeterminism:
@@ -546,13 +564,13 @@ class TestConservationAndDeterminism:
 def recount(sim, queued, arrived):
     """Snapshot with the given task counts and the pool recounted worker by
     worker: a draining worker is busy but not effective."""
-    statuses = sim.workers.values()
+    pool = list(statuses(sim).values())
     return Snapshot(
         q_work=queued,
-        workers_effective=sum(s in (IDLE, BUSY) for s in statuses),
-        workers_busy=sum(s in (BUSY, DRAINING) for s in statuses),
-        workers_starting=sum(s == STARTING for s in statuses),
-        workers_draining=sum(s == DRAINING for s in statuses),
+        workers_effective=sum(s in (IDLE, BUSY) for s in pool),
+        workers_busy=sum(s in (BUSY, DRAINING) for s in pool),
+        workers_starting=pool.count(STARTING),
+        workers_draining=pool.count(DRAINING),
         enqueued_total=arrived,
         completed_total=len(sim.completion_records),
     )
@@ -601,16 +619,14 @@ def drive_scaling(warm, n_min, n_init, n_max, service_scale, program, seed,
     sim, others = sims[0], sims[1:]
     victims = set()
     for action, dt in program:
-        victim = max(w for w, s in sim.workers.items() if s != DRAINING)
-        status = sim.workers[victim]
+        pool = statuses(sim)
+        victim = max(w for w, s in pool.items() if s != DRAINING)
         applied = sim.request_scale(action)
         if applied < 0:
-            victims.add(status)
-            if status == BUSY:
-                assert sim.workers[victim] == DRAINING
-            else:
-                assert victim not in sim.workers
-        committed = sum(s != DRAINING for s in sim.workers.values())
+            victims.add(pool[victim])
+            assert status(sim, victim) == (DRAINING if pool[victim] == BUSY
+                                           else None)
+        committed = sum(s != DRAINING for s in statuses(sim).values())
         assert n_min <= committed <= n_max
         assert sim.snapshot() == scanned_snapshot(sim)
         for other in others:
@@ -656,25 +672,27 @@ class TestPoolCounters:
                                          program, seed=3)
         assert victims == {STARTING, IDLE, BUSY}
 
-    def test_validate_finds_start_deque_disagreeing_with_starting_workers(
-            self):
-        sim = make_sim(n_init=2, warm=True)
+    def test_validate_finds_an_idle_id_still_a_pending_start(self):
+        # worker 1 is starting, but the idle list holds it too; the arrival
+        # at 0.5 takes worker 0
+        sim = make_sim(n_init=1, warm=True)
+        sim.request_scale(+1)
+        sim._idle.append(1)
         sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
-        sim._starts.append(3.0)  # a pending start with no starting worker
         with pytest.raises(ConservationError,
-                           match="1 pending starts, but the starting"
-                                 " workers are not the newest 1 of"):
+                           match=r"^idle list holds \[1\], but the started"
+                                 r" workers with no completion on the heap are"
+                                 r" \[\] at t=0\.5$"):
             sim.advance(1.0)
 
-    def test_validate_finds_start_older_than_a_started_worker(self):
+    def test_validate_finds_a_heap_completion_for_an_idle_worker(self):
         sim = make_sim(n_init=2, warm=True)
-        sim.workers[0] = STARTING  # worker 1 stays idle
-        sim._idle.remove(0)
-        sim._starts.append(9.0)
         sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
-        with pytest.raises(ConservationError, match="1 pending starts, but the"
-                                                    " starting workers are not"
-                                                    " the newest 1 of"):
+        heapq.heappush(sim._events, (3.0, sim_module._COMPLETION, 1, 0))
+        with pytest.raises(ConservationError,
+                           match=r"^idle list holds \[1\], but the started"
+                                 r" workers with no completion on the heap are"
+                                 r" \[\] at t=0\.5$"):
             sim.advance(1.0)
 
     def test_validate_finds_a_second_completion_of_a_busy_worker(self):
@@ -697,16 +715,38 @@ class TestPoolCounters:
         with pytest.raises(ConservationError, match="idle list"):
             sim.advance(1.0)
 
-    def test_validate_finds_a_draining_count_off_the_statuses(self):
-        # no worker drains, but the count says one does; the arrival at 0.5
-        # is the first event checked
+    def test_validate_finds_a_draining_id_left_live(self):
+        # both workers busy until 10.5 and 10.6; worker 1 drains, but stays
+        # in the live list, and worker 0's completion is the next event
         sim = make_sim(n_init=2, warm=True)
-        sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
-        sim._draining = 1
+        sim.inject_tasks(workload_of([simple_task(0, 0.5, service=10.0),
+                                      simple_task(1, 0.6, service=10.0)]))
+        sim.advance(1.0)
+        assert sim.request_scale(-1) == -1 and sim._draining == {1}
+        sim._live.append(1)
         with pytest.raises(ConservationError,
-                           match=r"^draining count 1, but the statuses are"
-                                 r" \['busy', 'idle'\] at t=0\.5$"):
-            sim.advance(1.0)
+                           match=r"^draining workers \[1\] are among the live"
+                                 r" workers \[0, 1\] at t=10\.5$"):
+            sim.advance(20.0)
+
+    @pytest.mark.parametrize("corrupt, readies, starts", [
+        (lambda sim: sim._events.clear(), "[]", "[(1, 1.0)]"),
+        (lambda sim: sim._starts.__setitem__(0, 2.0), "[(1, 1.0)]",
+         "[(1, 2.0)]")], ids=["missing", "another-time"])
+    def test_validate_finds_a_pending_start_off_its_ready_event(
+            self, corrupt, readies, starts):
+        # worker 1 is ready at exactly 1.0; the arrival at 0.5 is the first
+        # event checked
+        sim = make_sim(n_init=1, warm=True, latency_lo=1.0, latency_hi=1.0)
+        sim.request_scale(+1)
+        corrupt(sim)
+        sim.inject_tasks(workload_of([simple_task(0, 0.5)]))
+        with pytest.raises(ConservationError,
+                           match=rf"^the heap holds ready events"
+                                 rf" {re.escape(readies)}, but the pending"
+                                 rf" starts are {re.escape(starts)} at"
+                                 rf" t=0\.5$"):
+            sim.advance(0.75)
 
 
 class TestDispatchReference:
