@@ -49,10 +49,10 @@ class DispatchReferenceSim(FarmSim):
     joins an explicit queue, every freed or ready worker joins the idle
     list, and ``_dispatch`` pairs the two. Its own loop merges a deque of
     pending arrivals with the event heap, and its snapshot is a recount of
-    its own queue and the statuses. Only the pool, scaling and the trace
-    record are shared with ``FarmSim``, and it reads a worker's status
-    through ``status``. It reads each task as a row of the
-    batch as given, and its events and queue carry the task's index there.
+    its own queue and the statuses, which it reads through ``status``.
+    Only the pool, scaling and the trace record are shared with
+    ``FarmSim``. It reads each task as a row of the batch as given, and its
+    events and queue carry the task's index there.
     Kept as the reference the span queue and the direct handoff must match
     event for event."""
 
