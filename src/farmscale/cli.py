@@ -11,8 +11,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from .core import write_csv
 from .dqn import DqnAgent

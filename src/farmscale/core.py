@@ -88,15 +88,6 @@ def check_fields(obj):
             check_value(f.name, getattr(obj, f.name), f.type)
 
 
-def compute_deadline(expected_service: float, beta: float) -> float:
-    """Deadline allowance for a task: ``beta * expected_service``."""
-    if expected_service <= 0:
-        raise ValueError(f"expected_service must be positive, got {expected_service}")
-    if beta <= 1:
-        raise ValueError(f"beta must exceed 1, got {beta}")
-    return beta * expected_service
-
-
 class TaskSpec(NamedTuple):
     """One task as a row, in the order of the CSV columns: iterating a
     ``Workload`` makes them, and a row is the plain tuple of its values."""

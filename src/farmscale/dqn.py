@@ -62,9 +62,11 @@ class DqnConfig:
 class ReplayBuffer:
     """Fixed-capacity FIFO store of (obs, action, reward, next_obs, done).
 
-    The arrays start with ``REPLAY_INITIAL_ROWS`` rows (fewer when
-    ``capacity`` is smaller) and double, up to ``capacity``, when ``push``
-    fills them; the ring wraps only once they hold ``capacity`` rows. A run
+    A transition is one row of the structured array ``rows``, whose fields
+    are named ``obs``, ``action``, ``reward``, ``next_obs`` and ``done``.
+    The table starts with ``REPLAY_INITIAL_ROWS`` rows (fewer when
+    ``capacity`` is smaller) and doubles, up to ``capacity``, when ``push``
+    fills it; the ring wraps only once it holds ``capacity`` rows. A run
     that stores few transitions never allocates the full capacity. The rows
     are uninitialised until written: ``sample`` reads only the first
     ``size`` rows, all of which ``push`` has written.
@@ -72,40 +74,35 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
-        rows = min(capacity, REPLAY_INITIAL_ROWS)
-        self.obs = np.empty((rows, obs_dim))
-        self.actions = np.empty(rows, dtype=int)
-        self.rewards = np.empty(rows)
-        self.next_obs = np.empty((rows, obs_dim))
-        self.dones = np.empty(rows, dtype=bool)
+        row = np.dtype([("obs", float, (obs_dim,)), ("action", int),
+                        ("reward", float), ("next_obs", float, (obs_dim,)),
+                        ("done", bool)], align=True)
+        self.rows = np.empty(min(capacity, REPLAY_INITIAL_ROWS), dtype=row)
         self.size = 0
         self._head = 0
 
     def push(self, obs, action_idx, reward, next_obs, done):
         i = self._head
-        if i == len(self.rewards):
+        if i == len(self.rows):
             self._grow()
-        self.obs[i] = obs
-        self.actions[i] = action_idx
-        self.rewards[i] = reward
-        self.next_obs[i] = next_obs
-        self.dones[i] = done
+        self.rows[i] = obs, action_idx, reward, next_obs, done
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def _grow(self):
         """Double the rows, at most to ``capacity``, keeping those written."""
-        rows = min(2 * len(self.rewards), self.capacity)
-        for name in ("obs", "actions", "rewards", "next_obs", "dones"):
-            old = getattr(self, name)
-            new = np.empty((rows, *old.shape[1:]), dtype=old.dtype)
-            new[:len(old)] = old
-            setattr(self, name, new)
+        old = self.rows
+        self.rows = np.empty(min(2 * len(old), self.capacity), dtype=old.dtype)
+        self.rows[:len(old)] = old
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        idx = rng.choice(self.size, size=batch_size, replace=False)
-        return (self.obs[idx], self.actions[idx], self.rewards[idx],
-                self.next_obs[idx], self.dones[idx])
+        batch = self.rows.take(rng.choice(self.size, size=batch_size,
+                                          replace=False))
+        # the observations leave as contiguous copies: on the strided field
+        # views a training step's three network passes ran about 2% slower
+        return (np.ascontiguousarray(batch["obs"]), batch["action"],
+                batch["reward"], np.ascontiguousarray(batch["next_obs"]),
+                batch["done"])
 
 
 def double_dqn_targets(policy: Mlp, target: Mlp, rewards, next_obs, dones,
@@ -223,45 +220,41 @@ class DqnAgent(LearningAgent):
         except _UNREADABLE as exc:
             raise ValueError(f"{path} is not a dqn checkpoint: {exc}") from None
         with data:  # members are read on demand, only those checked
-            return cls._from_archive(data, meta, path)
-
-    @classmethod
-    def _from_archive(cls, data, meta, path) -> "DqnAgent":
-        """``load``'s checks and assembly, on the open archive ``data``."""
-        cfg, epsilon = checkpoint_header(
-            meta, path, "dqn", DqnConfig,
-            retired={"reward_clip": list(REWARD_CLIP)}, where="meta")
-        sizes = checkpoint_value(meta, path, "layer_sizes", "meta")
-        if not (isinstance(sizes, list)
-                and all(has_type_of(n, "int") and n > 0 for n in sizes)):
-            raise ValueError(f"{path}: layer_sizes {sizes!r} must be a list "
-                             f"of positive integers")
-        sizes = tuple(sizes)
-        if sizes[-1:] != (len(ACTIONS),):
-            raise ValueError(f"{path}: layer_sizes {list(sizes)} must end in "
-                             f"{len(ACTIONS)}, one value per action")
-        if sizes[0] != len(Observation._fields):
-            raise ValueError(f"{path}: layer_sizes {list(sizes)} must start "
-                             f"with {len(Observation._fields)}, one input per "
-                             f"observation component")
-        lows = _numbers(data, path, "obs_lows", sizes[:1])
-        highs = _numbers(data, path, "obs_highs", sizes[:1])
-        if not (highs > lows).all():
-            raise ValueError(f"{path}: 'obs_highs' must exceed 'obs_lows' "
-                             f"in every component")
-        agent = cls(lows, highs, cfg=cfg)
-        agent.epsilon = epsilon
-        agent.policy, agent.target = Mlp(sizes), Mlp(sizes)
-        for prefix, net in agent._nets():
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                w[...] = _numbers(data, path, f"{prefix}w{i}", w.shape)
-                b[...] = _numbers(data, path, f"{prefix}b{i}", b.shape)
+            cfg, epsilon = checkpoint_header(
+                meta, path, "dqn", DqnConfig,
+                retired={"reward_clip": list(REWARD_CLIP)}, where="meta")
+            sizes = checkpoint_value(meta, path, "layer_sizes", "meta")
+            if not (isinstance(sizes, list)
+                    and all(has_type_of(n, "int") and n > 0 for n in sizes)):
+                raise ValueError(f"{path}: layer_sizes {sizes!r} must be a "
+                                 f"list of positive integers")
+            sizes = tuple(sizes)
+            if sizes[-1:] != (len(ACTIONS),):
+                raise ValueError(f"{path}: layer_sizes {list(sizes)} must end "
+                                 f"in {len(ACTIONS)}, one value per action")
+            if sizes[0] != len(Observation._fields):
+                raise ValueError(f"{path}: layer_sizes {list(sizes)} must "
+                                 f"start with {len(Observation._fields)}, one "
+                                 f"input per observation component")
+            lows = _numbers(data, path, "obs_lows", sizes[:1])
+            highs = _numbers(data, path, "obs_highs", sizes[:1])
+            if not (highs > lows).all():
+                raise ValueError(f"{path}: 'obs_highs' must exceed "
+                                 f"'obs_lows' in every component")
+            agent = cls(lows, highs, cfg=cfg)
+            agent.epsilon = epsilon
+            agent.policy, agent.target = Mlp(sizes), Mlp(sizes)
+            for prefix, net in agent._nets():
+                for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                    w[...] = _numbers(data, path, f"{prefix}w{i}", w.shape)
+                    b[...] = _numbers(data, path, f"{prefix}b{i}", b.shape)
         agent.optimizer = Adam(agent.policy.flat, lr=agent.cfg.learning_rate)
         return agent
 
 
-def _entry(data, path, key, shape) -> np.ndarray:
-    """Checkpoint array ``key``, checked to exist and to have ``shape``."""
+def _numbers(data, path, key, shape) -> np.ndarray:
+    """Checkpoint array ``key``, checked to exist, to have ``shape`` and to
+    hold only finite numbers."""
     if key not in data:
         raise ValueError(f"{path}: checkpoint has no {key!r}")
     try:
@@ -273,12 +266,6 @@ def _entry(data, path, key, shape) -> np.ndarray:
     if value.shape != shape:
         raise ValueError(f"{path}: {key!r} has shape {value.shape}, "
                          f"expected {shape}")
-    return value
-
-
-def _numbers(data, path, key, shape) -> np.ndarray:
-    """``_entry``, also checked to hold only finite numbers."""
-    value = _entry(data, path, key, shape)
     if value.dtype.kind not in "biuf" or not np.isfinite(value).all():
         raise ValueError(f"{path}: {key!r} must hold only finite numbers")
     return value

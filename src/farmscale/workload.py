@@ -16,7 +16,7 @@ from operator import mul
 import numpy as np
 
 from .core import (FieldError, TaskSpec, Workload, check_fields, check_value,
-                   compute_deadline, left_sum, write_csv)
+                   left_sum, write_csv)
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -354,14 +354,15 @@ def build_episode_workload(config, dist: SizeDistribution,
     # Each size picked is worked out and checked once, in the order the
     # sizes first appear: each column gathers its size's objects from one
     # object array, and every task of a size shares its int and its two
-    # floats. ``predict`` and ``compute_deadline`` refuse a service time
-    # that is not positive, and beta * service rounds to service only when
-    # the service time is subnormal or infinite.
+    # floats. A task's deadline is beta * service: ``predict`` refuses a
+    # service time that is not positive, ``EpisodeConfig`` a beta not above
+    # 1, and the product rounds to service only when the service time is
+    # subnormal or infinite.
     per_size = np.empty((3, len(dist.sizes)), dtype=object)
     for k in dict.fromkeys(picks.tolist()):
         size = int(dist.sizes[k])
         service = model.predict(size)
-        deadline = compute_deadline(service, config.beta)
+        deadline = config.beta * service
         if deadline <= service:
             raise ValueError("deadline must exceed service_time")
         per_size[:, k] = size, service, deadline

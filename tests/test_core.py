@@ -1,5 +1,5 @@
-"""Domain vocabulary: tasks, workloads, deadlines, observations, configs,
-episode logs."""
+"""Domain vocabulary: tasks, workloads, observations, configs, episode
+logs."""
 
 import csv
 import math
@@ -9,8 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from farmscale.core import (STEP_COLUMNS, EpisodeConfig, EpisodeLog,
                             Observation, RewardConfig, StepRecord, TaskSpec,
-                            Workload, compute_deadline, left_sum,
-                            task_columns)
+                            Workload, left_sum, task_columns)
 from farmscale.workload import WorkloadPhaseSpec, write_workload_csv
 from tests.conftest import workload_of
 
@@ -57,28 +56,6 @@ class TestWorkload:
     def test_columns_of_unequal_lengths_are_rejected(self):
         with pytest.raises(ValueError, match="unequal lengths"):
             Workload((0.1,), (512,) * 2, (0.05,) * 2, (0.1,) * 2, (0,) * 2)
-
-
-class TestComputeDeadline:
-    def test_half_second_doubled(self):
-        assert compute_deadline(0.5, 2.0) == pytest.approx(1.0)
-
-    def test_table_largest_size(self):
-        # 2.87 s expected time gives a 5.74 s allowance at slack 2
-        assert compute_deadline(2.87, 2.0) == pytest.approx(5.74)
-
-    def test_rejects_nonpositive_service(self):
-        with pytest.raises(ValueError):
-            compute_deadline(0.0, 2.0)
-
-    def test_rejects_beta_at_most_one(self):
-        with pytest.raises(ValueError):
-            compute_deadline(1.0, 1.0)
-
-    @given(service=st.floats(min_value=1e-6, max_value=1e3),
-           beta=st.floats(min_value=1.0 + 1e-9, max_value=10.0))
-    def test_deadline_exceeds_service(self, service, beta):
-        assert compute_deadline(service, beta) > service
 
 
 class TestTaskSpec:

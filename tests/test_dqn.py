@@ -86,12 +86,12 @@ class TestReplayBuffer:
         assert sorted(rewards.tolist()) == [float(i) for i in range(10)]
 
     def test_wraparound_reads_only_written_rows(self):
-        # the arrays start uninitialised; poison them so a read of a row
+        # the rows start uninitialised; poison them so a read of a row
         # push never wrote would show
         buf = ReplayBuffer(capacity=4, obs_dim=2)
-        for array in (buf.obs, buf.rewards, buf.next_obs):
-            array.fill(np.nan)
-        buf.actions.fill(-7)
+        for field in ("obs", "reward", "next_obs"):
+            buf.rows[field].fill(np.nan)
+        buf.rows["action"].fill(-7)
         rng = np.random.default_rng(3)
         for i in range(11):
             buf.push(np.array([i, -i]), i % 3, float(i), np.array([-i, i]),
@@ -104,6 +104,18 @@ class TestReplayBuffer:
                                      dones):
                 assert o.tolist() == [r, -r] and n.tolist() == [-r, r]
                 assert a == r % 3 and d == (r % 2 == 0)
+
+    def test_sample_returns_the_fields_of_one_table(self):
+        buf = ReplayBuffer(capacity=10, obs_dim=3)
+        assert buf.rows.dtype.names == ("obs", "action", "reward",
+                                        "next_obs", "done")
+        for i in range(5):
+            buf.push(np.full(3, i), i % 3, float(i), np.full(3, -i), i == 4)
+        batch = buf.sample(4, np.random.default_rng(0))
+        assert [(a.dtype, a.shape) for a in batch] == [
+            (np.dtype(float), (4, 3)), (np.dtype(int), (4,)),
+            (np.dtype(float), (4,)), (np.dtype(float), (4, 3)),
+            (np.dtype(bool), (4,))]
 
     def test_sample_larger_than_size_rejected(self):
         buf = ReplayBuffer(capacity=10, obs_dim=1)
@@ -155,7 +167,7 @@ def test_growing_buffer_samples_like_preallocated(capacity):
                data.normal(size=2), bool(data.random() < 0.2))
         buf.push(*row)
         ref.push(*row)
-        rows.add(len(buf.rewards))
+        rows.add(len(buf.rows))
         assert buf.size == ref.size
         if i % 97 == 0 or i in (1_023, 1_024, 2_047, 2_048, capacity):
             batch = min(buf.size, 64)
@@ -289,7 +301,7 @@ class TestAgent:
                        np.inf, -np.inf, 7, -3]
             for i, r in enumerate(rewards):
                 learn(agent, obs(), 0, r, obs())
-                assert (agent.buffer.rewards[i].tobytes()
+                assert (agent.buffer.rows["reward"][i].tobytes()
                         == np.float64(np.clip(r, lo, hi)).tobytes()), (lo, r)
 
     def test_no_training_before_warmup(self):
@@ -313,9 +325,9 @@ class TestAgent:
         assert REWARD_CLIP == (-100.0, 100.0)
         agent = make_agent(warmup=4, batch_size=2)
         learn(agent, obs(), 0, 1e9, obs())
-        assert agent.buffer.rewards[0] == 100.0
+        assert agent.buffer.rows["reward"][0] == 100.0
         learn(agent, obs(), 0, -1e9, obs())
-        assert agent.buffer.rewards[1] == -100.0
+        assert agent.buffer.rows["reward"][1] == -100.0
 
     def test_act_draws_nothing_when_greedy_or_epsilon_zero(self):
         # exploration is LearningAgent.explore, which draws nothing at

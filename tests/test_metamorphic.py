@@ -9,8 +9,13 @@ Opportunities", ACM Computing Surveys 51(1), 2018).
 - Time scaling: multiplying every time constant by a power of two k (and
   every rate by 1/k) multiplies every time the run produces by k, exactly,
   and leaves every count, flag, action and reward as it is.
+  The workload builder obeys it too: its arrival times scale by k, and
+  its sizes, service times, deadlines and phases stay as they are.
 - Pool monotonicity: under a fixed warm pool served first come, first
-  served, one more worker completes no task later.
+  served, one more worker completes no task later, and neither does a
+  shorter service time for one task.
+- Causality: under the same scale actions, a task that arrives after the
+  last one changes no earlier task's completion record.
 """
 
 from dataclasses import replace
@@ -18,12 +23,12 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from farmscale.core import TaskSpec, Workload
+from farmscale.core import EpisodeConfig, TaskSpec, Workload
 from farmscale.env import FarmEnv
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from farmscale.sim import FarmSim
 from farmscale.training import run_episode
-from farmscale.workload import build_episode_workload
+from farmscale.workload import WorkloadPhaseSpec, build_episode_workload
 from tests.conftest import single_phase_config, workload_of
 
 # powers of two, so scaling a float by k rounds nothing
@@ -74,6 +79,21 @@ def run_scaled_sim(cfg, tasks, actions, seed, k):
         sim.advance(8.0 * k)
         snapshots.append(sim.snapshot())
     return sim, snapshots, applied
+
+
+@st.composite
+def phase_specs(draw):
+    """A steady or a sinusoidal phase of 1-90 s, with a window that fits."""
+    duration = draw(st.floats(1.0, 90.0))
+    common = dict(base_rate=draw(st.floats(0.05, 8.0)), duration=duration,
+                  window=draw(st.floats(0.05, 1.0)) * duration)
+    if draw(st.booleans()):
+        return WorkloadPhaseSpec("steady", multiplier=draw(st.floats(0, 2)),
+                                 **common)
+    low = draw(st.floats(0.0, 1.5))
+    return WorkloadPhaseSpec("sinusoid", mult_min=low,
+                             mult_max=low + draw(st.floats(0.01, 1.0)),
+                             cycles=draw(st.integers(1, 4)), **common)
 
 
 class TestTimeScaling:
@@ -134,6 +154,22 @@ class TestTimeScaling:
                 for s in base_log.steps]
 
 
+    @given(phases=st.lists(phase_specs(), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1), shuffle=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_workload_arrivals_scale_exactly(self, model_and_dist, phases,
+                                             seed, shuffle):
+        model, dist = model_and_dist
+        cfg = EpisodeConfig(phases=tuple(phases))
+        base = build_episode_workload(cfg, dist, model, shuffle, seed)
+        for k in FACTORS:
+            tasks = build_episode_workload(scaled_config(cfg, k), dist, model,
+                                           shuffle, seed)
+            assert list(tasks) == [t._replace(arrival_time=k * t.arrival_time)
+                                   for t in base]
+            assert tasks.phase_order == base.phase_order
+
+
 def fixed_pool_completions(tasks, workers):
     """Task id -> completion time of ``tasks`` run to the end on a fixed warm
     pool of ``workers``."""
@@ -159,3 +195,42 @@ class TestPoolMonotonicity:
         fewer = fixed_pool_completions(tasks, workers)
         more = fixed_pool_completions(tasks, workers + 1)
         assert all(more[i] <= fewer[i] for i in fewer)
+
+    @given(slots=st.lists(st.tuples(st.integers(0, 80), st.integers(1, 12)),
+                          min_size=1, max_size=60),
+           workers=st.integers(1, 6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_shorter_task_delays_no_task(self, slots, workers, data):
+        # the shorter time lies on a 0.125 grid, strictly below the old one
+        slots.sort(key=lambda slot: slot[0])
+        j = data.draw(st.integers(0, len(slots) - 1))
+        cut = 0.125 * data.draw(st.integers(1, 2 * slots[j][1] - 1))
+        rows = [TaskSpec(i, 0.25 * a, 1024, 0.25 * s, 0.5 * s, 0)
+                for i, (a, s) in enumerate(slots)]
+        base = fixed_pool_completions(workload_of(rows), workers)
+        rows[j] = rows[j]._replace(service_time=cut)
+        shorter = fixed_pool_completions(workload_of(rows), workers)
+        assert all(shorter[i] <= base[i] for i in base)
+
+
+class TestCausality:
+    @given(seed=st.integers(0, 10_000), warm=st.booleans(),
+           n_init=st.integers(1, 3), extra=st.integers(0, 5),
+           gap=st.floats(0.001, 30.0), service=st.floats(0.1, 6.0),
+           actions=st.lists(st.sampled_from((-1, 0, 1)), min_size=1,
+                            max_size=40))
+    @settings(max_examples=25, deadline=None)
+    def test_a_later_arrival_changes_no_earlier_completion(
+            self, seed, warm, n_init, extra, gap, service, actions):
+        cfg = single_phase_config(2.0, 60.0, n_min=1, n_init=n_init,
+                                  n_max=n_init + extra, warm_start=warm)
+        tasks = random_tasks(seed, n=60)
+        rows = list(tasks)
+        late = TaskSpec(len(rows), rows[-1].arrival_time + gap, 1024, service,
+                        2 * service, 0)
+        base, _, base_applied = run_scaled_sim(cfg, tasks, actions, seed, 1.0)
+        sim, _, applied = run_scaled_sim(cfg, workload_of([*rows, late]),
+                                         actions, seed, 1.0)
+        assert applied == base_applied
+        assert [record for record in sim.completion_records
+                if record[0] != late.task_id] == base.completion_records

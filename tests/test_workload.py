@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from farmscale.core import (EpisodeConfig, FieldError, TaskSpec,
-                            compute_deadline)
+from farmscale.core import EpisodeConfig, FieldError, TaskSpec
 from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 FitError, SizeDistribution, WorkloadPhaseSpec,
                                 _mix_mean, _mix_theta, _size_picks,
@@ -70,6 +69,11 @@ class TestServiceModel:
     def test_predict_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             reduced_paper_model().predict(0)
+
+    @pytest.mark.parametrize("c", [0.0, -1e-3])
+    def test_predict_rejects_nonpositive_time(self, c):
+        with pytest.raises(ValueError, match="non-positive time"):
+            ServiceTimeModel(a=0.0, b=0.0, c=c).predict(512)
 
     def test_fit_needs_enough_points(self):
         with pytest.raises(FitError):
@@ -415,6 +419,17 @@ class TestArrivalGeneration:
             assert task.deadline == pytest.approx(
                 ep_config.beta * task.service_time)
 
+    @given(beta=st.floats(min_value=1.0, max_value=10.0, exclude_min=True))
+    @example(beta=math.nextafter(1.0, 2.0))
+    @settings(max_examples=20, deadline=None)
+    def test_deadline_exceeds_service_at_any_beta(self, ep_config,
+                                                  model_and_dist, beta):
+        model, dist = model_and_dist
+        tasks = build_episode_workload(replace(ep_config, beta=beta), dist,
+                                       model, False, 0)
+        assert all(t.service_time < t.deadline == beta * t.service_time
+                   for t in tasks)
+
     def test_shuffle_is_phase_permutation(self, ep_config, model_and_dist):
         model, dist = model_and_dist
         plain = build_episode_workload(ep_config, dist, model, False, 3)
@@ -521,7 +536,7 @@ def reference_episode_workload(config, dist, model, shuffle_phases, rng_seed):
     timing = {}
     for size in dict.fromkeys(sizes):
         service = model.predict(size)
-        timing[size] = (service, compute_deadline(service, config.beta))
+        timing[size] = (service, config.beta * service)
     return [TaskSpec(task_id, arrival, size, *timing[size], phase_idx)
             for task_id, ((arrival, phase_idx), size)
             in enumerate(zip(entries, sizes))]
