@@ -1,10 +1,11 @@
 """What the two learning agents share: the greedy tie-break, epsilon-greedy
 exploration and its schedule, the episode hooks of the training loop, the
-frozen-policy view and the checks on a checkpoint's top-level entries."""
+frozen-policy view, and the writer and the checks of a checkpoint's
+top-level entries."""
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -66,6 +67,12 @@ class LearningAgent:
     def select_action(self, obs, record) -> int:
         """The agent as a frozen policy: its greedy action."""
         return self.act(self.encode(obs), greedy=True)
+
+    def checkpoint_meta(self, kind: str) -> dict:
+        """The top-level entries of a ``kind`` checkpoint that
+        ``checkpoint_header`` reads back: kind, version, config, epsilon."""
+        return {"kind": kind, "version": CHECKPOINT_VERSION,
+                "config": asdict(self.cfg), "epsilon": self.epsilon}
 
 
 def check_gamma_and_epsilon(cfg):

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 from . import config as cfgmod
@@ -175,8 +176,8 @@ def cmd_compare(args):
 
     columns = ("final_qos", "mean_workers", "max_workers", "scaling_actions",
                "no_op_actions", "cost_paygo", "cost_sub")
-    rows = []
-    phase_rows = []
+    n = len(columns)
+    rows, phase_rows = [], []
     for spec, summaries in zip(specs, runs):
         # one row of values per episode; each column is reduced over seeds
         episodes = [[s.final_qos, s.n_mean, s.n_max, s.n_scale, s.no_ops,
@@ -186,34 +187,22 @@ def cmd_compare(args):
                        for v in (ph.qos, ph.mean_workers)]
                     for s in summaries]
         means, stds = aggregate_rows(list(zip(*episodes)))
+        rows.append([spec, *chain.from_iterable(zip(means[:n], stds[:n]))])
+        for phase, i in enumerate(range(n, len(means), 2)):
+            phase_rows.append([spec, phase, means[i], stds[i], means[i + 1],
+                               stds[i + 1]])
+        # columns 0 and 3: final_qos and scaling_actions
+        print(f"{spec}: qos={means[0]:.4f}±{stds[0]:.4f} "
+              f"scaling={means[3]:.1f}")
 
-        row = {"policy": spec}
-        for label, mean, std in zip(columns, means, stds):
-            row[f"{label}_mean"] = mean
-            row[f"{label}_std"] = std
-        rows.append(row)
-        for phase, i in enumerate(range(len(columns), len(means), 2)):
-            phase_rows.append({
-                "policy": spec, "phase": phase,
-                "qos_mean": means[i], "qos_std": stds[i],
-                "mean_workers_mean": means[i + 1],
-                "mean_workers_std": stds[i + 1],
-            })
-        print(f"{spec}: qos={row['final_qos_mean']:.4f}"
-              f"±{row['final_qos_std']:.4f} "
-              f"scaling={row['scaling_actions_mean']:.1f}")
-
-    _write_dict_csv(out / "comparison.csv", rows)
-    _write_dict_csv(out / "per_phase.csv", phase_rows)
+    write_csv(out / "comparison.csv",
+              ["policy", *(f"{label}_{stat}" for label in columns
+                           for stat in ("mean", "std"))], rows)
+    write_csv(out / "per_phase.csv",
+              ("policy", "phase", "qos_mean", "qos_std", "mean_workers_mean",
+               "mean_workers_std"), phase_rows)
     print(f"-> {out}")
     return 0
-
-
-def _write_dict_csv(path, rows):
-    """Rows of dicts that share one key order, under a header of those
-    keys."""
-    if rows:
-        write_csv(path, rows[0].keys(), map(dict.values, rows))
 
 
 @functools.cache

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import (CHECKPOINT_VERSION, LearningAgent,
-                    check_gamma_and_epsilon, checkpoint_header,
-                    checkpoint_value, greedy_index)
-from .core import (ACTIONS, FieldError, Observation, check_fields,
-                   has_type_of)
+from .agent import (LearningAgent, check_gamma_and_epsilon,
+                    checkpoint_header, greedy_index)
+from .core import ACTIONS, FieldError, Observation, check_fields
 from .nn import Adam, Mlp, clip_gradient_norm, soft_update
 
 HIDDEN_LAYERS = (128, 64)
@@ -132,7 +130,6 @@ class DqnAgent(LearningAgent):
         self.target = self.policy.copy()
         self.optimizer = Adam(self.policy.flat, lr=cfg.learning_rate)
         self.buffer = ReplayBuffer(cfg.replay_capacity, len(self.obs_lows))
-        self.last_loss = float("nan")
 
     def normalize(self, obs) -> np.ndarray:
         """The observation scaled to the unit box, clipped.
@@ -164,7 +161,7 @@ class DqnAgent(LearningAgent):
         lo, hi = REWARD_CLIP
         self.buffer.push(state, ACTIONS.index(action),
                          min(max(reward, lo), hi), next_state, done)
-        self.last_loss = self.train_step()
+        self.train_step()
 
     def train_step(self):
         """One batch update; no-op (returns nan) before warm-up."""
@@ -187,15 +184,8 @@ class DqnAgent(LearningAgent):
         return (("", self.policy), ("t", self.target))
 
     def save(self, path):
-        meta = {
-            "kind": "dqn",
-            "version": CHECKPOINT_VERSION,
-            "config": asdict(self.cfg),
-            "epsilon": self.epsilon,
-            "layer_sizes": list(self.policy.layer_sizes),
-        }
         arrays = {"obs_lows": self.obs_lows, "obs_highs": self.obs_highs,
-                  "meta": np.array(json.dumps(meta))}
+                  "meta": np.array(json.dumps(self.checkpoint_meta("dqn")))}
         for prefix, net in self._nets():
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
                 arrays[f"{prefix}w{i}"] = w
@@ -207,11 +197,12 @@ class DqnAgent(LearningAgent):
         """Read a checkpoint written by ``save``; a missing entry, a version
         other than 1, a config key ``DqnConfig`` lacks, a saved
         ``reward_clip`` other than ``REWARD_CLIP``, an epsilon outside
-        [0, 1], an array whose shape differs from what ``layer_sizes``
-        implies or that holds anything but finite numbers, or an
+        [0, 1], an array whose shape differs from that of the networks the
+        agent builds or that holds anything but finite numbers, or an
         ``obs_highs`` entry not above its ``obs_lows`` entry raises
         ``ValueError`` naming the file and the key, or the file alone if it
-        is not an archive of arrays with JSON meta.
+        is not an archive of arrays with JSON meta. Older checkpoints also
+        saved the layer sizes in the meta; that entry is ignored.
         """
         try:
             data = np.lib.npyio.NpzFile(
@@ -223,32 +214,19 @@ class DqnAgent(LearningAgent):
             cfg, epsilon = checkpoint_header(
                 meta, path, "dqn", DqnConfig,
                 retired={"reward_clip": list(REWARD_CLIP)}, where="meta")
-            sizes = checkpoint_value(meta, path, "layer_sizes", "meta")
-            if not (isinstance(sizes, list)
-                    and all(has_type_of(n, "int") and n > 0 for n in sizes)):
-                raise ValueError(f"{path}: layer_sizes {sizes!r} must be a "
-                                 f"list of positive integers")
-            sizes = tuple(sizes)
-            if sizes[-1:] != (len(ACTIONS),):
-                raise ValueError(f"{path}: layer_sizes {list(sizes)} must end "
-                                 f"in {len(ACTIONS)}, one value per action")
-            if sizes[0] != len(Observation._fields):
-                raise ValueError(f"{path}: layer_sizes {list(sizes)} must "
-                                 f"start with {len(Observation._fields)}, one "
-                                 f"input per observation component")
-            lows = _numbers(data, path, "obs_lows", sizes[:1])
-            highs = _numbers(data, path, "obs_highs", sizes[:1])
+            width = (len(Observation._fields),)
+            lows = _numbers(data, path, "obs_lows", width)
+            highs = _numbers(data, path, "obs_highs", width)
             if not (highs > lows).all():
                 raise ValueError(f"{path}: 'obs_highs' must exceed "
                                  f"'obs_lows' in every component")
-            agent = cls(lows, highs, cfg=cfg)
+            agent = cls(lows, highs, cfg)
             agent.epsilon = epsilon
-            agent.policy, agent.target = Mlp(sizes), Mlp(sizes)
+            # filled in place: the optimizer's parameters are policy.flat
             for prefix, net in agent._nets():
                 for i, (w, b) in enumerate(zip(net.weights, net.biases)):
                     w[...] = _numbers(data, path, f"{prefix}w{i}", w.shape)
                     b[...] = _numbers(data, path, f"{prefix}b{i}", b.shape)
-        agent.optimizer = Adam(agent.policy.flat, lr=agent.cfg.learning_rate)
         return agent
 
 

@@ -45,17 +45,18 @@ def _views(flat: np.ndarray, shapes) -> list:
 class Mlp:
     """Stack of affine layers with ReLU between them, linear output.
 
-    ``flat`` holds every parameter; ``weights`` and ``biases`` are views into
-    it. ``grad`` is laid out like ``flat`` and ``grads`` are its views, in
+    ``sizes`` are the widths of the layers, input first. ``flat`` holds
+    every parameter; ``weights`` and ``biases`` are views into it. ``grad``
+    is laid out like ``flat`` and ``grads`` are its views, in
     ``parameters()`` order. ``_scratch`` is a third array of the same
     layout, which ``clip_gradient_norm`` and ``soft_update`` overwrite. With
     an ``rng`` the weights are He-normal and the biases zero; without one
     every parameter is zero.
     """
 
-    def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
-        self.layer_sizes = tuple(layer_sizes)
-        shapes = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+    def __init__(self, sizes, rng: np.random.Generator | None = None):
+        self.sizes = tuple(sizes)
+        shapes = list(zip(self.sizes[:-1], self.sizes[1:]))
         n = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
         self.flat = np.zeros(n)
         self.grad = np.zeros(n)
@@ -73,7 +74,7 @@ class Mlp:
         return self.weights + self.biases
 
     def copy(self) -> "Mlp":
-        clone = Mlp(self.layer_sizes)
+        clone = Mlp(self.sizes)
         clone.flat[...] = self.flat
         return clone
 

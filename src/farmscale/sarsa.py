@@ -19,11 +19,10 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
-from .agent import (CHECKPOINT_VERSION, LearningAgent,
-                    check_gamma_and_epsilon, checkpoint_header,
-                    checkpoint_value, greedy_index)
+from .agent import (LearningAgent, check_gamma_and_epsilon,
+                    checkpoint_header, checkpoint_value, greedy_index)
 from .core import (ACTIONS, FieldError, Observation, check_fields,
                    has_type_of, is_finite)
 
@@ -161,10 +160,7 @@ class SarsaAgent(LearningAgent):
 
     def save(self, path):
         blob = {
-            "kind": "sarsa",
-            "version": CHECKPOINT_VERSION,
-            "config": asdict(self.cfg),
-            "epsilon": self.epsilon,
+            **self.checkpoint_meta("sarsa"),
             "edges": [list(e) for e in self.discretizer.edges],
             "qtable": [[list(state), row.tolist()]
                        for state, row in sorted(self.qtable.items())],

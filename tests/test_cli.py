@@ -300,10 +300,7 @@ RETIRED_CLIP = (r"config: reward_clip is a constant now; a checkpoint may "
     ("dqn", lambda m: m["config"].update(momentum=0.9),
      "config has unknown key 'momentum'"),
     ("dqn", lambda m: m.pop("epsilon"), "meta has no 'epsilon'"),
-    ("dqn", lambda m: m.pop("layer_sizes"), "meta has no 'layer_sizes'"),
     ("dqn", lambda m: m.pop("config"), "meta has no 'config'"),
-    ("dqn", lambda m: m.update(layer_sizes=[]),
-     r"layer_sizes \[\] must end in 3, one value per action"),
     ("dqn", lambda m: m["config"].update(tau=0.0),
      r"config: tau must lie in \(0, 1\]"),
     ("sarsa", lambda b: b.pop("qtable"), "checkpoint has no 'qtable'"),
@@ -386,8 +383,8 @@ RETIRED_CLIP = (r"config: reward_clip is a constant now; a checkpoint may "
     ("sarsa", lambda b: b.update(version=True), "version must be 1, got True"),
     ("sarsa", lambda b: b.pop("version"), "checkpoint has no 'version'"),
     ("dqn", lambda m: m.pop("version"), "meta has no 'version'"),
-], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-layer-sizes",
-        "dqn-no-config", "dqn-empty-layer-sizes", "dqn-config-value",
+], ids=["dqn-config-key", "dqn-no-epsilon", "dqn-no-config",
+        "dqn-config-value",
         "sarsa-no-qtable", "sarsa-no-edges", "sarsa-config-key",
         "sarsa-config-value", "sarsa-config-type", "dqn-config-type",
         "dqn-reward-clip-type", "sarsa-qtable-not-list",

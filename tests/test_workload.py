@@ -357,6 +357,24 @@ class TestArrivalGeneration:
             assert len(offsets) == phase.target_count
             assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_overshooting_window_count_drops_the_repeated_edge(self):
+        # 2.1 / 0.3 rounds to 7.000000000000001, so ceil asks for 8 windows;
+        # the interior edge 7 * 0.3 is 2.1 already, the phase's end, and the
+        # empty eighth window goes
+        phase = WorkloadPhaseSpec("steady", 20.0, 2.1, 0.3)
+        assert math.ceil(phase.duration / phase.window) == 8
+        edges = _window_edges(phase.duration, phase.window)
+        assert len(edges) == 8 and edges[-1] == phase.duration
+        assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+        widths = phase.windows[1]
+        assert len(widths) == 7 and (widths > 0).all()
+        for seed in range(20):
+            offsets = generate_phase_arrivals(
+                phase, np.random.default_rng([seed, 2]))
+            assert len(offsets) == phase.target_count == 42
+            assert (np.diff(offsets) >= 0).all()
+            assert offsets[0] >= 0 and offsets[-1] < phase.duration
+
     def test_batched_draws_match_per_window_reference(self):
         surplus_hits = zero_windows = 0
         for seed in range(60):
