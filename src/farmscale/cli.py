@@ -177,6 +177,8 @@ def cmd_compare(args):
     columns = ("final_qos", "mean_workers", "max_workers", "scaling_actions",
                "no_op_actions", "cost_paygo", "cost_sub")
     n = len(columns)
+    qos = columns.index("final_qos")
+    scaling = columns.index("scaling_actions")
     rows, phase_rows = [], []
     for spec, summaries in zip(specs, runs):
         # one row of values per episode; each column is reduced over seeds
@@ -191,9 +193,8 @@ def cmd_compare(args):
         for phase, i in enumerate(range(n, len(means), 2)):
             phase_rows.append([spec, phase, means[i], stds[i], means[i + 1],
                                stds[i + 1]])
-        # columns 0 and 3: final_qos and scaling_actions
-        print(f"{spec}: qos={means[0]:.4f}±{stds[0]:.4f} "
-              f"scaling={means[3]:.1f}")
+        print(f"{spec}: qos={means[qos]:.4f}±{stds[qos]:.4f} "
+              f"scaling={means[scaling]:.1f}")
 
     write_csv(out / "comparison.csv",
               ["policy", *(f"{label}_{stat}" for label in columns

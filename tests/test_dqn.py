@@ -319,9 +319,9 @@ class TestAgent:
         for i in range(40):
             learn(agent, obs(q_work=int(rng.integers(0, 100))),
                   int(rng.integers(-1, 2)), float(rng.normal()), obs())
-        assert np.isfinite(agent.train_step())
         assert any(not np.array_equal(b, w)
                    for b, w in zip(before, agent.policy.weights))
+        assert np.isfinite(agent.train_step())
 
     def test_reward_clipping(self):
         assert REWARD_CLIP == (-100.0, 100.0)
