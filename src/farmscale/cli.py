@@ -1,4 +1,9 @@
-"""Command-line harness: calibrate, workload, run, train, compare."""
+"""Command-line harness: calibrate, workload, run, train, compare.
+
+This module is the one writer of every output table: each command builds
+its rows where it writes them, under the headers below. A checkpoint is
+written by its agent's ``save``, beside the ``load`` that reads it.
+"""
 
 from __future__ import annotations
 
@@ -9,20 +14,41 @@ import json
 import math
 import sys
 from collections import Counter
+from dataclasses import fields
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from . import config as cfgmod
-from .core import write_csv
+from .core import Observation, TaskSpec, task_columns
 from .dqn import DqnAgent
 from .env import FarmEnv
 from .metrics import aggregate_rows, cost_paygo, cost_sub
 from .reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from .sarsa import SarsaAgent, default_discretizer
-from .training import (evaluate_policies, run_episode, train_agent,
-                       write_training_curve)
+from .training import (TrainingRecord, evaluate_policies, run_episode,
+                       train_agent)
 from .workload import (CALIBRATION_SAMPLES, FitError, build_episode_workload,
-                       fit_service_model, write_workload_csv)
+                       fit_service_model)
+
+_STEP_SCALARS = ("action", "applied_delta", "reward", "arrived", "completed",
+                 "hits")
+# steps.csv: one row per logged StepRecord, its observation spread out
+STEP_COLUMNS = ("step", *Observation._fields, *_STEP_SCALARS)
+_step_scalars = attrgetter(*_STEP_SCALARS)
+# tasks.csv: a task's fields but the phase, then its completion and met
+TASK_COLUMNS = ("task_id", "arrival", "size", "service", "deadline",
+                "completion", "met")
+# training_curve.csv: one row per TrainingRecord, in its field order
+CURVE_COLUMNS = tuple(f.name for f in fields(TrainingRecord))
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and then each of ``rows`` to ``path`` as CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_samples(path):
@@ -96,7 +122,7 @@ def cmd_workload(args):
     tasks = build_episode_workload(env.config, dist, model,
                                    shuffle_phases=args.shuffle,
                                    rng_seed=seed)
-    write_workload_csv(tasks, args.out)
+    write_csv(args.out, TaskSpec._fields, tasks)
     counts = Counter(tasks.phase_index)
     for phase in sorted(counts):
         print(f"phase {phase}: {counts[phase]} tasks")
@@ -126,11 +152,19 @@ def cmd_run(args):
                                       shuffle_phases=args.shuffle,
                                       rng_seed=seed)
     summary = run_episode(env, policy, workload, seed)
+    # a task with no completion record never completed: completion nan and
+    # missed; met is written as 0/1
+    completion, met = [math.nan] * len(workload), [0] * len(workload)
+    for i, time, hit in env.log.completions:
+        completion[i], met[i] = time, int(hit)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    env.log.write_step_csv(out / "steps.csv")
-    env.log.write_task_csv(out / "tasks.csv")
+    write_csv(out / "steps.csv", STEP_COLUMNS,
+              ((s.step, *s.observation, *_step_scalars(s))
+               for s in env.log.steps))
+    write_csv(out / "tasks.csv", TASK_COLUMNS,
+              zip(*task_columns(workload)[:5], completion, met))
     (out / "summary.json").write_text(json.dumps(summary.as_dict(), indent=2))
     print(f"final_qos={summary.final_qos:.4f} mean_workers={summary.n_mean:.2f} "
           f"scaling_actions={summary.n_scale} -> {out}")
@@ -155,7 +189,8 @@ def cmd_train(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     agent.save(out / ckpt_name)
-    write_training_curve(records, out / "training_curve.csv")
+    write_csv(out / "training_curve.csv", CURVE_COLUMNS,
+              map(attrgetter(*CURVE_COLUMNS), records))
     last = records[-1]
     print(f"trained {args.agent} for {len(records)} episodes "
           f"(last qos={last.final_qos:.4f}, eps={last.epsilon:.3f}) -> {out}")

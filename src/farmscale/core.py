@@ -7,14 +7,13 @@ derived. No module-level mutable state.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import repeat
 from operator import add, attrgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 ACTIONS = (-1, 0, 1)
 
@@ -267,24 +266,6 @@ class StepRecord:
     reward_terms: tuple = ()
 
 
-_STEP_SCALARS = ("action", "applied_delta", "reward", "arrived", "completed",
-                 "hits")
-STEP_COLUMNS = ("step", *Observation._fields, *_STEP_SCALARS)
-_step_scalar_values = attrgetter(*_STEP_SCALARS)
-
-
-TASK_COLUMNS = ("task_id", "arrival", "size", "service", "deadline",
-                "completion", "met")
-
-
-def write_csv(path, header, rows):
-    """Write ``header`` and then each of ``rows`` to ``path`` as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 @dataclass
 class EpisodeLog:
     """One episode: its ``Workload``, the simulator's completion records
@@ -302,22 +283,3 @@ class EpisodeLog:
     @property
     def total_completed(self) -> int:
         return sum(s.completed for s in self.steps)
-
-    def step_rows(self) -> Iterable[tuple]:
-        for s in self.steps:
-            yield (s.step, *s.observation, *_step_scalar_values(s))
-
-    def write_step_csv(self, path):
-        write_csv(path, STEP_COLUMNS, self.step_rows())
-
-    def write_task_csv(self, path):
-        """One row per task in workload order: its fields but the phase,
-        then completion and met. A task that never completed has completion
-        ``nan`` and counts as missed. ``met`` is 0/1."""
-        n = len(self.tasks)
-        completion, met = [math.nan] * n, [0] * n
-        for i, time, hit in self.completions:
-            completion[i], met[i] = time, int(hit)
-        write_csv(path, TASK_COLUMNS,
-                  zip(*task_columns(self.tasks)[:5], completion, met))
-

@@ -10,10 +10,8 @@ encodes each observation once. Randomness is seeded per episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 
-from .core import write_csv
 from .env import FarmEnv
 from .metrics import summarize_episode
 from .workload import build_episode_workload
@@ -30,9 +28,6 @@ class TrainingRecord:
     scaling_actions: int
     no_ops: int
     steps: int
-
-
-CURVE_COLUMNS = tuple(f.name for f in fields(TrainingRecord))
 
 
 def run_episode(env: FarmEnv, policy, workload, seed: int):
@@ -106,7 +101,3 @@ def evaluate_policies(policies, env: FarmEnv, dist, model, seeds) -> list:
 def evaluate_policy(policy, env: FarmEnv, dist, model, seeds) -> list:
     """Greedy evaluation over a list of seeds; one summary per seed."""
     return evaluate_policies([policy], env, dist, model, seeds)[0]
-
-
-def write_training_curve(records, path):
-    write_csv(path, CURVE_COLUMNS, map(attrgetter(*CURVE_COLUMNS), records))

@@ -15,8 +15,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import (FieldError, TaskSpec, Workload, check_fields, check_value,
-                   left_sum, write_csv)
+from .core import FieldError, Workload, check_fields, check_value, left_sum
 
 SUPPORTED_SIZES = (512, 1024, 2048, 4096)
 
@@ -368,8 +367,3 @@ def build_episode_workload(config, dist: SizeDistribution,
         per_size[:, k] = size, service, deadline
     sizes, services, deadlines = per_size[:, picks].tolist()
     return Workload(arrival, sizes, services, deadlines, phase_id, order)
-
-
-def write_workload_csv(tasks, path):
-    """The tasks as CSV rows under a header of their field names."""
-    write_csv(path, TaskSpec._fields, tasks)

@@ -1,9 +1,14 @@
 """tools/bench_pairs.py: the verdict on a metric and the checks on a pair,
-on synthetic numbers; no benchmark runs."""
+on synthetic numbers; no benchmark runs. One test runs the tool on a stub
+benchmark that sleeps, to stop it with SIGTERM."""
 
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -422,3 +427,55 @@ def test_bad_workload_lists_are_refused(text, capsys):
                                 "--workload", text, "--seeds", "1-1"])
     assert "need distinct comma-separated workloads" in (
         capsys.readouterr().err)
+
+
+# a stub benchmark command: it writes its PID to the file named by its first
+# argument, whole or not at all, then sleeps
+SLEEPER = ("import os, sys, time\n"
+           "part = sys.argv[1] + '.part'\n"
+           "with open(part, 'w') as fh:\n"
+           "    fh.write(str(os.getpid()))\n"
+           "os.replace(part, sys.argv[1])\n"
+           "time.sleep(120)\n")
+
+
+def is_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_stops_the_run_and_removes_its_copies(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "src").mkdir(parents=True)
+    pid_file = tmp_path / "benchmark.pid"
+    (tree / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "-c", SLEEPER, str(pid_file)],
+        "run_seconds": 16, "end_to_end": []}))
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"),
+         "--base", str(tree), "--aa", "--workload", "w", "--seeds", "0-0"],
+        env=dict(os.environ, TMPDIR=str(tmp_path)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    pid = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert proc.poll() is None, "bench_pairs ended before its run"
+            assert time.monotonic() < deadline, "the benchmark never started"
+            time.sleep(0.05)
+        pid = int(pid_file.read_text())
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=60)
+        left_running = is_running(pid)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if pid is not None and is_running(pid):
+            os.kill(pid, signal.SIGKILL)
+    assert code == 128 + signal.SIGTERM
+    assert not left_running
+    assert list(tmp_path.glob("bench_pairs-*")) == []

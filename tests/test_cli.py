@@ -16,11 +16,10 @@ import yaml
 import farmscale
 from farmscale import cli, config as cfgmod
 from farmscale.cli import build_parser, main
+from farmscale.core import TaskSpec
 from farmscale.dqn import DqnAgent
 from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
-from farmscale.training import CURVE_COLUMNS
-from farmscale.workload import (build_episode_workload, phase_order,
-                                write_workload_csv)
+from farmscale.workload import build_episode_workload, phase_order
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +119,30 @@ def test_workload_writes_csv(tmp_path, tiny_config, capsys):
     ) + f"total: {len(tasks)} tasks -> {out}\n"
 
 
+def test_workload_csv_round_trip(tmp_path, default_workload):
+    path = tmp_path / "workload.csv"
+    assert main(["workload", "--seed", "0", "--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(TaskSpec._fields)
+    types = (int, float, int, float, float, int)
+    back = [TaskSpec._make(convert(v) for convert, v in zip(types, row))
+            for row in rows]
+    assert back == list(default_workload)
+
+
+def test_field_order_is_the_csv_column_order(tmp_path):
+    # cmd_workload writes each task as the plain tuple of its fields
+    assert TaskSpec._fields == (
+        "task_id", "arrival_time", "size_px", "service_time", "deadline",
+        "phase_index")
+    path = tmp_path / "workload.csv"
+    cli.write_csv(path, TaskSpec._fields,
+                  [TaskSpec(7, 1.25, 1024, 0.18, 0.36, 2)])
+    assert path.read_text().splitlines() == [
+        ",".join(TaskSpec._fields), "7,1.25,1024,0.18,0.36,2"]
+
+
 def test_repeated_workload_calls_share_no_options(tmp_path, tiny_config):
     # main reuses one parser per process; a flag given to one call must not
     # reach the next
@@ -131,9 +154,9 @@ def test_repeated_workload_calls_share_no_options(tmp_path, tiny_config):
     cfg = cfgmod.load_config(tiny_config)
     model, dist = cfgmod.service_model_and_sizes(cfg)
     expected = tmp_path / "expected.csv"
-    write_workload_csv(build_episode_workload(
+    cli.write_csv(expected, TaskSpec._fields, build_episode_workload(
         cfgmod.episode_config(cfg), dist, model, shuffle_phases=False,
-        rng_seed=3), expected)
+        rng_seed=3))
     assert shuffled.read_bytes() != plain.read_bytes()
     assert plain.read_bytes() == expected.read_bytes()
 
@@ -166,6 +189,83 @@ def test_run_reactive_writes_artifacts(tmp_path, tiny_config):
     assert 0.0 <= summary["final_qos"] <= 1.0
     assert sum(int(rec["arrived"]) for rec in steps) == summary["emitted"]
     assert (out / "tasks.csv").exists()
+
+
+def _spy_logs(monkeypatch) -> list:
+    """Make ``cli.run_episode`` keep the log of each episode it runs, and
+    return the list it appends them to."""
+    logs = []
+    run_episode = cli.run_episode
+
+    def spy(env, *args):
+        summary = run_episode(env, *args)
+        logs.append(env.log)
+        return summary
+
+    monkeypatch.setattr(cli, "run_episode", spy)
+    return logs
+
+
+def test_step_csv_round_trip(tmp_path, tiny_config, monkeypatch):
+    logs = _spy_logs(monkeypatch)
+    out = tmp_path / "run"
+    assert main(["run", "--config", tiny_config, "--policy", "reactive-avg",
+                 "--seed", "1", "--out", str(out)]) == 0
+    with open(out / "steps.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(cli.STEP_COLUMNS)
+    [log] = logs
+    assert len(rows) == len(log.steps) > 0
+    assert rows == [[str(v) for v in (s.step, *s.observation, s.action,
+                                      s.applied_delta, s.reward, s.arrived,
+                                      s.completed, s.hits)]
+                    for s in log.steps]
+
+
+def test_task_csv_has_all_tasks(tmp_path, monkeypatch):
+    # the golden "undrained" config ends before the backlog drains, so some
+    # tasks have no completion record
+    cfg = tmp_path / "undrained.yaml"
+    cfg.write_text(yaml.safe_dump({"drain_cap": 0, "n_max": 4, "n_init": 2}))
+    logs = _spy_logs(monkeypatch)
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--policy", "reactive-avg",
+                 "--seed", "3", "--out", str(out)]) == 0
+    with open(out / "tasks.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(cli.TASK_COLUMNS)
+    [log] = logs
+    assert [row[:5] for row in rows] == [[str(v) for v in task[:5]]
+                                         for task in log.tasks]
+    completed = {i: time for i, time, _ in log.completions}
+    assert 0 < len(completed) < len(rows)
+    for task_id, arrival, _, _, deadline, completion, met in rows:
+        if int(task_id) not in completed:
+            assert (completion, met) == ("nan", "0")
+            continue
+        assert float(completion) == completed[int(task_id)]
+        assert met == str(int(float(completion) - float(arrival)
+                              <= float(deadline)))
+    assert {row[-1] for row in rows if int(row[0]) in completed} == {"0", "1"}
+
+
+def test_run_writes_numpy_integer_actions_as_ints(tmp_path, tiny_config,
+                                                  monkeypatch):
+    class NumpyActions:
+        def __init__(self):
+            self.actions = iter([np.int64(1), np.int32(-1)])
+
+        def select_action(self, obs, record):
+            return next(self.actions, np.int64(0))
+
+    monkeypatch.setattr(cli, "_make_policy", lambda spec, env: NumpyActions())
+    out = tmp_path / "run"
+    assert main(["run", "--config", tiny_config, "--policy", "numpy",
+                 "--out", str(out)]) == 0
+    with open(out / "steps.csv", newline="") as fh:
+        actions = [row["action"] for row in csv.DictReader(fh)]
+    assert actions[:2] == ["1", "-1"]
+    assert set(actions[2:]) == {"0"}
 
 
 def test_shuffled_run_gives_each_phase_the_workers_of_its_slot(tmp_path):
@@ -226,7 +326,7 @@ def test_train_then_run_checkpoint(tmp_path, tiny_config, agent, ckpt):
     with open(out / "training_curve.csv") as fh:
         header = fh.readline().strip().split(",")
         n_rows = sum(1 for _ in fh)
-    assert header == list(CURVE_COLUMNS)
+    assert header == list(cli.CURVE_COLUMNS)
     assert n_rows == 2
 
     run_dir = tmp_path / "replay"
@@ -234,6 +334,27 @@ def test_train_then_run_checkpoint(tmp_path, tiny_config, agent, ckpt):
                  "--policy", f"{agent}:{out / ckpt}",
                  "--out", str(run_dir)]) == 0
     assert (run_dir / "summary.json").exists()
+
+
+def test_training_curve_csv_columns_and_rows(tmp_path, tiny_config,
+                                            monkeypatch):
+    records = []
+    train_agent = cli.train_agent
+
+    def spy(*args, **kwargs):
+        records.extend(train_agent(*args, **kwargs))
+        return records
+
+    monkeypatch.setattr(cli, "train_agent", spy)
+    out = tmp_path / "sarsa"
+    assert main(["train", "--config", tiny_config, "--agent", "sarsa",
+                 "--episodes", "3", "--out", str(out)]) == 0
+    with open(out / "training_curve.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(cli.CURVE_COLUMNS)
+    assert len(rows) == 3
+    assert rows == [[str(getattr(r, name)) for name in cli.CURVE_COLUMNS]
+                    for r in records]
 
 
 def test_train_sarsa_bins_workers_up_to_configured_n_max(tmp_path,

@@ -1,16 +1,15 @@
 """Domain vocabulary: tasks, workloads, observations, configs, episode
 logs."""
 
-import csv
 import math
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from farmscale.core import (STEP_COLUMNS, EpisodeConfig, EpisodeLog,
-                            Observation, RewardConfig, StepRecord, TaskSpec,
-                            Workload, left_sum, task_columns)
-from farmscale.workload import WorkloadPhaseSpec, write_workload_csv
+from farmscale.core import (EpisodeConfig, EpisodeLog, Observation,
+                            RewardConfig, StepRecord, TaskSpec, Workload,
+                            left_sum, task_columns)
+from farmscale.workload import WorkloadPhaseSpec
 from tests.conftest import workload_of
 
 class TestLeftSum:
@@ -137,15 +136,6 @@ class TestTaskSpec:
                            "size_px=1024, service_time=0.18, deadline=0.36, "
                            "phase_index=2)")
 
-    def test_field_order_is_the_csv_column_order(self, tmp_path):
-        assert TaskSpec._fields == (
-            "task_id", "arrival_time", "size_px", "service_time", "deadline",
-            "phase_index")
-        path = tmp_path / "workload.csv"
-        write_workload_csv([TaskSpec(*self.ARGS)], path)
-        assert path.read_text().splitlines() == [
-            ",".join(TaskSpec._fields), "7,1.25,1024,0.18,0.36,2"]
-
 
 class TestObservation:
     def test_has_nine_ordered_fields(self):
@@ -220,29 +210,6 @@ class TestEpisodeLog:
                                     completed=2, hits=2, workers_busy=1,
                                     reward_terms=(0.5,) + (0.0,) * 6))
         return log
-
-    def test_step_csv_round_trip(self, tmp_path):
-        log = self._small_log()
-        path = tmp_path / "steps.csv"
-        log.write_step_csv(path)
-        with open(path, newline="") as fh:
-            header, *rows = csv.reader(fh)
-        assert header == list(STEP_COLUMNS)
-        assert rows == [["0", "0", "1", "0", "0", "2", "1.5", "2.9", "5.0",
-                         "1.0", "1", "1", "0.5", "3", "2", "2"]]
-        assert Observation._make(map(float, rows[0][1:10])) == (
-            log.steps[0].observation)
-
-    def test_task_csv_has_all_tasks(self, tmp_path):
-        log = self._small_log()
-        path = tmp_path / "tasks.csv"
-        log.write_task_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines == [
-            "task_id,arrival,size,service,deadline,completion,met",
-            "0,0.1,512,0.05,0.09,0.2,0",
-            "1,0.2,1024,0.17,0.35,nan,0",  # never completed
-        ]
 
     def test_counters(self):
         log = self._small_log()

@@ -1,6 +1,5 @@
 """Episode loops shared by the reactive baselines and both agents."""
 
-import csv
 from collections import defaultdict
 from itertools import accumulate
 
@@ -12,9 +11,8 @@ from farmscale.dqn import DqnAgent
 from farmscale.env import FarmEnv, LifecycleError
 from farmscale.reactive import ReactiveAveragePolicy, ReactiveMaximumPolicy
 from farmscale.sarsa import SarsaAgent, SarsaConfig, default_discretizer
-from farmscale.training import (CURVE_COLUMNS, evaluate_policies,
-                                evaluate_policy, run_episode, train_agent,
-                                write_training_curve)
+from farmscale.training import (evaluate_policies, evaluate_policy,
+                                run_episode, train_agent)
 from farmscale.workload import (build_episode_workload,
                                 default_size_distribution, phase_order,
                                 reduced_paper_model)
@@ -200,16 +198,3 @@ class TestEvaluatePolicy:
                      env.config, dist, model, False, seed), seed)
                   for seed in seeds] for policy in policies]
         assert runs == alone
-
-
-class TestTrainingCurve:
-    def test_csv_columns_and_rows(self, tiny_setup, tmp_path):
-        env, dist, model = tiny_setup
-        agent = SarsaAgent(SarsaConfig(), default_discretizer(20), seed=0)
-        records = train_agent(agent, env, dist, model, episodes=3)
-        path = tmp_path / "curve.csv"
-        write_training_curve(records, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        assert tuple(rows[0]) == CURVE_COLUMNS

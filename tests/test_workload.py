@@ -1,6 +1,5 @@
 """Service-time calibration, size distribution, and arrival generation."""
 
-import csv
 import math
 from dataclasses import replace
 from itertools import chain, repeat
@@ -18,7 +17,7 @@ from farmscale.workload import (CALIBRATION_SAMPLES, SUPPORTED_SIZES,
                                 default_phases, default_size_distribution,
                                 fit_service_model, generate_phase_arrivals,
                                 phase_order, reduced_paper_model,
-                                ServiceTimeModel, write_workload_csv)
+                                ServiceTimeModel)
 
 
 def sample_task_sizes(dist, rng, n) -> list:
@@ -457,17 +456,6 @@ class TestArrivalGeneration:
         for t in shuffled:
             counts[t.phase_index] = counts.get(t.phase_index, 0) + 1
         assert sorted(counts.values()) == [90, 300, 300, 450]
-
-    def test_csv_round_trip(self, tmp_path, default_workload):
-        path = tmp_path / "workload.csv"
-        write_workload_csv(default_workload, path)
-        with open(path, newline="") as fh:
-            header, *rows = csv.reader(fh)
-        assert header == list(TaskSpec._fields)
-        types = (int, float, int, float, float, int)
-        back = [TaskSpec._make(convert(v) for convert, v in zip(types, row))
-                for row in rows]
-        assert back == list(default_workload)
 
 
 CACHED = [

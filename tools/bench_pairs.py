@@ -44,8 +44,9 @@ two sides at one commit with different files have different digests.
 
 Exits 1 if a run of any workload is not ``correct``, fails an operation,
 or differs from the other side of its pair in ``qos`` or in the output
-digest of its ``details`` line; 0 otherwise, gain or not. Standard library
-only.
+digest of its ``details`` line; 0 otherwise, gain or not. Stopped by
+SIGTERM, it kills the running benchmark, removes its copies and exits 143.
+Standard library only.
 """
 
 import argparse
@@ -54,6 +55,7 @@ import json
 import os
 import random
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -327,4 +329,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM's default action ends the process at once; as an exit it
+    # unwinds, so subprocess.run kills the running benchmark and the run's
+    # copy and its temporary directory are removed
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
